@@ -3,18 +3,19 @@
 //!
 //! # Query path (scatter, stream, tighten, gather)
 //!
-//! A query scatters to every shard at once; each shard streams accepted
-//! hits back as it searches ([`Message::Hit`]) and closes with a
-//! [`Message::Done`] carrying the count of hits it sent. The coordinator
-//! folds every streamed hit into its own [`SharedTopK`] pool and, whenever
-//! the pool's k-th distance tightens, broadcasts the new bound to the
-//! still-running shards ([`Message::Tighten`]) — a hit found on shard A
-//! prunes shard B's remaining partitions mid-flight, which is exactly the
-//! in-process shared-threshold design stretched over the wire. Exactness
-//! survives the stretch for the same reason it holds in-process: the
-//! broadcast bound is the coordinator pool's k-th distance, a sound upper
-//! bound on the global k-th at all times, and the only hits a shard can
-//! prune under it are ties at the k-th slot whose stand-ins the
+//! A query scatters to every shard at once; each shard streams each
+//! partition's hits as one frame as it searches ([`Message::Hits`]) and
+//! closes with a [`Message::Done`] carrying the count of hits it sent. The
+//! coordinator folds every hit of every batch into its own [`SharedTopK`]
+//! pool and, whenever the pool's k-th distance tightens, broadcasts the new
+//! bound to the still-running shards ([`Message::Tighten`]), once per
+//! gather sweep however many frames the sweep drained — a hit found on
+//! shard A prunes shard B's remaining partitions mid-flight, which is
+//! exactly the in-process shared-threshold design stretched over the wire.
+//! Exactness survives the stretch for the same reason it holds in-process:
+//! the broadcast bound is the coordinator pool's k-th distance, a sound
+//! upper bound on the global k-th at all times, and the only hits a shard
+//! can prune under it are ties at the k-th slot whose stand-ins the
 //! coordinator pool already holds (see `repose_rptrie::shared`).
 //!
 //! A shard's answer counts as arrived only when the hits received for one
@@ -487,14 +488,24 @@ impl ShardCluster {
             let mut got = self.transport.recv_timeout(0, self.cfg.tick);
             let now = self.clock.now();
             while let Some((_, msg)) = got {
+                // A lone `Hit` is a one-element batch (no worker sends one).
+                let msg = match msg {
+                    Message::Hit { qid, attempt, id, dist } => {
+                        Message::Hits { qid, attempt, hits: vec![(id, dist)] }
+                    }
+                    other => other,
+                };
                 match msg {
-                    Message::Hit { qid: q, attempt, id, dist } if q == qid => {
+                    Message::Hits { qid: q, attempt, hits } if q == qid => {
                         if let Some(&shard) = attempt_shard.get(&attempt) {
                             let p = &mut progress[shard];
-                            p.received.entry(attempt).or_default().insert(id);
-                            if seen_ids.insert(id) {
-                                global.publish(dist, id);
-                                all_hits.push(Hit { id, dist });
+                            let received = p.received.entry(attempt).or_default();
+                            for (id, dist) in hits {
+                                received.insert(id);
+                                if seen_ids.insert(id) {
+                                    global.publish(dist, id);
+                                    all_hits.push(Hit { id, dist });
+                                }
                             }
                             Self::check_complete(p, attempt, now, &mut self.hedge);
                         }

@@ -3,10 +3,11 @@
 //! This crate stretches the repository's single-node serving layer
 //! ([`repose_service`]) across shard boundaries: a coordinator scatters
 //! each query to shard workers that own disjoint subsets of the data,
-//! hits stream back as they are found, and the coordinator's merged
-//! k-th-distance bound is broadcast back out so a hit found on one shard
-//! prunes every other — the in-process shared-threshold design
-//! ([`repose_rptrie::SharedTopK`]) carried over an actual wire protocol.
+//! hits stream back one frame per completed partition, and the
+//! coordinator's merged k-th-distance bound is broadcast back out so a
+//! hit found on one shard prunes every other — the in-process
+//! shared-threshold design ([`repose_rptrie::SharedTopK`]) carried over
+//! an actual wire protocol.
 //! The answer stays **bitwise exact** (same distance multiset, same
 //! tie-breaks) as the single-node path whenever every shard answers, and
 //! degrades *visibly* (never silently) when shards fail past their retry

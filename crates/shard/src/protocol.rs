@@ -10,9 +10,17 @@
 //! suite demand *bitwise* identity between sharded and single-node
 //! answers: serialization is exact, never a rounding step.
 //!
+//! A shard streams each partition's hits as one frame
+//! ([`Message::Hits`]): the per-frame costs — encode, CRC, fault-site
+//! consult, queue push, wake-up, decode — are paid once per completed
+//! partition, not once per hit.
+//!
 //! Decoding is hostile-input safe: underruns, bad checksums, impossible
 //! counts, and unknown tags all surface as a typed [`ProtocolError`] —
-//! never a panic, never a silently skipped field.
+//! never a panic, never a silently skipped field. Distances and bounds
+//! that feed a [`repose_rptrie::SharedTopK`] are checked here too: its
+//! `fetch_min` on `f64::to_bits` is only ordered for non-negative non-NaN
+//! values, so a NaN or negative one is refused at the wire.
 
 use repose_distance::Measure;
 use repose_durability::{crc32, DecodeError, WalRecord};
@@ -88,9 +96,9 @@ pub enum Message {
         /// The query trajectory.
         points: Vec<Point>,
     },
-    /// Shard → coordinator: one accepted local hit, streamed as its
-    /// partition completes so the coordinator can tighten everyone else
-    /// mid-flight.
+    /// Shard → coordinator: one accepted local hit. Workers stream
+    /// [`Message::Hits`] and never send this; a coordinator that receives
+    /// one treats it as a one-element batch.
     Hit {
         /// The query this hit answers.
         qid: u64,
@@ -100,6 +108,17 @@ pub enum Message {
         id: TrajId,
         /// Its exact distance (bit-exact over the wire).
         dist: f64,
+    },
+    /// Shard → coordinator: every accepted hit of one completed partition
+    /// as `(id, exact distance)` pairs, streamed as the partition
+    /// completes so the coordinator can tighten everyone else mid-flight.
+    Hits {
+        /// The query these hits answer.
+        qid: u64,
+        /// The attempt that produced them.
+        attempt: u32,
+        /// The trajectories found, distances bit-exact over the wire.
+        hits: Vec<(TrajId, f64)>,
     },
     /// Coordinator → shards: the global k-th-distance bound tightened;
     /// fold `dk` into running searches ([`repose_rptrie::SharedTopK::tighten`]).
@@ -193,6 +212,7 @@ const TAG_DELETE: u8 = 9;
 const TAG_WRITE_OK: u8 = 10;
 const TAG_WRITE_REFUSED: u8 = 11;
 const TAG_SHUTDOWN: u8 = 12;
+const TAG_HITS: u8 = 13;
 
 /// Why a frame failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -233,6 +253,20 @@ impl std::error::Error for ProtocolError {}
 /// legitimate message is a `Replicate` burst; 64 MiB is far above it).
 const MAX_FRAME: u32 = 64 << 20;
 
+/// Bytes of the `[len u32][crc u32]` frame header.
+const HEADER: usize = 8;
+
+/// Reads a distance or bound destined for a `SharedTopK`: NaN and negative
+/// values are malformed (see module docs).
+fn read_dist(cur: &mut &[u8]) -> Result<f64, ProtocolError> {
+    let d = read_f64(cur).ok_or(ProtocolError::Truncated)?;
+    if d >= 0.0 {
+        Ok(d)
+    } else {
+        Err(ProtocolError::BadPayload)
+    }
+}
+
 impl Message {
     /// Appends this message's payload (tag + fields, no frame header).
     fn encode_payload(&self, buf: &mut Vec<u8>) {
@@ -252,6 +286,16 @@ impl Message {
                 put_u32(buf, *attempt);
                 put_u64(buf, *id);
                 put_f64(buf, *dist);
+            }
+            Message::Hits { qid, attempt, hits } => {
+                buf.push(TAG_HITS);
+                put_u64(buf, *qid);
+                put_u32(buf, *attempt);
+                put_u32(buf, hits.len() as u32);
+                for &(id, dist) in hits {
+                    put_u64(buf, id);
+                    put_f64(buf, dist);
+                }
             }
             Message::Tighten { qid, dk } => {
                 buf.push(TAG_TIGHTEN);
@@ -306,14 +350,16 @@ impl Message {
         }
     }
 
-    /// Encodes the full frame: `[len][crc][payload]`.
+    /// Encodes the full frame: `[len][crc][payload]`, in one buffer — the
+    /// header is reserved up front and patched once the payload is known.
     pub fn encode_frame(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
-        self.encode_payload(&mut payload);
-        let mut frame = Vec::with_capacity(payload.len() + 8);
-        put_u32(&mut frame, payload.len() as u32);
-        put_u32(&mut frame, crc32(&payload));
-        frame.extend_from_slice(&payload);
+        // 64 bytes hold every fixed-size message without a regrow.
+        let mut frame = Vec::with_capacity(64);
+        frame.extend_from_slice(&[0u8; HEADER]);
+        self.encode_payload(&mut frame);
+        let (header, payload) = frame.split_at_mut(HEADER);
+        header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
         frame
     }
 
@@ -360,11 +406,27 @@ impl Message {
                 qid: read_u64(cur).ok_or_else(t)?,
                 attempt: read_u32(cur).ok_or_else(t)?,
                 id: read_u64(cur).ok_or_else(t)?,
-                dist: read_f64(cur).ok_or_else(t)?,
+                dist: read_dist(cur)?,
             },
+            TAG_HITS => {
+                let qid = read_u64(cur).ok_or_else(t)?;
+                let attempt = read_u32(cur).ok_or_else(t)?;
+                let n = read_u32(cur).ok_or_else(t)? as usize;
+                // The pairs are the rest of the payload, exactly: a count
+                // that disagrees with the bytes present is refused before
+                // any allocation.
+                if n.checked_mul(16) != Some(cur.len()) {
+                    return Err(ProtocolError::BadPayload);
+                }
+                let mut hits = Vec::with_capacity(n);
+                for _ in 0..n {
+                    hits.push((read_u64(cur).ok_or_else(t)?, read_dist(cur)?));
+                }
+                Message::Hits { qid, attempt, hits }
+            }
             TAG_TIGHTEN => Message::Tighten {
                 qid: read_u64(cur).ok_or_else(t)?,
-                dk: read_f64(cur).ok_or_else(t)?,
+                dk: read_dist(cur)?,
             },
             TAG_DONE => Message::Done {
                 qid: read_u64(cur).ok_or_else(t)?,
@@ -427,63 +489,124 @@ impl Message {
 mod tests {
     use super::*;
 
-    fn roundtrip(msg: Message) {
-        let frame = msg.encode_frame();
-        let mut cur = frame.as_slice();
-        let back = Message::decode_frame(&mut cur).unwrap().unwrap();
-        assert_eq!(back, msg);
-        assert!(cur.is_empty());
+    fn decode(frame: &[u8]) -> Result<Option<Message>, ProtocolError> {
+        let mut cur = frame;
+        let out = Message::decode_frame(&mut cur);
+        if let Ok(Some(_)) = out {
+            assert!(cur.is_empty(), "one frame, fully consumed");
+        }
+        out
     }
 
-    #[test]
-    fn all_messages_roundtrip() {
-        roundtrip(Message::Query {
-            qid: 7,
-            attempt: 2,
-            k: 10,
-            measure: Measure::Erp,
-            seed_dk: f64::INFINITY,
-            points: vec![Point::new(1.5, -2.5), Point::new(0.0, 64.0)],
-        });
-        roundtrip(Message::Hit { qid: 7, attempt: 2, id: 99, dist: 0.125 });
-        roundtrip(Message::Tighten { qid: 7, dk: 3.5 });
-        roundtrip(Message::Done {
-            qid: 7,
-            attempt: 2,
-            hits_sent: 5,
-            exact_computations: 123,
-            exact_abandoned: 45,
-        });
-        roundtrip(Message::Replicate {
-            records: vec![
-                WalRecord::Upsert { seq: 1, id: 4, points: vec![Point::new(2.0, 3.0)] },
-                WalRecord::Delete { seq: 2, id: 4 },
-            ],
-        });
-        roundtrip(Message::Ack { seq: 9 });
-        roundtrip(Message::Heartbeat { seq: 11 });
-        roundtrip(Message::Upsert { wid: 1, id: 2, points: vec![Point::new(0.5, 0.5)] });
-        roundtrip(Message::Delete { wid: 3, id: 2 });
-        roundtrip(Message::WriteOk { wid: 1, seq: 8 });
+    /// `[len][crc][payload]` assembled from a separately built payload —
+    /// how `encode_frame` worked before it went single-buffer, and how a
+    /// hostile sender frames a payload of its own making.
+    fn frame_of(payload: &[u8]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        put_u32(&mut frame, payload.len() as u32);
+        put_u32(&mut frame, crc32(payload));
+        frame.extend_from_slice(payload);
+        frame
+    }
+
+    /// A `Hits` payload with a free-standing `count` field.
+    fn hits_payload(count: u32, pairs: &[(u64, f64)], extra: &[u8]) -> Vec<u8> {
+        let mut p = vec![TAG_HITS];
+        put_u64(&mut p, 7);
+        put_u32(&mut p, 2);
+        put_u32(&mut p, count);
+        for &(id, dist) in pairs {
+            put_u64(&mut p, id);
+            put_f64(&mut p, dist);
+        }
+        p.extend_from_slice(extra);
+        p
+    }
+
+    /// At least one message of every variant.
+    fn one_of_each() -> Vec<Message> {
+        let mut all = vec![
+            Message::Query {
+                qid: 7,
+                attempt: 2,
+                k: 10,
+                measure: Measure::Erp,
+                seed_dk: f64::INFINITY,
+                points: vec![Point::new(1.5, -2.5), Point::new(0.0, 64.0)],
+            },
+            Message::Hit { qid: 7, attempt: 2, id: 99, dist: 0.125 },
+            Message::Hits { qid: 7, attempt: 2, hits: vec![] },
+            Message::Hits { qid: 7, attempt: 2, hits: vec![(99, 0.125)] },
+            Message::Hits {
+                qid: 7,
+                attempt: 2,
+                hits: (0..100).map(|i| (i * 3, i as f64 * 0.1)).collect(),
+            },
+            Message::Tighten { qid: 7, dk: 3.5 },
+            Message::Done {
+                qid: 7,
+                attempt: 2,
+                hits_sent: 5,
+                exact_computations: 123,
+                exact_abandoned: 45,
+            },
+            Message::Replicate {
+                records: vec![
+                    WalRecord::Upsert { seq: 1, id: 4, points: vec![Point::new(2.0, 3.0)] },
+                    WalRecord::Delete { seq: 2, id: 4 },
+                ],
+            },
+            Message::Ack { seq: 9 },
+            Message::Heartbeat { seq: 11 },
+            Message::Upsert { wid: 1, id: 2, points: vec![Point::new(0.5, 0.5)] },
+            Message::Delete { wid: 3, id: 2 },
+            Message::WriteOk { wid: 1, seq: 8 },
+            Message::Shutdown,
+        ];
         for reason in [
             RefusalReason::NotLeader,
             RefusalReason::ReplicationUnavailable,
             RefusalReason::Durability,
         ] {
-            roundtrip(Message::WriteRefused { wid: 2, reason });
+            all.push(Message::WriteRefused { wid: 2, reason });
         }
-        roundtrip(Message::Shutdown);
+        all
+    }
+
+    #[test]
+    fn all_messages_roundtrip() {
+        for msg in one_of_each() {
+            assert_eq!(decode(&msg.encode_frame()), Ok(Some(msg)));
+        }
+    }
+
+    #[test]
+    fn single_buffer_frame_is_byte_equal_to_header_plus_payload() {
+        for msg in one_of_each() {
+            let mut payload = Vec::new();
+            msg.encode_payload(&mut payload);
+            assert_eq!(msg.encode_frame(), frame_of(&payload), "{msg:?}");
+        }
     }
 
     #[test]
     fn distances_roundtrip_bitwise() {
-        for dist in [0.0, f64::MIN_POSITIVE / 2.0, 1.000_000_000_000_000_2] {
+        let dists = [0.0, f64::MIN_POSITIVE / 2.0, 1.000_000_000_000_000_2, f64::INFINITY];
+        for dist in dists {
             let frame = Message::Hit { qid: 0, attempt: 0, id: 1, dist }.encode_frame();
-            let mut cur = frame.as_slice();
-            match Message::decode_frame(&mut cur).unwrap().unwrap() {
+            match decode(&frame).unwrap().unwrap() {
                 Message::Hit { dist: d, .. } => assert_eq!(d.to_bits(), dist.to_bits()),
                 other => panic!("wrong message {other:?}"),
             }
+        }
+        let hits: Vec<(u64, f64)> = dists.iter().map(|&d| (1, d)).collect();
+        let frame = Message::Hits { qid: 0, attempt: 0, hits: hits.clone() }.encode_frame();
+        match decode(&frame).unwrap().unwrap() {
+            Message::Hits { hits: back, .. } => {
+                let bits = |h: &[(u64, f64)]| h.iter().map(|p| p.1.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&back), bits(&hits));
+            }
+            other => panic!("wrong message {other:?}"),
         }
     }
 
@@ -499,11 +622,62 @@ mod tests {
         }
         .encode_frame();
         for cut in 1..frame.len() {
-            let mut cur = &frame[..cut];
-            assert!(
-                Message::decode_frame(&mut cur).is_err(),
-                "cut at {cut} must be a typed error"
-            );
+            assert!(decode(&frame[..cut]).is_err(), "cut at {cut} must be a typed error");
+        }
+    }
+
+    #[test]
+    fn hostile_hits_batches_are_typed_errors() {
+        let pairs = [(1u64, 0.5), (2, 0.75), (3, 1.0)];
+        // The honest payload decodes.
+        assert!(matches!(
+            decode(&frame_of(&hits_payload(3, &pairs, &[]))),
+            Ok(Some(Message::Hits { hits, .. })) if hits == pairs
+        ));
+        let bad = |payload: Vec<u8>, why: &str| {
+            assert_eq!(decode(&frame_of(&payload)), Err(ProtocolError::BadPayload), "{why}");
+        };
+        bad(hits_payload(4, &pairs, &[]), "count above the pairs present");
+        bad(hits_payload(2, &pairs, &[]), "count below the pairs present");
+        bad(hits_payload(0, &pairs, &[]), "empty count over a non-empty body");
+        bad(hits_payload(u32::MAX, &pairs, &[]), "count whose byte size overflows or dwarfs the frame");
+        bad(hits_payload(3, &pairs, &[0xAB]), "one trailing byte");
+        bad(hits_payload(3, &pairs, &[0; 16]), "a whole trailing pair");
+        // A checksummed payload that ends mid-pair, for every cut.
+        let full = hits_payload(3, &pairs, &[]);
+        let header = 1 + 8 + 4 + 4;
+        for cut in header + 1..full.len() {
+            if (cut - header) % 16 != 0 {
+                bad(full[..cut].to_vec(), "payload ends mid-pair");
+            }
+        }
+        // A payload that ends inside the fixed fields is an underrun.
+        for cut in 1..header {
+            assert_eq!(decode(&frame_of(&full[..cut])), Err(ProtocolError::Truncated));
+        }
+    }
+
+    #[test]
+    fn nan_and_negative_distances_are_refused_per_variant() {
+        for bad in [f64::NAN, -f64::NAN, -1.0, -f64::MIN_POSITIVE, f64::NEG_INFINITY] {
+            let frames = [
+                Message::Hit { qid: 1, attempt: 0, id: 5, dist: bad },
+                Message::Hits { qid: 1, attempt: 0, hits: vec![(5, 0.5), (6, bad)] },
+                Message::Tighten { qid: 1, dk: bad },
+            ];
+            for msg in frames {
+                assert_eq!(
+                    decode(&msg.encode_frame()),
+                    Err(ProtocolError::BadPayload),
+                    "{msg:?}"
+                );
+            }
+        }
+        // The boundary values a healthy cluster does send stay legal.
+        for ok in [0.0, f64::INFINITY] {
+            assert!(decode(&Message::Tighten { qid: 1, dk: ok }.encode_frame()).is_ok());
+            assert!(decode(&Message::Hit { qid: 1, attempt: 0, id: 5, dist: ok }.encode_frame())
+                .is_ok());
         }
     }
 
@@ -512,22 +686,12 @@ mod tests {
         let mut frame = Message::Ack { seq: 1234 }.encode_frame();
         let last = frame.len() - 1;
         frame[last] ^= 0x40;
-        let mut cur = frame.as_slice();
-        assert_eq!(
-            Message::decode_frame(&mut cur),
-            Err(ProtocolError::BadChecksum)
-        );
+        assert_eq!(decode(&frame), Err(ProtocolError::BadChecksum));
     }
 
     #[test]
     fn unknown_tag_rejected() {
-        let payload = [200u8];
-        let mut frame = Vec::new();
-        put_u32(&mut frame, 1);
-        put_u32(&mut frame, crc32(&payload));
-        frame.push(200);
-        let mut cur = frame.as_slice();
-        assert_eq!(Message::decode_frame(&mut cur), Err(ProtocolError::BadTag(200)));
+        assert_eq!(decode(&frame_of(&[200])), Err(ProtocolError::BadTag(200)));
     }
 
     #[test]

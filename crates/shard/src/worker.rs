@@ -6,8 +6,9 @@
 //!
 //! A [`Message::Query`] executes via
 //! [`ReposeService::query_scatter`]: partitions run sequentially in bound
-//! order, each completed partition's accepted hits stream to the
-//! coordinator immediately, and between partitions the worker drains its
+//! order, the worker streams each partition's hits as one frame
+//! ([`Message::Hits`]; an empty partition sends nothing) the moment the
+//! partition completes, and between partitions the worker drains its
 //! inbox for [`Message::Tighten`] broadcasts, folding the coordinator's
 //! global bound into the running collector so a hit found on *another
 //! shard* prunes this one mid-flight — the wire-level generalization of
@@ -256,6 +257,7 @@ impl ShardWorker {
             Message::Ack { seq } => self.unreplicated.retain(|r| r.seq() > seq),
             // Addressed to coordinators; nothing for a worker.
             Message::Hit { .. }
+            | Message::Hits { .. }
             | Message::Done { .. }
             | Message::WriteOk { .. }
             | Message::WriteRefused { .. } => {}
@@ -329,11 +331,11 @@ impl ShardWorker {
         let service = Arc::clone(service);
         let mut hits_sent = 0u32;
         let outcome = service.query_scatter(points, k, seed_dk, |collector, part_hits| {
-            for h in part_hits {
-                let hit = Message::Hit { qid, attempt, id: h.id, dist: h.dist };
-                transport.send(node, coord, &hit);
+            if !part_hits.is_empty() {
+                let hits = part_hits.iter().map(|h| (h.id, h.dist)).collect();
+                transport.send(node, coord, &Message::Hits { qid, attempt, hits });
+                hits_sent += part_hits.len() as u32;
             }
-            hits_sent += part_hits.len() as u32;
             // Between partitions: fold in remote tightenings so the next
             // partition prunes under the freshest global bound; stash
             // anything else for the main loop.

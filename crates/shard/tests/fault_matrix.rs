@@ -2,7 +2,7 @@
 //! network and against every deterministic network fault, compared
 //! bitwise (distance multisets) with the single-node serving path.
 //!
-//! Three contracts:
+//! Four contracts:
 //!
 //! 1. **All-healthy identity** — for all six measures, the cluster's
 //!    answer is bitwise identical to the single-node pooled path.
@@ -14,6 +14,10 @@
 //! 3. **Leader crash mid-burst** — a leader crash during a write burst
 //!    loses zero acknowledged writes: after follower promotion, queries
 //!    match a shadow service that applied every acknowledged write.
+//! 4. **One frame per partition** — a shard streams each partition's hits
+//!    as one `Hits` frame; losing, doubling or delaying exactly the batch
+//!    that precedes its own `Done` never shortens an answer silently, and
+//!    a healthy query costs at most shards × partitions such frames.
 
 use repose::{Repose, ReposeConfig};
 use repose_distance::{Measure, MeasureParams};
@@ -28,10 +32,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 const SHARDS: usize = 3;
+const PARTITIONS: usize = 4;
 
 fn repose_config(measure: Measure) -> ReposeConfig {
     ReposeConfig::new(measure)
-        .with_partitions(4)
+        .with_partitions(PARTITIONS)
         .with_delta(0.7)
         .with_params(MeasureParams::with_eps(0.5))
 }
@@ -363,6 +368,124 @@ fn healthy_writes_replicate_and_serve() {
         assert_eq!(
             sorted_dist_bits(got.hits.iter().map(|h| h.dist)),
             sorted_dist_bits(want.hits.iter().map(|h| h.dist)),
+        );
+    }
+    cluster.shutdown();
+}
+
+/// Arms `fault` on the last `Hits` frame shard 0 sends for one query —
+/// the batch right before its own `Done` — and returns the outcome with
+/// the exact answer's distance bits and the network counters.
+///
+/// The cluster is unreplicated, so everything shard 0 transmits is query
+/// traffic (`shard0.tx` sees its `Hits` frames, then its `Done`), and k
+/// is the whole dataset, so no bound ever prunes a partition and the
+/// number of frames is the shard's count of non-empty partitions — known
+/// before the query runs.
+fn run_last_batch_scenario(
+    fault: NetFault,
+    max_retries: u32,
+) -> (repose_shard::ShardOutcome, Vec<u64>, repose_shard::NetStats) {
+    let measure = Measure::Hausdorff;
+    let k = 60;
+    let reference = single_node(tie_dataset(0..60), measure);
+    let faults = NetFaultPlan::new();
+    let mut cluster = ShardCluster::build(
+        tie_dataset(0..60),
+        repose_config(measure),
+        ShardClusterConfig { max_retries, ..cluster_config(false) },
+        faults.clone(),
+        None,
+    );
+    let q = &tie_queries()[0];
+    let mut batches = 0u32;
+    cluster
+        .leader_service(0)
+        .query_scatter(q, k, f64::INFINITY, |_, hits| batches += u32::from(!hits.is_empty()))
+        .expect("shard 0 dry run");
+    assert!(batches >= 2, "the scenario needs a batch before the last one");
+    faults.arm("shard0.tx", fault, batches - 1);
+
+    let want = sorted_dist_bits(
+        reference.query(q, k).expect("reference").hits.iter().map(|h| h.dist),
+    );
+    let got = cluster.query(q, k);
+    assert!(faults.any_fired(), "{fault:?}: the arm never fired");
+    assert_eq!(got.degraded, got.shards_failed > 0);
+    let stats = cluster.transport().net_stats();
+    cluster.shutdown();
+    (got, want, stats)
+}
+
+/// A dropped batch leaves the attempt short of its `Done.hits_sent`: the
+/// shard stays incomplete and the retry re-earns the whole answer.
+#[test]
+fn dropped_hits_batch_is_retried_to_an_exact_answer() {
+    let (out, want, stats) = run_last_batch_scenario(NetFault::Drop, 2);
+    assert_eq!(stats.dropped, 1);
+    assert!(out.retries >= 1, "only a retry can replace a lost batch");
+    assert!(!out.degraded);
+    assert_eq!(sorted_dist_bits(out.hits.iter().map(|h| h.dist)), want);
+}
+
+/// With no retry budget the same loss must surface as `degraded` — a
+/// `Done` alone never completes a shard whose batch went missing.
+#[test]
+fn dropped_hits_batch_without_retries_degrades_never_truncates() {
+    let (out, want, _) = run_last_batch_scenario(NetFault::Drop, 0);
+    assert!(out.degraded, "an answer missing a batch must say so");
+    assert_eq!(out.shards_failed, 1);
+    assert_ne!(sorted_dist_bits(out.hits.iter().map(|h| h.dist)), want);
+}
+
+/// A batch delivered twice counts once: per-attempt accounting is by
+/// distinct id, so the attempt completes on its `Done` with no retry.
+#[test]
+fn duplicated_hits_batch_counts_once() {
+    let (out, want, stats) = run_last_batch_scenario(NetFault::Duplicate, 2);
+    assert_eq!(stats.duplicated, 1);
+    assert_eq!((out.retries, out.degraded), (0, false));
+    assert_eq!(out.hits.len(), 60, "no id answered twice");
+    assert_eq!(sorted_dist_bits(out.hits.iter().map(|h| h.dist)), want);
+}
+
+/// The last batch held back past its own `Done`: the `Done` arrives
+/// first, finds the attempt short, and the late batch completes it.
+#[test]
+fn hits_batch_overtaken_by_its_done_still_completes() {
+    let (out, want, stats) = run_last_batch_scenario(NetFault::Reorder, 2);
+    assert_eq!(stats.reordered, 1);
+    assert_eq!((out.retries, out.degraded), (0, false));
+    assert_eq!(sorted_dist_bits(out.hits.iter().map(|h| h.dist)), want);
+}
+
+/// The frame budget of a healthy query, on the transport's deterministic
+/// counter: besides one `Query` and one `Done` per shard and the counted
+/// `Tighten`s, a shard sends one hit-carrying frame per non-empty
+/// partition — never one per hit. (Unreplicated: no heartbeats share the
+/// counter.)
+#[test]
+fn healthy_query_costs_at_most_one_hit_frame_per_partition() {
+    let measure = Measure::Hausdorff;
+    let mut cluster = ShardCluster::build(
+        tie_dataset(0..60),
+        repose_config(measure),
+        ShardClusterConfig { cache_capacity: 0, ..cluster_config(false) },
+        NetFaultPlan::new(),
+        None,
+    );
+    // k = a shard's whole subset: every shard streams at least k hits.
+    let k = 60 / SHARDS;
+    for q in &tie_queries() {
+        let before = cluster.transport().net_stats().sent;
+        let out = cluster.query(q, k);
+        let sent = cluster.transport().net_stats().sent - before;
+        assert_eq!((out.retries, out.hedges, out.degraded), (0, 0, false));
+        let hit_frames = sent - 2 * SHARDS as u64 - u64::from(out.tightenings);
+        assert!(
+            (1..=(SHARDS * PARTITIONS) as u64).contains(&hit_frames),
+            "{hit_frames} hit-carrying frames for {} hits over {SHARDS} shards x {PARTITIONS} partitions",
+            out.hits.len()
         );
     }
     cluster.shutdown();

@@ -29,6 +29,21 @@ fn arb_points() -> impl Strategy<Value = Vec<Point>> {
     })
 }
 
+/// A distance or bound the protocol accepts: any non-negative non-NaN
+/// bit pattern, zero through subnormals to infinity.
+fn arb_dist() -> impl Strategy<Value = f64> {
+    any::<u64>().prop_map(|b| f64::from_bits(b % (f64::INFINITY.to_bits() + 1)))
+}
+
+/// One the protocol refuses: a NaN or anything with the sign bit set
+/// (bar negative zero, which compares equal to zero and is accepted).
+fn arb_bad_dist() -> impl Strategy<Value = f64> {
+    any::<u64>().prop_map(|b| {
+        let d = f64::from_bits(b);
+        if d >= 0.0 { -1.0 - d } else { d }
+    })
+}
+
 fn arb_record() -> impl Strategy<Value = WalRecord> {
     prop_oneof![
         (any::<u64>(), any::<u64>(), arb_points())
@@ -57,16 +72,15 @@ fn arb_message() -> impl Strategy<Value = Message> {
                 points,
             }
         ),
-        (any::<u64>(), any::<u32>(), any::<u64>(), any::<u64>()).prop_map(
-            |(qid, attempt, id, dist_bits)| Message::Hit {
-                qid,
-                attempt,
-                id,
-                dist: f64::from_bits(dist_bits),
-            }
-        ),
-        (any::<u64>(), any::<u64>())
-            .prop_map(|(qid, dk_bits)| Message::Tighten { qid, dk: f64::from_bits(dk_bits) }),
+        (any::<u64>(), any::<u32>(), any::<u64>(), arb_dist())
+            .prop_map(|(qid, attempt, id, dist)| Message::Hit { qid, attempt, id, dist }),
+        (
+            any::<u64>(),
+            any::<u32>(),
+            proptest::collection::vec((any::<u64>(), arb_dist()), 0..24)
+        )
+            .prop_map(|(qid, attempt, hits)| Message::Hits { qid, attempt, hits }),
+        (any::<u64>(), arb_dist()).prop_map(|(qid, dk)| Message::Tighten { qid, dk }),
         (any::<u64>(), any::<u32>(), any::<u32>(), any::<u64>(), any::<u64>()).prop_map(
             |(qid, attempt, hits_sent, c, a)| Message::Done {
                 qid,
@@ -145,6 +159,29 @@ proptest! {
         prop_assert!(cur.is_empty());
         // Byte comparison for the same NaN reason as the protocol test.
         prop_assert_eq!(back.to_bytes(), bytes);
+    }
+
+    // ---- distances that would corrupt a SharedTopK bound are refused ----
+
+    #[test]
+    fn protocol_refuses_nan_and_negative_distances(
+        bad in arb_bad_dist(),
+        good in proptest::collection::vec((any::<u64>(), arb_dist()), 0..8),
+        at in any::<usize>(),
+    ) {
+        let mut hits = good;
+        hits.insert(at % (hits.len() + 1), (1, bad));
+        for msg in [
+            Message::Hit { qid: 1, attempt: 0, id: 1, dist: bad },
+            Message::Hits { qid: 1, attempt: 0, hits },
+            Message::Tighten { qid: 1, dk: bad },
+        ] {
+            let frame = msg.encode_frame();
+            prop_assert_eq!(
+                Message::decode_frame(&mut frame.as_slice()),
+                Err(ProtocolError::BadPayload)
+            );
+        }
     }
 
     // ---- truncation: every strict prefix is a torn tail ----
