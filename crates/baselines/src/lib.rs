@@ -45,6 +45,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod dft;
 mod dita;
@@ -101,11 +102,12 @@ pub(crate) fn refine_top_k(
     k: usize,
     cap: f64,
 ) -> Vec<BaselineHit> {
-    params
-        .refine_by_bound(measure, query, k, cap, cands, |_| {})
-        .into_iter()
-        .map(|(dist, id)| BaselineHit { id, dist })
-        .collect()
+    repose_distance::DistScratch::with_thread(|scratch| {
+        params.refine_by_bound(measure, query, k, cap, None, cands, |_| {}, scratch)
+    })
+    .into_iter()
+    .map(|(dist, id)| BaselineHit { id, dist })
+    .collect()
 }
 
 /// Whether baseline partitions follow their paper's homogeneous placement

@@ -1,6 +1,6 @@
 //! Shared-threshold execution vs independent per-partition search
-//! (`Repose::query` vs `Repose::query_independent`), plus the seed-first
-//! two-phase variant — the wall-clock view of the `scale` experiment.
+//! (`Repose::query` vs `Repose::query_independent`) — the wall-clock view
+//! of the `scale` experiment.
 
 mod common;
 
@@ -28,9 +28,6 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(r.query_independent(q, cfg.k)))
     });
     group.bench_function("shared", |b| b.iter(|| black_box(r.query(q, cfg.k))));
-    group.bench_function("shared_seeded", |b| {
-        b.iter(|| black_box(r.query_two_phase(q, cfg.k)))
-    });
     group.finish();
 }
 

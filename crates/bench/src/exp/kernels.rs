@@ -2,22 +2,26 @@
 //! reusable DP scratch, and the SIMD verification backends buy on the
 //! exact-verification hot path, per measure **and per backend**.
 //!
-//! The whole experiment repeats once per SIMD backend the host CPU
-//! supports (scalar always, then SSE4.1, then AVX2), with that backend
-//! forced process-wide — so one run produces the full differential
-//! matrix. Three comparisons per (backend, measure), all against the
-//! **seed path** preserved verbatim in [`repose_distance::reference`]:
+//! The scalar backend runs every arm for all six measures. Each SIMD
+//! backend the host CPU supports (SSE4.1, then AVX2) is then forced
+//! process-wide and reruns only what it executes differently from scalar:
+//! every arm for Hausdorff (the one measure with packed single-pair
+//! kernels), the batched scan alone for DTW / Fréchet / ERP (lane-batched
+//! verification; one pair at a time they run the scalar kernel on every
+//! backend), and nothing for LCSS / EDR. Up to three comparisons per row,
+//! all against the **seed path** preserved verbatim in
+//! [`repose_distance::reference`]:
 //!
 //! * **full kernel** — exhaustively score every candidate with the
 //!   unbounded kernel: per-call-allocating seed kernels over
-//!   `Vec<Trajectory>` heap islands vs scratch-threaded (and now
-//!   SIMD-dispatched) kernels over one contiguous [`TrajStore`] arena.
+//!   `Vec<Trajectory>` heap islands vs the scratch-threaded kernels over
+//!   one contiguous [`TrajStore`] arena.
 //! * **leaf-verification scan** — the realistic verification loop: score
 //!   each candidate that survives the O(1) summary prefilter with the
 //!   threshold-aware kernel under the true k-th distance, exactly like
 //!   trie-leaf verification, one candidate at a time. Most surviving
 //!   candidates abandon after a few DP rows, so fixed per-call costs
-//!   dominate: the regime the zero-allocation + SIMD work targets.
+//!   dominate: the regime the zero-allocation work targets.
 //! * **batched scan** — the same loop through
 //!   `distance_within_batch_in`, the production leaf/refinement path:
 //!   lane-batched multi-candidate verification for DTW/Fréchet/ERP
@@ -56,14 +60,29 @@ fn timed<R>(mut f: impl FnMut() -> R) -> (f64, R) {
 
 struct MeasureRow {
     full_seed_s: f64,
-    full_arena_s: f64,
     scan_seed_s: f64,
-    scan_arena_s: f64,
+    /// The two single-pair arms; `None` where the backend runs the scalar
+    /// single-pair kernels.
+    full_arena_s: Option<f64>,
+    scan_arena_s: Option<f64>,
     scan_batch_s: f64,
     abandoned: usize,
     scanned: usize,
 }
 
+/// Whether `backend` has single-pair kernels of its own for `measure`
+/// (`Some(true)`), only lane-batched ones (`Some(false)`), or runs exactly
+/// the scalar code (`None` — nothing to measure).
+fn backend_specific(backend: Backend, measure: Measure) -> Option<bool> {
+    match (backend, measure) {
+        (Backend::Scalar, _) | (_, Measure::Hausdorff) => Some(true),
+        (_, Measure::Dtw | Measure::Frechet | Measure::Erp) => Some(false),
+        (_, Measure::Lcss | Measure::Edr) => None,
+    }
+}
+
+/// One (backend, measure) row, or `None` where there is nothing
+/// backend-specific to measure.
 #[allow(clippy::too_many_lines)]
 fn run_measure(
     data: &Dataset,
@@ -73,7 +92,8 @@ fn run_measure(
     params: &repose_distance::MeasureParams,
     k: usize,
     backend: Backend,
-) -> MeasureRow {
+) -> Option<MeasureRow> {
+    let single_pair = backend_specific(backend, measure)?;
     let qsum = params.summary_of(query);
     let summaries: Vec<TrajSummary> = data
         .trajectories()
@@ -89,18 +109,21 @@ fn run_measure(
             .map(|t| black_box(reference::distance(params, measure, query, &t.points)))
             .collect::<Vec<f64>>()
     });
-    let (full_arena_s, arena_dists) = timed(|| {
-        (0..store.len())
-            .map(|s| {
-                black_box(params.distance_in(measure, query, store.points(s), &mut scratch))
-            })
-            .collect::<Vec<f64>>()
+    let full_arena_s = single_pair.then(|| {
+        let (full_arena_s, arena_dists) = timed(|| {
+            (0..store.len())
+                .map(|s| {
+                    black_box(params.distance_in(measure, query, store.points(s), &mut scratch))
+                })
+                .collect::<Vec<f64>>()
+        });
+        assert_eq!(
+            seed_dists.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
+            arena_dists.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
+            "{measure} on {backend}: arena kernels diverged from the seed kernels"
+        );
+        full_arena_s
     });
-    assert_eq!(
-        seed_dists.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
-        arena_dists.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
-        "{measure} on {backend}: arena kernels diverged from the seed kernels"
-    );
 
     // The true k-th distance: the selectivity an ideal index hands every
     // leaf verification. `just_above` keeps the k-th candidate itself
@@ -136,28 +159,31 @@ fn run_measure(
         }
         abandoned
     });
-    let (scan_arena_s, arena_scan) = timed(|| {
-        let mut abandoned = 0usize;
-        for &(slot, lb) in &kernel_cands {
-            if black_box(params.distance_within_from_lb_in(
-                measure,
-                query,
-                store.points(slot),
-                dk,
-                lb,
-                &mut scratch,
-            ))
-            .is_none()
-            {
-                abandoned += 1;
+    let scan_arena_s = single_pair.then(|| {
+        let (scan_arena_s, arena_scan) = timed(|| {
+            let mut abandoned = 0usize;
+            for &(slot, lb) in &kernel_cands {
+                if black_box(params.distance_within_from_lb_in(
+                    measure,
+                    query,
+                    store.points(slot),
+                    dk,
+                    lb,
+                    &mut scratch,
+                ))
+                .is_none()
+                {
+                    abandoned += 1;
+                }
             }
-        }
-        abandoned
+            abandoned
+        });
+        assert_eq!(
+            seed_scan, arena_scan,
+            "{measure} on {backend}: scan decisions diverged"
+        );
+        scan_arena_s
     });
-    assert_eq!(
-        seed_scan, arena_scan,
-        "{measure} on {backend}: scan decisions diverged"
-    );
 
     // -- Batched scan: the production multi-candidate verification path. --
     let cand_refs: Vec<(f64, &[Point])> = kernel_cands
@@ -192,20 +218,21 @@ fn run_measure(
         );
     }
 
-    MeasureRow {
+    Some(MeasureRow {
         full_seed_s,
-        full_arena_s,
         scan_seed_s,
+        full_arena_s,
         scan_arena_s,
         scan_batch_s,
-        abandoned: arena_scan,
+        abandoned: seed_scan,
         scanned: kernel_cands.len(),
-    }
+    })
 }
 
-/// Runs the kernel comparison over all six measures, once per available
-/// SIMD backend (forced process-wide for its pass; the widest backend is
-/// restored afterwards).
+/// Runs the kernel comparison: all six measures on the scalar backend,
+/// then on each available SIMD backend (forced process-wide for its pass;
+/// the widest backend is restored afterwards) the measures and arms that
+/// backend executes differently (see the module docs).
 pub fn run(exp: &ExpConfig) -> Value {
     let ds = PaperDataset::TDrive;
     let (data, queries) = load(ds, exp);
@@ -222,30 +249,35 @@ pub fn run(exp: &ExpConfig) -> Value {
     let mut out = Vec::new();
     // Headline: geomean over measures of the production (batched) scan
     // speedup on the widest backend — the path live queries actually take.
-    let mut headline_product = 1.0f64;
+    // Backends run narrowest first, so each measure ends on the row of the
+    // widest backend that has kernels of its own for it.
+    let mut headline = [1.0f64; Measure::ALL.len()];
     for &backend in &backends {
         force_backend(backend);
-        for measure in Measure::ALL {
+        for (mi, measure) in Measure::ALL.into_iter().enumerate() {
             let params = params_for(ds, measure);
-            let r = run_measure(&data, &store, query, measure, &params, exp.k, backend);
+            let Some(r) = run_measure(&data, &store, query, measure, &params, exp.k, backend)
+            else {
+                continue;
+            };
             let ratio = |seed: f64, new: f64| if new > 0.0 { seed / new } else { 0.0 };
-            let full_speedup = ratio(r.full_seed_s, r.full_arena_s);
-            let scan_speedup = ratio(r.scan_seed_s, r.scan_arena_s);
+            let full_speedup = r.full_arena_s.map(|new| ratio(r.full_seed_s, new));
+            let scan_speedup = r.scan_arena_s.map(|new| ratio(r.scan_seed_s, new));
             let batch_speedup = ratio(r.scan_seed_s, r.scan_batch_s);
-            if backend == widest {
-                headline_product *= batch_speedup.max(f64::MIN_POSITIVE);
-            }
+            headline[mi] = batch_speedup.max(f64::MIN_POSITIVE);
+            let secs = |s: Option<f64>| s.map_or("-".to_string(), fmt_secs);
+            let times = |x: Option<f64>| x.map_or("-".to_string(), |x| format!("{x:.2}x"));
             rows.push(vec![
                 backend.name().to_string(),
                 measure.name().to_string(),
                 fmt_secs(r.full_seed_s),
-                fmt_secs(r.full_arena_s),
-                format!("{full_speedup:.2}x"),
+                secs(r.full_arena_s),
+                times(full_speedup),
                 fmt_secs(r.scan_seed_s),
-                fmt_secs(r.scan_arena_s),
-                format!("{scan_speedup:.2}x"),
+                secs(r.scan_arena_s),
+                times(scan_speedup),
                 fmt_secs(r.scan_batch_s),
-                format!("{batch_speedup:.2}x"),
+                times(Some(batch_speedup)),
                 format!("{}/{}", r.abandoned, r.scanned),
             ]);
             out.push(json!({
@@ -265,7 +297,8 @@ pub fn run(exp: &ExpConfig) -> Value {
         }
     }
     force_backend(widest);
-    let scan_speedup_geomean = headline_product.powf(1.0 / Measure::ALL.len() as f64);
+    let scan_speedup_geomean =
+        headline.iter().product::<f64>().powf(1.0 / Measure::ALL.len() as f64);
     out.push(json!({
         "summary": true,
         "backends": backends.iter().map(|b| b.name()).collect::<Vec<_>>(),
@@ -311,21 +344,22 @@ mod tests {
         let v = run(&exp);
         let rows = v.as_array().expect("rows + summary");
         let n_backends = available_backends().len();
-        assert_eq!(
-            rows.len(),
-            6 * n_backends + 1,
-            "six measures per available backend + summary"
-        );
-        for row in rows.iter().take(6 * n_backends) {
+        // Scalar: all six; each SIMD backend: Hausdorff + the three
+        // lane-batched measures.
+        let n_rows = 6 + 4 * (n_backends - 1);
+        assert_eq!(rows.len(), n_rows + 1, "per-backend rows + summary");
+        for row in rows.iter().take(n_rows) {
             // run() itself asserts bitwise agreement; here check shape.
-            assert!(row["backend"].as_str().is_some());
+            let scalar = row["backend"].as_str().unwrap() == "scalar";
+            let single_pair = scalar || row["measure"].as_str().unwrap() == "Hausdorff";
             assert!(row["full_seed_s"].as_f64().unwrap() >= 0.0);
-            assert!(row["scan_speedup"].as_f64().unwrap() > 0.0);
+            assert_eq!(row["scan_speedup"].as_f64().is_some(), single_pair);
+            assert_eq!(row["full_speedup"].as_f64().is_some(), single_pair);
             assert!(row["batch_speedup"].as_f64().unwrap() > 0.0);
             let scanned = row["scanned"].as_u64().unwrap();
             assert!(row["scan_abandoned"].as_u64().unwrap() <= scanned);
         }
-        let summary = &rows[6 * n_backends];
+        let summary = &rows[n_rows];
         assert!(summary["summary"].as_bool().unwrap());
         assert!(summary["scan_speedup_geomean"].as_f64().unwrap() > 0.0);
         assert_eq!(

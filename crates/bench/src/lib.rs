@@ -24,6 +24,8 @@
 //! assert_eq!(fmt_bytes(2048), "2.0KiB");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod exp;
 pub mod runner;
 

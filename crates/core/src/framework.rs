@@ -19,8 +19,8 @@ pub(crate) struct LocalPartition {
 /// The outcome of one distributed top-k query.
 ///
 /// Every [`Repose`] query variant ([`Repose::query`],
-/// [`Repose::query_independent`], [`Repose::query_two_phase`],
-/// [`Repose::query_batch`]) returns one of these. The three fields answer the three questions the paper's
+/// [`Repose::query_independent`], [`Repose::query_batch`]) returns one of
+/// these. The three fields answer the three questions the paper's
 /// evaluation asks of a query: *what* was found (`hits`), *how long* the
 /// simulated cluster took (`job`, whose makespan is the paper's QT metric),
 /// and *how much work* the local indexes did (`search`, the pruning-power
@@ -323,8 +323,33 @@ impl Repose {
     /// independent path on any interleaving: the shared bound only ever
     /// tightens each local search's own threshold, so each partition's
     /// work is a subset of its independent-run work.
+    ///
+    /// Always timed as a single cold run
+    /// ([`Cluster::run_partitions_cold`]): a timing re-run would execute
+    /// against the already-tightened collector and under-report the job's
+    /// true cost.
     pub fn query(&self, query: &[Point], k: usize) -> QueryOutcome {
-        self.query_with_collector(query, k, None)
+        let collector = SharedTopK::new(k);
+        let (locals, times, wall) = self.cluster.run_partitions_cold(&self.data, |_, chunk| {
+            let part = &chunk[0];
+            part.trie.top_k_shared(&part.store, query, k, &[], None, &collector)
+        });
+        let job = JobStats::simulate(
+            times,
+            (0..self.config.num_partitions).collect(),
+            self.config.cluster.workers,
+            self.config.cluster.cores_per_worker,
+            wall,
+        );
+        let mut search = SearchStats::default();
+        let mut hits: Vec<Hit> = Vec::with_capacity(k * locals.len().min(8));
+        for l in &locals {
+            search.merge(&l.stats);
+            hits.extend_from_slice(&l.hits);
+        }
+        hits.sort_by(Hit::cmp_by_dist_then_id);
+        hits.truncate(k);
+        QueryOutcome { hits, job, search }
     }
 
     /// The pre-shared-threshold execution: every partition searches
@@ -355,101 +380,6 @@ impl Repose {
         hits.sort_by(Hit::cmp_by_dist_then_id);
         hits.truncate(k);
         QueryOutcome { hits, job, search }
-    }
-
-    /// Two-phase distributed top-k: a degenerate configuration of the
-    /// shared-threshold execution in which one *seed partition* completes
-    /// its local search first (sequentially), pre-tightening the shared
-    /// collector before every other partition starts; the remaining
-    /// partitions then run concurrently against the same collector and
-    /// keep tightening each other as in [`Repose::query`].
-    ///
-    /// The seed is the partition whose trie root bound is closest to the
-    /// query (cheap one-cell `LBo` over the root's children — no exact
-    /// kernels), so the initial threshold starts as tight as a single
-    /// partition can make it. Exact like `query` up to tie resolution.
-    /// Most effective with heterogeneous partitioning, where every
-    /// partition is a representative sample and the seed threshold is
-    /// already near the global k-th distance.
-    pub fn query_two_phase(&self, query: &[Point], k: usize) -> QueryOutcome {
-        if self.config.num_partitions <= 1 || k == 0 {
-            return self.query(query, k);
-        }
-        let seed = self.best_seed_partition(query);
-        self.query_with_collector(query, k, Some(seed))
-    }
-
-    /// Shared-threshold execution, optionally with a sequential seed phase
-    /// (see [`Repose::query`] / [`Repose::query_two_phase`]).
-    ///
-    /// Always timed as a single cold run
-    /// ([`Cluster::run_partitions_cold`]): a timing re-run would execute
-    /// against the already-tightened collector and under-report the job's
-    /// true cost.
-    fn query_with_collector(
-        &self,
-        query: &[Point],
-        k: usize,
-        seed: Option<usize>,
-    ) -> QueryOutcome {
-        let collector = SharedTopK::new(k);
-
-        // Optional phase 1: the seed partition answers alone, publishing
-        // its hits so phase 2 starts from its local k-th distance.
-        let mut seed_time = Duration::ZERO;
-        let seed_result = seed.map(|si| {
-            let part = &self.data.partition(si)[0];
-            let t0 = Instant::now();
-            let r = part.trie.top_k_shared(&part.store, query, k, &[], None, &collector);
-            seed_time = t0.elapsed();
-            r
-        });
-
-        let (locals, mut times, wall) = self.cluster.run_partitions_cold(&self.data, |pi, chunk| {
-            if Some(pi) == seed {
-                return None;
-            }
-            let part = &chunk[0];
-            Some(part.trie.top_k_shared(&part.store, query, k, &[], None, &collector))
-        });
-        if let Some(si) = seed {
-            // The seed partition's cost happened in phase 1; schedule it as
-            // a task so the makespan accounts for both phases honestly.
-            times[si] = seed_time;
-        }
-        let job = JobStats::simulate(
-            times,
-            (0..self.config.num_partitions).collect(),
-            self.config.cluster.workers,
-            self.config.cluster.cores_per_worker,
-            wall + seed_time,
-        );
-        let mut search = SearchStats::default();
-        let mut hits: Vec<Hit> = Vec::with_capacity(k * (locals.len() + 1).min(8));
-        for l in seed_result.iter().chain(locals.iter().flatten()) {
-            search.merge(&l.stats);
-            hits.extend_from_slice(&l.hits);
-        }
-        hits.sort_by(Hit::cmp_by_dist_then_id);
-        hits.truncate(k);
-        QueryOutcome { hits, job, search }
-    }
-
-    /// The partition with the smallest root-level lower bound on its
-    /// distance to `query` — the most promising two-phase seed. Falls back
-    /// to partition 0 on ties (including the LCSS all-zero-bound case) and
-    /// for empty partitions (whose bound is infinite).
-    fn best_seed_partition(&self, query: &[Point]) -> usize {
-        let mut best = 0usize;
-        let mut best_bound = f64::INFINITY;
-        for pi in 0..self.config.num_partitions {
-            let b = self.data.partition(pi)[0].trie.root_bound(query);
-            if b < best_bound {
-                best_bound = b;
-                best = pi;
-            }
-        }
-        best
     }
 
     /// Executes a *batch* of queries as one distributed job — the paper's
@@ -690,7 +620,7 @@ mod tests {
     }
 
     #[test]
-    fn two_phase_matches_single_phase_distances() {
+    fn shared_matches_independent_distances() {
         let d = dataset();
         let params = MeasureParams::with_eps(0.5);
         for measure in [Measure::Hausdorff, Measure::Frechet, Measure::Dtw] {
@@ -704,22 +634,18 @@ mod tests {
                     (0..12).map(|s| Point::new(s as f64 * 0.3, qy)).collect();
                 let indep = r.query_independent(&q, 10);
                 let one = r.query(&q, 10);
-                let two = r.query_two_phase(&q, 10);
-                assert_eq!(one.hits.len(), two.hits.len(), "{measure}");
                 assert_eq!(one.hits.len(), indep.hits.len(), "{measure}");
-                for ((a, b), c) in one.hits.iter().zip(&two.hits).zip(&indep.hits) {
+                for (a, c) in one.hits.iter().zip(&indep.hits) {
                     assert!(
-                        (a.dist - b.dist).abs() < 1e-9,
+                        (a.dist - c.dist).abs() < 1e-9,
                         "{measure}: {} vs {}",
                         a.dist,
-                        b.dist
+                        c.dist
                     );
-                    assert!((a.dist - c.dist).abs() < 1e-9, "{measure}");
                 }
                 // shared thresholds must help, never hurt, total pruning
                 // work — regardless of how the partition tasks interleave
                 assert!(one.search.exact_computations <= indep.search.exact_computations);
-                assert!(two.search.exact_computations <= indep.search.exact_computations);
             }
         }
     }
@@ -745,24 +671,6 @@ mod tests {
             );
         }
         assert!(r.query_batch(&[], 5).is_empty());
-    }
-
-    #[test]
-    fn two_phase_k_exceeding_partition_size() {
-        let d = dataset(); // 200 trajectories over 8 partitions = 25 each
-        let cfg = ReposeConfig::new(Measure::Hausdorff)
-            .with_partitions(8)
-            .with_delta(0.7);
-        let r = Repose::build(&d, cfg);
-        let q: Vec<Point> = (0..12).map(|s| Point::new(s as f64 * 0.3, 0.1)).collect();
-        // k = 60 > 25: phase 1 cannot fill k, threshold stays infinite,
-        // but the result must still be the exact top-60.
-        let one = r.query(&q, 60);
-        let two = r.query_two_phase(&q, 60);
-        assert_eq!(
-            one.hits.iter().map(|h| h.id).collect::<Vec<_>>(),
-            two.hits.iter().map(|h| h.id).collect::<Vec<_>>()
-        );
     }
 
     #[test]

@@ -1,12 +1,16 @@
 //! Runtime-selectable SIMD backends for the verification kernels.
 //!
-//! The six exact kernels each exist in up to three implementations: the
-//! scalar code (the oracle — unchanged from the pre-SIMD tree), an SSE4.1
-//! variant (128-bit lanes) and an AVX2 variant (256-bit lanes). All three
-//! produce **bit-identical** results (see the `simd` module docs for the
-//! argument), so which one runs is purely a performance decision — made
-//! once per process from CPU feature detection, and overridable so tests,
-//! benches and CI can pin a backend regardless of the host CPU:
+//! Beside the scalar kernels (one per measure, see [`crate::within`]) the
+//! crate carries SSE4.1 (128-bit) and AVX2 (256-bit) forms of exactly the
+//! kernels where vector lanes measure faster at 120k trajectories: the
+//! packed single-pair Hausdorff pair, and the lane-batched DTW / Fréchet /
+//! ERP verification that scores several candidates at once. Fréchet, DTW,
+//! ERP, EDR and LCSS have **no** single-pair SIMD form: whichever backend is
+//! active, one pair goes through the scalar kernel. Every form produces
+//! **bit-identical** results (see the `simd` module docs for the argument),
+//! so which one runs is purely a performance decision — made once per
+//! process from CPU feature detection, and overridable so tests, benches
+//! and CI can pin a backend regardless of the host CPU:
 //!
 //! 1. [`force_backend`] — explicit programmatic override (also reachable
 //!    through `ServiceConfig::backend` in the serving layer); panics with a
@@ -177,22 +181,25 @@ pub fn force_backend(backend: Backend) {
 /// its result; falls through (no-op) when the scalar backend is active or
 /// the architecture has no SIMD backends.
 ///
-/// Usage, from inside a public kernel entry point after its degenerate-case
-/// guards: `simd_dispatch!(dtw(t1, t2, scratch));`.
+/// Usage, from inside a kernel entry point after its degenerate-case
+/// guards: `simd_dispatch!(hausdorff(t1, t2, scratch));`.
 macro_rules! simd_dispatch {
     ($func:ident($($arg:expr),* $(,)?)) => {
         #[cfg(target_arch = "x86_64")]
+        #[allow(unsafe_code)]
         {
-            match $crate::backend::active_backend() {
+            let backend = $crate::backend::active_backend();
+            if backend != $crate::backend::Backend::Scalar {
                 // SAFETY: `active_backend`/`force_backend` only ever select
-                // a backend whose CPU feature `is_supported` verified.
-                $crate::backend::Backend::Avx2 => {
-                    return unsafe { $crate::simd::avx2::$func($($arg),*) };
-                }
-                $crate::backend::Backend::Sse41 => {
-                    return unsafe { $crate::simd::sse41::$func($($arg),*) };
-                }
-                $crate::backend::Backend::Scalar => {}
+                // a backend whose CPU feature `is_supported` verified, and
+                // the caller's guards establish the kernel's input
+                // requirements (non-empty inputs, positive threshold).
+                return unsafe {
+                    match backend {
+                        $crate::backend::Backend::Avx2 => $crate::simd::avx2::$func($($arg),*),
+                        _ => $crate::simd::sse41::$func($($arg),*),
+                    }
+                };
             }
         }
     };

@@ -1,3 +1,4 @@
+use crate::within::dtw_within;
 use crate::DistScratch;
 use repose_model::Point;
 
@@ -6,11 +7,11 @@ use repose_model::Point;
 /// reference element. Returns the new column's minimum.
 ///
 /// This is the single implementation of the DTW recurrence: the
-/// incremental [`DtwColumn`] and the batch/threshold kernels all route
-/// through it, which is what keeps their results bit-identical. The DP
-/// wavefront (`f_{i-1,j-1}`, `f_{i-1,j}`) is carried in registers and the
-/// column is walked with a zipped iterator, so the inner loop has no
-/// bounds checks.
+/// incremental [`DtwColumn`] and the threshold kernel ([`crate::within`])
+/// both route through it, which is what keeps their results
+/// bit-identical. The DP wavefront (`f_{i-1,j-1}`, `f_{i-1,j}`) is carried
+/// in registers and the column is walked with a zipped iterator, so the
+/// inner loop has no bounds checks.
 #[inline]
 pub(crate) fn dtw_advance<F: Fn(&Point) -> f64>(
     col: &mut [f64],
@@ -98,40 +99,13 @@ pub(crate) fn dtw_advance2<F1: Fn(&Point) -> f64, F2: Fn(&Point) -> f64>(
 /// Dynamic time warping distance between two trajectories (Eq. 12),
 /// with Euclidean ground distance and no warping window.
 ///
-/// Borrows the calling thread's [`DistScratch`]; callers that own a
-/// verification loop should prefer [`dtw_in`].
+/// The threshold kernel at `+∞` (see [`crate::within`]): reference points
+/// are consumed in pairs so two columns' dependency chains overlap in the
+/// pipeline. Borrows the calling thread's [`DistScratch`].
 pub fn dtw(t1: &[Point], t2: &[Point]) -> f64 {
-    DistScratch::with_thread(|s| dtw_in(t1, t2, s))
-}
-
-/// [`dtw`] against a caller-managed scratch: zero heap allocations once
-/// `scratch` is warm. Dispatches to the active SIMD backend (packed
-/// ground-distance precompute feeding the same column chain) or to the
-/// scalar kernel — bit-identical either way (see [`crate::backend`]).
-pub fn dtw_in(t1: &[Point], t2: &[Point], scratch: &mut DistScratch) -> f64 {
-    if t1.is_empty() || t2.is_empty() {
-        return if t1.is_empty() && t2.is_empty() { 0.0 } else { f64::INFINITY };
-    }
-    crate::backend::simd_dispatch!(dtw(t1, t2, scratch));
-    dtw_scalar_in(t1, t2, scratch)
-}
-
-/// The scalar [`dtw_in`] body (the oracle the SIMD backends are tested
-/// against): no re-zeroing — the first column fully initializes the buffer
-/// — and reference points consumed in pairs so two columns' dependency
-/// chains overlap in the pipeline.
-pub(crate) fn dtw_scalar_in(t1: &[Point], t2: &[Point], scratch: &mut DistScratch) -> f64 {
-    let col = scratch.f1_uninit(t1.len());
-    let (p0, rest) = t2.split_first().expect("non-empty");
-    dtw_advance(col, true, t1, |q| q.dist(p0));
-    let mut pairs = rest.chunks_exact(2);
-    for pair in &mut pairs {
-        dtw_advance2(col, t1, |q| q.dist(&pair[0]), |q| q.dist(&pair[1]));
-    }
-    for p in pairs.remainder() {
-        dtw_advance(col, false, t1, |q| q.dist(p));
-    }
-    col[col.len() - 1]
+    DistScratch::with_thread(|s| {
+        dtw_within(t1, t2, f64::INFINITY, s).unwrap_or(f64::INFINITY)
+    })
 }
 
 /// Incremental DTW column kernel (Section VI-B).

@@ -1,3 +1,4 @@
+use crate::within::edr_within;
 use crate::DistScratch;
 use repose_model::Point;
 
@@ -8,52 +9,12 @@ use repose_model::Point;
 /// The result is an integer edit count returned as `f64` for measure
 /// uniformity.
 ///
-/// Borrows the calling thread's [`DistScratch`]; callers that own a
-/// verification loop should prefer [`edr_in`].
+/// The threshold kernel at `+∞` (see [`crate::within`]). Borrows the
+/// calling thread's [`DistScratch`].
 pub fn edr(t1: &[Point], t2: &[Point], eps: f64) -> f64 {
-    DistScratch::with_thread(|s| edr_in(t1, t2, eps, s))
-}
-
-/// [`edr`] against a caller-managed scratch: zero heap allocations once
-/// `scratch` is warm.
-pub fn edr_in(t1: &[Point], t2: &[Point], eps: f64, scratch: &mut DistScratch) -> f64 {
-    if t1.is_empty() || t2.is_empty() {
-        return (t1.len() + t2.len()) as f64;
-    }
-    crate::backend::simd_dispatch!(edr(t1, t2, eps, scratch));
-    edr_scalar_in(t1, t2, eps, scratch)
-}
-
-/// The scalar [`edr_in`] body (the oracle the SIMD backends are tested
-/// against).
-pub(crate) fn edr_scalar_in(
-    t1: &[Point],
-    t2: &[Point],
-    eps: f64,
-    scratch: &mut DistScratch,
-) -> f64 {
-    let n = t2.len();
-    let (mut prev, mut cur) = scratch.u2_uninit(n + 1, n + 1);
-    for (j, p) in prev.iter_mut().enumerate() {
-        *p = j as u32;
-    }
-    for (i, a) in t1.iter().enumerate() {
-        // Register-carried cursors over zipped rows — no per-cell bounds
-        // checks; integer recurrence unchanged.
-        let mut left = i as u32 + 1;
-        cur[0] = left;
-        let mut diag = prev[0];
-        for (b, (&up, c)) in t2.iter().zip(prev[1..].iter().zip(cur[1..].iter_mut())) {
-            let subcost =
-                u32::from(!((a.x - b.x).abs() <= eps && (a.y - b.y).abs() <= eps));
-            let v = (diag + subcost).min(up + 1).min(left + 1);
-            *c = v;
-            diag = up;
-            left = v;
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    prev[n] as f64
+    DistScratch::with_thread(|s| {
+        edr_within(t1, t2, eps, f64::INFINITY, s).unwrap_or(f64::INFINITY)
+    })
 }
 
 #[cfg(test)]

@@ -1,3 +1,4 @@
+use crate::within::erp_within;
 use crate::DistScratch;
 use repose_model::Point;
 
@@ -12,70 +13,12 @@ use repose_model::Point;
 /// ERP is a metric (it satisfies the triangle inequality), which is why the
 /// paper groups it with Hausdorff and Frechet for pivot-based pruning.
 ///
-/// Borrows the calling thread's [`DistScratch`]; callers that own a
-/// verification loop should prefer [`erp_in`].
+/// The threshold kernel at `+∞` (see [`crate::within`]). Borrows the
+/// calling thread's [`DistScratch`].
 pub fn erp(t1: &[Point], t2: &[Point], gap: Point) -> f64 {
-    DistScratch::with_thread(|s| erp_in(t1, t2, gap, s))
-}
-
-/// [`erp`] against a caller-managed scratch: zero heap allocations once
-/// `scratch` is warm.
-///
-/// The gap distances `d(p_j, g)` are evaluated once into a scratch row (a
-/// single vectorizable pass over the contiguous reference slice) instead
-/// of once per DP cell — the values, and hence the result, are
-/// bit-identical; the `O(m·n)` square roots the seed kernel spent on them
-/// are not.
-pub fn erp_in(t1: &[Point], t2: &[Point], gap: Point, scratch: &mut DistScratch) -> f64 {
-    if t1.is_empty() {
-        return t2.iter().map(|p| p.dist(&gap)).sum();
-    }
-    if t2.is_empty() {
-        return t1.iter().map(|p| p.dist(&gap)).sum();
-    }
-    crate::backend::simd_dispatch!(erp(t1, t2, gap, scratch));
-    erp_scalar_in(t1, t2, gap, scratch)
-}
-
-/// The scalar [`erp_in`] body (the oracle the SIMD backends are tested
-/// against).
-pub(crate) fn erp_scalar_in(
-    t1: &[Point],
-    t2: &[Point],
-    gap: Point,
-    scratch: &mut DistScratch,
-) -> f64 {
-    let n = t2.len();
-    let (mut prev, mut cur, gap_b) = scratch.f3_uninit(n + 1, n + 1, n);
-    for (g, p) in gap_b.iter_mut().zip(t2) {
-        *g = p.dist(&gap);
-    }
-    // prev[j] = erp(i-1, j); row 0: erp(0, j) = sum of gap costs of t2[..j].
-    prev[0] = 0.0;
-    for j in 0..n {
-        prev[j + 1] = prev[j] + gap_b[j];
-    }
-    for a in t1 {
-        let gap_a = a.dist(&gap);
-        // Register-carried DP cursors (`diag` = erp(i-1,j), `left` =
-        // erp(i,j)) over zipped rows: no per-cell bounds checks, same
-        // expressions in the same order as the seed kernel.
-        let mut left = prev[0] + gap_a;
-        cur[0] = left;
-        let mut diag = prev[0];
-        for ((b, gb), (&up, c)) in t2
-            .iter()
-            .zip(gap_b.iter())
-            .zip(prev[1..].iter().zip(cur[1..].iter_mut()))
-        {
-            let v = (diag + a.dist(b)).min(up + gap_a).min(left + gb);
-            *c = v;
-            diag = up;
-            left = v;
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    prev[n]
+    DistScratch::with_thread(|s| {
+        erp_within(t1, t2, gap, f64::INFINITY, s).unwrap_or(f64::INFINITY)
+    })
 }
 
 #[cfg(test)]

@@ -1,3 +1,4 @@
+use crate::within::frechet_within;
 use crate::DistScratch;
 use repose_model::Point;
 
@@ -9,10 +10,10 @@ use repose_model::Point;
 /// is scale-monotone: running it on *squared* distances and taking one
 /// square root at the end yields bit-identical results to running it on
 /// distances (IEEE `sqrt` is correctly rounded and monotone, and every
-/// cell value is itself one of the ground values). The batch kernels
-/// below exploit exactly that; the incremental [`FrechetColumn`] keeps
-/// linear-space values because the trie search reads its columns as
-/// bounds.
+/// cell value is itself one of the ground values). The threshold kernel
+/// ([`crate::within`]) exploits exactly that; the incremental
+/// [`FrechetColumn`] keeps linear-space values because the trie search
+/// reads its columns as bounds.
 #[inline]
 pub(crate) fn frechet_advance<F: Fn(&Point) -> f64>(
     col: &mut [f64],
@@ -95,41 +96,12 @@ pub(crate) fn frechet_advance2<F1: Fn(&Point) -> f64, F2: Fn(&Point) -> f64>(
 
 /// Discrete Frechet distance between two trajectories (Eq. 6).
 ///
-/// Borrows the calling thread's [`DistScratch`]; callers that own a
-/// verification loop should prefer [`frechet_in`].
+/// The threshold kernel at `+∞` (see [`crate::within`]). Borrows the
+/// calling thread's [`DistScratch`].
 pub fn frechet(t1: &[Point], t2: &[Point]) -> f64 {
-    DistScratch::with_thread(|s| frechet_in(t1, t2, s))
-}
-
-/// [`frechet`] against a caller-managed scratch: zero heap allocations
-/// once `scratch` is warm. Dispatches to the active SIMD backend or the
-/// scalar kernel — bit-identical either way (see [`crate::backend`]).
-pub fn frechet_in(t1: &[Point], t2: &[Point], scratch: &mut DistScratch) -> f64 {
-    if t1.is_empty() || t2.is_empty() {
-        return if t1.is_empty() && t2.is_empty() { 0.0 } else { f64::INFINITY };
-    }
-    crate::backend::simd_dispatch!(frechet(t1, t2, scratch));
-    frechet_scalar_in(t1, t2, scratch)
-}
-
-/// The scalar [`frechet_in`] body (the oracle the SIMD backends are tested
-/// against). Runs the whole DP in *squared* distance space — one `sqrt` at
-/// the end instead of one per matrix cell, bit-identical to the
-/// linear-space kernel (sqrt is monotone and correctly rounded; see the
-/// column-kernel docs) — consuming reference points in pairs so two
-/// columns' dependency chains overlap.
-pub(crate) fn frechet_scalar_in(t1: &[Point], t2: &[Point], scratch: &mut DistScratch) -> f64 {
-    let col = scratch.f1_uninit(t1.len());
-    let (p0, rest) = t2.split_first().expect("non-empty");
-    frechet_advance(col, true, t1, |q| q.dist_sq(p0));
-    let mut pairs = rest.chunks_exact(2);
-    for pair in &mut pairs {
-        frechet_advance2(col, t1, |q| q.dist_sq(&pair[0]), |q| q.dist_sq(&pair[1]));
-    }
-    for p in pairs.remainder() {
-        frechet_advance(col, false, t1, |q| q.dist_sq(p));
-    }
-    col[col.len() - 1].sqrt()
+    DistScratch::with_thread(|s| {
+        frechet_within(t1, t2, f64::INFINITY, s).unwrap_or(f64::INFINITY)
+    })
 }
 
 /// Incremental discrete-Frechet column kernel (Section VI-A, Fig. 5).

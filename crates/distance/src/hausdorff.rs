@@ -26,32 +26,26 @@ pub fn directed_hausdorff(from: &[Point], to: &[Point]) -> f64 {
 }
 
 /// The (symmetric) Hausdorff distance between two trajectories
-/// (Definition 2, Eq. 1).
-///
-/// Borrows the calling thread's [`DistScratch`]; callers that own a
-/// verification loop should prefer [`hausdorff_in`].
+/// (Definition 2, Eq. 1). Borrows the calling thread's [`DistScratch`].
 pub fn hausdorff(t1: &[Point], t2: &[Point]) -> f64 {
     DistScratch::with_thread(|s| hausdorff_in(t1, t2, s))
 }
 
 /// [`hausdorff`] against a caller-managed scratch (which holds the
-/// column-minima row): zero heap allocations once `scratch` is warm. The
-/// whole pass stays in squared-distance space; the single `sqrt` happens
-/// at the end.
-pub fn hausdorff_in(t1: &[Point], t2: &[Point], scratch: &mut DistScratch) -> f64 {
+/// column-minima row): zero heap allocations once `scratch` is warm.
+///
+/// The one unbounded kernel that is not its threshold kernel at `+∞`: a
+/// single pass over the `m x n` matrix keeps row minima for one direction
+/// and column minima for the other (what Fig. 4 of the paper depicts),
+/// which beats two directed passes when nothing can be abandoned. The whole
+/// pass stays in squared-distance space; the single `sqrt` happens at the
+/// end. Dispatches to the active backend's packed form of the same pass —
+/// bit-identical either way (see [`crate::backend`]).
+pub(crate) fn hausdorff_in(t1: &[Point], t2: &[Point], scratch: &mut DistScratch) -> f64 {
     if t1.is_empty() || t2.is_empty() {
         return if t1.is_empty() && t2.is_empty() { 0.0 } else { f64::INFINITY };
     }
     crate::backend::simd_dispatch!(hausdorff(t1, t2, scratch));
-    hausdorff_scalar_in(t1, t2, scratch)
-}
-
-/// The scalar [`hausdorff_in`] body (the oracle the SIMD backends are
-/// tested against).
-pub(crate) fn hausdorff_scalar_in(t1: &[Point], t2: &[Point], scratch: &mut DistScratch) -> f64 {
-    // Single pass over the m x n matrix keeping row minima for one direction
-    // and column minima for the other (this is what Fig. 4 of the paper
-    // depicts).
     let col_min = scratch.f1_uninit(t2.len());
     col_min.fill(f64::INFINITY);
     let mut worst_row = 0.0f64;

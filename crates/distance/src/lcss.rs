@@ -1,3 +1,4 @@
+use crate::within::{lcss_distance_within, lcss_length_within};
 use crate::DistScratch;
 use repose_model::Point;
 
@@ -7,56 +8,14 @@ use repose_model::Point;
 /// Two points match when both coordinate differences are at most `eps`
 /// (the per-dimension formulation of the original paper).
 ///
-/// Borrows the calling thread's [`DistScratch`]; callers that own a
-/// verification loop should prefer [`lcss_length_in`].
+/// The threshold kernel's match count at `+∞` (see [`crate::within`]).
+/// Borrows the calling thread's [`DistScratch`].
 pub fn lcss_length(t1: &[Point], t2: &[Point], eps: f64) -> usize {
-    DistScratch::with_thread(|s| lcss_length_in(t1, t2, eps, s))
-}
-
-/// [`lcss_length`] against a caller-managed scratch: zero heap
-/// allocations once `scratch` is warm.
-pub fn lcss_length_in(
-    t1: &[Point],
-    t2: &[Point],
-    eps: f64,
-    scratch: &mut DistScratch,
-) -> usize {
     if t1.is_empty() || t2.is_empty() {
         return 0;
     }
-    crate::backend::simd_dispatch!(lcss_length(t1, t2, eps, scratch));
-    lcss_length_scalar_in(t1, t2, eps, scratch)
-}
-
-/// The scalar [`lcss_length_in`] body (the oracle the SIMD backends are
-/// tested against).
-pub(crate) fn lcss_length_scalar_in(
-    t1: &[Point],
-    t2: &[Point],
-    eps: f64,
-    scratch: &mut DistScratch,
-) -> usize {
-    let n = t2.len();
-    let (mut prev, mut cur) = scratch.u2(n + 1, n + 1);
-    for a in t1 {
-        // Register-carried cursors over zipped rows — no per-cell bounds
-        // checks; integer recurrence unchanged. Row slot 0 stays 0 (the
-        // zeroed-buffer invariant the scratch accessor provides).
-        let mut left = 0u32;
-        let mut diag = prev[0];
-        for (b, (&up, c)) in t2.iter().zip(prev[1..].iter().zip(cur[1..].iter_mut())) {
-            let v = if (a.x - b.x).abs() <= eps && (a.y - b.y).abs() <= eps {
-                diag + 1
-            } else {
-                up.max(left)
-            };
-            *c = v;
-            diag = up;
-            left = v;
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    prev[n] as usize
+    let l = DistScratch::with_thread(|s| lcss_length_within(t1, t2, eps, f64::INFINITY, s));
+    l.expect("a finite achievable-match bound never reaches +inf") as usize
 }
 
 /// LCSS *distance*: `1 - LCSS(τ1, τ2) / min(|τ1|, |τ2|)`.
@@ -66,22 +25,9 @@ pub(crate) fn lcss_length_scalar_in(
 /// so that top-k "most similar" becomes top-k "smallest distance" uniformly
 /// across measures.
 pub fn lcss_distance(t1: &[Point], t2: &[Point], eps: f64) -> f64 {
-    DistScratch::with_thread(|s| lcss_distance_in(t1, t2, eps, s))
-}
-
-/// [`lcss_distance`] against a caller-managed scratch: zero heap
-/// allocations once `scratch` is warm.
-pub fn lcss_distance_in(
-    t1: &[Point],
-    t2: &[Point],
-    eps: f64,
-    scratch: &mut DistScratch,
-) -> f64 {
-    if t1.is_empty() || t2.is_empty() {
-        return if t1.is_empty() && t2.is_empty() { 0.0 } else { 1.0 };
-    }
-    let l = lcss_length_in(t1, t2, eps, scratch) as f64;
-    1.0 - l / t1.len().min(t2.len()) as f64
+    DistScratch::with_thread(|s| {
+        lcss_distance_within(t1, t2, eps, f64::INFINITY, s).unwrap_or(f64::INFINITY)
+    })
 }
 
 #[cfg(test)]

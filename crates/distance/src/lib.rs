@@ -1,11 +1,33 @@
 //! The six trajectory similarity measures REPOSE supports (Sections II and
 //! VI of the paper): Hausdorff, Frechet, DTW, LCSS, EDR, and ERP.
 //!
-//! Besides the plain pairwise distances, this crate exposes the *incremental
+//! Each measure's exact distance is written once per *algorithm*:
+//!
+//! * a frozen seed kernel in [`mod@reference`] — the oracle every test compares
+//!   bits against, never called in production;
+//! * one scalar, threshold-aware, early-abandoning kernel in [`within`].
+//!   The unbounded distance *is* that kernel at `+∞`
+//!   (`within(+∞).unwrap_or(+∞)`), so there is no separate "full" dynamic
+//!   program to keep in agreement with it;
+//! * where lanes measurably pay, a SIMD form selected by [`backend`]: the
+//!   packed single-pair Hausdorff kernels (Hausdorff also keeps its one-pass
+//!   unbounded kernel, a different algorithm from its two-pass threshold
+//!   kernel), and lane-batched DTW / Fréchet / ERP verification that scores
+//!   up to [`BATCH_LANES`] candidates against one query at once.
+//!
+//! Every entry point takes the shape [`MeasureParams`] gives it — `distance`,
+//! `distance_within`, and their `*_in` forms over a caller-owned
+//! [`DistScratch`]; the per-measure free functions (`dtw(a, b)`, …) are the
+//! classic unbounded forms only.
+//!
+//! Besides the pairwise distances, this crate exposes the *incremental
 //! column kernels* that the RP-Trie search uses to evaluate lower bounds in
 //! `O(m)` per trie node (Section IV-C, Algorithm 1): when a reference
 //! trajectory grows by one point, only one new column of the distance matrix
 //! has to be computed, given the parent node's intermediate results.
+//!
+//! The lint attributes below confine `unsafe` to the `simd` module and the
+//! dispatch sites that call into it.
 //!
 //! ```
 //! use repose_distance::{hausdorff, Measure, MeasureParams};
@@ -29,6 +51,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod backend;
 mod dtw;
@@ -41,22 +64,19 @@ mod measure;
 pub mod reference;
 mod scratch;
 #[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
 pub(crate) mod simd;
 mod summary;
 pub mod within;
 
 pub use backend::{active_backend, available_backends, force_backend, Backend};
-pub use dtw::{dtw, dtw_in, DtwColumn};
-pub use edr::{edr, edr_in};
-pub use erp::{erp, erp_in};
-pub use frechet::{frechet, frechet_in, FrechetColumn};
-pub use hausdorff::{directed_hausdorff, hausdorff, hausdorff_in, HausdorffState};
-pub use lcss::{lcss_distance, lcss_distance_in, lcss_length, lcss_length_in};
+pub use dtw::{dtw, DtwColumn};
+pub use edr::edr;
+pub use erp::erp;
+pub use frechet::{frechet, FrechetColumn};
+pub use hausdorff::{directed_hausdorff, hausdorff, HausdorffState};
+pub use lcss::{lcss_distance, lcss_length};
 pub use measure::{Measure, MeasureParams, RefineEvent, BATCH_LANES};
 pub use scratch::DistScratch;
 pub use summary::TrajSummary;
-pub use within::{
-    bound_exceeds, dtw_within, dtw_within_in, edr_within, edr_within_in, erp_within,
-    erp_within_in, frechet_within, frechet_within_in, hausdorff_within, hausdorff_within_in,
-    just_above, lcss_distance_within, lcss_distance_within_in, RunningTopK, ThresholdSource,
-};
+pub use within::{bound_exceeds, just_above, RunningTopK, ThresholdSource};

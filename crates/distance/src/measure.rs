@@ -1,11 +1,10 @@
+use crate::hausdorff::hausdorff_in;
 use crate::within::{
-    bound_exceeds, dtw_lb, dtw_within_in, edr_lb, edr_within_in, erp_lb, erp_within_in,
-    frechet_lb, frechet_within_in, hausdorff_lb, hausdorff_within_in, just_above,
-    lcss_distance_within_in, lcss_lb, prefilter_rejects, RunningTopK,
+    bound_exceeds, dtw_lb, dtw_within, edr_lb, edr_within, erp_lb, erp_within, frechet_lb,
+    frechet_within, hausdorff_lb, hausdorff_within, just_above, lcss_distance_within, lcss_lb,
+    prefilter_rejects, RunningTopK,
 };
-use crate::{
-    dtw_in, edr_in, erp_in, frechet_in, hausdorff_in, lcss_distance_in, DistScratch,
-};
+use crate::DistScratch;
 use repose_model::Point;
 
 /// Maximum number of candidates [`MeasureParams::distance_within_batch_in`]
@@ -152,6 +151,9 @@ impl MeasureParams {
 
     /// [`MeasureParams::distance`] against a caller-managed scratch: zero
     /// heap allocations once `scratch` is warm.
+    ///
+    /// For every measure but Hausdorff this *is* the threshold kernel, run
+    /// at `+∞` (see [`crate::within`]).
     pub fn distance_in(
         &self,
         measure: Measure,
@@ -161,11 +163,9 @@ impl MeasureParams {
     ) -> f64 {
         match measure {
             Measure::Hausdorff => hausdorff_in(t1, t2, scratch),
-            Measure::Frechet => frechet_in(t1, t2, scratch),
-            Measure::Dtw => dtw_in(t1, t2, scratch),
-            Measure::Lcss => lcss_distance_in(t1, t2, self.eps, scratch),
-            Measure::Edr => edr_in(t1, t2, self.eps, scratch),
-            Measure::Erp => erp_in(t1, t2, self.erp_gap, scratch),
+            _ => self
+                .distance_within_from_lb_in(measure, t1, t2, f64::INFINITY, 0.0, scratch)
+                .unwrap_or(f64::INFINITY),
         }
     }
 
@@ -186,26 +186,6 @@ impl MeasureParams {
         self.distance_within_from_lb(measure, t1, t2, threshold, self.lower_bound(measure, t1, t2))
     }
 
-    /// [`MeasureParams::distance_within`] against a caller-managed
-    /// scratch: zero heap allocations once `scratch` is warm.
-    pub fn distance_within_in(
-        &self,
-        measure: Measure,
-        t1: &[Point],
-        t2: &[Point],
-        threshold: f64,
-        scratch: &mut DistScratch,
-    ) -> Option<f64> {
-        self.distance_within_from_lb_in(
-            measure,
-            t1,
-            t2,
-            threshold,
-            self.lower_bound(measure, t1, t2),
-            scratch,
-        )
-    }
-
     /// [`MeasureParams::distance_within`] for callers that already hold a
     /// lower bound on this pair's distance (typically
     /// [`MeasureParams::lower_bound`], computed as a sort key): the
@@ -213,7 +193,7 @@ impl MeasureParams {
     /// must genuinely lower-bound the exact distance (up to the same
     /// floating-point slop the built-in bounds have — the safety margin
     /// absorbs it); passing anything larger voids the `Some`/`None`
-    /// contract.
+    /// contract. `0.0` is always valid.
     pub fn distance_within_from_lb(
         &self,
         measure: Measure,
@@ -243,12 +223,12 @@ impl MeasureParams {
             return None;
         }
         match measure {
-            Measure::Hausdorff => hausdorff_within_in(t1, t2, threshold, scratch),
-            Measure::Frechet => frechet_within_in(t1, t2, threshold, scratch),
-            Measure::Dtw => dtw_within_in(t1, t2, threshold, scratch),
-            Measure::Lcss => lcss_distance_within_in(t1, t2, self.eps, threshold, scratch),
-            Measure::Edr => edr_within_in(t1, t2, self.eps, threshold, scratch),
-            Measure::Erp => erp_within_in(t1, t2, self.erp_gap, threshold, scratch),
+            Measure::Hausdorff => hausdorff_within(t1, t2, threshold),
+            Measure::Frechet => frechet_within(t1, t2, threshold, scratch),
+            Measure::Dtw => dtw_within(t1, t2, threshold, scratch),
+            Measure::Lcss => lcss_distance_within(t1, t2, self.eps, threshold, scratch),
+            Measure::Edr => edr_within(t1, t2, self.eps, threshold, scratch),
+            Measure::Erp => erp_within(t1, t2, self.erp_gap, threshold, scratch),
         }
     }
 
@@ -305,7 +285,7 @@ impl MeasureParams {
     /// backend's batched kernel (or the sequential kernel when only one
     /// survives — a one-lane vector would waste the whole group's gathers).
     #[cfg(target_arch = "x86_64")]
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, unsafe_code)]
     fn batch_lane_group(
         &self,
         backend: crate::Backend,
@@ -391,55 +371,26 @@ impl MeasureParams {
     /// ([`bound_exceeds`], fp-safety margin included). `cap` bounds useful
     /// distances inclusively (`dist == cap` is kept); pass
     /// [`f64::INFINITY`] for plain top-k. `on_event` observes every
-    /// candidate's fate for work accounting.
+    /// candidate's fate for work accounting. With `scratch` warm, the only
+    /// allocation left in the scan is the candidate sort itself.
     ///
-    /// Returns up to `k` `(distance, id)` pairs ascending — exactly the k
-    /// smallest such pairs among candidates with `dist <= cap`, identical
-    /// to what exhaustive exact scoring would keep.
+    /// With `shared` = `Some`, the scan also runs against that *live*
+    /// threshold: every group's cutoff is additionally clamped by
+    /// [`crate::ThresholdSource::bound`] (re-read per group, so a hit
+    /// another search publishes mid-scan tightens this one immediately),
+    /// and every accepted hit is published back so this scan tightens the
+    /// others. The shared bound is an upper bound on the *global* k-th
+    /// distance, so clamping with it never discards a candidate that could
+    /// still appear in the merged global top-k (ties at the bound are kept:
+    /// the cutoff is applied through [`just_above`], i.e. inclusively).
+    ///
+    /// Returns up to `k` `(distance, id)` pairs ascending. Without a shared
+    /// threshold these are exactly the k smallest such pairs among
+    /// candidates with `dist <= cap`, identical to what exhaustive exact
+    /// scoring would keep; with one, they include every pair this candidate
+    /// set contributes to the merged global top-k.
+    #[allow(clippy::too_many_arguments)]
     pub fn refine_by_bound(
-        &self,
-        measure: Measure,
-        query: &[Point],
-        k: usize,
-        cap: f64,
-        cands: Vec<(f64, u64, &[Point])>,
-        on_event: impl FnMut(RefineEvent),
-    ) -> Vec<(f64, u64)> {
-        self.refine_by_bound_shared(measure, query, k, cap, None, cands, on_event)
-    }
-
-    /// [`MeasureParams::refine_by_bound`] against a *live* shared threshold:
-    /// every candidate's cutoff is additionally clamped by
-    /// [`crate::ThresholdSource::bound`] (re-read per candidate, so a hit another
-    /// search publishes mid-scan tightens this one immediately), and every
-    /// accepted hit is published back so this scan tightens the others.
-    ///
-    /// With `shared` = `None` this is exactly `refine_by_bound`. The shared
-    /// bound is an upper bound on the *global* k-th distance, so clamping
-    /// with it never discards a candidate that could still appear in the
-    /// merged global top-k (ties at the bound are kept: the cutoff is
-    /// applied through [`just_above`], i.e. inclusively).
-    #[allow(clippy::too_many_arguments)]
-    pub fn refine_by_bound_shared(
-        &self,
-        measure: Measure,
-        query: &[Point],
-        k: usize,
-        cap: f64,
-        shared: Option<&dyn crate::ThresholdSource>,
-        cands: Vec<(f64, u64, &[Point])>,
-        on_event: impl FnMut(RefineEvent),
-    ) -> Vec<(f64, u64)> {
-        DistScratch::with_thread(|s| {
-            self.refine_by_bound_shared_in(measure, query, k, cap, shared, cands, on_event, s)
-        })
-    }
-
-    /// [`MeasureParams::refine_by_bound_shared`] against a caller-managed
-    /// scratch: with `scratch` warm, the only allocation left in the scan
-    /// is the candidate sort itself.
-    #[allow(clippy::too_many_arguments)]
-    pub fn refine_by_bound_shared_in(
         &self,
         measure: Measure,
         query: &[Point],

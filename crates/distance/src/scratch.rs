@@ -10,13 +10,12 @@
 //! the kernels run **allocation-free**.
 //!
 //! Ownership discipline: one scratch per worker thread. Callers that own a
-//! loop can hold a `DistScratch` explicitly and call the `*_in` kernel
-//! variants; every classic entry point (`dtw(a, b)`,
-//! [`crate::MeasureParams::distance`], …) instead borrows the calling
-//! thread's scratch via [`DistScratch::with_thread`], so the trie search,
-//! the serving layer's delta scans, and the baselines' refinement loops
-//! all get the warm-thread zero-allocation behaviour without plumbing a
-//! scratch through their public signatures.
+//! loop hold a `DistScratch` explicitly and call the `MeasureParams::*_in`
+//! entry points; the classic ones (`dtw(a, b)`,
+//! [`crate::MeasureParams::distance`], …) instead borrow the calling
+//! thread's scratch via [`DistScratch::with_thread`], which is also how the
+//! trie search, the serving layer's delta scans, and the baselines'
+//! refinement loops get a warm scratch to pass down.
 
 use std::cell::RefCell;
 
@@ -29,23 +28,19 @@ pub(crate) struct Lane4(pub [f64; 4]);
 
 /// Reusable kernel scratch space (see module docs).
 ///
-/// The buffers are deliberately typed by role, not by kernel: `fa`/`fb`
-/// serve as DP column + ground-distance cache (DTW, Fréchet), as the
-/// row pair (ERP), or as column-minima (Hausdorff); `fc` caches ERP gap
-/// distances and `fd` the SIMD kernels' per-row-pair ground distances;
-/// `ua`/`ub` are the integer row pair of EDR and LCSS and `uc` the SIMD
-/// wavefront's precomputed match rows; `lanes` holds the lane-interleaved
-/// column state of batched multi-candidate verification. A single scratch
-/// therefore serves all six measures interchangeably.
+/// The buffers are deliberately typed by role, not by kernel: `fa` serves
+/// as the DP column (DTW, Fréchet) or the column-minima row (Hausdorff),
+/// `fa`/`fb` as the ERP row pair with `fc` caching its gap distances;
+/// `ua`/`ub` are the integer row pair of EDR and LCSS; `lanes` holds the
+/// lane-interleaved column state of batched multi-candidate verification.
+/// A single scratch therefore serves all six measures interchangeably.
 #[derive(Debug, Default)]
 pub struct DistScratch {
     fa: Vec<f64>,
     fb: Vec<f64>,
     fc: Vec<f64>,
-    fd: Vec<f64>,
     ua: Vec<u32>,
     ub: Vec<u32>,
-    uc: Vec<u32>,
     lanes: Vec<Lane4>,
 }
 
@@ -115,38 +110,6 @@ impl DistScratch {
         )
     }
 
-    /// Four `f64` buffers with **unspecified contents** — the SIMD ERP
-    /// kernel's row pair, gap cache, and packed per-row ground distances.
-    pub(crate) fn f4_uninit(
-        &mut self,
-        na: usize,
-        nb: usize,
-        nc: usize,
-        nd: usize,
-    ) -> (&mut [f64], &mut [f64], &mut [f64], &mut [f64]) {
-        (
-            grow_f_uninit(&mut self.fa, na),
-            grow_f_uninit(&mut self.fb, nb),
-            grow_f_uninit(&mut self.fc, nc),
-            grow_f_uninit(&mut self.fd, nd),
-        )
-    }
-
-    /// Three `u32` buffers with **unspecified contents** — the SIMD
-    /// EDR/LCSS wavefront's row pair plus its precomputed match rows.
-    pub(crate) fn u3_uninit(
-        &mut self,
-        na: usize,
-        nb: usize,
-        nc: usize,
-    ) -> (&mut [u32], &mut [u32], &mut [u32]) {
-        (
-            grow_u_uninit(&mut self.ua, na),
-            grow_u_uninit(&mut self.ub, nb),
-            grow_u_uninit(&mut self.uc, nc),
-        )
-    }
-
     /// Lane-interleaved batch column state (length `nl` lane groups) plus
     /// two `f64` rows, all with **unspecified contents** — the batched
     /// multi-candidate kernels' working set.
@@ -172,22 +135,21 @@ impl DistScratch {
     /// prove a warm verification loop never grows (hence never allocates
     /// from) the scratch.
     pub fn footprint(&self) -> usize {
-        (self.fa.capacity() + self.fb.capacity() + self.fc.capacity() + self.fd.capacity())
+        (self.fa.capacity() + self.fb.capacity() + self.fc.capacity())
             * std::mem::size_of::<f64>()
-            + (self.ua.capacity() + self.ub.capacity() + self.uc.capacity())
-                * std::mem::size_of::<u32>()
+            + (self.ua.capacity() + self.ub.capacity()) * std::mem::size_of::<u32>()
             + self.lanes.capacity() * std::mem::size_of::<Lane4>()
     }
 
     /// Runs `f` with the calling thread's scratch — the per-worker-thread
-    /// scratch every classic (non-`_in`) kernel entry point uses.
+    /// scratch every classic (non-`_in`) entry point uses.
     ///
     /// Re-entrant calls (a classic kernel invoked from code already
     /// running inside another kernel's scratch scope — e.g. a
     /// `ThresholdSource` or refinement callback that recomputes a
     /// distance) fall back to a fresh temporary scratch: correct, just
-    /// not allocation-free for that inner call. The `*_in` kernels never
-    /// re-enter.
+    /// not allocation-free for that inner call. The `*_in` entry points
+    /// never re-enter.
     pub fn with_thread<R>(f: impl FnOnce(&mut DistScratch) -> R) -> R {
         thread_local! {
             static SCRATCH: RefCell<DistScratch> = RefCell::new(DistScratch::new());

@@ -10,8 +10,8 @@
 //! Lane `l` computes candidate `l`'s DP with the exact scalar expressions
 //! in the scalar evaluation order — elementwise IEEE lane arithmetic makes
 //! each lane's value sequence identical to a standalone scalar run, so each
-//! returned `Option<f64>` is bit-identical to what the sequential
-//! `*_within_in` kernel returns for that candidate at the same threshold
+//! returned `Option<f64>` is bit-identical to what the scalar threshold
+//! kernel returns for that candidate at the same threshold
 //! (abandon schedules may differ — ERP abandons on column instead of row
 //! minima — but any sound schedule yields the same `Some`/`None`: abandons
 //! only fire when the final distance provably reaches the threshold, and
@@ -24,10 +24,10 @@
 //! the scratch's 32-byte-aligned [`crate::scratch::Lane4`] groups — one
 //! group per DP row, one vector load/store each.
 //!
-//! EDR, LCSS and Hausdorff are not lane-batched: the integer wavefront and
-//! the packed Hausdorff rows already vectorize *within* one pair, and their
-//! cells are too cheap for cross-candidate gathers to pay; the dispatcher
-//! scores those measures sequentially.
+//! EDR, LCSS and Hausdorff are not lane-batched: the packed Hausdorff rows
+//! already vectorize *within* one pair, and the integer EDR/LCSS cells are
+//! too cheap for cross-candidate gathers to pay; the dispatcher scores
+//! those measures sequentially.
 
 use super::ops::F64s;
 use crate::DistScratch;
@@ -37,6 +37,10 @@ use repose_model::Point;
 const MASK_ON: f64 = f64::from_bits(u64::MAX);
 
 /// Builds a lane mask vector from per-lane active bits.
+///
+/// # Safety
+///
+/// The CPU must support `V`'s instruction set.
 #[inline(always)]
 unsafe fn mask_from_bits<V: F64s>(bits: u32) -> V {
     V::from_fn(|l| if bits & (1 << l) != 0 { MASK_ON } else { 0.0 })
@@ -44,6 +48,10 @@ unsafe fn mask_from_bits<V: F64s>(bits: u32) -> V {
 
 /// Packed `d(query_point, cand_l[j])` (squared when `!SQRT`) against the
 /// pre-gathered lane coordinates — `Point::dist`'s exact operation order.
+///
+/// # Safety
+///
+/// The CPU must support `V`'s instruction set.
 #[inline(always)]
 unsafe fn lane_dists<V: F64s, const SQRT: bool>(q: Point, pxs: V, pys: V) -> V {
     let dx = V::splat(q.x).sub(pxs);
@@ -59,6 +67,10 @@ unsafe fn lane_dists<V: F64s, const SQRT: bool>(q: Point, pxs: V, pys: V) -> V {
 /// Gathers lane points `cand_l[min(j, len_l - 1)]`: the clamp keeps loads in
 /// bounds for finished lanes, whose values never reach an active cell.
 /// Lanes past `cands.len()` read zeros and are never active.
+///
+/// # Safety
+///
+/// The CPU must support `V`'s instruction set.
 #[inline(always)]
 unsafe fn gather_points<V: F64s>(cands: &[&[Point]], j: usize) -> (V, V) {
     let xs = V::from_fn(|l| cands.get(l).map_or(0.0, |c| c[j.min(c.len() - 1)].x));
@@ -68,6 +80,10 @@ unsafe fn gather_points<V: F64s>(cands: &[&[Point]], j: usize) -> (V, V) {
 
 /// Records `None` for abandoned lanes / extracts finished lanes, clearing
 /// them from `active`; returns the rebuilt mask (or `None` when done).
+///
+/// # Safety
+///
+/// The CPU must support `V`'s instruction set.
 #[inline(always)]
 unsafe fn retire_lanes<V: F64s>(active: &mut u32, cleared: u32) -> Option<V> {
     *active &= !cleared;
@@ -80,12 +96,15 @@ unsafe fn retire_lanes<V: F64s>(active: &mut u32, cleared: u32) -> Option<V> {
 
 /// Batched DTW (`MAX = false, SQRT = true`) / Fréchet (`MAX = true,
 /// SQRT = false`, squared space) early-abandoning verification: `out[l]` is
-/// bit-identical to `dtw_within_in` / `frechet_within_in` of
+/// bit-identical to the scalar `dtw_within` / `frechet_within` of
 /// `(query, cands[l])` at `threshold`.
 ///
-/// Requirements (the dispatcher guarantees them): `1 <= cands.len() <=
-/// V::W`, every candidate non-empty, query non-empty, `threshold > 0.0`
-/// and non-NaN, `out.len() >= cands.len()`.
+/// # Safety
+///
+/// The CPU must support `V`'s instruction set, and (the dispatcher
+/// guarantees them) `1 <= cands.len() <= V::W`, every candidate non-empty,
+/// query non-empty, `threshold > 0.0` and non-NaN,
+/// `out.len() >= cands.len()`.
 #[inline(always)]
 pub(crate) unsafe fn batch_dp<V: F64s, const MAX: bool, const SQRT: bool>(
     query: &[Point],
@@ -173,9 +192,8 @@ pub(crate) unsafe fn batch_dp<V: F64s, const MAX: bool, const SQRT: bool>(
     }
 }
 
-/// Batched early-abandoning ERP: `out[l]` bit-identical to `erp_within_in`
-/// of `(query, cands[l])` at `threshold`. Same requirements as
-/// [`batch_dp`].
+/// Batched early-abandoning ERP: `out[l]` bit-identical to the scalar
+/// `erp_within` of `(query, cands[l])` at `threshold`.
 ///
 /// The DP walks candidate points (columns) outermost with the column state
 /// over query rows, so all lanes share the query's gap-distance column and
@@ -183,6 +201,10 @@ pub(crate) unsafe fn batch_dp<V: F64s, const MAX: bool, const SQRT: bool>(
 /// functions of their predecessors); the abandon is the *column* minimum —
 /// sound because an optimal path crosses every column, so the final value
 /// dominates each column's minimum, including the row-0 boundary cell.
+///
+/// # Safety
+///
+/// Same requirements as [`batch_dp`].
 #[inline(always)]
 pub(crate) unsafe fn batch_erp<V: F64s>(
     query: &[Point],
@@ -196,7 +218,7 @@ pub(crate) unsafe fn batch_erp<V: F64s>(
     let (colv, ga, gapref) = scratch.batch_f(m + 1, m, m + 1);
     // d(q_i, gap) and the row-0 boundary prefix erp(i, 0), shared by all
     // lanes — the same scalar expressions, accumulated in the same order,
-    // as `erp_within_in`'s gap_a and first-row cursor.
+    // as the scalar `erp_within`'s gap_a and first-row cursor.
     for (g, q) in ga.iter_mut().zip(query) {
         *g = q.dist(&gap);
     }

@@ -1,434 +1,34 @@
-//! Generic single-pair SIMD kernels, monomorphized per backend width.
+//! The packed single-pair Hausdorff kernels, monomorphized per backend
+//! width — the only single-pair SIMD kernels in the crate.
 //!
-//! Strategy per measure (every cell is computed with the same scalar
-//! expressions in the same order as the scalar kernels, so results are
-//! bit-identical; see the module docs of [`super`] for the full argument):
+//! Hausdorff has no dependency chain: every cell of the `m x n` squared
+//! distance matrix is independent and the result is a max of row/column
+//! minima, so one pair vectorizes cleanly along a row (`W` reference points
+//! per step, vector row-minima and column-minima updates). `f64` min/max of
+//! non-NaN values is order-independent, so any reduction order gives the
+//! scalar kernel's bits. The other five measures are dynamic programs
+//! whose serial min-chain cannot be lane-split within one pair; packing
+//! only their ground distances measured *slower* than the scalar kernels
+//! on the 120k benchmark, so for them SIMD exists only across candidates
+//! ([`super::batch`]).
 //!
-//! * **DTW / Fréchet** — the DP's serial min-chain cannot be lane-split
-//!   without changing evaluation order, but the ground distances feeding it
-//!   can: [`dists_to`]/[`dists2_to`] compute a whole column of packed
-//!   `d(q_i, p_j)` (with packed `sqrt` for DTW), then the scalar
-//!   [`dp_advance_pre`]/[`dp_advance2_pre`] recurrences — the exact shape of
-//!   `dtw_advance`/`dtw_advance2` — consume the precomputed slices.
-//! * **ERP** — packed gap-distance row and packed per-row ground distances,
-//!   plus a two-row register-staggered recurrence ([`erp_rows2_pre`]) that
-//!   interleaves two rows' serial chains.
-//! * **EDR / LCSS** — a genuine 4-lane anti-diagonal integer wavefront
-//!   ([`wavefront4`]): four DP rows advance per step in `__m128i` lanes,
-//!   with the eps-match predicates precomputed per strip by the packed
-//!   [`match_row`].
-//! * **Hausdorff** — packed squared-distance rows with vector row-minima and
-//!   column-minima updates (`f64` min/max of non-NaN values is
-//!   order-independent, so any reduction order gives the same bits).
-//!
-//! Early-abandon (`*_within`) variants share one soundness rule: an abandon
-//! may fire only when the check proves the final distance is `>= threshold`,
-//! and every survivor ends with the same `(d < threshold).then_some(d)`
-//! gate — so the `Some`/`None` outcome depends only on the true distance,
-//! never on *where* a particular backend chose to abandon.
-//!
-//! All kernels assume non-empty inputs, finite coordinates and (for the
-//! `within` variants) a positive non-NaN threshold; the public dispatchers
-//! in the kernel files handle the degenerate cases before dispatching.
+//! The kernels assume non-empty inputs, finite coordinates and (for
+//! [`hausdorff_within`]) a positive non-NaN threshold; the dispatching
+//! entry points handle the degenerate cases first.
 
 use super::ops::F64s;
 use crate::DistScratch;
-use core::arch::x86_64::*;
 use repose_model::Point;
-
-// ---------------------------------------------------------------------------
-// Packed ground-distance precompute
-// ---------------------------------------------------------------------------
-
-/// `out[i] = d(pts[i], p)` (squared when `!SQRT`), packed `W` at a time with
-/// a scalar tail. Same operation order as `Point::dist`/`dist_sq`:
-/// `dx*dx + dy*dy` then one correctly-rounded `sqrt` — bit-identical lanes.
-#[inline(always)]
-pub(crate) unsafe fn dists_to<V: F64s, const SQRT: bool>(
-    pts: &[Point],
-    p: Point,
-    out: &mut [f64],
-) {
-    let (px, py) = (V::splat(p.x), V::splat(p.y));
-    let n = pts.len();
-    let mut i = 0;
-    while i + V::W <= n {
-        let (xs, ys) = V::load_points(pts.as_ptr().add(i));
-        let dx = xs.sub(px);
-        let dy = ys.sub(py);
-        let mut d = dx.mul(dx).add(dy.mul(dy));
-        if SQRT {
-            d = d.sqrt();
-        }
-        d.storeu(out.as_mut_ptr().add(i));
-        i += V::W;
-    }
-    while i < n {
-        let q = pts[i];
-        out[i] = if SQRT { q.dist(&p) } else { q.dist_sq(&p) };
-        i += 1;
-    }
-}
-
-/// Two [`dists_to`] columns sharing every query-point load.
-#[inline(always)]
-pub(crate) unsafe fn dists2_to<V: F64s, const SQRT: bool>(
-    pts: &[Point],
-    p1: Point,
-    p2: Point,
-    o1: &mut [f64],
-    o2: &mut [f64],
-) {
-    let (p1x, p1y) = (V::splat(p1.x), V::splat(p1.y));
-    let (p2x, p2y) = (V::splat(p2.x), V::splat(p2.y));
-    let n = pts.len();
-    let mut i = 0;
-    while i + V::W <= n {
-        let (xs, ys) = V::load_points(pts.as_ptr().add(i));
-        let dx1 = xs.sub(p1x);
-        let dy1 = ys.sub(p1y);
-        let dx2 = xs.sub(p2x);
-        let dy2 = ys.sub(p2y);
-        let mut d1 = dx1.mul(dx1).add(dy1.mul(dy1));
-        let mut d2 = dx2.mul(dx2).add(dy2.mul(dy2));
-        if SQRT {
-            d1 = d1.sqrt();
-            d2 = d2.sqrt();
-        }
-        d1.storeu(o1.as_mut_ptr().add(i));
-        d2.storeu(o2.as_mut_ptr().add(i));
-        i += V::W;
-    }
-    while i < n {
-        let q = pts[i];
-        if SQRT {
-            o1[i] = q.dist(&p1);
-            o2[i] = q.dist(&p2);
-        } else {
-            o1[i] = q.dist_sq(&p1);
-            o2[i] = q.dist_sq(&p2);
-        }
-        i += 1;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// DTW / Fréchet: scalar chain over precomputed distances
-// ---------------------------------------------------------------------------
-
-/// One column transition over precomputed ground distances `d` — the exact
-/// cell expressions of `dtw_advance` (`MAX = false`) or `frechet_advance`
-/// (`MAX = true`). Returns the column minimum.
-#[inline(always)]
-fn dp_advance_pre<const MAX: bool>(col: &mut [f64], first: bool, d: &[f64]) -> f64 {
-    let mut cmin = f64::INFINITY;
-    if first {
-        let mut acc = 0.0f64;
-        for (i, (c, &dv)) in col.iter_mut().zip(d).enumerate() {
-            if MAX {
-                acc = if i == 0 { dv } else { acc.max(dv) };
-            } else {
-                acc += dv;
-            }
-            *c = acc;
-            if acc < cmin {
-                cmin = acc;
-            }
-        }
-    } else {
-        let (mut prev_im1, mut last_new) = (f64::INFINITY, f64::INFINITY);
-        for (i, (c, &dv)) in col.iter_mut().zip(d).enumerate() {
-            let old = *c;
-            let best_pred = if i == 0 { old } else { prev_im1.min(old).min(last_new) };
-            prev_im1 = old;
-            let new = if MAX { dv.max(best_pred) } else { dv + best_pred };
-            *c = new;
-            last_new = new;
-            if new < cmin {
-                cmin = new;
-            }
-        }
-    }
-    cmin
-}
-
-/// Two column transitions over precomputed distances — the exact cell
-/// expressions of `dtw_advance2`/`frechet_advance2` (two interleaved serial
-/// chains). Returns both columns' minima (check them in order).
-#[inline(always)]
-fn dp_advance2_pre<const MAX: bool>(col: &mut [f64], d1: &[f64], d2: &[f64]) -> (f64, f64) {
-    let (mut cmin1, mut cmin2) = (f64::INFINITY, f64::INFINITY);
-    let (mut a, mut b, mut c2) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-    for (i, ((c, &dv1), &dv2)) in col.iter_mut().zip(d1).zip(d2).enumerate() {
-        let old = *c;
-        let v1 = if MAX {
-            if i == 0 { dv1.max(old) } else { dv1.max(a.min(old).min(b)) }
-        } else if i == 0 {
-            dv1 + old
-        } else {
-            dv1 + a.min(old).min(b)
-        };
-        let v2 = if MAX {
-            if i == 0 { dv2.max(v1) } else { dv2.max(b.min(v1).min(c2)) }
-        } else if i == 0 {
-            dv2 + v1
-        } else {
-            dv2 + b.min(v1).min(c2)
-        };
-        a = old;
-        b = v1;
-        c2 = v2;
-        *c = v2;
-        if v1 < cmin1 {
-            cmin1 = v1;
-        }
-        if v2 < cmin2 {
-            cmin2 = v2;
-        }
-    }
-    (cmin1, cmin2)
-}
-
-/// DTW with packed ground-distance precompute (see module docs).
-#[inline(always)]
-pub(crate) unsafe fn dtw<V: F64s>(t1: &[Point], t2: &[Point], scratch: &mut DistScratch) -> f64 {
-    let m = t1.len();
-    let (col, d1, d2) = scratch.f3_uninit(m, m, m);
-    let (p0, rest) = t2.split_first().expect("non-empty");
-    dists_to::<V, true>(t1, *p0, d1);
-    dp_advance_pre::<false>(col, true, d1);
-    let mut pairs = rest.chunks_exact(2);
-    for pair in &mut pairs {
-        dists2_to::<V, true>(t1, pair[0], pair[1], d1, d2);
-        dp_advance2_pre::<false>(col, d1, d2);
-    }
-    for p in pairs.remainder() {
-        dists_to::<V, true>(t1, *p, d1);
-        dp_advance_pre::<false>(col, false, d1);
-    }
-    col[m - 1]
-}
-
-/// Early-abandoning DTW: same abandon schedule as the scalar
-/// `dtw_within_in` (column minima checked in column order).
-#[inline(always)]
-pub(crate) unsafe fn dtw_within<V: F64s>(
-    t1: &[Point],
-    t2: &[Point],
-    threshold: f64,
-    scratch: &mut DistScratch,
-) -> Option<f64> {
-    let m = t1.len();
-    let (col, d1, d2) = scratch.f3_uninit(m, m, m);
-    let (p0, rest) = t2.split_first().expect("non-empty");
-    dists_to::<V, true>(t1, *p0, d1);
-    if dp_advance_pre::<false>(col, true, d1) >= threshold {
-        return None;
-    }
-    let mut pairs = rest.chunks_exact(2);
-    for pair in &mut pairs {
-        dists2_to::<V, true>(t1, pair[0], pair[1], d1, d2);
-        let (c1, c2) = dp_advance2_pre::<false>(col, d1, d2);
-        if c1 >= threshold || c2 >= threshold {
-            return None;
-        }
-    }
-    for p in pairs.remainder() {
-        dists_to::<V, true>(t1, *p, d1);
-        if dp_advance_pre::<false>(col, false, d1) >= threshold {
-            return None;
-        }
-    }
-    let d = col[m - 1];
-    (d < threshold).then_some(d)
-}
-
-/// Discrete Fréchet in squared space with packed precompute.
-#[inline(always)]
-pub(crate) unsafe fn frechet<V: F64s>(
-    t1: &[Point],
-    t2: &[Point],
-    scratch: &mut DistScratch,
-) -> f64 {
-    let m = t1.len();
-    let (col, d1, d2) = scratch.f3_uninit(m, m, m);
-    let (p0, rest) = t2.split_first().expect("non-empty");
-    dists_to::<V, false>(t1, *p0, d1);
-    dp_advance_pre::<true>(col, true, d1);
-    let mut pairs = rest.chunks_exact(2);
-    for pair in &mut pairs {
-        dists2_to::<V, false>(t1, pair[0], pair[1], d1, d2);
-        dp_advance2_pre::<true>(col, d1, d2);
-    }
-    for p in pairs.remainder() {
-        dists_to::<V, false>(t1, *p, d1);
-        dp_advance_pre::<true>(col, false, d1);
-    }
-    col[m - 1].sqrt()
-}
-
-/// Early-abandoning Fréchet (squared space; abandon compares
-/// `cmin_sq.sqrt()` exactly like the scalar kernel).
-#[inline(always)]
-pub(crate) unsafe fn frechet_within<V: F64s>(
-    t1: &[Point],
-    t2: &[Point],
-    threshold: f64,
-    scratch: &mut DistScratch,
-) -> Option<f64> {
-    let m = t1.len();
-    let (col, d1, d2) = scratch.f3_uninit(m, m, m);
-    let (p0, rest) = t2.split_first().expect("non-empty");
-    dists_to::<V, false>(t1, *p0, d1);
-    if dp_advance_pre::<true>(col, true, d1).sqrt() >= threshold {
-        return None;
-    }
-    let mut pairs = rest.chunks_exact(2);
-    for pair in &mut pairs {
-        dists2_to::<V, false>(t1, pair[0], pair[1], d1, d2);
-        let (c1, c2) = dp_advance2_pre::<true>(col, d1, d2);
-        if c1.sqrt() >= threshold || c2.sqrt() >= threshold {
-            return None;
-        }
-    }
-    for p in pairs.remainder() {
-        dists_to::<V, false>(t1, *p, d1);
-        if dp_advance_pre::<true>(col, false, d1).sqrt() >= threshold {
-            return None;
-        }
-    }
-    let d = col[m - 1].sqrt();
-    (d < threshold).then_some(d)
-}
-
-// ---------------------------------------------------------------------------
-// ERP: packed precompute + two-row register stagger
-// ---------------------------------------------------------------------------
-
-/// Two ERP row transitions with row B's predecessors (row A) carried in
-/// registers: each cell uses the exact scalar expression
-/// `(diag + d(a,b)).min(up + gap_a).min(left + gap_b)`. Returns both rows'
-/// minima (check in row order).
-#[inline(always)]
-fn erp_rows2_pre(
-    prev: &[f64],
-    cur: &mut [f64],
-    gap_b: &[f64],
-    dab1: &[f64],
-    dab2: &[f64],
-    ga1: f64,
-    ga2: f64,
-) -> (f64, f64) {
-    let mut left_a = prev[0] + ga1;
-    let mut diag_a = prev[0];
-    let mut diag_b = left_a;
-    let mut left_b = left_a + ga2;
-    cur[0] = left_b;
-    let (mut rm_a, mut rm_b) = (left_a, left_b);
-    for ((&up_a, c), ((&d1, &d2), &gb)) in prev[1..]
-        .iter()
-        .zip(cur[1..].iter_mut())
-        .zip(dab1.iter().zip(dab2.iter()).zip(gap_b.iter()))
-    {
-        let va = (diag_a + d1).min(up_a + ga1).min(left_a + gb);
-        let vb = (diag_b + d2).min(va + ga2).min(left_b + gb);
-        diag_a = up_a;
-        left_a = va;
-        diag_b = va;
-        left_b = vb;
-        *c = vb;
-        if va < rm_a {
-            rm_a = va;
-        }
-        if vb < rm_b {
-            rm_b = vb;
-        }
-    }
-    (rm_a, rm_b)
-}
-
-/// One ERP row transition over precomputed distances. Returns the row min.
-#[inline(always)]
-fn erp_row_pre(prev: &[f64], cur: &mut [f64], gap_b: &[f64], dab: &[f64], ga: f64) -> f64 {
-    let mut left = prev[0] + ga;
-    cur[0] = left;
-    let mut diag = prev[0];
-    let mut rm = left;
-    for ((&up, c), (&d, &gb)) in prev[1..]
-        .iter()
-        .zip(cur[1..].iter_mut())
-        .zip(dab.iter().zip(gap_b.iter()))
-    {
-        let v = (diag + d).min(up + ga).min(left + gb);
-        diag = up;
-        left = v;
-        *c = v;
-        if v < rm {
-            rm = v;
-        }
-    }
-    rm
-}
-
-/// Early-abandoning ERP (pass `f64::INFINITY` for the unbounded kernel —
-/// finite row minima never abandon and the final gate always passes).
-#[inline(always)]
-pub(crate) unsafe fn erp_within<V: F64s>(
-    t1: &[Point],
-    t2: &[Point],
-    gap: Point,
-    threshold: f64,
-    scratch: &mut DistScratch,
-) -> Option<f64> {
-    let n = t2.len();
-    let (mut prev, mut cur, gap_b, dab) = scratch.f4_uninit(n + 1, n + 1, n, 2 * n);
-    dists_to::<V, true>(t2, gap, gap_b);
-    prev[0] = 0.0;
-    for j in 0..n {
-        prev[j + 1] = prev[j] + gap_b[j];
-    }
-    let (dab1, dab2) = dab.split_at_mut(n);
-    let mut rows = t1.chunks_exact(2);
-    for pair in &mut rows {
-        dists2_to::<V, true>(t2, pair[0], pair[1], dab1, dab2);
-        let ga1 = pair[0].dist(&gap);
-        let ga2 = pair[1].dist(&gap);
-        let (rm_a, rm_b) = erp_rows2_pre(prev, cur, gap_b, dab1, dab2, ga1, ga2);
-        if rm_a >= threshold || rm_b >= threshold {
-            return None;
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    for a in rows.remainder() {
-        dists_to::<V, true>(t2, *a, dab1);
-        if erp_row_pre(prev, cur, gap_b, dab1, a.dist(&gap)) >= threshold {
-            return None;
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    let d = prev[n];
-    (d < threshold).then_some(d)
-}
-
-/// Unbounded ERP via [`erp_within`] at an infinite threshold.
-#[inline(always)]
-pub(crate) unsafe fn erp<V: F64s>(
-    t1: &[Point],
-    t2: &[Point],
-    gap: Point,
-    scratch: &mut DistScratch,
-) -> f64 {
-    erp_within::<V>(t1, t2, gap, f64::INFINITY, scratch)
-        .expect("finite ERP cannot abandon at an infinite threshold")
-}
-
-// ---------------------------------------------------------------------------
-// Hausdorff: packed rows
-// ---------------------------------------------------------------------------
 
 /// Hausdorff in squared space with packed row/column minima — identical
 /// values to the scalar single-pass kernel (min/max of non-NaN squared
 /// distances is order-independent).
+///
+/// # Safety
+///
+/// The CPU must support `V`'s instruction set. Every `load_points`/`loadu`/
+/// `storeu` at offset `j` is guarded by `j + V::W <= n`, the length of both
+/// `t2` and `col_min`.
 #[inline(always)]
 pub(crate) unsafe fn hausdorff<V: F64s>(
     t1: &[Point],
@@ -476,6 +76,11 @@ pub(crate) unsafe fn hausdorff<V: F64s>(
 /// 8 with packed minima and the same row-irrelevance / threshold abandons.
 /// Chunk granularity and reduction order don't affect values or decisions
 /// (documented value-neutrality of the scalar kernel's chunking).
+///
+/// # Safety
+///
+/// The CPU must support `V`'s instruction set. Every `load_points` at offset
+/// `j` is guarded by `j + V::W <= cn`, the chunk's length.
 #[inline(always)]
 unsafe fn directed_within_sq<V: F64s>(from: &[Point], to: &[Point], thr_sq: f64) -> Option<f64> {
     let mut worst = 0.0f64;
@@ -522,6 +127,10 @@ unsafe fn directed_within_sq<V: F64s>(from: &[Point], to: &[Point], thr_sq: f64)
 }
 
 /// Early-abandoning Hausdorff (guards handled by the dispatcher).
+///
+/// # Safety
+///
+/// The CPU must support `V`'s instruction set.
 #[inline(always)]
 pub(crate) unsafe fn hausdorff_within<V: F64s>(
     t1: &[Point],
@@ -536,294 +145,5 @@ pub(crate) unsafe fn hausdorff_within<V: F64s>(
     let a = directed_within_sq::<V>(t1, t2, thr_sq)?;
     let b = directed_within_sq::<V>(t2, t1, thr_sq)?;
     let d = a.max(b).sqrt();
-    (d < threshold).then_some(d)
-}
-
-// ---------------------------------------------------------------------------
-// EDR / LCSS: 4-lane anti-diagonal integer wavefront
-// ---------------------------------------------------------------------------
-
-/// `out[3 + j] = yes/no` match flags of `a` against every point of `pts`
-/// (the per-dimension eps test), packed `W` at a time. `out` is one padded
-/// match row (3 pad slots each side); the pads are filled with `no` so every
-/// gather reads defined, harmless values.
-#[inline(always)]
-unsafe fn match_row<V: F64s>(
-    a: Point,
-    pts: &[Point],
-    eps: f64,
-    yes: u32,
-    no: u32,
-    out: &mut [u32],
-) {
-    let n = pts.len();
-    out[..3].fill(no);
-    out[3 + n..].fill(no);
-    let (ax, ay, ev) = (V::splat(a.x), V::splat(a.y), V::splat(eps));
-    let mut j = 0;
-    while j + V::W <= n {
-        let (xs, ys) = V::load_points(pts.as_ptr().add(j));
-        // |b - a| == |a - b| bit-for-bit (IEEE subtraction of swapped
-        // operands is the exact negation; abs clears the sign).
-        let mx = xs.sub(ax).abs().le(ev);
-        let my = ys.sub(ay).abs().le(ev);
-        let bits = mx.and(my).movemask();
-        for l in 0..V::W {
-            out[3 + j + l] = if bits & (1 << l) != 0 { yes } else { no };
-        }
-        j += V::W;
-    }
-    while j < n {
-        let b = pts[j];
-        out[3 + j] =
-            if (a.x - b.x).abs() <= eps && (a.y - b.y).abs() <= eps { yes } else { no };
-        j += 1;
-    }
-}
-
-/// Advances four DP rows (`r0+1 ..= r0+4`) across all `n` columns in one
-/// anti-diagonal sweep: at step `t`, lane `l` computes DP column
-/// `j = t - l + 1`.
-///
-/// * `prev` holds DP row `r0` in `[0..=n]` (length `n + 4`; the pad is read
-///   only by out-of-range lanes whose values are masked away),
-/// * `next` receives DP row `r0 + 4` in `[1..=n]` (slot 0 is the caller's),
-/// * `mrows` holds four padded match rows of stride `n + 6` (lane `l` reads
-///   `mrows[3 + t + l*(stride-1)]`),
-/// * `boundary` lane `l` = cell `(r0+1+l, 0)`,
-/// * `cell(diag, up, left, sub)` is the measure's per-cell recurrence.
-///
-/// The `up`/`diag` operands come from the previous one/two wavefronts via a
-/// one-lane shift with the `prev`-row value inserted at lane 0 — exactly the
-/// predecessors the row-major scalar kernel reads, so every in-range cell
-/// gets identical operand values (integer ops: no rounding anywhere).
-/// Returns the four rows' minima over columns `0..=n` (initialized at the
-/// boundary cell, matching the scalar row-min seed).
-#[inline(always)]
-unsafe fn wavefront4(
-    prev: &[u32],
-    next: &mut [u32],
-    mrows: &[u32],
-    n: usize,
-    boundary: __m128i,
-    cell: impl Fn(__m128i, __m128i, __m128i, __m128i) -> __m128i,
-) -> [u32; 4] {
-    let stride = n + 6;
-    let lane_idx = _mm_set_epi32(3, 2, 1, 0);
-    let maxv = _mm_set1_epi32(-1);
-    let ni = n as i32;
-    let mut vprev = boundary; // wavefront t-1
-    let mut vpp = boundary; // wavefront t-2
-    let mut rowmin = boundary;
-    for t in 0..(n + 3) {
-        let ti = t as i32;
-        let up = _mm_insert_epi32::<0>(_mm_slli_si128::<4>(vprev), prev[t + 1] as i32);
-        let diag = _mm_insert_epi32::<0>(_mm_slli_si128::<4>(vpp), prev[t] as i32);
-        let left = vprev;
-        let base = 3 + t;
-        let sub = _mm_set_epi32(
-            mrows[base + 3 * (stride - 1)] as i32,
-            mrows[base + 2 * (stride - 1)] as i32,
-            mrows[base + (stride - 1)] as i32,
-            mrows[base] as i32,
-        );
-        let mut v = cell(diag, up, left, sub);
-        let tv = _mm_set1_epi32(ti);
-        if t < 3 {
-            // Lanes that have not reached column 1 yet keep their boundary
-            // value so later steps read cell(i, 0) from them.
-            v = _mm_blendv_epi8(v, boundary, _mm_cmpgt_epi32(lane_idx, tv));
-        }
-        // Lane l is in range iff l <= t (started) and l > t - n (not past
-        // column n).
-        let valid = _mm_andnot_si128(
-            _mm_cmpgt_epi32(lane_idx, tv),
-            _mm_cmpgt_epi32(lane_idx, _mm_set1_epi32(ti - ni)),
-        );
-        rowmin = _mm_min_epu32(rowmin, _mm_blendv_epi8(maxv, v, valid));
-        if t >= 3 {
-            // Lane 3 computes column t - 2 of DP row r0 + 4.
-            next[t - 2] = _mm_extract_epi32::<3>(v) as u32;
-        }
-        vpp = vprev;
-        vprev = v;
-    }
-    let mut rm = [0u32; 4];
-    _mm_storeu_si128(rm.as_mut_ptr() as *mut __m128i, rowmin);
-    rm
-}
-
-/// Early-abandoning EDR on the wavefront (pass `f64::INFINITY` for the
-/// unbounded kernel). Full 4-row strips run the wavefront; the `m % 4`
-/// remainder rows run the scalar row recurrence.
-#[inline(always)]
-pub(crate) unsafe fn edr_within<V: F64s>(
-    t1: &[Point],
-    t2: &[Point],
-    eps: f64,
-    threshold: f64,
-    scratch: &mut DistScratch,
-) -> Option<f64> {
-    let (m, n) = (t1.len(), t2.len());
-    let stride = n + 6;
-    let (mut prev, mut next, mrows) = scratch.u3_uninit(n + 4, n + 4, 4 * stride);
-    for (j, p) in prev.iter_mut().enumerate().take(n + 1) {
-        *p = j as u32;
-    }
-    let one = _mm_set1_epi32(1);
-    let strips = m / 4;
-    for s in 0..strips {
-        let r0 = 4 * s;
-        for l in 0..4 {
-            match_row::<V>(t1[r0 + l], t2, eps, 0, 1, &mut mrows[l * stride..(l + 1) * stride]);
-        }
-        let r = r0 as i32;
-        let boundary = _mm_set_epi32(r + 4, r + 3, r + 2, r + 1);
-        let rm = wavefront4(prev, next, mrows, n, boundary, |d, u, l2, sub| {
-            _mm_min_epu32(
-                _mm_add_epi32(d, sub),
-                _mm_min_epu32(_mm_add_epi32(u, one), _mm_add_epi32(l2, one)),
-            )
-        });
-        next[0] = r0 as u32 + 4;
-        for r in rm {
-            if f64::from(r) >= threshold {
-                return None;
-            }
-        }
-        std::mem::swap(&mut prev, &mut next);
-    }
-    for (i, a) in t1.iter().enumerate().skip(strips * 4) {
-        let mut left = i as u32 + 1;
-        next[0] = left;
-        let mut diag = prev[0];
-        let mut row_min = left;
-        for (j, b) in t2.iter().enumerate() {
-            let up = prev[j + 1];
-            let subcost =
-                u32::from(!((a.x - b.x).abs() <= eps && (a.y - b.y).abs() <= eps));
-            let v = (diag + subcost).min(up + 1).min(left + 1);
-            next[j + 1] = v;
-            diag = up;
-            left = v;
-            row_min = row_min.min(v);
-        }
-        if f64::from(row_min) >= threshold {
-            return None;
-        }
-        std::mem::swap(&mut prev, &mut next);
-    }
-    let d = f64::from(prev[n]);
-    (d < threshold).then_some(d)
-}
-
-/// Unbounded EDR via [`edr_within`] at an infinite threshold.
-#[inline(always)]
-pub(crate) unsafe fn edr<V: F64s>(
-    t1: &[Point],
-    t2: &[Point],
-    eps: f64,
-    scratch: &mut DistScratch,
-) -> f64 {
-    edr_within::<V>(t1, t2, eps, f64::INFINITY, scratch)
-        .expect("finite EDR cannot abandon at an infinite threshold")
-}
-
-/// LCSS length on the wavefront, with the optional per-strip achievability
-/// abandon (`Some((threshold, minlen))`). The achievable-match bound is
-/// non-increasing in the row index, so checking it once per strip abandons
-/// whenever the scalar per-row check would (possibly a few rows later) —
-/// `Some`/`None` is unchanged.
-#[inline(always)]
-unsafe fn lcss_core<V: F64s>(
-    t1: &[Point],
-    t2: &[Point],
-    eps: f64,
-    abandon: Option<(f64, usize)>,
-    scratch: &mut DistScratch,
-) -> Option<u32> {
-    let (m, n) = (t1.len(), t2.len());
-    let stride = n + 6;
-    let (mut prev, mut next, mrows) = scratch.u3_uninit(n + 4, n + 4, 4 * stride);
-    for p in prev.iter_mut().take(n + 1) {
-        *p = 0;
-    }
-    let one = _mm_set1_epi32(1);
-    let boundary = _mm_setzero_si128();
-    let strips = m / 4;
-    for s in 0..strips {
-        let r0 = 4 * s;
-        for l in 0..4 {
-            match_row::<V>(
-                t1[r0 + l],
-                t2,
-                eps,
-                u32::MAX,
-                0,
-                &mut mrows[l * stride..(l + 1) * stride],
-            );
-        }
-        wavefront4(prev, next, mrows, n, boundary, |d, u, l2, sub| {
-            _mm_blendv_epi8(_mm_max_epu32(u, l2), _mm_add_epi32(d, one), sub)
-        });
-        next[0] = 0;
-        if let Some((threshold, minlen)) = abandon {
-            let i = r0 + 3;
-            let achievable = (next[n] as usize + (m - 1 - i)).min(minlen);
-            if 1.0 - achievable as f64 / minlen as f64 >= threshold {
-                return None;
-            }
-        }
-        std::mem::swap(&mut prev, &mut next);
-    }
-    for (i, a) in t1.iter().enumerate().skip(strips * 4) {
-        let mut left = 0u32;
-        next[0] = 0;
-        let mut diag = prev[0];
-        for (j, b) in t2.iter().enumerate() {
-            let up = prev[j + 1];
-            let v = if (a.x - b.x).abs() <= eps && (a.y - b.y).abs() <= eps {
-                diag + 1
-            } else {
-                up.max(left)
-            };
-            next[j + 1] = v;
-            diag = up;
-            left = v;
-        }
-        if let Some((threshold, minlen)) = abandon {
-            let achievable = (next[n] as usize + (m - 1 - i)).min(minlen);
-            if 1.0 - achievable as f64 / minlen as f64 >= threshold {
-                return None;
-            }
-        }
-        std::mem::swap(&mut prev, &mut next);
-    }
-    Some(prev[n])
-}
-
-/// LCSS match length (unbounded).
-#[inline(always)]
-pub(crate) unsafe fn lcss_length<V: F64s>(
-    t1: &[Point],
-    t2: &[Point],
-    eps: f64,
-    scratch: &mut DistScratch,
-) -> usize {
-    lcss_core::<V>(t1, t2, eps, None, scratch).expect("unbounded LCSS cannot abandon") as usize
-}
-
-/// Early-abandoning LCSS distance.
-#[inline(always)]
-pub(crate) unsafe fn lcss_within<V: F64s>(
-    t1: &[Point],
-    t2: &[Point],
-    eps: f64,
-    threshold: f64,
-    scratch: &mut DistScratch,
-) -> Option<f64> {
-    let minlen = t1.len().min(t2.len());
-    let l = lcss_core::<V>(t1, t2, eps, Some((threshold, minlen)), scratch)?;
-    let d = 1.0 - f64::from(l) / minlen as f64;
     (d < threshold).then_some(d)
 }

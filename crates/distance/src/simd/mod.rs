@@ -5,11 +5,12 @@
 //!
 //! * [`ops`] — the [`ops::F64s`] packed-`f64` trait (`__m128d` = SSE4.1,
 //!   `__m256d` = AVX2) every generic kernel is monomorphized over.
-//! * [`kern`] — single-pair kernels: packed ground-distance precompute
-//!   feeding the scalar-shaped DP chains (DTW/Fréchet/ERP), a 4-lane
-//!   `__m128i` anti-diagonal wavefront (EDR/LCSS), packed rows (Hausdorff).
-//! * [`batch`] — multi-candidate batched verification: up to `W` leaf
-//!   candidates verified against one query in parallel lanes.
+//! * [`kern`] — the packed single-pair Hausdorff kernels (unbounded and
+//!   threshold-aware). No other measure has a single-pair SIMD form: the
+//!   ones this module used to carry lost to the scalar kernels.
+//! * [`batch`] — multi-candidate batched verification (DTW, Fréchet, ERP):
+//!   up to `W` leaf candidates verified against one query in parallel
+//!   lanes.
 //! * [`sse41`] / [`avx2`] — thin `#[target_feature]` wrappers that
 //!   monomorphize the generics at each width. Inlining the `inline(always)`
 //!   generic bodies *into* the `#[target_feature]` wrapper is what lets
@@ -25,23 +26,22 @@
 //!    (and Rust never auto-contracts `a*b + c`).
 //! 2. DP cells are pure functions of their predecessor cells, computed with
 //!    the same expressions in the same operand order as the scalar kernels
-//!    — so any evaluation schedule (column pairs, row stagger, anti-diagonal
-//!    wavefront, lane-batched candidates) reproduces the same cell values.
+//!    — so evaluating several candidates' cells side by side in lanes
+//!    reproduces each candidate's scalar cell values.
 //! 3. Reductions only use `f64` min/max of non-NaN values, which are
 //!    associative/commutative (no rounding), so vector-then-horizontal
-//!    reduction order does not change the result; EDR/LCSS are pure `u32`
-//!    arithmetic with no rounding at all.
+//!    reduction order does not change the result.
 //! 4. Squared-space kernels (Fréchet, Hausdorff) take one final IEEE `sqrt`,
 //!    which is correctly rounded and monotone — the same argument the
 //!    scalar kernels already rely on.
 //! 5. Early abandons may fire at backend-specific points, but only when the
 //!    final distance provably reaches the threshold, and every survivor
 //!    passes the same final `(d < threshold)` gate — so the `Some`/`None`
-//!    contract of `*_within` depends only on the true distance.
+//!    contract of the threshold kernels depends only on the true distance.
 //!
-//! The `scratch_agreement` and `backend_edge_cases` test suites enforce all
-//! of this differentially against the scalar oracle on every backend the
-//! host CPU supports.
+//! The `scratch_agreement`, `within_agreement` and `backend_edge_cases`
+//! test suites enforce all of this differentially against the frozen
+//! [`crate::reference`] kernels on every backend the host CPU supports.
 
 pub(crate) mod batch;
 pub(crate) mod kern;
@@ -50,113 +50,17 @@ pub(crate) mod ops;
 macro_rules! backend_impls {
     ($modname:ident, $doc:literal, $feat:literal, $vec:ty) => {
         #[doc = $doc]
+        ///
+        /// # Safety
+        ///
+        /// Every wrapper requires the CPU feature it enables, plus the
+        /// requirements of the generic kernel it instantiates.
         pub(crate) mod $modname {
             use super::{batch, kern};
             use crate::DistScratch;
             use repose_model::Point;
 
             type V = $vec;
-
-            #[target_feature(enable = $feat)]
-            pub(crate) unsafe fn dtw(
-                t1: &[Point],
-                t2: &[Point],
-                s: &mut DistScratch,
-            ) -> f64 {
-                kern::dtw::<V>(t1, t2, s)
-            }
-
-            #[target_feature(enable = $feat)]
-            pub(crate) unsafe fn dtw_within(
-                t1: &[Point],
-                t2: &[Point],
-                threshold: f64,
-                s: &mut DistScratch,
-            ) -> Option<f64> {
-                kern::dtw_within::<V>(t1, t2, threshold, s)
-            }
-
-            #[target_feature(enable = $feat)]
-            pub(crate) unsafe fn frechet(
-                t1: &[Point],
-                t2: &[Point],
-                s: &mut DistScratch,
-            ) -> f64 {
-                kern::frechet::<V>(t1, t2, s)
-            }
-
-            #[target_feature(enable = $feat)]
-            pub(crate) unsafe fn frechet_within(
-                t1: &[Point],
-                t2: &[Point],
-                threshold: f64,
-                s: &mut DistScratch,
-            ) -> Option<f64> {
-                kern::frechet_within::<V>(t1, t2, threshold, s)
-            }
-
-            #[target_feature(enable = $feat)]
-            pub(crate) unsafe fn erp(
-                t1: &[Point],
-                t2: &[Point],
-                gap: Point,
-                s: &mut DistScratch,
-            ) -> f64 {
-                kern::erp::<V>(t1, t2, gap, s)
-            }
-
-            #[target_feature(enable = $feat)]
-            pub(crate) unsafe fn erp_within(
-                t1: &[Point],
-                t2: &[Point],
-                gap: Point,
-                threshold: f64,
-                s: &mut DistScratch,
-            ) -> Option<f64> {
-                kern::erp_within::<V>(t1, t2, gap, threshold, s)
-            }
-
-            #[target_feature(enable = $feat)]
-            pub(crate) unsafe fn edr(
-                t1: &[Point],
-                t2: &[Point],
-                eps: f64,
-                s: &mut DistScratch,
-            ) -> f64 {
-                kern::edr::<V>(t1, t2, eps, s)
-            }
-
-            #[target_feature(enable = $feat)]
-            pub(crate) unsafe fn edr_within(
-                t1: &[Point],
-                t2: &[Point],
-                eps: f64,
-                threshold: f64,
-                s: &mut DistScratch,
-            ) -> Option<f64> {
-                kern::edr_within::<V>(t1, t2, eps, threshold, s)
-            }
-
-            #[target_feature(enable = $feat)]
-            pub(crate) unsafe fn lcss_length(
-                t1: &[Point],
-                t2: &[Point],
-                eps: f64,
-                s: &mut DistScratch,
-            ) -> usize {
-                kern::lcss_length::<V>(t1, t2, eps, s)
-            }
-
-            #[target_feature(enable = $feat)]
-            pub(crate) unsafe fn lcss_within(
-                t1: &[Point],
-                t2: &[Point],
-                eps: f64,
-                threshold: f64,
-                s: &mut DistScratch,
-            ) -> Option<f64> {
-                kern::lcss_within::<V>(t1, t2, eps, threshold, s)
-            }
 
             #[target_feature(enable = $feat)]
             pub(crate) unsafe fn hausdorff(

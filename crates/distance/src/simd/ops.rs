@@ -24,9 +24,13 @@ use repose_model::Point;
 
 /// A pack of `W` `f64` lanes (see module docs).
 ///
-/// Every method is `unsafe`: callers must prove the corresponding CPU
-/// feature is available, which the `#[target_feature]` backend wrappers
-/// in `simd::sse41` / `simd::avx2` do once per kernel invocation.
+/// # Safety
+///
+/// Callers of every method must prove the corresponding CPU feature is
+/// available, which the `#[target_feature]` backend wrappers in
+/// `simd::sse41` / `simd::avx2` do once per kernel invocation; the pointer
+/// methods additionally need `W` (for [`F64s::load_points`], `W` points)
+/// readable or writable elements behind the pointer.
 pub(crate) trait F64s: Copy {
     /// Lane count.
     const W: usize;
@@ -42,7 +46,6 @@ pub(crate) trait F64s: Copy {
     unsafe fn max(self, o: Self) -> Self;
     /// All-ones lanes where `self <= o`, zero lanes elsewhere.
     unsafe fn le(self, o: Self) -> Self;
-    unsafe fn and(self, o: Self) -> Self;
     /// Lanewise `mask ? a : b` (mask lanes must be all-ones or zero).
     unsafe fn select(mask: Self, a: Self, b: Self) -> Self;
     /// One bit per lane (lane's sign/mask bit), lane 0 in bit 0.
@@ -54,14 +57,6 @@ pub(crate) trait F64s: Copy {
     /// `x` and `y` coordinates of `W` consecutive points, in index order.
     /// Sound because [`Point`] is `repr(C)` with `x` before `y`.
     unsafe fn load_points(p: *const Point) -> (Self, Self);
-
-    /// `|self|` lanewise (clears the sign bit — identical to `f64::abs`).
-    #[inline(always)]
-    unsafe fn abs(self) -> Self {
-        // andnot(sign_mask, self): keep everything but the sign bit.
-        Self::and_not_sign(self)
-    }
-    unsafe fn and_not_sign(v: Self) -> Self;
 
     /// Gathers `W` lanes from a closure (stack round-trip; used on cold
     /// edges and per-step batch point loads, never in per-cell loops).
@@ -119,10 +114,6 @@ impl F64s for __m128d {
         _mm_cmple_pd(self, o)
     }
     #[inline(always)]
-    unsafe fn and(self, o: Self) -> Self {
-        _mm_and_pd(self, o)
-    }
-    #[inline(always)]
     unsafe fn select(mask: Self, a: Self, b: Self) -> Self {
         _mm_blendv_pd(b, a, mask)
     }
@@ -141,10 +132,6 @@ impl F64s for __m128d {
         let a = _mm_loadu_pd(f); // x0 y0
         let b = _mm_loadu_pd(f.add(2)); // x1 y1
         (_mm_unpacklo_pd(a, b), _mm_unpackhi_pd(a, b))
-    }
-    #[inline(always)]
-    unsafe fn and_not_sign(v: Self) -> Self {
-        _mm_andnot_pd(_mm_set1_pd(-0.0), v)
     }
 }
 
@@ -192,10 +179,6 @@ impl F64s for __m256d {
         _mm256_cmp_pd::<_CMP_LE_OQ>(self, o)
     }
     #[inline(always)]
-    unsafe fn and(self, o: Self) -> Self {
-        _mm256_and_pd(self, o)
-    }
-    #[inline(always)]
     unsafe fn select(mask: Self, a: Self, b: Self) -> Self {
         _mm256_blendv_pd(b, a, mask)
     }
@@ -224,9 +207,5 @@ impl F64s for __m256d {
             _mm256_permute4x64_pd::<0b11011000>(xs),
             _mm256_permute4x64_pd::<0b11011000>(ys),
         )
-    }
-    #[inline(always)]
-    unsafe fn and_not_sign(v: Self) -> Self {
-        _mm256_andnot_pd(_mm256_set1_pd(-0.0), v)
     }
 }

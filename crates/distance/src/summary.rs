@@ -43,6 +43,7 @@ pub struct TrajSummary {
 // SAFETY: `repr(C)`; fields are f64/u32 records with the tail padding made
 // explicit (asserted in tests), so there are no uninitialized bytes and
 // any bit pattern is a valid value.
+#[allow(unsafe_code)]
 unsafe impl repose_succinct::Pod for TrajSummary {}
 
 /// Whether no point of `a` can `ε`-match any point of `b` under the

@@ -1,19 +1,28 @@
-//! Threshold-aware early-abandoning exact kernels.
+//! The exact kernels: one threshold-aware, early-abandoning scalar kernel
+//! per measure.
 //!
-//! REPOSE's lower bounds decide *which* candidates to verify; these kernels
-//! make each verification itself threshold-aware. Every `*_within(t1, t2,
-//! threshold)` function returns
+//! Every `*_within(t1, t2, .., threshold, scratch)` function in this module
+//! returns
 //!
-//! * `Some(d)` with `d` **identical** (bit-for-bit) to the unbounded kernel
-//!   whenever the true distance `d < threshold`, and
-//! * `None` whenever the true distance is `>= threshold`,
+//! * `Some(d)` with `d` the exact distance (bit-for-bit the frozen
+//!   [`crate::reference`] kernel's value) whenever `d < threshold`, and
+//! * `None` whenever the true distance is `>= threshold`.
 //!
-//! so a caller holding a running top-k threshold `dk` can substitute
+//! This is the *only* scalar dynamic program each of Fréchet, DTW, ERP, EDR
+//! and LCSS has: the unbounded distance is `within(+∞).unwrap_or(+∞)` — at
+//! an infinite threshold no finite minimum abandons, and the one value the
+//! final `d < +∞` gate turns into `None` is `+∞` itself (an empty input, or
+//! a DTW/ERP sum that overflowed). Hausdorff alone also keeps an unbounded
+//! kernel ([`crate::hausdorff`]): its single pass over the matrix is a
+//! different algorithm from the two directed passes used here, and faster
+//! when nothing can be abandoned. Inputs must be finite — a NaN coordinate
+//! voids the contract, which is why the service and wire edges reject one.
+//!
+//! A caller holding a running top-k threshold `dk` can therefore substitute
 //! `distance_within(.., dk)` for `distance(..)` without changing any query
 //! result — while paying far less than the full `O(m·n)` cost on candidates
-//! that were never going to make the top-k.
-//!
-//! Two mechanisms provide the savings:
+//! that were never going to make the top-k. Two mechanisms provide the
+//! savings:
 //!
 //! 1. A cheap `O(m + n)` **prefilter** ([`crate::MeasureParams::lower_bound`]):
 //!    MBR/endpoint/gap-sum lower bounds that skip the dynamic program
@@ -25,6 +34,11 @@
 //!    as more rows are added — costs are max-monotone or additive
 //!    non-negative); LCSS stops when the best still-achievable match count
 //!    cannot beat the threshold.
+//!
+//! The kernels themselves are crate-private; callers reach them through
+//! [`crate::MeasureParams`]. What this module exports is the threshold
+//! plumbing around them: [`just_above`], [`bound_exceeds`], [`RunningTopK`]
+//! and [`ThresholdSource`].
 
 use crate::dtw::{dtw_advance, dtw_advance2};
 use crate::frechet::{frechet_advance, frechet_advance2};
@@ -213,7 +227,9 @@ fn directed_within_sq(from: &[Point], to: &[Point], thr_sq: f64) -> Option<f64> 
 }
 
 /// Early-abandoning Hausdorff distance (see module docs for the contract).
-pub fn hausdorff_within(t1: &[Point], t2: &[Point], threshold: f64) -> Option<f64> {
+/// The one measure whose threshold kernel has a packed single-pair SIMD
+/// form; the directed passes keep only O(1) state, so no scratch.
+pub(crate) fn hausdorff_within(t1: &[Point], t2: &[Point], threshold: f64) -> Option<f64> {
     if t1.is_empty() || t2.is_empty() {
         return empty_case(t1.is_empty() && t2.is_empty(), threshold);
     }
@@ -221,16 +237,6 @@ pub fn hausdorff_within(t1: &[Point], t2: &[Point], threshold: f64) -> Option<f6
         return None; // distances are non-negative
     }
     crate::backend::simd_dispatch!(hausdorff_within(t1, t2, threshold));
-    hausdorff_within_scalar(t1, t2, threshold)
-}
-
-/// The scalar [`hausdorff_within`] body (the oracle the SIMD backends are
-/// tested against).
-pub(crate) fn hausdorff_within_scalar(
-    t1: &[Point],
-    t2: &[Point],
-    threshold: f64,
-) -> Option<f64> {
     let thr_sq = if threshold < f64::MAX.sqrt() {
         threshold * threshold
     } else {
@@ -242,18 +248,6 @@ pub(crate) fn hausdorff_within_scalar(
     (d < threshold).then_some(d)
 }
 
-/// [`hausdorff_within`] with the uniform scratch-threaded signature. The
-/// directed passes keep only O(1) state, so the scratch is unused — the
-/// kernel was already allocation-free.
-pub fn hausdorff_within_in(
-    t1: &[Point],
-    t2: &[Point],
-    threshold: f64,
-    _scratch: &mut DistScratch,
-) -> Option<f64> {
-    hausdorff_within(t1, t2, threshold)
-}
-
 // ---------------------------------------------------------------------------
 // Frechet / DTW — shared column-kernel shape
 // ---------------------------------------------------------------------------
@@ -263,18 +257,12 @@ pub fn hausdorff_within_in(
 /// Sound because the column minimum `cmin` never decreases as reference
 /// points are appended (each new entry takes a `max` with a predecessor
 /// minimum) and the final `f_{m,n}` is an element of the last column.
-pub fn frechet_within(t1: &[Point], t2: &[Point], threshold: f64) -> Option<f64> {
-    DistScratch::with_thread(|s| frechet_within_in(t1, t2, threshold, s))
-}
-
-/// [`frechet_within`] against a caller-managed scratch: zero heap
-/// allocations once `scratch` is warm.
 ///
-/// Like [`crate::frechet_in`], the DP runs in squared-distance space; the
-/// per-column abandon check takes one square root (of the column minimum)
-/// instead of one per cell, and decides identically to the linear-space
-/// kernel because IEEE `sqrt` is monotone and correctly rounded.
-pub fn frechet_within_in(
+/// The DP runs in *squared*-distance space — the recurrence only takes
+/// `max`/`min` of ground values, so one correctly-rounded, monotone IEEE
+/// `sqrt` at the end (and one per column minimum for the abandon check,
+/// instead of one per cell) gives the bits of the linear-space recurrence.
+pub(crate) fn frechet_within(
     t1: &[Point],
     t2: &[Point],
     threshold: f64,
@@ -286,18 +274,6 @@ pub fn frechet_within_in(
     if threshold.is_nan() || threshold <= 0.0 {
         return None;
     }
-    crate::backend::simd_dispatch!(frechet_within(t1, t2, threshold, scratch));
-    frechet_within_scalar_in(t1, t2, threshold, scratch)
-}
-
-/// The scalar [`frechet_within_in`] body (the oracle the SIMD backends are
-/// tested against).
-pub(crate) fn frechet_within_scalar_in(
-    t1: &[Point],
-    t2: &[Point],
-    threshold: f64,
-    scratch: &mut DistScratch,
-) -> Option<f64> {
     let col = scratch.f1_uninit(t1.len());
     let (p0, rest) = t2.split_first().expect("non-empty");
     let cmin_sq = frechet_advance(col, true, t1, |q| q.dist_sq(p0));
@@ -331,13 +307,7 @@ pub(crate) fn frechet_within_scalar_in(
 /// `j + 1` is `cost + min(three column-j/j+1 predecessors)`, so the column
 /// minimum never decreases and the final `f_{m,n}` is at least every
 /// column's minimum.
-pub fn dtw_within(t1: &[Point], t2: &[Point], threshold: f64) -> Option<f64> {
-    DistScratch::with_thread(|s| dtw_within_in(t1, t2, threshold, s))
-}
-
-/// [`dtw_within`] against a caller-managed scratch: zero heap allocations
-/// once `scratch` is warm.
-pub fn dtw_within_in(
+pub(crate) fn dtw_within(
     t1: &[Point],
     t2: &[Point],
     threshold: f64,
@@ -349,25 +319,13 @@ pub fn dtw_within_in(
     if threshold.is_nan() || threshold <= 0.0 {
         return None;
     }
-    crate::backend::simd_dispatch!(dtw_within(t1, t2, threshold, scratch));
-    dtw_within_scalar_in(t1, t2, threshold, scratch)
-}
-
-/// The scalar [`dtw_within_in`] body (the oracle the SIMD backends are
-/// tested against).
-pub(crate) fn dtw_within_scalar_in(
-    t1: &[Point],
-    t2: &[Point],
-    threshold: f64,
-    scratch: &mut DistScratch,
-) -> Option<f64> {
     let col = scratch.f1_uninit(t1.len());
     let (p0, rest) = t2.split_first().expect("non-empty");
     let cmin = dtw_advance(col, true, t1, |q| q.dist(p0));
     if cmin >= threshold {
         return None;
     }
-    // See `frechet_within_in`: paired columns, abandon checks in order.
+    // See `frechet_within`: paired columns, abandon checks in order.
     let mut pairs = rest.chunks_exact(2);
     for pair in &mut pairs {
         let (c1, c2) = dtw_advance2(col, t1, |q| q.dist(&pair[0]), |q| q.dist(&pair[1]));
@@ -389,45 +347,15 @@ pub(crate) fn dtw_within_scalar_in(
 // ERP
 // ---------------------------------------------------------------------------
 
-/// Early-abandoning ERP with gap point `gap`.
+/// Early-abandoning ERP with gap point `gap` (recurrence in the
+/// [`crate::erp`] docs).
 ///
-/// The DP mirrors [`crate::erp`] exactly (same expressions, same order, so
-/// surviving values are bit-identical); after each row the running row
-/// minimum is checked. All edit costs are non-negative, so row minima are
-/// non-decreasing and the final value dominates every row minimum.
-pub fn erp_within(t1: &[Point], t2: &[Point], gap: Point, threshold: f64) -> Option<f64> {
-    DistScratch::with_thread(|s| erp_within_in(t1, t2, gap, threshold, s))
-}
-
-/// [`erp_within`] against a caller-managed scratch: zero heap allocations
-/// once `scratch` is warm (and, like [`crate::erp_in`], the gap distances
-/// are evaluated once per call instead of once per cell).
-pub fn erp_within_in(
-    t1: &[Point],
-    t2: &[Point],
-    gap: Point,
-    threshold: f64,
-    scratch: &mut DistScratch,
-) -> Option<f64> {
-    let (m, n) = (t1.len(), t2.len());
-    if m == 0 {
-        let d: f64 = t2.iter().map(|p| p.dist(&gap)).sum();
-        return (d < threshold).then_some(d);
-    }
-    if n == 0 {
-        let d: f64 = t1.iter().map(|p| p.dist(&gap)).sum();
-        return (d < threshold).then_some(d);
-    }
-    if threshold.is_nan() || threshold <= 0.0 {
-        return None;
-    }
-    crate::backend::simd_dispatch!(erp_within(t1, t2, gap, threshold, scratch));
-    erp_within_scalar_in(t1, t2, gap, threshold, scratch)
-}
-
-/// The scalar [`erp_within_in`] body (the oracle the SIMD backends are
-/// tested against).
-pub(crate) fn erp_within_scalar_in(
+/// After each row the running row minimum is checked. All edit costs are
+/// non-negative, so row minima are non-decreasing and the final value
+/// dominates every row minimum. The gap distances `d(p_j, g)` are
+/// evaluated once into a scratch row (one vectorizable pass over the
+/// contiguous reference slice) instead of once per DP cell.
+pub(crate) fn erp_within(
     t1: &[Point],
     t2: &[Point],
     gap: Point,
@@ -435,17 +363,26 @@ pub(crate) fn erp_within_scalar_in(
     scratch: &mut DistScratch,
 ) -> Option<f64> {
     let n = t2.len();
+    if t1.is_empty() || n == 0 {
+        let d: f64 = t1.iter().chain(t2).map(|p| p.dist(&gap)).sum();
+        return (d < threshold).then_some(d);
+    }
+    if threshold.is_nan() || threshold <= 0.0 {
+        return None;
+    }
     let (mut prev, mut cur, gap_b) = scratch.f3_uninit(n + 1, n + 1, n);
     for (g, p) in gap_b.iter_mut().zip(t2) {
         *g = p.dist(&gap);
     }
+    // prev[j] = erp(i-1, j); row 0: erp(0, j) = sum of gap costs of t2[..j].
     prev[0] = 0.0;
     for j in 0..n {
         prev[j + 1] = prev[j] + gap_b[j];
     }
     for a in t1 {
         let gap_a = a.dist(&gap);
-        // Register-carried cursors over zipped rows (see `erp_in`).
+        // Register-carried DP cursors (`diag` = erp(i-1,j), `left` =
+        // erp(i,j)) over zipped rows: no per-cell bounds checks.
         let mut left = prev[0] + gap_a;
         cur[0] = left;
         let mut diag = prev[0];
@@ -479,13 +416,7 @@ pub(crate) fn erp_within_scalar_in(
 /// Early-abandoning EDR with matching threshold `eps`.
 ///
 /// Same row-minimum argument as ERP (unit edit costs are non-negative).
-pub fn edr_within(t1: &[Point], t2: &[Point], eps: f64, threshold: f64) -> Option<f64> {
-    DistScratch::with_thread(|s| edr_within_in(t1, t2, eps, threshold, s))
-}
-
-/// [`edr_within`] against a caller-managed scratch: zero heap allocations
-/// once `scratch` is warm.
-pub fn edr_within_in(
+pub(crate) fn edr_within(
     t1: &[Point],
     t2: &[Point],
     eps: f64,
@@ -500,26 +431,13 @@ pub fn edr_within_in(
     if threshold.is_nan() || threshold <= 0.0 {
         return None;
     }
-    crate::backend::simd_dispatch!(edr_within(t1, t2, eps, threshold, scratch));
-    edr_within_scalar_in(t1, t2, eps, threshold, scratch)
-}
-
-/// The scalar [`edr_within_in`] body (the oracle the SIMD backends are
-/// tested against).
-pub(crate) fn edr_within_scalar_in(
-    t1: &[Point],
-    t2: &[Point],
-    eps: f64,
-    threshold: f64,
-    scratch: &mut DistScratch,
-) -> Option<f64> {
-    let n = t2.len();
     let (mut prev, mut cur) = scratch.u2_uninit(n + 1, n + 1);
     for (j, p) in prev.iter_mut().enumerate() {
         *p = j as u32;
     }
     for (i, a) in t1.iter().enumerate() {
-        // Register-carried cursors over zipped rows (see `edr_in`).
+        // Register-carried cursors over zipped rows — no per-cell bounds
+        // checks.
         let mut left = i as u32 + 1;
         cur[0] = left;
         let mut diag = prev[0];
@@ -546,55 +464,27 @@ pub(crate) fn edr_within_scalar_in(
 // LCSS
 // ---------------------------------------------------------------------------
 
-/// Early-abandoning LCSS distance with matching threshold `eps`.
+/// LCSS match count of two **non-empty** trajectories, abandoning once the
+/// LCSS distance provably reaches `threshold`.
 ///
 /// After consuming `i + 1` of `m` rows, the final match count is at most
 /// `cur[n] + (m - 1 - i)` (appending one point grows an LCS by at most
 /// one), so the best achievable distance is known mid-DP; abandon when even
-/// that cannot beat the threshold.
-pub fn lcss_distance_within(
-    t1: &[Point],
-    t2: &[Point],
-    eps: f64,
-    threshold: f64,
-) -> Option<f64> {
-    DistScratch::with_thread(|s| lcss_distance_within_in(t1, t2, eps, threshold, s))
-}
-
-/// [`lcss_distance_within`] against a caller-managed scratch: zero heap
-/// allocations once `scratch` is warm.
-pub fn lcss_distance_within_in(
+/// that cannot beat the threshold (never, at `threshold = +∞`).
+pub(crate) fn lcss_length_within(
     t1: &[Point],
     t2: &[Point],
     eps: f64,
     threshold: f64,
     scratch: &mut DistScratch,
-) -> Option<f64> {
-    if t1.is_empty() || t2.is_empty() {
-        let d = if t1.is_empty() && t2.is_empty() { 0.0 } else { 1.0 };
-        return (d < threshold).then_some(d);
-    }
-    if threshold.is_nan() || threshold <= 0.0 {
-        return None;
-    }
-    crate::backend::simd_dispatch!(lcss_within(t1, t2, eps, threshold, scratch));
-    lcss_distance_within_scalar_in(t1, t2, eps, threshold, scratch)
-}
-
-/// The scalar [`lcss_distance_within_in`] body (the oracle the SIMD
-/// backends are tested against).
-pub(crate) fn lcss_distance_within_scalar_in(
-    t1: &[Point],
-    t2: &[Point],
-    eps: f64,
-    threshold: f64,
-    scratch: &mut DistScratch,
-) -> Option<f64> {
+) -> Option<u32> {
     let (m, n) = (t1.len(), t2.len());
     let minlen = m.min(n);
     let (mut prev, mut cur) = scratch.u2(n + 1, n + 1);
     for (i, a) in t1.iter().enumerate() {
-        // Register-carried cursors over zipped rows (see `lcss_length_in`).
+        // Register-carried cursors over zipped rows — no per-cell bounds
+        // checks. Row slot 0 stays 0 (the zeroed-buffer invariant the
+        // scratch accessor provides).
         let mut left = 0u32;
         let mut diag = prev[0];
         for (b, (&up, c)) in t2.iter().zip(prev[1..].iter().zip(cur[1..].iter_mut())) {
@@ -615,8 +505,27 @@ pub(crate) fn lcss_distance_within_scalar_in(
         }
         std::mem::swap(&mut prev, &mut cur);
     }
-    let l = prev[n] as f64;
-    let d = 1.0 - l / t1.len().min(t2.len()) as f64;
+    Some(prev[n])
+}
+
+/// Early-abandoning LCSS distance `1 - LCSS / min(m, n)` with matching
+/// threshold `eps`.
+pub(crate) fn lcss_distance_within(
+    t1: &[Point],
+    t2: &[Point],
+    eps: f64,
+    threshold: f64,
+    scratch: &mut DistScratch,
+) -> Option<f64> {
+    if t1.is_empty() || t2.is_empty() {
+        let d = if t1.is_empty() && t2.is_empty() { 0.0 } else { 1.0 };
+        return (d < threshold).then_some(d);
+    }
+    if threshold.is_nan() || threshold <= 0.0 {
+        return None;
+    }
+    let l = lcss_length_within(t1, t2, eps, threshold, scratch)?;
+    let d = 1.0 - f64::from(l) / t1.len().min(t2.len()) as f64;
     (d < threshold).then_some(d)
 }
 
@@ -771,10 +680,11 @@ mod tests {
         }
     }
 
-    type WithinFn = fn(&[Point], &[Point], f64) -> Option<f64>;
+    type WithinFn = fn(&[Point], &[Point], f64, &mut DistScratch) -> Option<f64>;
 
     #[test]
     fn dp_kernels_agree_bitwise() {
+        let s = &mut DistScratch::new();
         for (a, b) in fixtures() {
             let cases: [(f64, WithinFn); 2] = [
                 (frechet(&a, &b), frechet_within),
@@ -782,7 +692,7 @@ mod tests {
             ];
             for (d, f) in cases {
                 for thr in [d * 0.5, d, d * 2.0 + 0.1, f64::INFINITY] {
-                    let got = f(&a, &b, thr);
+                    let got = f(&a, &b, thr, s);
                     if d < thr {
                         assert_eq!(got.map(f64::to_bits), Some(d.to_bits()));
                     } else {
@@ -792,23 +702,23 @@ mod tests {
             }
             let d = erp(&a, &b, G);
             assert_eq!(
-                erp_within(&a, &b, G, f64::INFINITY).map(f64::to_bits),
+                erp_within(&a, &b, G, f64::INFINITY, s).map(f64::to_bits),
                 Some(d.to_bits())
             );
-            assert_eq!(erp_within(&a, &b, G, d), None);
+            assert_eq!(erp_within(&a, &b, G, d, s), None);
             for eps in [0.2, 1.5] {
                 let d = edr(&a, &b, eps);
                 assert_eq!(
-                    edr_within(&a, &b, eps, d + 0.5).map(f64::to_bits),
+                    edr_within(&a, &b, eps, d + 0.5, s).map(f64::to_bits),
                     Some(d.to_bits())
                 );
-                assert_eq!(edr_within(&a, &b, eps, d), None);
+                assert_eq!(edr_within(&a, &b, eps, d, s), None);
                 let d = lcss_distance(&a, &b, eps);
                 assert_eq!(
-                    lcss_distance_within(&a, &b, eps, d.next_up()).map(f64::to_bits),
+                    lcss_distance_within(&a, &b, eps, d.next_up(), s).map(f64::to_bits),
                     Some(d.to_bits())
                 );
-                assert_eq!(lcss_distance_within(&a, &b, eps, d), None);
+                assert_eq!(lcss_distance_within(&a, &b, eps, d, s), None);
             }
         }
     }
@@ -816,26 +726,28 @@ mod tests {
     #[test]
     fn empty_inputs_follow_unbounded_conventions() {
         let a = pts(&[(1.0, 2.0)]);
+        let s = &mut DistScratch::new();
         assert_eq!(hausdorff_within(&[], &[], 0.5), Some(0.0));
         assert_eq!(hausdorff_within(&a, &[], 1e300), None); // infinity never beats
-        assert_eq!(frechet_within(&[], &a, f64::INFINITY), None);
-        assert_eq!(dtw_within(&[], &[], 0.1), Some(0.0));
-        assert_eq!(erp_within(&a, &[], G, 3.0), Some(a[0].dist(&G)));
-        assert_eq!(edr_within(&a, &[], 0.1, 2.0), Some(1.0));
-        assert_eq!(edr_within(&a, &[], 0.1, 1.0), None);
-        assert_eq!(lcss_distance_within(&a, &[], 0.1, 2.0), Some(1.0));
-        assert_eq!(lcss_distance_within(&[], &[], 0.1, 0.5), Some(0.0));
+        assert_eq!(frechet_within(&[], &a, f64::INFINITY, s), None);
+        assert_eq!(dtw_within(&[], &[], 0.1, s), Some(0.0));
+        assert_eq!(erp_within(&a, &[], G, 3.0, s), Some(a[0].dist(&G)));
+        assert_eq!(edr_within(&a, &[], 0.1, 2.0, s), Some(1.0));
+        assert_eq!(edr_within(&a, &[], 0.1, 1.0, s), None);
+        assert_eq!(lcss_distance_within(&a, &[], 0.1, 2.0, s), Some(1.0));
+        assert_eq!(lcss_distance_within(&[], &[], 0.1, 0.5, s), Some(0.0));
     }
 
     #[test]
     fn non_positive_thresholds_reject_everything() {
         let a = pts(&[(0.0, 0.0), (1.0, 0.0)]);
+        let s = &mut DistScratch::new();
         assert_eq!(hausdorff_within(&a, &a, 0.0), None);
-        assert_eq!(dtw_within(&a, &a, -1.0), None);
-        assert_eq!(frechet_within(&a, &a, f64::NAN), None);
-        assert_eq!(erp_within(&a, &a, G, 0.0), None);
-        assert_eq!(edr_within(&a, &a, 0.1, 0.0), None);
-        assert_eq!(lcss_distance_within(&a, &a, 0.1, 0.0), None);
+        assert_eq!(dtw_within(&a, &a, -1.0, s), None);
+        assert_eq!(frechet_within(&a, &a, f64::NAN, s), None);
+        assert_eq!(erp_within(&a, &a, G, 0.0, s), None);
+        assert_eq!(edr_within(&a, &a, 0.1, 0.0, s), None);
+        assert_eq!(lcss_distance_within(&a, &a, 0.1, 0.0, s), None);
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! Per-backend edge-case tests for the SIMD verification kernels: the
-//! boundary shapes where vector code classically diverges from scalar code
-//! — lengths below one vector/wavefront strip, lane remainders, exact-zero
-//! distances at zero-adjacent thresholds, and points coinciding with the
-//! ERP gap — all checked bit-for-bit against the seed `reference` kernels
-//! on every backend the host CPU supports.
+//! Per-backend edge-case tests for the verification kernels: the boundary
+//! shapes where vector code classically diverges from scalar code — lengths
+//! below one vector, lane remainders, lane groups the prefilter thins to
+//! one survivor, exact-zero distances at zero-adjacent thresholds, and
+//! points coinciding with the ERP gap — all checked bit-for-bit against the
+//! seed `reference` kernels on every backend the host CPU supports.
 
 use repose_distance::{
     available_backends, force_backend, just_above, reference, Backend, DistScratch, Measure,
@@ -65,9 +65,8 @@ fn assert_all_measures_agree(a: &[Point], b: &[Point], label: &str) {
     });
 }
 
-/// Lengths 1–3 sit below one EDR/LCSS wavefront strip (4 rows) and below
-/// one AVX2 point-load (4 points): everything runs in boundary/remainder
-/// code.
+/// Lengths 1–3 sit below one AVX2 point-load (4 points): everything runs
+/// in boundary/remainder code.
 #[test]
 fn tiny_lengths() {
     for la in 1..=3usize {
@@ -91,9 +90,9 @@ fn single_point_against_long() {
     }
 }
 
-/// Lane-remainder lengths around the SSE (2), AVX2 (4) and wavefront-strip
-/// (4) widths, plus chunked-Hausdorff (8) boundaries: every `n % 4 != 0`
-/// and `n % 8 != 0` tail path runs.
+/// Lane-remainder lengths around the SSE (2) and AVX2 (4) widths, plus
+/// chunked-Hausdorff (8) boundaries: every `n % 4 != 0` and `n % 8 != 0`
+/// tail path runs.
 #[test]
 fn lane_remainders() {
     for &(la, lb) in &[(4usize, 5usize), (5, 4), (6, 7), (7, 6), (8, 9), (15, 17), (17, 15)] {
@@ -159,7 +158,7 @@ fn erp_coincident_with_gap() {
         for_each_backend(|backend| {
             let mut scratch = DistScratch::new();
             let seed = reference::erp(&a, &b, GAP);
-            let got = repose_distance::erp_in(&a, &b, GAP, &mut scratch);
+            let got = params.distance_in(Measure::Erp, &a, &b, &mut scratch);
             assert_eq!(got.to_bits(), seed.to_bits(), "erp on {backend}");
             let lb = params.lower_bound(Measure::Erp, &a, &b);
             for thr in [seed, just_above(seed), f64::INFINITY] {
@@ -231,5 +230,42 @@ fn batched_ragged_groups() {
                 }
             });
         }
+    }
+}
+
+/// A lane group in which exactly one candidate survives the prefilter: the
+/// group is not worth a vector, so the survivor is scored by the sequential
+/// kernel — which for DTW/Fréchet/ERP is the scalar kernel on every backend.
+/// `[far, near, far, far]` gives one survivor per 4-lane group, and per
+/// 2-lane group one survivor then none.
+#[test]
+fn batched_group_with_one_survivor() {
+    let query = traj(9, 23);
+    let near = traj(7, 41);
+    let far: Vec<Vec<Point>> = (0..3u64)
+        .map(|i| traj(5 + i as usize, 43 + i).iter().map(|p| Point::new(p.x + 1e6, p.y)).collect())
+        .collect();
+    let group: [&[Point]; 4] = [&far[0], &near, &far[1], &far[2]];
+    let params = MeasureParams::default();
+    for m in [Measure::Dtw, Measure::Frechet, Measure::Erp] {
+        let thr = just_above(reference::distance(&params, m, &query, &near));
+        let cands: Vec<(f64, &[Point])> =
+            group.iter().map(|&c| (params.lower_bound(m, &query, c), c)).collect();
+        let survivors = cands.iter().filter(|&&(lb, _)| lb < thr).count();
+        assert_eq!(survivors, 1, "{m}: the fixture must leave exactly one survivor");
+        for_each_backend(|backend| {
+            let mut scratch = DistScratch::new();
+            let mut out = vec![None; cands.len()];
+            params.distance_within_batch_in(m, &query, &cands, thr, &mut scratch, &mut out);
+            for (i, &(lb, c)) in cands.iter().enumerate() {
+                let want = reference::distance_within_from_lb(&params, m, &query, c, thr, lb);
+                assert_eq!(
+                    out[i].map(f64::to_bits),
+                    want.map(f64::to_bits),
+                    "{m} on {backend}, lane {i}"
+                );
+            }
+            assert!(out[1].is_some(), "{m} on {backend}: the near candidate must survive");
+        });
     }
 }

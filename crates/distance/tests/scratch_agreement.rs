@@ -99,29 +99,28 @@ proptest! {
     ) {
         let a = pts(&xs);
         let b = pts(&ys);
-        let mut s = DistScratch::new();
         prop_assert_eq!(
-            repose_distance::dtw_in(&a, &b, &mut s).to_bits(),
+            repose_distance::dtw(&a, &b).to_bits(),
             reference::dtw(&a, &b).to_bits()
         );
         prop_assert_eq!(
-            repose_distance::frechet_in(&a, &b, &mut s).to_bits(),
+            repose_distance::frechet(&a, &b).to_bits(),
             reference::frechet(&a, &b).to_bits()
         );
         prop_assert_eq!(
-            repose_distance::hausdorff_in(&a, &b, &mut s).to_bits(),
+            repose_distance::hausdorff(&a, &b).to_bits(),
             reference::hausdorff(&a, &b).to_bits()
         );
         prop_assert_eq!(
-            repose_distance::erp_in(&a, &b, GAP, &mut s).to_bits(),
+            repose_distance::erp(&a, &b, GAP).to_bits(),
             reference::erp(&a, &b, GAP).to_bits()
         );
         prop_assert_eq!(
-            repose_distance::edr_in(&a, &b, 0.5, &mut s).to_bits(),
+            repose_distance::edr(&a, &b, 0.5).to_bits(),
             reference::edr(&a, &b, 0.5).to_bits()
         );
         prop_assert_eq!(
-            repose_distance::lcss_distance_in(&a, &b, 0.5, &mut s).to_bits(),
+            repose_distance::lcss_distance(&a, &b, 0.5).to_bits(),
             reference::lcss_distance(&a, &b, 0.5).to_bits()
         );
     }
@@ -132,8 +131,8 @@ proptest! {
 
     /// The backend-differential matrix: every backend the CPU supports
     /// must reproduce the seed reference kernels bit-for-bit — all six
-    /// full kernels, and the `*_within` kernels' `Some`/`None` contract at
-    /// thresholds straddling the distance, including the exact-tie
+    /// unbounded distances, and the threshold kernels' `Some`/`None`
+    /// contract at thresholds straddling the distance, including the exact-tie
     /// threshold `thr == d` (must refute: the contract is strict `<`) and
     /// its successor `just_above(d)` (must keep, with identical bits) —
     /// the k-th-boundary tie cases a running top-k produces constantly.
@@ -251,7 +250,7 @@ fn warm_scratch_equals_cold_scratch() {
         let mut warm = DistScratch::new();
         // Dirty the buffers with larger inputs first.
         let _ = params.distance_in(m, &long, &long, &mut warm);
-        let _ = params.distance_within_in(m, &long, &b, 0.1, &mut warm);
+        let _ = params.distance_within_from_lb_in(m, &long, &b, 0.1, 0.0, &mut warm);
         let got = params.distance_in(m, &a, &b, &mut warm);
         assert_eq!(got.to_bits(), want.to_bits(), "{m}: warm != cold");
     }

@@ -4,9 +4,13 @@
 //! whenever `d < threshold`, and `None` exactly when the true distance is
 //! `>= threshold`. This is what lets every verification site in the system
 //! swap `distance` for `distance_within` without changing a single result.
+//!
+//! The unbounded distance is *defined* as the threshold kernel at `+∞`
+//! (Hausdorff excepted, which keeps a one-pass kernel of its own); the last
+//! property pins that definition to the frozen `reference` kernels.
 
 use proptest::prelude::*;
-use repose_distance::{Measure, MeasureParams};
+use repose_distance::{reference, DistScratch, Measure, MeasureParams};
 use repose_model::Point;
 
 fn pts(v: &[(f64, f64)]) -> Vec<Point> {
@@ -119,5 +123,51 @@ proptest! {
             lb,
             exact
         );
+    }
+
+    /// `distance == within(+∞).unwrap_or(+∞) == reference`, bit for bit, for
+    /// all six measures and every length pair from 0 to 17 — empty and
+    /// single-point inputs, and both sides of every multiple of 4 (the lane
+    /// and chunk edges) — at ordinary coordinates and at a magnitude whose
+    /// squared differences overflow, so Hausdorff/Fréchet/DTW/ERP are `+∞`:
+    /// the one value the final `d < +∞` gate turns into `None`.
+    #[test]
+    fn unbounded_distance_is_within_at_infinity(
+        xs in proptest::collection::vec((-20.0f64..20.0, -20.0f64..20.0), 17..18),
+        ys in proptest::collection::vec((-20.0f64..20.0, -20.0f64..20.0), 17..18),
+        eps in 0.05f64..2.0,
+        scale_idx in 0usize..2,
+    ) {
+        let scale = [1.0, 1e200][scale_idx];
+        let scaled = |v: &[(f64, f64)]| -> Vec<Point> {
+            v.iter().map(|&(x, y)| Point::new(x * scale, y * scale)).collect()
+        };
+        let (a, b) = (scaled(&xs), scaled(&ys));
+        let params = MeasureParams::with_eps(eps);
+        let mut scratch = DistScratch::new();
+        for la in 0..=a.len() {
+            for lb in 0..=b.len() {
+                let (a, b) = (&a[..la], &b[..lb]);
+                for m in Measure::ALL {
+                    let full = params.distance(m, a, b);
+                    let within = params
+                        .distance_within_from_lb_in(m, a, b, f64::INFINITY, 0.0, &mut scratch)
+                        .unwrap_or(f64::INFINITY);
+                    let seed = reference::distance(&params, m, a, b);
+                    prop_assert_eq!(
+                        full.to_bits(),
+                        within.to_bits(),
+                        "{} {}x{} scale {}: distance {} != within(+inf) {}",
+                        m, la, lb, scale, full, within
+                    );
+                    prop_assert_eq!(
+                        full.to_bits(),
+                        seed.to_bits(),
+                        "{} {}x{} scale {}: distance {} != reference {}",
+                        m, la, lb, scale, full, seed
+                    );
+                }
+            }
+        }
     }
 }

@@ -25,6 +25,7 @@
 //! recovery return bitwise-identical distances.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod failpoint;
 pub mod record;

@@ -40,6 +40,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod bounds;
 mod builder;
@@ -130,21 +131,6 @@ impl RpTrie {
         search::top_k(self, store, query, k)
     }
 
-    /// Like [`RpTrie::top_k`] but only keeps results strictly better than
-    /// a *static* `threshold` — the fixed-bound form of the live
-    /// [`RpTrie::top_k_shared`], for callers that hold a precomputed upper
-    /// bound on the k-th distance (e.g. a completed neighbour search).
-    pub fn top_k_bounded(
-        &self,
-        store: &TrajStore,
-        query: &[Point],
-        k: usize,
-        threshold: f64,
-    ) -> SearchResult {
-        assert_eq!(store.len(), self.built_over);
-        search::top_k_bounded(self, store, query, k, threshold)
-    }
-
     /// Like [`RpTrie::top_k`] but restricted to trajectory ids accepted
     /// by `filter` — the hook for attribute predicates such as the
     /// temporal windows of `repose::temporal` (the paper's Section IX
@@ -161,7 +147,7 @@ impl RpTrie {
         filter: &(dyn Fn(TrajId) -> bool + Sync),
     ) -> SearchResult {
         assert_eq!(store.len(), self.built_over);
-        search::top_k_filtered(self, store, query, k, f64::INFINITY, Some(filter), &[], None)
+        search::top_k_filtered(self, store, query, k, Some(filter), &[], None)
     }
 
     /// Top-k over the union of the trie's trajectories and a set of
@@ -187,7 +173,7 @@ impl RpTrie {
         filter: Option<&(dyn Fn(TrajId) -> bool + Sync)>,
     ) -> SearchResult {
         assert_eq!(store.len(), self.built_over);
-        search::top_k_filtered(self, store, query, k, f64::INFINITY, filter, seeds, None)
+        search::top_k_filtered(self, store, query, k, filter, seeds, None)
     }
 
     /// The shared-threshold local search: like [`RpTrie::top_k_seeded`],
@@ -211,7 +197,7 @@ impl RpTrie {
         shared: &dyn ThresholdSource,
     ) -> SearchResult {
         assert_eq!(store.len(), self.built_over);
-        search::top_k_filtered(self, store, query, k, f64::INFINITY, filter, seeds, Some(shared))
+        search::top_k_filtered(self, store, query, k, filter, seeds, Some(shared))
     }
 
     /// A cheap lower bound on the distance from `query` to *every*
@@ -219,10 +205,10 @@ impl RpTrie {
     /// the root's children (no pivot distances are computed, so this costs
     /// `O(children × |query|)` and no exact kernel invocations).
     ///
-    /// `INFINITY` for an empty trie. Used by the distributed layer to pick
-    /// the most promising seed partition for two-phase execution; for
-    /// measures without a sound internal bound (LCSS) this returns `0.0`
-    /// and the caller falls back to its default ordering.
+    /// `INFINITY` for an empty trie. Used by the serving layer to schedule
+    /// the most promising partitions of a query first; for measures
+    /// without a sound internal bound (LCSS) this returns `0.0` and the
+    /// caller falls back to its default ordering.
     pub fn root_bound(&self, query: &[Point]) -> f64 {
         if query.is_empty() {
             return 0.0;

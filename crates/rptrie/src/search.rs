@@ -129,26 +129,14 @@ pub(crate) fn top_k(
     query: &[Point],
     k: usize,
 ) -> SearchResult {
-    top_k_filtered(trie, store, query, k, f64::INFINITY, None, &[], None)
+    top_k_filtered(trie, store, query, k, None, &[], None)
 }
 
-pub(crate) fn top_k_bounded(
-    trie: &RpTrie,
-    store: &TrajStore,
-    query: &[Point],
-    k: usize,
-    threshold: f64,
-) -> SearchResult {
-    top_k_filtered(trie, store, query, k, threshold, None, &[], None)
-}
-
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn top_k_filtered(
     trie: &RpTrie,
     store: &TrajStore,
     query: &[Point],
     k: usize,
-    threshold: f64,
     filter: Option<&(dyn Fn(TrajId) -> bool + Sync)>,
     seeds: &[Hit],
     shared: Option<&dyn ThresholdSource>,
@@ -196,15 +184,12 @@ pub(crate) fn top_k_filtered(
             best.pop();
         }
     }
-    // The live pruning threshold: the local k-th distance, clamped by the
-    // caller's static threshold and — in shared-threshold execution — by
-    // the global collector's bound, re-read on every call so hits other
-    // partitions publish tighten this search mid-flight.
+    // The live pruning threshold: the local k-th distance, clamped — in
+    // shared-threshold execution — by the global collector's bound,
+    // re-read on every call so hits other partitions publish tighten this
+    // search mid-flight.
     let dk = |best: &BinaryHeap<Worst>| -> f64 {
-        let mut t = threshold;
-        if let Some(s) = shared {
-            t = t.min(s.bound());
-        }
+        let mut t = shared.map_or(f64::INFINITY, |s| s.bound());
         if best.len() == k {
             t = t.min(best.peek().expect("non-empty").dist);
         }
@@ -458,21 +443,6 @@ mod tests {
         );
         assert!(trie.top_k(&store, &query(), 0).hits.is_empty());
         assert!(trie.top_k(&store, &[], 3).hits.is_empty());
-    }
-
-    #[test]
-    fn bounded_search_respects_threshold() {
-        let trajs = paper_dataset();
-        let store = store_of(&trajs);
-        let trie = RpTrie::build(
-            &store,
-            grid8(),
-            RpTrieConfig::for_measure(Measure::Hausdorff),
-        );
-        // Only τ1 (2.83) beats a threshold of 3.0.
-        let r = trie.top_k_bounded(&store, &query(), 5, 3.0);
-        let ids: Vec<u64> = r.hits.iter().map(|h| h.id).collect();
-        assert_eq!(ids, vec![1]);
     }
 
     #[test]

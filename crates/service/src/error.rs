@@ -29,6 +29,11 @@ pub enum ServiceError {
     /// [`crate::ReposeService::recover`] was called with a config whose
     /// `durability` is `None`.
     DurabilityNotConfigured,
+    /// A query or an inserted trajectory contains a non-finite coordinate
+    /// (NaN or ±∞). The distance kernels' exactness contract holds for
+    /// finite input only, so the request is refused before it can reach
+    /// them (or the log). Names what was refused.
+    InvalidInput(&'static str),
     /// A replicated record arrived out of order: applying it would leave a
     /// hole in the operation sequence, so the replica refuses (and does
     /// not acknowledge) rather than silently diverge from its leader.
@@ -53,6 +58,9 @@ impl std::fmt::Display for ServiceError {
             }
             ServiceError::DurabilityNotConfigured => {
                 write!(f, "recovery requires a durability configuration")
+            }
+            ServiceError::InvalidInput(what) => {
+                write!(f, "{what} contains a non-finite coordinate")
             }
             ServiceError::ReplicationGap { expected, got } => write!(
                 f,

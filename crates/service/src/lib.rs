@@ -92,6 +92,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod cache;
 mod delta;

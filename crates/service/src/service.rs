@@ -25,8 +25,8 @@
 //! ([`repose_rptrie::RpTrie::root_bound`] min'd with the best stored delta
 //! summary bound), so the most promising partition publishes into the
 //! query's [`SharedTopK`] collector first and tightens the live pruning
-//! threshold for everyone else — the two-phase seed idea generalized to a
-//! priority schedule, without any phase barrier. [`ReposeService::
+//! threshold for everyone else — a priority schedule without any phase
+//! barrier. [`ReposeService::
 //! query_batch`] admits every query of a batch onto the same pool with
 //! per-query collectors, so concurrent read throughput scales with cores
 //! instead of queueing behind one query. With `pool_threads <= 1` the
@@ -52,7 +52,7 @@ use repose_archive::{latest_valid, prune_generations, quarantine, write_archive,
 use repose_cluster::{
     default_pool_threads, AdmissionGate, Clock, Deadline, SystemClock, WorkerPool,
 };
-use repose_distance::{just_above, Measure, MeasureParams, TrajSummary};
+use repose_distance::{just_above, DistScratch, Measure, MeasureParams, TrajSummary};
 use repose_durability::{write_snapshot, DurabilityConfig, FailPlan, Wal, WalCounters, WalRecord};
 use repose_model::{Point, TrajId, TrajStore, Trajectory};
 use repose_rptrie::{Hit, SearchStats, SharedTopK};
@@ -670,6 +670,7 @@ impl ReposeService {
     /// sequence the write was logged under — the identity a replicating
     /// leader needs to forward the exact logged record to its follower.
     pub fn insert_acked(&self, traj: Trajectory) -> Result<u64, ServiceError> {
+        check_finite(&traj.points, "inserted trajectory")?;
         let t0 = Instant::now();
         // Summarize outside the lock: the same O(1)-prefilter summary the
         // frozen tries store per leaf member, paid once per write instead
@@ -797,6 +798,7 @@ impl ReposeService {
     /// exactly what the sequential path returns (identical distance
     /// multiset; ties may resolve per the paper's Definition 3).
     pub fn query(&self, query: &[Point], k: usize) -> Result<ServiceOutcome, ServiceError> {
+        check_finite(query, "query")?;
         let t0 = Instant::now();
         ServiceCounters::bump(&self.counters.queries);
 
@@ -936,6 +938,7 @@ impl ReposeService {
         seed_dk: f64,
         mut on_partition: impl FnMut(&SharedTopK, &[Hit]),
     ) -> Result<ServiceOutcome, ServiceError> {
+        check_finite(query, "query")?;
         let t0 = Instant::now();
         ServiceCounters::bump(&self.counters.queries);
         ServiceCounters::bump(&self.counters.cache_misses);
@@ -1001,6 +1004,9 @@ impl ReposeService {
         queries: &[Vec<Point>],
         k: usize,
     ) -> Result<Vec<ServiceOutcome>, ServiceError> {
+        for q in queries {
+            check_finite(q, "query")?;
+        }
         let Some(pool) = &self.pool else {
             return queries.iter().map(|q| self.query(q, k)).collect();
         };
@@ -1656,10 +1662,20 @@ fn partition_schedule<'a>(
     (keyed.into_iter().map(|(_, pi)| pi).collect(), cands)
 }
 
+/// Refuses NaN and ±∞ coordinates at the service edge
+/// ([`ServiceError::InvalidInput`]).
+fn check_finite(points: &[Point], what: &'static str) -> Result<(), ServiceError> {
+    if points.iter().all(Point::is_finite) {
+        Ok(())
+    } else {
+        Err(ServiceError::InvalidInput(what))
+    }
+}
+
 /// Scores one partition's live delta candidates against the query,
 /// cheapest stored summary bound first, keeping the best `k` under the
 /// query's shared threshold
-/// ([`repose_distance::MeasureParams::refine_by_bound_shared`]).
+/// ([`repose_distance::MeasureParams::refine_by_bound`]).
 ///
 /// Returns the same `k` best seeds a full exact scan would (ties
 /// included) while charging far less: sort keys are the insert-time
@@ -1686,28 +1702,31 @@ fn scan_delta(
     if k == 0 || cands.is_empty() {
         return Vec::new();
     }
-    params
-        .refine_by_bound_shared(
+    let on_event = |e| match e {
+        RefineEvent::Scored { abandoned } => {
+            search.exact_computations += 1;
+            search.exact_abandoned += usize::from(abandoned);
+        }
+        RefineEvent::SkippedRest(n) => {
+            search.exact_computations += n;
+            search.exact_abandoned += n;
+        }
+    };
+    DistScratch::with_thread(|scratch| {
+        params.refine_by_bound(
             measure,
             query,
             k,
             f64::INFINITY,
             Some(collector),
             cands.to_vec(),
-            |e| match e {
-                RefineEvent::Scored { abandoned } => {
-                    search.exact_computations += 1;
-                    search.exact_abandoned += usize::from(abandoned);
-                }
-                RefineEvent::SkippedRest(n) => {
-                    search.exact_computations += n;
-                    search.exact_abandoned += n;
-                }
-            },
+            on_event,
+            scratch,
         )
-        .into_iter()
-        .map(|(dist, id)| Hit { id, dist })
-        .collect()
+    })
+    .into_iter()
+    .map(|(dist, id)| Hit { id, dist })
+    .collect()
 }
 
 impl std::fmt::Debug for ReposeService {

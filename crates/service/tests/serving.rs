@@ -5,7 +5,7 @@
 use repose::{Repose, ReposeConfig};
 use repose_distance::{Measure, MeasureParams};
 use repose_model::{Dataset, Point, Trajectory};
-use repose_service::{ReposeService, ServiceConfig};
+use repose_service::{ReposeService, ServiceConfig, ServiceError};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -449,4 +449,73 @@ fn batch_queries_and_latency_stats() {
     assert!(stats.read_latency.count > 0);
     assert!(stats.write_latency.count == 10);
     assert!(stats.read_latency.p99 >= stats.read_latency.p50);
+}
+
+/// Trajectories with one NaN, +∞ or −∞ coordinate, in either dimension.
+fn non_finite_inputs() -> Vec<Vec<Point>> {
+    let mut out = Vec::new();
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        for p in [Point::new(bad, 1.0), Point::new(1.0, bad)] {
+            let mut pts = queries()[0].clone();
+            pts[4] = p;
+            out.push(pts);
+        }
+    }
+    out
+}
+
+fn small_service() -> ReposeService {
+    ReposeService::new(Repose::build(&dataset(0..40), config(Measure::Dtw)))
+}
+
+#[test]
+fn query_rejects_non_finite_coordinates() {
+    let service = small_service();
+    for q in non_finite_inputs() {
+        assert!(matches!(service.query(&q, 3), Err(ServiceError::InvalidInput("query"))));
+    }
+    assert_eq!(service.query(&queries()[0], 3).unwrap().hits.len(), 3);
+}
+
+#[test]
+fn query_batch_rejects_non_finite_coordinates() {
+    // Pooled and sequential batch paths both refuse the whole call.
+    for pool_threads in [1, 2] {
+        let service = ReposeService::with_config(
+            Repose::build(&dataset(0..40), config(Measure::Dtw)),
+            ServiceConfig { pool_threads, ..ServiceConfig::default() },
+        );
+        for q in non_finite_inputs() {
+            let batch = vec![queries()[0].clone(), q, queries()[1].clone()];
+            assert!(matches!(
+                service.query_batch(&batch, 3),
+                Err(ServiceError::InvalidInput("query"))
+            ));
+        }
+        assert_eq!(service.query_batch(&queries()[..2], 3).unwrap().len(), 2);
+    }
+}
+
+#[test]
+fn query_scatter_rejects_non_finite_coordinates() {
+    let service = small_service();
+    for q in non_finite_inputs() {
+        let mut streamed = 0;
+        let r = service.query_scatter(&q, 3, f64::INFINITY, |_, hits| streamed += hits.len());
+        assert!(matches!(r, Err(ServiceError::InvalidInput("query"))));
+        assert_eq!(streamed, 0, "nothing may be streamed for a refused query");
+    }
+}
+
+#[test]
+fn insert_rejects_non_finite_coordinates_and_leaves_state_unchanged() {
+    let service = small_service();
+    let before = served_ids(&service, &queries()[0], 5);
+    for (i, pts) in non_finite_inputs().into_iter().enumerate() {
+        let r = service.insert_acked(Trajectory::new(1000 + i as u64, pts));
+        assert!(matches!(r, Err(ServiceError::InvalidInput("inserted trajectory"))));
+    }
+    assert_eq!(service.len(), 40);
+    assert_eq!(service.stats().inserts, 0);
+    assert_eq!(served_ids(&service, &queries()[0], 5), before);
 }

@@ -34,6 +34,8 @@
 //!   latency-percentile hedging, write failover, and honest degradation
 //!   accounting ([`ShardOutcome`]).
 
+#![forbid(unsafe_code)]
+
 pub mod coordinator;
 pub mod fault;
 pub mod protocol;

@@ -20,7 +20,9 @@
 //! never a panic, never a silently skipped field. Distances and bounds
 //! that feed a [`repose_rptrie::SharedTopK`] are checked here too: its
 //! `fetch_min` on `f64::to_bits` is only ordered for non-negative non-NaN
-//! values, so a NaN or negative one is refused at the wire.
+//! values, so a NaN or negative one is refused at the wire. So is a
+//! non-finite coordinate in a `Query` or `Upsert` trajectory: the distance
+//! kernels' bitwise contract holds for finite input only.
 
 use repose_distance::Measure;
 use repose_durability::{crc32, DecodeError, WalRecord};
@@ -267,6 +269,17 @@ fn read_dist(cur: &mut &[u8]) -> Result<f64, ProtocolError> {
     }
 }
 
+/// Reads the trajectory of a `Query` or `Upsert`: a NaN or infinite
+/// coordinate is malformed (see module docs).
+fn read_trajectory(cur: &mut &[u8]) -> Result<Vec<Point>, ProtocolError> {
+    let points = read_points(cur).ok_or(ProtocolError::BadPayload)?;
+    if points.iter().all(Point::is_finite) {
+        Ok(points)
+    } else {
+        Err(ProtocolError::BadPayload)
+    }
+}
+
 impl Message {
     /// Appends this message's payload (tag + fields, no frame header).
     fn encode_payload(&self, buf: &mut Vec<u8>) {
@@ -399,7 +412,7 @@ impl Message {
                 *cur = rest;
                 let measure = measure_from_u8(mb).ok_or(ProtocolError::BadMeasure(mb))?;
                 let seed_dk = read_f64(cur).ok_or_else(t)?;
-                let points = read_points(cur).ok_or(ProtocolError::BadPayload)?;
+                let points = read_trajectory(cur)?;
                 Message::Query { qid, attempt, k, measure, seed_dk, points }
             }
             TAG_HIT => Message::Hit {
@@ -456,7 +469,7 @@ impl Message {
             TAG_UPSERT => Message::Upsert {
                 wid: read_u64(cur).ok_or_else(t)?,
                 id: read_u64(cur).ok_or_else(t)?,
-                points: read_points(cur).ok_or(ProtocolError::BadPayload)?,
+                points: read_trajectory(cur)?,
             },
             TAG_DELETE => Message::Delete {
                 wid: read_u64(cur).ok_or_else(t)?,
@@ -678,6 +691,32 @@ mod tests {
             assert!(decode(&Message::Tighten { qid: 1, dk: ok }.encode_frame()).is_ok());
             assert!(decode(&Message::Hit { qid: 1, attempt: 0, id: 5, dist: ok }.encode_frame())
                 .is_ok());
+        }
+    }
+
+    #[test]
+    fn non_finite_coordinates_are_refused_in_query_and_upsert() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for points in [vec![Point::new(bad, 0.0)], vec![Point::new(1.0, 2.0), Point::new(0.0, bad)]] {
+                let frames = [
+                    Message::Query {
+                        qid: 1,
+                        attempt: 0,
+                        k: 5,
+                        measure: Measure::Dtw,
+                        seed_dk: f64::INFINITY,
+                        points: points.clone(),
+                    },
+                    Message::Upsert { wid: 1, id: 2, points },
+                ];
+                for msg in frames {
+                    assert_eq!(
+                        decode(&msg.encode_frame()),
+                        Err(ProtocolError::BadPayload),
+                        "{msg:?}"
+                    );
+                }
+            }
         }
     }
 

@@ -25,6 +25,8 @@
 //!
 //! [`SimClock`]: repose_cluster::SimClock
 
+#![forbid(unsafe_code)]
+
 mod net;
 mod oracle;
 mod scenario;

@@ -16,6 +16,7 @@
 //! randomness, so failures reproduce across runs and hosts.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use proptest::prelude::*;
 use repose_durability::WalRecord;

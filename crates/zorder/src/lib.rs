@@ -27,6 +27,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod geohash;
 mod grid;

@@ -29,6 +29,16 @@ fn arb_points() -> impl Strategy<Value = Vec<Point>> {
     })
 }
 
+/// A trajectory the protocol accepts in a `Query` or `Upsert`: any finite
+/// bit pattern (clearing the top exponent bit rules out NaN and ±∞ and
+/// keeps subnormals, negative zero and both signs).
+fn arb_finite_points() -> impl Strategy<Value = Vec<Point>> {
+    arb_points().prop_map(|pts| {
+        let finite = |v: f64| f64::from_bits(v.to_bits() & !(1 << 62));
+        pts.iter().map(|p| Point::new(finite(p.x), finite(p.y))).collect()
+    })
+}
+
 /// A distance or bound the protocol accepts: any non-negative non-NaN
 /// bit pattern, zero through subnormals to infinity.
 fn arb_dist() -> impl Strategy<Value = f64> {
@@ -62,7 +72,7 @@ fn arb_message() -> impl Strategy<Value = Message> {
         Just(RefusalReason::Durability),
     ];
     prop_oneof![
-        (any::<u64>(), any::<u32>(), any::<u32>(), measure, any::<u64>(), arb_points()).prop_map(
+        (any::<u64>(), any::<u32>(), any::<u32>(), measure, any::<u64>(), arb_finite_points()).prop_map(
             |(qid, attempt, k, measure, dk_bits, points)| Message::Query {
                 qid,
                 attempt,
@@ -94,7 +104,7 @@ fn arb_message() -> impl Strategy<Value = Message> {
             .prop_map(|records| Message::Replicate { records }),
         any::<u64>().prop_map(|seq| Message::Ack { seq }),
         any::<u64>().prop_map(|seq| Message::Heartbeat { seq }),
-        (any::<u64>(), any::<u64>(), arb_points())
+        (any::<u64>(), any::<u64>(), arb_finite_points())
             .prop_map(|(wid, id, points)| Message::Upsert { wid, id, points }),
         (any::<u64>(), any::<u64>()).prop_map(|(wid, id)| Message::Delete { wid, id }),
         (any::<u64>(), any::<u64>()).prop_map(|(wid, seq)| Message::WriteOk { wid, seq }),
@@ -145,9 +155,9 @@ proptest! {
         let mut cur = frame.as_slice();
         let back = Message::decode_frame(&mut cur).unwrap().unwrap();
         prop_assert!(cur.is_empty());
-        // Compare re-encoded bytes, not values: NaN points are legal on
-        // the wire and `PartialEq` would reject them even when the bit
-        // patterns survived perfectly.
+        // Compare re-encoded bytes, not values: NaN points are legal
+        // inside a replicated WAL record and `PartialEq` would reject them
+        // even when the bit patterns survived perfectly.
         prop_assert_eq!(back.encode_frame(), frame);
     }
 
@@ -175,6 +185,39 @@ proptest! {
             Message::Hit { qid: 1, attempt: 0, id: 1, dist: bad },
             Message::Hits { qid: 1, attempt: 0, hits },
             Message::Tighten { qid: 1, dk: bad },
+        ] {
+            let frame = msg.encode_frame();
+            prop_assert_eq!(
+                Message::decode_frame(&mut frame.as_slice()),
+                Err(ProtocolError::BadPayload)
+            );
+        }
+    }
+
+    // ---- coordinates the distance kernels cannot take are refused ----
+
+    #[test]
+    fn protocol_refuses_non_finite_coordinates(
+        good in arb_finite_points(),
+        bad_bits in any::<u64>(),
+        at in any::<usize>(),
+        in_y in any::<bool>(),
+    ) {
+        // Exponent all ones: ±∞ or a NaN, whatever the other bits say.
+        let bad = f64::from_bits(bad_bits | (0x7ff << 52));
+        let mut points = good;
+        let p = if in_y { Point::new(1.0, bad) } else { Point::new(bad, 1.0) };
+        points.insert(at % (points.len() + 1), p);
+        for msg in [
+            Message::Query {
+                qid: 1,
+                attempt: 0,
+                k: 3,
+                measure: Measure::Frechet,
+                seed_dk: f64::INFINITY,
+                points: points.clone(),
+            },
+            Message::Upsert { wid: 1, id: 1, points },
         ] {
             let frame = msg.encode_frame();
             prop_assert_eq!(

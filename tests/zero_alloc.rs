@@ -14,7 +14,7 @@
 //!    allocation count must grow by less than one per extra verification
 //!    (the seed kernels allocated at least one DP buffer each).
 //! 3. **Service** — same decoupling for a warm `ReposeService::query`
-//!    whose delta backlog (scored by `refine_by_bound_shared`) grows, plus
+//!    whose delta backlog (scored by `refine_by_bound`) grows, plus
 //!    thread-scratch footprint stability across the warm query.
 //!
 //! All measuring tests serialize on one mutex so the global counter only
@@ -245,7 +245,7 @@ fn warm_service_query_allocations_do_not_scale_with_delta_verifications() {
     );
 }
 
-/// The refinement loop (`refine_by_bound_shared_in`) with a warm scratch
+/// The refinement loop (`refine_by_bound`) with a warm scratch
 /// and a reusable candidate buffer allocates only for its own bookkeeping
 /// (the result vector + top-k heap), independent of candidate count.
 #[test]
@@ -266,7 +266,7 @@ fn warm_refinement_loop_allocations_independent_of_candidates() {
             })
             .collect();
         allocs_during(|| {
-            let got = params.refine_by_bound_shared_in(
+            let got = params.refine_by_bound(
                 Measure::Dtw,
                 &query,
                 4,
