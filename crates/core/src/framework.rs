@@ -1,5 +1,6 @@
 use crate::{partition::partition_slots, ReposeConfig};
 use repose_cluster::{Cluster, DistDataset, JobStats};
+use repose_distance::ThresholdSource;
 use repose_model::{Dataset, Mbr, Point, TrajId, TrajStore};
 use repose_rptrie::{Hit, RpTrie, SearchStats, SharedTopK};
 use repose_zorder::Grid;
@@ -18,9 +19,10 @@ pub(crate) struct LocalPartition {
 
 /// The outcome of one distributed top-k query.
 ///
-/// Every [`Repose`] query variant ([`Repose::query`],
-/// [`Repose::query_independent`], [`Repose::query_batch`]) returns one of
-/// these. The three fields answer the three questions the paper's
+/// Every [`Repose`] query front ([`Repose::query`],
+/// [`Repose::query_independent`], [`Repose::query_batch`],
+/// [`Repose::query_where`]) returns one of these. The three fields
+/// answer the three questions the paper's
 /// evaluation asks of a query: *what* was found (`hits`), *how long* the
 /// simulated cluster took (`job`, whose makespan is the paper's QT metric),
 /// and *how much work* the local indexes did (`search`, the pruning-power
@@ -323,63 +325,18 @@ impl Repose {
     /// independent path on any interleaving: the shared bound only ever
     /// tightens each local search's own threshold, so each partition's
     /// work is a subset of its independent-run work.
-    ///
-    /// Always timed as a single cold run
-    /// ([`Cluster::run_partitions_cold`]): a timing re-run would execute
-    /// against the already-tightened collector and under-report the job's
-    /// true cost.
     pub fn query(&self, query: &[Point], k: usize) -> QueryOutcome {
-        let collector = SharedTopK::new(k);
-        let (locals, times, wall) = self.cluster.run_partitions_cold(&self.data, |_, chunk| {
-            let part = &chunk[0];
-            part.trie.top_k_shared(&part.store, query, k, &[], None, &collector)
-        });
-        let job = JobStats::simulate(
-            times,
-            (0..self.config.num_partitions).collect(),
-            self.config.cluster.workers,
-            self.config.cluster.cores_per_worker,
-            wall,
-        );
-        let mut search = SearchStats::default();
-        let mut hits: Vec<Hit> = Vec::with_capacity(k * locals.len().min(8));
-        for l in &locals {
-            search.merge(&l.stats);
-            hits.extend_from_slice(&l.hits);
-        }
-        hits.sort_by(Hit::cmp_by_dist_then_id);
-        hits.truncate(k);
-        QueryOutcome { hits, job, search }
+        self.run(&[query], k, None, true).pop().expect("one outcome per query")
     }
 
-    /// The pre-shared-threshold execution: every partition searches
-    /// independently under an infinite initial threshold and results merge
-    /// only at the end (`mapPartitions` + `collect` with no cross-task
-    /// communication — exactly the paper's execution model).
+    /// The paper's execution model: every partition searches independently
+    /// under an infinite initial threshold and results merge only at the
+    /// end (`mapPartitions` + `collect` with no cross-task communication).
     ///
     /// Kept as the verification baseline for [`Repose::query`] and as the
-    /// comparison arm of the `scale` experiment; prefer `query`.
+    /// paper-model arm of the replication experiments; prefer `query`.
     pub fn query_independent(&self, query: &[Point], k: usize) -> QueryOutcome {
-        let (locals, times, wall) = self.cluster.run_partitions(&self.data, |_, chunk| {
-            let part = &chunk[0];
-            part.trie.top_k(&part.store, query, k)
-        });
-        let job = JobStats::simulate(
-            times,
-            (0..self.config.num_partitions).collect(),
-            self.config.cluster.workers,
-            self.config.cluster.cores_per_worker,
-            wall,
-        );
-        let mut search = SearchStats::default();
-        let mut hits: Vec<Hit> = Vec::with_capacity(k * locals.len().min(8));
-        for l in &locals {
-            search.merge(&l.stats);
-            hits.extend_from_slice(&l.hits);
-        }
-        hits.sort_by(Hit::cmp_by_dist_then_id);
-        hits.truncate(k);
-        QueryOutcome { hits, job, search }
+        self.run(&[query], k, None, false).pop().expect("one outcome per query")
     }
 
     /// Executes a *batch* of queries as one distributed job — the paper's
@@ -388,24 +345,59 @@ impl Repose {
     ///
     /// Each partition answers every query in one pass over its local index,
     /// so the simulated makespan reflects batch amortization: one task per
-    /// partition rather than one job per query. Every query gets its own
-    /// [`SharedTopK`] collector, shared by all concurrently executing
-    /// partition tasks, so the cross-partition threshold pruning of
-    /// [`Repose::query`] applies to every query of the batch.
+    /// partition rather than one job per query (the batch shares one
+    /// schedule, reported on every outcome). Every query gets its own
+    /// [`SharedTopK`] collector, so the cross-partition threshold pruning
+    /// of [`Repose::query`] applies to every query of the batch.
     pub fn query_batch(&self, queries: &[Vec<Point>], k: usize) -> Vec<QueryOutcome> {
+        let queries: Vec<&[Point]> = queries.iter().map(Vec::as_slice).collect();
+        self.run(&queries, k, None, true)
+    }
+
+    /// The one distributed query job behind every front: one task per
+    /// partition answers all of `queries` through [`RpTrie::search`], the
+    /// task times become the simulated schedule, and each query's local
+    /// results merge into its global top-k.
+    ///
+    /// `shared` gives every query one [`SharedTopK`] all its partition
+    /// searches publish into and prune with. Such a job is timed as a
+    /// single cold run ([`Cluster::run_partitions_cold`]): a timing re-run
+    /// would execute against the already-tightened collectors and
+    /// under-report the job's true cost. Independent searches share no
+    /// state and keep the configured `timing_repeats`.
+    pub(crate) fn run(
+        &self,
+        queries: &[&[Point]],
+        k: usize,
+        filter: Option<&(dyn Fn(TrajId) -> bool + Sync)>,
+        shared: bool,
+    ) -> Vec<QueryOutcome> {
         if queries.is_empty() {
             return Vec::new();
         }
-        let collectors: Vec<SharedTopK> = queries.iter().map(|_| SharedTopK::new(k)).collect();
-        // Cold-run timing: re-runs would see already-tightened collectors.
-        let (locals, times, wall) = self.cluster.run_partitions_cold(&self.data, |_, chunk| {
+        // One collector per query, or none: an independent search has
+        // nothing at its index below.
+        let collectors: Vec<SharedTopK> = if shared {
+            queries.iter().map(|_| SharedTopK::new(k)).collect()
+        } else {
+            Vec::new()
+        };
+        let task = |_: usize, chunk: &[Arc<LocalPartition>]| {
             let part = &chunk[0];
             queries
                 .iter()
-                .zip(&collectors)
-                .map(|(q, c)| part.trie.top_k_shared(&part.store, q, k, &[], None, c))
+                .enumerate()
+                .map(|(qi, q)| {
+                    let collector = collectors.get(qi).map(|c| c as &dyn ThresholdSource);
+                    part.trie.search(&part.store, q, k, &[], filter, collector)
+                })
                 .collect::<Vec<_>>()
-        });
+        };
+        let (locals, times, wall) = if shared {
+            self.cluster.run_partitions_cold(&self.data, task)
+        } else {
+            self.cluster.run_partitions(&self.data, task)
+        };
         let job = JobStats::simulate(
             times,
             (0..self.config.num_partitions).collect(),
@@ -416,27 +408,16 @@ impl Repose {
         (0..queries.len())
             .map(|qi| {
                 let mut search = SearchStats::default();
-                let mut hits: Vec<Hit> = Vec::new();
+                let mut hits: Vec<Hit> = Vec::with_capacity(k * locals.len().min(8));
                 for part_results in &locals {
-                    let l = &part_results[qi];
-                    search.merge(&l.stats);
-                    hits.extend_from_slice(&l.hits);
+                    search.merge(&part_results[qi].stats);
+                    hits.extend_from_slice(&part_results[qi].hits);
                 }
                 hits.sort_by(Hit::cmp_by_dist_then_id);
                 hits.truncate(k);
-                // The batch shares one schedule; report it on every outcome.
                 QueryOutcome { hits, job: job.clone(), search }
             })
             .collect()
-    }
-
-    /// Runs a closure on every local partition with timing — shared by the
-    /// query variants (plain, bounded, filtered).
-    pub(crate) fn run_local<R: Send>(
-        &self,
-        f: impl Fn(&LocalPartition) -> R + Sync,
-    ) -> (Vec<R>, Vec<Duration>, Duration) {
-        self.cluster.run_partitions(&self.data, |_, chunk| f(&chunk[0]))
     }
 
     /// The configuration the deployment was built with.

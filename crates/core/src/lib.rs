@@ -1,6 +1,12 @@
 //! REPOSE: distributed top-k trajectory similarity search with local
 //! reference point tries — the paper's end-to-end framework (Section V).
 //!
+//! Every query front of [`Repose`] — [`Repose::query`],
+//! [`Repose::query_batch`], [`Repose::query_where`] and the paper-model
+//! [`Repose::query_independent`] — is the same distributed job: one task
+//! per partition running [`repose_rptrie::RpTrie::search`], merged into
+//! the global top-k.
+//!
 //! ```
 //! use repose::{Repose, ReposeConfig, PartitionStrategy};
 //! use repose_distance::Measure;

@@ -6,14 +6,12 @@
 //! Design: each trajectory carries a time span `[start, end]`. A
 //! spatio-temporal query adds a [`TimeWindow`]; only trajectories whose
 //! span overlaps the window qualify. The spatial RP-Trie machinery is
-//! reused unchanged through the filtered search hook
-//! (`RpTrie::top_k_where`): temporal selection composes with — and never
-//! weakens — the spatial pruning bounds.
+//! reused unchanged through [`repose_rptrie::RpTrie::search`]'s filter:
+//! temporal selection composes with — and never weakens — the spatial
+//! pruning bounds.
 
 use crate::{QueryOutcome, Repose, ReposeConfig};
-use repose_cluster::JobStats;
 use repose_model::{Dataset, Point, TrajId};
-use repose_rptrie::{Hit, SearchStats};
 use std::collections::HashMap;
 
 /// A closed time interval (units are the application's choice — epoch
@@ -84,6 +82,7 @@ impl TemporalRepose {
 impl Repose {
     /// Distributed top-k restricted to trajectory ids accepted by `filter`
     /// (exposed for attribute predicates; `TemporalRepose` builds on it).
+    /// Runs under a per-query shared threshold like [`Repose::query`].
     ///
     /// `filter` runs inside the search's per-thread scratch scope:
     /// id/side-table predicates are the intended shape, and a filter that
@@ -95,25 +94,7 @@ impl Repose {
         k: usize,
         filter: &(dyn Fn(TrajId) -> bool + Sync),
     ) -> QueryOutcome {
-        let (locals, times, wall) = self.run_local(|part| {
-            part.trie.top_k_where(&part.store, query, k, filter)
-        });
-        let job = JobStats::simulate(
-            times,
-            (0..self.num_partitions()).collect(),
-            self.config().cluster.workers,
-            self.config().cluster.cores_per_worker,
-            wall,
-        );
-        let mut search = SearchStats::default();
-        let mut hits: Vec<Hit> = Vec::new();
-        for l in &locals {
-            search.merge(&l.stats);
-            hits.extend_from_slice(&l.hits);
-        }
-        hits.sort_by(Hit::cmp_by_dist_then_id);
-        hits.truncate(k);
-        QueryOutcome { hits, job, search }
+        self.run(&[query], k, Some(filter), true).pop().expect("one outcome per query")
     }
 }
 
@@ -139,11 +120,15 @@ mod tests {
     }
 
     fn build(k_parts: usize) -> TemporalRepose {
+        build_for(Measure::Hausdorff, k_parts)
+    }
+
+    fn build_for(measure: Measure, k_parts: usize) -> TemporalRepose {
         let (d, spans) = dataset_with_spans();
         TemporalRepose::build(
             &d,
             spans,
-            ReposeConfig::new(Measure::Hausdorff)
+            ReposeConfig::new(measure)
                 .with_partitions(k_parts)
                 .with_delta(0.7),
         )
@@ -165,26 +150,52 @@ mod tests {
         assert!(far.hits.iter().all(|h| h.id >= 30));
     }
 
+    /// The filtered search under the shared collector, for every measure:
+    /// the answer is brute force over the accepted ids (bitwise distances;
+    /// tied ids may resolve either way, Definition 3), and sharing the
+    /// threshold never costs verifications over the same filter searched
+    /// partition by partition with no collector.
     #[test]
     fn windowed_matches_filtered_brute_force() {
         let (d, spans) = dataset_with_spans();
-        let tr = build(6);
         let q: Vec<Point> = (0..12).map(|s| Point::new(s as f64 * 0.4, 6.3)).collect();
         let w = TimeWindow::new(20.0, 33.0);
-        let got: Vec<u64> = tr.query(&q, w, 8).hits.iter().map(|h| h.id).collect();
+        let accepts = |id: TrajId| {
+            let (a, b) = spans[&id];
+            w.overlaps(a, b)
+        };
         let params = repose_distance::MeasureParams::default();
-        let mut expect: Vec<(f64, u64)> = d
-            .trajectories()
-            .iter()
-            .filter(|t| {
-                let (a, b) = spans[&t.id];
-                w.overlaps(a, b)
-            })
-            .map(|t| (params.distance(Measure::Hausdorff, &q, &t.points), t.id))
-            .collect();
-        expect.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        expect.truncate(8);
-        assert_eq!(got, expect.into_iter().map(|e| e.1).collect::<Vec<_>>());
+        for measure in Measure::ALL {
+            let tr = build_for(measure, 6);
+            let got = tr.query(&q, w, 8);
+            let truth = |id: TrajId| params.distance(measure, &q, &d.trajectories()[id as usize].points);
+            let mut expect: Vec<u64> = (0..d.len() as u64)
+                .filter(|&id| accepts(id))
+                .map(|id| truth(id).to_bits())
+                .collect();
+            expect.sort_unstable();
+            expect.truncate(8);
+            let dists: Vec<u64> = got.hits.iter().map(|h| h.dist.to_bits()).collect();
+            assert_eq!(dists, expect, "{measure}");
+            for h in &got.hits {
+                assert!(accepts(h.id), "{measure}: {} outside the window", h.id);
+                assert_eq!(h.dist.to_bits(), truth(h.id).to_bits(), "{measure}");
+            }
+
+            let spatial = tr.spatial();
+            let unshared: usize = (0..spatial.num_partitions())
+                .map(|pi| {
+                    let view = spatial.partition_view(pi);
+                    let local = view.trie.search(view.store, &q, 8, &[], Some(&accepts), None);
+                    local.stats.exact_computations
+                })
+                .sum();
+            assert!(
+                got.search.exact_computations <= unshared,
+                "{measure}: shared {} > unshared {unshared}",
+                got.search.exact_computations
+            );
+        }
     }
 
     #[test]

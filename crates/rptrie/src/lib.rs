@@ -10,6 +10,11 @@
 //! * `LBt` — two-side lower bound on leaf nodes (Definition 7),
 //! * `LBp` — pivot-based lower bound for metric measures (Section IV-D).
 //!
+//! There is one search (Algorithm 2): [`RpTrie::search`], whose optional
+//! seeds, id filter and shared threshold are what the layers above add to
+//! the paper's local search; [`RpTrie::top_k`] is the same search with
+//! none of them.
+//!
 //! The physical layout is the paper's succinct two-layer structure: bitmap
 //! (LOUDS-dense) upper levels and byte-serialized lower levels. For the
 //! order-independent Hausdorff measure, the builder applies the z-value
@@ -120,84 +125,55 @@ impl RpTrie {
         self.built_over
     }
 
-    /// Runs a top-k query (Algorithm 2). `store` must be the arena the
-    /// trie was built over.
+    /// Runs a plain top-k query (Algorithm 2): [`RpTrie::search`] with no
+    /// seeds, no filter and no shared threshold. `store` must be the arena
+    /// the trie was built over.
     pub fn top_k(&self, store: &TrajStore, query: &[Point], k: usize) -> SearchResult {
+        self.search(store, query, k, &[], None, None)
+    }
+
+    /// The one local search, with every knob a caller above this crate
+    /// needs; each is independent of the others.
+    ///
+    /// * `seeds` — pre-scored external candidates (the serving layer's
+    ///   delta-buffer survivors). They join the result heap before the
+    ///   trie descent, so with `k` good seeds the trie is only explored
+    ///   where it can still beat them. Seeds are taken as-is, and a seed
+    ///   *shadows* any indexed trajectory with the same id (the caller's
+    ///   version wins — no id appears twice).
+    /// * `filter` — restricts which *indexed* trajectories qualify
+    ///   (tombstone checks, the temporal windows of `repose::temporal`).
+    ///   Pruning stays sound under any filter: bounds hold for supersets
+    ///   of the qualifying trajectories, and `dk` only tightens from
+    ///   accepted hits.
+    /// * `shared` — a live cross-search threshold collector (normally a
+    ///   [`SharedTopK`] all partitions of one query share). The search
+    ///   re-reads its bound at every pruning decision and publishes every
+    ///   accepted exact distance back, so concurrently executing
+    ///   partitions tighten each other mid-flight. The collector's bound
+    ///   always over-approximates the global k-th distance (see the
+    ///   `shared` module docs for the argument), so this search's hits
+    ///   merged with its peers' equal the independent searches' merge up
+    ///   to tie resolution.
+    ///
+    /// Exact: the result equals brute force over
+    /// `{accepted, unshadowed indexed trajectories} ∪ {seeds}` up to tie
+    /// resolution.
+    pub fn search(
+        &self,
+        store: &TrajStore,
+        query: &[Point],
+        k: usize,
+        seeds: &[Hit],
+        filter: Option<&(dyn Fn(TrajId) -> bool + Sync)>,
+        shared: Option<&dyn ThresholdSource>,
+    ) -> SearchResult {
         assert_eq!(
             store.len(),
             self.built_over,
             "query must use the trajectory store the index was built over"
         );
-        search::top_k(self, store, query, k)
-    }
-
-    /// Like [`RpTrie::top_k`] but restricted to trajectory ids accepted
-    /// by `filter` — the hook for attribute predicates such as the
-    /// temporal windows of `repose::temporal` (the paper's Section IX
-    /// future work).
-    ///
-    /// Pruning stays sound under any filter: bounds hold for supersets of
-    /// the qualifying trajectories, and `dk` only tightens from accepted
-    /// hits.
-    pub fn top_k_where(
-        &self,
-        store: &TrajStore,
-        query: &[Point],
-        k: usize,
-        filter: &(dyn Fn(TrajId) -> bool + Sync),
-    ) -> SearchResult {
-        assert_eq!(store.len(), self.built_over);
-        search::top_k_filtered(self, store, query, k, Some(filter), &[], None)
-    }
-
-    /// Top-k over the union of the trie's trajectories and a set of
-    /// pre-scored external candidates (`seeds`) — the serving layer's
-    /// trie + delta-buffer search.
-    ///
-    /// The seeds join the result heap before the trie descent, so the
-    /// trie search and the delta scan share one pruning threshold: with
-    /// `k` good seeds the trie is only explored where it can still beat
-    /// them. An optional `filter` restricts which *indexed* trajectories
-    /// qualify (the serving layer passes its tombstone check); seeds are
-    /// taken as-is, and a seed *shadows* any indexed trajectory with the
-    /// same id (the caller's version wins — no id appears twice). Exact:
-    /// the result equals brute force over
-    /// `{accepted, unshadowed indexed trajectories} ∪ {seeds}` up to tie
-    /// resolution.
-    pub fn top_k_seeded(
-        &self,
-        store: &TrajStore,
-        query: &[Point],
-        k: usize,
-        seeds: &[Hit],
-        filter: Option<&(dyn Fn(TrajId) -> bool + Sync)>,
-    ) -> SearchResult {
-        assert_eq!(store.len(), self.built_over);
-        search::top_k_filtered(self, store, query, k, filter, seeds, None)
-    }
-
-    /// The shared-threshold local search: like [`RpTrie::top_k_seeded`],
-    /// but additionally wired to a live cross-search threshold collector
-    /// (normally a [`SharedTopK`] all partitions of one query share).
-    ///
-    /// The search re-reads `shared`'s bound at every pruning decision and
-    /// publishes every accepted exact distance back, so concurrently
-    /// executing partitions tighten each other mid-flight. Exactness is
-    /// unchanged — the collector's bound always over-approximates the
-    /// global k-th distance (see the `shared` module docs for the
-    /// argument), and this search's hits merged with its peers' equal the
-    /// independent searches' merge up to tie resolution.
-    pub fn top_k_shared(
-        &self,
-        store: &TrajStore,
-        query: &[Point],
-        k: usize,
-        seeds: &[Hit],
-        filter: Option<&(dyn Fn(TrajId) -> bool + Sync)>,
-        shared: &dyn ThresholdSource,
-    ) -> SearchResult {
-        assert_eq!(store.len(), self.built_over);
-        search::top_k_filtered(self, store, query, k, filter, seeds, Some(shared))
+        search::top_k_filtered(self, store, query, k, filter, seeds, shared)
     }
 
     /// A cheap lower bound on the distance from `query` to *every*

@@ -123,15 +123,6 @@ impl Ord for Worst {
     }
 }
 
-pub(crate) fn top_k(
-    trie: &RpTrie,
-    store: &TrajStore,
-    query: &[Point],
-    k: usize,
-) -> SearchResult {
-    top_k_filtered(trie, store, query, k, None, &[], None)
-}
-
 pub(crate) fn top_k_filtered(
     trie: &RpTrie,
     store: &TrajStore,
@@ -522,25 +513,26 @@ mod tests {
         // not appear.
         let champion = Hit { id: 100, dist: 0.5 };
         let hopeless = Hit { id: 101, dist: 1e9 };
-        let r = trie.top_k_seeded(&store, &q, 2, &[champion, hopeless], None);
+        let r = trie.search(&store, &q, 2, &[champion, hopeless], None, None);
         let ids: Vec<u64> = r.hits.iter().map(|h| h.id).collect();
         assert_eq!(ids, vec![100, 1]);
 
         // k good seeds tighten the threshold: never more exact distance
         // computations than the unseeded search.
         let unseeded = trie.top_k(&store, &q, 2);
-        let seeded = trie.top_k_seeded(
+        let seeded = trie.search(
             &store,
             &q,
             2,
             &[Hit { id: 100, dist: 0.5 }, Hit { id: 102, dist: 0.6 }],
+            None,
             None,
         );
         assert!(seeded.stats.exact_computations <= unseeded.stats.exact_computations);
 
         // Seeds + filter: filter applies to indexed trajectories only.
         let no_t1 = |id: u64| id != 1;
-        let r = trie.top_k_seeded(&store, &q, 2, &[champion], Some(&no_t1));
+        let r = trie.search(&store, &q, 2, &[champion], Some(&no_t1), None);
         let ids: Vec<u64> = r.hits.iter().map(|h| h.id).collect();
         assert_eq!(ids, vec![100, 4]);
 
@@ -548,7 +540,7 @@ mod tests {
         // appears once, at the seed's distance (the serving layer's
         // "delta version wins" upsert semantics).
         let shadow = Hit { id: 1, dist: 0.25 };
-        let r = trie.top_k_seeded(&store, &q, 5, &[shadow], None);
+        let r = trie.search(&store, &q, 5, &[shadow], None, None);
         let ones: Vec<&Hit> = r.hits.iter().filter(|h| h.id == 1).collect();
         assert_eq!(ones.len(), 1, "id 1 must appear exactly once");
         assert_eq!(ones[0].dist, 0.25);
@@ -560,7 +552,7 @@ mod tests {
             grid8(),
             RpTrieConfig::for_measure(Measure::Hausdorff),
         );
-        let r = empty.top_k_seeded(&empty_store, &q, 1, &[hopeless, champion], None);
+        let r = empty.search(&empty_store, &q, 1, &[hopeless, champion], None, None);
         assert_eq!(r.hits.len(), 1);
         assert_eq!(r.hits[0].id, 100);
     }
@@ -590,8 +582,8 @@ mod tests {
             // Shared-threshold searches against one collector.
             let c = SharedTopK::new(k);
             let (sa, sb) = (
-                t0.top_k_shared(&p0, &q, k, &[], None, &c),
-                t1.top_k_shared(&p1, &q, k, &[], None, &c),
+                t0.search(&p0, &q, k, &[], None, Some(&c)),
+                t1.search(&p1, &q, k, &[], None, Some(&c)),
             );
             let mut shared: Vec<Hit> = [sa.hits.clone(), sb.hits.clone()].concat();
             shared.sort_by(Hit::cmp_by_dist_then_id);
@@ -651,7 +643,7 @@ mod tests {
             RpTrieConfig::for_measure(Measure::Frechet).with_np(0),
         );
         let src = CollapseAfterFirstPublish(AtomicBool::new(false));
-        let r = trie.top_k_shared(&store, &query(), 2, &[], None, &src);
+        let r = trie.search(&store, &query(), 2, &[], None, Some(&src));
         assert!(
             r.stats.bounds_abandoned > 0,
             "expected skipped child bound pushes, stats {:?}",

@@ -1,4 +1,4 @@
-//! The LRU result cache and the threshold-hint ring it feeds.
+//! The LRU result cache.
 //!
 //! Keys quantize the query polyline onto a fine integer lattice, so two
 //! float-wise-identical (or nearly identical, within ~1e-7 of a
@@ -6,19 +6,11 @@
 //! Every entry is stamped with the service's *write version*; any
 //! insert/delete/compact bumps the version, so stale entries are never
 //! served — they are lazily dropped when next touched.
-//!
-//! Beyond exact-key hits, completed answers also feed a small ring of
-//! [`ThresholdHint`]s: for *metric* measures, a cached k-th distance for a
-//! nearby query `q'` bounds the current query's k-th distance via the
-//! triangle inequality (`dk(q) <= dk(q') + d(q, q')`), so a cache *miss*
-//! can still start its search with a finite pruning threshold (see
-//! [`hint_candidates`](QueryCache::hint_candidates)).
 
 use repose_distance::Measure;
 use repose_model::Point;
 use repose_rptrie::Hit;
-use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::collections::HashMap;
 
 /// Lattice scale for query quantization: coordinates are rounded to
 /// multiples of 1e-7, well below any distance the indexes distinguish.
@@ -51,51 +43,16 @@ struct Entry {
     last_used: u64,
 }
 
-/// How many recent full answers the threshold-hint ring retains. Small on
-/// purpose: each candidate costs one exact query-to-query kernel call at
-/// lookup time.
-const HINT_RING: usize = 8;
-
-/// A recent complete answer, kept for triangle-inequality threshold
-/// seeding. The query polyline is shared (`Arc`) so hint lookups can
-/// release the cache lock before running any distance kernel.
-///
-/// Hints are stamped with the service's **operation sequence**
-/// (`ServeState::op_seq`, read under the same lock as the data snapshot)
-/// rather than the write version: the op-seq identifies the logical live
-/// set exactly, so a hint applies iff the current snapshot is the *same*
-/// dataset the hint's k-th distance was computed on — immune to the
-/// load-version/take-snapshot race a version stamp would have (a delete
-/// completing in between could otherwise make the bound unsound), and
-/// hints survive compaction (which changes no live data).
-#[derive(Clone)]
-pub(crate) struct ThresholdHint {
-    /// The answered query.
-    pub(crate) query: Arc<[Point]>,
-    /// Its k-th (worst returned) distance.
-    pub(crate) kth: f64,
-    measure: Measure,
-    k: usize,
-    state_seq: u64,
-}
-
-/// A version-checked LRU map from queries to top-k hit lists, plus the
-/// threshold-hint ring.
+/// A version-checked LRU map from queries to top-k hit lists.
 pub(crate) struct QueryCache {
     capacity: usize,
     clock: u64,
     entries: HashMap<CacheKey, Entry>,
-    hints: VecDeque<ThresholdHint>,
 }
 
 impl QueryCache {
     pub(crate) fn new(capacity: usize) -> Self {
-        QueryCache {
-            capacity,
-            clock: 0,
-            entries: HashMap::new(),
-            hints: VecDeque::new(),
-        }
+        QueryCache { capacity, clock: 0, entries: HashMap::new() }
     }
 
     /// A hit only if the entry was produced at the current write version.
@@ -140,52 +97,6 @@ impl QueryCache {
 
     pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Records a completed full answer (`hits.len() == k`) as a threshold
-    /// hint, stamped with the op-seq of the snapshot it was computed on.
-    /// Only metric measures are kept — the triangle-inequality bound
-    /// below is unsound for DTW/LCSS/EDR.
-    pub(crate) fn record_hint(
-        &mut self,
-        measure: Measure,
-        query: &[Point],
-        k: usize,
-        state_seq: u64,
-        kth: f64,
-    ) {
-        if self.capacity == 0 || !measure.is_metric() || k == 0 {
-            return;
-        }
-        if self.hints.len() == HINT_RING {
-            self.hints.pop_front();
-        }
-        self.hints.push_back(ThresholdHint {
-            query: Arc::from(query),
-            kth,
-            measure,
-            k,
-            state_seq,
-        });
-    }
-
-    /// The hints usable for a `(measure, k)` query over the snapshot with
-    /// op-seq `state_seq`: same measure, same `k`, same logical dataset
-    /// (any write in between changes the op-seq, and a hint over
-    /// different data — deletes especially — is not a sound bound). The
-    /// caller computes `min(hint.kth + d(q, hint.query))` over these
-    /// *outside* the cache lock — the kernel calls are the expensive part.
-    pub(crate) fn hint_candidates(
-        &self,
-        measure: Measure,
-        k: usize,
-        state_seq: u64,
-    ) -> Vec<ThresholdHint> {
-        self.hints
-            .iter()
-            .filter(|h| h.measure == measure && h.k == k && h.state_seq == state_seq)
-            .cloned()
-            .collect()
     }
 }
 
@@ -240,46 +151,5 @@ mod tests {
         let mut c = QueryCache::new(0);
         c.put(key(1.0, 1), 1, hits(1));
         assert!(c.get(&key(1.0, 1), 1).is_none());
-    }
-
-    #[test]
-    fn hints_match_on_measure_k_and_version() {
-        let mut c = QueryCache::new(8);
-        let q = [Point::new(1.0, 2.0)];
-        c.record_hint(Measure::Hausdorff, &q, 5, 3, 1.25);
-        // Exact context: returned.
-        let got = c.hint_candidates(Measure::Hausdorff, 5, 3);
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].kth, 1.25);
-        assert_eq!(&*got[0].query, &q[..]);
-        // Any mismatch — k, version, or measure — filters it out.
-        assert!(c.hint_candidates(Measure::Hausdorff, 4, 3).is_empty());
-        assert!(c.hint_candidates(Measure::Hausdorff, 5, 4).is_empty());
-        assert!(c.hint_candidates(Measure::Frechet, 5, 3).is_empty());
-    }
-
-    #[test]
-    fn hints_reject_non_metric_measures_and_ring_is_bounded() {
-        let mut c = QueryCache::new(8);
-        let q = [Point::new(0.0, 0.0)];
-        // DTW/LCSS/EDR have no triangle inequality: never recorded.
-        for m in [Measure::Dtw, Measure::Lcss, Measure::Edr] {
-            c.record_hint(m, &q, 3, 1, 0.5);
-            assert!(c.hint_candidates(m, 3, 1).is_empty(), "{m:?}");
-        }
-        // The ring keeps only the most recent HINT_RING entries.
-        for i in 0..20 {
-            c.record_hint(Measure::Hausdorff, &[Point::new(i as f64, 0.0)], 3, 1, i as f64);
-        }
-        let got = c.hint_candidates(Measure::Hausdorff, 3, 1);
-        assert_eq!(got.len(), super::HINT_RING);
-        assert_eq!(got[0].kth, 12.0, "oldest surviving entry");
-    }
-
-    #[test]
-    fn disabled_cache_disables_hints() {
-        let mut c = QueryCache::new(0);
-        c.record_hint(Measure::Hausdorff, &[Point::new(0.0, 0.0)], 3, 1, 0.5);
-        assert!(c.hint_candidates(Measure::Hausdorff, 3, 1).is_empty());
     }
 }

@@ -14,13 +14,13 @@
 //!   *and* its delta against one live `SharedTopK` collector: delta
 //!   candidates are scanned cheapest-stored-summary-bound first under the
 //!   global threshold (hopeless ones abandoned or skipped), the survivors
-//!   seed the trie search (`RpTrie::top_k_shared`), and every accepted
+//!   seed the trie search (`RpTrie::search`), and every accepted
 //!   hit published anywhere tightens every later scan and descent —
 //!   across partitions. The per-partition tasks run **wall-clock
 //!   parallel** on a persistent worker pool, dispatched in *bound order*
 //!   (most promising partition first, so it publishes first);
-//!   [`ReposeService::query_batch`] admits whole batches onto the same
-//!   pool with per-query collectors. Results are exactly what a freshly
+//!   [`ReposeService::query_batch`] is the same engine admitting a whole
+//!   batch onto the pool with per-query collectors. Results are exactly what a freshly
 //!   rebuilt index over the same live data would return.
 //! * **Compaction** ([`ReposeService::compact`]) rebuilds *only the
 //!   partitions dirtied since the last compact* (delta epoch counters +
@@ -31,10 +31,7 @@
 //!   re-partition.
 //! * **Caching**: results are cached per (quantized polyline, k, measure)
 //!   and invalidated by a global write version — a cache hit is never
-//!   staler than the latest completed write. Completed answers also feed
-//!   a threshold-hint ring that pre-bounds near-duplicate queries'
-//!   collectors (metric measures, triangle inequality — sound and
-//!   answer-preserving).
+//!   staler than the latest completed write.
 //! * **Durability & failure model** (opt-in via
 //!   [`ServiceConfig::durability`]): every acknowledged write is recorded
 //!   in a checksummed write-ahead log *before* it is applied, compaction
@@ -97,11 +94,13 @@
 mod cache;
 mod delta;
 mod error;
+mod query;
 mod service;
 mod stats;
 
 pub use error::ServiceError;
-pub use service::{RecoveryReport, ReposeService, ServiceConfig, ServiceOutcome};
+pub use query::ServiceOutcome;
+pub use service::{RecoveryReport, ReposeService, ServiceConfig};
 pub use stats::ServiceStats;
 
 // Durability types callers need to configure [`ServiceConfig::durability`]

@@ -1,5 +1,5 @@
-//! The `ReposeService` itself: shared state layout and the read/write/
-//! compact paths.
+//! The `ReposeService` itself: shared state layout and the write,
+//! compaction and recovery paths.
 //!
 //! # Concurrency design
 //!
@@ -17,45 +17,25 @@
 //!   half-compacted state: they either snapshot entirely before or
 //!   entirely after the swap, and both states answer queries identically.
 //!
-//! # Execution model
-//!
-//! A query's per-partition work (delta scan + trie search) is dispatched
-//! onto a persistent [`WorkerPool`] in **bound order**: partitions sorted
-//! by a cheap lower bound on their best possible hit
-//! ([`repose_rptrie::RpTrie::root_bound`] min'd with the best stored delta
-//! summary bound), so the most promising partition publishes into the
-//! query's [`SharedTopK`] collector first and tightens the live pruning
-//! threshold for everyone else — a priority schedule without any phase
-//! barrier. [`ReposeService::
-//! query_batch`] admits every query of a batch onto the same pool with
-//! per-query collectors, so concurrent read throughput scales with cores
-//! instead of queueing behind one query. With `pool_threads <= 1` the
-//! service runs the same bound-ordered schedule inline on the caller
-//! thread (the sequential reference path; results are identical either
-//! way — see the `shared` module of `repose-rptrie` for the soundness
-//! argument).
+//! The read path — the query engine behind `query`/`query_batch` and the
+//! `query_scatter` loop — lives in [`crate::query`].
 //!
 //! A monotone *write version* ([`AtomicU64`]) is bumped **after** every
 //! completed mutation; cache entries are stamped with the version current
 //! when their query *began*, so a concurrent write always invalidates
-//! in-flight results before they can be served from cache. Completed
-//! answers additionally seed later near-duplicate queries' collectors
-//! through the cache's threshold-hint ring (metric measures only; see
-//! `crate::cache`).
+//! in-flight results before they can be served from cache.
 
-use crate::cache::{CacheKey, QueryCache};
+use crate::cache::QueryCache;
 use crate::delta::{snapshot_len, DeltaLog, DeltaSnapshot};
 use crate::error::ServiceError;
+use crate::query::{check_finite, Snapshot};
 use crate::stats::{ServiceCounters, ServiceStats};
 use repose::{Repose, ReposeConfig};
 use repose_archive::{latest_valid, prune_generations, quarantine, write_archive, Archive, ScrubReport};
-use repose_cluster::{
-    default_pool_threads, AdmissionGate, Clock, Deadline, SystemClock, WorkerPool,
-};
-use repose_distance::{just_above, DistScratch, Measure, MeasureParams, TrajSummary};
+use repose_cluster::{default_pool_threads, AdmissionGate, Clock, SystemClock, WorkerPool};
+use repose_distance::{Measure, MeasureParams};
 use repose_durability::{write_snapshot, DurabilityConfig, FailPlan, Wal, WalCounters, WalRecord};
-use repose_model::{Point, TrajId, TrajStore, Trajectory};
-use repose_rptrie::{Hit, SearchStats, SharedTopK};
+use repose_model::{TrajId, TrajStore, Trajectory};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -70,8 +50,7 @@ const ARCHIVE_GENERATIONS_KEPT: usize = 2;
 /// Tuning knobs for [`ReposeService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Result-cache capacity in entries (0 disables caching *and* the
-    /// threshold-hint ring).
+    /// Result-cache capacity in entries (0 disables caching).
     pub cache_capacity: usize,
     /// Worker threads of the query execution pool. Defaults to the host's
     /// available parallelism ([`repose_cluster::default_pool_threads`]);
@@ -93,7 +72,8 @@ pub struct ServiceConfig {
     /// path bit-for-bit unchanged; `Some(budget)` makes the bound-ordered
     /// schedule stop dispatching partition tasks once the budget expires
     /// and return whatever was found, explicitly marked
-    /// [`ServiceOutcome::degraded`]. Degraded answers are never cached.
+    /// [`ServiceOutcome::degraded`](crate::ServiceOutcome::degraded).
+    /// Degraded answers are never cached.
     pub query_deadline: Option<Duration>,
     /// Maximum concurrently executing (cache-missing) queries before the
     /// admission gate sheds load with [`ServiceError::Overloaded`].
@@ -163,73 +143,6 @@ struct ServeState {
     op_seq: u64,
 }
 
-/// The outcome of one served query.
-#[derive(Debug, Clone)]
-pub struct ServiceOutcome {
-    /// Top-k hits over the live data (frozen ∪ delta − tombstones),
-    /// ascending by distance with ties broken by id.
-    pub hits: Vec<Hit>,
-    /// Host wall time of this call (what a caller actually waited). For a
-    /// query answered as part of [`ReposeService::query_batch`]'s pooled
-    /// execution this is the *batch* wall time — per-query work interleaves
-    /// on the pool, so individual completion times are not meaningful.
-    pub latency: Duration,
-    /// Whether the result came from the cache.
-    pub cache_hit: bool,
-    /// Local-search work counters (all zero on a cache hit).
-    /// `search.exact_abandoned` counts verifications (delta scan + trie
-    /// search) the shared threshold refuted before full kernel cost,
-    /// including delta candidates skipped outright because their stored
-    /// summary bound already lost.
-    pub search: SearchStats,
-    /// Delta-buffer candidates considered for this query.
-    pub delta_candidates: usize,
-    /// Single-thread duration of each partition's task (delta scan + trie
-    /// search), indexed by partition. Empty on a cache hit. Enables
-    /// modeling the pooled schedule on hosts with any core count (see the
-    /// `serve_pool` experiment).
-    pub partition_times: Vec<Duration>,
-    /// The initial collector bound this query started from: finite when a
-    /// cache threshold hint pre-bounded `dk` before the first
-    /// verification, `INFINITY` otherwise.
-    pub threshold_seed: f64,
-    /// Whether the query's deadline expired before every partition was
-    /// searched: the hits are a best-effort partial answer, **not** the
-    /// exact top-k. Always `false` when [`ServiceConfig::query_deadline`]
-    /// is `None` (the default exact path).
-    pub degraded: bool,
-    /// Partitions actually searched (equals the partition count for an
-    /// exact answer; 0 for a cache hit, which needed no search).
-    pub partitions_searched: usize,
-    /// Partitions skipped because the deadline expired before their task
-    /// started (0 for an exact answer).
-    pub partitions_skipped: usize,
-}
-
-/// One partition's completed task.
-struct PartResult {
-    hits: Vec<Hit>,
-    stats: SearchStats,
-    delta_live: usize,
-    time: Duration,
-    /// The task never ran: the query's deadline had already expired when
-    /// it was dispatched.
-    skipped: bool,
-}
-
-impl PartResult {
-    /// The marker for a deadline-skipped task.
-    fn skipped() -> Self {
-        PartResult {
-            hits: Vec::new(),
-            stats: SearchStats::default(),
-            delta_live: 0,
-            time: Duration::ZERO,
-            skipped: true,
-        }
-    }
-}
-
 /// What [`ReposeService::recover`] found and rebuilt.
 #[derive(Debug, Clone)]
 pub struct RecoveryReport {
@@ -274,16 +187,16 @@ pub struct ReposeService {
     cache: Mutex<QueryCache>,
     /// The persistent query-execution pool (`None` when
     /// [`ServiceConfig::pool_threads`] <= 1: the sequential path).
-    pool: Option<WorkerPool>,
+    pub(crate) pool: Option<WorkerPool>,
     /// Bumped after every completed mutation; tags cache entries.
-    version: AtomicU64,
+    pub(crate) version: AtomicU64,
     /// The deployment's measure, copied out so the cache-hit fast path
     /// never touches the state lock.
-    measure: Measure,
+    pub(crate) measure: Measure,
     /// The deployment's measure parameters, copied out so writes can
     /// summarize without touching the state lock.
-    params: MeasureParams,
-    counters: ServiceCounters,
+    pub(crate) params: MeasureParams,
+    pub(crate) counters: ServiceCounters,
     /// The write-ahead log (`None` = volatile service). Its own mutex:
     /// writers take the state lock *then* this one; compaction's
     /// checkpoint takes only this one — a consistent order, no cycle.
@@ -292,11 +205,11 @@ pub struct ReposeService {
     /// compaction checkpoints.
     durability: Option<DurabilityConfig>,
     /// Bounded query admission (limit 0 = unbounded).
-    admission: AdmissionGate,
+    pub(crate) admission: AdmissionGate,
     /// Per-query clock budget (`None` = exact path, no checks).
-    query_deadline: Option<Duration>,
+    pub(crate) query_deadline: Option<Duration>,
     /// The time source deadline decisions read (see [`ServiceConfig::clock`]).
-    clock: Arc<dyn Clock>,
+    pub(crate) clock: Arc<dyn Clock>,
     /// Archive-generation state (`None` = no persistent archives).
     archive: Option<ArchiveState>,
 }
@@ -600,7 +513,7 @@ impl ReposeService {
             .recovered_records
             .store(data_records, Ordering::Relaxed);
         // Start the cache generation strictly above every pre-crash
-        // version so no stale entry or hint could ever match.
+        // version so no stale entry could ever match.
         service
             .version
             .store(replayed.last_seq + 1, Ordering::Release);
@@ -787,448 +700,6 @@ impl ReposeService {
                 .append(&record())?;
         }
         Ok(())
-    }
-
-    /// Exact top-k over the live data.
-    ///
-    /// Every partition's delta scan and trie search shares one
-    /// [`SharedTopK`] collector, and the per-partition tasks run on the
-    /// service's worker pool in bound order (see the module docs), so the
-    /// query's wall-clock latency scales with cores while the answer stays
-    /// exactly what the sequential path returns (identical distance
-    /// multiset; ties may resolve per the paper's Definition 3).
-    pub fn query(&self, query: &[Point], k: usize) -> Result<ServiceOutcome, ServiceError> {
-        check_finite(query, "query")?;
-        let t0 = Instant::now();
-        ServiceCounters::bump(&self.counters.queries);
-
-        let key = CacheKey::new(self.measure, query, k);
-        // Load the version *before* snapshotting: any write that completes
-        // after this load bumps past it, so a result cached under this
-        // version can never be served once newer data exists. (A write
-        // landing between the load and the snapshot merely makes the
-        // cached entry conservatively stale.)
-        let version = self.version.load(Ordering::Acquire);
-        if let Some(hits) = self.lock_cache().get(&key, version) {
-            ServiceCounters::bump(&self.counters.cache_hits);
-            let latency = t0.elapsed();
-            self.counters.record_read(latency);
-            return Ok(ServiceOutcome {
-                hits,
-                latency,
-                cache_hit: true,
-                search: SearchStats::default(),
-                delta_candidates: 0,
-                partition_times: Vec::new(),
-                threshold_seed: f64::INFINITY,
-                degraded: false,
-                partitions_searched: 0,
-                partitions_skipped: 0,
-            });
-        }
-        // Admission is checked only for queries that must search: cache
-        // hits cost nothing and are always served, even under overload.
-        let _permit = match self.admission.try_acquire() {
-            Ok(p) => p,
-            Err(in_flight) => {
-                ServiceCounters::bump(&self.counters.queries_shed);
-                return Err(ServiceError::Overloaded {
-                    in_flight,
-                    limit: self.admission.limit(),
-                });
-            }
-        };
-        ServiceCounters::bump(&self.counters.cache_misses);
-        let deadline = self
-            .query_deadline
-            .map(|budget| Deadline::after(&*self.clock, budget));
-
-        let (frozen, deltas, tombstones, state_seq) = self.snapshot();
-        // Hints are matched on the snapshot's op-seq, *after* the
-        // snapshot: a hint seeds this query iff it was computed on this
-        // exact logical dataset.
-        let threshold_seed = self.hint_bound(query, k, state_seq);
-
-        // One shared collector for the whole query: every partition's
-        // delta scan and trie search publishes into it and prunes with its
-        // live global k-th-distance bound, so a close delta candidate in
-        // partition 0 tightens partition 5's trie descent and vice versa.
-        // A finite threshold hint pre-bounds dk before the first
-        // verification anywhere (inclusively, via `just_above`, so ties at
-        // the seed bound are kept).
-        let collector = if threshold_seed.is_finite() {
-            SharedTopK::with_initial_bound(k, just_above(threshold_seed))
-        } else {
-            SharedTopK::new(k)
-        };
-        let qsum = self.params.summary_of(query);
-        let parts = self.run_partitions(
-            &frozen, &deltas, &tombstones, query, k, &qsum, &collector, deadline,
-        );
-
-        let mut hits: Vec<Hit> = Vec::new();
-        let mut search = SearchStats::default();
-        let mut delta_candidates = 0;
-        let mut partition_times = Vec::with_capacity(parts.len());
-        let mut skipped = 0;
-        for p in &parts {
-            search.merge(&p.stats);
-            delta_candidates += p.delta_live;
-            partition_times.push(p.time);
-            hits.extend_from_slice(&p.hits);
-            skipped += usize::from(p.skipped);
-        }
-        hits.sort_by(Hit::cmp_by_dist_then_id);
-        hits.truncate(k);
-        let degraded = skipped > 0;
-
-        if degraded {
-            // A partial answer must never poison the cache or the
-            // threshold-hint ring: both assume exact k-th distances.
-            ServiceCounters::bump(&self.counters.queries_degraded);
-        } else {
-            let mut cache = self.lock_cache();
-            cache.put(key, version, hits.clone());
-            if hits.len() == k {
-                if let Some(kth) = hits.last() {
-                    cache.record_hint(self.measure, query, k, state_seq, kth.dist);
-                }
-            }
-        }
-        let latency = t0.elapsed();
-        self.counters.record_read(latency);
-        Ok(ServiceOutcome {
-            hits,
-            latency,
-            cache_hit: false,
-            search,
-            delta_candidates,
-            partition_times,
-            threshold_seed,
-            degraded,
-            partitions_searched: parts.len() - skipped,
-            partitions_skipped: skipped,
-        })
-    }
-
-    /// Exact top-k over the live data, executed sequentially in bound
-    /// order with a hook after every partition — the scatter-side entry a
-    /// shard worker drives when this service owns one shard of a larger
-    /// deployment.
-    ///
-    /// `seed_dk` pre-bounds the collector (inclusively, via `just_above`,
-    /// so ties at the seed survive) when finite — typically the
-    /// coordinator's current global k-th-distance bound at scatter time.
-    /// After each partition's task completes, `on_partition` receives the
-    /// query's collector and that partition's accepted hits: the worker
-    /// streams the hits to its coordinator and folds any remotely
-    /// received `Tighten` bounds into the collector
-    /// ([`SharedTopK::tighten`]) so later partitions prune mid-flight.
-    ///
-    /// Cache, admission, deadline, and the worker pool are intentionally
-    /// bypassed: the coordinator owns those policies for a distributed
-    /// query, and shard-level parallelism comes from the shards
-    /// themselves. The union of hits passed to `on_partition` equals the
-    /// hit set a plain [`ReposeService::query`] merges, so a coordinator
-    /// collecting every streamed hit reconstructs the exact answer.
-    pub fn query_scatter(
-        &self,
-        query: &[Point],
-        k: usize,
-        seed_dk: f64,
-        mut on_partition: impl FnMut(&SharedTopK, &[Hit]),
-    ) -> Result<ServiceOutcome, ServiceError> {
-        check_finite(query, "query")?;
-        let t0 = Instant::now();
-        ServiceCounters::bump(&self.counters.queries);
-        ServiceCounters::bump(&self.counters.cache_misses);
-        let (frozen, deltas, tombstones, _state_seq) = self.snapshot();
-        let collector = if seed_dk.is_finite() {
-            SharedTopK::with_initial_bound(k, just_above(seed_dk))
-        } else {
-            SharedTopK::new(k)
-        };
-        let qsum = self.params.summary_of(query);
-        let (order, cands) =
-            partition_schedule(&frozen, &deltas, &tombstones, query, &qsum, self.params);
-
-        let mut hits: Vec<Hit> = Vec::new();
-        let mut search = SearchStats::default();
-        let mut delta_candidates = 0;
-        let mut partition_times = vec![Duration::ZERO; order.len()];
-        for &pi in &order {
-            let p = run_partition(
-                &frozen, &tombstones, query, k, &collector, self.params, &cands[pi], pi,
-            );
-            on_partition(&collector, &p.hits);
-            search.merge(&p.stats);
-            delta_candidates += p.delta_live;
-            partition_times[pi] = p.time;
-            hits.extend_from_slice(&p.hits);
-        }
-        hits.sort_by(Hit::cmp_by_dist_then_id);
-        hits.truncate(k);
-        let latency = t0.elapsed();
-        self.counters.record_read(latency);
-        Ok(ServiceOutcome {
-            hits,
-            latency,
-            cache_hit: false,
-            search,
-            delta_candidates,
-            partition_times,
-            threshold_seed: seed_dk,
-            degraded: false,
-            partitions_searched: order.len(),
-            partitions_skipped: 0,
-        })
-    }
-
-    /// Answers a batch of queries (cache consulted per query).
-    ///
-    /// With the pool enabled, every cache-missing query of the batch is
-    /// admitted onto the pool at once — one task per (query, partition),
-    /// interleaved so each query's most promising partition dispatches
-    /// first — with one [`SharedTopK`] collector *per query*. Concurrent
-    /// read throughput therefore scales with pool threads instead of the
-    /// batch queueing behind one query at a time. Results are exactly the
-    /// per-query [`ReposeService::query`] answers.
-    ///
-    /// A batch holds **one** admission slot for all its cache-missing
-    /// queries (it is one caller); a full gate rejects the whole call
-    /// with [`ServiceError::Overloaded`]. With a configured deadline the
-    /// budget covers the batch, and each query reports its own degraded
-    /// flag.
-    pub fn query_batch(
-        &self,
-        queries: &[Vec<Point>],
-        k: usize,
-    ) -> Result<Vec<ServiceOutcome>, ServiceError> {
-        for q in queries {
-            check_finite(q, "query")?;
-        }
-        let Some(pool) = &self.pool else {
-            return queries.iter().map(|q| self.query(q, k)).collect();
-        };
-        if queries.len() <= 1 {
-            return queries.iter().map(|q| self.query(q, k)).collect();
-        }
-
-        let t0 = Instant::now();
-        let version = self.version.load(Ordering::Acquire);
-        let mut outcomes: Vec<Option<ServiceOutcome>> = Vec::new();
-        outcomes.resize_with(queries.len(), || None);
-        // Unique cache-missing queries; in-batch duplicates collapse onto
-        // one execution (`dup_of[qi]` points at the query that computes
-        // their shared answer), like the sequential path's second-query
-        // cache hit.
-        let mut misses: Vec<usize> = Vec::new();
-        let mut dup_of: Vec<Option<usize>> = vec![None; queries.len()];
-        {
-            let mut cache = self.lock_cache();
-            let mut seen: HashMap<CacheKey, usize> = HashMap::new();
-            for (qi, q) in queries.iter().enumerate() {
-                ServiceCounters::bump(&self.counters.queries);
-                let key = CacheKey::new(self.measure, q, k);
-                if let Some(hits) = cache.get(&key, version) {
-                    ServiceCounters::bump(&self.counters.cache_hits);
-                    // Cache hits are done now; their latency is their own,
-                    // not the batch's.
-                    outcomes[qi] = Some(ServiceOutcome {
-                        hits,
-                        latency: t0.elapsed(),
-                        cache_hit: true,
-                        search: SearchStats::default(),
-                        delta_candidates: 0,
-                        partition_times: Vec::new(),
-                        threshold_seed: f64::INFINITY,
-                        degraded: false,
-                        partitions_searched: 0,
-                        partitions_skipped: 0,
-                    });
-                } else if let Some(&twin) = seen.get(&key) {
-                    ServiceCounters::bump(&self.counters.cache_hits);
-                    dup_of[qi] = Some(twin);
-                } else {
-                    ServiceCounters::bump(&self.counters.cache_misses);
-                    seen.insert(key, qi);
-                    misses.push(qi);
-                }
-            }
-        }
-
-        if !misses.is_empty() {
-            let _permit = match self.admission.try_acquire() {
-                Ok(p) => p,
-                Err(in_flight) => {
-                    ServiceCounters::bump(&self.counters.queries_shed);
-                    return Err(ServiceError::Overloaded {
-                        in_flight,
-                        limit: self.admission.limit(),
-                    });
-                }
-            };
-            let deadline = self
-                .query_deadline
-                .map(|budget| Deadline::after(&*self.clock, budget));
-            let (frozen, deltas, tombstones, state_seq) = self.snapshot();
-            let n = frozen.num_partitions();
-            // Hint seeding happens *after* the snapshot, matched on its
-            // op-seq: a hint applies iff computed on this exact dataset.
-            let seeds: Vec<f64> = misses
-                .iter()
-                .map(|&qi| self.hint_bound(&queries[qi], k, state_seq))
-                .collect();
-            let collectors: Vec<SharedTopK> = seeds
-                .iter()
-                .map(|&b| {
-                    if b.is_finite() {
-                        SharedTopK::with_initial_bound(k, just_above(b))
-                    } else {
-                        SharedTopK::new(k)
-                    }
-                })
-                .collect();
-            let qsums: Vec<TrajSummary> = misses
-                .iter()
-                .map(|&qi| self.params.summary_of(&queries[qi]))
-                .collect();
-            #[allow(clippy::type_complexity)]
-            let schedules: Vec<(Vec<usize>, Vec<Vec<(f64, u64, &[Point])>>)> = misses
-                .iter()
-                .zip(&qsums)
-                .map(|(&qi, qsum)| {
-                    partition_schedule(
-                        &frozen,
-                        &deltas,
-                        &tombstones,
-                        &queries[qi],
-                        qsum,
-                        self.params,
-                    )
-                })
-                .collect();
-            let results: Vec<Vec<Mutex<Option<PartResult>>>> = (0..misses.len())
-                .map(|_| (0..n).map(|_| Mutex::new(None)).collect())
-                .collect();
-
-            pool.scope(|s| {
-                // Rank-major interleaving: every query's best-bound
-                // partition dispatches before any query's second-best, so
-                // each collector tightens as early as possible. (`rank`
-                // deliberately indexes every query's schedule at once —
-                // not a needless range loop over one slice.)
-                #[allow(clippy::needless_range_loop)]
-                for rank in 0..n {
-                    for (mi, &qi) in misses.iter().enumerate() {
-                        let pi = schedules[mi].0[rank];
-                        let slot = &results[mi][pi];
-                        let collector = &collectors[mi];
-                        let cands = &schedules[mi].1[pi];
-                        let query = queries[qi].as_slice();
-                        let frozen = &frozen;
-                        let tombstones = &tombstones;
-                        let params = self.params;
-                        let clock = &self.clock;
-                        s.submit(move || {
-                            // One clock sample decides this dispatch.
-                            let r = if deadline.is_some_and(|d| d.expired_at(clock.now())) {
-                                PartResult::skipped()
-                            } else {
-                                run_partition(
-                                    frozen, tombstones, query, k, collector, params, cands, pi,
-                                )
-                            };
-                            *slot.lock().expect("partition slot") = Some(r);
-                        });
-                    }
-                }
-            });
-
-            let mut cache = self.lock_cache();
-            for (mi, &qi) in misses.iter().enumerate() {
-                let mut hits: Vec<Hit> = Vec::new();
-                let mut search = SearchStats::default();
-                let mut delta_candidates = 0;
-                let mut partition_times = Vec::with_capacity(n);
-                let mut skipped = 0;
-                for slot in &results[mi] {
-                    let p = slot
-                        .lock()
-                        .expect("partition slot")
-                        .take()
-                        .expect("every partition task completed");
-                    search.merge(&p.stats);
-                    delta_candidates += p.delta_live;
-                    partition_times.push(p.time);
-                    hits.extend_from_slice(&p.hits);
-                    skipped += usize::from(p.skipped);
-                }
-                hits.sort_by(Hit::cmp_by_dist_then_id);
-                hits.truncate(k);
-                let degraded = skipped > 0;
-                if degraded {
-                    // Partial answers never reach the cache or the hint
-                    // ring (both assume exact k-th distances).
-                    ServiceCounters::bump(&self.counters.queries_degraded);
-                } else {
-                    let key = CacheKey::new(self.measure, &queries[qi], k);
-                    cache.put(key, version, hits.clone());
-                    if hits.len() == k {
-                        if let Some(kth) = hits.last() {
-                            cache.record_hint(self.measure, &queries[qi], k, state_seq, kth.dist);
-                        }
-                    }
-                }
-                outcomes[qi] = Some(ServiceOutcome {
-                    hits,
-                    latency: Duration::ZERO, // stamped below
-                    cache_hit: false,
-                    search,
-                    delta_candidates,
-                    partition_times,
-                    threshold_seed: seeds[mi],
-                    degraded,
-                    partitions_searched: n - skipped,
-                    partitions_skipped: skipped,
-                });
-            }
-        }
-
-        // In-batch duplicates share their twin's hits but report as cache
-        // hits (they did no search work of their own). A degraded twin's
-        // partial answer is shared too — flagged identically.
-        let latency = t0.elapsed();
-        for qi in 0..queries.len() {
-            if let Some(twin) = dup_of[qi] {
-                let twin = outcomes[twin].as_ref().expect("twin executed");
-                let hits = twin.hits.clone();
-                let degraded = twin.degraded;
-                outcomes[qi] = Some(ServiceOutcome {
-                    hits,
-                    latency,
-                    cache_hit: true,
-                    search: SearchStats::default(),
-                    delta_candidates: 0,
-                    partition_times: Vec::new(),
-                    threshold_seed: f64::INFINITY,
-                    degraded,
-                    partitions_searched: 0,
-                    partitions_skipped: 0,
-                });
-            }
-        }
-        Ok(outcomes
-            .into_iter()
-            .map(|o| {
-                let mut o = o.expect("every query answered");
-                if !o.cache_hit {
-                    o.latency = latency;
-                }
-                self.counters.record_read(o.latency);
-                o
-            })
-            .collect())
     }
 
     /// Folds every buffered write into rebuilt frozen tries —
@@ -1460,273 +931,19 @@ impl ReposeService {
 
     /// The cache's internal structure is valid at every step, so reads
     /// and writes both recover from poisoning.
-    fn lock_cache(&self) -> std::sync::MutexGuard<'_, QueryCache> {
+    pub(crate) fn lock_cache(&self) -> std::sync::MutexGuard<'_, QueryCache> {
         self.cache.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Clones everything a query needs, under a brief read lock: the
-    /// frozen deployment, each partition's delta segments (`Arc` clones —
-    /// any later write starts a new segment rather than touching these),
-    /// the tombstone map, and the op-seq identifying this exact logical
-    /// dataset (the threshold-hint validity key).
-    #[allow(clippy::type_complexity)]
-    fn snapshot(
-        &self,
-    ) -> (Arc<Repose>, Vec<DeltaSnapshot>, Arc<HashMap<TrajId, u64>>, u64) {
+    /// The point-in-time view a query searches (see [`Snapshot`]).
+    pub(crate) fn snapshot(&self) -> Snapshot {
         let s = self.read_state();
-        let deltas = s.deltas.iter().map(DeltaLog::snapshot).collect();
-        (
-            Arc::clone(&s.frozen),
-            deltas,
-            Arc::clone(&s.tombstones),
-            s.op_seq,
-        )
-    }
-
-    /// The tightest sound upper bound on this query's k-th distance the
-    /// threshold-hint ring can offer (`INFINITY` when none): for each
-    /// metric-measure hint `q'` with the same `k` computed on the *same
-    /// logical dataset* (op-seq match — see [`crate::cache`]),
-    /// `dk(q) <= dk(q') + d(q, q')` by the triangle inequality. Kernel
-    /// calls happen outside the cache lock.
-    fn hint_bound(&self, query: &[Point], k: usize, state_seq: u64) -> f64 {
-        let candidates = self
-            .lock_cache()
-            .hint_candidates(self.measure, k, state_seq);
-        let mut bound = f64::INFINITY;
-        for hint in candidates {
-            let d = self.params.distance(self.measure, query, &hint.query);
-            bound = bound.min(hint.kth + d);
+        Snapshot {
+            frozen: Arc::clone(&s.frozen),
+            deltas: s.deltas.iter().map(DeltaLog::snapshot).collect(),
+            tombstones: Arc::clone(&s.tombstones),
         }
-        bound
     }
-
-    /// Executes every partition's task for one query against `collector`,
-    /// in bound order — on the pool when enabled (most promising partition
-    /// inline on the caller, the rest FIFO to the workers), inline
-    /// otherwise. Returns per-partition results indexed by partition.
-    ///
-    /// With a `deadline`, each task checks expiry at the moment it starts
-    /// executing: expired tasks are skipped (marked in their
-    /// [`PartResult`]) instead of searched, so the query returns promptly
-    /// with whatever the on-time partitions found. `None` adds no checks —
-    /// the exact path is untouched.
-    #[allow(clippy::too_many_arguments)]
-    fn run_partitions(
-        &self,
-        frozen: &Arc<Repose>,
-        deltas: &[DeltaSnapshot],
-        tombstones: &Arc<HashMap<TrajId, u64>>,
-        query: &[Point],
-        k: usize,
-        qsum: &TrajSummary,
-        collector: &SharedTopK,
-        deadline: Option<Deadline>,
-    ) -> Vec<PartResult> {
-        let n = frozen.num_partitions();
-        let (order, cands) =
-            partition_schedule(frozen, deltas, tombstones, query, qsum, self.params);
-        let params = self.params;
-        let clock = &self.clock;
-        let run = |pi: usize| {
-            // One clock sample decides this dispatch.
-            if deadline.is_some_and(|d| d.expired_at(clock.now())) {
-                return PartResult::skipped();
-            }
-            run_partition(frozen, tombstones, query, k, collector, params, &cands[pi], pi)
-        };
-        let mut slots: Vec<Option<PartResult>> = Vec::new();
-        slots.resize_with(n, || None);
-        match &self.pool {
-            Some(pool) if n > 1 => {
-                let results: Vec<Mutex<Option<PartResult>>> =
-                    (0..n).map(|_| Mutex::new(None)).collect();
-                pool.scope(|s| {
-                    for &pi in &order[1..] {
-                        let slot = &results[pi];
-                        let run = &run;
-                        s.submit(move || {
-                            *slot.lock().expect("partition slot") = Some(run(pi));
-                        });
-                    }
-                    // The most promising partition runs right here on the
-                    // caller's thread: it starts without dispatch latency
-                    // and its published hits tighten everyone downstream.
-                    *results[order[0]].lock().expect("partition slot") = Some(run(order[0]));
-                });
-                for (slot, result) in slots.iter_mut().zip(results) {
-                    *slot = result.into_inner().expect("partition slot");
-                }
-            }
-            _ => {
-                for &pi in &order {
-                    slots[pi] = Some(run(pi));
-                }
-            }
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every partition task completed"))
-            .collect()
-    }
-}
-
-/// One partition's full task for one query: delta scan (cheapest stored
-/// bound first, under the live shared threshold), then the trie search
-/// seeded with the scan's survivors — both publishing into `collector`.
-/// `cands` is the partition's precomputed live delta candidate list from
-/// [`partition_schedule`] (bounds already priced; no second pass over the
-/// delta segments).
-#[allow(clippy::too_many_arguments)]
-fn run_partition(
-    frozen: &Arc<Repose>,
-    tombstones: &HashMap<TrajId, u64>,
-    query: &[Point],
-    k: usize,
-    collector: &SharedTopK,
-    params: MeasureParams,
-    cands: &[(f64, u64, &[Point])],
-    pi: usize,
-) -> PartResult {
-    let t0 = Instant::now();
-    let view = frozen.partition_view(pi);
-    let mut stats = SearchStats::default();
-    let delta_live = cands.len();
-    let seeds = scan_delta(
-        view.trie.measure(),
-        params,
-        query,
-        k,
-        cands,
-        &mut stats,
-        collector,
-    );
-    let filter = |id: TrajId| !tombstones.contains_key(&id);
-    let local = view
-        .trie
-        .top_k_shared(view.store, query, k, &seeds, Some(&filter), collector);
-    stats.merge(&local.stats);
-    PartResult {
-        hits: local.hits,
-        stats,
-        delta_live,
-        time: t0.elapsed(),
-        skipped: false,
-    }
-}
-
-/// The bound-ordered partition schedule for one query: partitions sorted
-/// ascending by a cheap lower bound on the best hit they could possibly
-/// contain — the trie's root-level `LBo` min'd with the best stored
-/// summary bound among live delta entries. No exact kernels run. The most
-/// promising partition dispatches first, publishes first, and its k-th
-/// distance prunes every later partition; correctness never depends on
-/// the order (any schedule returns the same multiset), only wasted work
-/// does.
-///
-/// The same pass that prices each partition also materializes its live
-/// delta candidate list `(summary bound, id, arena point slice)` — the
-/// exact input [`scan_delta`] needs — so the liveness filtering and O(1)
-/// summary bounds are paid once per query, not once for scheduling and
-/// again per scan.
-#[allow(clippy::type_complexity)]
-fn partition_schedule<'a>(
-    frozen: &Arc<Repose>,
-    deltas: &'a [DeltaSnapshot],
-    tombstones: &HashMap<TrajId, u64>,
-    query: &[Point],
-    qsum: &TrajSummary,
-    params: MeasureParams,
-) -> (Vec<usize>, Vec<Vec<(f64, u64, &'a [Point])>>) {
-    let measure = frozen.config().measure();
-    let n = frozen.num_partitions();
-    debug_assert_eq!(deltas.len(), n);
-    let mut cands: Vec<Vec<(f64, u64, &[Point])>> = Vec::with_capacity(n);
-    let mut keyed: Vec<(f64, usize)> = Vec::with_capacity(n);
-    for (pi, segs) in deltas.iter().enumerate() {
-        let mut key = frozen.partition_view(pi).trie.root_bound(query);
-        let mut list: Vec<(f64, u64, &[Point])> = Vec::with_capacity(snapshot_len(segs));
-        for seg in segs {
-            for slot in 0..seg.store.len() {
-                if seg.is_live(slot, tombstones) {
-                    let lb = params.summary_lower_bound(measure, qsum, &seg.meta[slot].1);
-                    key = key.min(lb);
-                    list.push((lb, seg.store.id(slot), seg.store.points(slot)));
-                }
-            }
-        }
-        cands.push(list);
-        keyed.push((key, pi));
-    }
-    keyed.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    (keyed.into_iter().map(|(_, pi)| pi).collect(), cands)
-}
-
-/// Refuses NaN and ±∞ coordinates at the service edge
-/// ([`ServiceError::InvalidInput`]).
-fn check_finite(points: &[Point], what: &'static str) -> Result<(), ServiceError> {
-    if points.iter().all(Point::is_finite) {
-        Ok(())
-    } else {
-        Err(ServiceError::InvalidInput(what))
-    }
-}
-
-/// Scores one partition's live delta candidates against the query,
-/// cheapest stored summary bound first, keeping the best `k` under the
-/// query's shared threshold
-/// ([`repose_distance::MeasureParams::refine_by_bound`]).
-///
-/// Returns the same `k` best seeds a full exact scan would (ties
-/// included) while charging far less: sort keys are the insert-time
-/// [`TrajSummary`] bounds precomputed by [`partition_schedule`] (O(1) per
-/// candidate, no per-point walk), candidate points are contiguous arena
-/// slices of the delta segments, hopeless candidates are refuted by the
-/// early-abandoning kernel under the live cross-partition bound, and once
-/// even the cheap lower bound cannot beat the global k-th distance the
-/// (sorted) remainder is skipped outright. Accepted hits publish into
-/// `collector` so later partitions' scans and trie searches prune harder.
-/// Every candidate counts as an attempted verification, so
-/// `exact_abandoned <= exact_computations` always holds.
-fn scan_delta(
-    measure: Measure,
-    params: MeasureParams,
-    query: &[Point],
-    k: usize,
-    cands: &[(f64, u64, &[Point])],
-    search: &mut SearchStats,
-    collector: &SharedTopK,
-) -> Vec<Hit> {
-    use repose_distance::RefineEvent;
-
-    if k == 0 || cands.is_empty() {
-        return Vec::new();
-    }
-    let on_event = |e| match e {
-        RefineEvent::Scored { abandoned } => {
-            search.exact_computations += 1;
-            search.exact_abandoned += usize::from(abandoned);
-        }
-        RefineEvent::SkippedRest(n) => {
-            search.exact_computations += n;
-            search.exact_abandoned += n;
-        }
-    };
-    DistScratch::with_thread(|scratch| {
-        params.refine_by_bound(
-            measure,
-            query,
-            k,
-            f64::INFINITY,
-            Some(collector),
-            cands.to_vec(),
-            on_event,
-            scratch,
-        )
-    })
-    .into_iter()
-    .map(|(dist, id)| Hit { id, dist })
-    .collect()
 }
 
 impl std::fmt::Debug for ReposeService {

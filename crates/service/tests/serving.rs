@@ -451,6 +451,66 @@ fn batch_queries_and_latency_stats() {
     assert!(stats.read_latency.p99 >= stats.read_latency.p50);
 }
 
+/// The three query fronts are one engine: over frozen data + live delta
+/// entries + tombstones, `query`, `query_batch` and the hits
+/// `query_scatter` streams to its hook answer identically.
+#[test]
+fn three_fronts_one_engine_for_every_measure() {
+    let k = 9;
+    let (q, q2) = (&queries()[1], &queries()[2]);
+    for measure in Measure::ALL {
+        let service = |pool_threads| {
+            let svc = ReposeService::with_config(
+                Repose::build(&dataset(0..80), config(measure)),
+                // Cache off: every front must search.
+                ServiceConfig { cache_capacity: 0, pool_threads, ..ServiceConfig::default() },
+            );
+            for id in 80..110 {
+                svc.insert(traj(id)).unwrap();
+            }
+            for id in [8u64, 15, 36, 85] {
+                svc.remove(id).unwrap();
+            }
+            svc
+        };
+        let fronts = |svc: &ReposeService| {
+            let single = svc.query(q, k).unwrap();
+            let batched = svc.query_batch(&[q.clone(), q2.clone()], k).unwrap().swap_remove(0);
+            let mut streamed = Vec::new();
+            let scattered = svc
+                .query_scatter(q, k, f64::INFINITY, |_, hits| streamed.extend_from_slice(hits))
+                .unwrap();
+            streamed.sort_by(repose::Hit::cmp_by_dist_then_id);
+            streamed.truncate(k);
+            assert_eq!(streamed, scattered.hits, "{measure}: hook hits vs scatter outcome");
+            [single, batched, scattered]
+        };
+        let list = |o: &repose_service::ServiceOutcome| -> Vec<(u64, u64)> {
+            o.hits.iter().map(|h| (h.dist.to_bits(), h.id)).collect()
+        };
+
+        // Sequential: one deterministic schedule, so everything agrees —
+        // tie resolution and work counters included.
+        let [single, batched, scattered] = fronts(&service(1));
+        assert_eq!(single.hits.len(), k, "{measure}");
+        for (name, other) in [("query_batch", &batched), ("query_scatter", &scattered)] {
+            assert_eq!(list(&single), list(other), "{measure}: query vs {name}");
+            assert_eq!(single.search, other.search, "{measure}: query vs {name}");
+            assert_eq!(single.delta_candidates, other.delta_candidates, "{measure}: {name}");
+        }
+        assert!(single.delta_candidates > 0, "{measure}: delta must be scanned");
+
+        // Pooled: interleavings may resolve ties differently (Definition
+        // 3), the distances may not differ.
+        let want: Vec<u64> = single.hits.iter().map(|h| h.dist.to_bits()).collect();
+        for o in fronts(&service(4)) {
+            let got: Vec<u64> = o.hits.iter().map(|h| h.dist.to_bits()).collect();
+            assert_eq!(got, want, "{measure}: pooled distances differ from sequential");
+            assert_eq!(o.partition_times.len(), 6, "{measure}");
+        }
+    }
+}
+
 /// Trajectories with one NaN, +∞ or −∞ coordinate, in either dimension.
 fn non_finite_inputs() -> Vec<Vec<Point>> {
     let mut out = Vec::new();

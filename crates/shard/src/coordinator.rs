@@ -418,6 +418,21 @@ impl ShardCluster {
     /// Scatter-gathers the exact top-`k` for `query` (see module docs for
     /// the retry/hedge/degradation contract).
     pub fn query(&mut self, query: &[Point], k: usize) -> ShardOutcome {
+        if !query.iter().all(Point::is_finite) {
+            // Every worker's decoder refuses a non-finite frame, so a
+            // scatter could only run each attempt, retry and hedge to
+            // exhaustion. Answer at once with what that would end in.
+            return ShardOutcome {
+                hits: Vec::new(),
+                degraded: true,
+                shards_failed: self.cfg.shards as u32,
+                retries: 0,
+                hedges: 0,
+                tightenings: 0,
+                cache_hit: false,
+                latency: Duration::ZERO,
+            };
+        }
         let t0 = self.clock.now();
         let cache_key = (
             query.iter().map(|p| (p.x.to_bits(), p.y.to_bits())).collect::<Vec<_>>(),
@@ -617,6 +632,11 @@ impl ShardCluster {
     /// acknowledged per the log-before-ack replication contract.
     pub fn insert(&mut self, traj: Trajectory) -> Result<WriteOutcome, WriteFailed> {
         let shard = (traj.id % self.cfg.shards as u64) as usize;
+        if !traj.points.iter().all(Point::is_finite) {
+            // Refused before any frame is sent (see `query`): no node
+            // would decode it, let alone acknowledge it.
+            return Err(WriteFailed { shard, attempts: 0 });
+        }
         let (id, points) = (traj.id, traj.points);
         self.write(shard, |wid| Message::Upsert { wid, id, points: points.clone() })
     }

@@ -21,7 +21,7 @@
 
 use repose::{Repose, ReposeConfig};
 use repose_distance::{Measure, MeasureParams};
-use repose_model::{Dataset, Trajectory};
+use repose_model::{Dataset, Point, Trajectory};
 use repose_service::{ReposeService, ServiceConfig};
 use repose_shard::{
     NetFault, NetFaultPlan, ShardCluster, ShardClusterConfig, Transport, WorkerConfig,
@@ -488,5 +488,47 @@ fn healthy_query_costs_at_most_one_hit_frame_per_partition() {
             out.hits.len()
         );
     }
+    cluster.shutdown();
+}
+
+/// Non-finite coordinates never reach the wire: a query degrades at once
+/// with every shard failed, an insert is refused with zero attempts, no
+/// frame is sent for either (so no retry ladder runs and no shard thread
+/// meets an undecodable frame), and the cluster keeps answering exactly.
+/// (Unreplicated: no heartbeats share the counter.)
+#[test]
+fn non_finite_input_is_refused_before_any_frame_is_sent() {
+    let measure = Measure::Hausdorff;
+    let reference = single_node(tie_dataset(0..60), measure);
+    let mut cluster = ShardCluster::build(
+        tie_dataset(0..60),
+        repose_config(measure),
+        cluster_config(false),
+        NetFaultPlan::new(),
+        None,
+    );
+    let q = &tie_queries()[0];
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let mut points = q.clone();
+        points[1] = Point::new(points[1].x, bad);
+        let before = cluster.transport().net_stats().sent;
+
+        let out = cluster.query(&points, 5);
+        assert!(out.degraded && !out.cache_hit && out.hits.is_empty(), "{bad}");
+        assert_eq!((out.shards_failed, out.retries, out.hedges), (SHARDS as u32, 0, 0), "{bad}");
+        assert!(!cluster.query(&points, 5).cache_hit, "{bad}: a refusal was cached");
+
+        let refused = cluster.insert(Trajectory::new(7_000, points)).unwrap_err();
+        assert_eq!((refused.shard, refused.attempts), (7_000 % SHARDS, 0), "{bad}");
+
+        assert_eq!(cluster.transport().net_stats().sent, before, "{bad}: a frame was sent");
+    }
+    let want = reference.query(q, 5).expect("reference");
+    let got = cluster.query(q, 5);
+    assert!(!got.degraded);
+    assert_eq!(
+        sorted_dist_bits(got.hits.iter().map(|h| h.dist)),
+        sorted_dist_bits(want.hits.iter().map(|h| h.dist)),
+    );
     cluster.shutdown();
 }

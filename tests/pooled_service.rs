@@ -312,70 +312,10 @@ fn out_of_region_writes_fall_back_to_full_rebuild() {
     assert_eq!(svc.query(&q, 1).unwrap().hits[0].id, 9_999_999);
 }
 
-/// The cache threshold-hint ring seeds near-duplicate queries' collectors
-/// with a finite sound bound — and never changes answers.
+/// A repeated batch is served entirely from the cache and agrees with the
+/// batch that filled it.
 #[test]
-fn threshold_hints_seed_near_duplicate_queries_soundly() {
-    let measure = Measure::Hausdorff;
-    // Cache ON here (hints ride the cache) but pool off for determinism
-    // of the work counters.
-    let svc = ReposeService::with_config(
-        Repose::build(&tie_dataset(0..100), config(measure, 8)),
-        ServiceConfig { cache_capacity: 64, pool_threads: 1, ..ServiceConfig::default() },
-    );
-    let unseeded_svc = ReposeService::with_config(
-        Repose::build(&tie_dataset(0..100), config(measure, 8)),
-        ServiceConfig { cache_capacity: 0, pool_threads: 1, ..ServiceConfig::default() },
-    );
-    let q1: Vec<Point> = (0..8).map(|s| Point::new(0.2 + s as f64 * 0.5, 0.1)).collect();
-    // Nearby but distinct (beyond cache-key quantization).
-    let q2: Vec<Point> = q1.iter().map(|p| Point::new(p.x + 0.05, p.y)).collect();
-    let k = 7;
-
-    let first = svc.query(&q1, k).unwrap();
-    assert!(!first.cache_hit);
-    assert_eq!(first.threshold_seed, f64::INFINITY, "nothing to seed from yet");
-
-    let second = svc.query(&q2, k).unwrap();
-    assert!(!second.cache_hit, "a *near*-duplicate must not be a cache hit");
-    assert!(
-        second.threshold_seed.is_finite(),
-        "near-duplicate query should be hint-seeded"
-    );
-    // Seeding must not change the answer...
-    let truth = unseeded_svc.query(&q2, k).unwrap();
-    assert_eq!(
-        second
-            .hits
-            .iter()
-            .map(|h| (h.dist.to_bits(), h.id))
-            .collect::<Vec<_>>(),
-        truth
-            .hits
-            .iter()
-            .map(|h| (h.dist.to_bits(), h.id))
-            .collect::<Vec<_>>(),
-        "hint seeding changed the answer"
-    );
-    // ...and the seed is a sound upper bound on the k-th distance.
-    assert!(second.hits.last().expect("k hits").dist <= second.threshold_seed);
-
-    // A write invalidates the hint (version mismatch): next near query
-    // starts unseeded again.
-    svc.insert(tie_traj(7777)).unwrap();
-    let third = svc.query(&q1, k).unwrap();
-    assert!(!third.cache_hit);
-    assert_eq!(
-        third.threshold_seed,
-        f64::INFINITY,
-        "stale-version hint must not seed"
-    );
-}
-
-/// Batch queries on the pooled path also get hint seeding (from earlier
-/// batches/queries), and batched near-duplicates answer identically.
-#[test]
-fn batch_hints_and_repeat_batches_agree() {
+fn repeat_batches_are_served_from_cache_and_agree() {
     let measure = Measure::Frechet;
     let svc = ReposeService::with_config(
         Repose::build(&tie_dataset(0..100), config(measure, 8)),
@@ -392,27 +332,6 @@ fn batch_hints_and_repeat_batches_agree() {
             b.hits.iter().map(|h| h.id).collect::<Vec<_>>()
         );
     }
-    // Near-duplicates of the first batch: seeded, same answers as fresh.
-    let near: Vec<Vec<Point>> = qs
-        .iter()
-        .map(|q| q.iter().map(|p| Point::new(p.x + 0.03, p.y)).collect())
-        .collect();
-    let seeded = svc.query_batch(&near, 5).unwrap();
-    let fresh_svc = ReposeService::with_config(
-        Repose::build(&tie_dataset(0..100), config(measure, 8)),
-        ServiceConfig { cache_capacity: 0, pool_threads: 1, ..ServiceConfig::default() },
-    );
-    let mut any_seeded = false;
-    for (q, s) in near.iter().zip(&seeded) {
-        any_seeded |= s.threshold_seed.is_finite();
-        let f = fresh_svc.query(q, 5).unwrap();
-        let mut sd: Vec<u64> = s.hits.iter().map(|h| h.dist.to_bits()).collect();
-        let mut fd: Vec<u64> = f.hits.iter().map(|h| h.dist.to_bits()).collect();
-        sd.sort_unstable();
-        fd.sort_unstable();
-        assert_eq!(sd, fd, "seeded batch answer differs from unseeded truth");
-    }
-    assert!(any_seeded, "no batch query was hint-seeded");
 }
 
 /// Duplicate queries inside one pooled batch collapse onto a single
