@@ -28,6 +28,12 @@
 //!   (candidates share each query column load), sequential fallback for
 //!   the other measures.
 //!
+//! DTW rows also show the verification **cascade** a candidate passes
+//! under that k-th distance — `summary_refused / nn_refused / dp_abandoned /
+//! accepted` — with the nearest-neighbour stage's decision recomputed here
+//! from its definition (the stage itself is crate-private) and its
+//! soundness asserted against the seed DTW.
+//!
 //! Timing is min-of-repeats per arm. Bit-identity of every arm against
 //! the seed path is asserted in-run, per backend — the experiment is
 //! itself a differential test, not just a stopwatch.
@@ -68,6 +74,31 @@ struct MeasureRow {
     scan_batch_s: f64,
     abandoned: usize,
     scanned: usize,
+    /// DTW only: where each candidate's verification ended.
+    cascade: Option<Cascade>,
+}
+
+/// The fate of every candidate of one DTW leaf-verification scan, stage by
+/// stage: refused by the O(1) summary bound, refused by the point-level
+/// nearest-neighbour bound, abandoned inside the dynamic program, accepted.
+#[derive(Clone, Copy)]
+struct Cascade {
+    summary_refused: usize,
+    nn_refused: usize,
+    dp_abandoned: usize,
+    accepted: usize,
+}
+
+/// The bound the DTW nearest-neighbour stage applies, from its definition:
+/// the larger of `Σ_i min_j d(q_i, c_j)` and `Σ_j min_i d(q_i, c_j)`, each
+/// summed in index order.
+fn dtw_nn_bound(query: &[Point], cand: &[Point]) -> f64 {
+    let nearest_sum = |from: &[Point], to: &[Point]| -> f64 {
+        from.iter()
+            .map(|p| to.iter().map(|q| p.dist(q)).fold(f64::INFINITY, f64::min))
+            .sum()
+    };
+    nearest_sum(query, cand).max(nearest_sum(cand, query))
 }
 
 /// Whether `backend` has single-pair kernels of its own for `measure`
@@ -218,7 +249,36 @@ fn run_measure(
         );
     }
 
+    // The DTW cascade under the cutoff `kth` (threshold `dk`), over every
+    // candidate. `bound_exceeds(lb, kth)` is the refusal test both bound
+    // stages apply at `dk = just_above(kth)`.
+    let cascade = (measure == Measure::Dtw).then(|| {
+        let mut c = Cascade {
+            summary_refused: summaries.len() - kernel_cands.len(),
+            nn_refused: 0,
+            dp_abandoned: 0,
+            accepted: 0,
+        };
+        for (&(slot, _), got) in kernel_cands.iter().zip(&batch_out) {
+            if bound_exceeds(dtw_nn_bound(query, store.points(slot)), kth) {
+                assert!(
+                    seed_dists[slot] >= dk,
+                    "DTW on {backend}: the nearest-neighbour bound refused slot {slot} under \
+                     {dk} but its seed DTW is {}",
+                    seed_dists[slot]
+                );
+                c.nn_refused += 1;
+            } else if got.is_none() {
+                c.dp_abandoned += 1;
+            } else {
+                c.accepted += 1;
+            }
+        }
+        c
+    });
+
     Some(MeasureRow {
+        cascade,
         full_seed_s,
         scan_seed_s,
         full_arena_s,
@@ -279,6 +339,12 @@ pub fn run(exp: &ExpConfig) -> Value {
                 fmt_secs(r.scan_batch_s),
                 times(Some(batch_speedup)),
                 format!("{}/{}", r.abandoned, r.scanned),
+                r.cascade.map_or("-".to_string(), |c| {
+                    format!(
+                        "{}/{}/{}/{}",
+                        c.summary_refused, c.nn_refused, c.dp_abandoned, c.accepted
+                    )
+                }),
             ]);
             out.push(json!({
                 "backend": backend.name(),
@@ -293,6 +359,12 @@ pub fn run(exp: &ExpConfig) -> Value {
                 "batch_speedup": batch_speedup,
                 "scan_abandoned": r.abandoned,
                 "scanned": r.scanned,
+                "cascade": r.cascade.map(|c| json!({
+                    "summary_refused": c.summary_refused,
+                    "nn_refused": c.nn_refused,
+                    "dp_abandoned": c.dp_abandoned,
+                    "accepted": c.accepted,
+                })),
             }));
         }
     }
@@ -315,6 +387,7 @@ pub fn run(exp: &ExpConfig) -> Value {
         &[
             "Backend", "Measure", "full seed", "full arena", "speedup", "scan seed",
             "scan arena", "speedup", "scan batch", "speedup", "abandoned",
+            "sum/nn/dp/ok",
         ],
         &rows,
     );
@@ -357,7 +430,19 @@ mod tests {
             assert_eq!(row["full_speedup"].as_f64().is_some(), single_pair);
             assert!(row["batch_speedup"].as_f64().unwrap() > 0.0);
             let scanned = row["scanned"].as_u64().unwrap();
-            assert!(row["scan_abandoned"].as_u64().unwrap() <= scanned);
+            let abandoned = row["scan_abandoned"].as_u64().unwrap();
+            assert!(abandoned <= scanned);
+            // The cascade is a DTW column, and it accounts for every
+            // candidate: the two kernel-side refusals are the scan's
+            // abandons.
+            let cascade = &row["cascade"];
+            let is_dtw = row["measure"].as_str().unwrap() == "DTW";
+            assert_eq!(*cascade == Value::Null, !is_dtw);
+            if is_dtw {
+                let count = |key: &str| cascade[key].as_u64().unwrap();
+                assert_eq!(count("nn_refused") + count("dp_abandoned"), abandoned);
+                assert_eq!(abandoned + count("accepted"), scanned);
+            }
         }
         let summary = &rows[n_rows];
         assert!(summary["summary"].as_bool().unwrap());

@@ -1,3 +1,10 @@
+//! Hausdorff distance (Definition 2): the unbounded one-pass kernel, the
+//! incremental [`HausdorffState`] the trie search pushes reference points
+//! into, and the nearest-neighbour sweep under both — [`nn_sweep`], one pass
+//! over the squared-distance matrix keeping row and column minima. Hausdorff
+//! folds those minima by `max`; the DTW nearest-neighbour stage
+//! ([`crate::within`]) reuses the same sweep and folds them by `Σ√`.
+
 use crate::DistScratch;
 use repose_model::Point;
 
@@ -31,24 +38,28 @@ pub fn hausdorff(t1: &[Point], t2: &[Point]) -> f64 {
     DistScratch::with_thread(|s| hausdorff_in(t1, t2, s))
 }
 
-/// [`hausdorff`] against a caller-managed scratch (which holds the
-/// column-minima row): zero heap allocations once `scratch` is warm.
+/// One pass over the `m x n` squared-distance matrix keeping every row's
+/// and every column's minimum — each point's squared distance to its nearest
+/// neighbour in the other trajectory (what Fig. 4 of the paper depicts).
 ///
-/// The one unbounded kernel that is not its threshold kernel at `+∞`: a
-/// single pass over the `m x n` matrix keeps row minima for one direction
-/// and column minima for the other (what Fig. 4 of the paper depicts),
-/// which beats two directed passes when nothing can be abandoned. The whole
-/// pass stays in squared-distance space; the single `sqrt` happens at the
-/// end. Dispatches to the active backend's packed form of the same pass —
-/// bit-identical either way (see [`crate::backend`]).
-pub(crate) fn hausdorff_in(t1: &[Point], t2: &[Point], scratch: &mut DistScratch) -> f64 {
-    if t1.is_empty() || t2.is_empty() {
-        return if t1.is_empty() && t2.is_empty() { 0.0 } else { f64::INFINITY };
-    }
-    crate::backend::simd_dispatch!(hausdorff(t1, t2, scratch));
-    let col_min = scratch.f1_uninit(t2.len());
+/// Row minima are handed to `row` in `t1` order as they complete; `row`
+/// returning `false` stops the sweep (the function then returns `false` and
+/// `col_min` is partial). After a full sweep `col_min[j]` holds
+/// `min_i d²(t1[i], t2[j])`. Two folds consume this: [`hausdorff_in`] takes
+/// the `max` of the minima, the DTW nearest-neighbour stage
+/// ([`crate::within::dtw_nn_refutes`]) their `Σ√`. This is the scalar form;
+/// `simd::kern::sweep` is the packed one, value-identical because `f64` min
+/// of non-NaN values is order-independent. `col_min.len()` must equal
+/// `t2.len()`.
+#[inline]
+pub(crate) fn nn_sweep(
+    t1: &[Point],
+    t2: &[Point],
+    col_min: &mut [f64],
+    mut row: impl FnMut(f64) -> bool,
+) -> bool {
+    debug_assert_eq!(col_min.len(), t2.len());
     col_min.fill(f64::INFINITY);
-    let mut worst_row = 0.0f64;
     for a in t1 {
         let mut row_min = f64::INFINITY;
         for (b, cm) in t2.iter().zip(col_min.iter_mut()) {
@@ -60,10 +71,36 @@ pub(crate) fn hausdorff_in(t1: &[Point], t2: &[Point], scratch: &mut DistScratch
                 *cm = d;
             }
         }
+        if !row(row_min) {
+            return false;
+        }
+    }
+    true
+}
+
+/// [`hausdorff`] against a caller-managed scratch (which holds the
+/// column-minima row): zero heap allocations once `scratch` is warm.
+///
+/// The one unbounded kernel that is not its threshold kernel at `+∞`: the
+/// `max` fold of a single [`nn_sweep`] — row minima for one direction,
+/// column minima for the other — which beats two directed passes when
+/// nothing can be abandoned. The whole pass stays in squared-distance space;
+/// the single `sqrt` happens at the end. Dispatches to the active backend's
+/// packed form of the same pass — bit-identical either way (see
+/// [`crate::backend`]).
+pub(crate) fn hausdorff_in(t1: &[Point], t2: &[Point], scratch: &mut DistScratch) -> f64 {
+    if t1.is_empty() || t2.is_empty() {
+        return if t1.is_empty() && t2.is_empty() { 0.0 } else { f64::INFINITY };
+    }
+    crate::backend::simd_dispatch!(hausdorff(t1, t2, scratch));
+    let col_min = scratch.f1_uninit(t2.len());
+    let mut worst_row = 0.0f64;
+    nn_sweep(t1, t2, col_min, |row_min| {
         if row_min > worst_row {
             worst_row = row_min;
         }
-    }
+        true
+    });
     let worst_col = col_min.iter().cloned().fold(0.0f64, f64::max);
     worst_row.max(worst_col).sqrt()
 }

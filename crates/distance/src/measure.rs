@@ -1,8 +1,8 @@
 use crate::hausdorff::hausdorff_in;
 use crate::within::{
-    bound_exceeds, dtw_lb, dtw_within, edr_lb, edr_within, erp_lb, erp_within, frechet_lb,
-    frechet_within, hausdorff_lb, hausdorff_within, just_above, lcss_distance_within, lcss_lb,
-    prefilter_rejects, RunningTopK,
+    bound_exceeds, dtw_dp_within, dtw_lb, dtw_nn_refutes, dtw_within, edr_lb, edr_within, erp_lb,
+    erp_within, frechet_lb, frechet_within, hausdorff_lb, hausdorff_within, just_above,
+    lcss_distance_within, lcss_lb, prefilter_rejects, RunningTopK,
 };
 use crate::DistScratch;
 use repose_model::Point;
@@ -281,9 +281,11 @@ impl MeasureParams {
     }
 
     /// Scores one lane group: prefilter-rejected and empty candidates are
-    /// settled without touching a kernel, survivors go through the
-    /// backend's batched kernel (or the sequential kernel when only one
-    /// survives — a one-lane vector would waste the whole group's gathers).
+    /// settled without touching a kernel, and a DTW candidate must also
+    /// pass the nearest-neighbour stage before it may take a lane;
+    /// survivors go through the backend's batched kernel (or the sequential
+    /// kernel when only one survives — a one-lane vector would waste the
+    /// whole group's gathers).
     #[cfg(target_arch = "x86_64")]
     #[allow(clippy::too_many_arguments, unsafe_code)]
     fn batch_lane_group(
@@ -306,6 +308,8 @@ impl MeasureParams {
             } else if pts.is_empty() {
                 out[i] =
                     self.distance_within_from_lb_in(measure, query, pts, threshold, lb, scratch);
+            } else if measure == Measure::Dtw && dtw_nn_refutes(query, pts, threshold, scratch) {
+                out[i] = None;
             } else {
                 group[nl] = pts;
                 slot[nl] = i;
@@ -317,8 +321,13 @@ impl MeasureParams {
         }
         if nl == 1 {
             let (lb, pts) = cands[slot[0]];
-            out[slot[0]] =
-                self.distance_within_from_lb_in(measure, query, pts, threshold, lb, scratch);
+            out[slot[0]] = if measure == Measure::Dtw {
+                // Already past the prefilter and the nearest-neighbour
+                // stage: straight to the dynamic program.
+                dtw_dp_within(query, pts, threshold, scratch)
+            } else {
+                self.distance_within_from_lb_in(measure, query, pts, threshold, lb, scratch)
+            };
             return;
         }
         let mut lane_out = [None; BATCH_LANES];

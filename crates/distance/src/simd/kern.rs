@@ -1,44 +1,48 @@
-//! The packed single-pair Hausdorff kernels, monomorphized per backend
-//! width — the only single-pair SIMD kernels in the crate.
+//! The packed single-pair nearest-neighbour kernels, monomorphized per
+//! backend width — the only single-pair SIMD kernels in the crate.
 //!
-//! Hausdorff has no dependency chain: every cell of the `m x n` squared
-//! distance matrix is independent and the result is a max of row/column
-//! minima, so one pair vectorizes cleanly along a row (`W` reference points
-//! per step, vector row-minima and column-minima updates). `f64` min/max of
-//! non-NaN values is order-independent, so any reduction order gives the
-//! scalar kernel's bits. The other five measures are dynamic programs
-//! whose serial min-chain cannot be lane-split within one pair; packing
-//! only their ground distances measured *slower* than the scalar kernels
-//! on the 120k benchmark, so for them SIMD exists only across candidates
+//! A nearest-neighbour pass has no dependency chain: every cell of the
+//! `m x n` squared distance matrix is independent and only row/column
+//! minima are kept, so one pair vectorizes cleanly along a row (`W`
+//! reference points per step, vector row-minima and column-minima updates).
+//! `f64` min/max of non-NaN values is order-independent, so any reduction
+//! order gives the scalar kernel's bits. One [`sweep`] serves two folds of
+//! those minima: Hausdorff takes their `max` ([`hausdorff`]), the DTW
+//! nearest-neighbour stage their `Σ√` ([`crate::within::sum_sqrt_refutes`],
+//! a lower bound that refuses most candidates before the dynamic program).
+//! The five non-Hausdorff measures' exact kernels are dynamic programs whose
+//! serial min-chain cannot be lane-split within one pair; packing only their
+//! ground distances measured *slower* than the scalar kernels on the 120k
+//! benchmark, so for them SIMD exists only across candidates
 //! ([`super::batch`]).
 //!
-//! The kernels assume non-empty inputs, finite coordinates and (for
-//! [`hausdorff_within`]) a positive non-NaN threshold; the dispatching
-//! entry points handle the degenerate cases first.
+//! The kernels assume non-empty inputs, finite coordinates and (where they
+//! take one) a positive non-NaN threshold; the dispatching entry points
+//! handle the degenerate cases first.
 
 use super::ops::F64s;
 use crate::DistScratch;
 use repose_model::Point;
 
-/// Hausdorff in squared space with packed row/column minima — identical
-/// values to the scalar single-pass kernel (min/max of non-NaN squared
-/// distances is order-independent).
+/// The packed form of [`crate::hausdorff::nn_sweep`] (same contract, same
+/// values): one pass over the squared distance matrix handing each row's
+/// minimum to `row` and leaving the column minima in `col_min`.
 ///
 /// # Safety
 ///
 /// The CPU must support `V`'s instruction set. Every `load_points`/`loadu`/
 /// `storeu` at offset `j` is guarded by `j + V::W <= n`, the length of both
-/// `t2` and `col_min`.
+/// `t2` and `col_min` (asserted on entry).
 #[inline(always)]
-pub(crate) unsafe fn hausdorff<V: F64s>(
+pub(crate) unsafe fn sweep<V: F64s>(
     t1: &[Point],
     t2: &[Point],
-    scratch: &mut DistScratch,
-) -> f64 {
+    col_min: &mut [f64],
+    mut row: impl FnMut(f64) -> bool,
+) -> bool {
     let n = t2.len();
-    let col_min = scratch.f1_uninit(n);
+    assert_eq!(col_min.len(), n, "one column minimum per point of `t2`");
     col_min.fill(f64::INFINITY);
-    let mut worst_row = 0.0f64;
     for a in t1 {
         let (ax, ay) = (V::splat(a.x), V::splat(a.y));
         let mut rmv = V::splat(f64::INFINITY);
@@ -64,10 +68,33 @@ pub(crate) unsafe fn hausdorff<V: F64s>(
             }
             j += 1;
         }
+        if !row(row_min) {
+            return false;
+        }
+    }
+    true
+}
+
+/// Hausdorff — the `max` fold of the sweep, in squared space with one final
+/// `sqrt`: identical values to the scalar single-pass kernel.
+///
+/// # Safety
+///
+/// The CPU must support `V`'s instruction set.
+#[inline(always)]
+pub(crate) unsafe fn hausdorff<V: F64s>(
+    t1: &[Point],
+    t2: &[Point],
+    scratch: &mut DistScratch,
+) -> f64 {
+    let col_min = scratch.f1_uninit(t2.len());
+    let mut worst_row = 0.0f64;
+    sweep::<V>(t1, t2, col_min, |row_min| {
         if row_min > worst_row {
             worst_row = row_min;
         }
-    }
+        true
+    });
     let worst_col = col_min.iter().cloned().fold(0.0f64, f64::max);
     worst_row.max(worst_col).sqrt()
 }

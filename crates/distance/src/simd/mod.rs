@@ -5,14 +5,18 @@
 //!
 //! * [`ops`] — the [`ops::F64s`] packed-`f64` trait (`__m128d` = SSE4.1,
 //!   `__m256d` = AVX2) every generic kernel is monomorphized over.
-//! * [`kern`] — the packed single-pair Hausdorff kernels (unbounded and
-//!   threshold-aware). No other measure has a single-pair SIMD form: the
-//!   ones this module used to carry lost to the scalar kernels.
+//! * [`kern`] — the packed single-pair nearest-neighbour kernels: one
+//!   row/column-minima sweep folded two ways (Hausdorff's `max`, the DTW
+//!   nearest-neighbour stage's `Σ√`) and Hausdorff's threshold-aware
+//!   directed passes. No measure's dynamic program has a single-pair SIMD
+//!   form: the ones this module used to carry lost to the scalar kernels.
 //! * [`batch`] — multi-candidate batched verification (DTW, Fréchet, ERP):
 //!   up to `W` leaf candidates verified against one query in parallel
 //!   lanes.
 //! * [`sse41`] / [`avx2`] — thin `#[target_feature]` wrappers that
-//!   monomorphize the generics at each width. Inlining the `inline(always)`
+//!   monomorphize the generics at each width (the DTW nearest-neighbour
+//!   wrapper also instantiates the scalar form's `Σ√` fold over the packed
+//!   sweep, so the fold is written once). Inlining the `inline(always)`
 //!   generic bodies *into* the `#[target_feature]` wrapper is what lets
 //!   rustc emit the wide instructions while the crate itself stays
 //!   baseline-compatible; the wrappers are `unsafe fn` and the dispatcher
@@ -33,7 +37,9 @@
 //!    reduction order does not change the result.
 //! 4. Squared-space kernels (Fréchet, Hausdorff) take one final IEEE `sqrt`,
 //!    which is correctly rounded and monotone — the same argument the
-//!    scalar kernels already rely on.
+//!    scalar kernels already rely on. The DTW nearest-neighbour stage takes
+//!    one `sqrt` per row/column minimum and adds them in index order on
+//!    every backend, so its sums — and its refusals — are the scalar ones.
 //! 5. Early abandons may fire at backend-specific points, but only when the
 //!    final distance provably reaches the threshold, and every survivor
 //!    passes the same final `(d < threshold)` gate — so the `Some`/`None`
@@ -57,6 +63,7 @@ macro_rules! backend_impls {
         /// requirements of the generic kernel it instantiates.
         pub(crate) mod $modname {
             use super::{batch, kern};
+            use crate::within::sum_sqrt_refutes;
             use crate::DistScratch;
             use repose_model::Point;
 
@@ -69,6 +76,21 @@ macro_rules! backend_impls {
                 s: &mut DistScratch,
             ) -> f64 {
                 kern::hausdorff::<V>(t1, t2, s)
+            }
+
+            /// [`crate::within::dtw_nn_refutes`] over the packed sweep: the
+            /// fold is the scalar form's own, instantiated here so that it
+            /// and the sweep inline into one `#[target_feature]` body.
+            #[target_feature(enable = $feat)]
+            pub(crate) unsafe fn dtw_nn_refutes(
+                t1: &[Point],
+                t2: &[Point],
+                threshold: f64,
+                s: &mut DistScratch,
+            ) -> bool {
+                sum_sqrt_refutes(s.f1_uninit(t2.len()), threshold, |col_min, rows| {
+                    kern::sweep::<V>(t1, t2, col_min, |row_min| rows.admits(row_min))
+                })
             }
 
             #[target_feature(enable = $feat)]

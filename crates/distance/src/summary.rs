@@ -79,8 +79,10 @@ impl MeasureParams {
     /// trajectories under `measure`.
     ///
     /// Every term is a relaxation of the corresponding
-    /// [`MeasureParams::lower_bound`] argument, so the result never exceeds
-    /// it — it is a weaker bound bought at constant cost. Feed it to
+    /// [`MeasureParams::lower_bound`] argument (which, for Fréchet and DTW,
+    /// includes the start–start and end–end distances used here), so the
+    /// result never exceeds it — it is a weaker bound bought at constant
+    /// cost, and the test suites hold both to that. Feed it to
     /// [`MeasureParams::distance_within_from_lb`] (never to a site that
     /// needs the tighter per-point bound for exactness — there is none; all
     /// callers only require *some* sound lower bound).
@@ -182,6 +184,8 @@ mod tests {
                 pts(&[(0.1, 0.1), (5.1, 0.1), (5.1, 5.1)]),
             ),
             (pts(&[(2.0, 2.0)]), pts(&[(2.5, 2.0), (7.0, 7.0)])),
+            // Same MBR, opposite direction: only the endpoint terms see it.
+            (pts(&[(0.0, 0.0), (10.0, 0.0)]), pts(&[(10.0, 0.0), (0.0, 0.0)])),
         ]
     }
 
@@ -196,6 +200,8 @@ mod tests {
                     let lb = params.summary_lower_bound(m, &sa, &sb);
                     let d = params.distance(m, &a, &b);
                     assert!(lb <= d + 1e-9, "{m} eps={eps}: summary lb {lb} > exact {d}");
+                    let full = params.lower_bound(m, &a, &b);
+                    assert!(lb <= full + 1e-9, "{m} eps={eps}: summary lb {lb} > full lb {full}");
                 }
             }
         }

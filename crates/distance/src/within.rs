@@ -21,13 +21,19 @@
 //! A caller holding a running top-k threshold `dk` can therefore substitute
 //! `distance_within(.., dk)` for `distance(..)` without changing any query
 //! result — while paying far less than the full `O(m·n)` cost on candidates
-//! that were never going to make the top-k. Two mechanisms provide the
+//! that were never going to make the top-k. Three mechanisms provide the
 //! savings:
 //!
 //! 1. A cheap `O(m + n)` **prefilter** ([`crate::MeasureParams::lower_bound`]):
 //!    MBR/endpoint/gap-sum lower bounds that skip the dynamic program
 //!    entirely for far-away candidates.
-//! 2. **Row-wise abandoning** inside the exact computation: Hausdorff stops
+//! 2. For DTW, a point-level **nearest-neighbour stage** (`dtw_nn_refutes`,
+//!    soundness argument there): the sums of every point's distance to its
+//!    nearest neighbour in the other trajectory — Hausdorff's row/column
+//!    minima sweep ([`crate::hausdorff`]) folded by `Σ√` instead of `max` —
+//!    refuse most candidates the prefilter lets through, at about a quarter
+//!    of the dynamic program's cost.
+//! 3. **Row-wise abandoning** inside the exact computation: Hausdorff stops
 //!    as soon as any point's nearest-neighbour distance reaches the
 //!    threshold; Frechet/DTW/ERP/EDR stop when an entire DP row/column
 //!    minimum reaches it (sound because their per-row minima never decrease
@@ -42,6 +48,7 @@
 
 use crate::dtw::{dtw_advance, dtw_advance2};
 use crate::frechet::{frechet_advance, frechet_advance2};
+use crate::hausdorff::nn_sweep;
 use crate::DistScratch;
 use repose_model::{Mbr, Point};
 
@@ -301,12 +308,11 @@ pub(crate) fn frechet_within(
     (d < threshold).then_some(d)
 }
 
-/// Early-abandoning DTW.
+/// Early-abandoning DTW: guards, then the nearest-neighbour stage
+/// ([`dtw_nn_refutes`]), then the dynamic program ([`dtw_dp_within`]).
 ///
-/// Sound because ground costs are non-negative: every entry of column
-/// `j + 1` is `cost + min(three column-j/j+1 predecessors)`, so the column
-/// minimum never decreases and the final `f_{m,n}` is at least every
-/// column's minimum.
+/// The nearest-neighbour stage only ever turns a `None` the dynamic program
+/// would have reached into a cheaper `None`.
 pub(crate) fn dtw_within(
     t1: &[Point],
     t2: &[Point],
@@ -319,6 +325,116 @@ pub(crate) fn dtw_within(
     if threshold.is_nan() || threshold <= 0.0 {
         return None;
     }
+    if dtw_nn_refutes(t1, t2, threshold, scratch) {
+        return None;
+    }
+    dtw_dp_within(t1, t2, threshold, scratch)
+}
+
+/// A running `Σ √·` over squared nearest-neighbour distances, tested against
+/// one threshold after every term — the fold [`sum_sqrt_refutes`] applies to
+/// the minima of an [`nn_sweep`].
+pub(crate) struct SumSqrt {
+    sum: f64,
+    threshold: f64,
+}
+
+impl SumSqrt {
+    fn new(threshold: f64) -> Self {
+        SumSqrt { sum: 0.0, threshold }
+    }
+
+    /// Adds `√min_sq`; `false` once the sum so far proves the DTW distance
+    /// is at or above the threshold (house margin included).
+    #[inline(always)]
+    pub(crate) fn admits(&mut self, min_sq: f64) -> bool {
+        self.sum += min_sq.sqrt();
+        !prefilter_rejects(self.sum, self.threshold)
+    }
+
+    /// [`SumSqrt::admits`] over a whole row of minima, in order.
+    #[inline(always)]
+    fn admits_all(mut self, mins_sq: &[f64]) -> bool {
+        mins_sq.iter().all(|&min_sq| self.admits(min_sq))
+    }
+}
+
+/// The DTW nearest-neighbour stage: `true` when
+/// `max(Σ_i min_j d(t1[i], t2[j]), Σ_j min_i d(t1[i], t2[j]))` already
+/// proves `dtw(t1, t2) >= threshold`. Inputs must be non-empty and
+/// `threshold` positive and non-NaN. Never at `threshold = +∞`, without
+/// looking: the unbounded distance is the DTW kernel at `+∞`, where nothing
+/// can be refused and the sweep would be pure cost.
+///
+/// One [`nn_sweep`] — the pass Hausdorff makes — with the row minima summed
+/// in `t1` order as they complete (stopping the sweep at the first refuting
+/// partial sum), then the column minima summed in `t2` order.
+///
+/// **Sound in real arithmetic**: a warping path has a cell in every row and
+/// in every column, and ground costs are non-negative, so the path's cost is
+/// at least the sum over rows (columns) of the cheapest cell in each.
+///
+/// **Sound in floating point, without an epsilon**, against the very value
+/// [`dtw_dp_within`] computes:
+///
+/// * IEEE `sqrt` is correctly rounded and monotone, so `√(min_j d²)` *is*
+///   `min_j t1[i].dist(t2[j])` bit for bit — each term is the smallest
+///   ground cost the dynamic program sees in that row (column).
+/// * `fl(x + y)` is monotone in both operands, so the dynamic program's
+///   result is the smallest, over all warping paths, of the path's costs
+///   `fl`-summed in path order (`min` commutes with a monotone map); and
+///   dropping a non-negative term from such a sum, or lowering one, never
+///   raises it.
+/// * Along any path the rows (columns) appear in index order. Keeping one
+///   cell per row (column) of the best path and lowering each to its row's
+///   (column's) minimum therefore yields exactly the in-order sum computed
+///   here — which is hence `<=` the dynamic program's result.
+///
+/// The house margin [`LB_SAFETY`] stays on anyway: the test is the one
+/// [`prefilter_rejects`] every other bound goes through.
+pub(crate) fn dtw_nn_refutes(
+    t1: &[Point],
+    t2: &[Point],
+    threshold: f64,
+    scratch: &mut DistScratch,
+) -> bool {
+    if threshold == f64::INFINITY {
+        return false;
+    }
+    crate::backend::simd_dispatch!(dtw_nn_refutes(t1, t2, threshold, scratch));
+    sum_sqrt_refutes(scratch.f1_uninit(t2.len()), threshold, |col_min, rows| {
+        nn_sweep(t1, t2, col_min, |row_min| rows.admits(row_min))
+    })
+}
+
+/// The `Σ√` fold of one nearest-neighbour sweep, written once for every
+/// form of the sweep: `sweep` runs it over `col_min`, handing each row
+/// minimum to the [`SumSqrt`] it is given (and stopping when that refuses);
+/// the column minima it leaves are summed afterwards.
+#[inline(always)]
+pub(crate) fn sum_sqrt_refutes(
+    col_min: &mut [f64],
+    threshold: f64,
+    sweep: impl FnOnce(&mut [f64], &mut SumSqrt) -> bool,
+) -> bool {
+    let mut rows = SumSqrt::new(threshold);
+    !sweep(col_min, &mut rows) || !SumSqrt::new(threshold).admits_all(col_min)
+}
+
+/// The DTW dynamic program under a threshold (the last stage of
+/// [`dtw_within`], which handles the guards: inputs must be non-empty and
+/// `threshold` positive and non-NaN).
+///
+/// Sound because ground costs are non-negative: every entry of column
+/// `j + 1` is `cost + min(three column-j/j+1 predecessors)`, so the column
+/// minimum never decreases and the final `f_{m,n}` is at least every
+/// column's minimum.
+pub(crate) fn dtw_dp_within(
+    t1: &[Point],
+    t2: &[Point],
+    threshold: f64,
+    scratch: &mut DistScratch,
+) -> Option<f64> {
     let col = scratch.f1_uninit(t1.len());
     let (p0, rest) = t2.split_first().expect("non-empty");
     let cmin = dtw_advance(col, true, t1, |q| q.dist(p0));
@@ -563,14 +679,18 @@ pub(crate) fn frechet_lb(t1: &[Point], t2: &[Point]) -> f64 {
 
 /// DTW lower bound: a warping path visits every row and every column at
 /// least once, so DTW is at least the sum over either trajectory's points
-/// of the minimum distance to the other's bounding rectangle.
+/// of the minimum distance to the other's bounding rectangle; and it
+/// contains the cells `(1, 1)` and `(m, n)`, so it is at least the
+/// start–start and the end–end distance (the terms that keep
+/// [`crate::MeasureParams::summary_lower_bound`] below this bound).
 pub(crate) fn dtw_lb(t1: &[Point], t2: &[Point]) -> f64 {
     let (Some(m1), Some(m2)) = (Mbr::from_points(t1), Mbr::from_points(t2)) else {
         return 0.0;
     };
     let s1: f64 = t1.iter().map(|a| m2.min_dist(*a)).sum();
     let s2: f64 = t2.iter().map(|b| m1.min_dist(*b)).sum();
-    s1.max(s2)
+    let ends = t1[0].dist(&t2[0]).max(t1[t1.len() - 1].dist(&t2[t2.len() - 1]));
+    s1.max(s2).max(ends)
 }
 
 /// ERP lower bound (Chen & Ng): ERP is a metric and `erp(t, []) = Σ d(p, g)`,
@@ -721,6 +841,33 @@ mod tests {
                 assert_eq!(lcss_distance_within(&a, &b, eps, d, s), None);
             }
         }
+    }
+
+    /// The stage's early exits change nothing: partial sums of non-negative
+    /// terms never decrease, so it refuses exactly when one of the two
+    /// complete nearest-neighbour sums does.
+    #[test]
+    fn dtw_nn_stage_refuses_exactly_when_a_sum_does() {
+        let s = &mut DistScratch::new();
+        let nn_sum = |from: &[Point], to: &[Point]| -> f64 {
+            from.iter()
+                .map(|p| to.iter().map(|q| p.dist(q)).fold(f64::INFINITY, f64::min))
+                .sum()
+        };
+        let mut refused = 0;
+        for (a, b) in fixtures() {
+            let nn = nn_sum(&a, &b).max(nn_sum(&b, &a));
+            assert!(nn <= dtw(&a, &b));
+            let flip = nn * LB_SAFETY;
+            for thr in [nn * 0.5, flip.next_down(), flip, flip.next_up(), nn * 2.0 + 0.1] {
+                if thr > 0.0 {
+                    let got = dtw_nn_refutes(&a, &b, thr, s);
+                    assert_eq!(got, prefilter_rejects(nn, thr), "thr {thr}, nn {nn}");
+                    refused += usize::from(got);
+                }
+            }
+        }
+        assert!(refused > 0, "the fixtures must exercise a refusal");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Per-backend edge-case tests for the verification kernels: the boundary
 //! shapes where vector code classically diverges from scalar code — lengths
-//! below one vector, lane remainders, lane groups the prefilter thins to
-//! one survivor, exact-zero distances at zero-adjacent thresholds, and
-//! points coinciding with the ERP gap — all checked bit-for-bit against the
+//! below one vector, lane remainders, lane groups the prefilter or the DTW
+//! nearest-neighbour stage thins out, exact-zero distances at zero-adjacent
+//! thresholds, and points coinciding with the ERP gap — all checked bit-for-bit against the
 //! seed `reference` kernels on every backend the host CPU supports.
 
 use repose_distance::{
@@ -266,6 +266,65 @@ fn batched_group_with_one_survivor() {
                 );
             }
             assert!(out[1].is_some(), "{m} on {backend}: the near candidate must survive");
+        });
+    }
+}
+
+/// Lane groups the DTW nearest-neighbour stage thins to 0, 1, 2 and W
+/// survivors. Zero lower bounds keep the summary prefilter out of the way,
+/// so the far candidates are refused by the stage itself; a sole survivor
+/// goes straight to the scalar dynamic program, several to the lane-batched
+/// one — and every slot still equals the frozen reference, on every backend.
+#[test]
+fn batched_dtw_groups_thinned_by_the_nn_stage() {
+    let query = traj(9, 23);
+    let near: Vec<Vec<Point>> = [7usize, 9, 4, 10]
+        .iter()
+        .map(|&n| traj(n, 23).iter().map(|p| Point::new(p.x + 0.25, p.y - 0.125)).collect())
+        .collect();
+    let far: Vec<Vec<Point>> = [5usize, 1, 8, 6]
+        .iter()
+        .map(|&n| traj(n, 43).iter().map(|p| Point::new(p.x + 1e6, p.y)).collect())
+        .collect();
+    let params = MeasureParams::default();
+    let dtw = |c: &[Point]| reference::dtw(&query, c);
+    let thr = just_above(near.iter().map(|c| dtw(c)).fold(0.0f64, f64::max));
+    assert!(far.iter().all(|c| dtw(c) > thr), "the fixture's far candidates must be refused");
+    // `true` = a near candidate in that lane.
+    let patterns: [[bool; 4]; 5] = [
+        [false, false, false, false],
+        [false, true, false, false],
+        [true, false, false, true],
+        [true, true, true, true],
+        [false, false, true, true],
+    ];
+    for pattern in patterns {
+        let cands: Vec<(f64, &[Point])> = pattern
+            .iter()
+            .enumerate()
+            .map(|(i, &is_near)| (0.0, if is_near { &near[i][..] } else { &far[i][..] }))
+            .collect();
+        for_each_backend(|backend| {
+            let mut scratch = DistScratch::new();
+            let mut out = vec![None; cands.len()];
+            params.distance_within_batch_in(
+                Measure::Dtw,
+                &query,
+                &cands,
+                thr,
+                &mut scratch,
+                &mut out,
+            );
+            for (i, &(lb, c)) in cands.iter().enumerate() {
+                let want =
+                    reference::distance_within_from_lb(&params, Measure::Dtw, &query, c, thr, lb);
+                assert_eq!(
+                    out[i].map(f64::to_bits),
+                    want.map(f64::to_bits),
+                    "{pattern:?} on {backend}, lane {i}"
+                );
+                assert_eq!(out[i].is_some(), pattern[i], "{pattern:?} on {backend}, lane {i}");
+            }
         });
     }
 }

@@ -7,7 +7,10 @@
 //!
 //! The unbounded distance is *defined* as the threshold kernel at `+∞`
 //! (Hausdorff excepted, which keeps a one-pass kernel of its own); the last
-//! property pins that definition to the frozen `reference` kernels.
+//! property pins that definition to the frozen `reference` kernels. The DTW
+//! nearest-neighbour stage gets its own soundness checks: its two sums
+//! against the reference DTW with no epsilon, and the contract at the
+//! thresholds where the stage's decision flips.
 
 use proptest::prelude::*;
 use repose_distance::{reference, DistScratch, Measure, MeasureParams};
@@ -57,6 +60,94 @@ fn check_contract(
     Ok(())
 }
 
+/// The two sums the DTW nearest-neighbour stage folds, written from their
+/// definition: `Σ_i min_j d(a_i, b_j)` in `a` order and `Σ_j min_i d(a_i,
+/// b_j)` in `b` order.
+fn nn_sums(a: &[Point], b: &[Point]) -> (f64, f64) {
+    let nearest = |p: &Point, to: &[Point]| {
+        to.iter().map(|q| p.dist(q)).fold(f64::INFINITY, f64::min)
+    };
+    let mut rows = 0.0;
+    for p in a {
+        rows += nearest(p, b);
+    }
+    let mut cols = 0.0;
+    for q in b {
+        cols += nearest(q, a);
+    }
+    (rows, cols)
+}
+
+/// Soundness of the stage — each sum is `<=` the frozen reference DTW, **no
+/// epsilon** — and the `distance_within` contract against the frozen
+/// reference, `Some`/`None` and bits, at thresholds just below / at / just
+/// above the bound (raw and with the prefilter margin applied) and the true
+/// distance. A zero lower bound keeps the summary prefilter out of the way,
+/// so every refusal below is the stage's or the dynamic program's.
+fn check_dtw_nn_stage(a: &[Point], b: &[Point]) {
+    let params = MeasureParams::default();
+    let exact = reference::dtw(a, b);
+    let (rows, cols) = nn_sums(a, b);
+    assert!(rows <= exact, "row sum {rows} > dtw {exact} for {a:?} / {b:?}");
+    assert!(cols <= exact, "column sum {cols} > dtw {exact} for {a:?} / {b:?}");
+    let nn = rows.max(cols);
+    let mut scratch = DistScratch::new();
+    for centre in [nn, nn * (1.0 - 1e-9), exact] {
+        for thr in [centre.next_down(), centre, centre.next_up()] {
+            let want = reference::distance_within_from_lb(&params, Measure::Dtw, a, b, thr, 0.0);
+            let got =
+                params.distance_within_from_lb_in(Measure::Dtw, a, b, thr, 0.0, &mut scratch);
+            assert_eq!(
+                got.map(f64::to_bits),
+                want.map(f64::to_bits),
+                "thr {thr} (nn {nn}, dtw {exact}) for {a:?} / {b:?}"
+            );
+            assert_eq!(
+                params.distance_within(Measure::Dtw, a, b, thr).map(f64::to_bits),
+                want.map(f64::to_bits),
+                "distance_within, thr {thr} (nn {nn}, dtw {exact}) for {a:?} / {b:?}"
+            );
+        }
+    }
+}
+
+/// The shapes where a nearest-neighbour bound is tight or degenerate, at
+/// every length around the SSE (2) and AVX2 (4) widths.
+#[test]
+fn dtw_nn_stage_is_sound_on_adversarial_pairs() {
+    let wiggle = |n: usize, seed: u64| -> Vec<Point> {
+        (0..n as u64)
+            .map(|i| {
+                let x = (i.wrapping_mul(seed).wrapping_add(5) % 17) as f64 * 0.75;
+                let y = (i.wrapping_mul(seed ^ 0x51).wrapping_add(2) % 13) as f64 * 0.5;
+                Point::new(x, y)
+            })
+            .collect()
+    };
+    // 1, 2, W-1, W, W+1, 2W+1 for W in {2, 4}.
+    let lens = [1usize, 2, 3, 4, 5, 9];
+    for &la in &lens {
+        let a = wiggle(la, 7);
+        // Identical: every nearest neighbour is at distance 0, and so is DTW.
+        check_dtw_nn_stage(&a, &a);
+        // Reversed: the same point sets, so both sums are 0 while DTW is not.
+        let reversed: Vec<Point> = a.iter().rev().copied().collect();
+        check_dtw_nn_stage(&a, &reversed);
+        // All points coincident: the bound is exact.
+        let spot = vec![Point::new(3.0, -1.0); la];
+        check_dtw_nn_stage(&a, &spot);
+        check_dtw_nn_stage(&spot, &spot[..1]);
+        for &lb in &lens {
+            let b = wiggle(lb, 11);
+            check_dtw_nn_stage(&a, &b);
+            // One point against many: one sum is a single term, the other
+            // is DTW itself.
+            check_dtw_nn_stage(&a[..1], &b);
+            check_dtw_nn_stage(&a, &b[..1]);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -101,8 +192,9 @@ proptest! {
         }
     }
 
-    /// The prefilter must never overshoot the exact distance (soundness of
-    /// the O(m+n) lower bound each kernel consults first).
+    /// The bound chain `summary_lower_bound <= lower_bound <= distance`: the
+    /// O(m+n) prefilter never overshoots the exact distance, and the O(1)
+    /// summary bound is the relaxation of it that its docs promise.
     #[test]
     fn lower_bound_never_exceeds_exact(
         xs in proptest::collection::vec((-20.0f64..20.0, -20.0f64..20.0), 1..10),
@@ -123,6 +215,26 @@ proptest! {
             lb,
             exact
         );
+        let summary =
+            params.summary_lower_bound(measure, &params.summary_of(&a), &params.summary_of(&b));
+        prop_assert!(
+            summary <= lb + 1e-9,
+            "{}: summary bound {} exceeds lower bound {}",
+            measure,
+            summary,
+            lb
+        );
+    }
+
+    /// The DTW nearest-neighbour stage on random pairs: both sums bound the
+    /// frozen reference with no epsilon, and the contract holds at every
+    /// threshold that straddles a stage boundary.
+    #[test]
+    fn dtw_nn_stage_is_sound_on_random_pairs(
+        xs in proptest::collection::vec((-20.0f64..20.0, -20.0f64..20.0), 1..14),
+        ys in proptest::collection::vec((-20.0f64..20.0, -20.0f64..20.0), 1..14),
+    ) {
+        check_dtw_nn_stage(&pts(&xs), &pts(&ys));
     }
 
     /// `distance == within(+∞).unwrap_or(+∞) == reference`, bit for bit, for

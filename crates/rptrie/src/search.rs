@@ -284,6 +284,9 @@ pub(crate) fn top_k_filtered(
         // Step 3): expand children with fresh incremental bounds.
         kids.clear();
         frozen.children_into(entry.node, &mut kids);
+        // The popped state is cloned for every child but the last, which
+        // takes it by move: one heap allocation fewer per expanded node.
+        let mut parent = Some(entry.state);
         for (ci, &(z, child)) in kids.iter().enumerate() {
             // dk may have tightened since this entry was popped (its own
             // leaf hits above, or a concurrently searching partition).
@@ -296,7 +299,8 @@ pub(crate) fn top_k_filtered(
                 stats.bounds_abandoned += kids.len() - ci;
                 break;
             }
-            let mut state = entry.state.clone();
+            let mut state = if ci + 1 == kids.len() { parent.take() } else { parent.clone() }
+                .expect("only the last child takes the parent state");
             state.push(query, grid, z, &params);
             let lbo = state.lbo(grid);
             let lbp = pivot_lower_bound(&dqp, frozen.hr(child));

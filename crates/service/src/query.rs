@@ -438,11 +438,15 @@ fn run_partition(
     let view = snap.frozen.partition_view(pi);
     let mut stats = SearchStats::default();
     let seeds = scan_delta(view.trie.measure(), params, query, k, cands, &mut stats, collector);
+    // No filter at all when nothing is tombstoned (a read-only service
+    // never is): the search then skips a hash lookup per verified member.
     let tombstones = &*snap.tombstones;
     let filter = |id: TrajId| !tombstones.contains_key(&id);
+    let filter: Option<&(dyn Fn(TrajId) -> bool + Sync)> =
+        if tombstones.is_empty() { None } else { Some(&filter) };
     let local = view
         .trie
-        .search(view.store, query, k, &seeds, Some(&filter), Some(collector));
+        .search(view.store, query, k, &seeds, filter, Some(collector));
     stats.merge(&local.stats);
     PartResult {
         hits: local.hits,
