@@ -70,12 +70,16 @@ pub enum FailAction {
     Crash,
 }
 
-fn parse_action(s: &str) -> Option<FailAction> {
-    match s {
-        "io" => Some(FailAction::IoError),
-        "short" => Some(FailAction::ShortWrite),
-        "crash" => Some(FailAction::Crash),
-        _ => None,
+/// The spec-grammar action names: `io`, `short`, `crash`.
+impl std::str::FromStr for FailAction {
+    type Err = FailSpecReason;
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "io" => Ok(FailAction::IoError),
+            "short" => Ok(FailAction::ShortWrite),
+            "crash" => Ok(FailAction::Crash),
+            other => Err(FailSpecReason::UnknownAction(other.to_string())),
+        }
     }
 }
 
@@ -133,7 +137,7 @@ impl FailPlan {
         crate::spec::parse_spec(
             spec,
             |p| POINTS.contains(&p),
-            parse_action,
+            |action| action.parse().ok(),
             |point, action, after| plan.arm(point, action, after),
         )
         .map_err(|e| FailSpecError {

@@ -140,18 +140,6 @@ impl DeltaLog {
         self.segments.clone()
     }
 
-    /// Number of live entries under `tombstones`.
-    pub(crate) fn live_len(&self, tombstones: &HashMap<TrajId, u64>) -> usize {
-        self.segments
-            .iter()
-            .map(|seg| {
-                (0..seg.store.len())
-                    .filter(|&slot| seg.is_live(slot, tombstones))
-                    .count()
-            })
-            .sum()
-    }
-
     /// Removes the first `n` entries — the compacted prefix. Fully covered
     /// segments are dropped whole; a partially covered segment's tail is
     /// re-packed into a fresh arena (arena-to-arena range copies).
@@ -214,7 +202,6 @@ mod tests {
         push(&mut log, 3, 1);
         tomb.insert(1, 3);
         assert_eq!(live_ids(&log, &tomb), vec![1]);
-        assert_eq!(log.live_len(&tomb), 1);
     }
 
     #[test]

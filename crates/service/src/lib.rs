@@ -23,19 +23,15 @@
 //!   batch onto the pool with per-query collectors. Results are exactly what a freshly
 //!   rebuilt index over the same live data would return.
 //! * **Compaction** ([`ReposeService::compact`]) rebuilds *only the
-//!   partitions dirtied since the last compact* (delta epoch counters +
-//!   tombstone scan; untouched partitions are shared by `Arc`) off-line
-//!   and swaps the deployment in atomically; readers keep serving the
-//!   old state during the rebuild and are only blocked for the pointer
-//!   swap. [`ReposeService::compact_full`] forces the global
-//!   re-partition.
+//!   partitions dirtied since the last compact* off-line and swaps the
+//!   deployment in atomically; readers are only blocked for the pointer
+//!   swap. [`ReposeService::compact_full`] forces the global re-partition.
 //! * **Caching**: results are cached per (quantized polyline, k, measure)
 //!   and invalidated by a global write version — a cache hit is never
 //!   staler than the latest completed write.
 //! * **Durability & failure model** (opt-in via
-//!   [`ServiceConfig::durability`]): every acknowledged write is recorded
-//!   in a checksummed write-ahead log *before* it is applied, compaction
-//!   checkpoints truncate the log behind an atomic base snapshot, and
+//!   [`ServiceConfig::durability`]): every acknowledged write is logged
+//!   *before* it is applied, compaction checkpoints truncate the log, and
 //!   [`ReposeService::recover`] rebuilds the exact acknowledged state
 //!   after a crash (bitwise-identical query answers). Overload and
 //!   deadline pressure degrade *explicitly*:
@@ -44,15 +40,18 @@
 //!   [`ServiceConfig::query_deadline`] turns an expired query into a
 //!   partial answer flagged [`ServiceOutcome::degraded`] — never a
 //!   silently wrong "exact" result.
-//! * **Persistent archives** (opt-in via [`ServiceConfig::archive`]):
-//!   construction and every compaction atomically install a checksummed
-//!   zero-copy archive of the frozen deployment ([`repose_archive`]), so
-//!   [`ReposeService::recover`] restarts by *attaching* the newest valid
-//!   generation (mmap + checksum verification) and replaying only the
-//!   WAL tail — milliseconds instead of an index rebuild. Corrupt
-//!   generations are quarantined loudly and recovery falls back to the
-//!   full rebuild; [`ReposeService::scrub`] re-verifies the live
+//! * **Persistent archives** (opt-in via [`ServiceConfig::archive`],
+//!   which has the details): construction and every compaction install a
+//!   checksummed zero-copy archive of the frozen deployment
+//!   ([`repose_archive`]) that [`ReposeService::recover`] attaches
+//!   instead of rebuilding; [`ReposeService::scrub`] re-verifies the live
 //!   generation's checksums online.
+//!
+//! Module map: `service` holds the config, the struct with its locked
+//! `ServeState`, constructors, accessors and `stats()`; each path through
+//! that state is one file — `query` (the one read engine), `write` (the
+//! one `commit` behind every write entrance, the one `ServeState::apply`
+//! recovery shares), `compact` (also the live-row rule) and `recover`.
 //!
 //! ```
 //! use repose::{Repose, ReposeConfig};
@@ -92,15 +91,19 @@
 #![forbid(unsafe_code)]
 
 mod cache;
+mod compact;
 mod delta;
 mod error;
 mod query;
+mod recover;
 mod service;
 mod stats;
+mod write;
 
 pub use error::ServiceError;
 pub use query::ServiceOutcome;
-pub use service::{RecoveryReport, ReposeService, ServiceConfig};
+pub use recover::RecoveryReport;
+pub use service::{ReposeService, ServiceConfig};
 pub use stats::ServiceStats;
 
 // Durability types callers need to configure [`ServiceConfig::durability`]

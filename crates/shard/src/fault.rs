@@ -45,17 +45,23 @@ pub enum NetFault {
     Crash,
 }
 
-fn parse_action(s: &str) -> Option<NetFault> {
-    match s {
-        "drop" => Some(NetFault::Drop),
-        "dup" => Some(NetFault::Duplicate),
-        "reorder" => Some(NetFault::Reorder),
-        "partition" => Some(NetFault::Partition),
-        "crash" => Some(NetFault::Crash),
-        other => other
-            .strip_prefix("delay")
-            .and_then(|ms| ms.parse::<u64>().ok())
-            .map(|ms| NetFault::Delay(Duration::from_millis(ms))),
+/// The spec-grammar action names: `drop`, `dup`, `reorder`, `partition`,
+/// `crash`, `delay<ms>` (e.g. `delay250`).
+impl std::str::FromStr for NetFault {
+    type Err = NetSpecReason;
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "drop" => Ok(NetFault::Drop),
+            "dup" => Ok(NetFault::Duplicate),
+            "reorder" => Ok(NetFault::Reorder),
+            "partition" => Ok(NetFault::Partition),
+            "crash" => Ok(NetFault::Crash),
+            other => other
+                .strip_prefix("delay")
+                .and_then(|ms| ms.parse::<u64>().ok())
+                .map(|ms| NetFault::Delay(Duration::from_millis(ms)))
+                .ok_or_else(|| NetSpecReason::BadAction(other.to_string())),
+        }
     }
 }
 
@@ -120,7 +126,7 @@ impl NetFaultPlan {
         repose_durability::spec::parse_spec(
             spec,
             valid_point,
-            parse_action,
+            |action| action.parse().ok(),
             |point, fault, after| plan.arm(point, fault, after),
         )
         .map_err(|e| NetSpecError {

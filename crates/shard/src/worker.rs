@@ -20,7 +20,8 @@
 //!
 //! A leader logs every write to its own WAL first
 //! ([`ReposeService::insert_acked`]), then sends its unacknowledged log
-//! suffix to its follower and waits for the follower's [`Message::Ack`]
+//! suffix — the very records the service returned, never a rebuilt copy —
+//! to its follower and waits for the follower's [`Message::Ack`]
 //! **before** acknowledging the client (log-before-ack; an unconfirmed
 //! replication refuses the write instead). The suffix-resend discipline
 //! plus the follower's idempotent, gap-refusing
@@ -49,7 +50,7 @@ use crate::transport::{NodeId, Transport};
 use repose_cluster::{Backoff, BackoffConfig, Clock, SystemClock};
 use repose_durability::WalRecord;
 use repose_model::Trajectory;
-use repose_service::ReposeService;
+use repose_service::{ReposeService, ServiceError};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
@@ -250,8 +251,10 @@ impl ShardWorker {
                 self.last_hb_seen = self.clock.now();
                 self.handle_replicate(from, &records);
             }
-            Message::Upsert { wid, id, points } => self.handle_upsert(wid, id, points),
-            Message::Delete { wid, id } => self.handle_delete(wid, id),
+            Message::Upsert { wid, id, points } => {
+                self.handle_write(wid, |s| s.insert_acked(Trajectory::new(id, points)))
+            }
+            Message::Delete { wid, id } => self.handle_write(wid, |s| s.remove_acked(id)),
             // A late ack from a timed-out replication round still
             // confirms the follower's progress.
             Message::Ack { seq } => self.unreplicated.retain(|r| r.seq() > seq),
@@ -392,51 +395,35 @@ impl ShardWorker {
         self.transport.send(self.node, from, &ack);
     }
 
-    fn handle_upsert(&mut self, wid: u64, id: u64, points: Vec<repose_model::Point>) {
-        if !matches!(self.role, Role::Leader { .. }) {
-            self.refuse(wid, RefusalReason::NotLeader);
-            return;
-        }
-        match self.service.insert_acked(Trajectory::new(id, points.clone())) {
-            Err(_) => self.refuse(wid, RefusalReason::Durability),
-            Ok(seq) => self.finish_write(wid, seq, WalRecord::Upsert { seq, id, points }),
-        }
-    }
-
-    fn handle_delete(&mut self, wid: u64, id: u64) {
-        if !matches!(self.role, Role::Leader { .. }) {
-            self.refuse(wid, RefusalReason::NotLeader);
-            return;
-        }
-        match self.service.remove_acked(id) {
-            Err(_) => self.refuse(wid, RefusalReason::Durability),
-            Ok(seq) => self.finish_write(wid, seq, WalRecord::Delete { seq, id }),
-        }
-    }
-
-    fn refuse(&self, wid: u64, reason: RefusalReason) {
-        let msg = Message::WriteRefused { wid, reason };
-        self.transport.send(self.node, self.coord, &msg);
-    }
-
-    /// Local log succeeded; replicate (if paired), then acknowledge.
-    fn finish_write(&mut self, wid: u64, seq: u64, record: WalRecord) {
-        let Role::Leader { follower } = self.role else { unreachable!("checked by callers") };
-        match follower {
-            None => {
-                let ok = Message::WriteOk { wid, seq };
-                self.transport.send(self.node, self.coord, &ok);
-            }
-            Some(f) => {
-                self.unreplicated.push(record);
-                if self.replicate_until_acked(f, seq) {
-                    let ok = Message::WriteOk { wid, seq };
-                    self.transport.send(self.node, self.coord, &ok);
-                } else {
-                    self.refuse(wid, RefusalReason::ReplicationUnavailable);
+    /// The one write handler: a leader runs `write` against its service,
+    /// replicates the record the service logged (if paired), then
+    /// acknowledges; anything else refuses with the reason.
+    fn handle_write(
+        &mut self,
+        wid: u64,
+        write: impl FnOnce(&ReposeService) -> Result<WalRecord, ServiceError>,
+    ) {
+        let logged = match self.role {
+            Role::Follower { .. } => Err(RefusalReason::NotLeader),
+            Role::Leader { follower } => match (write(&self.service), follower) {
+                (Err(_), _) => Err(RefusalReason::Durability),
+                (Ok(record), None) => Ok(record.seq()),
+                (Ok(record), Some(f)) => {
+                    let seq = record.seq();
+                    self.unreplicated.push(record);
+                    if self.replicate_until_acked(f, seq) {
+                        Ok(seq)
+                    } else {
+                        Err(RefusalReason::ReplicationUnavailable)
+                    }
                 }
-            }
-        }
+            },
+        };
+        let reply = match logged {
+            Ok(seq) => Message::WriteOk { wid, seq },
+            Err(reason) => Message::WriteRefused { wid, reason },
+        };
+        self.transport.send(self.node, self.coord, &reply);
     }
 
     /// Sends the unacknowledged log suffix until the follower confirms

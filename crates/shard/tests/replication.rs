@@ -26,21 +26,32 @@ fn fresh_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("repose-repl-{tag}-{}-{n}", std::process::id()))
 }
 
-fn durable_service(dir: &Path) -> ReposeService {
-    let cfg = ReposeConfig::new(Measure::Hausdorff)
+fn repose_config() -> ReposeConfig {
+    ReposeConfig::new(Measure::Hausdorff)
         .with_partitions(4)
         .with_delta(0.7)
-        .with_params(MeasureParams::with_eps(0.5));
-    ReposeService::try_with_config(
-        Repose::build(&tie_dataset(0..10), cfg),
-        ServiceConfig {
-            cache_capacity: 0,
-            pool_threads: 1,
-            durability: Some(DurabilityConfig::new(dir)),
-            ..ServiceConfig::default()
-        },
-    )
-    .expect("durable service")
+        .with_params(MeasureParams::with_eps(0.5))
+}
+
+fn service_config(dir: &Path) -> ServiceConfig {
+    ServiceConfig {
+        cache_capacity: 0,
+        pool_threads: 1,
+        durability: Some(DurabilityConfig::new(dir)),
+        ..ServiceConfig::default()
+    }
+}
+
+fn durable_service(dir: &Path) -> ReposeService {
+    let repose = Repose::build(&tie_dataset(0..10), repose_config());
+    ReposeService::try_with_config(repose, service_config(dir)).expect("durable service")
+}
+
+/// One query's answer as `(distance bits, id)` pairs — bitwise comparable.
+fn answer_bits(service: &ReposeService) -> Vec<(u64, u64)> {
+    let query = [Point::new(0.0, 0.5), Point::new(3.0, 1.5), Point::new(7.0, 0.5)];
+    let out = service.query(&query, 6).expect("query");
+    out.hits.iter().map(|h| (h.dist.to_bits(), h.id)).collect()
 }
 
 /// All WAL segment bytes under `dir`, concatenated in segment order.
@@ -84,20 +95,17 @@ proptest! {
         let leader = durable_service(&ldir);
         let follower = durable_service(&fdir);
 
-        // Drive the leader; reconstruct the exact records it logged.
+        // Drive the leader; its log is the records its writes returned —
+        // what a replicating worker forwards.
         let mut log: Vec<WalRecord> = Vec::new();
         for (is_insert, id, pts) in &ops {
             let points: Vec<Point> =
                 pts.iter().map(|&(x, y)| Point::new(x, y)).collect();
-            if *is_insert {
-                let seq = leader
-                    .insert_acked(Trajectory::new(*id, points.clone()))
-                    .expect("leader insert");
-                log.push(WalRecord::Upsert { seq, id: *id, points });
+            log.push(if *is_insert {
+                leader.insert_acked(Trajectory::new(*id, points)).expect("leader insert")
             } else {
-                let seq = leader.remove_acked(*id).expect("leader remove");
-                log.push(WalRecord::Delete { seq, id: *id });
-            }
+                leader.remove_acked(*id).expect("leader remove")
+            });
         }
 
         // Deliver to the follower in overlapping, duplicated chunks: each
@@ -123,7 +131,23 @@ proptest! {
         prop_assert_eq!(follower.op_seq(), leader.op_seq());
         let (lb, fb) = (wal_bytes(&ldir), wal_bytes(&fdir));
         prop_assert_eq!(lb, fb, "follower WAL diverged from leader WAL");
+
+        // Three entrances, one state: the node that took the writes, the
+        // replica, and a service recovered from the leader's directory.
+        let (len, answer) = (leader.len(), answer_bits(&leader));
+        let (ls, fs) = (leader.stats(), follower.stats());
+        prop_assert_eq!(ls.inserts + ls.deletes, log.len() as u64);
+        prop_assert_eq!((fs.inserts, fs.deletes), (ls.inserts, ls.deletes));
+        prop_assert_eq!(follower.len(), len);
+        prop_assert_eq!(answer_bits(&follower), answer.clone(), "follower answers differently");
         drop(leader);
+        let (recovered, report) =
+            ReposeService::recover(repose_config(), service_config(&ldir)).expect("recover");
+        prop_assert_eq!(report.replayed_records, log.len() as u64);
+        prop_assert_eq!(recovered.op_seq(), follower.op_seq());
+        prop_assert_eq!(recovered.len(), len);
+        prop_assert_eq!(answer_bits(&recovered), answer, "recovered service answers differently");
+        drop(recovered);
         drop(follower);
         std::fs::remove_dir_all(&ldir).ok();
         std::fs::remove_dir_all(&fdir).ok();
@@ -180,6 +204,37 @@ fn replication_gap_is_refused_not_absorbed() {
     // The healing resend: 2 then 3 apply cleanly.
     assert!(follower.apply_replica(&WalRecord::Delete { seq: 2, id: 4 }).unwrap());
     assert!(follower.apply_replica(&r3).unwrap());
+    drop(follower);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A replica is a service edge like any other: a record with a non-finite
+/// coordinate — which the wire carries bit-exactly — is refused exactly
+/// as `insert` refuses it, before the log and before the sequence moves.
+#[test]
+fn non_finite_replicated_record_is_refused_like_a_local_insert() {
+    let dir = fresh_dir("nonfinite");
+    let follower = durable_service(&dir);
+    let (len, wal) = (follower.len(), wal_bytes(&dir));
+    let points = vec![Point::new(f64::NAN, 1.0), Point::new(2.0, f64::INFINITY)];
+    let local = follower.insert(Trajectory::new(9999, points.clone())).expect_err("local edge");
+    assert!(matches!(local, ServiceError::InvalidInput(_)), "wrong error: {local}");
+
+    let frame = Message::Replicate { records: vec![WalRecord::Upsert { seq: 1, id: 9999, points }] }
+        .encode_frame();
+    let decoded = Message::decode_frame(&mut frame.as_slice()).expect("decode").expect("one frame");
+    let Message::Replicate { records } = decoded else { panic!("wrong variant: {decoded:?}") };
+    let err = follower.apply_replica(&records[0]).expect_err("a non-finite record must be refused");
+    assert!(matches!(err, ServiceError::InvalidInput(_)), "wrong error: {err}");
+    assert_eq!(follower.op_seq(), 0, "a refused record must not advance the sequence");
+    assert_eq!(follower.len(), len);
+    assert_eq!(follower.stats().inserts, 0);
+    assert_eq!(wal_bytes(&dir), wal, "a refused record must not reach the log");
+
+    // The sequence slot is still free for a finite record.
+    let finite = WalRecord::Upsert { seq: 1, id: 9999, points: vec![Point::new(1.0, 1.0)] };
+    assert!(follower.apply_replica(&finite).expect("in sequence"));
+    assert_eq!((follower.op_seq(), follower.len()), (1, len + 1));
     drop(follower);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -44,20 +44,6 @@ impl SimNode for WorkerPump {
     }
 }
 
-fn parse_net_action(action: &str) -> Option<NetFault> {
-    match action {
-        "drop" => Some(NetFault::Drop),
-        "dup" => Some(NetFault::Duplicate),
-        "reorder" => Some(NetFault::Reorder),
-        "partition" => Some(NetFault::Partition),
-        "crash" => Some(NetFault::Crash),
-        _ => action
-            .strip_prefix("delay")
-            .and_then(|ms| ms.parse::<u64>().ok())
-            .map(|ms| NetFault::Delay(Duration::from_millis(ms))),
-    }
-}
-
 /// Whether `site` names a node that exists in this scenario's topology
 /// (hand-edited repro files can name nodes that don't).
 fn site_in_topology(site: &str, shards: usize, replicate: bool) -> bool {
@@ -161,8 +147,8 @@ pub(crate) fn run_sharded(sc: &Scenario, planted: Option<PlantedBug>) -> SimRepo
     'ops: for (i, op) in sc.ops.iter().enumerate() {
         match op {
             SimOp::ArmFault { site, action, after } => {
-                match parse_net_action(action) {
-                    Some(f) if site_in_topology(site, sc.shards, sc.replicate) => {
+                match action.parse::<NetFault>() {
+                    Ok(f) if site_in_topology(site, sc.shards, sc.replicate) => {
                         faults.arm(site, f, *after);
                         events.push(format!("[{i}] arm {site}={action}:{after}"));
                     }

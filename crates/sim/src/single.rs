@@ -114,14 +114,8 @@ pub(crate) fn run_single(sc: &Scenario, planted: Option<PlantedBug>) -> SimRepor
     'ops: for (i, op) in sc.ops.iter().enumerate() {
         match op {
             SimOp::ArmFault { site, action, after } => {
-                let parsed = match action.as_str() {
-                    "io" => Some(FailAction::IoError),
-                    "short" => Some(FailAction::ShortWrite),
-                    "crash" => Some(FailAction::Crash),
-                    _ => None,
-                };
-                match parsed {
-                    Some(a) if repose_durability::POINTS.contains(&site.as_str()) => {
+                match action.parse::<FailAction>() {
+                    Ok(a) if repose_durability::POINTS.contains(&site.as_str()) => {
                         plan.arm(site, a, *after);
                         events.push(format!("[{i}] arm {site}={action}:{after}"));
                     }
@@ -130,46 +124,34 @@ pub(crate) fn run_single(sc: &Scenario, planted: Option<PlantedBug>) -> SimRepor
                     )),
                 }
             }
-            SimOp::Upsert { id, points } => {
+            SimOp::Upsert { id, .. } | SimOp::Delete { id } => {
+                let upsert = match op {
+                    SimOp::Upsert { points, .. } => Some(points),
+                    _ => None,
+                };
+                let what = if upsert.is_some() { "upsert" } else { "delete" };
                 let mut restarts = 0;
                 loop {
                     let s = svc.as_ref().expect("service is live between ops");
-                    match s.insert_acked(Trajectory::new(*id, points.clone())) {
-                        Ok(seq) => {
-                            oracle.committed_upsert(*id, points);
-                            events.push(format!("[{i}] upsert id={id} seq={seq}"));
+                    let logged = match upsert {
+                        Some(points) => s.insert_acked(Trajectory::new(*id, points.clone())),
+                        None => s.remove_acked(*id),
+                    };
+                    match logged {
+                        Ok(record) => {
+                            match upsert {
+                                Some(points) => oracle.committed_upsert(*id, points),
+                                None => oracle.committed_delete(*id),
+                            }
+                            events.push(format!("[{i}] {what} id={id} seq={}", record.seq()));
                             break;
                         }
                         Err(_) => {
-                            events.push(format!("[{i}] upsert id={id} refused; crash-restart"));
+                            events.push(format!("[{i}] {what} id={id} refused; crash-restart"));
                             restarts += 1;
                             if restarts > MAX_RESTARTS_PER_OP {
-                                verdict = fail(i, "upsert wedged past the restart budget".into());
-                                break 'ops;
-                            }
-                            if let Err(e) = restart(&mut svc, &rcfg, &mk_cfg, &mut events, i) {
-                                verdict = fail(i, e);
-                                break 'ops;
-                            }
-                        }
-                    }
-                }
-            }
-            SimOp::Delete { id } => {
-                let mut restarts = 0;
-                loop {
-                    let s = svc.as_ref().expect("service is live between ops");
-                    match s.remove_acked(*id) {
-                        Ok(seq) => {
-                            oracle.committed_delete(*id);
-                            events.push(format!("[{i}] delete id={id} seq={seq}"));
-                            break;
-                        }
-                        Err(_) => {
-                            events.push(format!("[{i}] delete id={id} refused; crash-restart"));
-                            restarts += 1;
-                            if restarts > MAX_RESTARTS_PER_OP {
-                                verdict = fail(i, "delete wedged past the restart budget".into());
+                                verdict =
+                                    fail(i, format!("{what} wedged past the restart budget"));
                                 break 'ops;
                             }
                             if let Err(e) = restart(&mut svc, &rcfg, &mk_cfg, &mut events, i) {
