@@ -16,9 +16,9 @@
 //!   registry ([`FailPlan`]) the WAL and archive writers consult at named
 //!   points ([`POINTS`]), so tests can crash either write path at any
 //!   site and prove recovery.
-//! * [`spec`] — the shared `point=action[:after]` spec grammar and the
-//!   exactly-once countdown registry, reused by the shard layer's
-//!   `REPOSE_NETFAULTS` plan.
+//! * [`spec`] — the one fault-plan type ([`spec::Plan`]) and its
+//!   exactly-once countdown registry; [`FailPlan`] is its instantiation
+//!   here, the shard layer's `NetFaultPlan` its other one.
 //!
 //! The format stores coordinates via `f64::to_bits`, so recovered
 //! trajectories are bit-identical to what was acknowledged — queries after
@@ -33,9 +33,7 @@ pub mod replay;
 pub mod spec;
 pub mod wal;
 
-pub use failpoint::{
-    FailAction, FailPlan, FailSpecError, FailSpecReason, ARC_POINTS, POINTS, WAL_POINTS,
-};
+pub use failpoint::{FailAction, FailPlan, ARC_POINTS, POINTS, WAL_POINTS};
 pub use record::{crc32, DecodeError, WalRecord};
 pub use replay::{replay, Replayed};
 pub use wal::{

@@ -1,85 +1,77 @@
-//! The one strict `point=action[:after][,...]` spec parser behind every
-//! fault-injection environment variable (`REPOSE_FAILPOINTS` here,
-//! `REPOSE_NETFAULTS` in `repose-shard`).
+//! The one fault-plan type behind both fault planes: the durability
+//! layer's [`crate::FailPlan`] and the shard layer's `NetFaultPlan` are
+//! [`Plan`] instantiated at their action type.
 //!
-//! Both registries share the same grammar and the same strictness
-//! contract — a misspelled point or action is a typed error, never a
-//! silently ignored fault — so the grammar lives in exactly one place and
-//! each caller plugs in only what differs: how to validate a site name and
-//! how to decode an action. The same file also hosts the generic
-//! exactly-once countdown registry both plans wrap.
+//! A plan arms *named sites* with an action and a hit countdown; the code
+//! under test consults the plan at each site, and an armed site fires its
+//! action **exactly once**, when the countdown reaches zero. The two
+//! planes differ only in what an action is and which site names exist, so
+//! the action type supplies the site validator ([`FaultAction`]) and
+//! everything else — the countdown registry, arm-time site checking, the
+//! shared-by-clone handle — is written here once. Plans are armed in code
+//! only; a misspelled site panics at arm time, never arms a fault that
+//! cannot fire.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-/// Why a spec entry was rejected, in grammar-neutral terms. Callers map
-/// these onto their own public error enums (`FailSpecReason`,
-/// `NetSpecReason`) so existing matches keep working.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SpecIssue {
-    /// The entry has no `=` separating point from action.
-    MissingEquals,
-    /// The point failed the caller's site validation.
-    BadPoint(String),
-    /// The action failed the caller's action decoder.
-    BadAction(String),
-    /// The `:after` countdown is not a non-negative integer.
-    BadCount(String),
+/// What a fault plane plugs into [`Plan`]: the action an armed site
+/// fires, and which site names that plane's code actually consults.
+pub trait FaultAction: Copy {
+    /// What a valid site is, for the arm-time panic message.
+    const SITES: &'static str;
+    /// Whether `site` is one the plane's code consults.
+    fn valid_site(site: &str) -> bool;
 }
 
-/// A rejected entry: which one (verbatim) and why.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpecEntryError {
-    /// The offending `point=action[:after]` entry.
-    pub entry: String,
-    /// What was wrong with it.
-    pub issue: SpecIssue,
-}
+/// A deterministic, shareable fault-injection plan (see module docs).
+/// Cloning shares the registry; the empty plan's per-hit cost is one
+/// atomic load.
+#[derive(Debug, Clone)]
+pub struct Plan<A: FaultAction>(Arc<ArmRegistry<A>>);
 
-/// Parses a comma-separated `point=action[:after]` spec, handing each
-/// well-formed entry to `arm`.
-///
-/// `valid_point` accepts or rejects a (trimmed) site name; `parse_action`
-/// decodes a (trimmed) action string, `None` meaning unknown. Empty
-/// entries (doubled or trailing commas, whitespace) are skipped; the first
-/// rejected entry aborts the whole parse — a partially applied fault plan
-/// would be exactly the silent misconfiguration this parser exists to
-/// refuse.
-pub fn parse_spec<A>(
-    spec: &str,
-    valid_point: impl Fn(&str) -> bool,
-    parse_action: impl Fn(&str) -> Option<A>,
-    mut arm: impl FnMut(&str, A, u32),
-) -> Result<(), SpecEntryError> {
-    for entry in spec.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-        let err = |issue: SpecIssue| SpecEntryError { entry: entry.to_string(), issue };
-        let (point, rhs) =
-            entry.split_once('=').ok_or_else(|| err(SpecIssue::MissingEquals))?;
-        let point = point.trim();
-        if !valid_point(point) {
-            return Err(err(SpecIssue::BadPoint(point.to_string())));
-        }
-        let (action, after) = match rhs.split_once(':') {
-            Some((a, n)) => (
-                a.trim(),
-                n.trim()
-                    .parse::<u32>()
-                    .map_err(|_| err(SpecIssue::BadCount(n.trim().to_string())))?,
-            ),
-            None => (rhs.trim(), 0),
-        };
-        let action =
-            parse_action(action).ok_or_else(|| err(SpecIssue::BadAction(action.to_string())))?;
-        arm(point, action, after);
+// Not derived: that would ask `A: Default`, and an action has no default.
+impl<A: FaultAction> Default for Plan<A> {
+    fn default() -> Self {
+        Plan(Arc::default())
     }
-    Ok(())
 }
 
-/// The exactly-once countdown registry shared by [`crate::FailPlan`] and
-/// the shard layer's `NetFaultPlan`: named sites armed with an action and
-/// a hit countdown; an armed site fires its action exactly once, when the
-/// countdown reaches zero. The unarmed fast path is one atomic load.
+impl<A: FaultAction> Plan<A> {
+    /// An empty plan (nothing ever fires).
+    pub fn new() -> Self {
+        Plan::default()
+    }
+
+    /// Arms `site` to fire `action` after `after` further hits (0 = fire
+    /// on the very next hit). Re-arming a site replaces its previous arm.
+    ///
+    /// # Panics
+    /// When `site` fails [`FaultAction::valid_site`] — arming a site
+    /// nothing consults would be the silently-ignored fault a plan exists
+    /// to prevent.
+    pub fn arm(&self, site: &str, action: A, after: u32) {
+        assert!(A::valid_site(site), "`{site}` is not a {}", A::SITES);
+        self.0.arm(site, action, after);
+    }
+
+    /// Hit `site`: decrements its countdown and returns the action the
+    /// moment it fires (exactly once per arm).
+    pub fn hit(&self, site: &str) -> Option<A> {
+        self.0.hit(site)
+    }
+
+    /// Whether any arm has fired.
+    pub fn any_fired(&self) -> bool {
+        self.0.any_fired()
+    }
+}
+
+/// The exactly-once countdown registry under [`Plan`]: named sites armed
+/// with an action and a hit countdown; an armed site fires its action
+/// exactly once, when the countdown reaches zero. The unarmed fast path
+/// is one atomic load.
 #[derive(Debug)]
 pub struct ArmRegistry<A: Copy> {
     /// Fast path: skip the mutex entirely when nothing was ever armed.
@@ -143,49 +135,6 @@ impl<A: Copy> ArmRegistry<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn actions(s: &str) -> Option<u8> {
-        match s {
-            "a" => Some(1),
-            "b" => Some(2),
-            _ => None,
-        }
-    }
-
-    #[test]
-    fn parses_entries_with_whitespace_and_counts() {
-        let mut got = Vec::new();
-        parse_spec(
-            " x=a:3 ,, y = b ",
-            |p| p == "x" || p == "y",
-            actions,
-            |p, a, n| got.push((p.to_string(), a, n)),
-        )
-        .unwrap();
-        assert_eq!(got, vec![("x".to_string(), 1, 3), ("y".to_string(), 2, 0)]);
-    }
-
-    #[test]
-    fn rejects_each_malformation() {
-        let run = |s: &str| {
-            parse_spec(s, |p| p == "x", actions, |_, _: u8, _| {})
-                .unwrap_err()
-                .issue
-        };
-        assert_eq!(run("x"), SpecIssue::MissingEquals);
-        assert_eq!(run("z=a"), SpecIssue::BadPoint("z".into()));
-        assert_eq!(run("x=q"), SpecIssue::BadAction("q".into()));
-        assert_eq!(run("x=a:soon"), SpecIssue::BadCount("soon".into()));
-    }
-
-    #[test]
-    fn first_bad_entry_aborts_whole_parse() {
-        let mut armed = 0;
-        let _ = parse_spec("x=a, x=q, x=b", |p| p == "x", actions, |_, _, _| armed += 1);
-        // The error surfaces before the third (valid) entry is reached;
-        // the caller discards the partially armed plan.
-        assert_eq!(armed, 1);
-    }
 
     #[test]
     fn registry_fires_exactly_once_after_countdown() {

@@ -68,7 +68,7 @@ pub struct DurabilityConfig {
     /// durably written bytes (default 8 MiB).
     pub segment_bytes: u64,
     /// Deterministic fault-injection plan (default: empty — nothing
-    /// fires). See [`crate::FailPlan::from_env`] for environment arming.
+    /// fires). Armed in code; see [`crate::failpoint`].
     pub failpoints: FailPlan,
 }
 

@@ -195,7 +195,7 @@ pub struct ReposeService {
 pub(crate) struct ArchiveState {
     pub(crate) dir: PathBuf,
     /// The `arc.*` fail points ride on the durability fail plan when one
-    /// is configured, so one `REPOSE_FAILPOINTS` spec drives both layers.
+    /// is configured, so one [`FailPlan`] drives both layers.
     pub(crate) failpoints: FailPlan,
     /// The newest generation this service wrote or attached, re-opened
     /// through validation so [`ReposeService::scrub`] re-verifies the

@@ -386,7 +386,7 @@ impl ShardCluster {
     }
 
     /// The underlying [`Loopback`] — for fault-test assertions on
-    /// [`crate::transport::NetStats`] and node liveness. Panics for a
+    /// [`crate::NetStats`] and node liveness. Panics for a
     /// cluster built over a simulator transport
     /// ([`ShardCluster::build_nodes`]).
     pub fn transport(&self) -> &Loopback {

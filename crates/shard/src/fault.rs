@@ -1,26 +1,22 @@
 //! Deterministic network fault injection for the shard transport — the
 //! network-level sibling of the durability layer's
-//! [`repose_durability::FailPlan`].
+//! [`repose_durability::FailPlan`], and the same plan type
+//! ([`repose_durability::spec::Plan`]) instantiated at [`NetFault`].
 //!
 //! A [`NetFaultPlan`] arms *named network sites* with a [`NetFault`] and a
 //! hit countdown. Sites are per-node and per-direction:
 //! `shard0.tx` (messages shard 0 sends), `replica2.rx` (messages replica 2
 //! receives), or the bare node name (`shard0`) for node-scoped faults like
-//! partition and crash. The loopback transport consults the plan on every
-//! send; when an armed site's countdown reaches zero the fault fires
-//! **exactly once**, so a test can say "drop the 3rd message shard 1
+//! partition and crash. The link core ([`crate::Link`]) consults the plan
+//! on every send; when an armed site's countdown reaches zero the fault
+//! fires **exactly once**, so a test can say "drop the 3rd message shard 1
 //! sends" and get the same interleaving every run.
 //!
-//! Plans parse from the `REPOSE_NETFAULTS` environment variable with the
-//! same grammar as `REPOSE_FAILPOINTS` — `point=action[:after][,...]` —
-//! and the same strictness contract: a malformed or misspelled entry is a
-//! typed [`NetSpecError`] (and a loud panic at arm time from
-//! [`NetFaultPlan::from_env`]), never a silently ignored fault. Both the
-//! grammar and the exactly-once countdown registry are the durability
-//! layer's [`repose_durability::spec`], not a copy.
+//! Plans are armed in code only. The site grammar is parsed in one place,
+//! [`parse_site`]; arming a name it rejects panics — never a silently
+//! ignored fault.
 
-use repose_durability::spec::{ArmRegistry, SpecIssue};
-use std::sync::Arc;
+use repose_durability::spec::{FaultAction, Plan};
 use std::time::Duration;
 
 /// What an armed network site does to the message that trips it.
@@ -45,10 +41,10 @@ pub enum NetFault {
     Crash,
 }
 
-/// The spec-grammar action names: `drop`, `dup`, `reorder`, `partition`,
-/// `crash`, `delay<ms>` (e.g. `delay250`).
+/// The action names the simulator's repro files carry: `drop`, `dup`,
+/// `reorder`, `partition`, `crash`, `delay<ms>` (e.g. `delay250`).
 impl std::str::FromStr for NetFault {
-    type Err = NetSpecReason;
+    type Err = String;
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "drop" => Ok(NetFault::Drop),
@@ -60,148 +56,85 @@ impl std::str::FromStr for NetFault {
                 .strip_prefix("delay")
                 .and_then(|ms| ms.parse::<u64>().ok())
                 .map(|ms| NetFault::Delay(Duration::from_millis(ms)))
-                .ok_or_else(|| NetSpecReason::BadAction(other.to_string())),
+                .ok_or_else(|| format!("unknown net fault `{other}`")),
         }
     }
 }
 
-/// A deterministic, shareable network-fault plan (see module docs).
-/// Cloning shares the registry.
-#[derive(Debug, Clone, Default)]
-pub struct NetFaultPlan {
-    inner: Arc<ArmRegistry<NetFault>>,
-}
-
-impl NetFaultPlan {
-    /// An empty plan (a perfectly healthy network).
-    pub fn new() -> Self {
-        NetFaultPlan::default()
-    }
-
-    /// Arms `point` to fire `fault` after `after` further hits (0 = fire
-    /// on the very next hit). Re-arming a point replaces its previous arm.
-    ///
-    /// # Panics
-    /// When `point` is not a well-formed site name
-    /// ([`valid_point`]) — arming a site the transport never consults
-    /// would be the silently-ignored fault this module exists to prevent.
-    pub fn arm(&self, point: &str, fault: NetFault, after: u32) {
-        assert!(
-            valid_point(point),
-            "`{point}` is not a network fault site (want coord|shard<N>|replica<N>, \
-             optionally suffixed .tx or .rx)"
-        );
-        self.inner.arm(point, fault, after);
-    }
-
-    /// Hit `point`: decrements its countdown and returns the fault the
-    /// moment it fires (exactly once per arm).
-    pub fn hit(&self, point: &str) -> Option<NetFault> {
-        self.inner.hit(point)
-    }
-
-    /// Whether any arm has fired.
-    pub fn any_fired(&self) -> bool {
-        self.inner.any_fired()
-    }
-
-    /// A plan parsed from the `REPOSE_NETFAULTS` environment variable;
-    /// empty when unset. Malformed entries panic at arm time with a
-    /// message naming them.
-    pub fn from_env() -> Self {
-        match std::env::var("REPOSE_NETFAULTS") {
-            Ok(spec) => match Self::parse(&spec) {
-                Ok(plan) => plan,
-                Err(e) => panic!("REPOSE_NETFAULTS: {e}"),
-            },
-            Err(_) => NetFaultPlan::new(),
-        }
-    }
-
-    /// Parses `point=action[:after][,...]`. Actions: `drop`, `dup`,
-    /// `reorder`, `partition`, `crash`, `delay<ms>` (e.g. `delay250`).
-    /// Points must be well-formed site names (see [`valid_point`]).
-    pub fn parse(spec: &str) -> Result<Self, NetSpecError> {
-        let plan = NetFaultPlan::new();
-        repose_durability::spec::parse_spec(
-            spec,
-            valid_point,
-            |action| action.parse().ok(),
-            |point, fault, after| plan.arm(point, fault, after),
-        )
-        .map_err(|e| NetSpecError {
-            entry: e.entry,
-            reason: match e.issue {
-                SpecIssue::MissingEquals => NetSpecReason::MissingEquals,
-                SpecIssue::BadPoint(p) => NetSpecReason::BadPoint(p),
-                SpecIssue::BadAction(a) => NetSpecReason::BadAction(a),
-                SpecIssue::BadCount(n) => NetSpecReason::BadCount(n),
-            },
-        })?;
-        Ok(plan)
+impl FaultAction for NetFault {
+    const SITES: &'static str = "network fault site \
+        (want coord|shard<N>|replica<N>, optionally suffixed .tx or .rx)";
+    fn valid_site(site: &str) -> bool {
+        valid_point(site)
     }
 }
 
-/// Whether `point` is a well-formed network fault site: `coord`,
-/// `shard<N>`, or `replica<N>`, optionally suffixed `.tx` (messages the
-/// node sends) or `.rx` (messages it receives).
+/// The shard layer's fault plan: [`Plan`] over [`NetFault`], armed only
+/// at well-formed sites (see module docs; an empty plan is a perfectly
+/// healthy network). Cloning shares the registry.
+pub type NetFaultPlan = Plan<NetFault>;
+
+/// Which kind of node a fault site names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SiteRole {
+    /// `coord` — the coordinator (there is one; its index is 0).
+    Coord,
+    /// `shard<N>` — shard `N`'s leader.
+    Shard,
+    /// `replica<N>` — shard `N`'s follower.
+    Replica,
+}
+
+/// Which of a node's traffic a fault site covers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SiteDir {
+    /// `.tx` — messages the node sends.
+    Tx,
+    /// `.rx` — messages the node receives.
+    Rx,
+}
+
+/// A parsed fault site: `coord`, `shard<N>` or `replica<N>`, optionally
+/// suffixed `.tx` or `.rx` (none: the node itself, for node-scoped faults).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Site {
+    /// The kind of node named.
+    pub role: SiteRole,
+    /// The `<N>` of `shard<N>` / `replica<N>`; 0 for `coord`.
+    pub index: usize,
+    /// The direction suffix, if any.
+    pub dir: Option<SiteDir>,
+}
+
+/// Parses a fault-site name — the one definition of the site grammar.
+/// `None` for anything else (`shard`, `shard-1`, `coord.txx`, `Shard0`).
+pub fn parse_site(site: &str) -> Option<Site> {
+    let (base, dir) = match site.rsplit_once('.') {
+        Some((base, "tx")) => (base, Some(SiteDir::Tx)),
+        Some((base, "rx")) => (base, Some(SiteDir::Rx)),
+        Some(_) => return None,
+        None => (site, None),
+    };
+    let (role, digits) = if base == "coord" {
+        (SiteRole::Coord, "0")
+    } else if let Some(n) = base.strip_prefix("shard") {
+        (SiteRole::Shard, n)
+    } else {
+        (SiteRole::Replica, base.strip_prefix("replica")?)
+    };
+    // Digits only: `usize::from_str` alone would also take `+3`.
+    if !digits.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    let index = digits.parse().ok()?;
+    Some(Site { role, index, dir })
+}
+
+/// Whether `point` is a well-formed network fault site (see
+/// [`parse_site`]).
 pub fn valid_point(point: &str) -> bool {
-    let base = point
-        .strip_suffix(".tx")
-        .or_else(|| point.strip_suffix(".rx"))
-        .unwrap_or(point);
-    if base == "coord" {
-        return true;
-    }
-    let idx = base
-        .strip_prefix("shard")
-        .or_else(|| base.strip_prefix("replica"));
-    matches!(idx, Some(n) if !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()))
+    parse_site(point).is_some()
 }
-
-/// A malformed network-fault spec entry (see [`NetFaultPlan::parse`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NetSpecError {
-    /// The offending entry, verbatim.
-    pub entry: String,
-    /// What was wrong with it.
-    pub reason: NetSpecReason,
-}
-
-/// Why a network-fault spec entry was rejected.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum NetSpecReason {
-    /// No `=` separating point from action.
-    MissingEquals,
-    /// The point is not a well-formed site name.
-    BadPoint(String),
-    /// The action is not `drop|dup|reorder|partition|crash|delay<ms>`.
-    BadAction(String),
-    /// The `:after` countdown is not a non-negative integer.
-    BadCount(String),
-}
-
-impl std::fmt::Display for NetSpecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let entry = &self.entry;
-        match &self.reason {
-            NetSpecReason::MissingEquals => write!(f, "netfault entry `{entry}` lacks `=`"),
-            NetSpecReason::BadPoint(p) => write!(
-                f,
-                "bad netfault site `{p}` in `{entry}` \
-                 (want coord|shard<N>|replica<N>[.tx|.rx])"
-            ),
-            NetSpecReason::BadAction(a) => write!(
-                f,
-                "unknown netfault action `{a}` in `{entry}` \
-                 (want drop|dup|reorder|partition|crash|delay<ms>)"
-            ),
-            NetSpecReason::BadCount(n) => write!(f, "bad netfault count `{n}` in `{entry}`"),
-        }
-    }
-}
-
-impl std::error::Error for NetSpecError {}
 
 #[cfg(test)]
 mod tests {
@@ -220,48 +153,32 @@ mod tests {
 
     #[test]
     fn parse_grammar() {
-        let plan =
-            NetFaultPlan::parse("shard1.rx=delay250:3, coord.tx=dup, replica0=crash").unwrap();
-        assert_eq!(plan.hit("coord.tx"), Some(NetFault::Duplicate));
-        assert_eq!(
-            plan.hit("replica0"),
-            Some(NetFault::Crash)
-        );
-        for _ in 0..3 {
-            assert_eq!(plan.hit("shard1.rx"), None);
+        assert_eq!("drop".parse(), Ok(NetFault::Drop));
+        assert_eq!("dup".parse(), Ok(NetFault::Duplicate));
+        assert_eq!("reorder".parse(), Ok(NetFault::Reorder));
+        assert_eq!("partition".parse(), Ok(NetFault::Partition));
+        assert_eq!("crash".parse(), Ok(NetFault::Crash));
+        assert_eq!("delay250".parse(), Ok(NetFault::Delay(Duration::from_millis(250))));
+        for bad in ["explode", "delaysoon", "delay", ""] {
+            assert!(bad.parse::<NetFault>().is_err(), "{bad}");
         }
         assert_eq!(
-            plan.hit("shard1.rx"),
-            Some(NetFault::Delay(Duration::from_millis(250)))
+            parse_site("replica3.tx"),
+            Some(Site { role: SiteRole::Replica, index: 3, dir: Some(SiteDir::Tx) })
         );
+        assert_eq!(
+            parse_site("shard12.rx"),
+            Some(Site { role: SiteRole::Shard, index: 12, dir: Some(SiteDir::Rx) })
+        );
+        assert_eq!(parse_site("coord"), Some(Site { role: SiteRole::Coord, index: 0, dir: None }));
     }
 
     #[test]
     fn parse_rejects_bad_site() {
-        let err = NetFaultPlan::parse("shardx.tx=drop").unwrap_err();
-        assert_eq!(err.reason, NetSpecReason::BadPoint("shardx.tx".into()));
-        let err = NetFaultPlan::parse("gateway=drop").unwrap_err();
-        assert_eq!(err.reason, NetSpecReason::BadPoint("gateway".into()));
-    }
-
-    #[test]
-    fn parse_rejects_bad_action_count_and_missing_equals() {
-        assert_eq!(
-            NetFaultPlan::parse("shard0=explode").unwrap_err().reason,
-            NetSpecReason::BadAction("explode".into())
-        );
-        assert_eq!(
-            NetFaultPlan::parse("shard0=delaysoon").unwrap_err().reason,
-            NetSpecReason::BadAction("delaysoon".into())
-        );
-        assert_eq!(
-            NetFaultPlan::parse("shard0=drop:always").unwrap_err().reason,
-            NetSpecReason::BadCount("always".into())
-        );
-        assert_eq!(
-            NetFaultPlan::parse("shard0").unwrap_err().reason,
-            NetSpecReason::MissingEquals
-        );
+        let overflow = "shard99999999999999999999";
+        for bad in ["shardx.tx", "gateway", "shard+3", "shard0.tx.rx", overflow] {
+            assert_eq!(parse_site(bad), None, "{bad}");
+        }
     }
 
     #[test]

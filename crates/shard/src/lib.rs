@@ -19,12 +19,15 @@
 //!   ([`Message`]) everything speaks; f64 distances travel as IEEE bit
 //!   patterns so exactness survives serialization.
 //! * [`fault`] — [`NetFaultPlan`], deterministic network fault injection
-//!   (drop/delay/duplicate/reorder/partition/crash) armed in code or via
-//!   `REPOSE_NETFAULTS`, the network sibling of the durability layer's
-//!   `REPOSE_FAILPOINTS`.
-//! * [`transport`] — the in-process [`Loopback`] transport: real
-//!   serialization on every send, per-node inboxes, and the fault plan
-//!   applied at the link layer.
+//!   (drop/delay/duplicate/reorder/partition/crash) armed in code at
+//!   named sites; the network instantiation of the durability layer's
+//!   fault-plan type.
+//! * [`link`] — [`Link`], the link core: fault-site resolution, the six
+//!   fault arms, partition/crash bookkeeping and the [`NetStats`]
+//!   counters, written once under every transport.
+//! * [`transport`] — the [`Transport`] trait and the in-process
+//!   [`Loopback`]: real serialization on every send, one channel per
+//!   node, the link core deciding each frame's fate.
 //! * [`worker`] — [`ShardWorker`], one node's message loop: scatter-side
 //!   query execution with mid-flight bound folding, WAL-backed writes,
 //!   leader→follower delta-log replication (log-before-ack), heartbeats,
@@ -38,6 +41,7 @@
 
 pub mod coordinator;
 pub mod fault;
+pub mod link;
 pub mod protocol;
 pub mod transport;
 pub mod worker;
@@ -45,7 +49,8 @@ pub mod worker;
 pub use coordinator::{
     ShardCluster, ShardClusterConfig, ShardOutcome, WriteFailed, WriteOutcome,
 };
-pub use fault::{NetFault, NetFaultPlan, NetSpecError, NetSpecReason};
+pub use fault::{NetFault, NetFaultPlan};
+pub use link::{Delivery, Envelope, Link, NetStats};
 pub use protocol::{Message, ProtocolError, RefusalReason};
-pub use transport::{Loopback, NetStats, NodeId, Transport};
+pub use transport::{Loopback, NodeId, Transport};
 pub use worker::{Role, ShardWorker, WorkerConfig};

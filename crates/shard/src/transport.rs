@@ -6,52 +6,26 @@
 //! fault-matrix suite exercises the exact byte path a TCP transport
 //! would, and a codec bug cannot hide behind in-process object passing.
 //!
-//! Faults from the attached [`NetFaultPlan`] apply at send time. For each
-//! message the transport consults, in order, the sender's `.tx` site, the
-//! receiver's `.rx` site, and both bare node sites (for node-scoped
-//! faults like partition and crash); the first armed site whose countdown
-//! expires decides the message's fate. Partitioned and crashed nodes drop
-//! *all* subsequent traffic in both directions.
+//! What happens to a frame — which fault site decides, what a partition
+//! or a crash cuts off, what gets counted — is the link core's business
+//! ([`crate::link`]). [`Loopback`] is that core plus what moves the bytes
+//! between threads: one channel per node, and a sleeping timer thread per
+//! delayed frame.
 
-use crate::fault::{NetFault, NetFaultPlan};
+use crate::fault::NetFaultPlan;
+use crate::link::{Delivery, Envelope, Link, NetStats};
 use crate::protocol::Message;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Index of a node on the transport (0 is the coordinator by convention).
 pub type NodeId = u16;
 
-/// An encoded frame in flight.
-#[derive(Debug, Clone)]
-struct Envelope {
-    from: NodeId,
-    bytes: Vec<u8>,
-}
-
-/// Counters of what the network actually did (for experiments and fault
-/// assertions). Snapshot via [`Loopback::net_stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetStats {
-    /// Messages submitted to [`Transport::send`].
-    pub sent: u64,
-    /// Messages actually delivered to an inbox (duplicates count twice).
-    pub delivered: u64,
-    /// Messages dropped by faults, partitions, or crashed endpoints.
-    pub dropped: u64,
-    /// Extra deliveries due to duplication faults.
-    pub duplicated: u64,
-    /// Messages delivered late due to delay faults.
-    pub delayed: u64,
-    /// Messages held back past a successor due to reorder faults.
-    pub reordered: u64,
-}
-
 /// What shard workers and coordinators program against. The in-process
-/// [`Loopback`] is the only implementation in this repository; a real
-/// TCP/QUIC transport would slot in behind the same five methods.
+/// [`Loopback`] is the only implementation in this crate (the simulator
+/// has a second, single-threaded one); a real TCP/QUIC transport would
+/// slot in behind the same six methods.
 pub trait Transport: Send + Sync {
     /// Sends `msg` from `from` to `to`. Fire-and-forget: delivery is not
     /// guaranteed (that is the point), and failure is silent — reliability
@@ -72,21 +46,8 @@ pub trait Transport: Send + Sync {
 }
 
 struct LoopbackInner {
+    link: Link,
     inboxes: Vec<(Sender<Envelope>, Receiver<Envelope>)>,
-    labels: Vec<String>,
-    faults: NetFaultPlan,
-    severed: Mutex<HashSet<NodeId>>,
-    crashed: Mutex<HashSet<NodeId>>,
-    /// One held-back message per link, delivered after the link's next
-    /// message (reorder fault).
-    reorder_pending: Mutex<HashMap<(NodeId, NodeId), Envelope>>,
-    shutdown: AtomicBool,
-    sent: AtomicU64,
-    delivered: AtomicU64,
-    dropped: AtomicU64,
-    duplicated: AtomicU64,
-    delayed: AtomicU64,
-    reordered: AtomicU64,
 }
 
 /// The in-process loopback transport (see module docs). Cloning shares
@@ -103,119 +64,38 @@ impl Loopback {
         let inboxes = (0..labels.len()).map(|_| unbounded()).collect();
         Loopback {
             inner: Arc::new(LoopbackInner {
+                link: Link::new(labels, faults),
                 inboxes,
-                labels,
-                faults,
-                severed: Mutex::new(HashSet::new()),
-                crashed: Mutex::new(HashSet::new()),
-                reorder_pending: Mutex::new(HashMap::new()),
-                shutdown: AtomicBool::new(false),
-                sent: AtomicU64::new(0),
-                delivered: AtomicU64::new(0),
-                dropped: AtomicU64::new(0),
-                duplicated: AtomicU64::new(0),
-                delayed: AtomicU64::new(0),
-                reordered: AtomicU64::new(0),
             }),
         }
     }
 
     /// The fault-site label of `node`.
     pub fn label(&self, node: NodeId) -> &str {
-        &self.inner.labels[node as usize]
+        self.inner.link.label(node)
     }
 
     /// Snapshot of the network counters.
     pub fn net_stats(&self) -> NetStats {
-        let i = &self.inner;
-        NetStats {
-            sent: i.sent.load(Ordering::Relaxed),
-            delivered: i.delivered.load(Ordering::Relaxed),
-            dropped: i.dropped.load(Ordering::Relaxed),
-            duplicated: i.duplicated.load(Ordering::Relaxed),
-            delayed: i.delayed.load(Ordering::Relaxed),
-            reordered: i.reordered.load(Ordering::Relaxed),
-        }
+        self.inner.link.stats()
     }
 
     /// Whether a partition fault has severed `node` from the network.
     pub fn is_severed(&self, node: NodeId) -> bool {
-        self.inner
-            .severed
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .contains(&node)
+        self.inner.link.is_severed(node)
     }
 
-    fn sever(&self, node: NodeId) {
-        self.inner
-            .severed
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(node);
-    }
-
-    fn mark_crashed(&self, node: NodeId) {
-        self.inner
-            .crashed
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(node);
-    }
-
-    /// The first fault armed on any site this (from, to) exchange touches.
-    /// Returns the fault and the node a node-scoped fault applies to.
-    fn fault_for(&self, from: NodeId, to: NodeId) -> Option<(NetFault, NodeId)> {
-        let faults = &self.inner.faults;
-        let from_label = self.label(from);
-        let to_label = self.label(to);
-        if let Some(f) = faults.hit(&format!("{from_label}.tx")) {
-            return Some((f, from));
-        }
-        if let Some(f) = faults.hit(&format!("{to_label}.rx")) {
-            return Some((f, to));
-        }
-        if let Some(f) = faults.hit(from_label) {
-            return Some((f, from));
-        }
-        if let Some(f) = faults.hit(to_label) {
-            return Some((f, to));
-        }
-        None
-    }
-
-    /// Delivers `env` to `to` unless an endpoint is dead or cut off.
+    /// Puts `env` in `to`'s inbox unless the link refuses it by now.
     fn deliver(&self, to: NodeId, env: Envelope) {
-        if self.is_severed(to) || self.is_severed(env.from) || self.is_crashed(to) {
-            self.inner.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        if self.inner.inboxes[to as usize].0.send(env).is_ok() {
-            self.inner.delivered.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.inner.dropped.fetch_add(1, Ordering::Relaxed);
+        if self.inner.link.admit(to, &env) {
+            self.inner.inboxes[to as usize]
+                .0
+                .send(env)
+                .expect("the network owns every inbox's receiver");
         }
     }
 
-    /// Delivers `env`, then flushes any reorder-held message on the link.
-    fn deliver_and_flush(&self, from: NodeId, to: NodeId, env: Envelope) {
-        self.deliver(to, env);
-        let held = self
-            .inner
-            .reorder_pending
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&(from, to));
-        if let Some(h) = held {
-            self.deliver(to, h);
-        }
-    }
-
-    fn pop_envelope(
-        &self,
-        node: NodeId,
-        timeout: Option<Duration>,
-    ) -> Option<Envelope> {
+    fn pop_envelope(&self, node: NodeId, timeout: Option<Duration>) -> Option<Envelope> {
         if self.is_crashed(node) {
             return None;
         }
@@ -226,112 +106,59 @@ impl Loopback {
             None => rx.try_recv(),
         }
     }
-
-    fn decode(env: Envelope) -> Option<(NodeId, Message)> {
-        let mut cur = env.bytes.as_slice();
-        match Message::decode_frame(&mut cur) {
-            // In-process frames are never torn; a decode failure here is a
-            // protocol bug and must not be silently eaten in tests.
-            Ok(Some(msg)) => {
-                debug_assert!(cur.is_empty(), "one frame per envelope");
-                Some((env.from, msg))
-            }
-            Ok(None) | Err(_) => {
-                debug_assert!(false, "undecodable frame on loopback");
-                None
-            }
-        }
-    }
 }
 
 impl Transport for Loopback {
     fn send(&self, from: NodeId, to: NodeId, msg: &Message) {
-        self.inner.sent.fetch_add(1, Ordering::Relaxed);
-        if self.is_crashed(from) || self.is_severed(from) {
-            self.inner.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let env = Envelope { from, bytes: msg.encode_frame() };
-        match self.fault_for(from, to) {
-            None => self.deliver_and_flush(from, to, env),
-            Some((NetFault::Drop, _)) => {
-                self.inner.dropped.fetch_add(1, Ordering::Relaxed);
-            }
-            Some((NetFault::Duplicate, _)) => {
-                self.inner.duplicated.fetch_add(1, Ordering::Relaxed);
-                self.deliver(to, env.clone());
-                self.deliver_and_flush(from, to, env);
-            }
-            Some((NetFault::Delay(d), _)) => {
-                self.inner.delayed.fetch_add(1, Ordering::Relaxed);
-                let net = self.clone();
-                std::thread::spawn(move || {
-                    std::thread::sleep(d);
-                    net.deliver(to, env);
-                });
-            }
-            Some((NetFault::Reorder, _)) => {
-                self.inner.reordered.fetch_add(1, Ordering::Relaxed);
-                let prev = self
-                    .inner
-                    .reorder_pending
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .insert((from, to), env);
-                // Two reorder faults on one link: the first held message
-                // gives way, not disappears.
-                if let Some(p) = prev {
-                    self.deliver(to, p);
+        for step in self.inner.link.route(from, to, msg) {
+            match step {
+                Delivery::Now(env) => self.deliver(to, env),
+                Delivery::After(delay, env) => {
+                    // Detached on purpose: the timer owns a handle on the
+                    // network, so it delivers into a live inbox whenever
+                    // it wakes, and nothing waits on a frame that is late.
+                    let net = self.clone();
+                    std::thread::spawn(move || {
+                        std::thread::sleep(delay);
+                        net.deliver(to, env);
+                    });
                 }
-            }
-            Some((NetFault::Partition, node)) => {
-                self.sever(node);
-                self.inner.dropped.fetch_add(1, Ordering::Relaxed);
-            }
-            Some((NetFault::Crash, node)) => {
-                self.mark_crashed(node);
-                self.inner.dropped.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
 
     fn recv_timeout(&self, node: NodeId, timeout: Duration) -> Option<(NodeId, Message)> {
-        self.pop_envelope(node, Some(timeout)).and_then(Loopback::decode)
+        self.pop_envelope(node, Some(timeout))
+            .and_then(Envelope::decode)
     }
 
     fn try_recv(&self, node: NodeId) -> Option<(NodeId, Message)> {
-        self.pop_envelope(node, None).and_then(Loopback::decode)
+        self.pop_envelope(node, None).and_then(Envelope::decode)
     }
 
     fn is_crashed(&self, node: NodeId) -> bool {
-        self.inner
-            .crashed
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .contains(&node)
+        self.inner.link.is_crashed(node)
     }
 
     fn is_shutdown(&self) -> bool {
-        self.inner.shutdown.load(Ordering::Acquire)
+        self.inner.link.is_shutdown()
     }
 
     fn shutdown_all(&self) {
-        self.inner.shutdown.store(true, Ordering::Release);
+        self.inner.link.shutdown_all();
     }
 }
 
 impl std::fmt::Debug for Loopback {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Loopback")
-            .field("nodes", &self.inner.labels)
-            .field("stats", &self.net_stats())
-            .finish()
+        f.debug_tuple("Loopback").field(&self.inner.link).finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::NetFault;
 
     fn net(faults: NetFaultPlan) -> Loopback {
         Loopback::new(

@@ -34,7 +34,7 @@ mod sharded;
 mod shrink;
 mod single;
 
-pub use net::{SimNet, SimNetStats, SimNode};
+pub use net::{SimNet, SimNode};
 pub use oracle::ShadowOracle;
 pub use scenario::{Scenario, SimMode, SimOp};
 pub use shrink::{shrink, Shrunk};

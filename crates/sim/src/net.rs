@@ -19,21 +19,20 @@
 //! *advances virtual time*: it steps the clock toward its deadline one
 //! quantum at a time, firing due delayed messages and running every
 //! pump's [`SimNode::on_tick`] (heartbeats, promotions) at each step.
-//! `Delay` faults park envelopes in a binary heap ordered by
-//! `(due, insertion sequence)` — the tie-break makes simultaneous
-//! deliveries replay in one canonical order.
+//! Delayed frames park in a map ordered by `(due, insertion sequence)` —
+//! the tie-break makes simultaneous deliveries replay in one canonical
+//! order.
 //!
-//! Faults come from the same [`NetFaultPlan`] grammar as the loopback,
-//! and site resolution mirrors [`Loopback`]'s order exactly
-//! (`from.tx`, `to.rx`, `from`, `to`): a fault spec means the same thing
-//! under simulation as in the threaded fault-matrix tests.
-//!
-//! [`Loopback`]: repose_shard::Loopback
+//! What happens to a frame is not decided here. Fault-site resolution,
+//! the fault arms, partition and crash bookkeeping and the counters are
+//! the same [`Link`] core the loopback runs, so a fault plan means under
+//! simulation what it means in the threaded fault-matrix tests by
+//! construction; this file only supplies inboxes, pumps and virtual time.
 
 use repose_cluster::{Clock, SimClock};
-use repose_shard::{Message, NetFault, NetFaultPlan, NodeId, Transport};
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use repose_shard::{Delivery, Envelope, Link, Message, NetFaultPlan, NetStats, NodeId, Transport};
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -53,71 +52,16 @@ pub trait SimNode: Send {
     fn on_tick(&mut self);
 }
 
-#[derive(Clone)]
-struct Envelope {
-    from: NodeId,
-    bytes: Vec<u8>,
-}
-
-/// A `Delay`-faulted envelope parked until its due time.
-struct Delayed {
-    due: Duration,
-    /// Insertion sequence: ties on `due` deliver in send order.
-    seq: u64,
-    to: NodeId,
-    env: Envelope,
-}
-
-impl PartialEq for Delayed {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl Eq for Delayed {}
-impl PartialOrd for Delayed {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Delayed {
-    /// Inverted on `(due, seq)` so the std max-heap pops the *earliest*.
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (other.due, other.seq).cmp(&(self.due, self.seq))
-    }
-}
-
-/// Message-motion counters, mirroring [`repose_shard::NetStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SimNetStats {
-    /// Frames handed to [`Transport::send`].
-    pub sent: u64,
-    /// Frames that reached an inbox.
-    pub delivered: u64,
-    /// Frames lost (faults, severed or crashed endpoints).
-    pub dropped: u64,
-    /// Extra copies delivered by `dup` faults.
-    pub duplicated: u64,
-    /// Frames parked by `delay` faults.
-    pub delayed: u64,
-    /// Frames held back by `reorder` faults.
-    pub reordered: u64,
-}
-
 struct NetState {
     inboxes: Vec<VecDeque<Envelope>>,
-    delayed: BinaryHeap<Delayed>,
-    /// One held-back message per link (reorder fault), delivered after
-    /// the link's next message.
-    reorder_pending: HashMap<(NodeId, NodeId), Envelope>,
-    severed: HashSet<NodeId>,
-    crashed: HashSet<NodeId>,
+    /// Delay-faulted frames parked until their due time, keyed
+    /// `(due, insertion sequence)`: ties on `due` deliver in send order.
+    delayed: BTreeMap<(Duration, u64), (NodeId, Envelope)>,
     delay_seq: u64,
-    stats: SimNetStats,
 }
 
 struct Inner {
-    labels: Vec<String>,
-    faults: NetFaultPlan,
+    link: Link,
     clock: Arc<SimClock>,
     /// Largest virtual-time step a blocking receive takes at once.
     quantum: Duration,
@@ -129,7 +73,6 @@ struct Inner {
     pumps: Vec<Mutex<Option<Box<dyn SimNode>>>>,
     /// Current eager-delivery nesting depth (single-threaded stack depth).
     depth: AtomicUsize,
-    shutdown: AtomicBool,
 }
 
 /// The deterministic simulated network (see module docs). Cloning shares
@@ -153,22 +96,16 @@ impl SimNet {
         let n = labels.len();
         SimNet {
             inner: Arc::new(Inner {
-                labels,
-                faults,
+                link: Link::new(labels, faults),
                 clock,
                 quantum,
                 state: Mutex::new(NetState {
                     inboxes: (0..n).map(|_| VecDeque::new()).collect(),
-                    delayed: BinaryHeap::new(),
-                    reorder_pending: HashMap::new(),
-                    severed: HashSet::new(),
-                    crashed: HashSet::new(),
+                    delayed: BTreeMap::new(),
                     delay_seq: 0,
-                    stats: SimNetStats::default(),
                 }),
                 pumps: (0..n).map(|_| Mutex::new(None)).collect(),
                 depth: AtomicUsize::new(0),
-                shutdown: AtomicBool::new(false),
             }),
         }
     }
@@ -183,12 +120,12 @@ impl SimNet {
 
     /// The fault-site label of `node`.
     pub fn label(&self, node: NodeId) -> &str {
-        &self.inner.labels[node as usize]
+        self.inner.link.label(node)
     }
 
     /// Snapshot of the message-motion counters.
-    pub fn stats(&self) -> SimNetStats {
-        self.lock_state().stats
+    pub fn stats(&self) -> NetStats {
+        self.inner.link.stats()
     }
 
     /// The network's virtual clock.
@@ -215,55 +152,13 @@ impl SimNet {
             .unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The first fault armed on any site this (from, to) exchange touches
-    /// — same resolution order as [`repose_shard::Loopback`].
-    fn fault_for(&self, from: NodeId, to: NodeId) -> Option<(NetFault, NodeId)> {
-        let faults = &self.inner.faults;
-        let from_label = self.label(from);
-        let to_label = self.label(to);
-        if let Some(f) = faults.hit(&format!("{from_label}.tx")) {
-            return Some((f, from));
-        }
-        if let Some(f) = faults.hit(&format!("{to_label}.rx")) {
-            return Some((f, to));
-        }
-        if let Some(f) = faults.hit(from_label) {
-            return Some((f, from));
-        }
-        if let Some(f) = faults.hit(to_label) {
-            return Some((f, to));
-        }
-        None
-    }
-
-    /// Parks `env` in `to`'s inbox unless an endpoint is dead or cut off.
-    /// Returns whether it was enqueued.
-    fn enqueue(&self, to: NodeId, env: Envelope) -> bool {
-        let mut st = self.lock_state();
-        if st.severed.contains(&to) || st.severed.contains(&env.from) || st.crashed.contains(&to)
-        {
-            st.stats.dropped += 1;
-            return false;
-        }
-        st.inboxes[to as usize].push_back(env);
-        st.stats.delivered += 1;
-        true
-    }
-
-    /// Delivers `env` to `to` and runs `to`'s pump (if it has one and the
-    /// delivery chain is not already too deep).
+    /// Parks `env` in `to`'s inbox unless the link refuses it by now, and
+    /// runs `to`'s pump (if it has one and the delivery chain is not
+    /// already too deep).
     fn deliver(&self, to: NodeId, env: Envelope) {
-        if self.enqueue(to, env) {
+        if self.inner.link.admit(to, &env) {
+            self.lock_state().inboxes[to as usize].push_back(env);
             self.pump(to);
-        }
-    }
-
-    /// Delivers `env`, then flushes any reorder-held message on the link.
-    fn deliver_and_flush(&self, from: NodeId, to: NodeId, env: Envelope) {
-        self.deliver(to, env);
-        let held = self.lock_state().reorder_pending.remove(&(from, to));
-        if let Some(h) = held {
-            self.deliver(to, h);
         }
     }
 
@@ -272,7 +167,7 @@ impl SimNet {
     /// (the slot holds `None` while the handler runs, so a nested
     /// delivery to the same node parks instead of recursing).
     fn pump(&self, node: NodeId) {
-        if self.inner.shutdown.load(Ordering::Acquire) {
+        if self.is_shutdown() {
             return;
         }
         if self.inner.depth.load(Ordering::Relaxed) >= MAX_PUMP_DEPTH {
@@ -282,26 +177,18 @@ impl SimNet {
         loop {
             let taken = self.lock_pump(node).take();
             let Some(mut pump) = taken else { break };
-            let popped = {
-                let mut st = self.lock_state();
-                if st.crashed.contains(&node) {
-                    None
-                } else {
-                    st.inboxes[node as usize].pop_front()
-                }
-            };
-            let Some(env) = popped else {
+            let Some(env) = self.pop(node) else {
                 *self.lock_pump(node) = Some(pump);
                 break;
             };
-            let keep = match decode(env) {
+            let keep = match env.decode() {
                 Some((from, msg)) => pump.on_message(from, msg),
                 None => true,
             };
             *self.lock_pump(node) = Some(pump);
             if !keep {
                 // The node asked to stop (Shutdown): no more deliveries.
-                self.lock_state().crashed.insert(node);
+                self.inner.link.crash(node);
                 break;
             }
         }
@@ -315,8 +202,8 @@ impl SimNet {
             let next = {
                 let mut st = self.lock_state();
                 let now = self.inner.clock.now();
-                match st.delayed.peek() {
-                    Some(d) if d.due <= now => st.delayed.pop().map(|d| (d.to, d.env)),
+                match st.delayed.first_entry() {
+                    Some(e) if e.key().0 <= now => Some(e.remove()),
                     _ => None,
                 }
             };
@@ -327,16 +214,19 @@ impl SimNet {
 
     /// The due time of the earliest parked delivery, if any.
     fn next_due(&self) -> Option<Duration> {
-        self.lock_state().delayed.peek().map(|d| d.due)
+        self.lock_state()
+            .delayed
+            .first_key_value()
+            .map(|(&(due, _), _)| due)
     }
 
     /// Gives every pump a timer edge (in node order — canonical) and a
     /// chance to drain frames parked while it was busy.
     fn run_ticks(&self) {
-        if self.inner.shutdown.load(Ordering::Acquire) {
+        if self.is_shutdown() {
             return;
         }
-        for node in 0..self.inner.labels.len() as NodeId {
+        for node in 0..self.inner.pumps.len() as NodeId {
             if self.is_crashed(node) {
                 continue;
             }
@@ -351,22 +241,12 @@ impl SimNet {
         }
     }
 
+    /// The next frame in `node`'s inbox; a dead node takes nothing out.
     fn pop(&self, node: NodeId) -> Option<Envelope> {
-        let mut st = self.lock_state();
-        if st.crashed.contains(&node) {
-            None
-        } else {
-            st.inboxes[node as usize].pop_front()
+        if self.is_crashed(node) {
+            return None;
         }
-    }
-}
-
-fn decode(env: Envelope) -> Option<(NodeId, Message)> {
-    let mut cur = env.bytes.as_slice();
-    match Message::decode_frame(&mut cur) {
-        Ok(Some(msg)) => Some((env.from, msg)),
-        // In-process frames are never torn; drop anything undecodable.
-        Ok(None) | Err(_) => None,
+        self.lock_state().inboxes[node as usize].pop_front()
     }
 }
 
@@ -388,55 +268,17 @@ impl Transport for SimNet {
                 std::mem::discriminant(msg)
             );
         }
-        {
-            let mut st = self.lock_state();
-            st.stats.sent += 1;
-            if st.crashed.contains(&from) || st.severed.contains(&from) {
-                st.stats.dropped += 1;
-                return;
-            }
-        }
-        let env = Envelope { from, bytes: msg.encode_frame() };
-        match self.fault_for(from, to) {
-            None => self.deliver_and_flush(from, to, env),
-            Some((NetFault::Drop, _)) => {
-                self.lock_state().stats.dropped += 1;
-            }
-            Some((NetFault::Duplicate, _)) => {
-                self.lock_state().stats.duplicated += 1;
-                self.deliver(to, env.clone());
-                self.deliver_and_flush(from, to, env);
-            }
-            Some((NetFault::Delay(d), _)) => {
-                let mut st = self.lock_state();
-                st.stats.delayed += 1;
-                let seq = st.delay_seq;
-                st.delay_seq += 1;
-                let due = self.inner.clock.now() + d;
-                st.delayed.push(Delayed { due, seq, to, env });
+        for step in self.inner.link.route(from, to, msg) {
+            match step {
+                Delivery::Now(env) => self.deliver(to, env),
                 // Fires from fire_due once virtual time reaches `due`.
-            }
-            Some((NetFault::Reorder, _)) => {
-                let prev = {
+                Delivery::After(delay, env) => {
+                    let due = self.inner.clock.now() + delay;
                     let mut st = self.lock_state();
-                    st.stats.reordered += 1;
-                    st.reorder_pending.insert((from, to), env)
-                };
-                // Two reorder faults on one link: the first held message
-                // gives way, not disappears.
-                if let Some(p) = prev {
-                    self.deliver(to, p);
+                    let seq = st.delay_seq;
+                    st.delay_seq += 1;
+                    st.delayed.insert((due, seq), (to, env));
                 }
-            }
-            Some((NetFault::Partition, node)) => {
-                let mut st = self.lock_state();
-                st.severed.insert(node);
-                st.stats.dropped += 1;
-            }
-            Some((NetFault::Crash, node)) => {
-                let mut st = self.lock_state();
-                st.crashed.insert(node);
-                st.stats.dropped += 1;
             }
         }
     }
@@ -450,7 +292,7 @@ impl Transport for SimNet {
         let deadline = clock.now() + timeout;
         loop {
             self.fire_due();
-            if let Some(got) = self.pop(node).and_then(decode) {
+            if let Some(got) = self.try_recv(node) {
                 return Some(got);
             }
             if self.is_shutdown() {
@@ -461,7 +303,7 @@ impl Transport for SimNet {
             // (e.g. a replication wait) rely on `None` meaning "the
             // deadline passed". The loop below advances virtual time to
             // the deadline — with every *other* node still ticking — and
-            // `pop` above stays empty for the dead node.
+            // the receive above stays empty for the dead node.
             let now = clock.now();
             if now >= deadline {
                 return None;
@@ -479,34 +321,32 @@ impl Transport for SimNet {
     }
 
     fn try_recv(&self, node: NodeId) -> Option<(NodeId, Message)> {
-        self.pop(node).and_then(decode)
+        self.pop(node).and_then(Envelope::decode)
     }
 
     fn is_crashed(&self, node: NodeId) -> bool {
-        self.lock_state().crashed.contains(&node)
+        self.inner.link.is_crashed(node)
     }
 
     fn is_shutdown(&self) -> bool {
-        self.inner.shutdown.load(Ordering::Acquire)
+        self.inner.link.is_shutdown()
     }
 
     fn shutdown_all(&self) {
-        self.inner.shutdown.store(true, Ordering::Release);
+        self.inner.link.shutdown_all();
     }
 }
 
 impl std::fmt::Debug for SimNet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SimNet")
-            .field("nodes", &self.inner.labels)
-            .field("stats", &self.stats())
-            .finish()
+        f.debug_tuple("SimNet").field(&self.inner.link).finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use repose_shard::NetFault;
 
     /// Echoes every frame back to node 0.
     struct Echo {
@@ -598,5 +438,83 @@ mod tests {
             (net.stats(), echoes)
         };
         assert_eq!(run(), run());
+    }
+
+    /// The same plan and the same scripted sends through the threaded
+    /// loopback and through the simulated network: every inbox sees the
+    /// same frames in the same order and the counters agree. Both run
+    /// the one link core, so this pins what the transports add around it
+    /// (delivery order of a routed batch, the at-delivery check, delay).
+    #[test]
+    fn loopback_and_simnet_agree_on_a_scripted_fault_schedule() {
+        use repose_shard::Loopback;
+        const NODES: NodeId = 4;
+        let labels = || -> Vec<String> {
+            ["coord", "shard0", "shard1", "replica0"].map(String::from).to_vec()
+        };
+        let plan = || {
+            let plan = NetFaultPlan::new();
+            plan.arm("coord.tx", NetFault::Duplicate, 1);
+            plan.arm("shard0.rx", NetFault::Reorder, 2);
+            plan.arm("shard1.tx", NetFault::Drop, 0);
+            plan.arm("shard1", NetFault::Partition, 2);
+            plan.arm("shard0", NetFault::Crash, 5);
+            plan.arm("replica0.rx", NetFault::Delay(Duration::from_millis(3)), 2);
+            plan
+        };
+        // (from, to) per send; the payload is the send's position. The
+        // delayed frame is the script's last send, so nothing that could
+        // race its wall-clock timer on the loopback comes after it.
+        let script: [(NodeId, NodeId); 16] = [
+            (0, 1), (0, 1), (2, 0), (0, 2), (1, 0), (0, 1), (3, 0), (0, 3),
+            (2, 0), (0, 1), (1, 3), (0, 2), (0, 1), (1, 0), (2, 0), (0, 3),
+        ];
+        let play = |net: &dyn Transport| {
+            for (seq, &(from, to)) in script.iter().enumerate() {
+                net.send(from, to, &Message::Heartbeat { seq: seq as u64 });
+            }
+        };
+
+        let sim = SimNet::new(
+            labels(),
+            plan(),
+            Arc::new(SimClock::new()),
+            Duration::from_millis(1),
+        );
+        play(&sim);
+        let want: Vec<Vec<(NodeId, Message)>> = (0..NODES)
+            .map(|n| {
+                std::iter::from_fn(|| sim.recv_timeout(n, Duration::from_millis(20))).collect()
+            })
+            .collect();
+
+        let threaded = Loopback::new(labels(), plan());
+        play(&threaded);
+        for (node, want) in want.iter().enumerate() {
+            let node = node as NodeId;
+            let got: Vec<_> = want
+                .iter()
+                .map_while(|_| threaded.recv_timeout(node, Duration::from_secs(10)))
+                .collect();
+            assert_eq!(&got, want, "inbox of {}", threaded.label(node));
+            assert!(threaded.try_recv(node).is_none(), "extra frame for {}", threaded.label(node));
+        }
+        assert_eq!(threaded.net_stats(), sim.stats());
+
+        // The schedule really exercised every arm, on both.
+        let st = sim.stats();
+        assert_eq!(
+            st,
+            NetStats {
+                sent: 16,
+                delivered: 13,
+                dropped: 4,
+                duplicated: 1,
+                delayed: 1,
+                reordered: 1
+            }
+        );
+        assert!(want[3].last().is_some_and(|(_, m)| *m == Message::Heartbeat { seq: 15 }));
+        assert!(sim.is_crashed(1) && threaded.is_crashed(1) && threaded.is_severed(2));
     }
 }

@@ -23,6 +23,7 @@ use crate::{PlantedBug, SimReport, Verdict};
 use repose_cluster::{BackoffConfig, Clock, SimClock};
 use repose_distance::MeasureParams;
 use repose_model::{Dataset, Trajectory};
+use repose_shard::fault::{parse_site, SiteRole};
 use repose_shard::{
     Message, NetFault, NetFaultPlan, NodeId, ShardCluster, ShardClusterConfig, Transport,
     WorkerConfig,
@@ -47,20 +48,11 @@ impl SimNode for WorkerPump {
 /// Whether `site` names a node that exists in this scenario's topology
 /// (hand-edited repro files can name nodes that don't).
 fn site_in_topology(site: &str, shards: usize, replicate: bool) -> bool {
-    let base = site
-        .strip_suffix(".tx")
-        .or_else(|| site.strip_suffix(".rx"))
-        .unwrap_or(site);
-    if base == "coord" {
-        return true;
-    }
-    if let Some(n) = base.strip_prefix("shard").and_then(|s| s.parse::<usize>().ok()) {
-        return n < shards;
-    }
-    if let Some(n) = base.strip_prefix("replica").and_then(|s| s.parse::<usize>().ok()) {
-        return replicate && n < shards;
-    }
-    false
+    parse_site(site).is_some_and(|s| match s.role {
+        SiteRole::Coord => true,
+        SiteRole::Shard => s.index < shards,
+        SiteRole::Replica => replicate && s.index < shards,
+    })
 }
 
 /// Virtual-time tuning: everything in low milliseconds so a scenario's
