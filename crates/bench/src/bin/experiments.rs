@@ -13,14 +13,13 @@ use repose_bench::exp;
 use repose_bench::runner::ExpConfig;
 use std::time::Instant;
 
+const USAGE: &str = "usage: experiments <name|all> [--scale S] [--queries N] [--k K] \
+                     [--partitions P] [--seed S] [--seeds N] [--repro FILE]";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() || args[0] == "list" || args[0] == "--help" {
-        eprintln!(
-            "usage: experiments <name|all> [--scale S] [--queries N] [--k K] [--partitions P] \
-             [--readers R] [--writers W] [--burst B] [--pool-threads T] [--shards N] \
-             [--seeds N] [--repro FILE]"
-        );
+        eprintln!("{USAGE}");
         eprintln!("experiments:");
         for e in exp::ALL {
             eprintln!("  {:<8} {}", e.name, e.what);
@@ -28,62 +27,10 @@ fn main() {
         return;
     }
     let which = args[0].as_str();
-    let mut cfg = ExpConfig::default();
-    let mut i = 1;
-    while i + 1 < args.len() + 1 {
-        match args.get(i).map(String::as_str) {
-            Some("--scale") => {
-                cfg.scale = args[i + 1].parse().expect("bad --scale");
-                i += 2;
-            }
-            Some("--queries") => {
-                cfg.queries = args[i + 1].parse().expect("bad --queries");
-                i += 2;
-            }
-            Some("--k") => {
-                cfg.k = args[i + 1].parse().expect("bad --k");
-                i += 2;
-            }
-            Some("--partitions") => {
-                cfg.partitions = args[i + 1].parse().expect("bad --partitions");
-                i += 2;
-            }
-            Some("--seed") => {
-                cfg.seed = args[i + 1].parse().expect("bad --seed");
-                i += 2;
-            }
-            Some("--readers") => {
-                cfg.readers = args[i + 1].parse().expect("bad --readers");
-                i += 2;
-            }
-            Some("--writers") => {
-                cfg.writers = args[i + 1].parse().expect("bad --writers");
-                i += 2;
-            }
-            Some("--burst") => {
-                cfg.write_burst = args[i + 1].parse().expect("bad --burst");
-                i += 2;
-            }
-            Some("--pool-threads") => {
-                cfg.pool_threads = args[i + 1].parse().expect("bad --pool-threads");
-                i += 2;
-            }
-            Some("--shards") => {
-                cfg.shards = args[i + 1].parse().expect("bad --shards");
-                i += 2;
-            }
-            Some("--seeds") => {
-                cfg.sim_seeds = args[i + 1].parse().expect("bad --seeds");
-                i += 2;
-            }
-            Some("--repro") => {
-                cfg.sim_repro = Some(args[i + 1].clone());
-                i += 2;
-            }
-            Some(other) => panic!("unknown flag {other}"),
-            None => break,
-        }
-    }
+    let cfg = ExpConfig::from_args(&args[1..]).unwrap_or_else(|e| {
+        eprintln!("experiments: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
     std::fs::create_dir_all("results").expect("create results dir");
     eprintln!(
         "config: scale {}, {} queries, k = {}, {} partitions, {}x{} cluster",

@@ -30,10 +30,9 @@ pub fn run(exp: &ExpConfig) -> Value {
                 );
             let r = Repose::build(&data, cfg);
             nodes[i] = r.trie_nodes();
-            // paper's execution model (see runner::run_repose)
             qts[i] = queries
                 .iter()
-                .map(|q| r.query_independent(&q.points, exp.k).query_time().as_secs_f64())
+                .map(|q| r.query(&q.points, exp.k).query_time().as_secs_f64())
                 .sum::<f64>()
                 / queries.len().max(1) as f64;
         }

@@ -1,18 +1,11 @@
-//! One module per table/figure of Section VII. Every `run` prints a
-//! paper-style table and returns a JSON record for EXPERIMENTS.md.
+//! One module per table/figure of Section VII, plus the `sim` soak. Every
+//! `run` prints a paper-style table and returns the JSON record the
+//! `experiments` binary writes to `results/<name>.json`.
 
-pub mod dist;
 pub mod fig6;
-pub mod kernels;
-pub mod recover;
-pub mod restart;
-pub mod scale;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod serve;
-pub mod serve_pool;
-pub mod shard;
 pub mod sim;
 pub mod table4;
 pub mod table5;
@@ -46,46 +39,6 @@ pub const ALL: &[Experiment] = &[
     Experiment { name: "table7", what: "Effect of partitioning strategy", run: table7::run },
     Experiment { name: "table8", what: "Heterogeneous partitioning in DITA", run: table8::run },
     Experiment { name: "table9", what: "Heterogeneous partitioning in DFT", run: table9::run },
-    Experiment {
-        name: "serve",
-        what: "Online serving: mixed read/write QPS + latency percentiles",
-        run: serve::run,
-    },
-    Experiment {
-        name: "dist",
-        what: "Early-abandoning exact kernels: abandoned verifications + speedup",
-        run: dist::run,
-    },
-    Experiment {
-        name: "scale",
-        what: "Shared-threshold vs independent partition search across partition counts",
-        run: scale::run,
-    },
-    Experiment {
-        name: "kernels",
-        what: "Zero-allocation verification: arena + scratch kernels vs the seed path",
-        run: kernels::run,
-    },
-    Experiment {
-        name: "serve_pool",
-        what: "Worker-pool serving: query latency vs pool size + incremental compaction",
-        run: serve_pool::run,
-    },
-    Experiment {
-        name: "recover",
-        what: "Durability: WAL write cost per fsync policy + crash-recovery time",
-        run: recover::run,
-    },
-    Experiment {
-        name: "shard",
-        what: "Sharded serving: scatter-gather latency vs shard count + degraded mode",
-        run: shard::run,
-    },
-    Experiment {
-        name: "restart",
-        what: "Persistent archives: cold-start rebuild vs mmap attach + scrub throughput",
-        run: restart::run,
-    },
     Experiment {
         name: "sim",
         what: "Deterministic simulation soak: seeded chaos schedules vs the shadow oracle",

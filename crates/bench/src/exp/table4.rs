@@ -38,26 +38,14 @@ pub fn run(exp: &ExpConfig) -> Value {
                 ) else {
                     continue; // "/" cells (DITA x Hausdorff)
                 };
-                let qt = algo.batch_secs(&queries, exp.k);
-                let (is_bytes, it_s) = match &algo {
-                    crate::runner::Algo::Repose(r) => {
-                        (Some(r.index_bytes() as u64), Some(r.index_time().as_secs_f64()))
-                    }
-                    crate::runner::Algo::Dita(d) => {
-                        (Some(d.index_bytes() as u64), Some(d.index_time().as_secs_f64()))
-                    }
-                    crate::runner::Algo::Dft(d) => {
-                        (Some(d.index_bytes() as u64), Some(d.index_time().as_secs_f64()))
-                    }
-                    crate::runner::Algo::Ls(_) => (None, None),
-                };
+                let cost = algo.index_cost();
                 cells.push(Cell {
                     algo: algo_name.to_string(),
                     dataset: ds.name().to_string(),
                     measure: measure.name().to_string(),
-                    qt_s: qt,
-                    is_bytes,
-                    it_s,
+                    qt_s: algo.batch_secs(&queries, exp.k),
+                    is_bytes: cost.map(|(bytes, _)| bytes),
+                    it_s: cost.map(|(_, secs)| secs),
                 });
             }
         }

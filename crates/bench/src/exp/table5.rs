@@ -1,7 +1,7 @@
 //! Table V: query time as the grid side `δ` varies, on T-drive, Xi'an and
 //! OSM for Hausdorff and Frechet (REPOSE only — it is REPOSE's parameter).
 
-use crate::runner::{load, run_repose, ExpConfig};
+use crate::runner::{build_repose, load, Algo, ExpConfig};
 use crate::{fmt_secs, print_table, Series};
 use repose::PartitionStrategy;
 use repose_datagen::PaperDataset;
@@ -29,20 +29,20 @@ pub fn run(exp: &ExpConfig) -> Value {
             let mut row = vec![format!("{delta}")];
             for measure in [Measure::Hausdorff, Measure::Frechet] {
                 let params = MeasureParams::with_eps(ds.paper_delta(measure));
-                let m = run_repose(
+                let r = build_repose(
                     &data,
-                    &queries,
                     measure,
                     params,
                     delta,
                     PartitionStrategy::Heterogeneous,
                     exp,
                 );
-                row.push(fmt_secs(m.qt_s));
+                let qt = Algo::Repose(r).batch_secs(&queries, exp.k);
+                row.push(fmt_secs(qt));
                 series.push(Series {
                     label: format!("REPOSE {} {} delta={delta}", ds.name(), measure),
                     x: vec![delta],
-                    y: vec![m.qt_s],
+                    y: vec![qt],
                 });
             }
             rows.push(row);

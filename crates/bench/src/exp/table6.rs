@@ -29,10 +29,9 @@ pub fn run(exp: &ExpConfig) -> Value {
                     .with_np(np)
                     .with_seed(exp.seed);
                 let r = Repose::build(&data, cfg);
-                // paper's execution model (see runner::run_repose)
                 let qt = queries
                     .iter()
-                    .map(|q| r.query_independent(&q.points, exp.k).query_time().as_secs_f64())
+                    .map(|q| r.query(&q.points, exp.k).query_time().as_secs_f64())
                     .sum::<f64>()
                     / queries.len().max(1) as f64;
                 row.push(fmt_secs(qt));

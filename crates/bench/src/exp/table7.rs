@@ -2,7 +2,7 @@
 //! homogeneous / random) with the RP-Trie as the local index, on T-drive,
 //! Xi'an and OSM for Hausdorff and Frechet.
 
-use crate::runner::{load, params_for, run_repose, ExpConfig};
+use crate::runner::{build_repose, load, params_for, Algo, ExpConfig};
 use crate::{fmt_secs, print_table};
 use repose::PartitionStrategy;
 use repose_datagen::PaperDataset;
@@ -26,21 +26,21 @@ pub fn run(exp: &ExpConfig) -> Value {
             let mut row = vec![strategy.name().to_string()];
             for ds in DATASETS {
                 let (data, queries) = load(ds, exp);
-                let m = run_repose(
+                let r = build_repose(
                     &data,
-                    &queries,
                     measure,
                     params_for(ds, measure),
                     ds.paper_delta(measure),
                     strategy,
                     exp,
                 );
-                row.push(fmt_secs(m.qt_s));
+                let qt = Algo::Repose(r).batch_secs(&queries, exp.k);
+                row.push(fmt_secs(qt));
                 out.push(json!({
                     "measure": measure.name(),
                     "strategy": strategy.name(),
                     "dataset": ds.name(),
-                    "qt_s": m.qt_s,
+                    "qt_s": qt,
                 }));
             }
             rows.push(row);

@@ -1,7 +1,7 @@
 //! Table VIII: applying REPOSE's heterogeneous partitioning to DITA
 //! (Heter-DITA), compared on DTW and Frechet over T-drive, Xi'an and OSM.
 
-use crate::runner::{load, params_for, run_dita, run_repose, ExpConfig};
+use crate::runner::{build_algo, load, params_for, ExpConfig};
 use crate::{fmt_secs, print_table};
 use repose::PartitionStrategy;
 use repose_baselines::BaselinePlacement;
@@ -27,27 +27,32 @@ pub fn run(exp: &ExpConfig) -> Value {
             let (data, queries) = load(ds, exp);
             let params = params_for(ds, measure);
             let delta = ds.paper_delta(measure);
-            let repose = run_repose(
-                &data, &queries, measure, params, delta,
-                PartitionStrategy::Heterogeneous, exp,
-            );
-            let heter = run_dita(
-                &data, &queries, measure, params,
-                BaselinePlacement::Heterogeneous, exp,
-            );
-            let homo = run_dita(
-                &data, &queries, measure, params,
-                BaselinePlacement::Homogeneous, exp,
-            );
-            rows[0].push(fmt_secs(repose.qt_s));
-            rows[1].push(fmt_secs(heter.qt_s));
-            rows[2].push(fmt_secs(homo.qt_s));
+            let qt = |name, placement| {
+                build_algo(
+                    name,
+                    &data,
+                    measure,
+                    params,
+                    delta,
+                    placement,
+                    PartitionStrategy::Heterogeneous,
+                    exp,
+                )
+                .expect("REPOSE and DITA support this measure")
+                .batch_secs(&queries, exp.k)
+            };
+            let repose = qt("REPOSE", BaselinePlacement::Homogeneous);
+            let heter = qt("DITA", BaselinePlacement::Heterogeneous);
+            let homo = qt("DITA", BaselinePlacement::Homogeneous);
+            rows[0].push(fmt_secs(repose));
+            rows[1].push(fmt_secs(heter));
+            rows[2].push(fmt_secs(homo));
             out.push(json!({
                 "measure": measure.name(),
                 "dataset": ds.name(),
-                "repose_qt_s": repose.qt_s,
-                "heter_dita_qt_s": heter.qt_s,
-                "dita_qt_s": homo.qt_s,
+                "repose_qt_s": repose,
+                "heter_dita_qt_s": heter,
+                "dita_qt_s": homo,
             }));
         }
         print_table(&["Algorithm", "T-drive", "Xi'an", "OSM"], &rows);

@@ -2,7 +2,7 @@
 //! (Heter-DFT), compared on Hausdorff and Frechet over T-drive, Xi'an and
 //! OSM.
 
-use crate::runner::{load, params_for, run_dft, run_repose, ExpConfig};
+use crate::runner::{build_algo, load, params_for, ExpConfig};
 use crate::{fmt_secs, print_table};
 use repose::PartitionStrategy;
 use repose_baselines::BaselinePlacement;
@@ -28,27 +28,32 @@ pub fn run(exp: &ExpConfig) -> Value {
             let (data, queries) = load(ds, exp);
             let params = params_for(ds, measure);
             let delta = ds.paper_delta(measure);
-            let repose = run_repose(
-                &data, &queries, measure, params, delta,
-                PartitionStrategy::Heterogeneous, exp,
-            );
-            let heter = run_dft(
-                &data, &queries, measure, params,
-                BaselinePlacement::Heterogeneous, exp,
-            );
-            let homo = run_dft(
-                &data, &queries, measure, params,
-                BaselinePlacement::Homogeneous, exp,
-            );
-            rows[0].push(fmt_secs(repose.qt_s));
-            rows[1].push(fmt_secs(heter.qt_s));
-            rows[2].push(fmt_secs(homo.qt_s));
+            let qt = |name, placement| {
+                build_algo(
+                    name,
+                    &data,
+                    measure,
+                    params,
+                    delta,
+                    placement,
+                    PartitionStrategy::Heterogeneous,
+                    exp,
+                )
+                .expect("REPOSE and DFT support this measure")
+                .batch_secs(&queries, exp.k)
+            };
+            let repose = qt("REPOSE", BaselinePlacement::Homogeneous);
+            let heter = qt("DFT", BaselinePlacement::Heterogeneous);
+            let homo = qt("DFT", BaselinePlacement::Homogeneous);
+            rows[0].push(fmt_secs(repose));
+            rows[1].push(fmt_secs(heter));
+            rows[2].push(fmt_secs(homo));
             out.push(json!({
                 "measure": measure.name(),
                 "dataset": ds.name(),
-                "repose_qt_s": repose.qt_s,
-                "heter_dft_qt_s": heter.qt_s,
-                "dft_qt_s": homo.qt_s,
+                "repose_qt_s": repose,
+                "heter_dft_qt_s": heter,
+                "dft_qt_s": homo,
             }));
         }
         print_table(&["Algorithm", "T-drive", "Xi'an", "OSM"], &rows);

@@ -1,13 +1,14 @@
 //! Experiment harness for reproducing Section VII of the paper.
 //!
-//! Every table and figure has a runner in [`exp`]; the `experiments` binary
-//! dispatches to them and prints paper-style tables. The `benches/`
-//! directory carries criterion micro-benchmarks over the same code paths.
+//! Every table and figure has a runner in [`exp`], beside the `sim` soak;
+//! the `experiments` binary dispatches to them and prints paper-style
+//! tables. Wall-clock numbers beyond the paper come from the standalone
+//! `benchmark/` package, not from this crate.
 //!
-//! Scaling note: the synthetic datasets are ~100–1000× smaller than the
-//! paper's (DESIGN.md §2), and the default query batch is 5 instead of 100,
-//! so *absolute* times are not comparable — the harness is about the shape:
-//! who wins, by what factor, and where the U-curves turn.
+//! Scaling note: the synthetic datasets (`repose_datagen`) are ~100–1000×
+//! smaller than the paper's, and the default query batch is 5 instead of
+//! 100, so *absolute* times are not comparable — the harness is about the
+//! shape: who wins, by what factor, and where the U-curves turn.
 //!
 //! ```
 //! use repose_bench::runner::{load, ExpConfig};

@@ -23,22 +23,6 @@ pub struct ExpConfig {
     pub cluster: ClusterConfig,
     /// RNG seed.
     pub seed: u64,
-    /// Reader threads for the `serve` experiment (the sweep's largest
-    /// configuration; smaller reader counts are derived from it).
-    pub readers: usize,
-    /// Writer threads for the `serve` experiment.
-    pub writers: usize,
-    /// Delta-burst size for the `serve` experiment: inserts each writer
-    /// issues (the uncompacted backlog a query must search through).
-    pub write_burst: usize,
-    /// Largest worker-pool size for the `serve_pool` experiment's sweep
-    /// (smaller pool sizes are derived from it; 1 is always included as
-    /// the sequential baseline).
-    pub pool_threads: usize,
-    /// Largest shard count for the `shard` experiment's sweep (smaller
-    /// shard counts are derived from it; 1 is always included as the
-    /// single-node baseline).
-    pub shards: usize,
     /// Seeds to soak in the `sim` experiment, starting at `seed`.
     pub sim_seeds: usize,
     /// Repro file for the `sim` experiment: replay this shrunk schedule
@@ -55,134 +39,35 @@ impl Default for ExpConfig {
             partitions: 64,
             cluster: ClusterConfig::paper_default().with_timing_repeats(3),
             seed: 0xE5E5,
-            readers: 4,
-            writers: 2,
-            write_burst: 100,
-            pool_threads: 4,
-            shards: 4,
             sim_seeds: 50,
             sim_repro: None,
         }
     }
 }
 
-/// The per-algorithm measurement of one (dataset, measure) cell.
-#[derive(Debug, Clone, Copy)]
-pub struct Measured {
-    /// Mean simulated distributed query time (seconds).
-    pub qt_s: f64,
-    /// Index bytes (None = not applicable).
-    pub is_bytes: Option<u64>,
-    /// Index construction seconds (None = not applicable).
-    pub it_s: Option<f64>,
-}
-
-/// Builds + times REPOSE under the *paper's* execution model
-/// ([`Repose::query_independent`]: independent per-partition search,
-/// merge at the end) so the replication tables/figures stay comparable to
-/// the paper. The beyond-the-paper shared-threshold default
-/// (`Repose::query`) is measured by the `scale` experiment.
-pub fn run_repose(
-    data: &Dataset,
-    queries: &[Trajectory],
-    measure: Measure,
-    params: MeasureParams,
-    delta: f64,
-    strategy: PartitionStrategy,
-    exp: &ExpConfig,
-) -> Measured {
-    let cfg = ReposeConfig::new(measure)
-        .with_cluster(exp.cluster)
-        .with_partitions(exp.partitions)
-        .with_delta(delta)
-        .with_strategy(strategy)
-        .with_params(params)
-        .with_seed(exp.seed);
-    let r = Repose::build(data, cfg);
-    let mut qt = 0.0;
-    for q in queries {
-        qt += r.query_independent(&q.points, exp.k).query_time().as_secs_f64();
-    }
-    Measured {
-        qt_s: qt / queries.len().max(1) as f64,
-        is_bytes: Some(r.index_bytes() as u64),
-        it_s: Some(r.index_time().as_secs_f64()),
-    }
-}
-
-/// Builds + times the linear scan.
-pub fn run_ls(
-    data: &Dataset,
-    queries: &[Trajectory],
-    measure: Measure,
-    params: MeasureParams,
-    exp: &ExpConfig,
-) -> Measured {
-    let ls = LinearScan::build(data, exp.cluster, exp.partitions, measure, params);
-    let mut qt = 0.0;
-    for q in queries {
-        qt += ls.query(&q.points, exp.k).job.makespan.as_secs_f64();
-    }
-    Measured {
-        qt_s: qt / queries.len().max(1) as f64,
-        is_bytes: None,
-        it_s: None,
-    }
-}
-
-/// Builds + times DFT.
-pub fn run_dft(
-    data: &Dataset,
-    queries: &[Trajectory],
-    measure: Measure,
-    params: MeasureParams,
-    placement: BaselinePlacement,
-    exp: &ExpConfig,
-) -> Measured {
-    let cfg = DftConfig {
-        cluster: exp.cluster,
-        num_partitions: exp.partitions,
-        sample_factor: 5,
-        placement,
-        seed: exp.seed,
-    };
-    let dft = Dft::build(data, cfg, measure, params);
-    let mut qt = 0.0;
-    for q in queries {
-        qt += dft.query(&q.points, exp.k).job.makespan.as_secs_f64();
-    }
-    Measured {
-        qt_s: qt / queries.len().max(1) as f64,
-        is_bytes: Some(dft.index_bytes() as u64),
-        it_s: Some(dft.index_time().as_secs_f64()),
-    }
-}
-
-/// Builds + times DITA (caller must check `Dita::supports(measure)`).
-pub fn run_dita(
-    data: &Dataset,
-    queries: &[Trajectory],
-    measure: Measure,
-    params: MeasureParams,
-    placement: BaselinePlacement,
-    exp: &ExpConfig,
-) -> Measured {
-    let cfg = DitaConfig {
-        cluster: exp.cluster,
-        num_partitions: exp.partitions,
-        nl: 32,
-        c_factor: 5,
-        placement,
-    };
-    let dita = Dita::build(data, cfg, measure, params);
-    let mut qt = 0.0;
-    for q in queries {
-        qt += dita.query(&q.points, exp.k).job.makespan.as_secs_f64();
-    }
-    Measured {
-        qt_s: qt / queries.len().max(1) as f64,
-        is_bytes: Some(dita.index_bytes() as u64),
-        it_s: Some(dita.index_time().as_secs_f64()),
+impl ExpConfig {
+    /// The defaults overridden by the `experiments` binary's flags (every
+    /// argument after the experiment name), each a `--flag value` pair.
+    pub fn from_args(args: &[String]) -> Result<ExpConfig, String> {
+        fn parse<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+            value.parse().map_err(|_| format!("{flag}: cannot parse {value:?}"))
+        }
+        let mut cfg = ExpConfig::default();
+        let mut it = args.iter();
+        while let Some(flag) = it.next() {
+            let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
+            match flag.as_str() {
+                "--scale" => cfg.scale = parse(flag, value()?)?,
+                "--queries" => cfg.queries = parse(flag, value()?)?,
+                "--k" => cfg.k = parse(flag, value()?)?,
+                "--partitions" => cfg.partitions = parse(flag, value()?)?,
+                "--seed" => cfg.seed = parse(flag, value()?)?,
+                "--seeds" => cfg.sim_seeds = parse(flag, value()?)?,
+                "--repro" => cfg.sim_repro = Some(value()?.clone()),
+                other => return Err(format!("unknown flag {other}")),
+            }
+        }
+        Ok(cfg)
     }
 }
 
@@ -200,42 +85,60 @@ pub enum Algo {
 }
 
 impl Algo {
-    /// Display name (Table IV row labels).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Algo::Repose(_) => "REPOSE",
-            Algo::Dita(_) => "DITA",
-            Algo::Dft(_) => "DFT",
-            Algo::Ls(_) => "LS",
-        }
-    }
-
-    /// Runs one query, returning the simulated distributed time (seconds).
-    ///
-    /// REPOSE uses [`Repose::query_independent`] — the paper's execution
-    /// model — so the replication experiments keep measuring what the
-    /// paper measured (the shared-threshold default is the `scale`
-    /// experiment's subject).
-    pub fn query_secs(&self, query: &[repose_model::Point], k: usize) -> f64 {
-        match self {
-            Algo::Repose(r) => r.query_independent(query, k).query_time().as_secs_f64(),
-            Algo::Dita(d) => d.query(query, k).job.makespan.as_secs_f64(),
-            Algo::Dft(d) => d.query(query, k).job.makespan.as_secs_f64(),
-            Algo::Ls(l) => l.query(query, k).job.makespan.as_secs_f64(),
-        }
-    }
-
-    /// Mean query time over a batch.
+    /// Mean simulated distributed query time (seconds, the paper's QT) over
+    /// a batch. REPOSE answers through [`Repose::query`], the
+    /// shared-threshold path that ships.
     pub fn batch_secs(&self, queries: &[Trajectory], k: usize) -> f64 {
         if queries.is_empty() {
             return 0.0;
         }
-        queries
+        let total: f64 = queries
             .iter()
-            .map(|q| self.query_secs(&q.points, k))
-            .sum::<f64>()
-            / queries.len() as f64
+            .map(|q| {
+                let q = &q.points;
+                let qt = match self {
+                    Algo::Repose(r) => r.query(q, k).query_time(),
+                    Algo::Dita(d) => d.query(q, k).job.makespan,
+                    Algo::Dft(d) => d.query(q, k).job.makespan,
+                    Algo::Ls(l) => l.query(q, k).job.makespan,
+                };
+                qt.as_secs_f64()
+            })
+            .sum();
+        total / queries.len() as f64
     }
+
+    /// Index bytes and construction seconds (the paper's IS and IT);
+    /// `None` for the index-free linear scan, where the paper prints "/".
+    pub fn index_cost(&self) -> Option<(u64, f64)> {
+        let (bytes, time) = match self {
+            Algo::Repose(r) => (r.index_bytes(), r.index_time()),
+            Algo::Dita(d) => (d.index_bytes(), d.index_time()),
+            Algo::Dft(d) => (d.index_bytes(), d.index_time()),
+            Algo::Ls(_) => return None,
+        };
+        Some((bytes as u64, time.as_secs_f64()))
+    }
+}
+
+/// Builds REPOSE over a dataset on the experiment's cluster, partition
+/// count and seed.
+pub fn build_repose(
+    data: &Dataset,
+    measure: Measure,
+    params: MeasureParams,
+    delta: f64,
+    strategy: PartitionStrategy,
+    exp: &ExpConfig,
+) -> Repose {
+    let cfg = ReposeConfig::new(measure)
+        .with_cluster(exp.cluster)
+        .with_partitions(exp.partitions)
+        .with_delta(delta)
+        .with_strategy(strategy)
+        .with_params(params)
+        .with_seed(exp.seed);
+    Repose::build(data, cfg)
 }
 
 /// Builds one algorithm over a dataset (`None` when the measure is
@@ -252,16 +155,7 @@ pub fn build_algo(
     exp: &ExpConfig,
 ) -> Option<Algo> {
     match name {
-        "REPOSE" => Some(Algo::Repose(Repose::build(
-            data,
-            ReposeConfig::new(measure)
-                .with_cluster(exp.cluster)
-                .with_partitions(exp.partitions)
-                .with_delta(delta)
-                .with_strategy(strategy)
-                .with_params(params)
-                .with_seed(exp.seed),
-        ))),
+        "REPOSE" => Some(Algo::Repose(build_repose(data, measure, params, delta, strategy, exp))),
         "DITA" => Dita::supports(measure).then(|| {
             Algo::Dita(Dita::build(
                 data,
@@ -335,23 +229,52 @@ mod tests {
     }
 
     #[test]
+    fn from_args_parses_flags_and_rejects_bad_input() {
+        let args = |s: &str| s.split_whitespace().map(String::from).collect::<Vec<_>>();
+        let cfg = ExpConfig::from_args(&args("--scale 0.5 --k 7 --seed 3 --repro r.json"))
+            .expect("valid flags");
+        assert_eq!((cfg.scale, cfg.k, cfg.seed), (0.5, 7, 3));
+        assert_eq!(cfg.sim_repro.as_deref(), Some("r.json"));
+        assert_eq!(cfg.queries, ExpConfig::default().queries);
+
+        assert_eq!(
+            ExpConfig::from_args(&args("--queries 2 --scale")).unwrap_err(),
+            "--scale needs a value"
+        );
+        assert_eq!(
+            ExpConfig::from_args(&args("--readers 4")).unwrap_err(),
+            "unknown flag --readers"
+        );
+        assert_eq!(
+            ExpConfig::from_args(&args("--partitions four")).unwrap_err(),
+            "--partitions: cannot parse \"four\""
+        );
+    }
+
+    #[test]
     fn all_runners_produce_measurements() {
         let exp = tiny();
         let (data, queries) = load(PaperDataset::TDrive, &exp);
         let m = Measure::Frechet;
         let p = params_for(PaperDataset::TDrive, m);
         let delta = PaperDataset::TDrive.paper_delta(m);
-
-        let r = run_repose(&data, &queries, m, p, delta, PartitionStrategy::Heterogeneous, &exp);
-        assert!(r.qt_s >= 0.0 && r.is_bytes.unwrap() > 0 && r.it_s.unwrap() >= 0.0);
-
-        let l = run_ls(&data, &queries, m, p, &exp);
-        assert!(l.qt_s > 0.0 && l.is_bytes.is_none());
-
-        let f = run_dft(&data, &queries, m, p, BaselinePlacement::Homogeneous, &exp);
-        assert!(f.qt_s > 0.0 && f.is_bytes.unwrap() > 0);
-
-        let d = run_dita(&data, &queries, m, p, BaselinePlacement::Homogeneous, &exp);
-        assert!(d.qt_s > 0.0 && d.is_bytes.unwrap() > 0);
+        for name in ["REPOSE", "DITA", "DFT", "LS"] {
+            let algo = build_algo(
+                name,
+                &data,
+                m,
+                p,
+                delta,
+                BaselinePlacement::Homogeneous,
+                PartitionStrategy::Heterogeneous,
+                &exp,
+            )
+            .expect("every algorithm supports Frechet");
+            assert!(algo.batch_secs(&queries, exp.k) > 0.0, "{name}");
+            match algo.index_cost() {
+                Some((bytes, secs)) => assert!(bytes > 0 && secs >= 0.0, "{name}"),
+                None => assert_eq!(name, "LS"),
+            }
+        }
     }
 }

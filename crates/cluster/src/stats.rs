@@ -103,9 +103,8 @@ impl JobStats {
 }
 
 /// Order statistics over a set of measured call latencies — the reporting
-/// unit for mixed read/write serving workloads (`repose-service` and the
-/// `serve` experiment): counts alone hide tail behaviour, so QPS is always
-/// paired with p50/p95/p99.
+/// unit for mixed read/write serving workloads (`repose-service`): counts
+/// alone hide tail behaviour, so QPS is always paired with p50/p95/p99.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencySummary {
     /// Number of samples.

@@ -20,9 +20,8 @@ pub(crate) struct LocalPartition {
 /// The outcome of one distributed top-k query.
 ///
 /// Every [`Repose`] query front ([`Repose::query`],
-/// [`Repose::query_independent`], [`Repose::query_batch`],
-/// [`Repose::query_where`]) returns one of these. The three fields
-/// answer the three questions the paper's
+/// [`Repose::query_batch`], [`Repose::query_where`]) returns one of
+/// these. The three fields answer the three questions the paper's
 /// evaluation asks of a query: *what* was found (`hits`), *how long* the
 /// simulated cluster took (`job`, whose makespan is the paper's QT metric),
 /// and *how much work* the local indexes did (`search`, the pruning-power
@@ -31,7 +30,9 @@ pub(crate) struct LocalPartition {
 pub struct QueryOutcome {
     /// Global top-k hits, ascending by distance with ties broken by
     /// trajectory id. May hold fewer than `k` entries when the dataset
-    /// (or the filtered subset) is smaller than `k`.
+    /// (or the filtered subset) is smaller than `k`. Which of the ids tied
+    /// at the k-th distance make the cut is not fixed: it can change from
+    /// run to run with how the partition searches interleave.
     pub hits: Vec<Hit>,
     /// Distributed scheduling stats; `job.makespan` is the simulated
     /// distributed query time (the paper's QT).
@@ -318,25 +319,17 @@ impl Repose {
     /// each accepted hit and re-reading the collector's global k-th-
     /// distance bound at every pruning decision — so partition 7 stops
     /// verifying candidates partition 0 already proved hopeless, while the
-    /// results stay exact (identical distance multiset to
-    /// [`Repose::query_independent`]; ties may resolve per Definition 3).
+    /// results stay exact (the same distance multiset as the paper's
+    /// model, where every partition searches under an infinite threshold
+    /// and results merge only at the end; ties may resolve per
+    /// Definition 3).
     ///
-    /// Never performs more exact distance computations than the
-    /// independent path on any interleaving: the shared bound only ever
+    /// Never performs more exact distance computations than that
+    /// independent model on any interleaving: the shared bound only ever
     /// tightens each local search's own threshold, so each partition's
     /// work is a subset of its independent-run work.
     pub fn query(&self, query: &[Point], k: usize) -> QueryOutcome {
-        self.run(&[query], k, None, true).pop().expect("one outcome per query")
-    }
-
-    /// The paper's execution model: every partition searches independently
-    /// under an infinite initial threshold and results merge only at the
-    /// end (`mapPartitions` + `collect` with no cross-task communication).
-    ///
-    /// Kept as the verification baseline for [`Repose::query`] and as the
-    /// paper-model arm of the replication experiments; prefer `query`.
-    pub fn query_independent(&self, query: &[Point], k: usize) -> QueryOutcome {
-        self.run(&[query], k, None, false).pop().expect("one outcome per query")
+        self.run(&[query], k, None).pop().expect("one outcome per query")
     }
 
     /// Executes a *batch* of queries as one distributed job — the paper's
@@ -351,7 +344,7 @@ impl Repose {
     /// of [`Repose::query`] applies to every query of the batch.
     pub fn query_batch(&self, queries: &[Vec<Point>], k: usize) -> Vec<QueryOutcome> {
         let queries: Vec<&[Point]> = queries.iter().map(Vec::as_slice).collect();
-        self.run(&queries, k, None, true)
+        self.run(&queries, k, None)
     }
 
     /// The one distributed query job behind every front: one task per
@@ -359,45 +352,32 @@ impl Repose {
     /// task times become the simulated schedule, and each query's local
     /// results merge into its global top-k.
     ///
-    /// `shared` gives every query one [`SharedTopK`] all its partition
-    /// searches publish into and prune with. Such a job is timed as a
-    /// single cold run ([`Cluster::run_partitions_cold`]): a timing re-run
-    /// would execute against the already-tightened collectors and
-    /// under-report the job's true cost. Independent searches share no
-    /// state and keep the configured `timing_repeats`.
+    /// Every query gets one [`SharedTopK`] all its partition searches
+    /// publish into and prune with. The job is timed as a single cold run
+    /// ([`Cluster::run_partitions_cold`]): a timing re-run would execute
+    /// against the already-tightened collectors and under-report the job's
+    /// true cost.
     pub(crate) fn run(
         &self,
         queries: &[&[Point]],
         k: usize,
         filter: Option<&(dyn Fn(TrajId) -> bool + Sync)>,
-        shared: bool,
     ) -> Vec<QueryOutcome> {
         if queries.is_empty() {
             return Vec::new();
         }
-        // One collector per query, or none: an independent search has
-        // nothing at its index below.
-        let collectors: Vec<SharedTopK> = if shared {
-            queries.iter().map(|_| SharedTopK::new(k)).collect()
-        } else {
-            Vec::new()
-        };
-        let task = |_: usize, chunk: &[Arc<LocalPartition>]| {
+        let collectors: Vec<SharedTopK> = queries.iter().map(|_| SharedTopK::new(k)).collect();
+        let (locals, times, wall) = self.cluster.run_partitions_cold(&self.data, |_, chunk| {
             let part = &chunk[0];
             queries
                 .iter()
-                .enumerate()
-                .map(|(qi, q)| {
-                    let collector = collectors.get(qi).map(|c| c as &dyn ThresholdSource);
-                    part.trie.search(&part.store, q, k, &[], filter, collector)
+                .zip(&collectors)
+                .map(|(q, c)| {
+                    let shared = Some(c as &dyn ThresholdSource);
+                    part.trie.search(&part.store, q, k, &[], filter, shared)
                 })
                 .collect::<Vec<_>>()
-        };
-        let (locals, times, wall) = if shared {
-            self.cluster.run_partitions_cold(&self.data, task)
-        } else {
-            self.cluster.run_partitions(&self.data, task)
-        };
+        });
         let job = JobStats::simulate(
             times,
             (0..self.config.num_partitions).collect(),
@@ -600,6 +580,24 @@ mod tests {
         assert!(out.query_time() >= Duration::ZERO);
     }
 
+    /// The paper's execution model, the baseline `query` is checked
+    /// against: each partition searched on its own under an infinite
+    /// threshold, merged at the end. Returns the top-k and the exact
+    /// distance computations it took.
+    fn independent(r: &Repose, q: &[Point], k: usize) -> (Vec<Hit>, usize) {
+        let mut hits = Vec::new();
+        let mut exact = 0;
+        for pi in 0..r.num_partitions() {
+            let view = r.partition_view(pi);
+            let local = view.trie.top_k(view.store, q, k);
+            exact += local.stats.exact_computations;
+            hits.extend(local.hits);
+        }
+        hits.sort_by(Hit::cmp_by_dist_then_id);
+        hits.truncate(k);
+        (hits, exact)
+    }
+
     #[test]
     fn shared_matches_independent_distances() {
         let d = dataset();
@@ -613,10 +611,10 @@ mod tests {
             for qy in [0.1, 5.3, 19.7] {
                 let q: Vec<Point> =
                     (0..12).map(|s| Point::new(s as f64 * 0.3, qy)).collect();
-                let indep = r.query_independent(&q, 10);
+                let (indep, indep_exact) = independent(&r, &q, 10);
                 let one = r.query(&q, 10);
-                assert_eq!(one.hits.len(), indep.hits.len(), "{measure}");
-                for (a, c) in one.hits.iter().zip(&indep.hits) {
+                assert_eq!(one.hits.len(), indep.len(), "{measure}");
+                for (a, c) in one.hits.iter().zip(&indep) {
                     assert!(
                         (a.dist - c.dist).abs() < 1e-9,
                         "{measure}: {} vs {}",
@@ -626,7 +624,7 @@ mod tests {
                 }
                 // shared thresholds must help, never hurt, total pruning
                 // work — regardless of how the partition tasks interleave
-                assert!(one.search.exact_computations <= indep.search.exact_computations);
+                assert!(one.search.exact_computations <= indep_exact);
             }
         }
     }

@@ -94,7 +94,7 @@ impl Repose {
         k: usize,
         filter: &(dyn Fn(TrajId) -> bool + Sync),
     ) -> QueryOutcome {
-        self.run(&[query], k, Some(filter), true).pop().expect("one outcome per query")
+        self.run(&[query], k, Some(filter)).pop().expect("one outcome per query")
     }
 }
 

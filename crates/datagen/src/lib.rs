@@ -5,8 +5,9 @@
 //! ins that match the statistics that drive index behaviour*: cardinality
 //! (scaled down for single-host experiments), average trajectory length,
 //! spatial span, and density skew (trips concentrate around hotspots, like
-//! taxi data). DESIGN.md documents the substitution; EXPERIMENTS.md reports
-//! both the paper's numbers and ours.
+//! taxi data). The replication experiments (`repose-bench`) therefore
+//! reproduce the shapes and ratios of the paper's tables and figures, not
+//! their absolute numbers.
 //!
 //! Movement model: a trajectory starts near one of `hotspots` urban
 //! centers, picks a heading, and random-walks with heading momentum and

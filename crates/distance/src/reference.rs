@@ -3,15 +3,11 @@
 //! The scratch-threaded kernels in the sibling modules are required to be
 //! **bit-identical** to these: every value they return must equal, bit for
 //! bit, what the original per-call-allocating kernels computed. This
-//! module keeps those originals alive for two purposes only:
-//!
-//! * the bitwise-agreement property tests
-//!   (`tests/scratch_agreement.rs`), which pit every scratch kernel
-//!   against its original here, and
-//! * the `kernels` experiment / `bench_kernels` benchmark, whose "seed
-//!   path" arm measures exactly what the code did before the
-//!   zero-allocation refactor (per-call `vec!` DP state, per-cell gap
-//!   square roots, linear-space Fréchet).
+//! module keeps those originals alive as the test oracle only: the
+//! bitwise-agreement property tests (`tests/scratch_agreement.rs`,
+//! `tests/within_agreement.rs`) pit every kernel against its original
+//! here, and the workspace's `tests/invariants.rs` checks the batched leaf
+//! verification against it on a datagen set.
 //!
 //! Production code must not call into this module.
 

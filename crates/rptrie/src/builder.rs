@@ -32,7 +32,7 @@ impl ZSeqPolicy {
     /// collapsing as part of the base reference-trajectory conversion and
     /// attribute only non-consecutive dedup + greedy re-arrangement to the
     /// optimized trie — the conservative reading, which reproduces Fig. 7's
-    /// magnitude. (See DESIGN.md.)
+    /// magnitude.
     pub fn for_measure(measure: Measure, optimize: bool) -> Self {
         match measure {
             Measure::Hausdorff if optimize => ZSeqPolicy::DedupSet,
@@ -283,8 +283,10 @@ impl BuildTrie {
     }
 
     /// Computes the `HR` pivot-distance intervals bottom-up. Intervals
-    /// cover the *actual* trajectories in each subtree (see DESIGN.md for
-    /// why this differs benignly from the paper's Eq. 5).
+    /// cover the *actual* trajectories in each subtree rather than following
+    /// the paper's Eq. 5; the difference is benign, because
+    /// `pivot_lower_bound` needs only that every member's
+    /// pivot distance lies inside its node's interval.
     fn fill_hr(&mut self, store: &TrajStore, cfg: &RpTrieConfig, pivots: &PivotSet) {
         if pivots.is_empty() {
             return;

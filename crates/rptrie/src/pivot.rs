@@ -103,8 +103,8 @@ pub fn select_pivots(store: &TrajStore, cfg: &RpTrieConfig) -> PivotSet {
     }
 }
 
-/// The pivot-based lower bound `LBp` (Section IV-D, corrected form — see
-/// DESIGN.md):
+/// The pivot-based lower bound `LBp` (Section IV-D, in the corrected form
+/// derived here from the triangle inequality):
 ///
 /// With `dqp[i] = D(τq, pivot_i)` and `hr` the node's interleaved
 /// `min, max` interval floats over `D(pivot_i, τ)` for every trajectory

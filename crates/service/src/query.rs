@@ -63,8 +63,9 @@ pub struct ServiceOutcome {
     pub delta_candidates: usize,
     /// Single-thread duration of each partition's task (delta scan + trie
     /// search), indexed by partition. Empty on a cache hit. Enables
-    /// modeling the pooled schedule on hosts with any core count (see the
-    /// `serve_pool` experiment).
+    /// modeling the pooled schedule on hosts with any core count (the
+    /// benchmark's `service.seq_overhead_us` and `service.pool_utilization`
+    /// probes are computed from it).
     pub partition_times: Vec<Duration>,
     /// Whether the query's deadline expired before every partition was
     /// searched: the hits are a best-effort partial answer, **not** the

@@ -10,8 +10,8 @@ use repose_datagen::{sample_queries, PaperDataset};
 use repose_distance::Measure;
 
 fn main() {
-    // 1. Generate a scaled-down T-drive-like dataset (see Table III of the
-    //    paper; DESIGN.md documents the synthetic substitution).
+    // 1. Generate a scaled-down, synthetic T-drive-like dataset (matching
+    //    the statistics of Table III of the paper; see `repose_datagen`).
     let dataset = PaperDataset::TDrive.generate(0.25, 42);
     let stats = dataset.stats();
     println!(

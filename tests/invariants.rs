@@ -3,8 +3,8 @@
 //! answer must always equal the scan answer, for randomized datasets.
 
 use proptest::prelude::*;
-use repose_datagen::sample_queries;
-use repose_distance::{Measure, MeasureParams};
+use repose_datagen::{sample_queries, PaperDataset};
+use repose_distance::{bound_exceeds, just_above, reference, DistScratch, Measure, MeasureParams};
 use repose_model::{Dataset, Mbr, Point, TrajStore, Trajectory};
 use repose_rptrie::{RpTrie, RpTrieConfig};
 use repose_zorder::Grid;
@@ -107,6 +107,51 @@ fn sampled_queries_always_rank_themselves_first() {
             assert!(r.hits[0].dist.abs() < 1e-12, "{measure}");
         }
     }
+}
+
+/// The production leaf-verification path, `distance_within_batch_in`, is
+/// bit-identical to the frozen seed kernels on whichever backend the
+/// process runs (CI forces each in turn). The candidates are every
+/// trajectory the O(1) summary bound lets through at the true k-th
+/// distance, verified under `just_above(kth)` as trie leaves are. A
+/// refusal must match too: a DTW candidate the nearest-neighbour stage
+/// refuses returns `None`, so the reference must abandon it as well.
+#[test]
+fn batched_verification_is_bitwise_the_reference() {
+    let ds = PaperDataset::TDrive;
+    let data = ds.generate(0.03, 11);
+    let store = TrajStore::from_trajectories(data.trajectories());
+    let query = &sample_queries(&data, 1, 11)[0].points;
+    let k = 3;
+    let mut scratch = DistScratch::new();
+    let mut refused = 0;
+    for measure in Measure::ALL {
+        let params = MeasureParams::with_eps(ds.paper_delta(measure));
+        let mut dists: Vec<f64> = (0..store.len())
+            .map(|s| reference::distance(&params, measure, query, store.points(s)))
+            .collect();
+        dists.sort_by(f64::total_cmp);
+        let kth = dists[k - 1];
+        let qsum = params.summary_of(query);
+        let cands: Vec<(f64, &[Point])> = (0..store.len())
+            .map(|s| store.points(s))
+            .filter_map(|pts| {
+                let lb = params.summary_lower_bound(measure, &qsum, &params.summary_of(pts));
+                (!bound_exceeds(lb, kth)).then_some((lb, pts))
+            })
+            .collect();
+        let dk = just_above(kth);
+        let mut got = vec![None; cands.len()];
+        params.distance_within_batch_in(measure, query, &cands, dk, &mut scratch, &mut got);
+        for (&(lb, pts), got) in cands.iter().zip(&got) {
+            let want = reference::distance_within_from_lb(&params, measure, query, pts, dk, lb);
+            assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{measure}");
+        }
+        // The k nearest always survive `dk`; the rest exercise refusals.
+        assert!(got.iter().filter(|d| d.is_some()).count() >= k, "{measure}");
+        refused += got.iter().filter(|d| d.is_none()).count();
+    }
+    assert!(refused > 0, "no candidate was refused: the check saw no abandon path");
 }
 
 #[test]

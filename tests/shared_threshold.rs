@@ -4,8 +4,8 @@
 //! pool, so these tests repeat each comparison many times to shake out
 //! interleavings and assert the results are *distance-identical*
 //! (bit-for-bit equal sorted distance multisets — Definition 3 permits
-//! tied *ids* to differ) to the pre-change independent per-partition
-//! search.
+//! tied *ids* to differ) to the paper's independent per-partition search,
+//! which [`independent`] rebuilds here from the partitions' own tries.
 //!
 //! The thread pool sizes itself to the host (`available_parallelism`);
 //! CI runners provide >= 4 workers, the regime the satellite task asks
@@ -13,7 +13,7 @@
 //! less interleaving variety.
 
 use proptest::prelude::*;
-use repose::{QueryOutcome, Repose, ReposeConfig};
+use repose::{Hit, Repose, ReposeConfig};
 use repose_cluster::ClusterConfig;
 use repose_datagen::{sample_queries, PaperDataset};
 use repose_distance::{Measure, MeasureParams};
@@ -23,37 +23,55 @@ fn small_cluster() -> ClusterConfig {
     ClusterConfig { workers: 4, cores_per_worker: 2, timing_repeats: 1 }
 }
 
-fn sorted_dist_bits(o: &QueryOutcome) -> Vec<u64> {
-    repose_testkit::sorted_dist_bits(o.hits.iter().map(|h| h.dist))
+fn sorted_dist_bits(hits: &[Hit]) -> Vec<u64> {
+    repose_testkit::sorted_dist_bits(hits.iter().map(|h| h.dist))
+}
+
+/// The paper's execution model: each partition searched on its own under
+/// an infinite threshold, merged at the end. Returns the top-k and the
+/// exact distance computations it took.
+fn independent(r: &Repose, q: &[Point], k: usize) -> (Vec<Hit>, usize) {
+    let mut hits = Vec::new();
+    let mut exact = 0;
+    for pi in 0..r.num_partitions() {
+        let view = r.partition_view(pi);
+        let local = view.trie.top_k(view.store, q, k);
+        exact += local.stats.exact_computations;
+        hits.extend(local.hits);
+    }
+    hits.sort_by(Hit::cmp_by_dist_then_id);
+    hits.truncate(k);
+    (hits, exact)
 }
 
 /// Repeatedly compares shared-threshold execution with the independent
-/// path on one deployment, over several queries.
+/// path on one deployment, over several queries. Returns the exact
+/// computations of every shared run and of as many independent runs.
 fn assert_shared_matches_independent(
     r: &Repose,
     queries: &[Trajectory],
     k: usize,
     repeats: usize,
     label: &str,
-) {
+) -> (usize, usize) {
+    let (mut shared_total, mut indep_total) = (0, 0);
     for q in queries {
-        let indep = r.query_independent(&q.points, k);
+        let (indep, indep_exact) = independent(r, &q.points, k);
         let expect = sorted_dist_bits(&indep);
         for rep in 0..repeats {
             let shared = r.query(&q.points, k);
-            assert_eq!(
-                sorted_dist_bits(&shared),
-                expect,
-                "{label}: shared run {rep} diverged"
-            );
+            assert_eq!(sorted_dist_bits(&shared.hits), expect, "{label}: shared run {rep} diverged");
             // The structural guarantee: the shared bound only ever
             // tightens local thresholds, on every interleaving.
             assert!(
-                shared.search.exact_computations <= indep.search.exact_computations,
+                shared.search.exact_computations <= indep_exact,
                 "{label}: shared did more work"
             );
+            shared_total += shared.search.exact_computations;
+            indep_total += indep_exact;
         }
     }
+    (shared_total, indep_total)
 }
 
 #[test]
@@ -69,7 +87,11 @@ fn shared_query_distance_identical_all_measures_under_threads() {
             .with_params(params)
             .with_seed(3);
         let r = Repose::build(&data, cfg);
-        assert_shared_matches_independent(&r, &queries, 10, 6, measure.name());
+        let (shared, indep) =
+            assert_shared_matches_independent(&r, &queries, 10, 6, measure.name());
+        // On the clustered datagen workload the shared bound must also
+        // save work, not just never add it.
+        assert!(shared < indep, "{measure}: shared {shared} !< independent {indep}");
     }
 }
 
@@ -100,12 +122,12 @@ fn shared_query_exact_with_heavy_kth_boundary_ties() {
             .with_seed(5);
         let r = Repose::build(&data, cfg);
         // k = 12 slices through the second group of 8 equal distances.
-        let indep = r.query_independent(&q, 12);
+        let (indep, _) = independent(&r, &q, 12);
         let expect = sorted_dist_bits(&indep);
-        assert_eq!(indep.hits.len(), 12);
+        assert_eq!(indep.len(), 12);
         for rep in 0..12 {
             let shared = r.query(&q, 12);
-            assert_eq!(sorted_dist_bits(&shared), expect, "{measure} rep {rep}");
+            assert_eq!(sorted_dist_bits(&shared.hits), expect, "{measure} rep {rep}");
         }
     }
 }
@@ -128,13 +150,9 @@ fn shared_batch_distance_identical_to_independent() {
             let batch = r.query_batch(&queries, 9);
             assert_eq!(batch.len(), queries.len());
             for (q, b) in queries.iter().zip(&batch) {
-                let indep = r.query_independent(q, 9);
-                assert_eq!(
-                    sorted_dist_bits(b),
-                    sorted_dist_bits(&indep),
-                    "{measure} rep {rep}"
-                );
-                assert!(b.search.exact_computations <= indep.search.exact_computations);
+                let (indep, indep_exact) = independent(&r, q, 9);
+                assert_eq!(sorted_dist_bits(&b.hits), sorted_dist_bits(&indep), "{measure} rep {rep}");
+                assert!(b.search.exact_computations <= indep_exact);
             }
         }
     }
@@ -168,10 +186,10 @@ proptest! {
             .with_params(MeasureParams::with_eps(0.8))
             .with_seed(0xF00D);
         let r = Repose::build(&data, cfg);
-        let indep = r.query_independent(&q, k);
+        let (indep, _) = independent(&r, &q, k);
         let expect = sorted_dist_bits(&indep);
         for _ in 0..3 {
-            prop_assert_eq!(&sorted_dist_bits(&r.query(&q, k)), &expect);
+            prop_assert_eq!(&sorted_dist_bits(&r.query(&q, k).hits), &expect);
         }
     }
 }
