@@ -31,7 +31,7 @@ fn scratch(tag: &str) -> PathBuf {
 
 fn config() -> ReposeConfig {
     ReposeConfig::new(Measure::Hausdorff)
-        .with_cluster(ClusterConfig { workers: 2, cores_per_worker: 2, timing_repeats: 1 })
+        .with_cluster(ClusterConfig { workers: 2, cores_per_worker: 2 })
         .with_partitions(2)
 }
 

@@ -4,7 +4,7 @@
 //! fast if it is also exactly right.
 
 use repose::{Repose, ReposeConfig};
-use repose_archive::{latest_valid, list_generations, write_archive, Archive};
+use repose_archive::{latest_valid, list_generations, write_archive, Archive, ArchiveMeta};
 use repose_cluster::ClusterConfig;
 use repose_distance::Measure;
 use repose_durability::FailPlan;
@@ -25,7 +25,7 @@ fn scratch(tag: &str) -> PathBuf {
 
 fn config(measure: Measure) -> ReposeConfig {
     ReposeConfig::new(measure)
-        .with_cluster(ClusterConfig { workers: 2, cores_per_worker: 2, timing_repeats: 1 })
+        .with_cluster(ClusterConfig { workers: 2, cores_per_worker: 2 })
         .with_partitions(4)
 }
 
@@ -130,5 +130,28 @@ fn scrub_is_clean_on_a_valid_archive() {
     // 13 array sections per partition + 1 meta.
     assert_eq!(report.sections, 4 * 13 + 1);
     assert_eq!(report.bytes, archive.file_len());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Archives written before a `ClusterConfig` field was retired still
+/// carry it inside the meta section's cluster object. The meta must still
+/// read, to the same configuration: fields the reader does not know are
+/// skipped.
+#[test]
+fn meta_with_a_retired_cluster_field_still_reads() {
+    let dir = scratch("retired-field");
+    let built = Repose::build(&tie_dataset(0..30), config(Measure::Hausdorff));
+    let path = write_archive(&dir, &built, 1, &FailPlan::new()).unwrap();
+    let meta = Archive::open(&path, &FailPlan::new()).unwrap().meta().clone();
+    let json = serde_json::to_string(&meta).unwrap();
+    let old = json.replacen(
+        "\"cores_per_worker\":2",
+        "\"cores_per_worker\":2,\"retired_field\":3",
+        1,
+    );
+    assert_ne!(old, json, "the cluster object was found");
+    let read: ArchiveMeta = serde_json::from_str(&old).unwrap();
+    assert_eq!(read.config, meta.config);
+    assert_eq!(read.region, meta.region);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -2,7 +2,7 @@ use crate::{merge_top_k, refine_top_k, BaselineOutcome, BaselinePlacement};
 use rand::rngs::StdRng;
 use rand::seq::index::sample;
 use rand::SeedableRng;
-use repose_cluster::{Cluster, ClusterConfig, DistDataset, JobStats};
+use repose_cluster::{Cluster, ClusterConfig};
 use repose_distance::{Measure, MeasureParams};
 use repose_model::{Dataset, Mbr, Point, Segment, TrajStore, Trajectory};
 use repose_rtree::RTree;
@@ -53,7 +53,7 @@ struct DftPartition {
 pub struct Dft {
     cluster: Cluster,
     config: DftConfig,
-    data: DistDataset<DftPartition>,
+    parts: Vec<DftPartition>,
     /// Master copy used for threshold sampling (flat arena).
     master: TrajStore,
     measure: Measure,
@@ -120,10 +120,8 @@ impl Dft {
 
         let id_index = dataset.id_index();
         let cluster = Cluster::new(config.cluster);
-        let raw = DistDataset::from_partitions(parts.into_iter().map(|p| vec![p]).collect());
         let all = dataset.trajectories();
-        let (built, times, wall) = cluster.run_partitions(&raw, |_, chunk| {
-            let segs = &chunk[0];
+        let (parts, build_stats) = cluster.run_partitions(&parts, |_, segs| {
             // Local trajectory copies for regrouping, packed into one
             // arena so refinement scans contiguous memory.
             let mut local_of: HashMap<u64, u32> = HashMap::new();
@@ -139,24 +137,15 @@ impl Dft {
             let rtree = RTree::bulk_load(entries);
             DftPartition { rtree, store }
         });
-        let build_stats = JobStats::simulate(
-            times,
-            (0..n).collect(),
-            config.cluster.workers,
-            config.cluster.cores_per_worker,
-            wall,
-        );
-        let index_time = t0.elapsed() - wall + build_stats.makespan;
-        let data = DistDataset::from_partitions(built.into_iter().map(|p| vec![p]).collect());
-        let index_bytes = data
-            .partitions()
+        let index_time = t0.elapsed() - build_stats.host_wall + build_stats.makespan;
+        let index_bytes = parts
             .iter()
-            .map(|p| p[0].rtree.mem_bytes() + p[0].store.mem_bytes())
+            .map(|p| p.rtree.mem_bytes() + p.store.mem_bytes())
             .sum();
         Dft {
             cluster,
             config,
-            data,
+            parts,
             master: TrajStore::from_trajectories(dataset.trajectories()),
             measure,
             params,
@@ -173,13 +162,7 @@ impl Dft {
         if k == 0 || query.is_empty() || self.master.is_empty() {
             return BaselineOutcome {
                 hits: Vec::new(),
-                job: JobStats::simulate(
-                    vec![Duration::ZERO; self.data.num_partitions()],
-                    (0..self.data.num_partitions()).collect(),
-                    self.config.cluster.workers,
-                    self.config.cluster.cores_per_worker,
-                    Duration::ZERO,
-                ),
+                job: self.cluster.schedule(vec![Duration::ZERO; self.parts.len()], Duration::ZERO),
             };
         }
         // Phase 1: estimate the pruning threshold from C·k random
@@ -209,8 +192,7 @@ impl Dft {
 
         // Phase 2: per-partition candidate generation + refinement.
         let qmbr = Mbr::from_points(query).expect("non-empty query");
-        let (locals, times, wall) = self.cluster.run_partitions(&self.data, |_, chunk| {
-            let part = &chunk[0];
+        let (locals, job) = self.cluster.run_partitions(&self.parts, |_, part| {
             // Candidates: trajectories owning a segment whose MBR is within
             // dk of the query MBR.
             let mut cand = vec![false; part.store.len()];
@@ -236,13 +218,6 @@ impl Dft {
                 .collect();
             refine_top_k(cands, query, measure, &params, k, dk)
         });
-        let job = JobStats::simulate(
-            times,
-            (0..self.data.num_partitions()).collect(),
-            self.config.cluster.workers,
-            self.config.cluster.cores_per_worker,
-            wall,
-        );
         let hits = merge_top_k(locals.into_iter().flatten().collect(), k);
         BaselineOutcome { hits, job }
     }
@@ -279,7 +254,7 @@ mod tests {
 
     fn small_cfg() -> DftConfig {
         DftConfig {
-            cluster: ClusterConfig { workers: 2, cores_per_worker: 2, timing_repeats: 1 },
+            cluster: ClusterConfig { workers: 2, cores_per_worker: 2 },
             num_partitions: 4,
             sample_factor: 5,
             placement: BaselinePlacement::Homogeneous,

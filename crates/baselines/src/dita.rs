@@ -1,5 +1,5 @@
 use crate::{merge_top_k, refine_top_k, BaselineHit, BaselineOutcome, BaselinePlacement};
-use repose_cluster::{Cluster, ClusterConfig, DistDataset, JobStats};
+use repose_cluster::{Cluster, ClusterConfig};
 use repose_distance::{bound_exceeds, Measure, MeasureParams};
 use repose_model::{Dataset, Mbr, Point, TrajStore};
 use repose_zorder::geohash_cell;
@@ -54,7 +54,7 @@ struct DitaPartition {
 pub struct Dita {
     cluster: Cluster,
     config: DitaConfig,
-    data: DistDataset<DitaPartition>,
+    parts: Vec<DitaPartition>,
     region_diag: f64,
     measure: Measure,
     params: MeasureParams,
@@ -194,32 +194,22 @@ impl Dita {
         }
 
         let cluster = Cluster::new(config.cluster);
-        let raw = DistDataset::from_partitions(parts.into_iter().map(|p| vec![p]).collect());
         let all = dataset.trajectories();
-        let (built, times, wall) = cluster.run_partitions(&raw, |_, chunk| {
+        let (parts, build_stats) = cluster.run_partitions(&parts, |_, members| {
             let mut store = TrajStore::new();
-            let mut pivots = Vec::with_capacity(chunk[0].len());
-            for &ti in &chunk[0] {
+            let mut pivots = Vec::with_capacity(members.len());
+            for &ti in members {
                 let t = &all[ti];
                 store.push(t.id, &t.points);
                 pivots.push(select_pivots(&t.points, config.nl));
             }
             DitaPartition { store, pivots }
         });
-        let build_stats = JobStats::simulate(
-            times,
-            (0..n).collect(),
-            config.cluster.workers,
-            config.cluster.cores_per_worker,
-            wall,
-        );
-        let index_time = t0.elapsed() - wall + build_stats.makespan;
-        let data = DistDataset::from_partitions(built.into_iter().map(|p| vec![p]).collect());
-        let index_bytes = data
-            .partitions()
+        let index_time = t0.elapsed() - build_stats.host_wall + build_stats.makespan;
+        let index_bytes = parts
             .iter()
             .map(|p| {
-                p[0].pivots
+                p.pivots
                     .iter()
                     .map(|pv| pv.capacity() * std::mem::size_of::<Point>() + 16)
                     .sum::<usize>()
@@ -228,7 +218,7 @@ impl Dita {
         Dita {
             cluster,
             config,
-            data,
+            parts,
             region_diag,
             measure,
             params,
@@ -237,14 +227,20 @@ impl Dita {
         }
     }
 
-    /// Counts candidates under range threshold `r` against the cached
-    /// per-trajectory bounds (a cheap distributed pass — the bounds were
-    /// computed once up front).
-    fn count_candidates(&self, lbs: &[Vec<f64>], r: f64) -> (usize, Vec<Duration>, Duration) {
-        let (counts, times, wall) = self.cluster.run_partitions(&self.data, |pi, _chunk| {
-            lbs[pi].iter().filter(|&&lb| lb <= r).count()
-        });
-        (counts.into_iter().sum(), times, wall)
+    /// One timed pass over every partition. A query's passes form one
+    /// job: each pass adds its per-partition times and host wall into
+    /// `acc`, which the query schedules once at the end.
+    fn pass<R: Send>(
+        &self,
+        acc: &mut (Vec<Duration>, Duration),
+        f: impl Fn(usize, &DitaPartition) -> R + Sync,
+    ) -> Vec<R> {
+        let (out, job) = self.cluster.run_partitions(&self.parts, f);
+        for (a, t) in acc.0.iter_mut().zip(&job.partition_times) {
+            *a += *t;
+        }
+        acc.1 += job.host_wall;
+        out
     }
 
     /// Distributed top-k by iterative threshold halving + final range
@@ -252,36 +248,21 @@ impl Dita {
     pub fn query(&self, query: &[Point], k: usize) -> BaselineOutcome {
         let measure = self.measure;
         let params = self.params;
-        let n_parts = self.data.num_partitions();
-        let empty_job = |wall| {
-            JobStats::simulate(
-                vec![Duration::ZERO; n_parts],
-                (0..n_parts).collect(),
-                self.config.cluster.workers,
-                self.config.cluster.cores_per_worker,
-                wall,
-            )
-        };
-        if k == 0 || query.is_empty() || self.data.total_items() == 0 {
-            return BaselineOutcome { hits: Vec::new(), job: empty_job(Duration::ZERO) };
+        let mut acc = (vec![Duration::ZERO; self.parts.len()], Duration::ZERO);
+        if k == 0 || query.is_empty() {
+            let job = self.cluster.schedule(acc.0, acc.1);
+            return BaselineOutcome { hits: Vec::new(), job };
         }
 
         // Phase 0: one timed pass computing every candidate's lower bound;
         // the halving loop and phases 2/3 all reuse these values.
-        let mut acc_times = vec![Duration::ZERO; n_parts];
-        let mut acc_wall = Duration::ZERO;
-        let (lbs, times, wall) = self.cluster.run_partitions(&self.data, |_, chunk| {
-            let part = &chunk[0];
+        let lbs = self.pass(&mut acc, |_, part| {
             (0..part.store.len())
                 .map(|li| {
                     measure_lb(measure, &params, query, part.store.points(li), &part.pivots[li])
                 })
                 .collect::<Vec<f64>>()
         });
-        for (a, t) in acc_times.iter_mut().zip(&times) {
-            *a += *t;
-        }
-        acc_wall += wall;
 
         // Phase 1: halve the range threshold until < C·k candidates
         // survive the lower-bound test (accumulating the cost of every
@@ -293,11 +274,11 @@ impl Dita {
         let budget = (self.c_factor_k(k)).max(k);
         let mut r = self.region_diag;
         for _ in 0..64 {
-            let (count, times, wall) = self.count_candidates(&lbs, r * 0.5);
-            for (a, t) in acc_times.iter_mut().zip(&times) {
-                *a += *t;
-            }
-            acc_wall += wall;
+            let half = r * 0.5;
+            let count: usize = self
+                .pass(&mut acc, |pi, _| lbs[pi].iter().filter(|&&lb| lb <= half).count())
+                .into_iter()
+                .sum();
             if count < budget {
                 break;
             }
@@ -310,8 +291,7 @@ impl Dita {
         // distance is a correct (conservative) range for the final pass —
         // each partition's k best are exact, and the global k-th only
         // depends on those.
-        let (locals, times, wall) = self.cluster.run_partitions(&self.data, |pi, chunk| {
-            let part = &chunk[0];
+        let locals = self.pass(&mut acc, |pi, part| {
             let cands: Vec<(f64, u64, &[Point])> = part
                 .store
                 .iter()
@@ -325,10 +305,6 @@ impl Dita {
                 .collect();
             refine_top_k(cands, query, measure, &params, k, f64::INFINITY)
         });
-        for (a, t) in acc_times.iter_mut().zip(&times) {
-            *a += *t;
-        }
-        acc_wall += wall;
         let mut phase2: Vec<BaselineHit> = locals.into_iter().flatten().collect();
         phase2.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
         let dk = if phase2.len() >= k {
@@ -341,8 +317,7 @@ impl Dita {
         // top-k: every true hit has exact distance <= dk, hence lb <= dk,
         // and phase 2 guarantees at least k candidates at or below dk —
         // so capping the refinement at dk drops no answer).
-        let (locals, times, wall) = self.cluster.run_partitions(&self.data, |pi, chunk| {
-            let part = &chunk[0];
+        let locals = self.pass(&mut acc, |pi, part| {
             let cands: Vec<(f64, u64, &[Point])> = part
                 .store
                 .iter()
@@ -356,18 +331,8 @@ impl Dita {
                 .collect();
             refine_top_k(cands, query, measure, &params, k, dk)
         });
-        for (a, t) in acc_times.iter_mut().zip(&times) {
-            *a += *t;
-        }
-        acc_wall += wall;
 
-        let job = JobStats::simulate(
-            acc_times,
-            (0..n_parts).collect(),
-            self.config.cluster.workers,
-            self.config.cluster.cores_per_worker,
-            acc_wall,
-        );
+        let job = self.cluster.schedule(acc.0, acc.1);
         let hits = merge_top_k(locals.into_iter().flatten().collect(), k);
         BaselineOutcome { hits, job }
     }
@@ -409,7 +374,7 @@ mod tests {
 
     fn small_cfg() -> DitaConfig {
         DitaConfig {
-            cluster: ClusterConfig { workers: 2, cores_per_worker: 2, timing_repeats: 1 },
+            cluster: ClusterConfig { workers: 2, cores_per_worker: 2 },
             num_partitions: 4,
             nl: 8,
             c_factor: 5,

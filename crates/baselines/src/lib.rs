@@ -34,7 +34,7 @@
 //!     })
 //!     .collect();
 //! let data = Dataset::from_trajectories(trajs);
-//! let cluster = ClusterConfig { workers: 2, cores_per_worker: 2, timing_repeats: 1 };
+//! let cluster = ClusterConfig { workers: 2, cores_per_worker: 2 };
 //!
 //! // The exact-but-slow yardstick every index is measured against.
 //! let ls = LinearScan::build(&data, cluster, 4, Measure::Hausdorff, MeasureParams::default());

@@ -1,7 +1,7 @@
 use crate::{merge_top_k, BaselineHit, BaselineOutcome};
-use repose_cluster::{Cluster, ClusterConfig, DistDataset, JobStats, Partitioner, RoundRobinPartitioner};
+use repose_cluster::{Cluster, ClusterConfig};
 use repose_distance::{DistScratch, Measure, MeasureParams};
-use repose_model::{Dataset, Point, TrajStore, Trajectory};
+use repose_model::{Dataset, Point, TrajStore};
 
 /// Brute-force distributed linear scan: computes the exact distance between
 /// the query and every trajectory in every partition, then merges
@@ -13,27 +13,9 @@ use repose_model::{Dataset, Point, TrajStore, Trajectory};
 #[derive(Debug)]
 pub struct LinearScan {
     cluster: Cluster,
-    data: DistDataset<TrajStore>,
+    parts: Vec<TrajStore>,
     measure: Measure,
     params: MeasureParams,
-    workers: usize,
-    cores: usize,
-}
-
-/// Deals trajectories to partitions with `partitioner`, freezing each
-/// partition into its own arena.
-fn partition_stores<P: Partitioner<Trajectory>>(
-    dataset: &Dataset,
-    partitioner: &P,
-) -> Vec<TrajStore> {
-    let n = partitioner.num_partitions();
-    let mut stores: Vec<TrajStore> = (0..n).map(|_| TrajStore::new()).collect();
-    for (i, t) in dataset.trajectories().iter().enumerate() {
-        let p = partitioner.partition(i, t);
-        assert!(p < n, "partitioner returned {p} >= {n}");
-        stores[p].push(t.id, &t.points);
-    }
-    stores
 }
 
 impl LinearScan {
@@ -45,47 +27,19 @@ impl LinearScan {
         measure: Measure,
         params: MeasureParams,
     ) -> Self {
-        LinearScan::build_with_partitioner(
-            dataset,
-            cluster_cfg,
-            &RoundRobinPartitioner::new(num_partitions),
-            measure,
-            params,
-        )
-    }
-
-    /// Like [`LinearScan::build`] but with an arbitrary partitioner (used
-    /// to reproduce LS's skew sensitivity in Fig. 9).
-    pub fn build_with_partitioner<P: Partitioner<Trajectory>>(
-        dataset: &Dataset,
-        cluster_cfg: ClusterConfig,
-        partitioner: &P,
-        measure: Measure,
-        params: MeasureParams,
-    ) -> Self {
-        let cluster = Cluster::new(cluster_cfg);
-        let data = DistDataset::from_partitions(
-            partition_stores(dataset, partitioner)
-                .into_iter()
-                .map(|s| vec![s])
-                .collect(),
-        );
-        LinearScan {
-            cluster,
-            data,
-            measure,
-            params,
-            workers: cluster_cfg.workers,
-            cores: cluster_cfg.cores_per_worker,
+        assert!(num_partitions > 0, "need at least one partition");
+        let mut parts: Vec<TrajStore> = (0..num_partitions).map(|_| TrajStore::new()).collect();
+        for (i, t) in dataset.trajectories().iter().enumerate() {
+            parts[i % num_partitions].push(t.id, &t.points);
         }
+        LinearScan { cluster: Cluster::new(cluster_cfg), parts, measure, params }
     }
 
     /// Distributed top-k by exhaustive scan.
     pub fn query(&self, query: &[Point], k: usize) -> BaselineOutcome {
         let measure = self.measure;
         let params = self.params;
-        let (locals, times, wall) = self.cluster.run_partitions(&self.data, |_, part| {
-            let store = &part[0];
+        let (locals, job) = self.cluster.run_partitions(&self.parts, |_, store| {
             let mut hits: Vec<BaselineHit> = DistScratch::with_thread(|scratch| {
                 store
                     .iter()
@@ -99,13 +53,6 @@ impl LinearScan {
             hits.truncate(k);
             hits
         });
-        let job = JobStats::simulate(
-            times,
-            (0..self.data.num_partitions()).collect(),
-            self.workers,
-            self.cores,
-            wall,
-        );
         let hits = merge_top_k(locals.into_iter().flatten().collect(), k);
         BaselineOutcome { hits, job }
     }
@@ -119,6 +66,7 @@ impl LinearScan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use repose_model::Trajectory;
 
     fn dataset() -> Dataset {
         Dataset::from_trajectories(
@@ -136,7 +84,7 @@ mod tests {
         let d = dataset();
         let ls = LinearScan::build(
             &d,
-            ClusterConfig { workers: 2, cores_per_worker: 2, timing_repeats: 1 },
+            ClusterConfig { workers: 2, cores_per_worker: 2 },
             4,
             Measure::Hausdorff,
             MeasureParams::default(),
@@ -153,7 +101,7 @@ mod tests {
         let d = dataset();
         let ls = LinearScan::build(
             &d,
-            ClusterConfig { workers: 2, cores_per_worker: 1, timing_repeats: 1 },
+            ClusterConfig { workers: 2, cores_per_worker: 1 },
             2,
             Measure::Dtw,
             MeasureParams::default(),

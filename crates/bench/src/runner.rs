@@ -37,7 +37,7 @@ impl Default for ExpConfig {
             queries: 5,
             k: 100,
             partitions: 64,
-            cluster: ClusterConfig::paper_default().with_timing_repeats(3),
+            cluster: ClusterConfig::paper_default(),
             seed: 0xE5E5,
             sim_seeds: 50,
             sim_repro: None,
@@ -222,7 +222,7 @@ mod tests {
             queries: 2,
             k: 5,
             partitions: 4,
-            cluster: ClusterConfig { workers: 2, cores_per_worker: 2, timing_repeats: 1 },
+            cluster: ClusterConfig { workers: 2, cores_per_worker: 2 },
             seed: 1,
             ..ExpConfig::default()
         }

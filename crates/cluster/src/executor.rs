@@ -1,5 +1,5 @@
-use crate::{ClusterConfig, DistDataset, Partitioner};
-use parking_lot::Mutex;
+use crate::{ClusterConfig, JobStats};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// The simulated cluster: a topology plus a physical thread pool that
@@ -18,181 +18,121 @@ impl Cluster {
         Cluster { config, pool_threads: crate::default_pool_threads() }
     }
 
-    /// The paper's 16x4 cluster.
-    pub fn paper_default() -> Self {
-        Cluster::new(ClusterConfig::paper_default())
-    }
-
-    /// The configured topology.
-    pub fn config(&self) -> ClusterConfig {
-        self.config
-    }
-
-    /// Distributes `items` into partitions with `partitioner`, assigning
-    /// partitions to workers round-robin (partition `p` lives on worker
-    /// `p % workers`), like Spark's default placement.
-    pub fn parallelize<T, P: Partitioner<T>>(&self, items: Vec<T>, partitioner: &P) -> DistDataset<T> {
-        let n = partitioner.num_partitions();
-        let mut parts: Vec<Vec<T>> = (0..n).map(|_| Vec::new()).collect();
-        for (i, item) in items.into_iter().enumerate() {
-            let p = partitioner.partition(i, &item);
-            assert!(p < n, "partitioner returned {p} >= {n}");
-            parts[p].push(item);
-        }
-        DistDataset::from_partitions(parts)
-    }
-
-    /// Runs `f` once per partition (Spark's `mapPartitions` + `collect`),
-    /// returning per-partition results and measured durations.
+    /// Runs `f` once per partition (Spark's `mapPartitions` + `collect`)
+    /// and schedules the measured times with [`Cluster::schedule`].
     ///
-    /// Results come back in partition order. Durations are per-partition
-    /// single-core execution times, which [`crate::JobStats`] turns into a
-    /// simulated cluster makespan.
-    pub fn run_partitions<T, R, F>(&self, data: &DistDataset<T>, f: F) -> (Vec<R>, Vec<Duration>, Duration)
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &[T]) -> R + Sync,
-    {
-        self.run_partitions_repeated(data, f, self.config.timing_repeats)
-    }
-
-    /// Like [`Cluster::run_partitions`] but always times a *single cold
-    /// run*, ignoring `timing_repeats`.
+    /// Results come back in partition order. Each partition is timed as
+    /// one cold run of `f` on one host thread.
     ///
-    /// Required for closures that mutate cross-partition shared state —
-    /// e.g. a shared top-k threshold collector: a timing re-run would
-    /// execute against the already-tightened collector, do a fraction of
-    /// the first run's work, and the min-of-repeats would report warm-
-    /// rerun cost instead of the job's true cost.
-    pub fn run_partitions_cold<T, R, F>(
-        &self,
-        data: &DistDataset<T>,
-        f: F,
-    ) -> (Vec<R>, Vec<Duration>, Duration)
+    /// # Panics
+    /// Re-raises the first panic of any partition task.
+    pub fn run_partitions<T, R, F>(&self, parts: &[T], f: F) -> (Vec<R>, JobStats)
     where
         T: Sync,
         R: Send,
-        F: Fn(usize, &[T]) -> R + Sync,
-    {
-        self.run_partitions_repeated(data, f, 1)
-    }
-
-    fn run_partitions_repeated<T, R, F>(
-        &self,
-        data: &DistDataset<T>,
-        f: F,
-        timing_repeats: usize,
-    ) -> (Vec<R>, Vec<Duration>, Duration)
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &[T]) -> R + Sync,
+        F: Fn(usize, &T) -> R + Sync,
     {
         let started = Instant::now();
-        let n = data.num_partitions();
-        let results: Mutex<Vec<Option<(R, Duration)>>> =
-            Mutex::new((0..n).map(|_| None).collect());
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let threads = self.pool_threads.min(n.max(1));
-        crossbeam::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|_| loop {
-                    let p = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if p >= n {
-                        break;
-                    }
-                    let t0 = Instant::now();
-                    let r = f(p, data.partition(p));
-                    let mut dt = t0.elapsed();
-                    // Extra timing runs: keep the minimum (steady state).
-                    for _ in 1..timing_repeats {
-                        let t0 = Instant::now();
-                        let _ = f(p, data.partition(p));
-                        dt = dt.min(t0.elapsed());
-                    }
-                    results.lock()[p] = Some((r, dt));
-                });
+        let n = parts.len();
+        let next = AtomicUsize::new(0);
+        let mut slots: Vec<Option<(R, Duration)>> = (0..n).map(|_| None).collect();
+        std::thread::scope(|s| {
+            let workers: Vec<_> = (0..self.pool_threads.min(n))
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut done = Vec::new();
+                        loop {
+                            let p = next.fetch_add(1, Ordering::Relaxed);
+                            if p >= n {
+                                return done;
+                            }
+                            let t0 = Instant::now();
+                            let r = f(p, &parts[p]);
+                            done.push((p, r, t0.elapsed()));
+                        }
+                    })
+                })
+                .collect();
+            for worker in workers {
+                let done = worker.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+                for (p, r, dt) in done {
+                    slots[p] = Some((r, dt));
+                }
             }
-        })
-        .expect("partition worker panicked");
+        });
         let host_wall = started.elapsed();
-        let mut out = Vec::with_capacity(n);
-        let mut times = Vec::with_capacity(n);
-        for slot in results.into_inner() {
-            let (r, t) = slot.expect("all partitions executed");
-            out.push(r);
-            times.push(t);
-        }
-        (out, times, host_wall)
+        let (results, times) = slots
+            .into_iter()
+            .map(|slot| slot.expect("every partition ran"))
+            .unzip();
+        (results, self.schedule(times, host_wall))
+    }
+
+    /// Schedules per-partition single-core times onto the modeled
+    /// topology, partition `p` on worker `p % workers` (Spark's default
+    /// placement).
+    pub fn schedule(&self, partition_times: Vec<Duration>, host_wall: Duration) -> JobStats {
+        let assignment = (0..partition_times.len()).collect();
+        JobStats::simulate(
+            partition_times,
+            assignment,
+            self.config.workers,
+            self.config.cores_per_worker,
+            host_wall,
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{JobStats, RoundRobinPartitioner};
 
-    #[test]
-    fn parallelize_round_robin() {
-        let c = Cluster::new(ClusterConfig { workers: 2, cores_per_worker: 1, timing_repeats: 1 });
-        let d = c.parallelize((0..10).collect(), &RoundRobinPartitioner::new(4));
-        assert_eq!(d.num_partitions(), 4);
-        assert_eq!(d.partition(0), &[0, 4, 8]);
-        assert_eq!(d.partition(3), &[3, 7]);
-        assert_eq!(d.total_items(), 10);
+    fn cluster() -> Cluster {
+        Cluster::new(ClusterConfig { workers: 4, cores_per_worker: 2 })
     }
 
     #[test]
     fn run_partitions_collects_in_order() {
-        let c = Cluster::new(ClusterConfig { workers: 4, cores_per_worker: 2, timing_repeats: 1 });
-        let d = c.parallelize((0..100).collect(), &RoundRobinPartitioner::new(8));
-        let (sums, times, _wall) = c.run_partitions(&d, |_, part: &[i32]| -> i32 {
-            part.iter().sum()
-        });
-        assert_eq!(sums.len(), 8);
-        assert_eq!(sums.iter().sum::<i32>(), (0..100).sum::<i32>());
-        assert_eq!(times.len(), 8);
+        let parts: Vec<Vec<i32>> = (0..8).map(|p| (p * 10..p * 10 + 10).collect()).collect();
+        let (sums, job) = cluster().run_partitions(&parts, |pi, part| (pi, part.iter().sum::<i32>()));
+        let expect: Vec<(usize, i32)> =
+            parts.iter().enumerate().map(|(pi, p)| (pi, p.iter().sum())).collect();
+        assert_eq!(sums, expect);
+        assert_eq!(job.partition_times.len(), parts.len());
     }
 
     #[test]
     fn job_stats_integration() {
-        let cfg = ClusterConfig { workers: 2, cores_per_worker: 2, timing_repeats: 1 };
-        let c = Cluster::new(cfg);
-        let d = c.parallelize((0..64).collect(), &RoundRobinPartitioner::new(4));
-        let (_r, times, wall) = c.run_partitions(&d, |_, part: &[i32]| part.len());
-        let stats = JobStats::simulate(
-            times,
-            (0..4).collect(),
-            cfg.workers,
-            cfg.cores_per_worker,
-            wall,
+        let c = cluster();
+        let parts: Vec<u64> = (0..11).collect();
+        let (_, job) = c.run_partitions(&parts, |_, &x| (0..x * 1000).sum::<u64>());
+        let expect = JobStats::simulate(
+            job.partition_times.clone(),
+            (0..parts.len()).collect(),
+            4,
+            2,
+            job.host_wall,
         );
-        assert_eq!(stats.worker_times.len(), 2);
-        assert!(stats.makespan <= stats.total_work + Duration::from_nanos(1));
+        assert_eq!(job.assignment, expect.assignment);
+        assert_eq!(job.worker_times, expect.worker_times);
+        assert_eq!(job.makespan, expect.makespan);
+        assert_eq!(job.total_work, expect.total_work);
+        assert!(job.makespan <= job.total_work);
     }
 
     #[test]
     fn empty_dataset() {
-        let c = Cluster::paper_default();
-        let d = c.parallelize(Vec::<i32>::new(), &RoundRobinPartitioner::new(4));
-        let (r, times, _) = c.run_partitions(&d, |_, p: &[i32]| p.len());
-        assert_eq!(r, vec![0, 0, 0, 0]);
-        assert_eq!(times.len(), 4);
+        let (r, job) = cluster().run_partitions(&[] as &[i32], |_, &x| x);
+        assert!(r.is_empty());
+        assert!(job.partition_times.is_empty());
+        assert_eq!(job.makespan, Duration::ZERO);
     }
 
     #[test]
-    #[should_panic(expected = "partitioner returned")]
-    fn bad_partitioner_panics() {
-        struct Bad;
-        impl Partitioner<i32> for Bad {
-            fn num_partitions(&self) -> usize {
-                2
-            }
-            fn partition(&self, _: usize, _: &i32) -> usize {
-                7
-            }
-        }
-        Cluster::paper_default().parallelize(vec![1], &Bad);
+    #[should_panic(expected = "partition 3 failed")]
+    fn panicking_task_reraises() {
+        cluster().run_partitions(&[0, 1, 2, 3, 4], |pi, _| {
+            assert!(pi != 3, "partition {pi} failed");
+        });
     }
 }

@@ -2,15 +2,11 @@
 //! request once the primary has outlived what requests normally take".
 //!
 //! Extracted from the shard coordinator so the policy is testable on its
-//! own and — like [`crate::Backoff`] — free of ambient entropy: the
-//! samples come from whatever [`crate::Clock`] the caller times attempts
-//! with (virtual time in simulation, the monotonic clock in production),
-//! and the optional decorrelation jitter draws from an injectable seeded
-//! RNG, so the exact tick a hedge fires on replays deterministically from
-//! a seed.
+//! own and free of ambient entropy: the samples come from whatever
+//! [`crate::Clock`] the caller times attempts with (virtual time in
+//! simulation, the monotonic clock in production), so the exact tick a
+//! hedge fires on replays deterministically from a seed.
 
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 use std::collections::VecDeque;
 use std::time::Duration;
 
@@ -24,38 +20,15 @@ const MIN_SAMPLES: usize = 8;
 
 /// A bounded ring of observed attempt latencies and the percentile-based
 /// hedge delay derived from it (see module docs).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct HedgeTracker {
     samples: VecDeque<Duration>,
-    rng: StdRng,
-    /// Jitter fraction in `[0, 1]`: each returned delay is scaled by a
-    /// uniform factor from `[1 - jitter, 1 + jitter)`. 0 (the default)
-    /// draws nothing from the RNG — the production percentile unchanged.
-    jitter: f64,
 }
 
 impl HedgeTracker {
-    /// An empty tracker whose jitter stream (if enabled) is seeded by
-    /// `seed`.
-    pub fn new(seed: u64) -> Self {
-        HedgeTracker {
-            samples: VecDeque::with_capacity(SAMPLE_CAPACITY),
-            rng: StdRng::seed_from_u64(seed),
-            jitter: 0.0,
-        }
-    }
-
-    /// Enables delay decorrelation: every delay is scaled by a uniform
-    /// factor from `[1 - jitter, 1 + jitter)` drawn from the seeded RNG,
-    /// so synchronized coordinators hedge at different ticks instead of
-    /// stampeding the replicas together.
-    pub fn with_jitter(mut self, jitter: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&jitter),
-            "jitter is a fraction of the delay"
-        );
-        self.jitter = jitter;
-        self
+    /// An empty tracker.
+    pub fn new() -> Self {
+        HedgeTracker::default()
     }
 
     /// Records one completed attempt's latency.
@@ -78,24 +51,15 @@ impl HedgeTracker {
 
     /// The hedge delay: the `percentile` (in `0..=1`) of observed attempt
     /// latencies, never below `floor`; `fallback.max(floor)` until enough
-    /// samples exist. Jitter (when enabled) scales the result.
-    pub fn delay(&mut self, percentile: f64, floor: Duration, fallback: Duration) -> Duration {
-        let base = if self.samples.len() < MIN_SAMPLES {
-            floor.max(fallback)
-        } else {
-            let mut sorted: Vec<Duration> = self.samples.iter().copied().collect();
-            sorted.sort();
-            let idx = ((sorted.len() - 1) as f64 * percentile).round() as usize;
-            floor.max(sorted[idx])
-        };
-        if self.jitter > 0.0 {
-            let scale = self
-                .rng
-                .random_range(1.0 - self.jitter..1.0 + self.jitter);
-            Duration::from_secs_f64(base.as_secs_f64() * scale)
-        } else {
-            base
+    /// samples exist.
+    pub fn delay(&self, percentile: f64, floor: Duration, fallback: Duration) -> Duration {
+        if self.samples.len() < MIN_SAMPLES {
+            return floor.max(fallback);
         }
+        let mut sorted: Vec<Duration> = self.samples.iter().copied().collect();
+        sorted.sort();
+        let idx = ((sorted.len() - 1) as f64 * percentile).round() as usize;
+        floor.max(sorted[idx])
     }
 }
 
@@ -107,7 +71,7 @@ mod tests {
 
     #[test]
     fn fallback_until_enough_samples() {
-        let mut t = HedgeTracker::new(0);
+        let mut t = HedgeTracker::new();
         for _ in 0..MIN_SAMPLES - 1 {
             t.record(3 * MS);
             assert_eq!(t.delay(0.95, 5 * MS, 250 * MS), 250 * MS);
@@ -122,7 +86,7 @@ mod tests {
 
     #[test]
     fn percentile_is_floored() {
-        let mut t = HedgeTracker::new(0);
+        let mut t = HedgeTracker::new();
         for i in 1..=100u64 {
             t.record(Duration::from_millis(i));
         }
@@ -132,7 +96,7 @@ mod tests {
 
     #[test]
     fn ring_is_bounded_and_follows_recent_traffic() {
-        let mut t = HedgeTracker::new(0);
+        let mut t = HedgeTracker::new();
         for _ in 0..SAMPLE_CAPACITY {
             t.record(100 * MS);
         }
@@ -141,35 +105,5 @@ mod tests {
         }
         assert_eq!(t.len(), SAMPLE_CAPACITY);
         assert_eq!(t.delay(1.0, MS, MS), 2 * MS, "old samples aged out");
-    }
-
-    #[test]
-    fn jitter_is_deterministic_per_seed_and_bounded() {
-        let delays = |seed: u64| -> Vec<Duration> {
-            let mut t = HedgeTracker::new(seed).with_jitter(0.25);
-            for _ in 0..MIN_SAMPLES {
-                t.record(100 * MS);
-            }
-            (0..16).map(|_| t.delay(0.95, MS, MS)).collect()
-        };
-        let a = delays(7);
-        assert_eq!(a, delays(7), "same seed, same hedge ticks");
-        assert_ne!(a, delays(8), "seeds decorrelate");
-        for d in &a {
-            assert!(*d >= 75 * MS && *d < 125 * MS, "{d:?} outside jitter band");
-        }
-    }
-
-    #[test]
-    fn zero_jitter_never_draws_from_the_rng() {
-        // Two trackers with different seeds but jitter off must agree on
-        // every delay: the production default is RNG-free.
-        let mut a = HedgeTracker::new(1);
-        let mut b = HedgeTracker::new(2);
-        for i in 1..=20u64 {
-            a.record(Duration::from_millis(i));
-            b.record(Duration::from_millis(i));
-        }
-        assert_eq!(a.delay(0.9, MS, MS), b.delay(0.9, MS, MS));
     }
 }

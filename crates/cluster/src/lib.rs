@@ -14,26 +14,24 @@
 //! the distributed makespan. The simulated makespan is independent of how
 //! many physical cores the host happens to have.
 //!
-//! The paper's `RpTrieRDD.mapPartitions` becomes [`Cluster::run_partitions`];
-//! `collect` becomes the returned `Vec` of per-partition results.
+//! The paper's `RpTrieRDD.mapPartitions` + `collect` becomes one call,
+//! [`Cluster::run_partitions`]: a closure runs once per partition of a
+//! plain slice, results come back in partition order, and the measured
+//! times come back scheduled onto the modeled cluster as a [`JobStats`].
 //!
 //! ```
-//! use repose_cluster::{Cluster, ClusterConfig, JobStats, RoundRobinPartitioner};
+//! use repose_cluster::{Cluster, ClusterConfig};
 //!
-//! let config = ClusterConfig { workers: 2, cores_per_worker: 2, timing_repeats: 1 };
-//! let cluster = Cluster::new(config);
-//! let data = cluster.parallelize((0..100).collect(), &RoundRobinPartitioner::new(4));
+//! let cluster = Cluster::new(ClusterConfig { workers: 2, cores_per_worker: 2 });
+//! let parts: Vec<Vec<i32>> = (0..4).map(|p| (p * 25..(p + 1) * 25).collect()).collect();
 //!
 //! // mapPartitions + collect, with per-partition durations measured.
-//! let (sums, times, wall) = cluster.run_partitions(&data, |_pi, part: &[i32]| {
-//!     part.iter().sum::<i32>()
-//! });
+//! let (sums, job) = cluster.run_partitions(&parts, |_pi, part| part.iter().sum::<i32>());
 //! assert_eq!(sums.iter().sum::<i32>(), (0..100).sum::<i32>());
 //!
-//! // The measured durations schedule onto the modeled 2x2 cluster.
-//! let stats = JobStats::simulate(times, (0..4).collect(), 2, 2, wall);
-//! assert!(stats.makespan <= stats.total_work);
-//! assert!(stats.worker_utilization() > 0.0);
+//! // The measured durations are scheduled onto the modeled 2x2 cluster.
+//! assert_eq!(job.partition_times.len(), 4);
+//! assert!(job.makespan <= job.total_work);
 //! ```
 
 #![warn(missing_docs)]
@@ -41,10 +39,8 @@
 mod admission;
 mod backoff;
 mod clock;
-mod dataset;
 mod executor;
 mod hedge;
-mod partitioner;
 mod pool;
 mod stats;
 
@@ -52,9 +48,7 @@ pub use admission::{AdmissionGate, AdmissionPermit, Deadline};
 pub use backoff::{Backoff, BackoffConfig};
 pub use clock::{Clock, SimClock, SystemClock};
 pub use hedge::HedgeTracker;
-pub use dataset::DistDataset;
 pub use executor::Cluster;
-pub use partitioner::{HashPartitioner, Partitioner, RandomPartitioner, RoundRobinPartitioner};
 pub use pool::{default_pool_threads, PoolScope, WorkerPool};
 pub use stats::{list_schedule, JobStats, LatencySummary, SimTime};
 
@@ -66,29 +60,17 @@ pub struct ClusterConfig {
     pub workers: usize,
     /// Cores per worker node.
     pub cores_per_worker: usize,
-    /// How many times each partition closure is executed when measuring;
-    /// the per-partition duration is the *minimum* across repeats (the
-    /// robust steady-state estimator). The paper repeats each query 20
-    /// times; 1 (the default) measures a single cold run.
-    pub timing_repeats: usize,
 }
 
 impl ClusterConfig {
     /// The paper's experimental cluster (Section VII-A).
     pub fn paper_default() -> Self {
-        ClusterConfig { workers: 16, cores_per_worker: 4, timing_repeats: 1 }
+        ClusterConfig { workers: 16, cores_per_worker: 4 }
     }
 
     /// Total cores — the natural default number of partitions.
     pub fn total_cores(&self) -> usize {
         self.workers * self.cores_per_worker
-    }
-
-    /// Sets [`ClusterConfig::timing_repeats`].
-    pub fn with_timing_repeats(mut self, repeats: usize) -> Self {
-        assert!(repeats >= 1, "need at least one timing run");
-        self.timing_repeats = repeats;
-        self
     }
 }
 

@@ -1,10 +1,10 @@
 //! A persistent worker pool for latency-serving paths.
 //!
 //! [`Cluster::run_partitions`](crate::Cluster::run_partitions) exists to
-//! *measure*: it re-executes partition closures to estimate single-core
-//! durations and schedules them onto a modeled cluster. A serving layer
-//! answering live queries wants the opposite trade: no re-measurement, no
-//! per-call thread spawns, just a fixed set of long-lived threads draining
+//! *measure*: it spawns scoped threads per job, times each partition
+//! closure and schedules the times onto a modeled cluster. A serving layer
+//! answering live queries wants the opposite trade: no per-call thread
+//! spawns, just a fixed set of long-lived threads draining
 //! a work queue — so a query's per-partition tasks run in wall-clock
 //! parallel and a second query's tasks interleave with the first's instead
 //! of queueing behind the whole job.

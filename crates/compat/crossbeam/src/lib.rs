@@ -1,81 +1,32 @@
-//! Offline stand-in for `crossbeam`: the [`scope`] API, backed by
-//! `std::thread::scope` (which has provided structured borrowing of stack
-//! data since Rust 1.63), and the [`channel`] module's unbounded MPMC
-//! queue, backed by a mutex + condvar.
+//! Offline stand-in for `crossbeam`: the [`channel`] module's unbounded
+//! MPMC queue, backed by a mutex + condvar. Scoped threads need no
+//! stand-in: `std::thread::scope` provides them.
 //!
 //! ```
-//! let data = vec![1, 2, 3, 4];
-//! let sum = crossbeam::scope(|s| {
-//!     let (a, b) = data.split_at(2);
-//!     let h1 = s.spawn(|_| a.iter().sum::<i32>());
-//!     let h2 = s.spawn(|_| b.iter().sum::<i32>());
-//!     h1.join().unwrap() + h2.join().unwrap()
-//! })
-//! .unwrap();
-//! assert_eq!(sum, 10);
+//! let (tx, rx) = crossbeam::channel::unbounded();
+//! for i in 1..=4 {
+//!     tx.send(i).unwrap();
+//! }
+//! drop(tx);
+//! // Two consumers drain one queue; each message reaches exactly one.
+//! let total: i32 = std::thread::scope(|s| {
+//!     let consumers: Vec<_> = (0..2)
+//!         .map(|_| {
+//!             let rx = rx.clone();
+//!             s.spawn(move || {
+//!                 let mut sum = 0;
+//!                 while let Ok(v) = rx.recv() {
+//!                     sum += v;
+//!                 }
+//!                 sum
+//!             })
+//!         })
+//!         .collect();
+//!     consumers.into_iter().map(|c| c.join().unwrap()).sum()
+//! });
+//! assert_eq!(total, 10);
 //! ```
 
 #![warn(missing_docs)]
 
 pub mod channel;
-
-use std::thread;
-
-/// Handle for spawning threads that may borrow from the enclosing scope.
-///
-/// The closure passed to [`Scope::spawn`] receives the scope again, like
-/// crossbeam's, so nested spawns work.
-pub struct Scope<'scope, 'env: 'scope>(&'scope thread::Scope<'scope, 'env>);
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Spawns a scoped thread; it is joined when the scope ends.
-    pub fn spawn<F, T>(&self, f: F) -> thread::ScopedJoinHandle<'scope, T>
-    where
-        F: FnOnce(&Scope<'scope, 'env>) -> T + Send + 'scope,
-        T: Send + 'scope,
-    {
-        let inner = self.0;
-        self.0.spawn(move || f(&Scope(inner)))
-    }
-}
-
-/// Runs `f` with a [`Scope`]; all spawned threads are joined before this
-/// returns. Unlike crossbeam, a panicking child propagates the panic at
-/// scope exit instead of producing `Err` — the `Result` wrapper is kept
-/// only for call-site compatibility and is always `Ok` when it returns.
-pub fn scope<'env, F, R>(f: F) -> Result<R, Box<dyn std::any::Any + Send + 'static>>
-where
-    F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-{
-    Ok(thread::scope(|s| f(&Scope(s))))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn workers_borrow_stack_data() {
-        let counter = AtomicUsize::new(0);
-        scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|_| counter.fetch_add(1, Ordering::Relaxed));
-            }
-        })
-        .unwrap();
-        assert_eq!(counter.load(Ordering::Relaxed), 4);
-    }
-
-    #[test]
-    fn nested_spawn_through_scope_arg() {
-        let hits = AtomicUsize::new(0);
-        scope(|s| {
-            s.spawn(|inner| {
-                inner.spawn(|_| hits.fetch_add(1, Ordering::Relaxed));
-            });
-        })
-        .unwrap();
-        assert_eq!(hits.load(Ordering::Relaxed), 1);
-    }
-}

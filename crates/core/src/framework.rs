@@ -1,5 +1,5 @@
 use crate::{partition::partition_slots, ReposeConfig};
-use repose_cluster::{Cluster, DistDataset, JobStats};
+use repose_cluster::{Cluster, JobStats};
 use repose_distance::ThresholdSource;
 use repose_model::{Dataset, Mbr, Point, TrajId, TrajStore};
 use repose_rptrie::{Hit, RpTrie, SearchStats, SharedTopK};
@@ -75,7 +75,7 @@ pub struct PartitionView<'a> {
 pub struct Repose {
     config: ReposeConfig,
     cluster: Cluster,
-    data: DistDataset<Arc<LocalPartition>>,
+    parts: Vec<Arc<LocalPartition>>,
     region: Mbr,
     build_stats: JobStats,
     partition_wall: Duration,
@@ -162,29 +162,17 @@ impl Repose {
         config: ReposeConfig,
     ) -> Self {
         let cluster = Cluster::new(config.cluster);
-        let raw = DistDataset::from_partitions(
-            parts.into_iter().map(|p| vec![p]).collect(),
-        );
         let grid = Grid::with_delta(region, config.delta);
         let trie_cfg = config.trie;
-        let (built, times, wall) = cluster.run_partitions(&raw, |pi, chunk| {
-            let store = chunk[0].clone();
-            let trie = RpTrie::build(
-                &store,
-                grid.clone(),
-                trie_cfg.with_seed(trie_cfg.seed ^ pi as u64),
-            );
-            Arc::new(LocalPartition { store, trie })
+        let (tries, build_stats) = cluster.run_partitions(&parts, |pi, store| {
+            RpTrie::build(store, grid.clone(), trie_cfg.with_seed(trie_cfg.seed ^ pi as u64))
         });
-        let build_stats = JobStats::simulate(
-            times,
-            (0..config.num_partitions).collect(),
-            config.cluster.workers,
-            config.cluster.cores_per_worker,
-            wall,
-        );
-        let data = DistDataset::from_partitions(built.into_iter().map(|p| vec![p]).collect());
-        Repose { config, cluster, data, region, build_stats, partition_wall }
+        let parts = parts
+            .into_iter()
+            .zip(tries)
+            .map(|(store, trie)| Arc::new(LocalPartition { store, trie }))
+            .collect();
+        Repose { config, cluster, parts, region, build_stats, partition_wall }
     }
 
     /// Reassembles a deployment from already-built partitions — the
@@ -206,21 +194,13 @@ impl Repose {
             config.num_partitions,
             "partition count must match the config it was built with"
         );
-        let n = partitions.len();
         let cluster = Cluster::new(config.cluster);
-        let built: Vec<Arc<LocalPartition>> = partitions
+        let build_stats = cluster.schedule(vec![Duration::ZERO; partitions.len()], Duration::ZERO);
+        let parts = partitions
             .into_iter()
             .map(|(store, trie)| Arc::new(LocalPartition { store, trie }))
             .collect();
-        let data = DistDataset::from_partitions(built.into_iter().map(|p| vec![p]).collect());
-        let build_stats = JobStats::simulate(
-            vec![Duration::ZERO; n],
-            (0..n).collect(),
-            config.cluster.workers,
-            config.cluster.cores_per_worker,
-            Duration::ZERO,
-        );
-        Repose { config, cluster, data, region, build_stats, partition_wall: Duration::ZERO }
+        Repose { config, cluster, parts, region, build_stats, partition_wall: Duration::ZERO }
     }
 
     /// Rebuilds *only* the given partitions, sharing every other
@@ -268,45 +248,27 @@ impl Repose {
         }
         let grid = Grid::with_delta(self.region, self.config.delta);
         let trie_cfg = self.config.trie;
-        let raw = DistDataset::from_partitions(
-            replacements.into_iter().map(|r| vec![r]).collect(),
-        );
-        let (tries, times, wall) = self.cluster.run_partitions(&raw, |_, chunk| {
-            let (pi, store) = &chunk[0];
+        let (tries, job) = self.cluster.run_partitions(&replacements, |_, (pi, store)| {
             RpTrie::build(store, grid.clone(), trie_cfg.with_seed(trie_cfg.seed ^ *pi as u64))
         });
-        let assignment: Vec<usize> = raw
-            .partitions()
-            .iter()
-            .map(|chunk| chunk[0].0)
-            .collect();
-        let mut rebuilt: std::collections::HashMap<usize, Arc<LocalPartition>> = raw
-            .into_partitions()
-            .into_iter()
-            .zip(tries)
-            .map(|(mut chunk, trie)| {
-                let (pi, store) = chunk.pop().expect("one store per replacement");
-                (pi, Arc::new(LocalPartition { store, trie }))
-            })
-            .collect();
-        let parts: Vec<Vec<Arc<LocalPartition>>> = (0..n)
-            .map(|pi| {
-                vec![rebuilt
-                    .remove(&pi)
-                    .unwrap_or_else(|| Arc::clone(&self.data.partition(pi)[0]))]
-            })
-            .collect();
+        // Each replacement runs on the worker its partition index places
+        // it on, not on the worker of its position in `replacements`.
+        let assignment = replacements.iter().map(|&(pi, _)| pi).collect();
+        let mut parts = self.parts.clone();
+        for ((pi, store), trie) in replacements.into_iter().zip(tries) {
+            parts[pi] = Arc::new(LocalPartition { store, trie });
+        }
         let build_stats = JobStats::simulate(
-            times,
+            job.partition_times,
             assignment,
             self.config.cluster.workers,
             self.config.cluster.cores_per_worker,
-            wall,
+            job.host_wall,
         );
         Repose {
             config: self.config,
             cluster: self.cluster.clone(),
-            data: DistDataset::from_partitions(parts),
+            parts,
             region: self.region,
             build_stats,
             partition_wall: t0.elapsed(),
@@ -353,8 +315,8 @@ impl Repose {
     /// results merge into its global top-k.
     ///
     /// Every query gets one [`SharedTopK`] all its partition searches
-    /// publish into and prune with. The job is timed as a single cold run
-    /// ([`Cluster::run_partitions_cold`]): a timing re-run would execute
+    /// publish into and prune with. The job is timed as a single cold run,
+    /// like every [`Cluster::run_partitions`] job: a re-run would execute
     /// against the already-tightened collectors and under-report the job's
     /// true cost.
     pub(crate) fn run(
@@ -367,8 +329,7 @@ impl Repose {
             return Vec::new();
         }
         let collectors: Vec<SharedTopK> = queries.iter().map(|_| SharedTopK::new(k)).collect();
-        let (locals, times, wall) = self.cluster.run_partitions_cold(&self.data, |_, chunk| {
-            let part = &chunk[0];
+        let (locals, job) = self.cluster.run_partitions(&self.parts, |_, part| {
             queries
                 .iter()
                 .zip(&collectors)
@@ -378,13 +339,6 @@ impl Repose {
                 })
                 .collect::<Vec<_>>()
         });
-        let job = JobStats::simulate(
-            times,
-            (0..self.config.num_partitions).collect(),
-            self.config.cluster.workers,
-            self.config.cluster.cores_per_worker,
-            wall,
-        );
         (0..queries.len())
             .map(|qi| {
                 let mut search = SearchStats::default();
@@ -423,20 +377,12 @@ impl Repose {
 
     /// Total index size in bytes across partitions (the paper's IS).
     pub fn index_bytes(&self) -> usize {
-        self.data
-            .partitions()
-            .iter()
-            .map(|p| p[0].trie.mem_bytes())
-            .sum()
+        self.parts.iter().map(|p| p.trie.mem_bytes()).sum()
     }
 
     /// Total trie nodes across partitions (Fig. 7's metric).
     pub fn trie_nodes(&self) -> usize {
-        self.data
-            .partitions()
-            .iter()
-            .map(|p| p[0].trie.node_count())
-            .sum()
+        self.parts.iter().map(|p| p.trie.node_count()).sum()
     }
 
     /// Borrowed view of partition `pi`'s trajectories and local index.
@@ -444,7 +390,7 @@ impl Repose {
     /// # Panics
     /// If `pi >= self.num_partitions()`.
     pub fn partition_view(&self, pi: usize) -> PartitionView<'_> {
-        let part = &self.data.partition(pi)[0];
+        let part = &self.parts[pi];
         PartitionView { store: &part.store, trie: &part.trie }
     }
 
@@ -453,19 +399,12 @@ impl Repose {
     /// `repose-service` for live-set accounting; compaction copies point
     /// ranges arena-to-arena through [`Repose::partition_view`]).
     pub fn all_trajectories(&self) -> impl Iterator<Item = (TrajId, &[Point])> {
-        self.data
-            .partitions()
-            .iter()
-            .flat_map(|p| p[0].store.iter())
+        self.parts.iter().flat_map(|p| p.store.iter())
     }
 
     /// Per-partition trajectory counts.
     pub fn partition_sizes(&self) -> Vec<usize> {
-        self.data
-            .partitions()
-            .iter()
-            .map(|p| p[0].store.len())
-            .collect()
+        self.parts.iter().map(|p| p.store.len()).collect()
     }
 
     /// Number of partitions.

@@ -12,8 +12,7 @@
 //! process from CPU feature detection, and overridable so tests, benches
 //! and CI can pin a backend regardless of the host CPU:
 //!
-//! 1. [`force_backend`] — explicit programmatic override (also reachable
-//!    through `ServiceConfig::backend` in the serving layer); panics with a
+//! 1. [`force_backend`] — explicit programmatic override; panics with a
 //!    clear message when the host cannot run the requested backend.
 //! 2. The `REPOSE_BACKEND` environment variable (`scalar`, `sse4.1`,
 //!    `avx2`, or `auto`), consulted once on first use.

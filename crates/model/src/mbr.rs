@@ -143,6 +143,12 @@ impl Mbr {
 /// points' tight bounding box — the region `A` of Section III-A. `None`
 /// when `points` yields nothing.
 ///
+/// Every point lies inside the square: `center ∓ side / 2` can round past
+/// the box it was computed from (for x-extremes 0.3 and 1.0 the left edge
+/// comes out at 0.30000000000000004), so each edge is clamped to the tight
+/// box and moves only when it missed. The sides then agree to within a
+/// few ulps.
+///
 /// Shared by [`crate::Dataset::enclosing_square`] and
 /// [`crate::TrajStore::enclosing_square`], so the squaring rule cannot
 /// drift between the two containers.
@@ -157,10 +163,10 @@ pub(crate) fn enclosing_square_of<'a>(points: impl Iterator<Item = &'a Point>) -
     let side = mbr.width().max(mbr.height());
     let c = mbr.center();
     let half = side * 0.5;
-    Some(Mbr::new(
-        Point::new(c.x - half, c.y - half),
-        Point::new(c.x + half, c.y + half),
-    ))
+    Some(Mbr {
+        min: Point::new((c.x - half).min(mbr.min.x), (c.y - half).min(mbr.min.y)),
+        max: Point::new((c.x + half).max(mbr.max.x), (c.y + half).max(mbr.max.y)),
+    })
 }
 
 #[cfg(test)]
@@ -257,6 +263,39 @@ mod tests {
         assert_eq!(a.min_dist_mbr(&b), 0.0);
         let c = mbr(5.0, 0.0, 6.0, 2.0);
         assert_eq!(a.min_dist_mbr(&c), 3.0);
+    }
+
+    #[test]
+    fn enclosing_square_keeps_its_extreme_points() {
+        let pts = [Point::new(0.3, 0.0), Point::new(1.0, 0.0)];
+        let sq = enclosing_square_of(pts.iter()).unwrap();
+        for p in pts {
+            assert!(sq.contains(p), "{p:?} outside {sq:?}");
+        }
+        assert_eq!(sq.min.x, 0.3, "an edge that did not miss stays put");
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn enclosing_square_covers_every_point(
+            coords in proptest::collection::vec((-1e3f64..1e3, -1e3f64..1e3), 1..12),
+        ) {
+            let pts: Vec<Point> = coords.iter().map(|&(x, y)| Point::new(x, y)).collect();
+            let sq = enclosing_square_of(pts.iter()).unwrap();
+            for p in &pts {
+                proptest::prop_assert!(sq.contains(*p), "{:?} outside {:?}", p, sq);
+            }
+            let scale = [sq.min.x, sq.min.y, sq.max.x, sq.max.y]
+                .iter()
+                .fold(1.0f64, |m, v| m.max(v.abs()));
+            let tol = 8.0 * f64::EPSILON * scale;
+            proptest::prop_assert!(
+                (sq.width() - sq.height()).abs() <= tol,
+                "not square: {} x {}",
+                sq.width(),
+                sq.height()
+            );
+        }
     }
 
     #[test]

@@ -51,16 +51,6 @@ pub struct ServiceConfig {
     /// schedule inline on the calling thread (the sequential reference
     /// path).
     pub pool_threads: usize,
-    /// Forces a specific verification-kernel backend process-wide at
-    /// service construction (`None` keeps the `REPOSE_BACKEND` /
-    /// auto-detected default). All backends are bit-identical, so this is a
-    /// performance/debugging knob, never a results knob.
-    ///
-    /// # Panics
-    /// Construction panics when the host CPU cannot run the requested
-    /// backend ([`repose_distance::force_backend`]'s contract): a forced
-    /// backend must never silently fall back.
-    pub backend: Option<repose_distance::Backend>,
     /// Wall-clock budget per query. `None` (the default) keeps the exact
     /// path bit-for-bit unchanged; `Some(budget)` makes the bound-ordered
     /// schedule stop dispatching partition tasks once the budget expires
@@ -106,7 +96,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             cache_capacity: 1024,
             pool_threads: default_pool_threads(),
-            backend: None,
             query_deadline: None,
             max_inflight_queries: 0,
             durability: None,
@@ -213,8 +202,7 @@ impl ReposeService {
     ///
     /// # Panics
     /// On a durability-layer failure while creating the write-ahead log
-    /// (use [`ReposeService::try_with_config`] for the fallible form), or
-    /// when a forced backend cannot run on this host.
+    /// (use [`ReposeService::try_with_config`] for the fallible form).
     pub fn with_config(repose: Repose, config: ServiceConfig) -> Self {
         ReposeService::try_with_config(repose, config).expect("service construction")
     }
@@ -228,9 +216,6 @@ impl ReposeService {
     /// is self-contained for [`ReposeService::recover`] from the first
     /// acknowledged write onward.
     pub fn try_with_config(repose: Repose, config: ServiceConfig) -> Result<Self, ServiceError> {
-        if let Some(b) = config.backend {
-            repose_distance::force_backend(b);
-        }
         let wal = match &config.durability {
             Some(dcfg) => {
                 let wal = Wal::create(dcfg)?;

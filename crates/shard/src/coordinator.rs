@@ -378,7 +378,7 @@ impl ShardCluster {
             qid: 0,
             wid: 0,
             version: 0,
-            hedge: HedgeTracker::new(cfg.seed ^ 0x4ED6),
+            hedge: HedgeTracker::new(),
             cache: HashMap::new(),
             cfg,
         };
@@ -708,7 +708,7 @@ impl ShardCluster {
     /// The hedge trigger: the configured percentile of observed attempt
     /// latencies, floored by `hedge_floor`; before enough samples exist,
     /// half the attempt timeout (still floored).
-    fn hedge_delay(&mut self) -> Duration {
+    fn hedge_delay(&self) -> Duration {
         self.hedge.delay(
             self.cfg.hedge_percentile,
             self.cfg.hedge_floor,

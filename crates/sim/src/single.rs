@@ -75,7 +75,6 @@ pub(crate) fn run_single(sc: &Scenario, planted: Option<PlantedBug>) -> SimRepor
         move || ServiceConfig {
             cache_capacity: 32,
             pool_threads: 1,
-            backend: None,
             query_deadline: None,
             max_inflight_queries: 0,
             durability: Some(

@@ -35,7 +35,6 @@ fn main() {
         PartitionStrategy::Random,
     ] {
         let config = ReposeConfig::new(Measure::Hausdorff)
-            .with_cluster(repose_cluster::ClusterConfig::paper_default().with_timing_repeats(5))
             .with_partitions(16)
             .with_delta(PaperDataset::Xian.paper_delta(Measure::Hausdorff))
             .with_strategy(strategy);

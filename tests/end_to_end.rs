@@ -28,7 +28,7 @@ fn brute_force(
 }
 
 fn small_cluster() -> ClusterConfig {
-    ClusterConfig { workers: 4, cores_per_worker: 2, timing_repeats: 1 }
+    ClusterConfig { workers: 4, cores_per_worker: 2 }
 }
 
 /// Asserts `got` is a valid top-k: same multiset of distances as the brute

@@ -20,7 +20,7 @@ use repose_distance::{Measure, MeasureParams};
 use repose_model::{Dataset, Point, Trajectory};
 
 fn small_cluster() -> ClusterConfig {
-    ClusterConfig { workers: 4, cores_per_worker: 2, timing_repeats: 1 }
+    ClusterConfig { workers: 4, cores_per_worker: 2 }
 }
 
 fn sorted_dist_bits(hits: &[Hit]) -> Vec<u64> {
