@@ -3,10 +3,15 @@
 //! Beside the scalar kernels (one per measure, see [`crate::within`]) the
 //! crate carries SSE4.1 (128-bit) and AVX2 (256-bit) forms of exactly the
 //! kernels where vector lanes measure faster at 120k trajectories: the
-//! packed single-pair Hausdorff pair, and the lane-batched DTW / Fréchet /
-//! ERP verification that scores several candidates at once. Fréchet, DTW,
-//! ERP, EDR and LCSS have **no** single-pair SIMD form: whichever backend is
-//! active, one pair goes through the scalar kernel. Every form produces
+//! packed single-pair Hausdorff pair and the DTW nearest-neighbour stage
+//! (one query-major sweep: the query in padded lane arrays, the
+//! candidate's points broadcast against it), the lane-batched DTW /
+//! Fréchet / ERP verification that scores several candidates at once, and
+//! the DTW trie bound's sibling expansion that advances several children of
+//! one node at once ([`crate::DtwColumn::push_cells`]). Fréchet, DTW, ERP,
+//! EDR and LCSS have **no** single-pair dynamic-program SIMD form:
+//! whichever backend is active, one pair's dynamic program is the scalar
+//! kernel. Every form produces
 //! **bit-identical** results (see the `simd` module docs for the argument),
 //! so which one runs is purely a performance decision — made once per
 //! process from CPU feature detection, and overridable so tests, benches

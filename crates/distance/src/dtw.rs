@@ -1,6 +1,6 @@
 use crate::within::dtw_within;
 use crate::DistScratch;
-use repose_model::Point;
+use repose_model::{Mbr, Point};
 
 /// One DTW column transition (Eq. 15) over a caller-owned column buffer;
 /// `ground(q)` is the ground distance of query point `q` to the new
@@ -125,8 +125,8 @@ pub fn dtw(t1: &[Point], t2: &[Point]) -> f64 {
 /// does not obey the triangle inequality.
 #[derive(Debug, Clone)]
 pub struct DtwColumn {
-    col: Vec<f64>,
-    cmin: f64,
+    pub(crate) col: Vec<f64>,
+    pub(crate) cmin: f64,
     len: usize,
 }
 
@@ -158,6 +158,31 @@ impl DtwColumn {
         debug_assert_eq!(query.len(), self.col.len());
         self.cmin = dtw_advance(&mut self.col, self.len == 0, query, ground);
         self.len += 1;
+    }
+
+    /// Sibling expansion: `children[s]` becomes this column with one more
+    /// reference element whose ground cost is `cells[s].min_dist(q)` — bit
+    /// for bit `self.clone()` followed by
+    /// `push_with(query, |q| cells[s].min_dist(*q))` — without allocating
+    /// when the children's buffers already fit (any column of a query of
+    /// this length does; their old contents are overwritten).
+    ///
+    /// On a SIMD backend `W` siblings advance per pass over the query and
+    /// the parent column is read once per pass; the scalar backend copies
+    /// and pushes them one by one.
+    pub fn push_cells(&self, query: &[Point], cells: &[Mbr], children: &mut [DtwColumn]) {
+        assert_eq!(cells.len(), children.len(), "one cell per child");
+        debug_assert_eq!(query.len(), self.col.len());
+        for child in children.iter_mut() {
+            child.col.resize(self.col.len(), 0.0);
+            child.len = self.len + 1;
+        }
+        let (parent, first) = (&self.col, self.len == 0);
+        crate::backend::simd_dispatch!(dtw_siblings(parent, first, query, cells, children));
+        for (cell, child) in cells.iter().zip(children) {
+            child.col.copy_from_slice(parent);
+            child.cmin = dtw_advance(&mut child.col, first, query, |q| cell.min_dist(*q));
+        }
     }
 
     /// Minimum of the most recently added column (Eq. 13).

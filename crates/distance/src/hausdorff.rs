@@ -1,8 +1,8 @@
 //! Hausdorff distance (Definition 2): the unbounded one-pass kernel, the
 //! incremental [`HausdorffState`] the trie search pushes reference points
-//! into, and the nearest-neighbour sweep under both — [`nn_sweep`], one pass
-//! over the squared-distance matrix keeping row and column minima. Hausdorff
-//! folds those minima by `max`; the DTW nearest-neighbour stage
+//! into, and the scalar nearest-neighbour sweep under both — [`nn_sweep`],
+//! one pass over the squared-distance matrix keeping row and column minima.
+//! Hausdorff folds those minima by `max`; the DTW nearest-neighbour stage
 //! ([`crate::within`]) reuses the same sweep and folds them by `Σ√`.
 
 use crate::DistScratch;
@@ -48,8 +48,9 @@ pub fn hausdorff(t1: &[Point], t2: &[Point]) -> f64 {
 /// `min_i d²(t1[i], t2[j])`. Two folds consume this: [`hausdorff_in`] takes
 /// the `max` of the minima, the DTW nearest-neighbour stage
 /// ([`crate::within::dtw_nn_refutes`]) their `Σ√`. This is the scalar form;
-/// `simd::kern::sweep` is the packed one, value-identical because `f64` min
-/// of non-NaN values is order-independent. `col_min.len()` must equal
+/// `simd::kern::query_major_sweep` is the packed one — `t1` in lanes, so it
+/// streams `t2`'s minima and returns `t1`'s — value-identical because `f64`
+/// min of non-NaN values is order-independent. `col_min.len()` must equal
 /// `t2.len()`.
 #[inline]
 pub(crate) fn nn_sweep(

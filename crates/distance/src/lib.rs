@@ -24,7 +24,9 @@
 //! column kernels* that the RP-Trie search uses to evaluate lower bounds in
 //! `O(m)` per trie node (Section IV-C, Algorithm 1): when a reference
 //! trajectory grows by one point, only one new column of the distance matrix
-//! has to be computed, given the parent node's intermediate results.
+//! has to be computed, given the parent node's intermediate results. DTW's
+//! column also pushes a node's siblings side by side
+//! ([`DtwColumn::push_cells`]), in SIMD lanes where the backend has them.
 //!
 //! The lint attributes below confine `unsafe` to the `simd` module and the
 //! dispatch sites that call into it.

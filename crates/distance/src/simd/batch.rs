@@ -1,5 +1,7 @@
-//! Batched multi-candidate verification: up to `W` candidates verified
-//! against one query in parallel SIMD lanes.
+//! Batched multi-column dynamic programs: up to `W` DP columns advanced
+//! against one query in parallel SIMD lanes — leaf candidates in
+//! verification ([`batch_dp`], [`batch_erp`]) and sibling trie children in
+//! DTW bound expansion ([`dtw_siblings`]).
 //!
 //! The serial dependency chain of the DTW/Fréchet/ERP dynamic programs is
 //! the scan bottleneck a single-pair kernel cannot break. Verifying `W`
@@ -30,8 +32,8 @@
 //! those measures sequentially.
 
 use super::ops::F64s;
-use crate::DistScratch;
-use repose_model::Point;
+use crate::{DistScratch, DtwColumn};
+use repose_model::{Mbr, Point};
 
 /// All-ones lane mask bits as an `f64` (blend selector for active lanes).
 const MASK_ON: f64 = f64::from_bits(u64::MAX);
@@ -190,6 +192,85 @@ pub(crate) unsafe fn batch_dp<V: F64s, const MAX: bool, const SQRT: bool>(
             }
         }
     }
+}
+
+/// `W` sibling DTW bound columns per pass over the query (the packed form
+/// of [`DtwColumn::push_cells`], same contract): each child column is the
+/// parent column advanced by one reference element whose ground cost is
+/// `cells[s].min_dist(q)`.
+///
+/// Siblings share the parent column, so it is read once per pass and
+/// broadcast; lane `s` repeats [`crate::dtw::dtw_advance`]'s exact
+/// operation order with `cells[s]`'s bounds in its lanes (lanes past the
+/// last sibling repeat it and are never written back), so every child's
+/// cells and `cmin` are the scalar push's bits.
+///
+/// # Safety
+///
+/// The CPU must support `V`'s instruction set. `parent`, `query` and every
+/// child's column have one length, and `cells` and `children` another.
+#[inline(always)]
+pub(crate) unsafe fn dtw_siblings<V: F64s>(
+    parent: &[f64],
+    first: bool,
+    query: &[Point],
+    cells: &[Mbr],
+    children: &mut [DtwColumn],
+) {
+    let zero = V::splat(0.0);
+    let inf = V::splat(f64::INFINITY);
+    for (cells, kids) in cells.chunks(V::W).zip(children.chunks_mut(V::W)) {
+        let cell = |s: usize| &cells[s.min(cells.len() - 1)];
+        let (lo_x, lo_y) = (V::from_fn(|s| cell(s).min.x), V::from_fn(|s| cell(s).min.y));
+        let (hi_x, hi_y) = (V::from_fn(|s| cell(s).max.x), V::from_fn(|s| cell(s).max.y));
+        let mut cmin = inf;
+        let mut put = |i: usize, new: V| {
+            for (kid, v) in kids.iter_mut().zip(new.to_array()) {
+                kid.col[i] = v;
+            }
+        };
+        if first {
+            // f_{i,1} = sum_{t<=i} d'(q_t, cell)
+            let mut acc = zero;
+            for (i, q) in query.iter().enumerate() {
+                acc = acc.add(cell_dists::<V>(*q, lo_x, lo_y, hi_x, hi_y));
+                put(i, acc);
+                cmin = acc.min(cmin);
+            }
+        } else {
+            let (mut prev_im1, mut last_new) = (inf, inf);
+            for (i, q) in query.iter().enumerate() {
+                let d = cell_dists::<V>(*q, lo_x, lo_y, hi_x, hi_y);
+                let old = V::splat(parent[i]);
+                let best_pred = if i == 0 { old } else { prev_im1.min(old).min(last_new) };
+                prev_im1 = old;
+                let new = d.add(best_pred);
+                put(i, new);
+                last_new = new;
+                cmin = new.min(cmin);
+            }
+        }
+        for (kid, c) in kids.iter_mut().zip(cmin.to_array()) {
+            kid.cmin = c;
+        }
+    }
+}
+
+/// Packed `cell.min_dist(q)` of one query point against per-lane cells —
+/// `Mbr::min_dist`'s exact operation order. (Where the two `max`es meet a
+/// signed zero the lane may pick the other zero than the scalar `f64::max`;
+/// squaring erases the difference.)
+///
+/// # Safety
+///
+/// The CPU must support `V`'s instruction set.
+#[inline(always)]
+unsafe fn cell_dists<V: F64s>(q: Point, lo_x: V, lo_y: V, hi_x: V, hi_y: V) -> V {
+    let (qx, qy) = (V::splat(q.x), V::splat(q.y));
+    let zero = V::splat(0.0);
+    let dx = lo_x.sub(qx).max(zero).max(qx.sub(hi_x));
+    let dy = lo_y.sub(qy).max(zero).max(qy.sub(hi_y));
+    dx.mul(dx).add(dy.mul(dy)).sqrt()
 }
 
 /// Batched early-abandoning ERP: `out[l]` bit-identical to the scalar

@@ -6,13 +6,16 @@
 //! * [`ops`] — the [`ops::F64s`] packed-`f64` trait (`__m128d` = SSE4.1,
 //!   `__m256d` = AVX2) every generic kernel is monomorphized over.
 //! * [`kern`] — the packed single-pair nearest-neighbour kernels: one
-//!   row/column-minima sweep folded two ways (Hausdorff's `max`, the DTW
-//!   nearest-neighbour stage's `Σ√`) and Hausdorff's threshold-aware
-//!   directed passes. No measure's dynamic program has a single-pair SIMD
-//!   form: the ones this module used to carry lost to the scalar kernels.
-//! * [`batch`] — multi-candidate batched verification (DTW, Fréchet, ERP):
-//!   up to `W` leaf candidates verified against one query in parallel
-//!   lanes.
+//!   query-major row/column-minima sweep (the query in `+∞`-padded lane
+//!   arrays, the other trajectory's points broadcast `W` at a time, their
+//!   minima out of one transpose-min) folded two ways (Hausdorff's `max`,
+//!   the DTW nearest-neighbour stage's `Σ√`), and Hausdorff's
+//!   threshold-aware directed passes. No measure's dynamic program has a
+//!   single-pair SIMD form: the ones this module used to carry lost to the
+//!   scalar kernels.
+//! * [`batch`] — multi-column dynamic programs: up to `W` leaf candidates
+//!   verified against one query in parallel lanes (DTW, Fréchet, ERP), and
+//!   up to `W` sibling DTW trie bound columns advanced from one parent.
 //! * [`sse41`] / [`avx2`] — thin `#[target_feature]` wrappers that
 //!   monomorphize the generics at each width (the DTW nearest-neighbour
 //!   wrapper also instantiates the scalar form's `Σ√` fold over the packed
@@ -30,16 +33,20 @@
 //!    (and Rust never auto-contracts `a*b + c`).
 //! 2. DP cells are pure functions of their predecessor cells, computed with
 //!    the same expressions in the same operand order as the scalar kernels
-//!    — so evaluating several candidates' cells side by side in lanes
-//!    reproduces each candidate's scalar cell values.
+//!    — so evaluating several candidates' (or sibling trie nodes') cells
+//!    side by side in lanes reproduces each one's scalar cell values.
 //! 3. Reductions only use `f64` min/max of non-NaN values, which are
 //!    associative/commutative (no rounding), so vector-then-horizontal
 //!    reduction order does not change the result.
 //! 4. Squared-space kernels (Fréchet, Hausdorff) take one final IEEE `sqrt`,
 //!    which is correctly rounded and monotone — the same argument the
 //!    scalar kernels already rely on. The DTW nearest-neighbour stage takes
-//!    one `sqrt` per row/column minimum and adds them in index order on
-//!    every backend, so its sums — and its refusals — are the scalar ones.
+//!    one `sqrt` per row/column minimum (a vector `sqrt` of `W` of them) and
+//!    adds each side's in index order on every backend, so its two sums are
+//!    the scalar ones; which side streams first differs, and partial sums
+//!    only grow, so its refusals are the scalar ones too
+//!    ([`crate::within::dtw_nn_refutes`]). Padded query lanes hold `+∞`,
+//!    which never lowers a minimum.
 //! 5. Early abandons may fire at backend-specific points, but only when the
 //!    final distance provably reaches the threshold, and every survivor
 //!    passes the same final `(d < threshold)` gate — so the `Some`/`None`
@@ -62,10 +69,11 @@ macro_rules! backend_impls {
         /// Every wrapper requires the CPU feature it enables, plus the
         /// requirements of the generic kernel it instantiates.
         pub(crate) mod $modname {
+            use super::ops::F64s;
             use super::{batch, kern};
             use crate::within::sum_sqrt_refutes;
-            use crate::DistScratch;
-            use repose_model::Point;
+            use crate::{DistScratch, DtwColumn};
+            use repose_model::{Mbr, Point};
 
             type V = $vec;
 
@@ -80,7 +88,9 @@ macro_rules! backend_impls {
 
             /// [`crate::within::dtw_nn_refutes`] over the packed sweep: the
             /// fold is the scalar form's own, instantiated here so that it
-            /// and the sweep inline into one `#[target_feature]` body.
+            /// and the sweep inline into one `#[target_feature]` body. `t2`'s
+            /// minima stream in, `W` roots per vector `sqrt`, added in index
+            /// order; `t1`'s are summed at the end.
             #[target_feature(enable = $feat)]
             pub(crate) unsafe fn dtw_nn_refutes(
                 t1: &[Point],
@@ -88,9 +98,23 @@ macro_rules! backend_impls {
                 threshold: f64,
                 s: &mut DistScratch,
             ) -> bool {
-                sum_sqrt_refutes(s.f1_uninit(t2.len()), threshold, |col_min, rows| {
-                    kern::sweep::<V>(t1, t2, col_min, |row_min| rows.admits(row_min))
+                sum_sqrt_refutes(threshold, |cols| {
+                    kern::query_major_sweep::<V>(t1, t2, s, |mins: V, w| {
+                        let roots = mins.sqrt().to_array();
+                        roots[..w].iter().all(|&r| cols.admits_root(r))
+                    })
                 })
+            }
+
+            #[target_feature(enable = $feat)]
+            pub(crate) unsafe fn dtw_siblings(
+                parent: &[f64],
+                first: bool,
+                query: &[Point],
+                cells: &[Mbr],
+                children: &mut [DtwColumn],
+            ) {
+                batch::dtw_siblings::<V>(parent, first, query, cells, children)
             }
 
             #[target_feature(enable = $feat)]

@@ -54,6 +54,11 @@ pub(crate) trait F64s: Copy {
     /// associative and commutative (no rounding), so the reduction order
     /// does not affect the result bits.
     unsafe fn hmin(self) -> f64;
+    /// Transpose-min of the first `W` packs of `rows` (the rest are
+    /// ignored): lane `s` of the result is the horizontal minimum of
+    /// `rows[s]`. `W` horizontal minima for the shuffles of one transpose;
+    /// order-independent like [`F64s::hmin`].
+    unsafe fn transpose_min(rows: &[Self; 4]) -> Self;
     /// `x` and `y` coordinates of `W` consecutive points, in index order.
     /// Sound because [`Point`] is `repr(C)` with `x` before `y`.
     unsafe fn load_points(p: *const Point) -> (Self, Self);
@@ -67,6 +72,15 @@ pub(crate) trait F64s: Copy {
             *slot = f(l);
         }
         Self::loadu(buf.as_ptr())
+    }
+
+    /// The lanes in order, zeros past `W` (a stack round-trip, for reading
+    /// lanes out one by one).
+    #[inline(always)]
+    unsafe fn to_array(self) -> [f64; 4] {
+        let mut buf = [0.0f64; 4];
+        self.storeu(buf.as_mut_ptr());
+        buf
     }
 }
 
@@ -125,6 +139,12 @@ impl F64s for __m128d {
     unsafe fn hmin(self) -> f64 {
         let hi = _mm_unpackhi_pd(self, self);
         _mm_cvtsd_f64(_mm_min_sd(self, hi))
+    }
+    #[inline(always)]
+    unsafe fn transpose_min(rows: &[Self; 4]) -> Self {
+        let [a, b, ..] = *rows;
+        // (a0 b0) min (a1 b1)
+        _mm_min_pd(_mm_unpacklo_pd(a, b), _mm_unpackhi_pd(a, b))
     }
     #[inline(always)]
     unsafe fn load_points(p: *const Point) -> (Self, Self) {
@@ -193,6 +213,18 @@ impl F64s for __m256d {
         let m = _mm_min_pd(lo, hi);
         let s = _mm_unpackhi_pd(m, m);
         _mm_cvtsd_f64(_mm_min_sd(m, s))
+    }
+    #[inline(always)]
+    unsafe fn transpose_min(rows: &[Self; 4]) -> Self {
+        let [a, b, c, d] = *rows;
+        // Pairwise within 128-bit halves: (a01 b01 a23 b23), (c01 d01 c23 d23)
+        // — then the low halves against the high halves.
+        let ab = _mm256_min_pd(_mm256_unpacklo_pd(a, b), _mm256_unpackhi_pd(a, b));
+        let cd = _mm256_min_pd(_mm256_unpacklo_pd(c, d), _mm256_unpackhi_pd(c, d));
+        _mm256_min_pd(
+            _mm256_permute2f128_pd::<0x20>(ab, cd),
+            _mm256_permute2f128_pd::<0x31>(ab, cd),
+        )
     }
     #[inline(always)]
     unsafe fn load_points(p: *const Point) -> (Self, Self) {

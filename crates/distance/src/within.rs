@@ -31,8 +31,12 @@
 //!    soundness argument there): the sums of every point's distance to its
 //!    nearest neighbour in the other trajectory — Hausdorff's row/column
 //!    minima sweep ([`crate::hausdorff`]) folded by `Σ√` instead of `max` —
-//!    refuse most candidates the prefilter lets through, at about a quarter
-//!    of the dynamic program's cost.
+//!    refuse most candidates the prefilter lets through, at a fraction of
+//!    the dynamic program's cost. On a SIMD backend the sweep is
+//!    query-major: the query sits in padded lane arrays and the
+//!    candidate's points are broadcast against it, so the candidate's sum
+//!    streams and the query's is added at the end — the reverse of the
+//!    scalar sweep, which `dtw_nn_refutes` shows cannot change a refusal.
 //! 3. **Row-wise abandoning** inside the exact computation: Hausdorff stops
 //!    as soon as any point's nearest-neighbour distance reaches the
 //!    threshold; Frechet/DTW/ERP/EDR stop when an entire DP row/column
@@ -333,7 +337,7 @@ pub(crate) fn dtw_within(
 
 /// A running `Σ √·` over squared nearest-neighbour distances, tested against
 /// one threshold after every term — the fold [`sum_sqrt_refutes`] applies to
-/// the minima of an [`nn_sweep`].
+/// the minima of a nearest-neighbour sweep.
 pub(crate) struct SumSqrt {
     sum: f64,
     threshold: f64,
@@ -348,7 +352,14 @@ impl SumSqrt {
     /// is at or above the threshold (house margin included).
     #[inline(always)]
     pub(crate) fn admits(&mut self, min_sq: f64) -> bool {
-        self.sum += min_sq.sqrt();
+        self.admits_root(min_sq.sqrt())
+    }
+
+    /// [`SumSqrt::admits`] for a term whose square root is already taken
+    /// (the packed sweep roots `W` minima with one vector `sqrt`).
+    #[inline(always)]
+    pub(crate) fn admits_root(&mut self, min: f64) -> bool {
+        self.sum += min;
         !prefilter_rejects(self.sum, self.threshold)
     }
 
@@ -366,9 +377,22 @@ impl SumSqrt {
 /// looking: the unbounded distance is the DTW kernel at `+∞`, where nothing
 /// can be refused and the sweep would be pure cost.
 ///
-/// One [`nn_sweep`] — the pass Hausdorff makes — with the row minima summed
-/// in `t1` order as they complete (stopping the sweep at the first refuting
-/// partial sum), then the column minima summed in `t2` order.
+/// One nearest-neighbour sweep — the pass Hausdorff makes — with one side's
+/// minima summed in index order as they complete (stopping the sweep at the
+/// first refuting partial sum), then the other side's summed in index
+/// order. The scalar [`nn_sweep`] streams `t1`'s minima and sums `t2`'s at
+/// the end; the packed `simd::kern::query_major_sweep` streams `t2`'s and
+/// sums `t1`'s at the end.
+///
+/// **Summation order cannot change a refusal.** Both forms compute each
+/// side's sum with the same terms added in the same (index) order, so the
+/// two complete sums are bit-identical across forms. The terms are
+/// non-negative and `fl(x + y)` is monotone, so a partial sum never exceeds
+/// its complete sum: a partial sum refutes only if its complete sum does,
+/// and a refuting complete sum is eventually reached unless an earlier
+/// partial sum refuted first. Either way the stage refuses exactly when one
+/// of the two complete sums does — whichever side streams first, and
+/// wherever the sweep stops.
 ///
 /// **Sound in real arithmetic**: a warping path has a cell in every row and
 /// in every column, and ground costs are non-negative, so the path's cost is
@@ -402,23 +426,26 @@ pub(crate) fn dtw_nn_refutes(
         return false;
     }
     crate::backend::simd_dispatch!(dtw_nn_refutes(t1, t2, threshold, scratch));
-    sum_sqrt_refutes(scratch.f1_uninit(t2.len()), threshold, |col_min, rows| {
-        nn_sweep(t1, t2, col_min, |row_min| rows.admits(row_min))
+    sum_sqrt_refutes(threshold, move |rows| {
+        let col_min = scratch.f1_uninit(t2.len());
+        nn_sweep(t1, t2, col_min, |row_min| rows.admits(row_min)).then_some(&*col_min)
     })
 }
 
 /// The `Σ√` fold of one nearest-neighbour sweep, written once for every
-/// form of the sweep: `sweep` runs it over `col_min`, handing each row
-/// minimum to the [`SumSqrt`] it is given (and stopping when that refuses);
-/// the column minima it leaves are summed afterwards.
+/// form of the sweep: `sweep` hands one side's minima, as they complete, to
+/// the [`SumSqrt`] it is given (stopping, and returning `None`, when that
+/// refuses) and returns the other side's minima, summed afterwards.
 #[inline(always)]
-pub(crate) fn sum_sqrt_refutes(
-    col_min: &mut [f64],
+pub(crate) fn sum_sqrt_refutes<'a>(
     threshold: f64,
-    sweep: impl FnOnce(&mut [f64], &mut SumSqrt) -> bool,
+    sweep: impl FnOnce(&mut SumSqrt) -> Option<&'a [f64]>,
 ) -> bool {
-    let mut rows = SumSqrt::new(threshold);
-    !sweep(col_min, &mut rows) || !SumSqrt::new(threshold).admits_all(col_min)
+    let mut streamed = SumSqrt::new(threshold);
+    match sweep(&mut streamed) {
+        None => true,
+        Some(rest) => !SumSqrt::new(threshold).admits_all(rest),
+    }
 }
 
 /// The DTW dynamic program under a threshold (the last stage of
@@ -843,9 +870,30 @@ mod tests {
         }
     }
 
+    /// A deterministic scattered trajectory of `n` points.
+    fn scattered(n: usize, seed: u64) -> Vec<Point> {
+        (0..n as u64)
+            .map(|i| {
+                let h = (i + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ seed.wrapping_mul(0xbf58);
+                Point::new((h % 997) as f64 * 0.013, (h / 997 % 991) as f64 * 0.011)
+            })
+            .collect()
+    }
+
+    /// Every length pair up to 9 on both sides: one vector, several, a
+    /// `W`-remainder, and a query shorter than one vector (padded lanes).
+    fn length_grid() -> impl Iterator<Item = (Vec<Point>, Vec<Point>)> {
+        (1..=9).flat_map(|m| {
+            (1..=9).flat_map(move |n| {
+                (0..3u64).map(move |seed| (scattered(m, seed), scattered(n, seed + 101 * m as u64)))
+            })
+        })
+    }
+
     /// The stage's early exits change nothing: partial sums of non-negative
     /// terms never decrease, so it refuses exactly when one of the two
-    /// complete nearest-neighbour sums does.
+    /// complete nearest-neighbour sums does — whichever side the active
+    /// backend's sweep streams and whichever sum is the larger.
     #[test]
     fn dtw_nn_stage_refuses_exactly_when_a_sum_does() {
         let s = &mut DistScratch::new();
@@ -854,20 +902,37 @@ mod tests {
                 .map(|p| to.iter().map(|q| p.dist(q)).fold(f64::INFINITY, f64::min))
                 .sum()
         };
-        let mut refused = 0;
-        for (a, b) in fixtures() {
-            let nn = nn_sum(&a, &b).max(nn_sum(&b, &a));
+        let (mut by_first, mut by_second) = (0, 0);
+        for (a, b) in fixtures().into_iter().chain(length_grid()) {
+            let (first, second) = (nn_sum(&a, &b), nn_sum(&b, &a));
+            let nn = first.max(second);
             assert!(nn <= dtw(&a, &b));
             let flip = nn * LB_SAFETY;
             for thr in [nn * 0.5, flip.next_down(), flip, flip.next_up(), nn * 2.0 + 0.1] {
                 if thr > 0.0 {
                     let got = dtw_nn_refutes(&a, &b, thr, s);
-                    assert_eq!(got, prefilter_rejects(nn, thr), "thr {thr}, nn {nn}");
-                    refused += usize::from(got);
+                    let want = prefilter_rejects(nn, thr);
+                    assert_eq!(got, want, "thr {thr}, nn {nn}, {a:?} {b:?}");
+                    if got && !prefilter_rejects(second, thr) {
+                        by_first += 1;
+                    }
+                    if got && !prefilter_rejects(first, thr) {
+                        by_second += 1;
+                    }
                 }
             }
         }
-        assert!(refused > 0, "the fixtures must exercise a refusal");
+        assert!(by_first > 0 && by_second > 0, "each side's sum must decide some refusal");
+    }
+
+    #[test]
+    fn hausdorff_matches_reference_on_the_length_grid() {
+        for (a, b) in length_grid() {
+            for (x, y) in [(&a, &b), (&b, &a)] {
+                let (got, want) = (hausdorff(x, y), crate::reference::hausdorff(x, y));
+                assert_eq!(got.to_bits(), want.to_bits(), "{x:?} {y:?}");
+            }
+        }
     }
 
     #[test]

@@ -3,13 +3,15 @@
 //! below one vector, lane remainders, lane groups the prefilter or the DTW
 //! nearest-neighbour stage thins out, exact-zero distances at zero-adjacent
 //! thresholds, and points coinciding with the ERP gap — all checked bit-for-bit against the
-//! seed `reference` kernels on every backend the host CPU supports.
+//! seed `reference` kernels on every backend the host CPU supports. Sibling
+//! expansion of the DTW trie bound is checked the same way against the
+//! one-child-at-a-time push.
 
 use repose_distance::{
-    available_backends, force_backend, just_above, reference, Backend, DistScratch, Measure,
-    MeasureParams,
+    available_backends, force_backend, just_above, reference, Backend, DistScratch, DtwColumn,
+    Measure, MeasureParams,
 };
-use repose_model::Point;
+use repose_model::{Mbr, Point};
 use std::sync::Mutex;
 
 const GAP: Point = Point::new(0.0, 0.0);
@@ -326,5 +328,61 @@ fn batched_dtw_groups_thinned_by_the_nn_stage() {
                 assert_eq!(out[i].is_some(), pattern[i], "{pattern:?} on {backend}, lane {i}");
             }
         });
+    }
+}
+
+/// Sibling expansion of the DTW trie bound: every child's column and `cmin`
+/// equal a clone of the parent pushed with that child's cell, bit for bit,
+/// on every backend. 1–9 siblings cover lane groups of 1..`W` plus a
+/// remainder; the root parent takes the first-column recurrence, the deep
+/// one the general step; cells touching the query at signed zeros exercise
+/// the packed ground cost's `max`es; the children's buffers start as fresh,
+/// recycled (stale contents) and wrongly sized columns.
+#[test]
+fn dtw_sibling_push_matches_clone_and_push() {
+    let cell = |x: f64, y: f64, w: f64| Mbr::new(Point::new(x, y), Point::new(x + w, y + w));
+    let cells: Vec<Mbr> = (0..9u64)
+        .map(|i| match i % 3 {
+            0 => cell(-0.0, -0.0, 0.5),
+            1 => cell(i as f64 * 0.7, 3.0 - i as f64 * 0.4, 0.25),
+            _ => cell(-(i as f64), i as f64 * 0.5, 1.0),
+        })
+        .collect();
+    // Debug prints every f64 in round-trip form: equal strings are equal bits.
+    let bits = |c: &DtwColumn| format!("{c:?}");
+    for m in 1..=9usize {
+        let mut query = traj(m, 61);
+        query[0] = Point::new(0.0, 0.0);
+        let root = DtwColumn::new(m);
+        let mut deep = DtwColumn::new(m);
+        for p in traj(3, 67) {
+            deep.push(&query, p);
+        }
+        for parent in [&root, &deep] {
+            for n in 1..=cells.len() {
+                let cells = &cells[..n];
+                let want: Vec<String> = cells
+                    .iter()
+                    .map(|c| {
+                        let mut child = parent.clone();
+                        child.push_with(&query, |q| c.min_dist(*q));
+                        bits(&child)
+                    })
+                    .collect();
+                for_each_backend(|backend| {
+                    let mut children: Vec<DtwColumn> = (0..n)
+                        .map(|s| match s % 3 {
+                            0 => DtwColumn::new(m),
+                            1 => deep.clone(),
+                            _ => DtwColumn::new(m + 2),
+                        })
+                        .collect();
+                    parent.push_cells(&query, cells, &mut children);
+                    let got: Vec<String> = children.iter().map(bits).collect();
+                    let depth = parent.len();
+                    assert_eq!(got, want, "m={m}, {n} siblings, parent len {depth} on {backend}");
+                });
+            }
+        }
     }
 }

@@ -19,11 +19,31 @@
 //! * **LCSS** — optimistic match DP gives an *upper* bound on the LCSS
 //!   length; only the leaf bound is usable (internal `lbo` is 0), because
 //!   the distance normalizer `min(m, n)` needs the member lengths.
+//!
+//! A popped node's children are evaluated by one [`BoundState::expand`]
+//! call. DTW advances its siblings side by side
+//! ([`DtwColumn::push_cells`]) into columns the search recycles
+//! ([`Columns`]); the other measures clone the parent state for every
+//! child but the last and push one cell into each.
 
 use crate::frozen::LeafRef;
-use repose_distance::{DtwColumn, FrechetColumn, HausdorffState, Measure, MeasureParams};
+use crate::NodeId;
+use repose_distance::{
+    active_backend, DtwColumn, FrechetColumn, HausdorffState, Measure, MeasureParams, BATCH_LANES,
+};
 use repose_model::{Mbr, Point};
 use repose_zorder::{Grid, ZValue};
+
+/// One search's spare DTW columns: an expanded parent and a pruned child
+/// return theirs here, and sibling expansion writes into them, so a warm
+/// search allocates a column only when more states are alive at once than
+/// ever before.
+#[derive(Default)]
+pub(crate) struct Columns {
+    free: Vec<DtwColumn>,
+    /// The lane group being expanded.
+    group: Vec<DtwColumn>,
+}
 
 /// Incremental bound state for one root-to-node path.
 #[derive(Debug, Clone)]
@@ -67,6 +87,65 @@ impl BoundState {
             BoundState::Edr(s) => s.push(query, grid.cell_mbr(z), params.eps),
             BoundState::Lcss(s) => s.push(query, grid.cell_mbr(z), params.eps),
         }
+    }
+
+    /// Expands every child of the node this state belongs to: child `ci`'s
+    /// state is this one with `kids[ci].0` pushed, handed to
+    /// `visit(ci, state)`, which gives it back if the child is pruned.
+    ///
+    /// Children go in lane groups, in `kids` order: DTW advances the
+    /// active backend's lane count of siblings per pass, recycling columns
+    /// through `columns`; every other measure, one child per group.
+    /// `live()` is asked before each group; once it says no, the remaining
+    /// children are skipped and their count is returned.
+    #[allow(clippy::too_many_arguments)]
+    pub fn expand(
+        self,
+        query: &[Point],
+        grid: &Grid,
+        params: &MeasureParams,
+        kids: &[(ZValue, NodeId)],
+        columns: &mut Columns,
+        mut live: impl FnMut() -> bool,
+        mut visit: impl FnMut(usize, BoundState) -> Option<BoundState>,
+    ) -> usize {
+        let BoundState::Dtw(parent) = self else {
+            let mut parent = Some(self);
+            for (ci, &(z, _)) in kids.iter().enumerate() {
+                if !live() {
+                    return kids.len() - ci;
+                }
+                // The last child takes the parent state by move.
+                let mut state = if ci + 1 == kids.len() { parent.take() } else { parent.clone() }
+                    .expect("only the last child takes the parent state");
+                state.push(query, grid, z, params);
+                visit(ci, state);
+            }
+            return 0;
+        };
+        let lanes = active_backend().lanes();
+        let mut cells = [Mbr::empty(); BATCH_LANES];
+        let mut skipped = 0;
+        for (g, group) in kids.chunks(lanes).enumerate() {
+            if !live() {
+                skipped = kids.len() - g * lanes;
+                break;
+            }
+            for (cell, &(z, _)) in cells.iter_mut().zip(group) {
+                *cell = grid.cell_mbr(z);
+                let spare = columns.free.pop().unwrap_or_else(|| DtwColumn::new(query.len()));
+                columns.group.push(spare);
+            }
+            parent.push_cells(query, &cells[..group.len()], &mut columns.group);
+            for (s, child) in columns.group.drain(..).enumerate() {
+                let pruned = visit(g * lanes + s, BoundState::Dtw(child));
+                if let Some(BoundState::Dtw(column)) = pruned {
+                    columns.free.push(column);
+                }
+            }
+        }
+        columns.free.push(parent);
+        skipped
     }
 
     /// One-side lower bound `LBo` for pruning the subtree below this node.

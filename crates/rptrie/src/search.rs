@@ -1,7 +1,7 @@
 //! Best-first top-k search over a frozen RP-Trie (Section IV-A,
 //! Algorithm 2 of the paper's appendix).
 
-use crate::bounds::BoundState;
+use crate::bounds::{BoundState, Columns};
 use crate::pivot::pivot_lower_bound;
 use crate::{Hit, NodeId, RpTrie};
 use repose_distance::{bound_exceeds, DistScratch, ThresholdSource, BATCH_LANES};
@@ -32,7 +32,11 @@ pub struct SearchStats {
     /// lower bound already exceeded the live k-th distance (after leaf
     /// verification tightened it, or a concurrent partition published a
     /// better hit), and child bounds only grow along a path, so the
-    /// incremental `BoundState` was never pushed for these children.
+    /// incremental `BoundState` was never pushed for these children. The
+    /// check runs before each lane group of children — one child for most
+    /// measures, the active backend's lane count of DTW siblings, which
+    /// are evaluated together — so a group already started is evaluated
+    /// whole.
     pub bounds_abandoned: usize,
 }
 
@@ -195,6 +199,7 @@ pub(crate) fn top_k_filtered(
     });
 
     let mut kids: Vec<(u64, NodeId)> = Vec::new();
+    let mut columns = Columns::default();
     while let Some(entry) = frontier.pop() {
         // Step 2): stop as soon as the best unexplored bound cannot beat dk.
         if entry.lb >= dk(&best) {
@@ -281,36 +286,36 @@ pub(crate) fn top_k_filtered(
             }
         }
 
-        // Step 3): expand children with fresh incremental bounds.
+        // Step 3): expand children with fresh incremental bounds, one lane
+        // group at a time (`BoundState::expand`: DTW siblings side by side
+        // in recycled columns, the other measures one child at a time).
+        // dk may have tightened since this entry was popped (its own leaf
+        // hits above, or a concurrently searching partition). Bounds only
+        // grow along a path (`lbo` is monotone per measure, `HR` intervals
+        // shrink), so once the popped path's own bound exceeds the live dk
+        // no extension can win: the remaining groups are never pushed.
         kids.clear();
         frozen.children_into(entry.node, &mut kids);
-        // The popped state is cloned for every child but the last, which
-        // takes it by move: one heap allocation fewer per expanded node.
-        let mut parent = Some(entry.state);
-        for (ci, &(z, child)) in kids.iter().enumerate() {
-            // dk may have tightened since this entry was popped (its own
-            // leaf hits above, or a concurrently searching partition).
-            // Bounds only grow along a path (`lbo` is monotone per measure,
-            // `HR` intervals shrink), so once the popped path's own bound
-            // exceeds the live dk no extension can win: stop pushing the
-            // incremental BoundState entirely instead of evaluating and
-            // discarding each child.
-            if bound_exceeds(entry.lb, dk(&best)) {
-                stats.bounds_abandoned += kids.len() - ci;
-                break;
-            }
-            let mut state = if ci + 1 == kids.len() { parent.take() } else { parent.clone() }
-                .expect("only the last child takes the parent state");
-            state.push(query, grid, z, &params);
-            let lbo = state.lbo(grid);
-            let lbp = pivot_lower_bound(&dqp, frozen.hr(child));
-            let lb = lbo.max(lbp);
-            if lb < dk(&best) {
-                frontier.push(Frontier { lb, node: child, state });
-            } else {
-                stats.nodes_pruned += 1;
-            }
-        }
+        let lb = entry.lb;
+        stats.bounds_abandoned += entry.state.expand(
+            query,
+            grid,
+            &params,
+            &kids,
+            &mut columns,
+            || !bound_exceeds(lb, dk(&best)),
+            |ci, state| {
+                let child = kids[ci].1;
+                let lb = state.lbo(grid).max(pivot_lower_bound(&dqp, frozen.hr(child)));
+                if lb < dk(&best) {
+                    frontier.push(Frontier { lb, node: child, state });
+                    None
+                } else {
+                    stats.nodes_pruned += 1;
+                    Some(state)
+                }
+            },
+        );
     }
 
     let mut hits: Vec<Hit> = best

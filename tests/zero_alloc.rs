@@ -8,11 +8,15 @@
 //!    threshold-aware verifications over a [`TrajStore`] arena performs
 //!    **exactly zero** heap allocations, for all six measures.
 //! 2. **Index** — a warm `RpTrie::top_k` still allocates for its search
-//!    structure (frontier heap, per-child bound states), but the count
-//!    must not scale with the number of leaf verifications: growing a
-//!    leaf's membership ~10× adds hundreds of verifications and the
-//!    allocation count must grow by less than one per extra verification
-//!    (the seed kernels allocated at least one DP buffer each).
+//!    structure (frontier heap, the bound states of the nodes it keeps in
+//!    the frontier), but the count must not scale with the number of leaf
+//!    verifications: growing a leaf's membership ~10× adds hundreds of
+//!    verifications and the allocation count must grow by less than one
+//!    per extra verification (the seed kernels allocated at least one DP
+//!    buffer each). Nor may it scale with child evaluations: a DTW search
+//!    recycles the columns of expanded and pruned nodes, so ~8× more
+//!    pruned children add almost no allocations (cloning the parent state
+//!    per child added one each).
 //! 3. **Service** — same decoupling for a warm `ReposeService::query`
 //!    whose delta backlog (scored by `refine_by_bound`) grows, plus
 //!    thread-scratch footprint stability across the warm query.
@@ -175,6 +179,68 @@ fn warm_trie_query_allocations_do_not_scale_with_verifications() {
         alloc_growth < verif_growth,
         "allocations grew with verifications: +{alloc_growth} allocs for +{verif_growth} \
          verifications (per-verification allocation is back)"
+    );
+}
+
+#[test]
+fn warm_dtw_trie_query_recycles_child_columns() {
+    let _g = measure_lock();
+    // One trajectory equals the query; the decoys share its opening cell
+    // and then scatter over a fine grid. That cell's node verifies the
+    // match (dk = 0) before it expands its hundreds of children, which are
+    // all evaluated and pruned: the bigger index evaluates many more
+    // children without keeping more bound states alive.
+    let query = vec![Point::new(0.1, 0.1), Point::new(0.15, 0.1)];
+    let grid = Grid::new(
+        repose_model::Mbr::new(Point::new(0.0, 0.0), Point::new(8.0, 8.0)),
+        5,
+    );
+    let build = |decoys: u64| {
+        let mut store = TrajStore::new();
+        store.push(0, &query);
+        let mut h = 0x2545_f491_4f6c_dd1du64;
+        let mut coord = || {
+            h ^= h << 13;
+            h ^= h >> 7;
+            h ^= h << 17;
+            (h % 8000) as f64 * 0.001
+        };
+        for i in 1..=decoys {
+            let mut pts = query.clone();
+            pts.extend((0..3).map(|_| Point::new(coord(), coord())));
+            store.push(i, &pts);
+        }
+        let trie = RpTrie::build(&store, grid.clone(), RpTrieConfig::for_measure(Measure::Dtw));
+        (store, trie)
+    };
+    let measure_warm = |store: &TrajStore, trie: &RpTrie| {
+        let r = trie.top_k(store, &query, 1);
+        assert_eq!(r.hits[0].dist, 0.0);
+        // Every evaluated child is popped or pruned (or left in the
+        // frontier); the root is popped without being a child.
+        let children = r.stats.nodes_visited + r.stats.nodes_pruned - 1;
+        let allocs = min_allocs_during(|| {
+            let _ = trie.top_k(store, &query, 1);
+        });
+        (allocs, children)
+    };
+    let (small_store, small_trie) = build(40);
+    let (big_store, big_trie) = build(400);
+    let (a_small, c_small) = measure_warm(&small_store, &small_trie);
+    let (a_big, c_big) = measure_warm(&big_store, &big_trie);
+    assert!(
+        c_big >= c_small + 200,
+        "setup broken: big index should evaluate many more children ({c_small} -> {c_big})"
+    );
+    // Cloning the parent state for every child but the last allocated one
+    // column per extra child; recycled columns leave only the logarithmic
+    // growth of the search's own vectors.
+    let alloc_growth = a_big as i64 - a_small as i64;
+    let child_growth = (c_big - c_small) as i64;
+    assert!(
+        alloc_growth * 10 < child_growth,
+        "allocations grew with child evaluations: +{alloc_growth} allocs for +{child_growth} \
+         children (per-child bound states are back)"
     );
 }
 
