@@ -89,11 +89,11 @@ pub(crate) fn merge_top_k(
 /// Exact refinement of `(lower_bound, id, points)` candidates under a
 /// running top-k threshold — the early-abandoning counterpart of "score
 /// every candidate, sort, truncate to k" that DITA and DFT used to do.
-/// A thin adapter over
-/// [`repose_distance::MeasureParams::refine_by_bound`]; see there for the
-/// ordering, tie, and `cap` (inclusive) semantics. The result is the k
-/// smallest `(dist, id)` pairs among candidates with `dist <= cap` —
-/// identical to what exhaustive exact scoring would keep.
+/// [`repose_distance::MeasureParams::refine_by_bound`] under a collector
+/// private to the call whose bound starts at `cap` (inclusive); see there
+/// for the ordering and tie semantics. The result is the k smallest
+/// `(dist, id)` pairs among candidates with `dist <= cap` — identical to
+/// what exhaustive exact scoring would keep.
 pub(crate) fn refine_top_k(
     cands: Vec<(f64, TrajId, &[repose_model::Point])>,
     query: &[repose_model::Point],
@@ -102,12 +102,11 @@ pub(crate) fn refine_top_k(
     k: usize,
     cap: f64,
 ) -> Vec<BaselineHit> {
+    let collector = repose_distance::SharedTopK::with_initial_bound(k, cap);
     repose_distance::DistScratch::with_thread(|scratch| {
-        params.refine_by_bound(measure, query, k, cap, None, cands, |_| {}, scratch)
-    })
-    .into_iter()
-    .map(|(dist, id)| BaselineHit { id, dist })
-    .collect()
+        params.refine_by_bound(measure, query, &collector, cands, |_| {}, scratch)
+    });
+    collector.hits().into_iter().map(|h| BaselineHit { id: h.id, dist: h.dist }).collect()
 }
 
 /// Whether baseline partitions follow their paper's homogeneous placement

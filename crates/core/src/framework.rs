@@ -1,8 +1,8 @@
 use crate::{partition::partition_slots, ReposeConfig};
 use repose_cluster::{Cluster, JobStats};
-use repose_distance::ThresholdSource;
+use repose_distance::SharedTopK;
 use repose_model::{Dataset, Mbr, Point, TrajId, TrajStore};
-use repose_rptrie::{Hit, RpTrie, SearchStats, SharedTopK};
+use repose_rptrie::{Hit, RpTrie, SearchStats};
 use repose_zorder::Grid;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -310,15 +310,15 @@ impl Repose {
     }
 
     /// The one distributed query job behind every front: one task per
-    /// partition answers all of `queries` through [`RpTrie::search`], the
-    /// task times become the simulated schedule, and each query's local
-    /// results merge into its global top-k.
+    /// partition answers all of `queries` through [`RpTrie::search`], and
+    /// the task times become the simulated schedule.
     ///
     /// Every query gets one [`SharedTopK`] all its partition searches
-    /// publish into and prune with. The job is timed as a single cold run,
-    /// like every [`Cluster::run_partitions`] job: a re-run would execute
-    /// against the already-tightened collectors and under-report the job's
-    /// true cost.
+    /// publish into and prune with; its pool is the query's answer, so
+    /// nothing is merged afterwards. The job is timed as a single cold
+    /// run, like every [`Cluster::run_partitions`] job: a re-run would
+    /// execute against the already-tightened collectors and under-report
+    /// the job's true cost.
     pub(crate) fn run(
         &self,
         queries: &[&[Point]],
@@ -329,27 +329,22 @@ impl Repose {
             return Vec::new();
         }
         let collectors: Vec<SharedTopK> = queries.iter().map(|_| SharedTopK::new(k)).collect();
-        let (locals, job) = self.cluster.run_partitions(&self.parts, |_, part| {
+        let (stats, job) = self.cluster.run_partitions(&self.parts, |_, part| {
             queries
                 .iter()
                 .zip(&collectors)
-                .map(|(q, c)| {
-                    let shared = Some(c as &dyn ThresholdSource);
-                    part.trie.search(&part.store, q, k, &[], filter, shared)
-                })
+                .map(|(q, c)| part.trie.search(&part.store, q, filter, c))
                 .collect::<Vec<_>>()
         });
-        (0..queries.len())
-            .map(|qi| {
+        collectors
+            .iter()
+            .enumerate()
+            .map(|(qi, c)| {
                 let mut search = SearchStats::default();
-                let mut hits: Vec<Hit> = Vec::with_capacity(k * locals.len().min(8));
-                for part_results in &locals {
-                    search.merge(&part_results[qi].stats);
-                    hits.extend_from_slice(&part_results[qi].hits);
+                for part_stats in &stats {
+                    search.merge(&part_stats[qi]);
                 }
-                hits.sort_by(Hit::cmp_by_dist_then_id);
-                hits.truncate(k);
-                QueryOutcome { hits, job: job.clone(), search }
+                QueryOutcome { hits: c.hits(), job: job.clone(), search }
             })
             .collect()
     }

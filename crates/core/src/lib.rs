@@ -5,7 +5,7 @@
 //! [`Repose::query_batch`] and [`Repose::query_where`] — is the same
 //! distributed job: one task per partition running
 //! [`repose_rptrie::RpTrie::search`] against one shared top-k collector
-//! per query, merged into the global top-k.
+//! per query, whose pool is the global top-k.
 //!
 //! ```
 //! use repose::{Repose, ReposeConfig, PartitionStrategy};
@@ -45,5 +45,5 @@ pub mod temporal;
 pub use config::ReposeConfig;
 pub use framework::{PartitionView, QueryOutcome, Repose};
 pub use partition::{partition_dataset, partition_slots, PartitionStrategy};
-pub use repose_rptrie::Hit;
+pub use repose_distance::Hit;
 pub use temporal::{TemporalRepose, TimeWindow};

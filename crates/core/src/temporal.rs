@@ -154,7 +154,7 @@ mod tests {
     /// the answer is brute force over the accepted ids (bitwise distances;
     /// tied ids may resolve either way, Definition 3), and sharing the
     /// threshold never costs verifications over the same filter searched
-    /// partition by partition with no collector.
+    /// partition by partition, each under a collector of its own.
     #[test]
     fn windowed_matches_filtered_brute_force() {
         let (d, spans) = dataset_with_spans();
@@ -186,8 +186,8 @@ mod tests {
             let unshared: usize = (0..spatial.num_partitions())
                 .map(|pi| {
                     let view = spatial.partition_view(pi);
-                    let local = view.trie.search(view.store, &q, 8, &[], Some(&accepts), None);
-                    local.stats.exact_computations
+                    let own = repose_distance::SharedTopK::new(8);
+                    view.trie.search(view.store, &q, Some(&accepts), &own).exact_computations
                 })
                 .sum();
             assert!(

@@ -28,6 +28,11 @@
 //! column also pushes a node's siblings side by side
 //! ([`DtwColumn::push_cells`]), in SIMD lanes where the backend has them.
 //!
+//! The query's one top-k lives here too: [`SharedTopK`], the collector
+//! every search of one query — trie descent, delta scan, baseline
+//! refinement ([`MeasureParams::refine_by_bound`]) — prunes with and
+//! publishes into, and whose pool is the query's answer.
+//!
 //! The lint attributes below confine `unsafe` to the `simd` module and the
 //! dispatch sites that call into it.
 //!
@@ -68,6 +73,7 @@ mod scratch;
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 pub(crate) mod simd;
+mod shared;
 mod summary;
 pub mod within;
 
@@ -80,5 +86,6 @@ pub use hausdorff::{directed_hausdorff, hausdorff, HausdorffState};
 pub use lcss::{lcss_distance, lcss_length};
 pub use measure::{Measure, MeasureParams, RefineEvent, BATCH_LANES};
 pub use scratch::DistScratch;
+pub use shared::{Hit, SharedTopK, ThresholdSource};
 pub use summary::TrajSummary;
-pub use within::{bound_exceeds, just_above, RunningTopK, ThresholdSource};
+pub use within::{bound_exceeds, just_above};

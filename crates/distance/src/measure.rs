@@ -2,9 +2,9 @@ use crate::hausdorff::hausdorff_in;
 use crate::within::{
     bound_exceeds, dtw_dp_within, dtw_lb, dtw_nn_refutes, dtw_within, edr_lb, edr_within, erp_lb,
     erp_within, frechet_lb, frechet_within, hausdorff_lb, hausdorff_within, just_above,
-    lcss_distance_within, lcss_lb, prefilter_rejects, RunningTopK,
+    lcss_distance_within, lcss_lb, prefilter_rejects,
 };
-use crate::DistScratch;
+use crate::{DistScratch, ThresholdSource};
 use repose_model::Point;
 
 /// Maximum number of candidates [`MeasureParams::distance_within_batch_in`]
@@ -367,59 +367,45 @@ impl MeasureParams {
     }
 
     /// Exact top-k refinement of `(lower_bound, id, points)` candidates
-    /// under a running threshold — the early-abandoning replacement for
-    /// "score every candidate, sort, truncate to k", shared by the serving
-    /// layer's delta scan and the DITA/DFT refinement passes.
+    /// under a collector's live threshold — the early-abandoning
+    /// replacement for "score every candidate, sort, truncate to k", shared
+    /// by the serving layer's delta scan and the DITA/DFT refinement
+    /// passes.
     ///
     /// Sorts candidates by `(bound, id)` so the k-th distance tightens on
     /// the likely-closest ones first, scores each with the threshold-aware
-    /// kernel at the *successor* of the current cutoff (equal-distance
+    /// kernel at the *successor* of the collector's bound (equal-distance
     /// ties still get scored and resolve by id exactly as a full sort
     /// would), and stops at the first candidate whose bound proves it —
     /// and hence the sorted remainder — cannot beat the cutoff
-    /// ([`bound_exceeds`], fp-safety margin included). `cap` bounds useful
-    /// distances inclusively (`dist == cap` is kept); pass
-    /// [`f64::INFINITY`] for plain top-k. `on_event` observes every
-    /// candidate's fate for work accounting. With `scratch` warm, the only
-    /// allocation left in the scan is the candidate sort itself.
+    /// ([`bound_exceeds`], fp-safety margin included). The bound is
+    /// re-read per group, so a hit another search publishes mid-scan
+    /// tightens this one immediately, and every accepted hit is published
+    /// back. `on_event` observes every candidate's fate for work
+    /// accounting. With `scratch` warm, the only allocation left in the
+    /// scan is the candidate sort itself.
     ///
-    /// With `shared` = `Some`, the scan also runs against that *live*
-    /// threshold: every group's cutoff is additionally clamped by
-    /// [`crate::ThresholdSource::bound`] (re-read per group, so a hit
-    /// another search publishes mid-scan tightens this one immediately),
-    /// and every accepted hit is published back so this scan tightens the
-    /// others. The shared bound is an upper bound on the *global* k-th
-    /// distance, so clamping with it never discards a candidate that could
-    /// still appear in the merged global top-k (ties at the bound are kept:
-    /// the cutoff is applied through [`just_above`], i.e. inclusively).
-    ///
-    /// Returns up to `k` `(distance, id)` pairs ascending. Without a shared
-    /// threshold these are exactly the k smallest such pairs among
-    /// candidates with `dist <= cap`, identical to what exhaustive exact
-    /// scoring would keep; with one, they include every pair this candidate
-    /// set contributes to the merged global top-k.
-    #[allow(clippy::too_many_arguments)]
+    /// Afterwards the collector holds every pair this candidate set
+    /// contributes to its top-k. A collector private to the call, built
+    /// with [`crate::SharedTopK::with_initial_bound`]`(k, cap)`, ends up
+    /// holding exactly the k smallest `(distance, id)` pairs among
+    /// candidates with `dist <= cap` — what exhaustive exact scoring would
+    /// keep.
     pub fn refine_by_bound(
         &self,
         measure: Measure,
         query: &[Point],
-        k: usize,
-        cap: f64,
-        shared: Option<&dyn crate::ThresholdSource>,
+        collector: &dyn ThresholdSource,
         mut cands: Vec<(f64, u64, &[Point])>,
         mut on_event: impl FnMut(RefineEvent),
         scratch: &mut DistScratch,
-    ) -> Vec<(f64, u64)> {
-        if k == 0 {
-            return Vec::new();
-        }
+    ) {
         cands.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let total = cands.len();
         // Lane-batched measures collect a vector's worth of candidates per
         // cutoff refresh; everything else keeps the candidate-at-a-time
         // cadence (a group of one degenerates to exactly the old loop).
         let group_len = measure.batch_lanes();
-        let mut best = RunningTopK::new(k);
         let mut group = [(0.0f64, [].as_slice()); BATCH_LANES];
         let mut ids = [0u64; BATCH_LANES];
         let mut scored = [None; BATCH_LANES];
@@ -430,12 +416,9 @@ impl MeasureParams {
             // tighten monotonically), so group members can be scored where
             // the sequential scan would have skipped them — never the
             // reverse. The extra `Some`s carry distances above the final
-            // k-th and fall back out of the top-k heap, so the returned
-            // results are identical.
-            let mut cutoff = best.kth().map_or(cap, |kth| cap.min(kth));
-            if let Some(s) = shared {
-                cutoff = cutoff.min(s.bound());
-            }
+            // k-th and fall back out of the collector's pool, so the
+            // answer is identical.
+            let cutoff = collector.bound();
             let mut nb = 0;
             let mut stopped = false;
             while idx < total && nb < group_len {
@@ -460,10 +443,7 @@ impl MeasureParams {
             for (&d, &id) in scored[..nb].iter().zip(&ids[..nb]) {
                 on_event(RefineEvent::Scored { abandoned: d.is_none() });
                 if let Some(d) = d {
-                    best.push(d, id);
-                    if let Some(s) = shared {
-                        s.publish(d, id);
-                    }
+                    collector.publish(d, id);
                 }
             }
             if stopped {
@@ -471,7 +451,6 @@ impl MeasureParams {
                 break;
             }
         }
-        best.into_sorted()
     }
 
     /// Cheap `O(m + n)` lower bound on the exact distance under `measure`

@@ -47,8 +47,7 @@
 //!
 //! The kernels themselves are crate-private; callers reach them through
 //! [`crate::MeasureParams`]. What this module exports is the threshold
-//! plumbing around them: [`just_above`], [`bound_exceeds`], [`RunningTopK`]
-//! and [`ThresholdSource`].
+//! plumbing around them: [`just_above`] and [`bound_exceeds`].
 
 use crate::dtw::{dtw_advance, dtw_advance2};
 use crate::frechet::{frechet_advance, frechet_advance2};
@@ -79,114 +78,6 @@ pub fn just_above(x: f64) -> f64 {
 fn empty_case(both_zero: bool, threshold: f64) -> Option<f64> {
     let d = if both_zero { 0.0 } else { f64::INFINITY };
     (d < threshold).then_some(d)
-}
-
-/// A live, monotonically tightening source of a top-k pruning threshold,
-/// shared between concurrently executing local searches.
-///
-/// The contract every implementation must keep, because searchers prune
-/// with whatever [`ThresholdSource::bound`] returns:
-///
-/// * `bound()` is always a **sound upper bound on the global k-th
-///   distance** over everything published so far (and hence over the final
-///   answer — adding candidates only lowers the k-th distance);
-/// * `bound()` is **monotone non-increasing** across calls;
-/// * `publish` accepts only **exact** distances of real candidates (never
-///   lower bounds), and publishing the same candidate id twice must not
-///   tighten the bound further (one trajectory occupies one result slot).
-///
-/// `repose_rptrie::SharedTopK` is the canonical implementation; the
-/// refinement loop below and the trie search both consult one through this
-/// trait so a hit found anywhere prunes everywhere.
-pub trait ThresholdSource: Sync {
-    /// Current upper bound on the global k-th distance. Reading a stale
-    /// value is sound (bounds only ever tighten).
-    fn bound(&self) -> f64;
-    /// Publishes the exact distance of candidate `id`.
-    fn publish(&self, dist: f64, id: u64);
-}
-
-/// A bounded result heap maintaining the running top-k cutoff that every
-/// threshold-aware verification site shares: a max-heap over the current
-/// best `k` `(distance, id)` pairs, worst on top, ties evicting the larger
-/// id — the order the canonical ascending `(distance, id)` sort implies.
-///
-/// The serving layer's delta scan and the baselines' refinement passes both
-/// drive `distance_within` off this structure: score a candidate with
-/// threshold [`just_above`]`(kth())` (so equal-distance ties still get
-/// scored and resolve by id exactly as a full sort would), `push` on
-/// `Some`, and stop early once even a candidate's lower bound exceeds
-/// `kth()`.
-#[derive(Debug)]
-pub struct RunningTopK {
-    k: usize,
-    heap: std::collections::BinaryHeap<WorstEntry>,
-}
-
-#[derive(Debug)]
-struct WorstEntry {
-    dist: f64,
-    id: u64,
-}
-impl PartialEq for WorstEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.dist == other.dist && self.id == other.id
-    }
-}
-impl Eq for WorstEntry {}
-impl PartialOrd for WorstEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for WorstEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.dist.total_cmp(&other.dist).then_with(|| self.id.cmp(&other.id))
-    }
-}
-
-impl RunningTopK {
-    /// An empty heap that will retain the best `k` entries.
-    pub fn new(k: usize) -> Self {
-        RunningTopK { k, heap: std::collections::BinaryHeap::with_capacity(k + 1) }
-    }
-
-    /// Number of entries currently held (at most `k`).
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no entry has been pushed yet.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// The k-th (worst retained) distance once `k` entries are held —
-    /// the running cutoff. `None` while the heap is still filling (every
-    /// candidate must still be scored exactly).
-    pub fn kth(&self) -> Option<f64> {
-        (self.heap.len() == self.k).then(|| self.heap.peek().expect("full heap").dist)
-    }
-
-    /// Offers an exactly-scored entry, evicting the worst when over `k`.
-    pub fn push(&mut self, dist: f64, id: u64) {
-        if self.k == 0 {
-            return;
-        }
-        self.heap.push(WorstEntry { dist, id });
-        if self.heap.len() > self.k {
-            self.heap.pop();
-        }
-    }
-
-    /// Consumes the heap, ascending by `(distance, id)`.
-    pub fn into_sorted(self) -> Vec<(f64, u64)> {
-        self.heap
-            .into_sorted_vec()
-            .into_iter()
-            .map(|w| (w.dist, w.id))
-            .collect()
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -10,10 +10,15 @@
 //! * `LBt` — two-side lower bound on leaf nodes (Definition 7),
 //! * `LBp` — pivot-based lower bound for metric measures (Section IV-D).
 //!
-//! There is one search (Algorithm 2): [`RpTrie::search`], whose optional
-//! seeds, id filter and shared threshold are what the layers above add to
-//! the paper's local search; [`RpTrie::top_k`] is the same search with
-//! none of them.
+//! There is one search (Algorithm 2): [`RpTrie::search`]. It keeps no
+//! result heap of its own: it prunes with, and publishes every accepted
+//! hit into, the query's [`SharedTopK`] collector, whose pool is the
+//! answer — the paper's local heap and its driver-side merge in one.
+//! The optional id filter is what the layers above add.
+//! [`RpTrie::top_k`] is the same search under a private collector and no
+//! filter.
+//!
+//! [`SharedTopK`]: repose_distance::SharedTopK
 //!
 //! The physical layout is the paper's succinct two-layer structure: bitmap
 //! (LOUDS-dense) upper levels and byte-serialized lower levels. For the
@@ -55,16 +60,15 @@ mod frozen;
 mod frozen_tests;
 mod pivot;
 mod search;
-mod shared;
 
 pub use builder::{BuildTrie, ZSeqPolicy};
 pub use config::RpTrieConfig;
 pub use frozen::{FrozenTrie, FrozenTrieParts, LeafRef, NodeId};
 pub use pivot::{select_pivots, PivotSet};
+pub use repose_distance::Hit;
 pub use search::{SearchResult, SearchStats};
-pub use shared::SharedTopK;
 
-use repose_distance::{Measure, MeasureParams, ThresholdSource};
+use repose_distance::{Measure, MeasureParams, SharedTopK, ThresholdSource};
 use repose_model::{Point, TrajId, TrajStore};
 use repose_zorder::Grid;
 
@@ -125,55 +129,48 @@ impl RpTrie {
         self.built_over
     }
 
-    /// Runs a plain top-k query (Algorithm 2): [`RpTrie::search`] with no
-    /// seeds, no filter and no shared threshold. `store` must be the arena
-    /// the trie was built over.
+    /// Runs a plain top-k query (Algorithm 2): [`RpTrie::search`] under a
+    /// collector of its own, with no filter. `store` must be the arena the
+    /// trie was built over.
     pub fn top_k(&self, store: &TrajStore, query: &[Point], k: usize) -> SearchResult {
-        self.search(store, query, k, &[], None, None)
+        let collector = SharedTopK::new(k);
+        let stats = self.search(store, query, None, &collector);
+        SearchResult { hits: collector.hits(), stats }
     }
 
-    /// The one local search, with every knob a caller above this crate
-    /// needs; each is independent of the others.
+    /// The one local search. It scores this trie's trajectories into
+    /// `collector` and returns its work counters.
     ///
-    /// * `seeds` — pre-scored external candidates (the serving layer's
-    ///   delta-buffer survivors). They join the result heap before the
-    ///   trie descent, so with `k` good seeds the trie is only explored
-    ///   where it can still beat them. Seeds are taken as-is, and a seed
-    ///   *shadows* any indexed trajectory with the same id (the caller's
-    ///   version wins — no id appears twice).
     /// * `filter` — restricts which *indexed* trajectories qualify
     ///   (tombstone checks, the temporal windows of `repose::temporal`).
     ///   Pruning stays sound under any filter: bounds hold for supersets
     ///   of the qualifying trajectories, and `dk` only tightens from
     ///   accepted hits.
-    /// * `shared` — a live cross-search threshold collector (normally a
-    ///   [`SharedTopK`] all partitions of one query share). The search
-    ///   re-reads its bound at every pruning decision and publishes every
-    ///   accepted exact distance back, so concurrently executing
-    ///   partitions tighten each other mid-flight. The collector's bound
-    ///   always over-approximates the global k-th distance (see the
-    ///   `shared` module docs for the argument), so this search's hits
-    ///   merged with its peers' equal the independent searches' merge up
-    ///   to tie resolution.
+    /// * `collector` — the query's top-k (normally a [`SharedTopK`] every
+    ///   partition of one query shares). The search re-reads its bound at
+    ///   every pruning decision and publishes every accepted exact
+    ///   distance into it, so concurrently executing partitions tighten
+    ///   each other mid-flight. The bound always over-approximates the
+    ///   global k-th distance, so once every search has run the
+    ///   collector's pool is the exact answer (see [`SharedTopK`] for the
+    ///   argument).
     ///
-    /// Exact: the result equals brute force over
-    /// `{accepted, unshadowed indexed trajectories} ∪ {seeds}` up to tie
-    /// resolution.
+    /// Exact: the collector ends up holding brute force's top-k over the
+    /// accepted indexed trajectories and whatever else was published into
+    /// it, up to tie resolution.
     pub fn search(
         &self,
         store: &TrajStore,
         query: &[Point],
-        k: usize,
-        seeds: &[Hit],
         filter: Option<&(dyn Fn(TrajId) -> bool + Sync)>,
-        shared: Option<&dyn ThresholdSource>,
-    ) -> SearchResult {
+        collector: &dyn ThresholdSource,
+    ) -> SearchStats {
         assert_eq!(
             store.len(),
             self.built_over,
             "query must use the trajectory store the index was built over"
         );
-        search::top_k_filtered(self, store, query, k, filter, seeds, shared)
+        search::search(self, store, query, filter, collector)
     }
 
     /// A cheap lower bound on the distance from `query` to *every*
@@ -247,22 +244,5 @@ impl RpTrie {
     /// measure/params.
     pub fn exact_distance(&self, query: &[Point], t: &[Point]) -> f64 {
         self.config.params.distance(self.config.measure, query, t)
-    }
-}
-
-/// A scored search hit.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Hit {
-    /// Trajectory id.
-    pub id: TrajId,
-    /// Distance to the query under the index's measure.
-    pub dist: f64,
-}
-
-impl Hit {
-    /// The canonical result ordering used everywhere hits are merged:
-    /// ascending distance, ties broken by ascending id. Pass to `sort_by`.
-    pub fn cmp_by_dist_then_id(a: &Hit, b: &Hit) -> std::cmp::Ordering {
-        a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id))
     }
 }

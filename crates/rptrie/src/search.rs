@@ -7,7 +7,7 @@ use crate::{Hit, NodeId, RpTrie};
 use repose_distance::{bound_exceeds, DistScratch, ThresholdSource, BATCH_LANES};
 use repose_model::{Point, TrajId, TrajStore};
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 /// Counters describing how much work a query did — used by the experiment
 /// harness to show pruning power.
@@ -54,21 +54,13 @@ impl SearchStats {
     }
 }
 
-/// The outcome of a local top-k query.
+/// The outcome of a local top-k query ([`RpTrie::top_k`]).
 #[derive(Debug, Clone)]
 pub struct SearchResult {
     /// Up to `k` hits, ascending by distance (ties by trajectory id).
     pub hits: Vec<Hit>,
     /// Work counters.
     pub stats: SearchStats,
-}
-
-impl SearchResult {
-    /// The k-th (worst) distance among the hits, or `None` with fewer than
-    /// `k` hits.
-    pub fn kth_distance(&self, k: usize) -> Option<f64> {
-        (self.hits.len() >= k).then(|| self.hits[k - 1].dist)
-    }
 }
 
 /// Frontier entry: a trie node with the lower bound of its path and the
@@ -101,56 +93,17 @@ impl Ord for Frontier {
     }
 }
 
-/// Result-heap entry (the paper's `minHeap`, actually a max-heap over the
-/// current best k so the worst element is at the top).
-#[derive(Debug, Clone, Copy)]
-struct Worst {
-    dist: f64,
-    id: u64,
-}
-impl PartialEq for Worst {
-    fn eq(&self, other: &Self) -> bool {
-        self.dist == other.dist && self.id == other.id
-    }
-}
-impl Eq for Worst {}
-impl PartialOrd for Worst {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Worst {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.dist
-            .total_cmp(&other.dist)
-            .then_with(|| self.id.cmp(&other.id))
-    }
-}
-
-pub(crate) fn top_k_filtered(
+pub(crate) fn search(
     trie: &RpTrie,
     store: &TrajStore,
     query: &[Point],
-    k: usize,
     filter: Option<&(dyn Fn(TrajId) -> bool + Sync)>,
-    seeds: &[Hit],
-    shared: Option<&dyn ThresholdSource>,
-) -> SearchResult {
+    collector: &dyn ThresholdSource,
+) -> SearchStats {
     let mut stats = SearchStats::default();
-    if k == 0 || query.is_empty() {
-        return SearchResult { hits: Vec::new(), stats };
+    if query.is_empty() || store.is_empty() {
+        return stats;
     }
-    if store.is_empty() {
-        // Nothing in the trie: the answer is the best k seeds.
-        let mut hits: Vec<Hit> = seeds.to_vec();
-        hits.sort_by(Hit::cmp_by_dist_then_id);
-        hits.truncate(k);
-        return SearchResult { hits, stats };
-    }
-    // A seed shadows the indexed trajectory with the same id (the caller's
-    // version of that trajectory wins); without this, seeding a hit for an
-    // id the trie also stores would return the id twice.
-    let seed_ids: HashSet<u64> = seeds.iter().map(|s| s.id).collect();
     let grid = trie.grid();
     let frozen = trie.frozen();
     let cfg = trie.config();
@@ -168,28 +121,10 @@ pub(crate) fn top_k_filtered(
     // bound per verification candidate.
     let qsum = params.summary_of(query);
 
-    let mut best: BinaryHeap<Worst> = BinaryHeap::with_capacity(k + 1);
-    // Seed hits (e.g. the serving layer's delta-buffer candidates) join
-    // the result heap up front, so the trie search starts with a tight
-    // pruning threshold shared between trie and delta — the trie is only
-    // explored where it can still beat the best seeds.
-    for s in seeds {
-        best.push(Worst { dist: s.dist, id: s.id });
-        if best.len() > k {
-            best.pop();
-        }
-    }
-    // The live pruning threshold: the local k-th distance, clamped — in
-    // shared-threshold execution — by the global collector's bound,
-    // re-read on every call so hits other partitions publish tighten this
-    // search mid-flight.
-    let dk = |best: &BinaryHeap<Worst>| -> f64 {
-        let mut t = shared.map_or(f64::INFINITY, |s| s.bound());
-        if best.len() == k {
-            t = t.min(best.peek().expect("non-empty").dist);
-        }
-        t
-    };
+    // The live pruning threshold `dk` is the collector's bound, re-read at
+    // every decision so hits other searches publish tighten this one
+    // mid-flight.
+    let dk = || collector.bound();
 
     let mut frontier: BinaryHeap<Frontier> = BinaryHeap::new();
     frontier.push(Frontier {
@@ -202,7 +137,7 @@ pub(crate) fn top_k_filtered(
     let mut columns = Columns::default();
     while let Some(entry) = frontier.pop() {
         // Step 2): stop as soon as the best unexplored bound cannot beat dk.
-        if entry.lb >= dk(&best) {
+        if entry.lb >= dk() {
             break;
         }
         stats.nodes_visited += 1;
@@ -212,7 +147,7 @@ pub(crate) fn top_k_filtered(
             stats.leaves_visited += 1;
             let lbt = entry.state.lbt(grid, &leaf, query.len());
             let lbp = pivot_lower_bound(&dqp, frozen.hr(entry.node));
-            if lbt.max(lbp) < dk(&best) {
+            if lbt.max(lbp) < dk() {
                 // Verify members under the *live* k-th distance: the kernel
                 // returns the exact distance only when it beats dk and
                 // abandons (cheaply) when it cannot — same results as the
@@ -228,23 +163,20 @@ pub(crate) fn top_k_filtered(
                 // member can be accepted where the one-at-a-time scan would
                 // have abandoned it — never the reverse; the extras carry
                 // distances above the final k-th and fall back out of the
-                // bounded heap, leaving the returned hits identical.
+                // collector's pool, leaving the answer identical.
                 let group_len = cfg.measure.batch_lanes();
                 let mut group = [(0.0f64, [].as_slice()); BATCH_LANES];
                 let mut gids = [0u64; BATCH_LANES];
                 let mut scored = [None; BATCH_LANES];
                 let mut si = 0;
                 while si < leaf.members.len() {
-                    let thr = dk(&best);
+                    let thr = dk();
                     let mut nb = 0;
                     while si < leaf.members.len() && nb < group_len {
                         let mi = leaf.members[si];
                         let summary = &leaf.summaries[si];
                         si += 1;
                         let id = store.id(mi as usize);
-                        if !seed_ids.is_empty() && seed_ids.contains(&id) {
-                            continue;
-                        }
                         if let Some(f) = filter {
                             if !f(id) {
                                 continue;
@@ -266,17 +198,9 @@ pub(crate) fn top_k_filtered(
                     );
                     for (&d, &id) in scored[..nb].iter().zip(&gids[..nb]) {
                         match d {
-                            Some(d) => {
-                                best.push(Worst { dist: d, id });
-                                if best.len() > k {
-                                    best.pop();
-                                }
-                                // A hit accepted here prunes every other
-                                // search sharing the collector.
-                                if let Some(s) = shared {
-                                    s.publish(d, id);
-                                }
-                            }
+                            // A hit accepted here prunes every other
+                            // search sharing the collector.
+                            Some(d) => collector.publish(d, id),
                             None => stats.exact_abandoned += 1,
                         }
                     }
@@ -303,11 +227,11 @@ pub(crate) fn top_k_filtered(
             &params,
             &kids,
             &mut columns,
-            || !bound_exceeds(lb, dk(&best)),
+            || !bound_exceeds(lb, dk()),
             |ci, state| {
                 let child = kids[ci].1;
                 let lb = state.lbo(grid).max(pivot_lower_bound(&dqp, frozen.hr(child)));
-                if lb < dk(&best) {
+                if lb < dk() {
                     frontier.push(Frontier { lb, node: child, state });
                     None
                 } else {
@@ -317,15 +241,7 @@ pub(crate) fn top_k_filtered(
             },
         );
     }
-
-    let mut hits: Vec<Hit> = best
-        .into_sorted_vec()
-        .into_iter()
-        .map(|w| Hit { id: w.id, dist: w.dist })
-        .collect();
-    debug_assert!(hits.windows(2).all(|w| w[0].dist <= w[1].dist));
-    hits.truncate(k);
-    SearchResult { hits, stats }
+    stats
     }) // DistScratch::with_thread
 }
 
@@ -333,7 +249,7 @@ pub(crate) fn top_k_filtered(
 mod tests {
     use super::*;
     use crate::RpTrieConfig;
-    use repose_distance::{Measure, MeasureParams};
+    use repose_distance::{Measure, MeasureParams, SharedTopK};
     use repose_model::{Mbr, Trajectory};
     use repose_zorder::Grid;
 
@@ -518,57 +434,20 @@ mod tests {
             grid8(),
             RpTrieConfig::for_measure(Measure::Hausdorff).with_np(2),
         );
-        // A dominating external candidate must win; a hopeless one must
-        // not appear.
-        let champion = Hit { id: 100, dist: 0.5 };
-        let hopeless = Hit { id: 101, dist: 1e9 };
-        let r = trie.search(&store, &q, 2, &[champion, hopeless], None, None);
-        let ids: Vec<u64> = r.hits.iter().map(|h| h.id).collect();
-        assert_eq!(ids, vec![100, 1]);
-
-        // k good seeds tighten the threshold: never more exact distance
-        // computations than the unseeded search.
-        let unseeded = trie.top_k(&store, &q, 2);
-        let seeded = trie.search(
-            &store,
-            &q,
-            2,
-            &[Hit { id: 100, dist: 0.5 }, Hit { id: 102, dist: 0.6 }],
-            None,
-            None,
-        );
-        assert!(seeded.stats.exact_computations <= unseeded.stats.exact_computations);
-
-        // Seeds + filter: filter applies to indexed trajectories only.
+        // The filter hides indexed trajectories: τ1 drops out, τ4 takes
+        // its place, and no k brings τ1 back.
         let no_t1 = |id: u64| id != 1;
-        let r = trie.search(&store, &q, 2, &[champion], Some(&no_t1), None);
-        let ids: Vec<u64> = r.hits.iter().map(|h| h.id).collect();
-        assert_eq!(ids, vec![100, 4]);
-
-        // A seed sharing an indexed id shadows the indexed copy: the id
-        // appears once, at the seed's distance (the serving layer's
-        // "delta version wins" upsert semantics).
-        let shadow = Hit { id: 1, dist: 0.25 };
-        let r = trie.search(&store, &q, 5, &[shadow], None, None);
-        let ones: Vec<&Hit> = r.hits.iter().filter(|h| h.id == 1).collect();
-        assert_eq!(ones.len(), 1, "id 1 must appear exactly once");
-        assert_eq!(ones[0].dist, 0.25);
-
-        // Empty trie store: the seeds alone are ranked and truncated.
-        let empty_store = TrajStore::new();
-        let empty = RpTrie::build(
-            &empty_store,
-            grid8(),
-            RpTrieConfig::for_measure(Measure::Hausdorff),
-        );
-        let r = empty.search(&empty_store, &q, 1, &[hopeless, champion], None, None);
-        assert_eq!(r.hits.len(), 1);
-        assert_eq!(r.hits[0].id, 100);
+        for (k, want) in [(1, vec![4]), (5, vec![2, 3, 4, 5])] {
+            let c = SharedTopK::new(k);
+            trie.search(&store, &q, Some(&no_t1), &c);
+            let mut ids: Vec<u64> = c.hits().iter().map(|h| h.id).collect();
+            ids.sort_unstable();
+            assert_eq!(ids, want, "k={k}");
+        }
     }
 
     #[test]
     fn shared_collector_prunes_across_tries() {
-        use crate::SharedTopK;
         // Two disjoint "partitions" over the paper dataset.
         let all = paper_dataset();
         let (p0, p1) = (store_of(&all[..2]), store_of(&all[2..]));
@@ -588,25 +467,20 @@ mod tests {
             indep.sort_by(Hit::cmp_by_dist_then_id);
             indep.truncate(k);
 
-            // Shared-threshold searches against one collector.
+            // Shared-threshold searches against one collector, which is
+            // also the answer.
             let c = SharedTopK::new(k);
-            let (sa, sb) = (
-                t0.search(&p0, &q, k, &[], None, Some(&c)),
-                t1.search(&p1, &q, k, &[], None, Some(&c)),
-            );
-            let mut shared: Vec<Hit> = [sa.hits.clone(), sb.hits.clone()].concat();
-            shared.sort_by(Hit::cmp_by_dist_then_id);
-            shared.truncate(k);
+            let (sa, sb) = (t0.search(&p0, &q, None, &c), t1.search(&p1, &q, None, &c));
 
             assert_eq!(
                 indep.iter().map(|h| (h.dist.to_bits(), h.id)).collect::<Vec<_>>(),
-                shared.iter().map(|h| (h.dist.to_bits(), h.id)).collect::<Vec<_>>(),
+                c.hits().iter().map(|h| (h.dist.to_bits(), h.id)).collect::<Vec<_>>(),
                 "k={k}"
             );
             // The second search ran under the first's published bound:
             // never more total verification work than independent runs.
             assert!(
-                sa.stats.exact_computations + sb.stats.exact_computations
+                sa.exact_computations + sb.exact_computations
                     <= a.stats.exact_computations + b.stats.exact_computations,
                 "k={k}"
             );
@@ -652,11 +526,10 @@ mod tests {
             RpTrieConfig::for_measure(Measure::Frechet).with_np(0),
         );
         let src = CollapseAfterFirstPublish(AtomicBool::new(false));
-        let r = trie.search(&store, &query(), 2, &[], None, Some(&src));
+        let stats = trie.search(&store, &query(), None, &src);
         assert!(
-            r.stats.bounds_abandoned > 0,
-            "expected skipped child bound pushes, stats {:?}",
-            r.stats
+            stats.bounds_abandoned > 0,
+            "expected skipped child bound pushes, stats {stats:?}"
         );
     }
 

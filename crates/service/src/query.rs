@@ -18,8 +18,8 @@
 //! before any query's second-best — whose first task runs on the calling
 //! thread and whose rest go to the persistent [`WorkerPool`] in order; with
 //! `pool_threads <= 1` the whole list runs inline (the sequential
-//! reference path; results are identical either way — see the `shared`
-//! module of `repose-rptrie` for the soundness argument). One query is
+//! reference path; results are identical either way — see
+//! [`SharedTopK`] for the soundness argument). One query is
 //! the one-element case, so concurrent read throughput of a batch scales
 //! with cores instead of queueing behind one query at a time.
 //!
@@ -32,9 +32,9 @@ use crate::service::ReposeService;
 use crate::stats::ServiceCounters;
 use repose::Repose;
 use repose_cluster::Deadline;
-use repose_distance::{just_above, DistScratch, Measure, MeasureParams};
+use repose_distance::{just_above, DistScratch, Hit, Measure, MeasureParams, SharedTopK};
 use repose_model::{Point, TrajId};
-use repose_rptrie::{Hit, SearchStats, SharedTopK};
+use repose_rptrie::SearchStats;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
@@ -97,11 +97,11 @@ impl ServiceOutcome {
         }
     }
 
-    /// Merges one query's partition results, given in partition order.
+    /// One query's answer: its collector's pool, with the work counters
+    /// of its partition results summed (given in partition order).
     /// `latency` is left zero: the caller stamps it once the whole call's
     /// work is done.
-    fn from_parts(parts: impl Iterator<Item = PartResult>, k: usize) -> Self {
-        let mut hits: Vec<Hit> = Vec::new();
+    fn from_parts(parts: impl Iterator<Item = PartResult>, collector: &SharedTopK) -> Self {
         let mut search = SearchStats::default();
         let mut delta_candidates = 0;
         let mut partition_times = Vec::with_capacity(parts.size_hint().0);
@@ -110,13 +110,10 @@ impl ServiceOutcome {
             search.merge(&p.stats);
             delta_candidates += p.delta_live;
             partition_times.push(p.time);
-            hits.extend_from_slice(&p.hits);
             skipped += usize::from(p.skipped);
         }
-        hits.sort_by(Hit::cmp_by_dist_then_id);
-        hits.truncate(k);
         ServiceOutcome {
-            hits,
+            hits: collector.hits(),
             latency: Duration::ZERO,
             cache_hit: false,
             search,
@@ -142,9 +139,8 @@ pub(crate) struct Snapshot {
 /// One live delta candidate: `(summary bound, id, arena point slice)`.
 type Cand<'a> = (f64, u64, &'a [Point]);
 
-/// One partition's completed task.
+/// One partition's completed task (its hits went into the collector).
 struct PartResult {
-    hits: Vec<Hit>,
     stats: SearchStats,
     delta_live: usize,
     time: Duration,
@@ -157,7 +153,6 @@ impl PartResult {
     /// The marker for a deadline-skipped task.
     fn skipped() -> Self {
         PartResult {
-            hits: Vec::new(),
             stats: SearchStats::default(),
             delta_live: 0,
             time: Duration::ZERO,
@@ -302,7 +297,7 @@ impl ReposeService {
                 let r = if deadline.is_some_and(|d| d.expired_at(clock.now())) {
                     PartResult::skipped()
                 } else {
-                    run_partition(snap, plan.query, k, &plan.collector, params, &plan.cands[pi], pi)
+                    run_partition(snap, plan.query, &plan.collector, params, &plan.cands[pi], pi)
                 };
                 *plan.slots[pi].lock().expect("partition slot") = Some(r);
             };
@@ -331,7 +326,7 @@ impl ReposeService {
                     let part = slot.into_inner().expect("partition slot");
                     part.expect("every partition task completed")
                 });
-                let outcome = ServiceOutcome::from_parts(parts, k);
+                let outcome = ServiceOutcome::from_parts(parts, &plan.collector);
                 if outcome.degraded {
                     // A partial answer must never poison the cache, which
                     // assumes exact answers.
@@ -377,23 +372,24 @@ impl ReposeService {
     /// so ties at the seed survive) when finite — typically the
     /// coordinator's current global k-th-distance bound at scatter time.
     /// After each partition's task completes, `on_partition` receives the
-    /// query's collector and that partition's accepted hits: the worker
-    /// streams the hits to its coordinator and folds any remotely
-    /// received `Tighten` bounds into the collector
-    /// ([`SharedTopK::tighten`]) so later partitions prune mid-flight.
+    /// query's collector: the worker streams the collector entries it has
+    /// not sent yet to its coordinator and folds any remotely received
+    /// `Tighten` bounds into the collector ([`SharedTopK::tighten`]) so
+    /// later partitions prune mid-flight.
     ///
     /// Cache, admission, deadline, and the worker pool are intentionally
     /// bypassed: the coordinator owns those policies for a distributed
     /// query, and shard-level parallelism comes from the shards
-    /// themselves. The union of hits passed to `on_partition` equals the
-    /// hit set a plain [`ReposeService::query`] merges, so a coordinator
-    /// collecting every streamed hit reconstructs the exact answer.
+    /// themselves. An entry leaves the collector's pool only for a better
+    /// one, so every hit of the final answer is in the pool when its
+    /// partition's hook runs: a coordinator collecting every streamed
+    /// entry reconstructs the exact answer.
     pub fn query_scatter(
         &self,
         query: &[Point],
         k: usize,
         seed_dk: f64,
-        mut on_partition: impl FnMut(&SharedTopK, &[Hit]),
+        mut on_partition: impl FnMut(&SharedTopK),
     ) -> Result<ServiceOutcome, ServiceError> {
         check_finite(query, "query")?;
         let t0 = Instant::now();
@@ -408,12 +404,11 @@ impl ReposeService {
         let (order, cands) = partition_schedule(&snap, query, self.params);
         let mut parts: Vec<Option<PartResult>> = order.iter().map(|_| None).collect();
         for &pi in &order {
-            let p = run_partition(&snap, query, k, &collector, self.params, &cands[pi], pi);
-            on_partition(&collector, &p.hits);
-            parts[pi] = Some(p);
+            parts[pi] = Some(run_partition(&snap, query, &collector, self.params, &cands[pi], pi));
+            on_partition(&collector);
         }
         let parts = parts.into_iter().map(|p| p.expect("the schedule is a permutation"));
-        let mut outcome = ServiceOutcome::from_parts(parts, k);
+        let mut outcome = ServiceOutcome::from_parts(parts, &collector);
         outcome.latency = t0.elapsed();
         self.counters.record_read(outcome.latency);
         Ok(outcome)
@@ -421,15 +416,16 @@ impl ReposeService {
 }
 
 /// One partition's full task for one query: delta scan (cheapest stored
-/// bound first, under the live shared threshold), then the trie search
-/// seeded with the scan's survivors — both publishing into `collector`.
-/// `cands` is the partition's precomputed live delta candidate list from
-/// [`partition_schedule`] (bounds already priced; no second pass over the
-/// delta segments).
+/// bound first, under the live shared threshold), then the trie search —
+/// both pruning with and publishing into `collector`. The tombstone filter
+/// hides every frozen row whose id was upserted or deleted since the
+/// freeze, so an id with a live delta version is scored once, at its new
+/// distance. `cands` is the partition's precomputed live delta candidate
+/// list from [`partition_schedule`] (bounds already priced; no second
+/// pass over the delta segments).
 fn run_partition(
     snap: &Snapshot,
     query: &[Point],
-    k: usize,
     collector: &SharedTopK,
     params: MeasureParams,
     cands: &[Cand<'_>],
@@ -438,19 +434,15 @@ fn run_partition(
     let t0 = Instant::now();
     let view = snap.frozen.partition_view(pi);
     let mut stats = SearchStats::default();
-    let seeds = scan_delta(view.trie.measure(), params, query, k, cands, &mut stats, collector);
+    scan_delta(view.trie.measure(), params, query, cands, &mut stats, collector);
     // No filter at all when nothing is tombstoned (a read-only service
     // never is): the search then skips a hash lookup per verified member.
     let tombstones = &*snap.tombstones;
     let filter = |id: TrajId| !tombstones.contains_key(&id);
     let filter: Option<&(dyn Fn(TrajId) -> bool + Sync)> =
         if tombstones.is_empty() { None } else { Some(&filter) };
-    let local = view
-        .trie
-        .search(view.store, query, k, &seeds, filter, Some(collector));
-    stats.merge(&local.stats);
+    stats.merge(&view.trie.search(view.store, query, filter, collector));
     PartResult {
-        hits: local.hits,
         stats,
         delta_live: cands.len(),
         time: t0.elapsed(),
@@ -511,36 +503,31 @@ pub(crate) fn check_finite(points: &[Point], what: &'static str) -> Result<(), S
     }
 }
 
-/// Scores one partition's live delta candidates against the query,
-/// cheapest stored summary bound first, keeping the best `k` under the
-/// query's shared threshold
+/// Scores one partition's live delta candidates into the query's
+/// collector, cheapest stored summary bound first
 /// ([`repose_distance::MeasureParams::refine_by_bound`]).
 ///
-/// Returns the same `k` best seeds a full exact scan would (ties
-/// included) while charging far less: sort keys are the insert-time
-/// summary bounds precomputed by [`partition_schedule`] (O(1) per
+/// Publishes every candidate a full exact scan would contribute to the
+/// top-k (ties included) while charging far less: sort keys are the
+/// insert-time summary bounds precomputed by [`partition_schedule`] (O(1) per
 /// candidate, no per-point walk), candidate points are contiguous arena
 /// slices of the delta segments, hopeless candidates are refuted by the
 /// early-abandoning kernel under the live cross-partition bound, and once
 /// even the cheap lower bound cannot beat the global k-th distance the
-/// (sorted) remainder is skipped outright. Accepted hits publish into
-/// `collector` so later partitions' scans and trie searches prune harder.
+/// (sorted) remainder is skipped outright. Accepted hits tighten the
+/// collector, so later partitions' scans and trie searches prune harder.
 /// Every candidate counts as an attempted verification, so
 /// `exact_abandoned <= exact_computations` always holds.
 fn scan_delta(
     measure: Measure,
     params: MeasureParams,
     query: &[Point],
-    k: usize,
     cands: &[Cand<'_>],
     search: &mut SearchStats,
     collector: &SharedTopK,
-) -> Vec<Hit> {
+) {
     use repose_distance::RefineEvent;
 
-    if k == 0 || cands.is_empty() {
-        return Vec::new();
-    }
     let on_event = |e| match e {
         RefineEvent::Scored { abandoned } => {
             search.exact_computations += 1;
@@ -552,18 +539,6 @@ fn scan_delta(
         }
     };
     DistScratch::with_thread(|scratch| {
-        params.refine_by_bound(
-            measure,
-            query,
-            k,
-            f64::INFINITY,
-            Some(collector),
-            cands.to_vec(),
-            on_event,
-            scratch,
-        )
-    })
-    .into_iter()
-    .map(|(dist, id)| Hit { id, dist })
-    .collect()
+        params.refine_by_bound(measure, query, collector, cands.to_vec(), on_event, scratch)
+    });
 }

@@ -2,10 +2,11 @@
 //! trie + delta search, cache invalidation, upsert/delete semantics, and
 //! concurrency (interleaved writers/readers, queries racing compaction).
 
-use repose::{Repose, ReposeConfig};
+use repose::{Hit, Repose, ReposeConfig};
 use repose_distance::{Measure, MeasureParams};
 use repose_model::{Dataset, Point, Trajectory};
-use repose_service::{ReposeService, ServiceConfig, ServiceError};
+use repose_service::{ReposeService, ServiceConfig, ServiceError, ServiceOutcome};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -102,60 +103,123 @@ fn delta_search_is_exact_for_every_measure() {
     }
 }
 
-#[test]
-fn upsert_and_delete_semantics() {
-    let cfg = config(Measure::Hausdorff);
-    let service = ReposeService::new(Repose::build(&dataset(0..30), cfg));
-    assert_eq!(service.len(), 30);
-    let q: Vec<Point> = (0..10).map(|s| Point::new(s as f64 * 0.4, 0.0)).collect();
-
-    // Delete a frozen trajectory: it must vanish from results.
-    let victim = served_ids(&service, &q, 1)[0];
-    service.remove(victim).unwrap();
-    assert!(!served_ids(&service, &q, 30).contains(&victim));
-    assert_eq!(service.len(), 29);
-
-    // Re-insert it moved elsewhere (upsert): reappears with new geometry.
-    let mut moved = traj(victim);
-    for p in &mut moved.points {
-        p.x += 100.0;
-        p.y += 100.0;
+/// `traj` moved by `(dx, dy)`.
+fn shifted(mut t: Trajectory, dx: f64, dy: f64) -> Trajectory {
+    for p in &mut t.points {
+        p.x += dx;
+        p.y += dy;
     }
-    service.insert(moved).unwrap();
-    assert_eq!(service.len(), 30);
-    let far_q: Vec<Point> = (0..10)
-        .map(|s| Point::new(100.0 + s as f64 * 0.4, 100.0))
-        .collect();
-    assert_eq!(served_ids(&service, &far_q, 1), vec![victim]);
+    t
+}
 
-    // Upsert an id twice more: still one live copy, latest geometry wins.
-    service.insert(traj(victim)).unwrap();
-    service
-        .insert({
-            let mut t = traj(victim);
-            t.points[0].x += 0.001;
-            t
+/// `query_scatter` driven like a shard worker: after each partition the
+/// hook takes the collector entries it has not streamed yet. Returns the
+/// outcome and every streamed hit, sorted.
+fn scatter(service: &ReposeService, q: &[Point], k: usize) -> (ServiceOutcome, Vec<Hit>) {
+    let (mut streamed, mut sent) = (Vec::new(), HashSet::new());
+    let outcome = service
+        .query_scatter(q, k, f64::INFINITY, |c| {
+            streamed.extend(c.hits().into_iter().filter(|h| sent.insert(h.id)))
         })
         .unwrap();
-    assert_eq!(service.len(), 30);
+    streamed.sort_by(Hit::cmp_by_dist_then_id);
+    (outcome, streamed)
+}
 
-    // Deleting a never-inserted id is a no-op.
-    service.remove(9999).unwrap();
-    assert_eq!(service.len(), 30);
+/// One query's hits through each front: `query`, `query_batch` (beside a
+/// second query) and `query_scatter`, whose streamed hits must be its
+/// answer.
+fn fronts(service: &ReposeService, q: &[Point], k: usize) -> [(&'static str, Vec<Hit>); 3] {
+    let single = service.query(q, k).unwrap().hits;
+    let batch = [q.to_vec(), queries()[1].clone()];
+    let batched = service.query_batch(&batch, k).unwrap().swap_remove(0).hits;
+    let (scattered, mut streamed) = scatter(service, q, k);
+    streamed.truncate(k);
+    assert_eq!(streamed, scattered.hits, "hook hits vs scatter outcome");
+    [("query", single), ("query_batch", batched), ("query_scatter", scattered.hits)]
+}
 
-    // Everything still matches a from-scratch rebuild.
-    let mut final_trajs: Vec<Trajectory> = (0..30)
-        .filter(|&i| i != victim)
-        .map(traj)
-        .collect();
-    final_trajs.push({
-        let mut t = traj(victim);
-        t.points[0].x += 0.001;
-        t
-    });
-    let full = Dataset::from_trajectories(final_trajs);
-    for k in [1, 5, 30] {
-        assert_eq!(served_ids(&service, &q, k), rebuilt_ids(&full, cfg, &q, k));
+#[test]
+fn upsert_and_delete_semantics() {
+    let params = MeasureParams::with_eps(0.5);
+    let q: Vec<Point> = (0..10).map(|s| Point::new(s as f64 * 0.4, 0.0)).collect();
+    let ids = |hits: &[Hit]| hits.iter().map(|h| h.id).collect::<Vec<_>>();
+    for measure in Measure::ALL {
+        let cfg = config(measure);
+        // Cache off: every front must search.
+        let service = ReposeService::with_config(
+            Repose::build(&dataset(0..30), cfg),
+            ServiceConfig { cache_capacity: 0, ..ServiceConfig::default() },
+        );
+        assert_eq!(service.len(), 30);
+
+        // Delete a frozen trajectory: it must vanish from results.
+        let victim = served_ids(&service, &q, 1)[0];
+        service.remove(victim).unwrap();
+        for (front, hits) in fronts(&service, &q, 30) {
+            assert!(!ids(&hits).contains(&victim), "{measure} {front}");
+        }
+        assert_eq!(service.len(), 29);
+
+        // Re-insert it moved elsewhere (upsert): reappears with new geometry.
+        service.insert(shifted(traj(victim), 100.0, 100.0)).unwrap();
+        assert_eq!(service.len(), 30);
+        let far_q: Vec<Point> = (0..10)
+            .map(|s| Point::new(100.0 + s as f64 * 0.4, 100.0))
+            .collect();
+        for (front, hits) in fronts(&service, &far_q, 1) {
+            assert_eq!(ids(&hits), vec![victim], "{measure} {front}");
+        }
+
+        // Upsert the id twice more: still one live copy, latest geometry
+        // wins. Every fifth frozen id moves too, so the checks below do not
+        // hinge on which partitions hold an id's frozen row and its delta
+        // version.
+        service.insert(traj(victim)).unwrap();
+        let moved: Vec<u64> = (0..30).filter(|&i| i == victim || i % 5 == 2).collect();
+        let latest = |id: u64| shifted(traj(id), 0.0, 0.6);
+        for &id in &moved {
+            service.insert(latest(id)).unwrap();
+        }
+        assert_eq!(service.len(), 30);
+
+        // Deleting a never-inserted id is a no-op.
+        service.remove(9999).unwrap();
+        assert_eq!(service.len(), 30);
+
+        // Each upserted id comes back once, at its new distance, although
+        // its tombstoned frozen row lies closer to a query on top of it.
+        for &id in &moved {
+            let at = traj(id).points;
+            let frozen_d = params.distance(measure, &at, &at);
+            let new_d = params.distance(measure, &at, &latest(id).points);
+            assert!(frozen_d < new_d, "{measure}: the frozen row must lie closer");
+            for (front, hits) in fronts(&service, &at, 30) {
+                let mine: Vec<&Hit> = hits.iter().filter(|h| h.id == id).collect();
+                assert_eq!(mine.len(), 1, "{measure} {front}: id {id} must appear once");
+                assert_eq!(mine[0].dist.to_bits(), new_d.to_bits(), "{measure} {front} {id}");
+            }
+        }
+
+        // Everything still matches a from-scratch rebuild. Quantized
+        // measures tie freely (Definition 3 permits any tied subset), so
+        // for them only the distances must agree.
+        let final_trajs: Vec<Trajectory> = (0..30)
+            .map(|i| if moved.contains(&i) { latest(i) } else { traj(i) })
+            .collect();
+        let rebuilt = Repose::build(&Dataset::from_trajectories(final_trajs), cfg);
+        let quantized = matches!(measure, Measure::Lcss | Measure::Edr);
+        let key = |hits: &[Hit]| -> Vec<(u64, u64)> {
+            hits.iter()
+                .map(|h| (h.dist.to_bits(), if quantized { 0 } else { h.id }))
+                .collect()
+        };
+        for k in [1, 5, 30] {
+            let want = key(&rebuilt.query(&q, k).hits);
+            for (front, hits) in fronts(&service, &q, k) {
+                assert_eq!(key(&hits), want, "{measure} {front} k={k}");
+            }
+        }
     }
 }
 
@@ -476,11 +540,7 @@ fn three_fronts_one_engine_for_every_measure() {
         let fronts = |svc: &ReposeService| {
             let single = svc.query(q, k).unwrap();
             let batched = svc.query_batch(&[q.clone(), q2.clone()], k).unwrap().swap_remove(0);
-            let mut streamed = Vec::new();
-            let scattered = svc
-                .query_scatter(q, k, f64::INFINITY, |_, hits| streamed.extend_from_slice(hits))
-                .unwrap();
-            streamed.sort_by(repose::Hit::cmp_by_dist_then_id);
+            let (scattered, mut streamed) = scatter(svc, q, k);
             streamed.truncate(k);
             assert_eq!(streamed, scattered.hits, "{measure}: hook hits vs scatter outcome");
             [single, batched, scattered]
@@ -561,7 +621,7 @@ fn query_scatter_rejects_non_finite_coordinates() {
     let service = small_service();
     for q in non_finite_inputs() {
         let mut streamed = 0;
-        let r = service.query_scatter(&q, 3, f64::INFINITY, |_, hits| streamed += hits.len());
+        let r = service.query_scatter(&q, 3, f64::INFINITY, |c| streamed += c.hits().len());
         assert!(matches!(r, Err(ServiceError::InvalidInput("query"))));
         assert_eq!(streamed, 0, "nothing may be streamed for a refused query");
     }

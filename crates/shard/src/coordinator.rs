@@ -3,11 +3,12 @@
 //!
 //! # Query path (scatter, stream, tighten, gather)
 //!
-//! A query scatters to every shard at once; each shard streams each
-//! partition's hits as one frame as it searches ([`Message::Hits`]) and
-//! closes with a [`Message::Done`] carrying the count of hits it sent. The
-//! coordinator folds every hit of every batch into its own [`SharedTopK`]
-//! pool and, whenever the pool's k-th distance tightens, broadcasts the new
+//! A query scatters to every shard at once; after each partition a shard
+//! streams the new entries of its own collector as one frame
+//! ([`Message::Hits`]) and closes with a [`Message::Done`] carrying the
+//! count of hits it sent. The coordinator folds every hit of every batch
+//! into its own [`SharedTopK`] — whose pool is the answer — and,
+//! whenever the pool's k-th distance tightens, broadcasts the new
 //! bound to the still-running shards ([`Message::Tighten`]), once per
 //! gather sweep however many frames the sweep drained — a hit found on
 //! shard A prunes shard B's remaining partitions mid-flight, which is
@@ -16,7 +17,7 @@
 //! the broadcast bound is the coordinator pool's k-th distance, a sound
 //! upper bound on the global k-th at all times, and the only hits a shard
 //! can prune under it are ties at the k-th slot whose stand-ins the
-//! coordinator pool already holds (see `repose_rptrie::shared`).
+//! coordinator pool already holds (see [`SharedTopK`]).
 //!
 //! A shard's answer counts as arrived only when the hits received for one
 //! attempt match that attempt's `Done.hits_sent` — a `Done` that overtakes
@@ -62,8 +63,8 @@ use crate::transport::{Loopback, NodeId, Transport};
 use crate::worker::{Role, ShardWorker, WorkerConfig};
 use repose::{Repose, ReposeConfig};
 use repose_cluster::{Backoff, BackoffConfig, Clock, HedgeTracker, SystemClock};
+use repose_distance::{Hit, SharedTopK};
 use repose_model::{Dataset, Point, Trajectory};
-use repose_rptrie::{Hit, SharedTopK};
 use repose_service::{ReposeService, ServiceConfig};
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
@@ -457,8 +458,6 @@ impl ShardCluster {
         let qid = self.qid;
         let version_at_start = self.version;
         let global = SharedTopK::new(k);
-        let mut all_hits: Vec<Hit> = Vec::new();
-        let mut seen_ids: HashSet<u64> = HashSet::new();
         let mut next_attempt: u32 = 0;
         let (mut retries, mut hedges, mut tightenings) = (0u32, 0u32, 0u32);
         let mut last_broadcast = f64::INFINITY;
@@ -517,10 +516,9 @@ impl ShardCluster {
                             let received = p.received.entry(attempt).or_default();
                             for (id, dist) in hits {
                                 received.insert(id);
-                                if seen_ids.insert(id) {
-                                    global.publish(dist, id);
-                                    all_hits.push(Hit { id, dist });
-                                }
+                                // Idempotent per id: a retry's or hedge's
+                                // duplicate of a hit is dropped here.
+                                global.publish(dist, id);
                             }
                             Self::check_complete(p, attempt, now, &mut self.hedge);
                         }
@@ -608,16 +606,15 @@ impl ShardCluster {
             .filter(|p| matches!(p.state, ShardState::Failed))
             .count() as u32;
         let degraded = shards_failed > 0;
-        all_hits.sort_by(Hit::cmp_by_dist_then_id);
-        all_hits.truncate(k);
+        let hits = global.hits();
         if !degraded && self.cfg.cache_capacity > 0 && self.version == version_at_start {
             if self.cache.len() >= self.cfg.cache_capacity {
                 self.cache.clear();
             }
-            self.cache.insert(cache_key, (self.version, all_hits.clone()));
+            self.cache.insert(cache_key, (self.version, hits.clone()));
         }
         ShardOutcome {
-            hits: all_hits,
+            hits,
             degraded,
             shards_failed,
             retries,

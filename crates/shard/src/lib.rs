@@ -6,7 +6,7 @@
 //! hits stream back one frame per completed partition, and the
 //! coordinator's merged k-th-distance bound is broadcast back out so a
 //! hit found on one shard prunes every other — the in-process
-//! shared-threshold design ([`repose_rptrie::SharedTopK`]) carried over
+//! shared-threshold design ([`repose_distance::SharedTopK`]) carried over
 //! an actual wire protocol.
 //! The answer stays **bitwise exact** (same distance multiset, same
 //! tie-breaks) as the single-node path whenever every shard answers, and

@@ -18,7 +18,7 @@
 //! Decoding is hostile-input safe: underruns, bad checksums, impossible
 //! counts, and unknown tags all surface as a typed [`ProtocolError`] —
 //! never a panic, never a silently skipped field. Distances and bounds
-//! that feed a [`repose_rptrie::SharedTopK`] are checked here too: its
+//! that feed a [`repose_distance::SharedTopK`] are checked here too: its
 //! `fetch_min` on `f64::to_bits` is only ordered for non-negative non-NaN
 //! values, so a NaN or negative one is refused at the wire. So is a
 //! non-finite coordinate in a `Query` or `Upsert` trajectory: the distance
@@ -123,7 +123,7 @@ pub enum Message {
         hits: Vec<(TrajId, f64)>,
     },
     /// Coordinator → shards: the global k-th-distance bound tightened;
-    /// fold `dk` into running searches ([`repose_rptrie::SharedTopK::tighten`]).
+    /// fold `dk` into running searches ([`repose_distance::SharedTopK::tighten`]).
     Tighten {
         /// The query whose bound tightened.
         qid: u64,

@@ -6,9 +6,10 @@
 //!
 //! A [`Message::Query`] executes via
 //! [`ReposeService::query_scatter`]: partitions run sequentially in bound
-//! order, the worker streams each partition's hits as one frame
-//! ([`Message::Hits`]; an empty partition sends nothing) the moment the
-//! partition completes, and between partitions the worker drains its
+//! order under one collector, the worker streams the collector entries it
+//! has not sent yet as one frame ([`Message::Hits`]; nothing new sends
+//! nothing) the moment each partition completes, and between partitions
+//! the worker drains its
 //! inbox for [`Message::Tighten`] broadcasts, folding the coordinator's
 //! global bound into the running collector so a hit found on *another
 //! shard* prunes this one mid-flight — the wire-level generalization of
@@ -51,7 +52,7 @@ use repose_cluster::{Backoff, BackoffConfig, Clock, SystemClock};
 use repose_durability::WalRecord;
 use repose_model::Trajectory;
 use repose_service::{ReposeService, ServiceError};
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -332,12 +333,18 @@ impl ShardWorker {
         let transport = &**transport;
         let clock = &**clock;
         let service = Arc::clone(service);
-        let mut hits_sent = 0u32;
-        let outcome = service.query_scatter(points, k, seed_dk, |collector, part_hits| {
-            if !part_hits.is_empty() {
-                let hits = part_hits.iter().map(|h| (h.id, h.dist)).collect();
+        let mut sent: HashSet<u64> = HashSet::new();
+        let outcome = service.query_scatter(points, k, seed_dk, |collector| {
+            // The pool's entries not streamed yet are this partition's
+            // hits that still rank in the shard's top-k.
+            let hits: Vec<(u64, f64)> = collector
+                .hits()
+                .into_iter()
+                .filter(|h| sent.insert(h.id))
+                .map(|h| (h.id, h.dist))
+                .collect();
+            if !hits.is_empty() {
                 transport.send(node, coord, &Message::Hits { qid, attempt, hits });
-                hits_sent += part_hits.len() as u32;
             }
             // Between partitions: fold in remote tightenings so the next
             // partition prunes under the freshest global bound; stash
@@ -372,7 +379,7 @@ impl ShardWorker {
             let done = Message::Done {
                 qid,
                 attempt,
-                hits_sent,
+                hits_sent: sent.len() as u32,
                 exact_computations: o.search.exact_computations as u64,
                 exact_abandoned: o.search.exact_abandoned as u64,
             };

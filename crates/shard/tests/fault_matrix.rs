@@ -398,10 +398,15 @@ fn run_last_batch_scenario(
         None,
     );
     let q = &tie_queries()[0];
-    let mut batches = 0u32;
+    // Count the frames the worker sends: one per partition that adds
+    // collector entries not streamed before.
+    let (mut batches, mut sent) = (0u32, std::collections::HashSet::new());
     cluster
         .leader_service(0)
-        .query_scatter(q, k, f64::INFINITY, |_, hits| batches += u32::from(!hits.is_empty()))
+        .query_scatter(q, k, f64::INFINITY, |c| {
+            let fresh = c.hits().iter().filter(|h| sent.insert(h.id)).count();
+            batches += u32::from(fresh > 0);
+        })
         .expect("shard 0 dry run");
     assert!(batches >= 2, "the scenario needs a batch before the last one");
     faults.arm("shard0.tx", fault, batches - 1);

@@ -25,7 +25,7 @@
 //! sees the code under test.
 
 use repose::{Repose, ReposeConfig};
-use repose_distance::{DistScratch, Measure, MeasureParams};
+use repose_distance::{DistScratch, Measure, MeasureParams, SharedTopK};
 use repose_model::{Point, TrajStore, Trajectory};
 use repose_rptrie::{RpTrie, RpTrieConfig};
 use repose_service::{ReposeService, ServiceConfig};
@@ -313,7 +313,8 @@ fn warm_service_query_allocations_do_not_scale_with_delta_verifications() {
 
 /// The refinement loop (`refine_by_bound`) with a warm scratch
 /// and a reusable candidate buffer allocates only for its own bookkeeping
-/// (the result vector + top-k heap), independent of candidate count.
+/// (the collector and the answer read from it), independent of candidate
+/// count.
 #[test]
 fn warm_refinement_loop_allocations_independent_of_candidates() {
     let _g = measure_lock();
@@ -332,17 +333,9 @@ fn warm_refinement_loop_allocations_independent_of_candidates() {
             })
             .collect();
         allocs_during(|| {
-            let got = params.refine_by_bound(
-                Measure::Dtw,
-                &query,
-                4,
-                f64::INFINITY,
-                None,
-                cands,
-                |_| {},
-                scratch,
-            );
-            assert_eq!(got.len(), 4);
+            let collector = SharedTopK::new(4);
+            params.refine_by_bound(Measure::Dtw, &query, &collector, cands, |_| {}, scratch);
+            assert_eq!(collector.hits().len(), 4);
         })
     };
 
