@@ -1,4 +1,4 @@
-//! Jittered exponential backoff for retry and hedge timers.
+//! Jittered exponential backoff for retry timers.
 //!
 //! One [`Backoff`] instance paces the retries of one logical operation
 //! (e.g. one shard's attempts within one query): each call to

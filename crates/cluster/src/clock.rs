@@ -1,9 +1,9 @@
 //! The time source every timer-driven decision reads.
 //!
-//! Deadlines, heartbeats, retry backoffs, and hedge triggers all used to
-//! sample [`Instant::now`] directly, which made any fault interleaving
-//! that involved a timer unreproducible: the same seed could retry on one
-//! run and hedge on the next depending on host scheduling. A [`Clock`]
+//! Deadlines, heartbeats, and retry backoffs all used to sample
+//! [`Instant::now`] directly, which made any fault interleaving that
+//! involved a timer unreproducible: the same seed could retry on one run
+//! and not on the next depending on host scheduling. A [`Clock`]
 //! separates *what time it is* from *who asks*: production code carries a
 //! [`SystemClock`] (the monotonic clock, anchored once per process) and
 //! behaves exactly as before, while the deterministic simulator carries a

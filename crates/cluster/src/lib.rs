@@ -40,14 +40,12 @@ mod admission;
 mod backoff;
 mod clock;
 mod executor;
-mod hedge;
 mod pool;
 mod stats;
 
 pub use admission::{AdmissionGate, AdmissionPermit, Deadline};
 pub use backoff::{Backoff, BackoffConfig};
 pub use clock::{Clock, SimClock, SystemClock};
-pub use hedge::HedgeTracker;
 pub use executor::Cluster;
 pub use pool::{default_pool_threads, PoolScope, WorkerPool};
 pub use stats::{list_schedule, JobStats, LatencySummary, SimTime};

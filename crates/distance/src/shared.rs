@@ -84,7 +84,7 @@ struct Pool {
     /// the canonical `(distance, id)` order.
     heap: BinaryHeap<(u64, TrajId)>,
     /// Ids ever published — publish is idempotent per id, so a duplicate
-    /// (a retried or hedged shard answer) can never make one trajectory
+    /// (a retried shard's answer) can never make one trajectory
     /// occupy two of the `k` slots, and an evicted id never comes back.
     seen: HashSet<TrajId>,
 }

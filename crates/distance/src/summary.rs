@@ -22,7 +22,7 @@ use repose_model::{Mbr, Point};
 /// compiler-inserted padding: summary tables are archived and checksummed
 /// byte-for-byte, and uninitialized padding would make that both undefined
 /// behaviour and nondeterministic.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[repr(C)]
 pub struct TrajSummary {
     /// Bounding rectangle (degenerate at the origin for empty inputs).

@@ -1,6 +1,5 @@
 use crate::{Mbr, Point, TrajId, Trajectory};
 use repose_succinct::FlatVec;
-use serde::{Deserialize, Serialize};
 
 /// A flat arena of trajectories: every sample point of every trajectory in
 /// one contiguous `Vec<Point>`, plus an `(offset, len)` table keyed by
@@ -18,7 +17,9 @@ use serde::{Deserialize, Serialize};
 ///
 /// A store is frozen at index build / compaction time and only ever grows
 /// (`push`); [`Trajectory`] remains the I/O type at the edges
-/// (CSV loading, the service's write path, serde of datasets).
+/// (CSV loading, the service's write path, serde of datasets). A built
+/// store persists only inside an archive (`repose-archive`), which
+/// reassembles it through [`TrajStore::from_parts`].
 ///
 /// ```
 /// use repose_model::{Point, TrajStore, Trajectory};
@@ -37,7 +38,7 @@ use serde::{Deserialize, Serialize};
 /// owned (build/compaction time) or three zero-copy views into a mapped
 /// archive (`starts` is stored as `u64`, not `usize`, so the on-disk
 /// layout is platform-independent).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrajStore {
     /// Trajectory id per slot.
     ids: FlatVec<TrajId>,
@@ -175,9 +176,9 @@ impl TrajStore {
     /// Checks the cross-field invariant (`starts` is a monotone prefix
     /// table of length `ids.len() + 1` ending at `points.len()`).
     ///
-    /// Stores built through the constructors always satisfy it; a store
-    /// obtained by deserializing untrusted bytes should be validated
-    /// before use — accessors index by the table and would panic on a
+    /// Stores built through the constructors always satisfy it;
+    /// [`TrajStore::from_parts`] checks it on arrays read from untrusted
+    /// bytes — accessors index by the table and would panic on a
     /// malformed one.
     pub fn validate(&self) -> Result<(), crate::ModelError> {
         let ok = self.starts.len() == self.ids.len() + 1
@@ -292,20 +293,33 @@ mod tests {
         s.push(1, &pts(&[(0.0, 0.0), (1.0, 1.0)]));
         s.push(2, &pts(&[(2.0, 2.0)]));
         assert!(s.validate().is_ok());
-        // A malformed offset table (as hostile deserialization could
-        // produce) must be rejected instead of panicking later.
-        let json = r#"{"ids":[1],"starts":[0,99],"points":[{"x":0.0,"y":0.0}]}"#;
-        let bad: TrajStore = serde_json::from_str(json).unwrap();
-        assert_eq!(bad.validate(), Err(crate::ModelError::CorruptStore));
+        // Malformed offset tables (as a corrupt archive section could
+        // carry) are refused at reassembly instead of panicking later.
+        let parts = |starts: Vec<u64>| {
+            TrajStore::from_parts(
+                FlatVec::Owned(vec![1]),
+                FlatVec::Owned(starts),
+                FlatVec::Owned(pts(&[(0.0, 0.0)])),
+            )
+        };
+        for bad in [vec![0, 99], vec![0], vec![0, 1, 1], vec![1, 1], vec![]] {
+            assert_eq!(parts(bad.clone()), Err(crate::ModelError::CorruptStore), "{bad:?}");
+        }
+        assert!(parts(vec![0, 1]).is_ok());
     }
 
     #[test]
-    fn serde_roundtrip() {
+    fn parts_roundtrip() {
         let mut s = TrajStore::new();
         s.push(4, &pts(&[(1.0, 2.0), (3.0, 4.0)]));
-        let json = serde_json::to_string(&s).unwrap();
-        let back: TrajStore = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, s);
+        s.push(5, &[]);
+        let (ids, starts, points) = s.as_parts();
+        let back = TrajStore::from_parts(
+            FlatVec::Owned(ids.to_vec()),
+            FlatVec::Owned(starts.to_vec()),
+            FlatVec::Owned(points.to_vec()),
+        );
+        assert_eq!(back, Ok(s));
     }
 
     #[test]

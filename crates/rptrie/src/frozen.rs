@@ -46,7 +46,7 @@ pub struct LeafRef<'a> {
 /// archive buffer ([`FrozenTrie::from_parts`]). The rank directories are
 /// rebuilt at attach time from the persisted bitmaps — a single popcount
 /// pass, negligible next to the data they index.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FrozenTrie {
     n_nodes: usize,
     /// Nodes `0..n_dense` are bitmap-encoded (a BFS prefix).

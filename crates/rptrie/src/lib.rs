@@ -80,7 +80,7 @@ use repose_zorder::Grid;
 /// element — the owning pair lives in the `repose` crate). The store is a
 /// flat point arena, so leaf verification reads contiguous memory instead
 /// of chasing per-trajectory heap islands.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RpTrie {
     frozen: FrozenTrie,
     grid: Grid,

@@ -1,38 +1,32 @@
-//! The LRU result cache.
+//! The LRU result cache, shared by the service and the shard coordinator.
 //!
-//! Keys quantize the query polyline onto a fine integer lattice, so two
-//! float-wise-identical (or nearly identical, within ~1e-7 of a
-//! coordinate unit) queries with the same `k` and measure share an entry.
-//! Every entry is stamped with the service's *write version*; any
-//! insert/delete/compact bumps the version, so stale entries are never
-//! served — they are lazily dropped when next touched.
+//! A key is the measure, `k` and the query's exact coordinate bit
+//! patterns: only a bit-identical query is served a cached answer, so a
+//! cache hit returns exactly the distances a search would. Every entry is
+//! stamped with its owner's *write version*; any insert/delete/compact
+//! bumps the version, so stale entries are never served — they are lazily
+//! dropped when next touched.
 
 use repose_distance::Measure;
 use repose_model::Point;
 use repose_rptrie::Hit;
 use std::collections::HashMap;
 
-/// Lattice scale for query quantization: coordinates are rounded to
-/// multiples of 1e-7, well below any distance the indexes distinguish.
-const QUANT_SCALE: f64 = 1e7;
-
-/// A cache key: measure, k, and the quantized polyline.
+/// A cache key: measure, k, and the query's coordinate bit patterns.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct CacheKey {
+pub struct CacheKey {
     measure: Measure,
     k: usize,
-    poly: Vec<(i64, i64)>,
+    poly: Vec<(u64, u64)>,
 }
 
 impl CacheKey {
-    pub(crate) fn new(measure: Measure, query: &[Point], k: usize) -> Self {
+    /// The key of the top-`k` query `query` under `measure`.
+    pub fn new(measure: Measure, query: &[Point], k: usize) -> Self {
         CacheKey {
             measure,
             k,
-            poly: query
-                .iter()
-                .map(|p| ((p.x * QUANT_SCALE).round() as i64, (p.y * QUANT_SCALE).round() as i64))
-                .collect(),
+            poly: query.iter().map(|p| (p.x.to_bits(), p.y.to_bits())).collect(),
         }
     }
 }
@@ -44,19 +38,20 @@ struct Entry {
 }
 
 /// A version-checked LRU map from queries to top-k hit lists.
-pub(crate) struct QueryCache {
+pub struct QueryCache {
     capacity: usize,
     clock: u64,
     entries: HashMap<CacheKey, Entry>,
 }
 
 impl QueryCache {
-    pub(crate) fn new(capacity: usize) -> Self {
+    /// An empty cache of `capacity` entries (0 disables caching).
+    pub fn new(capacity: usize) -> Self {
         QueryCache { capacity, clock: 0, entries: HashMap::new() }
     }
 
     /// A hit only if the entry was produced at the current write version.
-    pub(crate) fn get(&mut self, key: &CacheKey, current_version: u64) -> Option<Vec<Hit>> {
+    pub fn get(&mut self, key: &CacheKey, current_version: u64) -> Option<Vec<Hit>> {
         self.clock += 1;
         let clock = self.clock;
         match self.entries.get_mut(key) {
@@ -73,7 +68,9 @@ impl QueryCache {
         }
     }
 
-    pub(crate) fn put(&mut self, key: CacheKey, version: u64, hits: Vec<Hit>) {
+    /// Caches `hits` for `key`, computed at write version `version`,
+    /// evicting the least-recently-used entry when full.
+    pub fn put(&mut self, key: CacheKey, version: u64, hits: Vec<Hit>) {
         if self.capacity == 0 {
             return;
         }
@@ -122,16 +119,17 @@ mod tests {
     }
 
     #[test]
-    fn quantization_bridges_float_noise() {
+    fn key_is_the_exact_coordinate_bits() {
         let a = CacheKey::new(Measure::Hausdorff, &[Point::new(1.0, 2.0)], 3);
-        let b = CacheKey::new(
+        assert_eq!(a, CacheKey::new(Measure::Hausdorff, &[Point::new(1.0, 2.0)], 3));
+        let one_ulp = CacheKey::new(
             Measure::Hausdorff,
-            &[Point::new(1.0 + 1e-12, 2.0 - 1e-12)],
+            &[Point::new(1.0, f64::from_bits(2.0f64.to_bits() + 1))],
             3,
         );
-        assert_eq!(a, b);
-        let c = CacheKey::new(Measure::Hausdorff, &[Point::new(1.1, 2.0)], 3);
-        assert_ne!(a, c);
+        assert_ne!(a, one_ulp, "a query one ulp away is a different query");
+        assert_ne!(a, CacheKey::new(Measure::Hausdorff, &[Point::new(1.0, 2.0)], 4));
+        assert_ne!(a, CacheKey::new(Measure::Dtw, &[Point::new(1.0, 2.0)], 3));
     }
 
     #[test]

@@ -26,9 +26,10 @@
 //!   partitions dirtied since the last compact* off-line and swaps the
 //!   deployment in atomically; readers are only blocked for the pointer
 //!   swap. [`ReposeService::compact_full`] forces the global re-partition.
-//! * **Caching**: results are cached per (quantized polyline, k, measure)
-//!   and invalidated by a global write version — a cache hit is never
-//!   staler than the latest completed write.
+//! * **Caching**: results are cached per (exact coordinate bits, k,
+//!   measure) in a [`QueryCache`] and invalidated by a global write
+//!   version — a cache hit is never staler than the latest completed
+//!   write. The shard coordinator keeps its own `QueryCache`.
 //! * **Durability & failure model** (opt-in via
 //!   [`ServiceConfig::durability`]): every acknowledged write is logged
 //!   *before* it is applied, compaction checkpoints truncate the log, and
@@ -100,6 +101,7 @@ mod service;
 mod stats;
 mod write;
 
+pub use cache::{CacheKey, QueryCache};
 pub use error::ServiceError;
 pub use query::ServiceOutcome;
 pub use recover::RecoveryReport;

@@ -267,6 +267,31 @@ fn cached_results_reflect_every_write() {
     assert!(stats.cache_hit_rate() > 0.0);
 }
 
+/// The cache key is the query's exact coordinate bits: a query a hair
+/// away from a cached one is searched afresh and answered with its own
+/// distances, bitwise those of a brute-force scan.
+#[test]
+fn near_identical_query_is_not_served_a_cached_neighbour() {
+    let (measure, params) = (Measure::Hausdorff, MeasureParams::with_eps(0.5));
+    let data = dataset(0..60);
+    let service = ReposeService::new(Repose::build(&data, config(measure)));
+    let q: Vec<Point> = (0..10).map(|s| Point::new(s as f64 * 0.4, 0.05)).collect();
+    let mut near = q.clone();
+    near[9].y += 1e-9;
+
+    assert!(!service.query(&q, 5).unwrap().cache_hit);
+    let got = service.query(&near, 5).unwrap();
+    assert!(!got.cache_hit, "a different query was served from the cache");
+    let mut want: Vec<u64> = data
+        .trajectories()
+        .iter()
+        .map(|t| params.distance(measure, &near, &t.points).to_bits())
+        .collect();
+    want.sort_unstable();
+    want.truncate(5);
+    assert_eq!(got.hits.iter().map(|h| h.dist.to_bits()).collect::<Vec<_>>(), want);
+}
+
 #[test]
 fn compaction_drains_deltas_and_preserves_answers() {
     let cfg = config(Measure::Frechet);

@@ -25,27 +25,27 @@
 //! incomplete and the retry machinery running, so faults can slow an
 //! answer but never silently truncate it.
 //!
-//! # Deadlines, retries, hedges, degradation
+//! # Deadlines, retries, degradation
 //!
-//! Each shard attempt has a deadline; an expired attempt retries with
-//! jittered exponential backoff ([`repose_cluster::Backoff`]), alternating
-//! between the shard's leader and its replica, re-seeded with the
+//! Each shard attempt has a deadline, and the deadline retry is the one
+//! way a shard is re-asked: an expired attempt retries with jittered
+//! exponential backoff ([`repose_cluster::Backoff`]), alternating between
+//! the shard's leader and its replica (so a crashed or partitioned leader
+//! fails over after one `attempt_timeout`), re-seeded with the
 //! coordinator's current bound so a retry only re-earns what is still
-//! missing. Independently, a shard whose attempt has outlived the observed
-//! latency percentile ([`repose_cluster::HedgeTracker`]) gets a *hedge*: a
-//! duplicate query to the other node of the pair, first answer wins,
-//! duplicates deduplicated by trajectory id. A shard that exhausts its
-//! retries is declared failed; the answer is returned anyway, marked
-//! [`ShardOutcome::degraded`] with an accurate
+//! missing. A late answer from an earlier attempt still counts: replies
+//! route by attempt number, and the pool drops a duplicate id. A shard
+//! that exhausts its retries is declared failed; the answer is returned
+//! anyway, marked [`ShardOutcome::degraded`] with an accurate
 //! [`ShardOutcome::shards_failed`] — and degraded answers are **never**
 //! admitted to the result cache.
 //!
-//! Every timer — attempt age, hedge trigger, backoff expiry, write
-//! deadline, even the reported latency — reads the cluster's injected
-//! [`Clock`], sampled **once per gather sweep** so one sweep sees one
-//! time. Production builds run on [`SystemClock`]; a simulator passes the
-//! same topology a virtual clock (via [`ShardCluster::build_nodes`]) and
-//! replays the exact retry/hedge schedule from a seed.
+//! Every timer — attempt age, backoff expiry, write deadline, even the
+//! reported latency — reads the cluster's injected [`Clock`], sampled
+//! **once per gather sweep** so one sweep sees one time. Production builds
+//! run on [`SystemClock`]; a simulator passes the same topology a virtual
+//! clock (via [`ShardCluster::build_nodes`]) and replays the exact retry
+//! schedule from a seed.
 //!
 //! # Write path
 //!
@@ -62,10 +62,10 @@ use crate::protocol::Message;
 use crate::transport::{Loopback, NodeId, Transport};
 use crate::worker::{Role, ShardWorker, WorkerConfig};
 use repose::{Repose, ReposeConfig};
-use repose_cluster::{Backoff, BackoffConfig, Clock, HedgeTracker, SystemClock};
+use repose_cluster::{Backoff, BackoffConfig, Clock, SystemClock};
 use repose_distance::{Hit, SharedTopK};
 use repose_model::{Dataset, Point, Trajectory};
-use repose_service::{ReposeService, ServiceConfig};
+use repose_service::{CacheKey, QueryCache, ReposeService, ServiceConfig};
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::Arc;
@@ -77,7 +77,7 @@ use std::time::Duration;
 pub struct ShardClusterConfig {
     /// Shard count; trajectories route by `id % shards`.
     pub shards: usize,
-    /// Give every shard a follower replica (hedge target, write
+    /// Give every shard a follower replica (retry failover target, write
     /// replication target, promotion candidate).
     pub replicate: bool,
     /// Per-attempt deadline before a shard query attempt is retried.
@@ -86,12 +86,6 @@ pub struct ShardClusterConfig {
     pub max_retries: u32,
     /// Backoff shape between retry attempts (also seeds write retries).
     pub backoff: BackoffConfig,
-    /// Hedge a shard once its attempt outlives this percentile of
-    /// observed attempt latencies (0..=1).
-    pub hedge_percentile: f64,
-    /// Never hedge earlier than this (also the hedge delay until enough
-    /// latency samples exist).
-    pub hedge_floor: Duration,
     /// Per-attempt deadline for one write acknowledgment.
     pub write_timeout: Duration,
     /// Write retries before the write errors out.
@@ -119,8 +113,6 @@ impl Default for ShardClusterConfig {
                 factor: 2.0,
                 jitter: 0.5,
             },
-            hedge_percentile: 0.95,
-            hedge_floor: Duration::from_millis(50),
             write_timeout: Duration::from_millis(500),
             write_retries: 6,
             cache_capacity: 256,
@@ -144,7 +136,8 @@ pub struct ShardOutcome {
     pub shards_failed: u32,
     /// Retry attempts scattered (deadline-driven re-sends).
     pub retries: u32,
-    /// Hedge attempts scattered (latency-percentile-driven duplicates).
+    /// Always 0: the coordinator re-asks a shard only by its deadline
+    /// retry. Kept for callers that still read it.
     pub hedges: u32,
     /// Tighten broadcasts sent (bound-propagation traffic).
     pub tightenings: u32,
@@ -192,13 +185,10 @@ impl std::error::Error for WriteFailed {}
 /// Per-shard progress of one in-flight query.
 struct ShardProgress {
     state: ShardState,
-    /// Target of the current primary attempt.
+    /// Target of the current attempt.
     target: NodeId,
-    /// Attempt number of the current primary attempt.
-    attempt: u32,
-    /// Clock time the current primary attempt was scattered.
+    /// Clock time the current attempt was scattered.
     started: Duration,
-    hedged: bool,
     retries: u32,
     backoff: Backoff,
     /// attempt -> `Done.hits_sent`, once the Done arrived.
@@ -241,15 +231,8 @@ pub struct ShardCluster {
     wid: u64,
     /// Bumped on every acknowledged write; stamps cache entries.
     version: u64,
-    /// Completed attempt latencies feeding the hedge percentile.
-    hedge: HedgeTracker,
-    cache: HashMap<CacheKey, CacheEntry>,
+    cache: QueryCache,
 }
-
-/// Bit-exact cache key: the query's coordinate bit patterns plus k.
-type CacheKey = (Vec<(u64, u64)>, usize);
-/// A cached answer, stamped with the write version it was computed at.
-type CacheEntry = (u64, Vec<Hit>);
 
 impl ShardCluster {
     /// Builds the deployment: shards `dataset` by `id % shards`, builds one
@@ -304,10 +287,6 @@ impl ShardCluster {
         clock: Arc<dyn Clock>,
     ) -> (Self, Vec<ShardWorker>) {
         assert!(cfg.shards >= 1, "a cluster needs at least one shard");
-        assert!(
-            (0.0..=1.0).contains(&cfg.hedge_percentile),
-            "hedge percentile must be in 0..=1"
-        );
         let shards = cfg.shards;
         let mut subsets: Vec<Vec<Trajectory>> = vec![Vec::new(); shards];
         for t in dataset.into_trajectories() {
@@ -379,8 +358,7 @@ impl ShardCluster {
             qid: 0,
             wid: 0,
             version: 0,
-            hedge: HedgeTracker::new(),
-            cache: HashMap::new(),
+            cache: QueryCache::new(cfg.cache_capacity),
             cfg,
         };
         (cluster, workers)
@@ -417,11 +395,11 @@ impl ShardCluster {
     }
 
     /// Scatter-gathers the exact top-`k` for `query` (see module docs for
-    /// the retry/hedge/degradation contract).
+    /// the retry/degradation contract).
     pub fn query(&mut self, query: &[Point], k: usize) -> ShardOutcome {
         if !query.iter().all(Point::is_finite) {
             // Every worker's decoder refuses a non-finite frame, so a
-            // scatter could only run each attempt, retry and hedge to
+            // scatter could only run each attempt and retry to
             // exhaustion. Answer at once with what that would end in.
             return ShardOutcome {
                 hits: Vec::new(),
@@ -435,23 +413,18 @@ impl ShardCluster {
             };
         }
         let t0 = self.clock.now();
-        let cache_key = (
-            query.iter().map(|p| (p.x.to_bits(), p.y.to_bits())).collect::<Vec<_>>(),
-            k,
-        );
-        if let Some((version, hits)) = self.cache.get(&cache_key) {
-            if *version == self.version {
-                return ShardOutcome {
-                    hits: hits.clone(),
-                    degraded: false,
-                    shards_failed: 0,
-                    retries: 0,
-                    hedges: 0,
-                    tightenings: 0,
-                    cache_hit: true,
-                    latency: self.clock.now().saturating_sub(t0),
-                };
-            }
+        let cache_key = CacheKey::new(self.measure, query, k);
+        if let Some(hits) = self.cache.get(&cache_key, self.version) {
+            return ShardOutcome {
+                hits,
+                degraded: false,
+                shards_failed: 0,
+                retries: 0,
+                hedges: 0,
+                tightenings: 0,
+                cache_hit: true,
+                latency: self.clock.now().saturating_sub(t0),
+            };
         }
 
         self.qid += 1;
@@ -459,9 +432,8 @@ impl ShardCluster {
         let version_at_start = self.version;
         let global = SharedTopK::new(k);
         let mut next_attempt: u32 = 0;
-        let (mut retries, mut hedges, mut tightenings) = (0u32, 0u32, 0u32);
+        let (mut retries, mut tightenings) = (0u32, 0u32);
         let mut last_broadcast = f64::INFINITY;
-        let hedge_after = self.hedge_delay();
 
         let mut progress: Vec<ShardProgress> = (0..self.cfg.shards)
             .map(|shard| {
@@ -472,9 +444,7 @@ impl ShardCluster {
                 ShardProgress {
                     state: ShardState::Running,
                     target,
-                    attempt,
                     started: t0,
-                    hedged: false,
                     retries: 0,
                     backoff: Backoff::new(self.cfg.backoff, self.cfg.seed ^ qid ^ shard as u64),
                     expected: HashMap::new(),
@@ -483,7 +453,8 @@ impl ShardCluster {
             })
             .collect();
         // attempt number -> shard, so replies route without trusting the
-        // sender's node id (a hedge and a retry answer for the same shard).
+        // sender's node id (a late attempt and its retry answer for the
+        // same shard).
         let mut attempt_shard: HashMap<u32, usize> = (0..self.cfg.shards)
             .map(|shard| (shard as u32, shard))
             .collect();
@@ -497,8 +468,7 @@ impl ShardCluster {
             }
 
             // Drain the inbox, then take the sweep's single clock sample:
-            // every completion latency and timer decision below sees this
-            // one time.
+            // every timer decision below sees this one time.
             let mut got = self.transport.recv_timeout(0, self.cfg.tick);
             let now = self.clock.now();
             while let Some((_, msg)) = got {
@@ -516,18 +486,18 @@ impl ShardCluster {
                             let received = p.received.entry(attempt).or_default();
                             for (id, dist) in hits {
                                 received.insert(id);
-                                // Idempotent per id: a retry's or hedge's
-                                // duplicate of a hit is dropped here.
+                                // Idempotent per id: a retry's duplicate
+                                // of a hit is dropped here.
                                 global.publish(dist, id);
                             }
-                            Self::check_complete(p, attempt, now, &mut self.hedge);
+                            Self::check_complete(p, attempt);
                         }
                     }
-                    Message::Done { qid: q, attempt, hits_sent, .. } if q == qid => {
+                    Message::Done { qid: q, attempt, hits_sent } if q == qid => {
                         if let Some(&shard) = attempt_shard.get(&attempt) {
                             let p = &mut progress[shard];
                             p.expected.insert(attempt, hits_sent);
-                            Self::check_complete(p, attempt, now, &mut self.hedge);
+                            Self::check_complete(p, attempt);
                         }
                     }
                     // Stale query traffic, stray write acks, anything a
@@ -547,31 +517,16 @@ impl ShardCluster {
                         let msg = Message::Tighten { qid, dk: bound };
                         self.transport.send(0, p.target, &msg);
                         tightenings += 1;
-                        if p.hedged {
-                            let other = self.other_node(p.target);
-                            self.transport.send(0, other, &Message::Tighten { qid, dk: bound });
-                            tightenings += 1;
-                        }
                     }
                 }
             }
 
-            // Timers: hedges, attempt deadlines, backed-off retries — all
-            // judged against the sweep's one `now` sample.
+            // Timers: attempt deadlines, backed-off retries — all judged
+            // against the sweep's one `now` sample.
             for (shard, p) in progress.iter_mut().enumerate() {
                 match p.state {
                     ShardState::Running => {
-                        let age = now.saturating_sub(p.started);
-                        if !p.hedged && !self.replicas.is_empty() && age >= hedge_after {
-                            p.hedged = true;
-                            hedges += 1;
-                            let attempt = next_attempt;
-                            next_attempt += 1;
-                            attempt_shard.insert(attempt, shard);
-                            let other = self.other_node(p.target);
-                            self.send_query(other, qid, attempt, k, global.bound(), query);
-                        }
-                        if age >= self.cfg.attempt_timeout {
+                        if now.saturating_sub(p.started) >= self.cfg.attempt_timeout {
                             if p.retries < self.cfg.max_retries {
                                 p.retries += 1;
                                 p.state = ShardState::RetryAt(now + p.backoff.next_delay());
@@ -589,9 +544,7 @@ impl ShardCluster {
                             // Alternate the pair on every retry; a crashed
                             // or partitioned leader's replica answers.
                             p.target = self.other_node(p.target);
-                            p.attempt = attempt;
                             p.started = now;
-                            p.hedged = false;
                             p.state = ShardState::Running;
                             self.send_query(p.target, qid, attempt, k, global.bound(), query);
                         }
@@ -607,18 +560,15 @@ impl ShardCluster {
             .count() as u32;
         let degraded = shards_failed > 0;
         let hits = global.hits();
-        if !degraded && self.cfg.cache_capacity > 0 && self.version == version_at_start {
-            if self.cache.len() >= self.cfg.cache_capacity {
-                self.cache.clear();
-            }
-            self.cache.insert(cache_key, (self.version, hits.clone()));
+        if !degraded && self.version == version_at_start {
+            self.cache.put(cache_key, self.version, hits.clone());
         }
         ShardOutcome {
             hits,
             degraded,
             shards_failed,
             retries,
-            hedges,
+            hedges: 0,
             tightenings,
             cache_hit: false,
             latency: self.clock.now().saturating_sub(t0),
@@ -689,8 +639,8 @@ impl ShardCluster {
     }
 
     /// Marks the shard completed when `attempt`'s received hits match its
-    /// `Done`; records the attempt latency for the hedge percentile.
-    fn check_complete(p: &mut ShardProgress, attempt: u32, now: Duration, hedge: &mut HedgeTracker) {
+    /// `Done`.
+    fn check_complete(p: &mut ShardProgress, attempt: u32) {
         if matches!(p.state, ShardState::Completed) {
             return;
         }
@@ -698,19 +648,7 @@ impl ShardCluster {
         let received = p.received.get(&attempt).map_or(0, HashSet::len);
         if received == expected as usize {
             p.state = ShardState::Completed;
-            hedge.record(now.saturating_sub(p.started));
         }
-    }
-
-    /// The hedge trigger: the configured percentile of observed attempt
-    /// latencies, floored by `hedge_floor`; before enough samples exist,
-    /// half the attempt timeout (still floored).
-    fn hedge_delay(&self) -> Duration {
-        self.hedge.delay(
-            self.cfg.hedge_percentile,
-            self.cfg.hedge_floor,
-            self.cfg.attempt_timeout / 2,
-        )
     }
 
     fn write(

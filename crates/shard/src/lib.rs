@@ -33,9 +33,9 @@
 //!   leader→follower delta-log replication (log-before-ack), heartbeats,
 //!   and follower self-promotion.
 //! * [`coordinator`] — [`ShardCluster`], the client-facing object:
-//!   scatter-gather with per-shard deadlines, jittered-backoff retries,
-//!   latency-percentile hedging, write failover, and honest degradation
-//!   accounting ([`ShardOutcome`]).
+//!   scatter-gather with per-shard deadlines, jittered-backoff retries
+//!   that alternate leader and replica, write failover, and honest
+//!   degradation accounting ([`ShardOutcome`]).
 
 #![forbid(unsafe_code)]
 

@@ -83,11 +83,11 @@ pub fn measure_from_u8(v: u8) -> Option<Measure> {
 pub enum Message {
     /// Coordinator → shard: execute attempt `attempt` of query `qid`.
     /// `seed_dk` pre-bounds the shard's collector (`INFINITY` = none —
-    /// retries and hedges carry the coordinator's current global bound).
+    /// retries carry the coordinator's current global bound).
     Query {
         /// Coordinator-assigned query id.
         qid: u64,
-        /// Attempt number within the query (retries and hedges increment).
+        /// Attempt number within the query (each retry takes the next).
         attempt: u32,
         /// Results requested.
         k: u32,
@@ -141,10 +141,6 @@ pub enum Message {
         attempt: u32,
         /// Distinct hits streamed by this attempt.
         hits_sent: u32,
-        /// Exact kernel verifications the local search paid.
-        exact_computations: u64,
-        /// Verifications the threshold refuted early.
-        exact_abandoned: u64,
     },
     /// Leader → follower: the leader's unacknowledged WAL suffix, oldest
     /// first. Records the follower already holds are skipped idempotently.
@@ -315,13 +311,11 @@ impl Message {
                 put_u64(buf, *qid);
                 put_f64(buf, *dk);
             }
-            Message::Done { qid, attempt, hits_sent, exact_computations, exact_abandoned } => {
+            Message::Done { qid, attempt, hits_sent } => {
                 buf.push(TAG_DONE);
                 put_u64(buf, *qid);
                 put_u32(buf, *attempt);
                 put_u32(buf, *hits_sent);
-                put_u64(buf, *exact_computations);
-                put_u64(buf, *exact_abandoned);
             }
             Message::Replicate { records } => {
                 buf.push(TAG_REPLICATE);
@@ -445,8 +439,6 @@ impl Message {
                 qid: read_u64(cur).ok_or_else(t)?,
                 attempt: read_u32(cur).ok_or_else(t)?,
                 hits_sent: read_u32(cur).ok_or_else(t)?,
-                exact_computations: read_u64(cur).ok_or_else(t)?,
-                exact_abandoned: read_u64(cur).ok_or_else(t)?,
             },
             TAG_REPLICATE => {
                 let n = read_u32(cur).ok_or_else(t)? as usize;
@@ -556,13 +548,7 @@ mod tests {
                 hits: (0..100).map(|i| (i * 3, i as f64 * 0.1)).collect(),
             },
             Message::Tighten { qid: 7, dk: 3.5 },
-            Message::Done {
-                qid: 7,
-                attempt: 2,
-                hits_sent: 5,
-                exact_computations: 123,
-                exact_abandoned: 45,
-            },
+            Message::Done { qid: 7, attempt: 2, hits_sent: 5 },
             Message::Replicate {
                 records: vec![
                     WalRecord::Upsert { seq: 1, id: 4, points: vec![Point::new(2.0, 3.0)] },
@@ -667,6 +653,21 @@ mod tests {
         // A payload that ends inside the fixed fields is an underrun.
         for cut in 1..header {
             assert_eq!(decode(&frame_of(&full[..cut])), Err(ProtocolError::Truncated));
+        }
+    }
+
+    #[test]
+    fn done_payload_is_exactly_its_three_fields() {
+        let mut payload = Vec::new();
+        Message::Done { qid: 7, attempt: 2, hits_sent: 5 }.encode_payload(&mut payload);
+        assert_eq!(payload.len(), 1 + 8 + 4 + 4);
+        for cut in 1..payload.len() {
+            assert_eq!(decode(&frame_of(&payload[..cut])), Err(ProtocolError::Truncated));
+        }
+        for extra in [&[0u8][..], &[0; 16]] {
+            let mut long = payload.clone();
+            long.extend_from_slice(extra);
+            assert_eq!(decode(&frame_of(&long)), Err(ProtocolError::BadPayload));
         }
     }
 

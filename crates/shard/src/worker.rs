@@ -375,14 +375,8 @@ impl ShardWorker {
                 last_hb_sent,
             );
         });
-        if let Ok(o) = outcome {
-            let done = Message::Done {
-                qid,
-                attempt,
-                hits_sent: sent.len() as u32,
-                exact_computations: o.search.exact_computations as u64,
-                exact_abandoned: o.search.exact_abandoned as u64,
-            };
+        if outcome.is_ok() {
+            let done = Message::Done { qid, attempt, hits_sent: sent.len() as u32 };
             transport.send(node, coord, &done);
         }
         // A poisoned service sends nothing; the coordinator's deadline

@@ -7,8 +7,8 @@
 //! 1. **All-healthy identity** — for all six measures, the cluster's
 //!    answer is bitwise identical to the single-node pooled path.
 //! 2. **Single faults** — drop, delay-past-deadline, duplicate, reorder,
-//!    crash, partition each yield either the exact answer (retries and
-//!    hedges recovered it) or an answer correctly flagged `degraded` with
+//!    crash, partition each yield either the exact answer (a deadline
+//!    retry recovered it) or an answer correctly flagged `degraded` with
 //!    an accurate `shards_failed` — never a silently truncated "exact"
 //!    one. Degraded answers are never cached.
 //! 3. **Leader crash mid-burst** — a leader crash during a write burst
@@ -49,7 +49,6 @@ fn cluster_config(replicate: bool) -> ShardClusterConfig {
         replicate,
         attempt_timeout: Duration::from_millis(400),
         max_retries: 2,
-        hedge_floor: Duration::from_millis(50),
         write_timeout: Duration::from_millis(300),
         write_retries: 10,
         worker: WorkerConfig {
@@ -157,22 +156,19 @@ fn run_fault_scenario(
     (got, want, faults)
 }
 
-/// A dropped reply costs an attempt, never correctness: the retry or
-/// hedge earns the exact answer back.
+/// A dropped reply costs an attempt, never correctness: the deadline
+/// retry earns the exact answer back.
 #[test]
 fn fault_drop_recovers_exactly() {
     let (out, want, faults) = run_fault_scenario("coord.rx", NetFault::Drop, 2, true);
     assert!(faults.any_fired(), "the drop never fired");
     assert!(!out.degraded, "a single drop must be survivable with a replica");
     assert_eq!(sorted_dist_bits(out.hits.iter().map(|h| h.dist)), want);
-    assert!(
-        out.retries + out.hedges > 0,
-        "losing a reply message must have cost an attempt"
-    );
+    assert!(out.retries > 0, "losing a reply message must have cost a retry");
 }
 
-/// A delay past the attempt deadline behaves like a slow shard: hedged or
-/// retried, and exact either way.
+/// A delay past the attempt deadline behaves like a slow shard: retried,
+/// and exact.
 #[test]
 fn fault_delay_past_deadline_recovers_exactly() {
     let (out, want, faults) =
@@ -203,15 +199,15 @@ fn fault_reorder_never_truncates() {
     assert_eq!(sorted_dist_bits(out.hits.iter().map(|h| h.dist)), want);
 }
 
-/// A crashed shard with a replica: the hedge/retry path reaches the
-/// replica and the answer stays exact.
+/// A crashed shard with a replica: the first deadline retry goes to the
+/// replica, which answers, and the answer stays exact.
 #[test]
 fn fault_crash_with_replica_stays_exact() {
     let (out, want, faults) = run_fault_scenario("shard1", NetFault::Crash, 0, true);
     assert!(faults.any_fired(), "the crash never fired");
     assert!(!out.degraded, "a crashed leader must fail over to its replica");
     assert_eq!(sorted_dist_bits(out.hits.iter().map(|h| h.dist)), want);
-    assert!(out.retries + out.hedges > 0, "failover must have cost an attempt");
+    assert_eq!((out.retries, out.hedges), (1, 0), "failover is exactly one retry");
 }
 
 /// A partitioned shard with a replica: same failover contract as a crash,

@@ -59,8 +59,8 @@ pub enum SimOp {
     /// Crash the process and recover from disk (single-node; no-op
     /// sharded — sharded crashes come from `crash` net faults).
     Restart,
-    /// Jump virtual time forward — lets heartbeat timeouts, promotions,
-    /// retries and hedges fire between ops.
+    /// Jump virtual time forward — lets heartbeat timeouts, promotions
+    /// and retries fire between ops.
     AdvanceTime {
         /// Microseconds of virtual time to add.
         micros: u64,

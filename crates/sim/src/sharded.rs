@@ -4,7 +4,7 @@
 //! simulation's single thread.
 //!
 //! Timeouts are scaled down (milliseconds of *virtual* time) so retries,
-//! hedges, heartbeat timeouts and follower promotions all fire within a
+//! heartbeat timeouts and follower promotions all fire within a
 //! scenario's time horizon; the code paths exercised are exactly the
 //! production ones — same coordinator, same workers, same wire frames.
 //!
@@ -69,8 +69,6 @@ fn sim_cluster_config(sc: &Scenario) -> ShardClusterConfig {
             factor: 2.0,
             jitter: 0.5,
         },
-        hedge_percentile: 0.95,
-        hedge_floor: Duration::from_millis(10),
         write_timeout: Duration::from_millis(40),
         write_retries: 4,
         cache_capacity: 32,
@@ -195,12 +193,10 @@ pub(crate) fn run_sharded(sc: &Scenario, planted: Option<PlantedBug>) -> SimRepo
                     .map(|h| format!("{}:{:016x}", h.id, h.dist.to_bits()))
                     .collect();
                 events.push(format!(
-                    "[{i}] query k={k} degraded={} failed={} retries={} hedges={} cache={} \
-                     hits=[{}]",
+                    "[{i}] query k={k} degraded={} failed={} retries={} cache={} hits=[{}]",
                     out.degraded,
                     out.shards_failed,
                     out.retries,
-                    out.hedges,
                     out.cache_hit,
                     rendered.join(",")
                 ));

@@ -4,7 +4,7 @@ use crate::FlatVec;
 ///
 /// The words live in a [`FlatVec`], so a bit vector can be either owned
 /// (while building) or a zero-copy view into a mapped archive section.
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BitVec {
     words: FlatVec<u64>,
     len: usize,

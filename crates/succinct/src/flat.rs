@@ -8,7 +8,6 @@
 //! over one attached from disk without deserialization.
 
 use crate::pod::{bytes_of, Pod};
-use serde::{Deserialize, Serialize};
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -241,20 +240,6 @@ impl<T: Pod + PartialEq> PartialEq for FlatVec<T> {
 
 impl<T: Pod + Eq> Eq for FlatVec<T> {}
 
-// Serialized exactly like a Vec<T> (an array of elements), so containers
-// that move a field from Vec to FlatVec keep their JSON format.
-impl<T: Pod + Serialize> Serialize for FlatVec<T> {
-    fn to_value(&self) -> serde::Value {
-        self.as_slice().to_value()
-    }
-}
-
-impl<T: Pod + Deserialize> Deserialize for FlatVec<T> {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Vec::<T>::from_value(v).map(FlatVec::Owned)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,16 +302,6 @@ mod tests {
         let view = FlatVec::<u64>::view(buf, 0, 2).unwrap();
         let owned = FlatVec::Owned(vec![5u64, 6]);
         assert_eq!(view, owned);
-    }
-
-    #[test]
-    fn serde_matches_vec_format() {
-        let v = FlatVec::Owned(vec![1u64, 2, 3]);
-        let json = serde_json::to_string(&v).unwrap();
-        assert_eq!(json, "[1,2,3]");
-        let back: FlatVec<u64> = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, v);
-        assert!(!back.is_view());
     }
 
     #[test]

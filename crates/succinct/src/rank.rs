@@ -5,7 +5,7 @@ use crate::BitVec;
 /// Ranks are precomputed per 512-bit superblock; a query scans at most eight
 /// words. This is the classic layout SuRF's LOUDS-DS uses for its
 /// upper-level bitmaps.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RankSelect {
     bits: BitVec,
     /// `super_ranks[i]` = number of ones before superblock `i` (512 bits).

@@ -11,7 +11,7 @@ pub type ZValue = u64;
 /// side `δ` rounds `l = U/δ` up to the next power of two and recomputes the
 /// *effective* `δ = U/l` (so the effective `δ` is at most the requested one:
 /// fidelity never degrades).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Grid {
     region: Mbr,
     level: u8,

@@ -91,15 +91,8 @@ fn arb_message() -> impl Strategy<Value = Message> {
         )
             .prop_map(|(qid, attempt, hits)| Message::Hits { qid, attempt, hits }),
         (any::<u64>(), arb_dist()).prop_map(|(qid, dk)| Message::Tighten { qid, dk }),
-        (any::<u64>(), any::<u32>(), any::<u32>(), any::<u64>(), any::<u64>()).prop_map(
-            |(qid, attempt, hits_sent, c, a)| Message::Done {
-                qid,
-                attempt,
-                hits_sent,
-                exact_computations: c,
-                exact_abandoned: a,
-            }
-        ),
+        (any::<u64>(), any::<u32>(), any::<u32>())
+            .prop_map(|(qid, attempt, hits_sent)| Message::Done { qid, attempt, hits_sent }),
         proptest::collection::vec(arb_record(), 0..4)
             .prop_map(|records| Message::Replicate { records }),
         any::<u64>().prop_map(|seq| Message::Ack { seq }),
