@@ -8,7 +8,9 @@ use repose_rptrie::RpTrieConfig;
 pub struct ReposeConfig {
     /// Simulated cluster topology (paper: 16 workers × 4 cores).
     pub cluster: ClusterConfig,
-    /// Number of data partitions (paper default: 64, one per core).
+    /// Number of data partitions of the whole deployment (paper default:
+    /// 64, one per core). A sharded deployment splits the count across its
+    /// shards: each shard node builds `num_partitions.div_ceil(shards)`.
     pub num_partitions: usize,
     /// Global partitioning strategy (paper: heterogeneous).
     pub strategy: PartitionStrategy,

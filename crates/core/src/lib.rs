@@ -44,6 +44,6 @@ pub mod temporal;
 
 pub use config::ReposeConfig;
 pub use framework::{PartitionView, QueryOutcome, Repose};
-pub use partition::{partition_dataset, partition_slots, PartitionStrategy};
+pub use partition::{partition_slots, PartitionStrategy};
 pub use repose_distance::Hit;
 pub use temporal::{TemporalRepose, TimeWindow};

@@ -7,7 +7,7 @@
 //! receives a slice of *every* cluster. Homogeneous (DITA/DFT-style
 //! similar-together placement) and random are the Table VII baselines.
 
-use repose_model::{Dataset, Mbr, TrajStore, Trajectory};
+use repose_model::{Mbr, TrajStore};
 use repose_zorder::geohash_key;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -61,36 +61,10 @@ pub fn partition_slots(
     )
 }
 
-/// Splits `dataset` into `n_partitions` of owned [`Trajectory`] values —
-/// the I/O-edge form of [`partition_slots`], kept for callers that want
-/// `Trajectory` partitions. Reads the dataset in place (no transient
-/// arena copy).
-pub fn partition_dataset(
-    dataset: &Dataset,
-    region: &Mbr,
-    strategy: PartitionStrategy,
-    n_partitions: usize,
-    seed: u64,
-) -> Vec<Vec<Trajectory>> {
-    let trajs = dataset.trajectories();
-    partition_slots_by(
-        trajs.len(),
-        &|i| trajs[i].points.as_slice(),
-        &|i| trajs[i].id,
-        region,
-        strategy,
-        n_partitions,
-        seed,
-    )
-    .into_iter()
-    .map(|slots| slots.into_iter().map(|s| trajs[s].clone()).collect())
-    .collect()
-}
-
 /// The strategy dispatch over an `(points, id)` accessor pair — one
-/// implementation serves the arena ([`partition_slots`]), `Dataset`
-/// ([`partition_dataset`]), and framework-build fronts, so the deal-out
-/// rules cannot drift between them.
+/// implementation serves the arena ([`partition_slots`]) and
+/// framework-build fronts, so the deal-out rules cannot drift between
+/// them.
 pub(crate) fn partition_slots_by<'a>(
     n: usize,
     points_of: &dyn Fn(usize) -> &'a [repose_model::Point],
@@ -178,62 +152,58 @@ fn cluster_sorted_order<'a>(
 mod tests {
     use super::*;
     use repose_model::Point;
+    use std::collections::HashSet;
 
-    /// Ten clusters of ten near-identical trajectories each.
-    fn clustered_dataset() -> (Dataset, Mbr) {
-        let mut trajs = Vec::new();
+    /// Ten clusters of ten near-identical trajectories each; the id of
+    /// trajectory `j` of cluster `c` is `10 c + j`.
+    fn clustered_store() -> (TrajStore, Mbr) {
+        let mut store = TrajStore::new();
         let mut id = 0;
         for c in 0..10 {
             let cx = (c % 5) as f64 * 20.0;
             let cy = (c / 5) as f64 * 40.0;
             for j in 0..10 {
                 let jitter = j as f64 * 0.01;
-                trajs.push(Trajectory::new(
-                    id,
-                    (0..10)
-                        .map(|s| Point::new(cx + s as f64 * 0.5 + jitter, cy + jitter))
-                        .collect(),
-                ));
+                let points: Vec<Point> = (0..10)
+                    .map(|s| Point::new(cx + s as f64 * 0.5 + jitter, cy + jitter))
+                    .collect();
+                store.push(id, &points);
                 id += 1;
             }
         }
-        let d = Dataset::from_trajectories(trajs);
-        let region = d.enclosing_square().unwrap();
-        (d, region)
+        let region = store.enclosing_square().unwrap();
+        (store, region)
+    }
+
+    /// The distinct clusters a partition's slots cover.
+    fn clusters(store: &TrajStore, slots: &[usize]) -> HashSet<u64> {
+        slots.iter().map(|&s| store.id(s) / 10).collect()
     }
 
     #[test]
     fn all_strategies_conserve_items() {
-        let (d, region) = clustered_dataset();
+        let (store, region) = clustered_store();
         for s in [
             PartitionStrategy::Heterogeneous,
             PartitionStrategy::Homogeneous,
             PartitionStrategy::Random,
         ] {
-            let parts = partition_dataset(&d, &region, s, 4, 1);
+            let parts = partition_slots(&store, &region, s, 4, 1);
             assert_eq!(parts.len(), 4);
-            let total: usize = parts.iter().map(Vec::len).sum();
-            assert_eq!(total, d.len(), "{s:?}");
-            let mut ids: Vec<u64> = parts.iter().flatten().map(|t| t.id).collect();
+            let mut ids: Vec<u64> = parts.iter().flatten().map(|&slot| store.id(slot)).collect();
             ids.sort_unstable();
-            assert_eq!(ids, (0..d.len() as u64).collect::<Vec<_>>(), "{s:?}");
+            assert_eq!(ids, (0..store.len() as u64).collect::<Vec<_>>(), "{s:?}");
         }
     }
 
     #[test]
     fn heterogeneous_spreads_clusters() {
-        let (d, region) = clustered_dataset();
-        let parts = partition_dataset(&d, &region, PartitionStrategy::Heterogeneous, 5, 1);
-        // Every partition should hold trajectories from most clusters
-        // (cluster = id / 10 in this construction).
+        let (store, region) = clustered_store();
+        let parts = partition_slots(&store, &region, PartitionStrategy::Heterogeneous, 5, 1);
+        // Every partition should hold trajectories from most clusters.
         for (pi, p) in parts.iter().enumerate() {
-            let clusters: std::collections::HashSet<u64> =
-                p.iter().map(|t| t.id / 10).collect();
-            assert!(
-                clusters.len() >= 8,
-                "partition {pi} covers only {} clusters",
-                clusters.len()
-            );
+            let covered = clusters(&store, p).len();
+            assert!(covered >= 8, "partition {pi} covers only {covered} clusters");
         }
         // Balanced sizes (round-robin guarantees ±1).
         let sizes: Vec<usize> = parts.iter().map(Vec::len).collect();
@@ -242,18 +212,10 @@ mod tests {
 
     #[test]
     fn homogeneous_keeps_clusters_together() {
-        let (d, region) = clustered_dataset();
-        let parts = partition_dataset(&d, &region, PartitionStrategy::Homogeneous, 5, 1);
+        let (store, region) = clustered_store();
+        let parts = partition_slots(&store, &region, PartitionStrategy::Homogeneous, 5, 1);
         // Most partitions should see few distinct clusters.
-        let avg_clusters: f64 = parts
-            .iter()
-            .map(|p| {
-                p.iter()
-                    .map(|t| t.id / 10)
-                    .collect::<std::collections::HashSet<_>>()
-                    .len() as f64
-            })
-            .sum::<f64>()
+        let avg_clusters: f64 = parts.iter().map(|p| clusters(&store, p).len() as f64).sum::<f64>()
             / parts.len() as f64;
         assert!(
             avg_clusters <= 4.0,
@@ -263,30 +225,25 @@ mod tests {
 
     #[test]
     fn random_is_deterministic_per_seed() {
-        let (d, region) = clustered_dataset();
-        let a = partition_dataset(&d, &region, PartitionStrategy::Random, 4, 5);
-        let b = partition_dataset(&d, &region, PartitionStrategy::Random, 4, 5);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(
-                x.iter().map(|t| t.id).collect::<Vec<_>>(),
-                y.iter().map(|t| t.id).collect::<Vec<_>>()
-            );
-        }
+        let (store, region) = clustered_store();
+        let a = partition_slots(&store, &region, PartitionStrategy::Random, 4, 5);
+        let b = partition_slots(&store, &region, PartitionStrategy::Random, 4, 5);
+        assert_eq!(a, b);
     }
 
     #[test]
     fn empty_dataset_yields_empty_partitions() {
-        let d = Dataset::new();
         let region = Mbr::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0));
-        let parts = partition_dataset(&d, &region, PartitionStrategy::Heterogeneous, 3, 1);
+        let parts =
+            partition_slots(&TrajStore::new(), &region, PartitionStrategy::Heterogeneous, 3, 1);
         assert_eq!(parts.len(), 3);
         assert!(parts.iter().all(Vec::is_empty));
     }
 
     #[test]
     fn single_partition_gets_everything() {
-        let (d, region) = clustered_dataset();
-        let parts = partition_dataset(&d, &region, PartitionStrategy::Heterogeneous, 1, 1);
-        assert_eq!(parts[0].len(), d.len());
+        let (store, region) = clustered_store();
+        let parts = partition_slots(&store, &region, PartitionStrategy::Heterogeneous, 1, 1);
+        assert_eq!(parts[0].len(), store.len());
     }
 }

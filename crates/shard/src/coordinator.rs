@@ -240,6 +240,11 @@ impl ShardCluster {
     /// same shard subset), wires everyone over a [`Loopback`] carrying
     /// `faults`, and spawns the worker threads on the monotonic clock.
     ///
+    /// `rcfg.num_partitions` counts the partitions of the whole
+    /// deployment: each node builds its subset with
+    /// `num_partitions.div_ceil(shards)` of them (see
+    /// [`ShardCluster::build_nodes`]).
+    ///
     /// `durability_root`, when given, puts every node's WAL under its own
     /// subdirectory (`shard0/`, `replica0/`, ...) so crash tests can
     /// inspect and byte-compare the logs.
@@ -278,6 +283,11 @@ impl ShardCluster {
     /// deterministic simulator registers them as message pumps and drives
     /// [`ShardWorker::on_message`] / [`ShardWorker::on_tick`] itself on
     /// virtual time.
+    ///
+    /// The partitions are split, not multiplied: every node, leader and
+    /// replica alike, builds `rcfg.num_partitions.div_ceil(shards)`
+    /// partitions. Rounding up keeps at least one per shard and never
+    /// leaves the cluster with fewer than the caller asked for.
     pub fn build_nodes(
         dataset: Dataset,
         rcfg: ReposeConfig,
@@ -293,8 +303,9 @@ impl ShardCluster {
             subsets[(t.id % shards as u64) as usize].push(t);
         }
 
+        let node_cfg = rcfg.with_partitions(rcfg.num_partitions.div_ceil(shards));
         let service_for = |subset: &[Trajectory], label: &str| {
-            let repose = Repose::build(&Dataset::from_trajectories(subset.to_vec()), rcfg);
+            let repose = Repose::build(&Dataset::from_trajectories(subset.to_vec()), node_cfg);
             let scfg = ServiceConfig {
                 cache_capacity: 0,
                 pool_threads: 1,
@@ -707,5 +718,40 @@ impl std::fmt::Debug for ShardCluster {
             .field("replicate", &self.cfg.replicate)
             .field("leaders", &self.leaders)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use repose_distance::Measure;
+
+    /// `num_partitions` is the deployment's count: every node, leader and
+    /// replica alike, builds its rounded-up share of it.
+    #[test]
+    fn shards_split_the_deployment_partitions() {
+        for (partitions, shards, each) in [(16, 2, 8), (4, 3, 2), (1, 3, 1)] {
+            let cfg = ShardClusterConfig { shards, ..ShardClusterConfig::default() };
+            let rcfg = ReposeConfig::new(Measure::Hausdorff)
+                .with_partitions(partitions)
+                .with_delta(0.7);
+            let mut cluster = ShardCluster::build(
+                repose_testkit::tie_dataset(0..60),
+                rcfg,
+                cfg,
+                NetFaultPlan::new(),
+                None,
+            );
+            let mut total = 0;
+            for shard in 0..shards {
+                for svc in [cluster.leader_service(shard), cluster.replica_service(shard)] {
+                    assert_eq!(svc.config().num_partitions, each, "{partitions} over {shards}");
+                    assert_eq!(svc.stats().partitions, each, "{partitions} over {shards}");
+                }
+                total += cluster.leader_service(shard).stats().partitions;
+            }
+            assert!(total >= partitions, "{partitions} over {shards}: only {total} built");
+            cluster.shutdown();
+        }
     }
 }

@@ -17,7 +17,8 @@
 //! 4. **One frame per partition** — a shard streams each partition's hits
 //!    as one `Hits` frame; losing, doubling or delaying exactly the batch
 //!    that precedes its own `Done` never shortens an answer silently, and
-//!    a healthy query costs at most shards × partitions such frames.
+//!    a healthy query costs at most one such frame per partition of the
+//!    deployment.
 
 use repose::{Repose, ReposeConfig};
 use repose_distance::{Measure, MeasureParams};
@@ -32,7 +33,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 const SHARDS: usize = 3;
-const PARTITIONS: usize = 4;
+/// The deployment's partition count: each shard builds 4 of the 12.
+const PARTITIONS: usize = 12;
 
 fn repose_config(measure: Measure) -> ReposeConfig {
     ReposeConfig::new(measure)
@@ -484,8 +486,8 @@ fn healthy_query_costs_at_most_one_hit_frame_per_partition() {
         assert_eq!((out.retries, out.hedges, out.degraded), (0, 0, false));
         let hit_frames = sent - 2 * SHARDS as u64 - u64::from(out.tightenings);
         assert!(
-            (1..=(SHARDS * PARTITIONS) as u64).contains(&hit_frames),
-            "{hit_frames} hit-carrying frames for {} hits over {SHARDS} shards x {PARTITIONS} partitions",
+            (1..=PARTITIONS as u64).contains(&hit_frames),
+            "{hit_frames} hit-carrying frames for {} hits over {PARTITIONS} partitions",
             out.hits.len()
         );
     }

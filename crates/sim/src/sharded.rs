@@ -108,7 +108,7 @@ pub(crate) fn run_sharded(sc: &Scenario, planted: Option<PlantedBug>) -> SimRepo
 
     let params = MeasureParams::with_eps(0.5);
     let rcfg = repose::ReposeConfig::new(sc.measure)
-        .with_partitions(2)
+        .with_partitions(2 * sc.shards)
         .with_delta(0.7)
         .with_params(params)
         .with_seed(sc.seed);

@@ -156,19 +156,20 @@ fn batched_verification_is_bitwise_the_reference() {
 
 #[test]
 fn dataset_stats_survive_partition_roundtrip() {
-    use repose::{partition_dataset, PartitionStrategy};
+    use repose::{partition_slots, PartitionStrategy};
     let dataset = repose_datagen::PaperDataset::Porto.generate(0.02, 3);
     let region = dataset.enclosing_square().unwrap();
+    let store = TrajStore::from_trajectories(dataset.trajectories());
     for strategy in [
         PartitionStrategy::Heterogeneous,
         PartitionStrategy::Homogeneous,
         PartitionStrategy::Random,
     ] {
-        let parts = partition_dataset(&dataset, &region, strategy, 7, 1);
+        let parts = partition_slots(&store, &region, strategy, 7, 1);
         let total_pts: usize = parts
             .iter()
             .flatten()
-            .map(Trajectory::len)
+            .map(|&slot| store.points(slot).len())
             .sum();
         assert_eq!(total_pts, dataset.stats().total_points, "{strategy:?}");
     }
