@@ -1,27 +1,28 @@
 //! Runtime-selectable SIMD backends for the verification kernels.
 //!
-//! Beside the scalar kernels (one per measure, see [`crate::within`]) the
-//! crate carries SSE4.1 (128-bit) and AVX2 (256-bit) forms of exactly the
-//! kernels where vector lanes measure faster at 120k trajectories: the
-//! packed single-pair Hausdorff pair and the DTW nearest-neighbour stage
-//! (one query-major sweep: the query in padded lane arrays, the
-//! candidate's points broadcast against it), the lane-batched DTW /
-//! Fréchet / ERP verification that scores several candidates at once, and
-//! the DTW trie bound's sibling expansion that advances several children of
-//! one node at once ([`crate::DtwColumn::push_cells`]). Fréchet, DTW, ERP,
-//! EDR and LCSS have **no** single-pair dynamic-program SIMD form:
-//! whichever backend is active, one pair's dynamic program is the scalar
-//! kernel. Every form produces
-//! **bit-identical** results (see the `simd` module docs for the argument),
-//! so which one runs is purely a performance decision — made once per
-//! process from CPU feature detection, and overridable so tests, benches
-//! and CI can pin a backend regardless of the host CPU:
+//! Two backends exist: the scalar kernels (one per measure, see
+//! [`crate::within`]) on every host, and AVX2 (256-bit) on x86-64 CPUs that
+//! have it. An x86-64 CPU without AVX2 runs the scalar kernels. The AVX2
+//! backend carries vector forms of exactly the kernels where lanes measure
+//! faster at 120k trajectories: the packed single-pair Hausdorff pair and
+//! the DTW nearest-neighbour stage (one query-major sweep: the query in
+//! padded lane arrays, the candidate's points broadcast against it), the
+//! lane-batched DTW / Fréchet / ERP verification that scores several
+//! candidates at once, and the DTW trie bound's sibling expansion that
+//! advances several children of one node at once
+//! ([`crate::DtwColumn::push_cells`]). Fréchet, DTW, ERP, EDR and LCSS have
+//! **no** single-pair dynamic-program SIMD form: whichever backend is
+//! active, one pair's dynamic program is the scalar kernel. Both backends
+//! produce **bit-identical** results (see the `simd` module docs for the
+//! argument), so which one runs is purely a performance decision — made
+//! once per process from CPU feature detection, and overridable so tests,
+//! benches and CI can pin a backend regardless of the host CPU:
 //!
 //! 1. [`force_backend`] — explicit programmatic override; panics with a
 //!    clear message when the host cannot run the requested backend.
-//! 2. The `REPOSE_BACKEND` environment variable (`scalar`, `sse4.1`,
-//!    `avx2`, or `auto`), consulted once on first use.
-//! 3. Auto-detection: the widest backend the CPU supports.
+//! 2. The `REPOSE_BACKEND` environment variable (`scalar`, `avx2`, or
+//!    `auto`), consulted once on first use.
+//! 3. Auto-detection: AVX2 when the CPU has it, else scalar.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -31,21 +32,18 @@ pub enum Backend {
     /// Portable scalar kernels — always available, and the oracle the SIMD
     /// backends are differentially tested against.
     Scalar,
-    /// 128-bit `std::arch` kernels (requires SSE4.1; x86-64 only).
-    Sse41,
     /// 256-bit `std::arch` kernels (requires AVX2; x86-64 only).
     Avx2,
 }
 
 impl Backend {
     /// All backends, narrowest to widest.
-    pub const ALL: [Backend; 3] = [Backend::Scalar, Backend::Sse41, Backend::Avx2];
+    pub const ALL: [Backend; 2] = [Backend::Scalar, Backend::Avx2];
 
-    /// Canonical lowercase name (`scalar`, `sse4.1`, `avx2`).
+    /// Canonical lowercase name (`scalar`, `avx2`).
     pub fn name(self) -> &'static str {
         match self {
             Backend::Scalar => "scalar",
-            Backend::Sse41 => "sse4.1",
             Backend::Avx2 => "avx2",
         }
     }
@@ -55,7 +53,6 @@ impl Backend {
     pub fn lanes(self) -> usize {
         match self {
             Backend::Scalar => 1,
-            Backend::Sse41 => 2,
             Backend::Avx2 => 4,
         }
     }
@@ -64,8 +61,6 @@ impl Backend {
     pub fn is_supported(self) -> bool {
         match self {
             Backend::Scalar => true,
-            #[cfg(target_arch = "x86_64")]
-            Backend::Sse41 => std::arch::is_x86_feature_detected!("sse4.1"),
             #[cfg(target_arch = "x86_64")]
             Backend::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
             #[cfg(not(target_arch = "x86_64"))]
@@ -85,10 +80,9 @@ impl std::str::FromStr for Backend {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.to_ascii_lowercase().as_str() {
             "scalar" => Ok(Backend::Scalar),
-            "sse4.1" | "sse41" | "sse" => Ok(Backend::Sse41),
             "avx2" | "avx" => Ok(Backend::Avx2),
             other => Err(format!(
-                "unknown backend `{other}` (expected scalar, sse4.1, avx2, or auto)"
+                "unknown backend `{other}` (expected scalar, avx2, or auto)"
             )),
         }
     }
@@ -107,15 +101,13 @@ static ACTIVE: AtomicU8 = AtomicU8::new(UNSET);
 fn encode(b: Backend) -> u8 {
     match b {
         Backend::Scalar => 1,
-        Backend::Sse41 => 2,
-        Backend::Avx2 => 3,
+        Backend::Avx2 => 2,
     }
 }
 
 fn decode(v: u8) -> Backend {
     match v {
         1 => Backend::Scalar,
-        2 => Backend::Sse41,
         _ => Backend::Avx2,
     }
 }
@@ -123,8 +115,6 @@ fn decode(v: u8) -> Backend {
 fn widest_supported() -> Backend {
     if Backend::Avx2.is_supported() {
         Backend::Avx2
-    } else if Backend::Sse41.is_supported() {
-        Backend::Sse41
     } else {
         Backend::Scalar
     }
@@ -181,9 +171,9 @@ pub fn force_backend(backend: Backend) {
     ACTIVE.store(encode(backend), Ordering::Relaxed);
 }
 
-/// Dispatches a kernel call to the active backend's wrapper and `return`s
-/// its result; falls through (no-op) when the scalar backend is active or
-/// the architecture has no SIMD backends.
+/// Dispatches a kernel call to the AVX2 wrapper and `return`s its result
+/// when AVX2 is the active backend; falls through (no-op) when the scalar
+/// backend is active or the architecture has no SIMD backend.
 ///
 /// Usage, from inside a kernel entry point after its degenerate-case
 /// guards: `simd_dispatch!(hausdorff(t1, t2, scratch));`.
@@ -192,18 +182,12 @@ macro_rules! simd_dispatch {
         #[cfg(target_arch = "x86_64")]
         #[allow(unsafe_code)]
         {
-            let backend = $crate::backend::active_backend();
-            if backend != $crate::backend::Backend::Scalar {
+            if $crate::backend::active_backend() == $crate::backend::Backend::Avx2 {
                 // SAFETY: `active_backend`/`force_backend` only ever select
-                // a backend whose CPU feature `is_supported` verified, and
-                // the caller's guards establish the kernel's input
-                // requirements (non-empty inputs, positive threshold).
-                return unsafe {
-                    match backend {
-                        $crate::backend::Backend::Avx2 => $crate::simd::avx2::$func($($arg),*),
-                        _ => $crate::simd::sse41::$func($($arg),*),
-                    }
-                };
+                // AVX2 once `is_supported` verified the CPU has it, and the
+                // caller's guards establish the kernel's input requirements
+                // (non-empty inputs, positive threshold).
+                return unsafe { $crate::simd::avx2::$func($($arg),*) };
             }
         }
     };
@@ -219,8 +203,14 @@ mod tests {
         for b in Backend::ALL {
             assert_eq!(b.name().parse::<Backend>().unwrap(), b);
         }
-        assert_eq!("SSE41".parse::<Backend>().unwrap(), Backend::Sse41);
-        assert!("neon".parse::<Backend>().is_err());
+        assert_eq!("AVX2".parse::<Backend>().unwrap(), Backend::Avx2);
+        // Names of backends this crate lacks (parsed case-insensitively)
+        // must not map to some other backend, or a forced backend would
+        // fall back silently.
+        for gone in ["sse4.1", "SSE41", "sse", "neon"] {
+            let err = gone.parse::<Backend>().unwrap_err();
+            assert!(err.ends_with("(expected scalar, avx2, or auto)"), "{err}");
+        }
     }
 
     #[test]
@@ -234,14 +224,5 @@ mod tests {
             assert_eq!(active_backend(), b);
         }
         force_backend(widest_supported());
-    }
-
-    #[test]
-    fn available_is_prefix_closed() {
-        // If AVX2 is available SSE4.1 must be too: the matrix never has
-        // holes on real hardware.
-        if Backend::Avx2.is_supported() {
-            assert!(Backend::Sse41.is_supported());
-        }
     }
 }

@@ -167,7 +167,7 @@ impl DtwColumn {
     /// when the children's buffers already fit (any column of a query of
     /// this length does; their old contents are overwritten).
     ///
-    /// On a SIMD backend `W` siblings advance per pass over the query and
+    /// On the AVX2 backend 4 siblings advance per pass over the query and
     /// the parent column is read once per pass; the scalar backend copies
     /// and pushes them one by one.
     pub fn push_cells(&self, query: &[Point], cells: &[Mbr], children: &mut [DtwColumn]) {

@@ -8,9 +8,9 @@ use crate::{DistScratch, ThresholdSource};
 use repose_model::Point;
 
 /// Maximum number of candidates [`MeasureParams::distance_within_batch_in`]
-/// scores in one SIMD lane group (the AVX2 width; SSE4.1 groups 2, the
-/// scalar backend scores one at a time). Callers sizing stack buffers for
-/// batched verification should use this.
+/// scores in one SIMD lane group (the AVX2 width; the scalar backend scores
+/// one at a time). Callers sizing stack buffers for batched verification
+/// should use this.
 pub const BATCH_LANES: usize = 4;
 
 /// What happened to one candidate inside [`MeasureParams::refine_by_bound`]
@@ -262,15 +262,14 @@ impl MeasureParams {
         assert_eq!(cands.len(), out.len(), "one output slot per candidate");
         #[cfg(target_arch = "x86_64")]
         {
-            let backend = crate::backend::active_backend();
-            let lanes = backend.lanes();
+            let lanes = crate::backend::active_backend().lanes();
             if lanes > 1
                 && matches!(measure, Measure::Dtw | Measure::Frechet | Measure::Erp)
                 && !query.is_empty()
                 && threshold > 0.0
             {
                 for (c, o) in cands.chunks(lanes).zip(out.chunks_mut(lanes)) {
-                    self.batch_lane_group(backend, measure, query, c, threshold, scratch, o);
+                    self.batch_lane_group(measure, query, c, threshold, scratch, o);
                 }
                 return;
             }
@@ -283,14 +282,13 @@ impl MeasureParams {
     /// Scores one lane group: prefilter-rejected and empty candidates are
     /// settled without touching a kernel, and a DTW candidate must also
     /// pass the nearest-neighbour stage before it may take a lane;
-    /// survivors go through the backend's batched kernel (or the sequential
+    /// survivors go through the AVX2 batched kernel (or the sequential
     /// kernel when only one survives — a one-lane vector would waste the
     /// whole group's gathers).
     #[cfg(target_arch = "x86_64")]
-    #[allow(clippy::too_many_arguments, unsafe_code)]
+    #[allow(unsafe_code)]
     fn batch_lane_group(
         &self,
-        backend: crate::Backend,
         measure: Measure,
         query: &[Point],
         cands: &[(f64, &[Point])],
@@ -331,34 +329,19 @@ impl MeasureParams {
             return;
         }
         let mut lane_out = [None; BATCH_LANES];
-        // SAFETY: `backend.lanes() > 1` means a SIMD backend selected by
-        // `active_backend`, whose CPU feature `is_supported` verified.
-        // `nl <= backend.lanes()`, the query and every grouped candidate
-        // are non-empty, and `threshold > 0.0` and non-NaN — the batch
-        // kernels' documented requirements.
+        // SAFETY: the caller groups lanes only when the active backend's
+        // `lanes() > 1`, i.e. AVX2, which `is_supported` verified.
+        // `nl <= BATCH_LANES`, the query and every grouped candidate are
+        // non-empty, and `threshold > 0.0` and non-NaN — the batch kernels'
+        // documented requirements.
         unsafe {
-            use crate::simd::{avx2, sse41};
+            use crate::simd::avx2;
             let (g, o) = (&group[..nl], &mut lane_out[..nl]);
-            match (backend, measure) {
-                (crate::Backend::Avx2, Measure::Dtw) => {
-                    avx2::batch_dtw(query, g, threshold, scratch, o)
-                }
-                (crate::Backend::Avx2, Measure::Frechet) => {
-                    avx2::batch_frechet(query, g, threshold, scratch, o)
-                }
-                (crate::Backend::Avx2, Measure::Erp) => {
-                    avx2::batch_erp(query, g, self.erp_gap, threshold, scratch, o)
-                }
-                (crate::Backend::Sse41, Measure::Dtw) => {
-                    sse41::batch_dtw(query, g, threshold, scratch, o)
-                }
-                (crate::Backend::Sse41, Measure::Frechet) => {
-                    sse41::batch_frechet(query, g, threshold, scratch, o)
-                }
-                (crate::Backend::Sse41, Measure::Erp) => {
-                    sse41::batch_erp(query, g, self.erp_gap, threshold, scratch, o)
-                }
-                _ => unreachable!("lane-batched path requires a SIMD backend and kernel"),
+            match measure {
+                Measure::Dtw => avx2::batch_dtw(query, g, threshold, scratch, o),
+                Measure::Frechet => avx2::batch_frechet(query, g, threshold, scratch, o),
+                Measure::Erp => avx2::batch_erp(query, g, self.erp_gap, threshold, scratch, o),
+                _ => unreachable!("lane-batched path requires a batched kernel"),
             }
         }
         for (l, &s) in slot[..nl].iter().enumerate() {

@@ -1,5 +1,5 @@
-//! The packed single-pair nearest-neighbour kernels, monomorphized per
-//! backend width — the only single-pair SIMD kernels in the crate.
+//! The packed single-pair nearest-neighbour kernels, generic over
+//! [`F64s`] — the only single-pair SIMD kernels in the crate.
 //!
 //! A nearest-neighbour pass has no dependency chain: every cell of the
 //! `m x n` squared distance matrix is independent and only row/column

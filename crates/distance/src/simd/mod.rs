@@ -1,10 +1,12 @@
-//! Explicit `std::arch` SIMD implementations of the verification kernels
-//! (x86-64 only), selected at runtime by [`crate::backend`].
+//! Explicit `std::arch` AVX2 implementations of the verification kernels
+//! (x86-64 only), selected at runtime by [`crate::backend`]. AVX2 is the one
+//! vector width: an x86-64 CPU without it runs the scalar kernels, which
+//! give the same answers bit for bit.
 //!
 //! # Layout
 //!
-//! * [`ops`] — the [`ops::F64s`] packed-`f64` trait (`__m128d` = SSE4.1,
-//!   `__m256d` = AVX2) every generic kernel is monomorphized over.
+//! * [`ops`] — the [`ops::F64s`] packed-`f64` trait (implemented for
+//!   `__m256d`, 4 lanes) every generic kernel is monomorphized over.
 //! * [`kern`] — the packed single-pair nearest-neighbour kernels: one
 //!   query-major row/column-minima sweep (the query in `+∞`-padded lane
 //!   arrays, the other trajectory's points broadcast `W` at a time, their
@@ -16,15 +18,14 @@
 //! * [`batch`] — multi-column dynamic programs: up to `W` leaf candidates
 //!   verified against one query in parallel lanes (DTW, Fréchet, ERP), and
 //!   up to `W` sibling DTW trie bound columns advanced from one parent.
-//! * [`sse41`] / [`avx2`] — thin `#[target_feature]` wrappers that
-//!   monomorphize the generics at each width (the DTW nearest-neighbour
-//!   wrapper also instantiates the scalar form's `Σ√` fold over the packed
-//!   sweep, so the fold is written once). Inlining the `inline(always)`
-//!   generic bodies *into* the `#[target_feature]` wrapper is what lets
-//!   rustc emit the wide instructions while the crate itself stays
-//!   baseline-compatible; the wrappers are `unsafe fn` and the dispatcher
-//!   only calls one whose feature [`crate::backend::Backend::is_supported`]
-//!   verified.
+//! * [`avx2`] — thin `#[target_feature]` wrappers that monomorphize the
+//!   generics at the AVX2 width (the DTW nearest-neighbour wrapper also
+//!   instantiates the scalar form's `Σ√` fold over the packed sweep, so the
+//!   fold is written once). Inlining the `inline(always)` generic bodies
+//!   *into* the `#[target_feature]` wrapper is what lets rustc emit the
+//!   wide instructions while the crate itself stays baseline-compatible;
+//!   the wrappers are `unsafe fn` and the dispatcher only calls them once
+//!   [`crate::backend::Backend::is_supported`] verified AVX2.
 //!
 //! # Why every backend is bit-identical
 //!
@@ -60,118 +61,96 @@ pub(crate) mod batch;
 pub(crate) mod kern;
 pub(crate) mod ops;
 
-macro_rules! backend_impls {
-    ($modname:ident, $doc:literal, $feat:literal, $vec:ty) => {
-        #[doc = $doc]
-        ///
-        /// # Safety
-        ///
-        /// Every wrapper requires the CPU feature it enables, plus the
-        /// requirements of the generic kernel it instantiates.
-        pub(crate) mod $modname {
-            use super::ops::F64s;
-            use super::{batch, kern};
-            use crate::within::sum_sqrt_refutes;
-            use crate::{DistScratch, DtwColumn};
-            use repose_model::{Mbr, Point};
+/// 256-bit (AVX2) instantiations of the generic kernels.
+///
+/// # Safety
+///
+/// Every wrapper requires AVX2, plus the requirements of the generic kernel
+/// it instantiates.
+pub(crate) mod avx2 {
+    use super::ops::F64s;
+    use super::{batch, kern};
+    use crate::within::sum_sqrt_refutes;
+    use crate::{DistScratch, DtwColumn};
+    use core::arch::x86_64::__m256d as V;
+    use repose_model::{Mbr, Point};
 
-            type V = $vec;
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn hausdorff(t1: &[Point], t2: &[Point], s: &mut DistScratch) -> f64 {
+        kern::hausdorff::<V>(t1, t2, s)
+    }
 
-            #[target_feature(enable = $feat)]
-            pub(crate) unsafe fn hausdorff(
-                t1: &[Point],
-                t2: &[Point],
-                s: &mut DistScratch,
-            ) -> f64 {
-                kern::hausdorff::<V>(t1, t2, s)
-            }
+    /// [`crate::within::dtw_nn_refutes`] over the packed sweep: the fold is
+    /// the scalar form's own, instantiated here so that it and the sweep
+    /// inline into one `#[target_feature]` body. `t2`'s minima stream in,
+    /// `W` roots per vector `sqrt`, added in index order; `t1`'s are summed
+    /// at the end.
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn dtw_nn_refutes(
+        t1: &[Point],
+        t2: &[Point],
+        threshold: f64,
+        s: &mut DistScratch,
+    ) -> bool {
+        sum_sqrt_refutes(threshold, |cols| {
+            kern::query_major_sweep::<V>(t1, t2, s, |mins: V, w| {
+                let roots = mins.sqrt().to_array();
+                roots[..w].iter().all(|&r| cols.admits_root(r))
+            })
+        })
+    }
 
-            /// [`crate::within::dtw_nn_refutes`] over the packed sweep: the
-            /// fold is the scalar form's own, instantiated here so that it
-            /// and the sweep inline into one `#[target_feature]` body. `t2`'s
-            /// minima stream in, `W` roots per vector `sqrt`, added in index
-            /// order; `t1`'s are summed at the end.
-            #[target_feature(enable = $feat)]
-            pub(crate) unsafe fn dtw_nn_refutes(
-                t1: &[Point],
-                t2: &[Point],
-                threshold: f64,
-                s: &mut DistScratch,
-            ) -> bool {
-                sum_sqrt_refutes(threshold, |cols| {
-                    kern::query_major_sweep::<V>(t1, t2, s, |mins: V, w| {
-                        let roots = mins.sqrt().to_array();
-                        roots[..w].iter().all(|&r| cols.admits_root(r))
-                    })
-                })
-            }
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn dtw_siblings(
+        parent: &[f64],
+        first: bool,
+        query: &[Point],
+        cells: &[Mbr],
+        children: &mut [DtwColumn],
+    ) {
+        batch::dtw_siblings::<V>(parent, first, query, cells, children)
+    }
 
-            #[target_feature(enable = $feat)]
-            pub(crate) unsafe fn dtw_siblings(
-                parent: &[f64],
-                first: bool,
-                query: &[Point],
-                cells: &[Mbr],
-                children: &mut [DtwColumn],
-            ) {
-                batch::dtw_siblings::<V>(parent, first, query, cells, children)
-            }
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn hausdorff_within(
+        t1: &[Point],
+        t2: &[Point],
+        threshold: f64,
+    ) -> Option<f64> {
+        kern::hausdorff_within::<V>(t1, t2, threshold)
+    }
 
-            #[target_feature(enable = $feat)]
-            pub(crate) unsafe fn hausdorff_within(
-                t1: &[Point],
-                t2: &[Point],
-                threshold: f64,
-            ) -> Option<f64> {
-                kern::hausdorff_within::<V>(t1, t2, threshold)
-            }
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn batch_dtw(
+        query: &[Point],
+        cands: &[&[Point]],
+        threshold: f64,
+        s: &mut DistScratch,
+        out: &mut [Option<f64>],
+    ) {
+        batch::batch_dp::<V, false, true>(query, cands, threshold, s, out)
+    }
 
-            #[target_feature(enable = $feat)]
-            pub(crate) unsafe fn batch_dtw(
-                query: &[Point],
-                cands: &[&[Point]],
-                threshold: f64,
-                s: &mut DistScratch,
-                out: &mut [Option<f64>],
-            ) {
-                batch::batch_dp::<V, false, true>(query, cands, threshold, s, out)
-            }
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn batch_frechet(
+        query: &[Point],
+        cands: &[&[Point]],
+        threshold: f64,
+        s: &mut DistScratch,
+        out: &mut [Option<f64>],
+    ) {
+        batch::batch_dp::<V, true, false>(query, cands, threshold, s, out)
+    }
 
-            #[target_feature(enable = $feat)]
-            pub(crate) unsafe fn batch_frechet(
-                query: &[Point],
-                cands: &[&[Point]],
-                threshold: f64,
-                s: &mut DistScratch,
-                out: &mut [Option<f64>],
-            ) {
-                batch::batch_dp::<V, true, false>(query, cands, threshold, s, out)
-            }
-
-            #[target_feature(enable = $feat)]
-            pub(crate) unsafe fn batch_erp(
-                query: &[Point],
-                cands: &[&[Point]],
-                gap: Point,
-                threshold: f64,
-                s: &mut DistScratch,
-                out: &mut [Option<f64>],
-            ) {
-                batch::batch_erp::<V>(query, cands, gap, threshold, s, out)
-            }
-        }
-    };
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn batch_erp(
+        query: &[Point],
+        cands: &[&[Point]],
+        gap: Point,
+        threshold: f64,
+        s: &mut DistScratch,
+        out: &mut [Option<f64>],
+    ) {
+        batch::batch_erp::<V>(query, cands, gap, threshold, s, out)
+    }
 }
-
-backend_impls!(
-    sse41,
-    "128-bit (SSE4.1) instantiations of the generic kernels.",
-    "sse4.1",
-    core::arch::x86_64::__m128d
-);
-backend_impls!(
-    avx2,
-    "256-bit (AVX2) instantiations of the generic kernels.",
-    "avx2",
-    core::arch::x86_64::__m256d
-);

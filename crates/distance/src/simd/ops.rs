@@ -1,10 +1,10 @@
 //! Packed-`f64` abstraction over the x86-64 `std::arch` intrinsics.
 //!
-//! One trait, two widths: [`F64s`] is implemented for `__m128d` (SSE4.1,
-//! 2 lanes) and `__m256d` (AVX2, 4 lanes), and every generic kernel in
-//! this module tree is monomorphized over it from inside a
-//! `#[target_feature]` wrapper, so each method compiles to exactly one
-//! instruction in context.
+//! One trait, one width: [`F64s`] is implemented for `__m256d` (AVX2,
+//! 4 lanes), the only vector backend — an x86-64 CPU without AVX2 runs the
+//! scalar kernels. Every generic kernel in this module tree is
+//! monomorphized over it from inside a `#[target_feature]` wrapper, so
+//! each method compiles to exactly one instruction in context.
 //!
 //! Bit-identity ground rules the trait encodes:
 //!
@@ -28,7 +28,7 @@ use repose_model::Point;
 ///
 /// Callers of every method must prove the corresponding CPU feature is
 /// available, which the `#[target_feature]` backend wrappers in
-/// `simd::sse41` / `simd::avx2` do once per kernel invocation; the pointer
+/// `simd::avx2` do once per kernel invocation; the pointer
 /// methods additionally need `W` (for [`F64s::load_points`], `W` points)
 /// readable or writable elements behind the pointer.
 pub(crate) trait F64s: Copy {
@@ -54,10 +54,9 @@ pub(crate) trait F64s: Copy {
     /// associative and commutative (no rounding), so the reduction order
     /// does not affect the result bits.
     unsafe fn hmin(self) -> f64;
-    /// Transpose-min of the first `W` packs of `rows` (the rest are
-    /// ignored): lane `s` of the result is the horizontal minimum of
-    /// `rows[s]`. `W` horizontal minima for the shuffles of one transpose;
-    /// order-independent like [`F64s::hmin`].
+    /// Transpose-min of `rows`: lane `s` of the result is the horizontal
+    /// minimum of `rows[s]`. `W` horizontal minima for the shuffles of one
+    /// transpose; order-independent like [`F64s::hmin`].
     unsafe fn transpose_min(rows: &[Self; 4]) -> Self;
     /// `x` and `y` coordinates of `W` consecutive points, in index order.
     /// Sound because [`Point`] is `repr(C)` with `x` before `y`.
@@ -66,92 +65,18 @@ pub(crate) trait F64s: Copy {
     /// Gathers `W` lanes from a closure (stack round-trip; used on cold
     /// edges and per-step batch point loads, never in per-cell loops).
     #[inline(always)]
-    unsafe fn from_fn(mut f: impl FnMut(usize) -> f64) -> Self {
-        let mut buf = [0.0f64; 8];
-        for (l, slot) in buf.iter_mut().enumerate().take(Self::W) {
-            *slot = f(l);
-        }
+    unsafe fn from_fn(f: impl FnMut(usize) -> f64) -> Self {
+        let buf: [f64; 4] = core::array::from_fn(f);
         Self::loadu(buf.as_ptr())
     }
 
-    /// The lanes in order, zeros past `W` (a stack round-trip, for reading
-    /// lanes out one by one).
+    /// The lanes in order (a stack round-trip, for reading lanes out one by
+    /// one).
     #[inline(always)]
     unsafe fn to_array(self) -> [f64; 4] {
         let mut buf = [0.0f64; 4];
         self.storeu(buf.as_mut_ptr());
         buf
-    }
-}
-
-impl F64s for __m128d {
-    const W: usize = 2;
-
-    #[inline(always)]
-    unsafe fn splat(x: f64) -> Self {
-        _mm_set1_pd(x)
-    }
-    #[inline(always)]
-    unsafe fn loadu(p: *const f64) -> Self {
-        _mm_loadu_pd(p)
-    }
-    #[inline(always)]
-    unsafe fn storeu(self, p: *mut f64) {
-        _mm_storeu_pd(p, self)
-    }
-    #[inline(always)]
-    unsafe fn add(self, o: Self) -> Self {
-        _mm_add_pd(self, o)
-    }
-    #[inline(always)]
-    unsafe fn sub(self, o: Self) -> Self {
-        _mm_sub_pd(self, o)
-    }
-    #[inline(always)]
-    unsafe fn mul(self, o: Self) -> Self {
-        _mm_mul_pd(self, o)
-    }
-    #[inline(always)]
-    unsafe fn sqrt(self) -> Self {
-        _mm_sqrt_pd(self)
-    }
-    #[inline(always)]
-    unsafe fn min(self, o: Self) -> Self {
-        _mm_min_pd(self, o)
-    }
-    #[inline(always)]
-    unsafe fn max(self, o: Self) -> Self {
-        _mm_max_pd(self, o)
-    }
-    #[inline(always)]
-    unsafe fn le(self, o: Self) -> Self {
-        _mm_cmple_pd(self, o)
-    }
-    #[inline(always)]
-    unsafe fn select(mask: Self, a: Self, b: Self) -> Self {
-        _mm_blendv_pd(b, a, mask)
-    }
-    #[inline(always)]
-    unsafe fn movemask(self) -> u32 {
-        _mm_movemask_pd(self) as u32
-    }
-    #[inline(always)]
-    unsafe fn hmin(self) -> f64 {
-        let hi = _mm_unpackhi_pd(self, self);
-        _mm_cvtsd_f64(_mm_min_sd(self, hi))
-    }
-    #[inline(always)]
-    unsafe fn transpose_min(rows: &[Self; 4]) -> Self {
-        let [a, b, ..] = *rows;
-        // (a0 b0) min (a1 b1)
-        _mm_min_pd(_mm_unpacklo_pd(a, b), _mm_unpackhi_pd(a, b))
-    }
-    #[inline(always)]
-    unsafe fn load_points(p: *const Point) -> (Self, Self) {
-        let f = p as *const f64;
-        let a = _mm_loadu_pd(f); // x0 y0
-        let b = _mm_loadu_pd(f.add(2)); // x1 y1
-        (_mm_unpacklo_pd(a, b), _mm_unpackhi_pd(a, b))
     }
 }
 

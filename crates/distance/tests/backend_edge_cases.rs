@@ -92,9 +92,8 @@ fn single_point_against_long() {
     }
 }
 
-/// Lane-remainder lengths around the SSE (2) and AVX2 (4) widths, plus
-/// chunked-Hausdorff (8) boundaries: every `n % 4 != 0` and `n % 8 != 0`
-/// tail path runs.
+/// Lane-remainder lengths around the AVX2 (4) width, plus chunked-Hausdorff
+/// (8) boundaries: every `n % 4 != 0` and `n % 8 != 0` tail path runs.
 #[test]
 fn lane_remainders() {
     for &(la, lb) in &[(4usize, 5usize), (5, 4), (6, 7), (7, 6), (8, 9), (15, 17), (17, 15)] {
@@ -197,7 +196,7 @@ fn empty_inputs_on_every_backend() {
     });
 }
 
-/// Batched verification with ragged lengths straddling the lane widths:
+/// Batched verification with ragged lengths straddling the lane width:
 /// every group shape from 1 to 6 candidates, including empty candidates
 /// (settled by the sequential fallback inside the group).
 #[test]
@@ -238,8 +237,8 @@ fn batched_ragged_groups() {
 /// A lane group in which exactly one candidate survives the prefilter: the
 /// group is not worth a vector, so the survivor is scored by the sequential
 /// kernel — which for DTW/Fréchet/ERP is the scalar kernel on every backend.
-/// `[far, near, far, far]` gives one survivor per 4-lane group, and per
-/// 2-lane group one survivor then none.
+/// `[far, near, far, far]` is one 4-lane group with one survivor, in the
+/// second lane; the scalar backend scores the four one at a time.
 #[test]
 fn batched_group_with_one_survivor() {
     let query = traj(9, 23);
@@ -272,9 +271,10 @@ fn batched_group_with_one_survivor() {
     }
 }
 
-/// Lane groups the DTW nearest-neighbour stage thins to 0, 1, 2 and W
-/// survivors. Zero lower bounds keep the summary prefilter out of the way,
-/// so the far candidates are refused by the stage itself; a sole survivor
+/// Lane groups the DTW nearest-neighbour stage thins to 0, 1, 2, 3 and W
+/// survivors (3 leaves one lane of the vector idle). Zero lower bounds keep
+/// the summary prefilter out of the way, so the far candidates are refused
+/// by the stage itself; a sole survivor
 /// goes straight to the scalar dynamic program, several to the lane-batched
 /// one — and every slot still equals the frozen reference, on every backend.
 #[test]
@@ -293,10 +293,11 @@ fn batched_dtw_groups_thinned_by_the_nn_stage() {
     let thr = just_above(near.iter().map(|c| dtw(c)).fold(0.0f64, f64::max));
     assert!(far.iter().all(|c| dtw(c) > thr), "the fixture's far candidates must be refused");
     // `true` = a near candidate in that lane.
-    let patterns: [[bool; 4]; 5] = [
+    let patterns: [[bool; 4]; 6] = [
         [false, false, false, false],
         [false, true, false, false],
         [true, false, false, true],
+        [true, true, false, true],
         [true, true, true, true],
         [false, false, true, true],
     ];

@@ -112,7 +112,7 @@ fn check_dtw_nn_stage(a: &[Point], b: &[Point]) {
 }
 
 /// The shapes where a nearest-neighbour bound is tight or degenerate, at
-/// every length around the SSE (2) and AVX2 (4) widths.
+/// every length around the AVX2 (4) width.
 #[test]
 fn dtw_nn_stage_is_sound_on_adversarial_pairs() {
     let wiggle = |n: usize, seed: u64| -> Vec<Point> {
