@@ -1,100 +1,6 @@
 use crate::within::dtw_within;
 use crate::DistScratch;
-use repose_model::{Mbr, Point};
-
-/// One DTW column transition (Eq. 15) over a caller-owned column buffer;
-/// `ground(q)` is the ground distance of query point `q` to the new
-/// reference element. Returns the new column's minimum.
-///
-/// This is the single implementation of the DTW recurrence: the
-/// incremental [`DtwColumn`] and the threshold kernel ([`crate::within`])
-/// both route through it, which is what keeps their results
-/// bit-identical. The DP wavefront (`f_{i-1,j-1}`, `f_{i-1,j}`) is carried
-/// in registers and the column is walked with a zipped iterator, so the
-/// inner loop has no bounds checks.
-#[inline]
-pub(crate) fn dtw_advance<F: Fn(&Point) -> f64>(
-    col: &mut [f64],
-    first: bool,
-    query: &[Point],
-    ground: F,
-) -> f64 {
-    debug_assert_eq!(col.len(), query.len());
-    let mut cmin = f64::INFINITY;
-    if first {
-        // First column: f_{i,1} = sum_{t<=i} d(q_t, p_1).
-        let mut acc = 0.0;
-        for (c, q) in col.iter_mut().zip(query) {
-            acc += ground(q);
-            *c = acc;
-            if acc < cmin {
-                cmin = acc;
-            }
-        }
-    } else {
-        // prev_im1 = f_{i-1,j-1} (old col value one row up), last_new =
-        // f_{i-1,j} (this column's value one row up).
-        let mut prev_im1 = f64::INFINITY;
-        let mut last_new = f64::INFINITY;
-        for (i, (c, q)) in col.iter_mut().zip(query).enumerate() {
-            let d = ground(q);
-            let old = *c;
-            let best_pred = if i == 0 {
-                old // f_{1,j} = d + f_{1,j-1}
-            } else {
-                prev_im1.min(old).min(last_new)
-            };
-            prev_im1 = old;
-            let new = d + best_pred;
-            *c = new;
-            last_new = new;
-            if new < cmin {
-                cmin = new;
-            }
-        }
-    }
-    cmin
-}
-
-/// Two DTW column transitions in one pass over the column buffer: the
-/// buffer holds column `j-1` on entry and column `j+1` on exit.
-///
-/// Each cell is computed from exactly the same operands in the same order
-/// as two successive [`dtw_advance`] calls — results are bit-identical —
-/// but the two columns' serial min-chains interleave in the pipeline, so
-/// the chain-latency-bound DP runs substantially faster. Returns both
-/// columns' minima (callers that abandon must check them in column
-/// order).
-#[inline]
-pub(crate) fn dtw_advance2<F1: Fn(&Point) -> f64, F2: Fn(&Point) -> f64>(
-    col: &mut [f64],
-    query: &[Point],
-    ground1: F1,
-    ground2: F2,
-) -> (f64, f64) {
-    debug_assert_eq!(col.len(), query.len());
-    let (mut cmin1, mut cmin2) = (f64::INFINITY, f64::INFINITY);
-    // a = f_{i-1,j-1}, b = f_{i-1,j}, c2 = f_{i-1,j+1}.
-    let (mut a, mut b, mut c2) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-    for (i, (c, q)) in col.iter_mut().zip(query).enumerate() {
-        let d1 = ground1(q);
-        let d2 = ground2(q);
-        let old = *c; // f_{i,j-1}
-        let v1 = if i == 0 { d1 + old } else { d1 + a.min(old).min(b) };
-        let v2 = if i == 0 { d2 + v1 } else { d2 + b.min(v1).min(c2) };
-        a = old;
-        b = v1;
-        c2 = v2;
-        *c = v2;
-        if v1 < cmin1 {
-            cmin1 = v1;
-        }
-        if v2 < cmin2 {
-            cmin2 = v2;
-        }
-    }
-    (cmin1, cmin2)
-}
+use repose_model::Point;
 
 /// Dynamic time warping distance between two trajectories (Eq. 12),
 /// with Euclidean ground distance and no warping window.
@@ -108,98 +14,10 @@ pub fn dtw(t1: &[Point], t2: &[Point]) -> f64 {
     })
 }
 
-/// Incremental DTW column kernel (Section VI-B).
-///
-/// Maintains the last column of the DTW matrix between a fixed query (rows)
-/// and a reference sequence growing one element at a time (columns), via
-/// Eq. 15:
-///
-/// ```text
-/// f_{i,j} = d'(q_i, p*_j) + min(f_{i-1,j-1}, f_{i-1,j}, f_{i,j-1})
-/// ```
-///
-/// `cmin` of the newly added column is the one-side bound (Eq. 13) and
-/// `last` (`f_{m,n}`) is the two-side bound (Eq. 14). The ground distance is
-/// caller-supplied so the trie search can use the minimum distance from a
-/// query point to a grid *cell* (`d'`), which the paper requires because DTW
-/// does not obey the triangle inequality.
-#[derive(Debug, Clone)]
-pub struct DtwColumn {
-    pub(crate) col: Vec<f64>,
-    pub(crate) cmin: f64,
-    len: usize,
-}
-
-impl DtwColumn {
-    /// State for a query with `m` points, before any reference element.
-    pub fn new(m: usize) -> Self {
-        assert!(m > 0, "query must be non-empty");
-        DtwColumn { col: vec![0.0; m], cmin: f64::INFINITY, len: 0 }
-    }
-
-    /// Number of reference elements consumed.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no reference element has been consumed.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Pushes the next reference point with Euclidean ground distance.
-    pub fn push(&mut self, query: &[Point], p: Point) {
-        self.push_with(query, |q| q.dist(&p));
-    }
-
-    /// Pushes the next reference element with a caller-supplied ground
-    /// distance.
-    pub fn push_with<F: Fn(&Point) -> f64>(&mut self, query: &[Point], ground: F) {
-        debug_assert_eq!(query.len(), self.col.len());
-        self.cmin = dtw_advance(&mut self.col, self.len == 0, query, ground);
-        self.len += 1;
-    }
-
-    /// Sibling expansion: `children[s]` becomes this column with one more
-    /// reference element whose ground cost is `cells[s].min_dist(q)` — bit
-    /// for bit `self.clone()` followed by
-    /// `push_with(query, |q| cells[s].min_dist(*q))` — without allocating
-    /// when the children's buffers already fit (any column of a query of
-    /// this length does; their old contents are overwritten).
-    ///
-    /// On the AVX2 backend 4 siblings advance per pass over the query and
-    /// the parent column is read once per pass; the scalar backend copies
-    /// and pushes them one by one.
-    pub fn push_cells(&self, query: &[Point], cells: &[Mbr], children: &mut [DtwColumn]) {
-        assert_eq!(cells.len(), children.len(), "one cell per child");
-        debug_assert_eq!(query.len(), self.col.len());
-        for child in children.iter_mut() {
-            child.col.resize(self.col.len(), 0.0);
-            child.len = self.len + 1;
-        }
-        let (parent, first) = (&self.col, self.len == 0);
-        crate::backend::simd_dispatch!(dtw_siblings(parent, first, query, cells, children));
-        for (cell, child) in cells.iter().zip(children) {
-            child.col.copy_from_slice(parent);
-            child.cmin = dtw_advance(&mut child.col, first, query, |q| cell.min_dist(*q));
-        }
-    }
-
-    /// Minimum of the most recently added column (Eq. 13).
-    pub fn cmin(&self) -> f64 {
-        self.cmin
-    }
-
-    /// `f_{m,n}`: DTW between the query and the consumed reference prefix
-    /// (Eq. 14). Only meaningful when `len() > 0`.
-    pub fn last(&self) -> f64 {
-        *self.col.last().expect("non-empty query")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DtwColumn;
 
     fn pts(v: &[(f64, f64)]) -> Vec<Point> {
         v.iter().map(|&(x, y)| Point::new(x, y)).collect()

@@ -20,11 +20,14 @@
 //! [`DistScratch`]; the per-measure free functions (`dtw(a, b)`, …) are the
 //! classic unbounded forms only.
 //!
-//! Besides the pairwise distances, this crate exposes the *incremental
-//! column kernels* that the RP-Trie search uses to evaluate lower bounds in
-//! `O(m)` per trie node (Section IV-C, Algorithm 1): when a reference
-//! trajectory grows by one point, only one new column of the distance matrix
-//! has to be computed, given the parent node's intermediate results. DTW's
+//! Each dynamic-program measure (Fréchet, DTW, ERP, EDR, LCSS) has one
+//! column recurrence, and both the exact kernels and the RP-Trie's
+//! *incremental bounds* push it (Section IV-C, Algorithm 1): when a
+//! reference trajectory grows by one point, only one new column of the
+//! distance matrix is computed, in `O(m)`, from the previous one. The
+//! columns ([`DtwColumn`], [`FrechetColumn`], [`ErpColumn`], [`EdrColumn`],
+//! [`LcssColumn`]) take their ground cost from the caller — the cell
+//! distance `d'` for a bound, the point's exact cost for a kernel. DTW's
 //! column also pushes a node's siblings side by side
 //! ([`DtwColumn::push_cells`]), in SIMD lanes where the backend has them.
 //!
@@ -61,6 +64,7 @@
 #![deny(unsafe_code)]
 
 pub mod backend;
+mod column;
 mod dtw;
 mod edr;
 mod erp;
@@ -78,10 +82,11 @@ mod summary;
 pub mod within;
 
 pub use backend::{active_backend, available_backends, force_backend, Backend};
-pub use dtw::{dtw, DtwColumn};
+pub use column::{DpColumn, DtwColumn, EdrColumn, ErpColumn, FrechetColumn, LcssColumn};
+pub use dtw::dtw;
 pub use edr::edr;
 pub use erp::erp;
-pub use frechet::{frechet, FrechetColumn};
+pub use frechet::frechet;
 pub use hausdorff::{directed_hausdorff, hausdorff, HausdorffState};
 pub use lcss::{lcss_distance, lcss_length};
 pub use measure::{Measure, MeasureParams, RefineEvent, BATCH_LANES};

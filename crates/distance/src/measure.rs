@@ -1,6 +1,6 @@
 use crate::hausdorff::hausdorff_in;
 use crate::within::{
-    bound_exceeds, dtw_dp_within, dtw_lb, dtw_nn_refutes, dtw_within, edr_lb, edr_within, erp_lb,
+    bound_exceeds, dp_within, dtw_lb, dtw_nn_refutes, dtw_within, edr_lb, edr_within, erp_lb,
     erp_within, frechet_lb, frechet_within, hausdorff_lb, hausdorff_within, just_above,
     lcss_distance_within, lcss_lb, prefilter_rejects,
 };
@@ -322,7 +322,7 @@ impl MeasureParams {
             out[slot[0]] = if measure == Measure::Dtw {
                 // Already past the prefilter and the nearest-neighbour
                 // stage: straight to the dynamic program.
-                dtw_dp_within(query, pts, threshold, scratch)
+                dp_within::<false>(query, pts, threshold, scratch)
             } else {
                 self.distance_within_from_lb_in(measure, query, pts, threshold, lb, scratch)
             };

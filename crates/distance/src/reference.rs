@@ -6,32 +6,35 @@
 //! module keeps those originals alive as the test oracle only: the
 //! bitwise-agreement property tests (`tests/scratch_agreement.rs`,
 //! `tests/within_agreement.rs`) pit every kernel against its original
-//! here, and the workspace's `tests/invariants.rs` checks the batched leaf
-//! verification against it on a datagen set.
+//! here, the workspace's `tests/invariants.rs` checks the batched leaf
+//! verification against it on a datagen set, and `tests/bound_columns.rs`
+//! pits the trie's five bound columns against their seed copies here.
 //!
 //! Production code must not call into this module.
 
 use crate::within::prefilter_rejects;
 use crate::{Measure, MeasureParams};
-use repose_model::Point;
+use repose_model::{Mbr, Point};
 
 /// Verbatim copy of the seed `FrechetColumn` (owned `vec!` column,
 /// linear-space values, indexed inner loop) — the current
 /// [`crate::FrechetColumn`] shares the refactor's fused recurrence, so the
 /// seed loop shape is preserved here instead.
-struct SeedFrechetColumn {
+pub struct SeedFrechetColumn {
     col: Vec<f64>,
     cmin: f64,
     len: usize,
 }
 
 impl SeedFrechetColumn {
-    fn new(m: usize) -> Self {
+    /// State for a query with `m` points.
+    pub fn new(m: usize) -> Self {
         SeedFrechetColumn { col: vec![0.0; m], cmin: f64::INFINITY, len: 0 }
     }
 
     #[allow(clippy::needless_range_loop)] // i also indexes the DP column
-    fn push_with<F: Fn(&Point) -> f64>(&mut self, query: &[Point], ground: F) {
+    /// Consumes one reference element with ground cost `ground`.
+    pub fn push_with<F: Fn(&Point) -> f64>(&mut self, query: &[Point], ground: F) {
         let m = self.col.len();
         let mut cmin = f64::INFINITY;
         if self.len == 0 {
@@ -64,29 +67,33 @@ impl SeedFrechetColumn {
         self.len += 1;
     }
 
-    fn cmin(&self) -> f64 {
+    /// Minimum of the newest column.
+    pub fn cmin(&self) -> f64 {
         self.cmin
     }
 
-    fn last(&self) -> f64 {
+    /// The column's last cell.
+    pub fn last(&self) -> f64 {
         *self.col.last().expect("non-empty query")
     }
 }
 
 /// Verbatim copy of the seed `DtwColumn` (see [`SeedFrechetColumn`]).
-struct SeedDtwColumn {
+pub struct SeedDtwColumn {
     col: Vec<f64>,
     cmin: f64,
     len: usize,
 }
 
 impl SeedDtwColumn {
-    fn new(m: usize) -> Self {
+    /// State for a query with `m` points.
+    pub fn new(m: usize) -> Self {
         SeedDtwColumn { col: vec![0.0; m], cmin: f64::INFINITY, len: 0 }
     }
 
     #[allow(clippy::needless_range_loop)] // i also indexes the DP column
-    fn push_with<F: Fn(&Point) -> f64>(&mut self, query: &[Point], ground: F) {
+    /// Consumes one reference element with ground cost `ground`.
+    pub fn push_with<F: Fn(&Point) -> f64>(&mut self, query: &[Point], ground: F) {
         let m = self.col.len();
         let mut cmin = f64::INFINITY;
         if self.len == 0 {
@@ -118,12 +125,163 @@ impl SeedDtwColumn {
         self.len += 1;
     }
 
-    fn cmin(&self) -> f64 {
+    /// Minimum of the newest column.
+    pub fn cmin(&self) -> f64 {
         self.cmin
     }
 
-    fn last(&self) -> f64 {
+    /// The column's last cell.
+    pub fn last(&self) -> f64 {
         *self.col.last().expect("non-empty query")
+    }
+}
+
+/// Verbatim copy of the seed trie bound `ErpColumn` (indexed inner loop,
+/// the cell's costs computed in the push) — the oracle of
+/// [`crate::ErpColumn`]. Row 0 is the all-reference-gaps boundary, so the
+/// column has `m + 1` entries.
+#[derive(Debug, Clone)]
+pub struct SeedErpColumn {
+    col: Vec<f64>,
+    /// `d(q_i, g)` per query point, precomputed.
+    qgap: Vec<f64>,
+    gap: Point,
+    cmin: f64,
+}
+
+impl SeedErpColumn {
+    /// State for `query` with gap point `gap`.
+    pub fn new(query: &[Point], gap: Point) -> Self {
+        let qgap: Vec<f64> = query.iter().map(|q| q.dist(&gap)).collect();
+        // f_{i,0} = sum of query gap costs (delete all query points so far).
+        let mut col = Vec::with_capacity(query.len() + 1);
+        col.push(0.0);
+        for &g in &qgap {
+            col.push(col.last().unwrap() + g);
+        }
+        SeedErpColumn { col, qgap, gap, cmin: f64::INFINITY }
+    }
+
+    /// Consumes one reference cell.
+    pub fn push(&mut self, query: &[Point], cell: Mbr) {
+        let rgap = cell.min_dist(self.gap);
+        let mut cmin;
+        let mut prev_im1 = self.col[0];
+        self.col[0] += rgap;
+        cmin = self.col[0];
+        for i in 1..self.col.len() {
+            let matchc = cell.min_dist(query[i - 1]);
+            let old = self.col[i];
+            self.col[i] = (prev_im1 + matchc)
+                .min(old + rgap)
+                .min(self.col[i - 1] + self.qgap[i - 1]);
+            prev_im1 = old;
+            if self.col[i] < cmin {
+                cmin = self.col[i];
+            }
+        }
+        self.cmin = cmin;
+    }
+
+    /// Minimum of the newest column (0 at the root).
+    pub fn cmin(&self) -> f64 {
+        if self.cmin.is_finite() {
+            self.cmin
+        } else {
+            0.0 // no reference cell consumed yet (root)
+        }
+    }
+
+    /// The column's last cell.
+    pub fn last(&self) -> f64 {
+        *self.col.last().expect("non-empty column")
+    }
+}
+
+/// Verbatim copy of the seed trie bound `EdrColumn` — the oracle of
+/// [`crate::EdrColumn`]: substitution cost is 0 iff the query point's
+/// `ε`-box intersects the cell, otherwise 1; insert/delete cost 1.
+#[derive(Debug, Clone)]
+pub struct SeedEdrColumn {
+    col: Vec<u32>,
+    cmin: u32,
+}
+
+impl SeedEdrColumn {
+    /// State for a query with `m` points.
+    pub fn new(m: usize) -> Self {
+        // f_{i,0} = i deletions of query points.
+        SeedEdrColumn { col: (0..=m as u32).collect(), cmin: u32::MAX }
+    }
+
+    fn can_match(q: Point, cell: &Mbr, eps: f64) -> bool {
+        q.x >= cell.min.x - eps
+            && q.x <= cell.max.x + eps
+            && q.y >= cell.min.y - eps
+            && q.y <= cell.max.y + eps
+    }
+
+    /// Consumes one reference cell.
+    pub fn push(&mut self, query: &[Point], cell: Mbr, eps: f64) {
+        let mut prev_im1 = self.col[0];
+        self.col[0] += 1;
+        let mut cmin = self.col[0];
+        for i in 1..self.col.len() {
+            let sub = u32::from(!Self::can_match(query[i - 1], &cell, eps));
+            let old = self.col[i];
+            self.col[i] = (prev_im1 + sub).min(old + 1).min(self.col[i - 1] + 1);
+            prev_im1 = old;
+            cmin = cmin.min(self.col[i]);
+        }
+        self.cmin = cmin;
+    }
+
+    /// Minimum of the newest column (0 at the root).
+    pub fn cmin(&self) -> f64 {
+        if self.cmin == u32::MAX {
+            0.0
+        } else {
+            f64::from(self.cmin)
+        }
+    }
+
+    /// The column's last cell.
+    pub fn last(&self) -> f64 {
+        f64::from(*self.col.last().expect("non-empty column"))
+    }
+}
+
+/// Verbatim copy of the seed trie bound `LcssColumn` (an `m + 1` column
+/// whose match cell takes the `max` of all three neighbours) — the oracle
+/// of [`crate::LcssColumn`].
+#[derive(Debug, Clone)]
+pub struct SeedLcssColumn {
+    col: Vec<u32>,
+}
+
+impl SeedLcssColumn {
+    /// State for a query with `m` points.
+    pub fn new(m: usize) -> Self {
+        SeedLcssColumn { col: vec![0; m + 1] }
+    }
+
+    /// Consumes one reference cell.
+    pub fn push(&mut self, query: &[Point], cell: Mbr, eps: f64) {
+        let mut prev_im1 = self.col[0];
+        for i in 1..self.col.len() {
+            let old = self.col[i];
+            self.col[i] = if SeedEdrColumn::can_match(query[i - 1], &cell, eps) {
+                (prev_im1 + 1).max(old).max(self.col[i - 1])
+            } else {
+                old.max(self.col[i - 1])
+            };
+            prev_im1 = old;
+        }
+    }
+
+    /// Upper bound on the LCSS length (last row of the DP).
+    pub fn max_len(&self) -> u32 {
+        *self.col.last().expect("non-empty column")
     }
 }
 

@@ -1,8 +1,8 @@
 //! Reusable DP scratch for the exact kernels: the zero-allocation
 //! verification path.
 //!
-//! Every distance kernel needs a row or column of DP state (and ERP a
-//! cached gap-distance row). Allocating those per call puts the allocator
+//! Every distance kernel needs a column of DP state (and ERP its query's
+//! gap costs). Allocating those per call puts the allocator
 //! on the hot path of every verification — the dominant cost of a query
 //! once the index has pruned (Section VI of the paper). A [`DistScratch`]
 //! owns those buffers and is reused across calls: after the first few
@@ -29,40 +29,26 @@ pub(crate) struct Lane4(pub [f64; 4]);
 /// Reusable kernel scratch space (see module docs).
 ///
 /// The buffers are deliberately typed by role, not by kernel: `fa` serves
-/// as the DP column (DTW, Fréchet) or the column-minima row (Hausdorff),
-/// `fa`/`fb` as the ERP row pair with `fc` caching its gap distances;
-/// `ua`/`ub` are the integer row pair of EDR and LCSS; `lanes` holds the
-/// lane-interleaved column state of batched multi-candidate verification.
+/// as the DP column (DTW, Fréchet, ERP) or the column-minima row
+/// (Hausdorff), `fb` as ERP's query gap costs; `u` is the integer column
+/// of EDR and LCSS; `lanes` holds the lane-interleaved column state of
+/// batched multi-candidate verification.
 /// A single scratch therefore serves all six measures interchangeably.
 #[derive(Debug, Default)]
 pub struct DistScratch {
     fa: Vec<f64>,
     fb: Vec<f64>,
     fc: Vec<f64>,
-    ua: Vec<u32>,
-    ub: Vec<u32>,
+    u: Vec<u32>,
     lanes: Vec<Lane4>,
-}
-
-fn grow_u(buf: &mut Vec<u32>, n: usize) -> &mut [u32] {
-    buf.clear();
-    buf.resize(n, 0);
-    &mut buf[..]
 }
 
 /// Returns a length-`n` view of `buf` without clearing retained values:
 /// for kernels that fully initialize the buffer before reading it, the
 /// per-call `memset` is waste the warm path should not pay.
-fn grow_f_uninit(buf: &mut Vec<f64>, n: usize) -> &mut [f64] {
+fn grow_uninit<T: Copy + Default>(buf: &mut Vec<T>, n: usize) -> &mut [T] {
     if buf.len() < n {
-        buf.resize(n, 0.0);
-    }
-    &mut buf[..n]
-}
-
-fn grow_u_uninit(buf: &mut Vec<u32>, n: usize) -> &mut [u32] {
-    if buf.len() < n {
-        buf.resize(n, 0);
+        buf.resize(n, T::default());
     }
     &mut buf[..n]
 }
@@ -77,11 +63,12 @@ impl DistScratch {
     /// kernels that fully initialize it before any read (DTW/Fréchet first
     /// column, Hausdorff after its own `fill`).
     pub(crate) fn f1_uninit(&mut self, n: usize) -> &mut [f64] {
-        grow_f_uninit(&mut self.fa, n)
+        grow_uninit(&mut self.fa, n)
     }
 
-    /// Three `f64` buffers with **unspecified contents** (the ERP rows and
-    /// gap cache; ERP writes every entry it reads).
+    /// Three `f64` buffers with **unspecified contents** (ERP's column and
+    /// query gap costs, the packed nearest-neighbour sweep's lane arrays;
+    /// each writes every entry it reads).
     pub(crate) fn f3_uninit(
         &mut self,
         na: usize,
@@ -89,25 +76,16 @@ impl DistScratch {
         nc: usize,
     ) -> (&mut [f64], &mut [f64], &mut [f64]) {
         (
-            grow_f_uninit(&mut self.fa, na),
-            grow_f_uninit(&mut self.fb, nb),
-            grow_f_uninit(&mut self.fc, nc),
+            grow_uninit(&mut self.fa, na),
+            grow_uninit(&mut self.fb, nb),
+            grow_uninit(&mut self.fc, nc),
         )
     }
 
-    /// Two zeroed `u32` buffers (LCSS relies on the zeros: row slot 0 is
-    /// read but never written).
-    pub(crate) fn u2(&mut self, na: usize, nb: usize) -> (&mut [u32], &mut [u32]) {
-        (grow_u(&mut self.ua, na), grow_u(&mut self.ub, nb))
-    }
-
-    /// Two `u32` buffers with **unspecified contents** (EDR initializes
-    /// both rows before reading).
-    pub(crate) fn u2_uninit(&mut self, na: usize, nb: usize) -> (&mut [u32], &mut [u32]) {
-        (
-            grow_u_uninit(&mut self.ua, na),
-            grow_u_uninit(&mut self.ub, nb),
-        )
+    /// One `u32` column of length `n` with **unspecified contents** (EDR
+    /// and LCSS initialize it before the first push).
+    pub(crate) fn u1_uninit(&mut self, n: usize) -> &mut [u32] {
+        grow_uninit(&mut self.u, n)
     }
 
     /// Lane-interleaved batch column state (length `nl` lane groups) plus
@@ -124,8 +102,8 @@ impl DistScratch {
         }
         (
             &mut self.lanes[..nl],
-            grow_f_uninit(&mut self.fa, na),
-            grow_f_uninit(&mut self.fb, nb),
+            grow_uninit(&mut self.fa, na),
+            grow_uninit(&mut self.fb, nb),
         )
     }
 
@@ -137,7 +115,7 @@ impl DistScratch {
     pub fn footprint(&self) -> usize {
         (self.fa.capacity() + self.fb.capacity() + self.fc.capacity())
             * std::mem::size_of::<f64>()
-            + (self.ua.capacity() + self.ub.capacity()) * std::mem::size_of::<u32>()
+            + self.u.capacity() * std::mem::size_of::<u32>()
             + self.lanes.capacity() * std::mem::size_of::<Lane4>()
     }
 
@@ -172,17 +150,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn zeroed_buffers_are_zeroed_and_sized() {
+    fn buffers_are_sized() {
         let mut s = DistScratch::new();
-        {
-            let (u, v) = s.u2(3, 3);
-            u[0] = 5;
-            v[2] = 6;
-        }
-        // Reacquiring the zeroed accessor re-zeroes.
-        let (u, v) = s.u2(3, 3);
-        assert!(u.iter().all(|&x| x == 0));
-        assert!(v.iter().all(|&x| x == 0));
+        assert_eq!(s.u1_uninit(3).len(), 3);
         let (a, b, c) = s.f3_uninit(4, 7, 2);
         assert_eq!((a.len(), b.len(), c.len()), (4, 7, 2));
     }
@@ -191,23 +161,26 @@ mod tests {
     fn uninit_buffers_keep_capacity_and_contents() {
         let mut s = DistScratch::new();
         s.f1_uninit(8)[7] = 9.0;
+        s.u1_uninit(8)[7] = 9;
         // Shrinking views reuse the same storage without clearing.
         assert_eq!(s.f1_uninit(4).len(), 4);
         assert_eq!(s.f1_uninit(8)[7], 9.0);
+        assert_eq!(s.u1_uninit(4).len(), 4);
+        assert_eq!(s.u1_uninit(8)[7], 9);
     }
 
     #[test]
     fn footprint_stabilizes() {
         let mut s = DistScratch::new();
         s.f3_uninit(16, 16, 16);
-        s.u2(16, 16);
+        s.u1_uninit(16);
         let fp = s.footprint();
         assert!(fp > 0);
         // Smaller and equal requests never grow the footprint.
         s.f3_uninit(8, 16, 2);
-        s.u2(1, 16);
+        s.u1_uninit(1);
         s.f1_uninit(16);
-        s.u2_uninit(16, 4);
+        s.u1_uninit(16);
         assert_eq!(s.footprint(), fp);
     }
 

@@ -14,10 +14,10 @@
 //! each lane's value sequence identical to a standalone scalar run, so each
 //! returned `Option<f64>` is bit-identical to what the scalar threshold
 //! kernel returns for that candidate at the same threshold
-//! (abandon schedules may differ — ERP abandons on column instead of row
-//! minima — but any sound schedule yields the same `Some`/`None`: abandons
-//! only fire when the final distance provably reaches the threshold, and
-//! survivors all end at the same `(d < threshold)` gate).
+//! (lanes abandon on the column minima the scalar kernels check, and any
+//! sound schedule would yield the same `Some`/`None`: abandons only fire
+//! when the final distance provably reaches the threshold, and survivors
+//! all end at the same `(d < threshold)` gate).
 //!
 //! Candidates have independent lengths: a lane goes *inactive* once its
 //! candidate's points are exhausted (its column state is frozen via a
@@ -48,18 +48,19 @@ unsafe fn mask_from_bits<V: F64s>(bits: u32) -> V {
     V::from_fn(|l| if bits & (1 << l) != 0 { MASK_ON } else { 0.0 })
 }
 
-/// Packed `d(query_point, cand_l[j])` (squared when `!SQRT`) against the
+/// Packed `d(query_point, cand_l[j])` (squared unless `sqrt`) against the
 /// pre-gathered lane coordinates — `Point::dist`'s exact operation order.
+/// Callers pass a constant, which inlining folds away.
 ///
 /// # Safety
 ///
 /// The CPU must support `V`'s instruction set.
 #[inline(always)]
-unsafe fn lane_dists<V: F64s, const SQRT: bool>(q: Point, pxs: V, pys: V) -> V {
+unsafe fn lane_dists<V: F64s>(q: Point, pxs: V, pys: V, sqrt: bool) -> V {
     let dx = V::splat(q.x).sub(pxs);
     let dy = V::splat(q.y).sub(pys);
     let d = dx.mul(dx).add(dy.mul(dy));
-    if SQRT {
+    if sqrt {
         d.sqrt()
     } else {
         d
@@ -96,10 +97,9 @@ unsafe fn retire_lanes<V: F64s>(active: &mut u32, cleared: u32) -> Option<V> {
     }
 }
 
-/// Batched DTW (`MAX = false, SQRT = true`) / Fréchet (`MAX = true,
-/// SQRT = false`, squared space) early-abandoning verification: `out[l]` is
-/// bit-identical to the scalar `dtw_within` / `frechet_within` of
-/// `(query, cands[l])` at `threshold`.
+/// Batched DTW (`MAX = false`) / Fréchet (`MAX = true`, squared space)
+/// early-abandoning verification: `out[l]` is bit-identical to the scalar
+/// `dtw_within` / `frechet_within` of `(query, cands[l])` at `threshold`.
 ///
 /// # Safety
 ///
@@ -108,7 +108,7 @@ unsafe fn retire_lanes<V: F64s>(active: &mut u32, cleared: u32) -> Option<V> {
 /// query non-empty, `threshold > 0.0` and non-NaN,
 /// `out.len() >= cands.len()`.
 #[inline(always)]
-pub(crate) unsafe fn batch_dp<V: F64s, const MAX: bool, const SQRT: bool>(
+pub(crate) unsafe fn batch_dp<V: F64s, const MAX: bool>(
     query: &[Point],
     cands: &[&[Point]],
     threshold: f64,
@@ -131,7 +131,7 @@ pub(crate) unsafe fn batch_dp<V: F64s, const MAX: bool, const SQRT: bool>(
             // lanes are still active here, so stores are unconditional.
             let mut acc = V::splat(0.0);
             for (i, q) in query.iter().enumerate() {
-                let d = lane_dists::<V, SQRT>(*q, pxs, pys);
+                let d = lane_dists::<V>(*q, pxs, pys, !MAX);
                 acc = if MAX {
                     if i == 0 {
                         d
@@ -148,7 +148,7 @@ pub(crate) unsafe fn batch_dp<V: F64s, const MAX: bool, const SQRT: bool>(
             let mut prev_im1 = inf;
             let mut last_new = inf;
             for (i, q) in query.iter().enumerate() {
-                let d = lane_dists::<V, SQRT>(*q, pxs, pys);
+                let d = lane_dists::<V>(*q, pxs, pys, !MAX);
                 let ptr = colv[i].0.as_mut_ptr();
                 let old = V::loadu(ptr);
                 let best_pred =
@@ -200,7 +200,7 @@ pub(crate) unsafe fn batch_dp<V: F64s, const MAX: bool, const SQRT: bool>(
 /// `cells[s].min_dist(q)`.
 ///
 /// Siblings share the parent column, so it is read once per pass and
-/// broadcast; lane `s` repeats [`crate::dtw::dtw_advance`]'s exact
+/// broadcast; lane `s` repeats the scalar column push's exact
 /// operation order with `cells[s]`'s bounds in its lanes (lanes past the
 /// last sibling repeat it and are never written back), so every child's
 /// cells and `cmin` are the scalar push's bits.
@@ -299,7 +299,7 @@ pub(crate) unsafe fn batch_erp<V: F64s>(
     let (colv, ga, gapref) = scratch.batch_f(m + 1, m, m + 1);
     // d(q_i, gap) and the row-0 boundary prefix erp(i, 0), shared by all
     // lanes — the same scalar expressions, accumulated in the same order,
-    // as the scalar `erp_within`'s gap_a and first-row cursor.
+    // as the scalar column's `erp_init`.
     for (g, q) in ga.iter_mut().zip(query) {
         *g = q.dist(&gap);
     }
@@ -333,10 +333,11 @@ pub(crate) unsafe fn batch_erp<V: F64s>(
         let mut last_new = new0; // erp(i, j+1) of the row below
         let mut cminv = V::select(maskv, new0, inf);
         for (i, q) in query.iter().enumerate() {
-            let dab = lane_dists::<V, true>(*q, pxs, pys);
+            let dab = lane_dists::<V>(*q, pxs, pys, true);
             let ptr = colv[i + 1].0.as_mut_ptr();
             let old = V::loadu(ptr); // erp(i+1, j)
-            // Scalar cell: (diag + d(a,b)).min(up + gap_a).min(left + gb).
+            // The scalar `erp_advance` cell's three terms; `min` of non-NaN
+            // values is exact, so the order of the two `min`s moves no bit.
             let v = diag
                 .add(dab)
                 .min(last_new.add(V::splat(ga[i])))

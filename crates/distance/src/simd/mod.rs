@@ -128,7 +128,7 @@ pub(crate) mod avx2 {
         s: &mut DistScratch,
         out: &mut [Option<f64>],
     ) {
-        batch::batch_dp::<V, false, true>(query, cands, threshold, s, out)
+        batch::batch_dp::<V, false>(query, cands, threshold, s, out)
     }
 
     #[target_feature(enable = "avx2")]
@@ -139,7 +139,7 @@ pub(crate) mod avx2 {
         s: &mut DistScratch,
         out: &mut [Option<f64>],
     ) {
-        batch::batch_dp::<V, true, false>(query, cands, threshold, s, out)
+        batch::batch_dp::<V, true>(query, cands, threshold, s, out)
     }
 
     #[target_feature(enable = "avx2")]

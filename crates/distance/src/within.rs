@@ -8,15 +8,20 @@
 //!   [`crate::reference`] kernel's value) whenever `d < threshold`, and
 //! * `None` whenever the true distance is `>= threshold`.
 //!
-//! This is the *only* scalar dynamic program each of Fréchet, DTW, ERP, EDR
-//! and LCSS has: the unbounded distance is `within(+∞).unwrap_or(+∞)` — at
-//! an infinite threshold no finite minimum abandons, and the one value the
-//! final `d < +∞` gate turns into `None` is `+∞` itself (an empty input, or
-//! a DTW/ERP sum that overflowed). Hausdorff alone also keeps an unbounded
-//! kernel ([`crate::hausdorff`]): its single pass over the matrix is a
-//! different algorithm from the two directed passes used here, and faster
-//! when nothing can be abandoned. Inputs must be finite — a NaN coordinate
-//! voids the contract, which is why the service and wire edges reject one.
+//! Each DP measure has one recurrence, and the trie's incremental bounds
+//! push the same one: the kernels here push the candidate's points through
+//! the measure's column ([`crate::DtwColumn`], [`crate::FrechetColumn`],
+//! [`crate::ErpColumn`], [`crate::EdrColumn`], [`crate::LcssColumn`]) with
+//! their exact ground cost over a scratch buffer, where the trie pushes
+//! cells with an optimistic one. The unbounded distance is
+//! `within(+∞).unwrap_or(+∞)` — at an infinite threshold no finite minimum
+//! abandons, and the one value the final `d < +∞` gate turns into `None` is
+//! `+∞` itself (an empty input, or a DTW/ERP sum that overflowed).
+//! Hausdorff alone also keeps an unbounded kernel ([`crate::hausdorff`]):
+//! its single pass over the matrix is a different algorithm from the two
+//! directed passes used here, and faster when nothing can be abandoned.
+//! Inputs must be finite — a NaN coordinate voids the contract, which is
+//! why the service and wire edges reject one.
 //!
 //! A caller holding a running top-k threshold `dk` can therefore substitute
 //! `distance_within(.., dk)` for `distance(..)` without changing any query
@@ -37,20 +42,19 @@
 //!    candidate's points are broadcast against it, so the candidate's sum
 //!    streams and the query's is added at the end — the reverse of the
 //!    scalar sweep, which `dtw_nn_refutes` shows cannot change a refusal.
-//! 3. **Row-wise abandoning** inside the exact computation: Hausdorff stops
+//! 3. **Early abandoning** inside the exact computation: Hausdorff stops
 //!    as soon as any point's nearest-neighbour distance reaches the
-//!    threshold; Frechet/DTW/ERP/EDR stop when an entire DP row/column
-//!    minimum reaches it (sound because their per-row minima never decrease
-//!    as more rows are added — costs are max-monotone or additive
-//!    non-negative); LCSS stops when the best still-achievable match count
-//!    cannot beat the threshold.
+//!    threshold; Frechet/DTW/ERP/EDR stop when an entire DP column minimum
+//!    reaches it (sound because column minima never decrease as columns
+//!    are pushed — costs are max-monotone or additive non-negative); LCSS
+//!    stops when the best still-achievable match count cannot beat the
+//!    threshold.
 //!
 //! The kernels themselves are crate-private; callers reach them through
 //! [`crate::MeasureParams`]. What this module exports is the threshold
 //! plumbing around them: [`just_above`] and [`bound_exceeds`].
 
-use crate::dtw::{dtw_advance, dtw_advance2};
-use crate::frechet::{frechet_advance, frechet_advance2};
+use crate::column::{advance, advance2, edr_advance, erp_advance, erp_init, lcss_advance};
 use crate::hausdorff::nn_sweep;
 use crate::DistScratch;
 use repose_model::{Mbr, Point};
@@ -151,19 +155,10 @@ pub(crate) fn hausdorff_within(t1: &[Point], t2: &[Point], threshold: f64) -> Op
 }
 
 // ---------------------------------------------------------------------------
-// Frechet / DTW — shared column-kernel shape
+// Frechet / DTW — one column recurrence
 // ---------------------------------------------------------------------------
 
-/// Early-abandoning discrete Frechet distance.
-///
-/// Sound because the column minimum `cmin` never decreases as reference
-/// points are appended (each new entry takes a `max` with a predecessor
-/// minimum) and the final `f_{m,n}` is an element of the last column.
-///
-/// The DP runs in *squared*-distance space — the recurrence only takes
-/// `max`/`min` of ground values, so one correctly-rounded, monotone IEEE
-/// `sqrt` at the end (and one per column minimum for the abandon check,
-/// instead of one per cell) gives the bits of the linear-space recurrence.
+/// Early-abandoning discrete Fréchet: the guards, then [`dp_within`].
 pub(crate) fn frechet_within(
     t1: &[Point],
     t2: &[Point],
@@ -176,35 +171,11 @@ pub(crate) fn frechet_within(
     if threshold.is_nan() || threshold <= 0.0 {
         return None;
     }
-    let col = scratch.f1_uninit(t1.len());
-    let (p0, rest) = t2.split_first().expect("non-empty");
-    let cmin_sq = frechet_advance(col, true, t1, |q| q.dist_sq(p0));
-    if cmin_sq.sqrt() >= threshold {
-        return None;
-    }
-    // Pairs of columns (two interleaved chains, bit-identical cells);
-    // the two column minima are checked in column order, so the abandon
-    // decision matches the one-column-at-a-time kernel exactly.
-    let mut pairs = rest.chunks_exact(2);
-    for pair in &mut pairs {
-        let (c1, c2) =
-            frechet_advance2(col, t1, |q| q.dist_sq(&pair[0]), |q| q.dist_sq(&pair[1]));
-        if c1.sqrt() >= threshold || c2.sqrt() >= threshold {
-            return None;
-        }
-    }
-    for p in pairs.remainder() {
-        let cmin_sq = frechet_advance(col, false, t1, |q| q.dist_sq(p));
-        if cmin_sq.sqrt() >= threshold {
-            return None;
-        }
-    }
-    let d = col[col.len() - 1].sqrt();
-    (d < threshold).then_some(d)
+    dp_within::<true>(t1, t2, threshold, scratch)
 }
 
 /// Early-abandoning DTW: guards, then the nearest-neighbour stage
-/// ([`dtw_nn_refutes`]), then the dynamic program ([`dtw_dp_within`]).
+/// ([`dtw_nn_refutes`]), then the dynamic program ([`dp_within`]).
 ///
 /// The nearest-neighbour stage only ever turns a `None` the dynamic program
 /// would have reached into a cheaper `None`.
@@ -223,7 +194,7 @@ pub(crate) fn dtw_within(
     if dtw_nn_refutes(t1, t2, threshold, scratch) {
         return None;
     }
-    dtw_dp_within(t1, t2, threshold, scratch)
+    dp_within::<false>(t1, t2, threshold, scratch)
 }
 
 /// A running `Σ √·` over squared nearest-neighbour distances, tested against
@@ -290,7 +261,7 @@ impl SumSqrt {
 /// at least the sum over rows (columns) of the cheapest cell in each.
 ///
 /// **Sound in floating point, without an epsilon**, against the very value
-/// [`dtw_dp_within`] computes:
+/// [`dp_within`] computes:
 ///
 /// * IEEE `sqrt` is correctly rounded and monotone, so `√(min_j d²)` *is*
 ///   `min_j t1[i].dist(t2[j])` bit for bit — each term is the smallest
@@ -339,56 +310,59 @@ pub(crate) fn sum_sqrt_refutes<'a>(
     }
 }
 
-/// The DTW dynamic program under a threshold (the last stage of
-/// [`dtw_within`], which handles the guards: inputs must be non-empty and
-/// `threshold` positive and non-NaN).
+/// The DTW (`MAX = false`) or Fréchet (`MAX = true`) dynamic program under
+/// a threshold: `t2`'s points pushed through the [`advance`] column over
+/// `t1` with their exact ground cost, two columns per pass. Inputs must be
+/// non-empty and `threshold` positive and non-NaN (the callers' guards).
 ///
-/// Sound because ground costs are non-negative: every entry of column
-/// `j + 1` is `cost + min(three column-j/j+1 predecessors)`, so the column
-/// minimum never decreases and the final `f_{m,n}` is at least every
-/// column's minimum.
-pub(crate) fn dtw_dp_within(
+/// Sound because ground costs are non-negative: every cell is its cost `⊕`
+/// a predecessor, so the column minimum never decreases and the final
+/// `f_{m,n}` is at least every column's minimum.
+///
+/// Fréchet runs in *squared*-distance space: its recurrence only takes
+/// `max`/`min` of ground values, so one correctly rounded, monotone IEEE
+/// `sqrt` per column-minimum check and one at the end give the bits of the
+/// linear-space recurrence.
+pub(crate) fn dp_within<const MAX: bool>(
     t1: &[Point],
     t2: &[Point],
     threshold: f64,
     scratch: &mut DistScratch,
 ) -> Option<f64> {
+    let ground = |p: Point| move |q: &Point| if MAX { q.dist_sq(&p) } else { q.dist(&p) };
+    let lin = |v: f64| if MAX { v.sqrt() } else { v };
     let col = scratch.f1_uninit(t1.len());
     let (p0, rest) = t2.split_first().expect("non-empty");
-    let cmin = dtw_advance(col, true, t1, |q| q.dist(p0));
-    if cmin >= threshold {
+    if lin(advance::<MAX>(col, true, t1, ground(*p0))) >= threshold {
         return None;
     }
-    // See `frechet_within`: paired columns, abandon checks in order.
+    // Two interleaved chains, bit-identical cells; the two minima are
+    // checked in column order, as one column at a time would check them.
     let mut pairs = rest.chunks_exact(2);
     for pair in &mut pairs {
-        let (c1, c2) = dtw_advance2(col, t1, |q| q.dist(&pair[0]), |q| q.dist(&pair[1]));
-        if c1 >= threshold || c2 >= threshold {
+        let (c1, c2) = advance2::<MAX>(col, t1, ground(pair[0]), ground(pair[1]));
+        if lin(c1) >= threshold || lin(c2) >= threshold {
             return None;
         }
     }
     for p in pairs.remainder() {
-        let cmin = dtw_advance(col, false, t1, |q| q.dist(p));
-        if cmin >= threshold {
+        if lin(advance::<MAX>(col, false, t1, ground(*p))) >= threshold {
             return None;
         }
     }
-    let d = col[col.len() - 1];
+    let d = lin(col[col.len() - 1]);
     (d < threshold).then_some(d)
 }
 
 // ---------------------------------------------------------------------------
-// ERP
+// ERP / EDR / LCSS — the trie bounds' columns, pushed with exact costs
 // ---------------------------------------------------------------------------
 
-/// Early-abandoning ERP with gap point `gap` (recurrence in the
-/// [`crate::erp`] docs).
-///
-/// After each row the running row minimum is checked. All edit costs are
-/// non-negative, so row minima are non-decreasing and the final value
-/// dominates every row minimum. The gap distances `d(p_j, g)` are
-/// evaluated once into a scratch row (one vectorizable pass over the
-/// contiguous reference slice) instead of once per DP cell.
+/// Early-abandoning ERP with gap point `gap`: `t2`'s points pushed through
+/// the [`erp_advance`] column over `t1` with their exact match and gap
+/// costs. Abandons once a column minimum reaches the threshold: edit costs
+/// are non-negative, so column minima never decrease, and every alignment
+/// crosses every column, boundary row included.
 pub(crate) fn erp_within(
     t1: &[Point],
     t2: &[Point],
@@ -396,60 +370,33 @@ pub(crate) fn erp_within(
     threshold: f64,
     scratch: &mut DistScratch,
 ) -> Option<f64> {
-    let n = t2.len();
-    if t1.is_empty() || n == 0 {
+    if t1.is_empty() || t2.is_empty() {
         let d: f64 = t1.iter().chain(t2).map(|p| p.dist(&gap)).sum();
         return (d < threshold).then_some(d);
     }
     if threshold.is_nan() || threshold <= 0.0 {
         return None;
     }
-    let (mut prev, mut cur, gap_b) = scratch.f3_uninit(n + 1, n + 1, n);
-    for (g, p) in gap_b.iter_mut().zip(t2) {
-        *g = p.dist(&gap);
-    }
-    // prev[j] = erp(i-1, j); row 0: erp(0, j) = sum of gap costs of t2[..j].
-    prev[0] = 0.0;
-    for j in 0..n {
-        prev[j + 1] = prev[j] + gap_b[j];
-    }
-    for a in t1 {
-        let gap_a = a.dist(&gap);
-        // Register-carried DP cursors (`diag` = erp(i-1,j), `left` =
-        // erp(i,j)) over zipped rows: no per-cell bounds checks.
-        let mut left = prev[0] + gap_a;
-        cur[0] = left;
-        let mut diag = prev[0];
-        let mut row_min = left;
-        for ((b, gb), (&up, c)) in t2
-            .iter()
-            .zip(gap_b.iter())
-            .zip(prev[1..].iter().zip(cur[1..].iter_mut()))
-        {
-            let v = (diag + a.dist(b)).min(up + gap_a).min(left + gb);
-            *c = v;
-            diag = up;
-            left = v;
-            if v < row_min {
-                row_min = v;
-            }
-        }
-        if row_min >= threshold {
+    let (col, qgap, _) = scratch.f3_uninit(t1.len() + 1, t1.len(), 0);
+    erp_init(col, qgap, t1, gap);
+    for p in t2 {
+        if erp_advance(col, t1, qgap, p.dist(&gap), |q| q.dist(p)) >= threshold {
             return None;
         }
-        std::mem::swap(&mut prev, &mut cur);
     }
-    let d = prev[n];
+    let d = col[t1.len()];
     (d < threshold).then_some(d)
 }
 
-// ---------------------------------------------------------------------------
-// EDR
-// ---------------------------------------------------------------------------
+/// The exact per-dimension `eps` match of EDR and LCSS.
+#[inline(always)]
+fn eps_match(a: &Point, b: &Point, eps: f64) -> bool {
+    (a.x - b.x).abs() <= eps && (a.y - b.y).abs() <= eps
+}
 
-/// Early-abandoning EDR with matching threshold `eps`.
-///
-/// Same row-minimum argument as ERP (unit edit costs are non-negative).
+/// Early-abandoning EDR with matching threshold `eps`: `t2`'s points pushed
+/// through the [`edr_advance`] column over `t1`, abandoning on the column
+/// minimum as ERP does (unit edit costs are non-negative).
 pub(crate) fn edr_within(
     t1: &[Point],
     t2: &[Point],
@@ -465,46 +412,27 @@ pub(crate) fn edr_within(
     if threshold.is_nan() || threshold <= 0.0 {
         return None;
     }
-    let (mut prev, mut cur) = scratch.u2_uninit(n + 1, n + 1);
-    for (j, p) in prev.iter_mut().enumerate() {
-        *p = j as u32;
+    let col = scratch.u1_uninit(m + 1);
+    for (i, c) in col.iter_mut().enumerate() {
+        *c = i as u32;
     }
-    for (i, a) in t1.iter().enumerate() {
-        // Register-carried cursors over zipped rows — no per-cell bounds
-        // checks.
-        let mut left = i as u32 + 1;
-        cur[0] = left;
-        let mut diag = prev[0];
-        let mut row_min = left;
-        for (b, (&up, c)) in t2.iter().zip(prev[1..].iter().zip(cur[1..].iter_mut())) {
-            let subcost =
-                u32::from(!((a.x - b.x).abs() <= eps && (a.y - b.y).abs() <= eps));
-            let v = (diag + subcost).min(up + 1).min(left + 1);
-            *c = v;
-            diag = up;
-            left = v;
-            row_min = row_min.min(v);
-        }
-        if f64::from(row_min) >= threshold {
+    for p in t2 {
+        if f64::from(edr_advance(col, t1, |q| eps_match(q, p, eps))) >= threshold {
             return None;
         }
-        std::mem::swap(&mut prev, &mut cur);
     }
-    let d = f64::from(prev[n]);
+    let d = f64::from(col[m]);
     (d < threshold).then_some(d)
 }
 
-// ---------------------------------------------------------------------------
-// LCSS
-// ---------------------------------------------------------------------------
-
-/// LCSS match count of two **non-empty** trajectories, abandoning once the
-/// LCSS distance provably reaches `threshold`.
+/// LCSS match count of two **non-empty** trajectories: `t2`'s points pushed
+/// through the [`lcss_advance`] column over `t1`, abandoning once the LCSS
+/// distance provably reaches `threshold`.
 ///
-/// After consuming `i + 1` of `m` rows, the final match count is at most
-/// `cur[n] + (m - 1 - i)` (appending one point grows an LCS by at most
-/// one), so the best achievable distance is known mid-DP; abandon when even
-/// that cannot beat the threshold (never, at `threshold = +∞`).
+/// After `j + 1` of `n` points the final match count is at most the
+/// column's last cell plus `n - 1 - j` (appending one point grows an LCS by
+/// at most one), so abandon when even that cannot beat the threshold (never
+/// at `threshold = +∞`).
 pub(crate) fn lcss_length_within(
     t1: &[Point],
     t2: &[Point],
@@ -514,32 +442,16 @@ pub(crate) fn lcss_length_within(
 ) -> Option<u32> {
     let (m, n) = (t1.len(), t2.len());
     let minlen = m.min(n);
-    let (mut prev, mut cur) = scratch.u2(n + 1, n + 1);
-    for (i, a) in t1.iter().enumerate() {
-        // Register-carried cursors over zipped rows — no per-cell bounds
-        // checks. Row slot 0 stays 0 (the zeroed-buffer invariant the
-        // scratch accessor provides).
-        let mut left = 0u32;
-        let mut diag = prev[0];
-        for (b, (&up, c)) in t2.iter().zip(prev[1..].iter().zip(cur[1..].iter_mut())) {
-            let v = if (a.x - b.x).abs() <= eps && (a.y - b.y).abs() <= eps {
-                diag + 1
-            } else {
-                up.max(left)
-            };
-            *c = v;
-            diag = up;
-            left = v;
-        }
-        // LCS rows are non-decreasing left-to-right, so cur[n] is the row
-        // maximum; each remaining row can add at most one match.
-        let achievable = (cur[n] as usize + (m - 1 - i)).min(minlen);
+    let col = scratch.u1_uninit(m);
+    col.fill(0);
+    for (j, p) in t2.iter().enumerate() {
+        lcss_advance(col, t1, |q| eps_match(q, p, eps));
+        let achievable = (col[m - 1] as usize + (n - 1 - j)).min(minlen);
         if 1.0 - achievable as f64 / minlen as f64 >= threshold {
             return None;
         }
-        std::mem::swap(&mut prev, &mut cur);
     }
-    Some(prev[n])
+    Some(col[m - 1])
 }
 
 /// Early-abandoning LCSS distance `1 - LCSS / min(m, n)` with matching
@@ -620,8 +532,9 @@ pub(crate) fn erp_lb(t1: &[Point], t2: &[Point], gap: Point) -> f64 {
 }
 
 /// Whether `p` could match *any* point inside `mbr` under the per-dimension
-/// `eps` test used by LCSS and EDR.
-fn could_match(p: Point, mbr: &Mbr, eps: f64) -> bool {
+/// `eps` test used by LCSS and EDR — the optimistic match of the trie's
+/// EDR and LCSS bounds, too.
+pub fn could_match(p: Point, mbr: &Mbr, eps: f64) -> bool {
     p.x >= mbr.min.x - eps
         && p.x <= mbr.max.x + eps
         && p.y >= mbr.min.y - eps

@@ -20,6 +20,11 @@
 //!   length; only the leaf bound is usable (internal `lbo` is 0), because
 //!   the distance normalizer `min(m, n)` needs the member lengths.
 //!
+//! The DP states are `repose-distance`'s columns ([`DtwColumn`],
+//! [`FrechetColumn`], [`ErpColumn`], [`EdrColumn`], [`LcssColumn`]): each
+//! measure has one recurrence, which the exact kernels push with exact
+//! costs and these bounds push with the optimistic ones above.
+//!
 //! A popped node's children are evaluated by one [`BoundState::expand`]
 //! call. DTW advances its siblings side by side
 //! ([`DtwColumn::push_cells`]) into columns the search recycles
@@ -28,8 +33,10 @@
 
 use crate::frozen::LeafRef;
 use crate::NodeId;
+use repose_distance::within::could_match;
 use repose_distance::{
-    active_backend, DtwColumn, FrechetColumn, HausdorffState, Measure, MeasureParams, BATCH_LANES,
+    active_backend, DtwColumn, EdrColumn, ErpColumn, FrechetColumn, HausdorffState, LcssColumn,
+    Measure, MeasureParams, BATCH_LANES,
 };
 use repose_model::{Mbr, Point};
 use repose_zorder::{Grid, ZValue};
@@ -73,19 +80,20 @@ impl BoundState {
     /// Consumes the reference cell `z` (the label of the child node being
     /// entered), updating intermediate results in `O(m)`.
     pub fn push(&mut self, query: &[Point], grid: &Grid, z: ZValue, params: &MeasureParams) {
+        let may_match = |cell: Mbr| move |q: &Point| could_match(*q, &cell, params.eps);
         match self {
             BoundState::Hausdorff(s) => s.push(query, grid.reference_point(z)),
-            BoundState::Frechet(s) => {
-                let rp = grid.reference_point(z);
-                s.push(query, rp);
-            }
+            BoundState::Frechet(s) => s.push(query, grid.reference_point(z)),
             BoundState::Dtw(s) => {
                 let cell = grid.cell_mbr(z);
                 s.push_with(query, |q| cell.min_dist(*q));
             }
-            BoundState::Erp(s) => s.push(query, grid.cell_mbr(z)),
-            BoundState::Edr(s) => s.push(query, grid.cell_mbr(z), params.eps),
-            BoundState::Lcss(s) => s.push(query, grid.cell_mbr(z), params.eps),
+            BoundState::Erp(s) => {
+                let cell = grid.cell_mbr(z);
+                s.push_with(query, cell.min_dist(params.erp_gap), |q| cell.min_dist(*q));
+            }
+            BoundState::Edr(s) => s.push_with(query, may_match(grid.cell_mbr(z))),
+            BoundState::Lcss(s) => s.push_with(query, may_match(grid.cell_mbr(z))),
         }
     }
 
@@ -180,147 +188,9 @@ impl BoundState {
     }
 }
 
-/// Optimistic ERP column kernel (see module docs). Row 0 is the
-/// all-reference-gaps boundary, so the column has `m + 1` entries.
-#[derive(Debug, Clone)]
-pub(crate) struct ErpColumn {
-    col: Vec<f64>,
-    /// `d(q_i, g)` per query point, precomputed.
-    qgap: Vec<f64>,
-    gap: Point,
-    cmin: f64,
-}
-
-impl ErpColumn {
-    pub fn new(query: &[Point], gap: Point) -> Self {
-        let qgap: Vec<f64> = query.iter().map(|q| q.dist(&gap)).collect();
-        // f_{i,0} = sum of query gap costs (delete all query points so far).
-        let mut col = Vec::with_capacity(query.len() + 1);
-        col.push(0.0);
-        for &g in &qgap {
-            col.push(col.last().unwrap() + g);
-        }
-        ErpColumn { col, qgap, gap, cmin: f64::INFINITY }
-    }
-
-    pub fn push(&mut self, query: &[Point], cell: Mbr) {
-        let rgap = cell.min_dist(self.gap);
-        let mut cmin;
-        let mut prev_im1 = self.col[0];
-        self.col[0] += rgap;
-        cmin = self.col[0];
-        for i in 1..self.col.len() {
-            let matchc = cell.min_dist(query[i - 1]);
-            let old = self.col[i];
-            self.col[i] = (prev_im1 + matchc)
-                .min(old + rgap)
-                .min(self.col[i - 1] + self.qgap[i - 1]);
-            prev_im1 = old;
-            if self.col[i] < cmin {
-                cmin = self.col[i];
-            }
-        }
-        self.cmin = cmin;
-    }
-
-    pub fn cmin(&self) -> f64 {
-        if self.cmin.is_finite() {
-            self.cmin
-        } else {
-            0.0 // no reference cell consumed yet (root)
-        }
-    }
-
-    pub fn last(&self) -> f64 {
-        *self.col.last().expect("non-empty column")
-    }
-}
-
-/// Optimistic EDR column kernel: substitution cost is 0 iff the query
-/// point's `ε`-box intersects the cell (a necessary condition for the exact
-/// per-dimension EDR match), otherwise 1; insert/delete cost 1.
-#[derive(Debug, Clone)]
-pub(crate) struct EdrColumn {
-    col: Vec<u32>,
-    cmin: u32,
-}
-
-impl EdrColumn {
-    pub fn new(m: usize) -> Self {
-        // f_{i,0} = i deletions of query points.
-        EdrColumn { col: (0..=m as u32).collect(), cmin: u32::MAX }
-    }
-
-    fn can_match(q: Point, cell: &Mbr, eps: f64) -> bool {
-        q.x >= cell.min.x - eps
-            && q.x <= cell.max.x + eps
-            && q.y >= cell.min.y - eps
-            && q.y <= cell.max.y + eps
-    }
-
-    pub fn push(&mut self, query: &[Point], cell: Mbr, eps: f64) {
-        let mut prev_im1 = self.col[0];
-        self.col[0] += 1;
-        let mut cmin = self.col[0];
-        for i in 1..self.col.len() {
-            let sub = u32::from(!Self::can_match(query[i - 1], &cell, eps));
-            let old = self.col[i];
-            self.col[i] = (prev_im1 + sub).min(old + 1).min(self.col[i - 1] + 1);
-            prev_im1 = old;
-            cmin = cmin.min(self.col[i]);
-        }
-        self.cmin = cmin;
-    }
-
-    pub fn cmin(&self) -> f64 {
-        if self.cmin == u32::MAX {
-            0.0
-        } else {
-            f64::from(self.cmin)
-        }
-    }
-
-    pub fn last(&self) -> f64 {
-        f64::from(*self.col.last().expect("non-empty column"))
-    }
-}
-
-/// Optimistic LCSS column kernel: maintains an upper bound on the LCSS
-/// length between the query and any trajectory whose reference prefix is
-/// the consumed cell sequence.
-#[derive(Debug, Clone)]
-pub(crate) struct LcssColumn {
-    col: Vec<u32>,
-}
-
-impl LcssColumn {
-    pub fn new(m: usize) -> Self {
-        LcssColumn { col: vec![0; m + 1] }
-    }
-
-    pub fn push(&mut self, query: &[Point], cell: Mbr, eps: f64) {
-        let mut prev_im1 = self.col[0];
-        for i in 1..self.col.len() {
-            let old = self.col[i];
-            self.col[i] = if EdrColumn::can_match(query[i - 1], &cell, eps) {
-                (prev_im1 + 1).max(old).max(self.col[i - 1])
-            } else {
-                old.max(self.col[i - 1])
-            };
-            prev_im1 = old;
-        }
-    }
-
-    /// Upper bound on the LCSS length (last row of the DP).
-    pub fn max_len(&self) -> u32 {
-        *self.col.last().expect("non-empty column")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use repose_distance::{edr, erp, lcss_length};
     use repose_model::Mbr;
 
     fn pts(v: &[(f64, f64)]) -> Vec<Point> {
@@ -329,85 +199,6 @@ mod tests {
 
     fn grid8() -> Grid {
         Grid::new(Mbr::new(Point::new(0.0, 0.0), Point::new(8.0, 8.0)), 3)
-    }
-
-    /// ERP optimistic kernel must lower-bound the exact ERP against any
-    /// trajectory whose points lie in the pushed cells.
-    #[test]
-    fn erp_column_lower_bounds_exact() {
-        let g = grid8();
-        let gap = Point::new(0.0, 0.0);
-        let q = pts(&[(0.4, 0.3), (1.2, 1.7), (3.6, 2.2)]);
-        let t = pts(&[(0.6, 0.6), (2.5, 1.5), (3.5, 2.5), (5.5, 5.5)]);
-        let mut col = ErpColumn::new(&q, gap);
-        for p in &t {
-            col.push(&q, g.cell_mbr(g.z_value(*p)));
-        }
-        let exact = erp(&q, &t, gap);
-        assert!(
-            col.last() <= exact + 1e-9,
-            "lbt {} > exact {exact}",
-            col.last()
-        );
-        assert!(col.cmin() <= exact + 1e-9);
-    }
-
-    #[test]
-    fn erp_cmin_monotone() {
-        let g = grid8();
-        let q = pts(&[(0.4, 0.3), (1.2, 1.7)]);
-        let t = pts(&[(7.5, 7.5), (6.5, 6.5), (5.5, 7.5)]);
-        let mut col = ErpColumn::new(&q, Point::new(0.0, 0.0));
-        let mut prev = 0.0;
-        for p in &t {
-            col.push(&q, g.cell_mbr(g.z_value(*p)));
-            assert!(col.cmin() >= prev - 1e-12);
-            prev = col.cmin();
-        }
-    }
-
-    #[test]
-    fn edr_column_lower_bounds_exact() {
-        let g = grid8();
-        let eps = 0.4;
-        let q = pts(&[(0.4, 0.3), (1.2, 1.7), (3.6, 2.2)]);
-        let t = pts(&[(0.6, 0.6), (2.5, 1.5), (3.5, 2.5), (5.5, 5.5)]);
-        let mut col = EdrColumn::new(q.len());
-        for p in &t {
-            col.push(&q, g.cell_mbr(g.z_value(*p)), eps);
-        }
-        let exact = edr(&q, &t, eps);
-        assert!(col.last() <= exact + 1e-9);
-        assert!(col.cmin() <= exact + 1e-9);
-    }
-
-    #[test]
-    fn edr_cmin_monotone() {
-        let g = grid8();
-        let q = pts(&[(0.4, 0.3), (1.2, 1.7), (2.0, 2.0)]);
-        let t = pts(&[(7.5, 7.5), (6.5, 6.5), (5.5, 7.5), (4.5, 7.5)]);
-        let mut col = EdrColumn::new(q.len());
-        let mut prev = 0.0;
-        for p in &t {
-            col.push(&q, g.cell_mbr(g.z_value(*p)), 0.1);
-            assert!(col.cmin() >= prev);
-            prev = col.cmin();
-        }
-    }
-
-    #[test]
-    fn lcss_column_upper_bounds_exact_length() {
-        let g = grid8();
-        let eps = 0.4;
-        let q = pts(&[(0.4, 0.3), (1.2, 1.7), (3.6, 2.2), (5.0, 5.0)]);
-        let t = pts(&[(0.6, 0.6), (1.4, 1.6), (3.5, 2.5), (5.5, 5.5)]);
-        let mut col = LcssColumn::new(q.len());
-        for p in &t {
-            col.push(&q, g.cell_mbr(g.z_value(*p)), eps);
-        }
-        let exact = lcss_length(&q, &t, eps) as u32;
-        assert!(col.max_len() >= exact, "{} < {exact}", col.max_len());
-        assert!(col.max_len() <= q.len().min(t.len()) as u32);
     }
 
     #[test]

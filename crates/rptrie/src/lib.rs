@@ -190,6 +190,9 @@ impl RpTrie {
         if kids.is_empty() {
             return f64::INFINITY;
         }
+        if self.config.measure == Measure::Lcss {
+            return 0.0;
+        }
         let base = bounds::BoundState::new(self.config.measure, &self.config.params, query);
         let mut best = f64::INFINITY;
         for (z, _) in kids {

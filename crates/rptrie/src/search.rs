@@ -335,6 +335,30 @@ mod tests {
         }
     }
 
+    /// `root_bound` lower-bounds every indexed trajectory's distance, is 0
+    /// for LCSS (no sound internal bound) and for an empty query.
+    #[test]
+    fn root_bound_lower_bounds_every_member() {
+        let trajs = paper_dataset();
+        let store = store_of(&trajs);
+        let q = query();
+        let params = MeasureParams::with_eps(1.5);
+        for measure in Measure::ALL {
+            let config = RpTrieConfig::for_measure(measure).with_params(params).with_np(2);
+            let trie = RpTrie::build(&store, grid8(), config);
+            let bound = trie.root_bound(&q);
+            let nearest = trajs
+                .iter()
+                .map(|t| params.distance(measure, &q, &t.points))
+                .fold(f64::INFINITY, f64::min);
+            assert!(bound <= nearest, "{measure}: root bound {bound} > nearest {nearest}");
+            assert_eq!(trie.root_bound(&[]), 0.0, "{measure}");
+            if measure == Measure::Lcss {
+                assert_eq!(bound, 0.0);
+            }
+        }
+    }
+
     #[test]
     fn k_larger_than_dataset_returns_all() {
         let trajs = paper_dataset();
