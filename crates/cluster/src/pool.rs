@@ -92,11 +92,6 @@ impl WorkerPool {
         WorkerPool { sender: Some(sender), workers }
     }
 
-    /// A pool sized to the host ([`default_pool_threads`]).
-    pub fn with_default_threads() -> Self {
-        WorkerPool::new(default_pool_threads())
-    }
-
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
         self.workers.len()

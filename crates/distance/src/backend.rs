@@ -1,18 +1,18 @@
-//! Runtime-selectable SIMD backends for the verification kernels.
+//! Runtime-selectable lane widths for the verification kernels.
 //!
-//! Two backends exist: the scalar kernels (one per measure, see
-//! [`crate::within`]) on every host, and AVX2 (256-bit) on x86-64 CPUs that
-//! have it. An x86-64 CPU without AVX2 runs the scalar kernels. The AVX2
-//! backend carries vector forms of exactly the kernels where lanes measure
-//! faster at 120k trajectories: the packed single-pair Hausdorff pair and
-//! the DTW nearest-neighbour stage (one query-major sweep: the query in
-//! padded lane arrays, the candidate's points broadcast against it), the
-//! lane-batched DTW / Fréchet / ERP verification that scores several
-//! candidates at once, and the DTW trie bound's sibling expansion that
-//! advances several children of one node at once
-//! ([`crate::DtwColumn::push_cells`]). Fréchet, DTW, ERP, EDR and LCSS have
-//! **no** single-pair dynamic-program SIMD form: whichever backend is
-//! active, one pair's dynamic program is the scalar kernel. Both backends
+//! Every kernel with a SIMD form is one function generic over `Lanes`,
+//! written once, and a backend is the width it runs at: `scalar` is the
+//! 1-lane instance (`f64`) on every host, AVX2 the 4-lane instance on
+//! x86-64 CPUs that have it (an x86-64 CPU without AVX2 runs scalar).
+//! `dispatch` is the one place that chooses. The kernels that have
+//! lanes are exactly those where lanes measure faster at 120k
+//! trajectories: the Hausdorff pair and the DTW nearest-neighbour stage
+//! (one query-major sweep: the query in padded lane arrays, the
+//! candidate's points broadcast against it), the lane-batched DTW /
+//! Fréchet / ERP verification that scores several candidates at once, and
+//! the DTW trie bound's sibling expansion that advances several children
+//! of one node at once ([`crate::DtwColumn::push_cells`]). A single pair's
+//! dynamic program runs at one lane on every backend. Both backends
 //! produce **bit-identical** results (see the `simd` module docs for the
 //! argument), so which one runs is purely a performance decision — made
 //! once per process from CPU feature detection, and overridable so tests,
@@ -24,15 +24,17 @@
 //!    `auto`), consulted once on first use.
 //! 3. Auto-detection: AVX2 when the CPU has it, else scalar.
 
+use repose_model::Point;
+use std::ops::{Add, Index, IndexMut, Mul, Sub};
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Which kernel implementation family executes verification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Backend {
-    /// Portable scalar kernels — always available, and the oracle the SIMD
-    /// backends are differentially tested against.
+    /// The kernels at one lane (`f64`) — always available.
     Scalar,
-    /// 256-bit `std::arch` kernels (requires AVX2; x86-64 only).
+    /// The kernels at 256-bit `std::arch` lanes (requires AVX2; x86-64
+    /// only).
     Avx2,
 }
 
@@ -52,8 +54,8 @@ impl Backend {
     /// vector with this backend (1 = no lane batching).
     pub fn lanes(self) -> usize {
         match self {
-            Backend::Scalar => 1,
-            Backend::Avx2 => 4,
+            Backend::Scalar => <f64 as Lanes>::W,
+            Backend::Avx2 => crate::simd::AVX2_W,
         }
     }
 
@@ -171,28 +173,148 @@ pub fn force_backend(backend: Backend) {
     ACTIVE.store(encode(backend), Ordering::Relaxed);
 }
 
-/// Dispatches a kernel call to the AVX2 wrapper and `return`s its result
-/// when AVX2 is the active backend; falls through (no-op) when the scalar
-/// backend is active or the architecture has no SIMD backend.
+/// A packed `f64` lane type: `W` lanes side by side, with `f64` itself the
+/// 1-lane instance. Every kernel with an AVX2 form is written once over
+/// this trait and runs at the active backend's width through [`dispatch`];
+/// the AVX2 instance lives in `simd::avx2`.
 ///
-/// Usage, from inside a kernel entry point after its degenerate-case
-/// guards: `simd_dispatch!(hausdorff(t1, t2, scratch));`.
-macro_rules! simd_dispatch {
-    ($func:ident($($arg:expr),* $(,)?)) => {
-        #[cfg(target_arch = "x86_64")]
-        #[allow(unsafe_code)]
-        {
-            if $crate::backend::active_backend() == $crate::backend::Backend::Avx2 {
-                // SAFETY: `active_backend`/`force_backend` only ever select
-                // AVX2 once `is_supported` verified the CPU has it, and the
-                // caller's guards establish the kernel's input requirements
-                // (non-empty inputs, positive threshold).
-                return unsafe { $crate::simd::avx2::$func($($arg),*) };
-            }
-        }
-    };
+/// Every operation is the elementwise IEEE-754 one — identical bits per
+/// lane to the scalar operator — and there is deliberately no fused
+/// multiply-add. `min`/`max` follow the x86 rule, `a < b ? a : b` and
+/// `a > b ? a : b`: on the non-NaN values the kernels compare they agree
+/// with `f64::min`/`f64::max` up to the sign of a zero, which squaring
+/// erases wherever one can arise.
+pub(crate) trait Lanes: Copy + Add<Output = Self> + Sub<Output = Self> + Mul<Output = Self> {
+    /// Lane count.
+    const W: usize;
+    /// `[T; W]`.
+    type Array<T: Copy>: Copy
+        + AsRef<[T]>
+        + AsMut<[T]>
+        + Index<usize, Output = T>
+        + IndexMut<usize>
+        + IntoIterator<Item = T>;
+
+    /// `[f(0), …, f(W - 1)]`.
+    fn array<T: Copy>(f: impl FnMut(usize) -> T) -> Self::Array<T>;
+    fn splat(x: f64) -> Self;
+    /// The first `W` values of `s`, in lane order.
+    fn load(s: &[f64]) -> Self;
+    /// Writes the lanes to the first `W` values of `s`.
+    fn store(self, s: &mut [f64]);
+    /// The `x` and `y` coordinates of the first `W` points of `p`.
+    fn load_points(p: &[Point]) -> (Self, Self);
+    fn sqrt(self) -> Self;
+    fn min(self, o: Self) -> Self;
+    fn max(self, o: Self) -> Self;
+    /// Bit `l` set where lane `l` of `self` is `<=` that of `o`.
+    fn le_bits(self, o: Self) -> u32;
+    /// The smallest lane (order-free: `min` of non-NaN values is exact).
+    fn hmin(self) -> f64;
+    /// Lane `s` of the result is the smallest lane of `rows[s]`.
+    fn transpose_min(rows: Self::Array<Self>) -> Self;
+
+    /// Lane `l` is `f(l)`.
+    #[inline(always)]
+    fn from_fn(f: impl FnMut(usize) -> f64) -> Self {
+        Self::load(Self::array(f).as_ref())
+    }
+
+    /// The lanes, in order.
+    #[inline(always)]
+    fn to_array(self) -> Self::Array<f64> {
+        let mut a = Self::array(|_| 0.0);
+        self.store(a.as_mut());
+        a
+    }
 }
-pub(crate) use simd_dispatch;
+
+impl Lanes for f64 {
+    const W: usize = 1;
+    type Array<T: Copy> = [T; 1];
+
+    #[inline(always)]
+    fn array<T: Copy>(mut f: impl FnMut(usize) -> T) -> [T; 1] {
+        [f(0)]
+    }
+    #[inline(always)]
+    fn splat(x: f64) -> f64 {
+        x
+    }
+    #[inline(always)]
+    fn load(s: &[f64]) -> f64 {
+        s[0]
+    }
+    #[inline(always)]
+    fn store(self, s: &mut [f64]) {
+        s[0] = self;
+    }
+    #[inline(always)]
+    fn load_points(p: &[Point]) -> (f64, f64) {
+        (p[0].x, p[0].y)
+    }
+    #[inline(always)]
+    fn sqrt(self) -> f64 {
+        f64::sqrt(self)
+    }
+    #[inline(always)]
+    fn min(self, o: f64) -> f64 {
+        if self < o {
+            self
+        } else {
+            o
+        }
+    }
+    #[inline(always)]
+    fn max(self, o: f64) -> f64 {
+        if self > o {
+            self
+        } else {
+            o
+        }
+    }
+    #[inline(always)]
+    fn le_bits(self, o: f64) -> u32 {
+        u32::from(self <= o)
+    }
+    #[inline(always)]
+    fn hmin(self) -> f64 {
+        self
+    }
+    #[inline(always)]
+    fn transpose_min([row]: [f64; 1]) -> f64 {
+        row
+    }
+}
+
+/// A kernel written once over [`Lanes`]: [`dispatch`] runs it at the
+/// active backend's lane width.
+pub(crate) trait Kernel {
+    type Out;
+    /// The kernel at `V`'s width. Implementations are `#[inline(always)]`,
+    /// so that the AVX2 instance compiles inside its `#[target_feature]`
+    /// frame, where every lane operation is one instruction; a closure the
+    /// kernel calls per cell needs a single call site, or LLVM may leave it
+    /// out of line, outside that frame.
+    fn run<V: Lanes>(self) -> Self::Out;
+}
+
+/// Runs `kernel` at the active backend's lane width: the AVX2 lane type when
+/// that backend is active, `f64`'s 1 lane otherwise. The kernel is the same
+/// source either way; only the width differs.
+#[inline(always)]
+pub(crate) fn dispatch<K: Kernel>(kernel: K) -> K::Out {
+    #[cfg(target_arch = "x86_64")]
+    #[allow(unsafe_code)]
+    {
+        if active_backend() == Backend::Avx2 {
+            // SAFETY: `active_backend`/`force_backend` only ever select AVX2
+            // once `is_supported` verified the CPU has it.
+            return unsafe { crate::simd::avx2::run(kernel) };
+        }
+    }
+    kernel.run::<f64>()
+}
 
 #[cfg(test)]
 mod tests {

@@ -21,17 +21,27 @@
 //! `min`/`max` of non-NaN values is exact and `u32` arithmetic is exact, so
 //! every walk gives the seed kernels' bits.
 //!
+//! The DTW/Fréchet and ERP recurrences are written over
+//! [`crate::backend::Lanes`], so the same source pushes one column (`f64`:
+//! the trie bounds and the single-pair kernels) or several side by side
+//! (AVX2 lanes: batched verification's candidates, in `crate::simd::batch`,
+//! and a trie node's DTW siblings, [`DtwColumn::push_cells`]). Where a
+//! transition reads and writes its cells is a [`Rows`] accessor: a column in
+//! place, or a sibling group reading one parent and writing each child.
+//! EDR's and LCSS's integer columns have one lane only.
+//!
 //! The recurrences are `#[inline(always)]`: a column is as short as a
 //! query (tens of points), so a call per column is measurable — on a
 //! 2-vCPU x86-64 VM, EDR's exact kernel ran about a quarter slower when the
 //! compiler declined to inline its column push.
 
+use crate::backend::{dispatch, Kernel, Lanes};
 use repose_model::{Mbr, Point};
 
 /// `d ⊕ pred`: DTW adds the ground cost to the cheapest predecessor,
 /// Fréchet takes the larger of the two.
 #[inline(always)]
-fn step<const MAX: bool>(d: f64, pred: f64) -> f64 {
+fn step<V: Lanes, const MAX: bool>(d: V, pred: V) -> V {
     if MAX {
         d.max(pred)
     } else {
@@ -39,53 +49,54 @@ fn step<const MAX: bool>(d: f64, pred: f64) -> f64 {
     }
 }
 
+/// Where a DTW/Fréchet column transition reads `f_{i,j-1}` and writes
+/// `f_{i,j}`, for `V::W` columns side by side.
+pub(crate) trait Rows<V> {
+    /// Replaces each row's cell `c`, in row order, by `cell(c, q)`, `q` the
+    /// row's query point.
+    fn update(self, query: &[Point], cell: impl FnMut(V, &Point) -> V);
+}
+
+/// A column held in place, row `i`'s `W` lanes at `[i * W, (i + 1) * W)`.
+impl<V: Lanes> Rows<V> for &mut [f64] {
+    #[inline(always)]
+    fn update(self, query: &[Point], mut cell: impl FnMut(V, &Point) -> V) {
+        for (c, q) in self.chunks_exact_mut(V::W).zip(query) {
+            cell(V::load(c), q).store(c);
+        }
+    }
+}
+
 /// One DTW (`MAX = false`, Eq. 15) or discrete-Fréchet (`MAX = true`,
-/// Eq. 9) column transition over a caller-owned column; `ground(q)` is the
+/// Eq. 9) column transition in each of `V`'s lanes; `ground(q)` is the
 /// ground cost of query point `q` against the new reference element.
 /// Returns the new column's minimum.
 ///
-/// `f_{i-1,j-1}` and `f_{i-1,j}` start at `+∞`, so the first row takes
-/// `min(+∞, f_{1,j-1}, +∞) = f_{1,j-1}` exactly, with no branch.
+/// The first column is `f_{i,1} = d(q_i, p_1) ⊕ f_{i-1,1}`, a prefix sum
+/// (running max) seeded with `f_{0,0} = 0` — row 1 takes `d ⊕ 0 = d` for
+/// the non-negative costs — and never reads `col`. Later columns' row 1
+/// takes `min(+∞, f_{1,j-1}, +∞) = f_{1,j-1}` exactly, with no branch.
 #[inline(always)]
-pub(crate) fn advance<const MAX: bool>(
-    col: &mut [f64],
+pub(crate) fn advance<V: Lanes, const MAX: bool>(
+    col: impl Rows<V>,
     first: bool,
     query: &[Point],
-    ground: impl Fn(&Point) -> f64,
-) -> f64 {
-    debug_assert_eq!(col.len(), query.len());
-    let mut cmin = f64::INFINITY;
-    if first {
-        // f_{i,1} = d(q_i, p_1) ⊕ f_{i-1,1}; Fréchet's f_{1,1} is d itself.
-        let mut acc = 0.0f64;
-        for (i, (c, q)) in col.iter_mut().zip(query).enumerate() {
-            let d = ground(q);
-            acc = if !MAX {
-                acc + d
-            } else if i == 0 {
-                d
-            } else {
-                acc.max(d)
-            };
-            *c = acc;
-            if acc < cmin {
-                cmin = acc;
-            }
-        }
-        return cmin;
-    }
-    // prev_im1 = f_{i-1,j-1} (old value one row up), last_new = f_{i-1,j}.
-    let (mut prev_im1, mut last_new) = (f64::INFINITY, f64::INFINITY);
-    for (c, q) in col.iter_mut().zip(query) {
-        let old = *c;
-        let new = step::<MAX>(ground(q), prev_im1.min(old).min(last_new));
-        prev_im1 = old;
-        *c = new;
-        last_new = new;
-        if new < cmin {
-            cmin = new;
-        }
-    }
+    ground: impl Fn(&Point) -> V,
+) -> V {
+    let inf = V::splat(f64::INFINITY);
+    // diag = f_{i-1,j-1}, up = f_{i-1,j}; in the first column `up` starts
+    // as f_{0,0}, row 1's one finite predecessor.
+    let (mut diag, mut cmin) = (inf, inf);
+    let mut up = V::splat(if first { 0.0 } else { f64::INFINITY });
+    // One closure with one call site: LLVM then inlines it, and in the AVX2
+    // instance a closure left out of line runs without the wide registers.
+    col.update(query, |old, q| {
+        let pred = if first { up } else { diag.min(old).min(up) };
+        let new = step::<V, MAX>(ground(q), pred);
+        (diag, up) = (old, new);
+        cmin = cmin.min(new);
+        new
+    });
     cmin
 }
 
@@ -110,8 +121,8 @@ pub(crate) fn advance2<const MAX: bool>(
     let (mut a, mut b, mut c2) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
     for (c, q) in col.iter_mut().zip(query) {
         let old = *c; // f_{i,j-1}
-        let v1 = step::<MAX>(ground1(q), a.min(old).min(b));
-        let v2 = step::<MAX>(ground2(q), b.min(v1).min(c2));
+        let v1 = step::<f64, MAX>(ground1(q), a.min(old).min(b));
+        let v2 = step::<f64, MAX>(ground2(q), b.min(v1).min(c2));
         a = old;
         b = v1;
         c2 = v2;
@@ -179,7 +190,7 @@ impl<const MAX: bool> DpColumn<MAX> {
     /// distance `d(q_i, ·)`.
     pub fn push_with(&mut self, query: &[Point], ground: impl Fn(&Point) -> f64) {
         debug_assert_eq!(query.len(), self.col.len());
-        self.cmin = advance::<MAX>(&mut self.col, self.len == 0, query, ground);
+        self.cmin = advance::<f64, MAX>(&mut self.col[..], self.len == 0, query, ground);
         self.len += 1;
     }
 
@@ -203,9 +214,8 @@ impl DtwColumn {
     /// when the children's buffers already fit (any column of a query of
     /// this length does; their old contents are overwritten).
     ///
-    /// On the AVX2 backend 4 siblings advance per pass over the query and
-    /// the parent column is read once per pass; the scalar backend copies
-    /// and pushes them one by one.
+    /// The siblings advance `W` per pass over the query, the active
+    /// backend's lane count, and the parent column is read once per pass.
     pub fn push_cells(&self, query: &[Point], cells: &[Mbr], children: &mut [DtwColumn]) {
         assert_eq!(cells.len(), children.len(), "one cell per child");
         debug_assert_eq!(query.len(), self.col.len());
@@ -213,52 +223,108 @@ impl DtwColumn {
             child.col.resize(self.col.len(), 0.0);
             child.len = self.len + 1;
         }
-        let (parent, first) = (&self.col, self.len == 0);
-        crate::backend::simd_dispatch!(dtw_siblings(parent, first, query, cells, children));
-        for (cell, child) in cells.iter().zip(children) {
-            child.col.copy_from_slice(parent);
-            child.cmin = advance::<false>(&mut child.col, first, query, |q| cell.min_dist(*q));
+        dispatch(PushCells { parent: self, query, cells, children });
+    }
+}
+
+/// [`DtwColumn::push_cells`] at one lane width: lane `s` pushes `cells[s]`
+/// onto the parent (lanes past the last sibling repeat it and are never
+/// written back).
+struct PushCells<'a> {
+    parent: &'a DtwColumn,
+    query: &'a [Point],
+    cells: &'a [Mbr],
+    children: &'a mut [DtwColumn],
+}
+
+impl Kernel for PushCells<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run<V: Lanes>(self) {
+        let (parent, first) = (&self.parent.col[..], self.parent.len == 0);
+        for (cells, kids) in self.cells.chunks(V::W).zip(self.children.chunks_mut(V::W)) {
+            let cell = |s: usize| &cells[s.min(cells.len() - 1)];
+            let (lo_x, lo_y) = (V::from_fn(|s| cell(s).min.x), V::from_fn(|s| cell(s).min.y));
+            let (hi_x, hi_y) = (V::from_fn(|s| cell(s).max.x), V::from_fn(|s| cell(s).max.y));
+            // `Mbr::min_dist`'s operation order. Where the two `max`es meet
+            // a signed zero they may pick the other zero than `f64::max`;
+            // squaring erases the difference.
+            let ground = |q: &Point| {
+                let (qx, qy, zero) = (V::splat(q.x), V::splat(q.y), V::splat(0.0));
+                let dx = (lo_x - qx).max(zero).max(qx - hi_x);
+                let dy = (lo_y - qy).max(zero).max(qy - hi_y);
+                (dx * dx + dy * dy).sqrt()
+            };
+            let rows = Siblings { parent, kids: &mut *kids };
+            let cmin = advance::<V, false>(rows, first, self.query, ground);
+            for (kid, c) in kids.iter_mut().zip(cmin.to_array()) {
+                kid.cmin = c;
+            }
+        }
+    }
+}
+
+/// A sibling group's column: every lane reads the shared parent's cell and
+/// lane `s` writes child `s`'s.
+struct Siblings<'a> {
+    parent: &'a [f64],
+    kids: &'a mut [DtwColumn],
+}
+
+impl<V: Lanes> Rows<V> for Siblings<'_> {
+    #[inline(always)]
+    fn update(self, query: &[Point], mut cell: impl FnMut(V, &Point) -> V) {
+        for (i, (&old, q)) in self.parent.iter().zip(query).enumerate() {
+            let new = cell(V::splat(old), q);
+            for (kid, v) in self.kids.iter_mut().zip(new.to_array()) {
+                kid.col[i] = v;
+            }
         }
     }
 }
 
 /// The ERP boundary column `f_{i,0}` (delete the first `i` query points)
-/// and each query point's gap cost `d(q_i, g)`, into `col` (`m + 1` long)
-/// and `qgap` (`m` long).
-pub(crate) fn erp_init(col: &mut [f64], qgap: &mut [f64], query: &[Point], gap: Point) {
-    col[0] = 0.0;
-    for (i, (g, q)) in qgap.iter_mut().zip(query).enumerate() {
+/// in each of `V`'s lanes, into `col` (`m + 1` rows of `W`), and each query
+/// point's gap cost `d(q_i, g)`, into `qgap` (`m` long).
+#[inline(always)]
+pub(crate) fn erp_init<V: Lanes>(col: &mut [f64], qgap: &mut [f64], query: &[Point], gap: Point) {
+    let mut rows = col.chunks_exact_mut(V::W);
+    let mut acc = 0.0;
+    V::splat(acc).store(rows.next().expect("boundary row"));
+    for ((c, g), q) in rows.zip(qgap).zip(query) {
         *g = q.dist(&gap);
-        col[i + 1] = col[i] + *g;
+        acc += *g;
+        V::splat(acc).store(c);
     }
 }
 
-/// One ERP column transition (recurrence in the [`crate::erp`] docs): the
-/// new element's gap cost is `rgap`, its match cost against query point `q`
-/// is `ground(q)`. Row 0 is the all-reference-gaps boundary. Returns the
-/// new column's minimum, boundary cell included.
+/// One ERP column transition (recurrence in the [`crate::erp`] docs) in
+/// each of `V`'s lanes, over a column laid out as [`erp_init`] leaves it:
+/// the new element's gap cost is `rgap`, its match cost against query point
+/// `q` is `ground(q)`. Row 0 is the all-reference-gaps boundary. Returns
+/// the new column's minimum, boundary cell included.
 #[inline(always)]
-pub(crate) fn erp_advance(
+pub(crate) fn erp_advance<V: Lanes>(
     col: &mut [f64],
     query: &[Point],
     qgap: &[f64],
-    rgap: f64,
-    ground: impl Fn(&Point) -> f64,
-) -> f64 {
-    let (c0, rest) = col.split_first_mut().expect("boundary row");
-    let mut diag = *c0;
-    *c0 += rgap;
-    let (mut up, mut cmin) = (*c0, *c0);
-    for ((c, q), g) in rest.iter_mut().zip(query).zip(qgap) {
+    rgap: V,
+    ground: impl Fn(&Point) -> V,
+) -> V {
+    let (c0, rest) = col.split_at_mut(V::W);
+    let mut diag = V::load(c0);
+    let mut up = diag + rgap;
+    up.store(c0);
+    let mut cmin = up;
+    for ((c, q), &g) in rest.chunks_exact_mut(V::W).zip(query).zip(qgap) {
         // `up` is the loop-carried term: min it in last, so one add and one
         // min, not two, sit on the chain.
-        let new = (diag + ground(q)).min(*c + rgap).min(up + g);
-        diag = *c;
-        *c = new;
-        up = new;
-        if new < cmin {
-            cmin = new;
-        }
+        let old = V::load(c);
+        let new = (diag + ground(q)).min(old + rgap).min(up + V::splat(g));
+        new.store(c);
+        (diag, up) = (old, new);
+        cmin = cmin.min(new);
     }
     cmin
 }
@@ -277,14 +343,14 @@ impl ErpColumn {
     /// State for `query` with gap point `gap`, before any reference element.
     pub fn new(query: &[Point], gap: Point) -> Self {
         let (mut col, mut qgap) = (vec![0.0; query.len() + 1], vec![0.0; query.len()]);
-        erp_init(&mut col, &mut qgap, query, gap);
+        erp_init::<f64>(&mut col, &mut qgap, query, gap);
         ErpColumn { col, qgap, cmin: f64::INFINITY }
     }
 
     /// Pushes the next reference element: its gap cost `rgap` and its
     /// match cost `ground(q)` against each query point.
     pub fn push_with(&mut self, query: &[Point], rgap: f64, ground: impl Fn(&Point) -> f64) {
-        self.cmin = erp_advance(&mut self.col, query, &self.qgap, rgap, ground);
+        self.cmin = erp_advance::<f64>(&mut self.col, query, &self.qgap, rgap, ground);
     }
 
     /// Minimum of the newest column; 0 before any push (or past overflow).

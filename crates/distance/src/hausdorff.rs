@@ -1,36 +1,14 @@
 //! Hausdorff distance (Definition 2): the unbounded one-pass kernel, the
 //! incremental [`HausdorffState`] the trie search pushes reference points
-//! into, and the scalar nearest-neighbour sweep under both — [`nn_sweep`],
-//! one pass over the squared-distance matrix keeping row and column minima.
-//! Hausdorff folds those minima by `max`; the DTW nearest-neighbour stage
-//! ([`crate::within`]) reuses the same sweep and folds them by `Σ√`.
+//! into, and the nearest-neighbour sweep under the unbounded kernel —
+//! [`nn_sweep`], one pass over the squared-distance matrix keeping row and
+//! column minima. Hausdorff folds those minima by `max`; the DTW
+//! nearest-neighbour stage ([`crate::within`]) reuses the same sweep and
+//! folds them by `Σ√`.
 
+use crate::backend::{dispatch, Kernel, Lanes};
 use crate::DistScratch;
 use repose_model::Point;
-
-/// Directed Hausdorff distance `max_{a in from} min_{b in to} d(a, b)`.
-///
-/// Both slices must be non-empty.
-pub fn directed_hausdorff(from: &[Point], to: &[Point]) -> f64 {
-    debug_assert!(!from.is_empty() && !to.is_empty());
-    let mut worst = 0.0f64;
-    for a in from {
-        let mut best = f64::INFINITY;
-        for b in to {
-            let d = a.dist_sq(b);
-            if d < best {
-                best = d;
-                if best == 0.0 {
-                    break;
-                }
-            }
-        }
-        if best > worst {
-            worst = best;
-        }
-    }
-    worst.sqrt()
-}
 
 /// The (symmetric) Hausdorff distance between two trajectories
 /// (Definition 2, Eq. 1). Borrows the calling thread's [`DistScratch`].
@@ -39,71 +17,105 @@ pub fn hausdorff(t1: &[Point], t2: &[Point]) -> f64 {
 }
 
 /// One pass over the `m x n` squared-distance matrix keeping every row's
-/// and every column's minimum — each point's squared distance to its nearest
-/// neighbour in the other trajectory (what Fig. 4 of the paper depicts).
+/// and every column's minimum — each point's squared distance to its
+/// nearest neighbour in the other trajectory (what Fig. 4 of the paper
+/// depicts) — in `V`'s lanes. Both trajectories must be non-empty.
 ///
-/// Row minima are handed to `row` in `t1` order as they complete; `row`
-/// returning `false` stops the sweep (the function then returns `false` and
-/// `col_min` is partial). After a full sweep `col_min[j]` holds
-/// `min_i d²(t1[i], t2[j])`. Two folds consume this: [`hausdorff_in`] takes
-/// the `max` of the minima, the DTW nearest-neighbour stage
-/// ([`crate::within::dtw_nn_refutes`]) their `Σ√`. This is the scalar form;
-/// `simd::kern::query_major_sweep` is the packed one — `t1` in lanes, so it
-/// streams `t2`'s minima and returns `t1`'s — value-identical because `f64`
-/// min of non-NaN values is order-independent. `col_min.len()` must equal
-/// `t2.len()`.
-#[inline]
-pub(crate) fn nn_sweep(
+/// The pass is **query-major**: `t1` (the query, at every call site) is
+/// split once into x and y lane arrays padded with `+∞` (a `+∞` lane never
+/// lowers a minimum), and `t2`'s points are broadcast `W` at a time against
+/// them, so every vector the inner loop reads is a plain load and `t1`'s
+/// running minima are loaded and stored once per `W` broadcast points. The
+/// `W` minima of a broadcast group come out of one
+/// [`Lanes::transpose_min`].
+///
+/// `t2`'s minima stream out as they complete: `cols(mins, w)` gets one pack
+/// per `W` consecutive points of `t2`, whose lanes `s < w` hold
+/// `min_i d²(t1[i], t2[j + s])` in index order (lanes `s >= w` of the last
+/// pack repeat lane `w - 1`). `cols` returning `false` stops the sweep, and
+/// the result is then `None`. After a full sweep the result holds `t1`'s
+/// minima, `min_j d²(t1[i], t2[j])`, in index order. `f64` min of non-NaN
+/// values is order-independent, so every width gives the same minima.
+#[inline(always)]
+pub(crate) fn nn_sweep<'s, V: Lanes>(
     t1: &[Point],
     t2: &[Point],
-    col_min: &mut [f64],
-    mut row: impl FnMut(f64) -> bool,
-) -> bool {
-    debug_assert_eq!(col_min.len(), t2.len());
-    col_min.fill(f64::INFINITY);
-    for a in t1 {
-        let mut row_min = f64::INFINITY;
-        for (b, cm) in t2.iter().zip(col_min.iter_mut()) {
-            let d = a.dist_sq(b);
-            if d < row_min {
-                row_min = d;
+    scratch: &'s mut DistScratch,
+    mut cols: impl FnMut(V, usize) -> bool,
+) -> Option<&'s [f64]> {
+    let m = t1.len();
+    let padded = m.next_multiple_of(V::W);
+    let (xs, ys, rows) = scratch.f3_uninit(padded, padded, padded);
+    for ((x, y), p) in xs.iter_mut().zip(ys.iter_mut()).zip(t1) {
+        (*x, *y) = (p.x, p.y);
+    }
+    xs[m..].fill(f64::INFINITY);
+    ys[m..].fill(f64::INFINITY);
+    rows.fill(f64::INFINITY);
+    for group in t2.chunks(V::W) {
+        let w = group.len();
+        let bx = V::array(|s| V::splat(group[s.min(w - 1)].x));
+        let by = V::array(|s| V::splat(group[s.min(w - 1)].y));
+        let mut acc = V::array(|_| V::splat(f64::INFINITY));
+        let lanes = xs.chunks_exact(V::W).zip(ys.chunks_exact(V::W));
+        for ((qx, qy), row) in lanes.zip(rows.chunks_exact_mut(V::W)) {
+            let (qx, qy) = (V::load(qx), V::load(qy));
+            let mut r = V::load(row);
+            for s in 0..V::W {
+                // `t1[i].dist_sq(&t2[j + s])`'s operation order.
+                let dx = qx - bx[s];
+                let dy = qy - by[s];
+                let d = dx * dx + dy * dy;
+                acc[s] = acc[s].min(d);
+                r = r.min(d);
             }
-            if d < *cm {
-                *cm = d;
-            }
+            r.store(row);
         }
-        if !row(row_min) {
-            return false;
+        if !cols(V::transpose_min(acc), w) {
+            return None;
         }
     }
-    true
+    Some(&rows[..m])
 }
 
-/// [`hausdorff`] against a caller-managed scratch (which holds the
-/// column-minima row): zero heap allocations once `scratch` is warm.
+/// [`hausdorff`] against a caller-managed scratch (which holds the sweep's
+/// lane arrays): zero heap allocations once `scratch` is warm.
 ///
 /// The one unbounded kernel that is not its threshold kernel at `+∞`: the
 /// `max` fold of a single [`nn_sweep`] — row minima for one direction,
 /// column minima for the other — which beats two directed passes when
 /// nothing can be abandoned. The whole pass stays in squared-distance space;
-/// the single `sqrt` happens at the end. Dispatches to the active backend's
-/// packed form of the same pass — bit-identical either way (see
-/// [`crate::backend`]).
+/// the single `sqrt` happens at the end.
 pub(crate) fn hausdorff_in(t1: &[Point], t2: &[Point], scratch: &mut DistScratch) -> f64 {
     if t1.is_empty() || t2.is_empty() {
         return if t1.is_empty() && t2.is_empty() { 0.0 } else { f64::INFINITY };
     }
-    crate::backend::simd_dispatch!(hausdorff(t1, t2, scratch));
-    let col_min = scratch.f1_uninit(t2.len());
-    let mut worst_row = 0.0f64;
-    nn_sweep(t1, t2, col_min, |row_min| {
-        if row_min > worst_row {
-            worst_row = row_min;
-        }
-        true
-    });
-    let worst_col = col_min.iter().cloned().fold(0.0f64, f64::max);
-    worst_row.max(worst_col).sqrt()
+    dispatch(Unbounded { t1, t2, scratch })
+}
+
+/// [`hausdorff_in`]'s kernel past its guards.
+struct Unbounded<'a> {
+    t1: &'a [Point],
+    t2: &'a [Point],
+    scratch: &'a mut DistScratch,
+}
+
+impl Kernel for Unbounded<'_> {
+    type Out = f64;
+
+    #[inline(always)]
+    fn run<V: Lanes>(self) -> f64 {
+        // Repeated tail lanes repeat a real minimum: harmless under `max`.
+        let mut worst = V::splat(0.0);
+        let rows = nn_sweep::<V>(self.t1, self.t2, self.scratch, |mins, _| {
+            worst = worst.max(mins);
+            true
+        })
+        .expect("the max fold never stops the sweep");
+        let worst_row = rows.iter().copied().fold(0.0f64, f64::max);
+        let worst_col = worst.to_array().into_iter().fold(0.0f64, f64::max);
+        worst_row.max(worst_col).sqrt()
+    }
 }
 
 /// Incremental Hausdorff state for growing reference trajectories
@@ -243,17 +255,6 @@ mod tests {
     }
 
     #[test]
-    fn directed_vs_symmetric() {
-        let (tq, ts) = paper_data();
-        for t in &ts {
-            let d = hausdorff(&tq, t);
-            let f = directed_hausdorff(&tq, t);
-            let b = directed_hausdorff(t, &tq);
-            assert!((d - f.max(b)).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn empty_inputs() {
         let a = pts(&[(0.0, 0.0)]);
         assert_eq!(hausdorff(&[], &[]), 0.0);
@@ -287,7 +288,10 @@ mod tests {
                     st.full(),
                     batch
                 );
-                let directed = directed_hausdorff(prefix, &tq);
+                let directed = prefix
+                    .iter()
+                    .map(|p| tq.iter().map(|q| p.dist(q)).fold(f64::INFINITY, f64::min))
+                    .fold(0.0f64, f64::max);
                 assert!(
                     (st.cmax() - directed).abs() < 1e-9,
                     "prefix {j} cmax mismatch"

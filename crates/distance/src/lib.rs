@@ -5,15 +5,19 @@
 //!
 //! * a frozen seed kernel in [`mod@reference`] — the oracle every test compares
 //!   bits against, never called in production;
-//! * one scalar, threshold-aware, early-abandoning kernel in [`within`].
-//!   The unbounded distance *is* that kernel at `+∞`
+//! * one threshold-aware, early-abandoning kernel in [`within`]. The
+//!   unbounded distance *is* that kernel at `+∞`
 //!   (`within(+∞).unwrap_or(+∞)`), so there is no separate "full" dynamic
-//!   program to keep in agreement with it;
-//! * where lanes measurably pay, a SIMD form selected by [`backend`]: the
-//!   packed single-pair Hausdorff kernels (Hausdorff also keeps its one-pass
-//!   unbounded kernel, a different algorithm from its two-pass threshold
-//!   kernel), and lane-batched DTW / Fréchet / ERP verification that scores
-//!   up to [`BATCH_LANES`] candidates against one query at once.
+//!   program to keep in agreement with it. Hausdorff alone also keeps its
+//!   one-pass unbounded kernel, a different algorithm from its two-pass
+//!   threshold kernel.
+//!
+//! No algorithm has a second, SIMD copy. Where lanes measurably pay, the
+//! one kernel is written over a lane type with `f64` as its 1-lane instance,
+//! and [`backend`] picks the width: the Hausdorff kernels and the DTW
+//! nearest-neighbour stage run at the active width, and lane-batched DTW /
+//! Fréchet / ERP verification pushes the measure's column recurrence for up
+//! to [`BATCH_LANES`] candidates against one query at once.
 //!
 //! Every entry point takes the shape [`MeasureParams`] gives it — `distance`,
 //! `distance_within`, and their `*_in` forms over a caller-owned
@@ -36,8 +40,9 @@
 //! refinement ([`MeasureParams::refine_by_bound`]) — prunes with and
 //! publishes into, and whose pool is the query's answer.
 //!
-//! The lint attributes below confine `unsafe` to the `simd` module and the
-//! dispatch sites that call into it.
+//! The lint attributes confine `unsafe` to the AVX2 lane type
+//! (`simd::avx2`), the one dispatch site that enters it, and the
+//! summaries' `Pod` impl.
 //!
 //! ```
 //! use repose_distance::{hausdorff, Measure, MeasureParams};
@@ -74,8 +79,6 @@ mod lcss;
 mod measure;
 pub mod reference;
 mod scratch;
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
 pub(crate) mod simd;
 mod shared;
 mod summary;
@@ -87,7 +90,7 @@ pub use dtw::dtw;
 pub use edr::edr;
 pub use erp::erp;
 pub use frechet::frechet;
-pub use hausdorff::{directed_hausdorff, hausdorff, HausdorffState};
+pub use hausdorff::{hausdorff, HausdorffState};
 pub use lcss::{lcss_distance, lcss_length};
 pub use measure::{Measure, MeasureParams, RefineEvent, BATCH_LANES};
 pub use scratch::DistScratch;

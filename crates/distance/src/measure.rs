@@ -1,4 +1,6 @@
+use crate::backend::{dispatch, Kernel, Lanes};
 use crate::hausdorff::hausdorff_in;
+use crate::simd::batch::{batch_dp, batch_erp};
 use crate::within::{
     bound_exceeds, dp_within, dtw_lb, dtw_nn_refutes, dtw_within, edr_lb, edr_within, erp_lb,
     erp_within, frechet_lb, frechet_within, hausdorff_lb, hausdorff_within, just_above,
@@ -8,10 +10,10 @@ use crate::{DistScratch, ThresholdSource};
 use repose_model::Point;
 
 /// Maximum number of candidates [`MeasureParams::distance_within_batch_in`]
-/// scores in one SIMD lane group (the AVX2 width; the scalar backend scores
-/// one at a time). Callers sizing stack buffers for batched verification
-/// should use this.
-pub const BATCH_LANES: usize = 4;
+/// scores in one SIMD lane group: the widest lane type's width (the scalar
+/// backend scores one at a time). Callers sizing stack buffers for batched
+/// verification should use this.
+pub const BATCH_LANES: usize = crate::simd::AVX2_W;
 
 /// What happened to one candidate inside [`MeasureParams::refine_by_bound`]
 /// — the hook callers use to account for verification work.
@@ -78,7 +80,6 @@ impl Measure {
     /// [`Backend::lanes`]: crate::Backend::lanes
     pub fn batch_lanes(&self) -> usize {
         match self {
-            #[cfg(target_arch = "x86_64")]
             Measure::Dtw | Measure::Frechet | Measure::Erp => {
                 crate::backend::active_backend().lanes()
             }
@@ -260,19 +261,12 @@ impl MeasureParams {
         out: &mut [Option<f64>],
     ) {
         assert_eq!(cands.len(), out.len(), "one output slot per candidate");
-        #[cfg(target_arch = "x86_64")]
-        {
-            let lanes = crate::backend::active_backend().lanes();
-            if lanes > 1
-                && matches!(measure, Measure::Dtw | Measure::Frechet | Measure::Erp)
-                && !query.is_empty()
-                && threshold > 0.0
-            {
-                for (c, o) in cands.chunks(lanes).zip(out.chunks_mut(lanes)) {
-                    self.batch_lane_group(measure, query, c, threshold, scratch, o);
-                }
-                return;
+        let lanes = measure.batch_lanes();
+        if lanes > 1 && !query.is_empty() && threshold > 0.0 {
+            for (c, o) in cands.chunks(lanes).zip(out.chunks_mut(lanes)) {
+                self.batch_lane_group(measure, query, c, threshold, scratch, o);
             }
+            return;
         }
         for (&(lb, pts), o) in cands.iter().zip(out.iter_mut()) {
             *o = self.distance_within_from_lb_in(measure, query, pts, threshold, lb, scratch);
@@ -282,11 +276,9 @@ impl MeasureParams {
     /// Scores one lane group: prefilter-rejected and empty candidates are
     /// settled without touching a kernel, and a DTW candidate must also
     /// pass the nearest-neighbour stage before it may take a lane;
-    /// survivors go through the AVX2 batched kernel (or the sequential
-    /// kernel when only one survives — a one-lane vector would waste the
-    /// whole group's gathers).
-    #[cfg(target_arch = "x86_64")]
-    #[allow(unsafe_code)]
+    /// survivors go through the lane driver at the active width (or the
+    /// sequential kernel when only one survives — a one-lane vector would
+    /// waste the whole group's gathers).
     fn batch_lane_group(
         &self,
         measure: Measure,
@@ -329,21 +321,9 @@ impl MeasureParams {
             return;
         }
         let mut lane_out = [None; BATCH_LANES];
-        // SAFETY: the caller groups lanes only when the active backend's
-        // `lanes() > 1`, i.e. AVX2, which `is_supported` verified.
-        // `nl <= BATCH_LANES`, the query and every grouped candidate are
-        // non-empty, and `threshold > 0.0` and non-NaN — the batch kernels'
-        // documented requirements.
-        unsafe {
-            use crate::simd::avx2;
-            let (g, o) = (&group[..nl], &mut lane_out[..nl]);
-            match measure {
-                Measure::Dtw => avx2::batch_dtw(query, g, threshold, scratch, o),
-                Measure::Frechet => avx2::batch_frechet(query, g, threshold, scratch, o),
-                Measure::Erp => avx2::batch_erp(query, g, self.erp_gap, threshold, scratch, o),
-                _ => unreachable!("lane-batched path requires a batched kernel"),
-            }
-        }
+        let (cands, gap) = (&group[..nl], self.erp_gap);
+        let lanes = &mut lane_out[..nl];
+        dispatch(Batch { measure, gap, query, cands, threshold, scratch, out: lanes });
         for (l, &s) in slot[..nl].iter().enumerate() {
             out[s] = lane_out[l];
         }
@@ -448,6 +428,37 @@ impl MeasureParams {
             Measure::Lcss => lcss_lb(t1, t2, self.eps),
             Measure::Edr => edr_lb(t1, t2, self.eps),
             Measure::Erp => erp_lb(t1, t2, self.erp_gap),
+        }
+    }
+}
+
+/// One lane group of [`MeasureParams::distance_within_batch_in`], past the
+/// prefilter: every candidate and the query non-empty, `threshold > 0.0`
+/// and non-NaN. The group is driven `W` candidates at a time, so a backend
+/// switched by another thread since the group was sized changes no result.
+struct Batch<'a> {
+    measure: Measure,
+    gap: Point,
+    query: &'a [Point],
+    cands: &'a [&'a [Point]],
+    threshold: f64,
+    scratch: &'a mut DistScratch,
+    out: &'a mut [Option<f64>],
+}
+
+impl Kernel for Batch<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run<V: Lanes>(self) {
+        let Batch { measure, gap, query, cands, threshold, scratch, out } = self;
+        for (cands, out) in cands.chunks(V::W).zip(out.chunks_mut(V::W)) {
+            match measure {
+                Measure::Dtw => batch_dp::<V, false>(query, cands, threshold, scratch, out),
+                Measure::Frechet => batch_dp::<V, true>(query, cands, threshold, scratch, out),
+                Measure::Erp => batch_erp::<V>(query, cands, gap, threshold, scratch, out),
+                _ => unreachable!("lane-batched path requires a batched kernel"),
+            }
         }
     }
 }

@@ -19,20 +19,13 @@
 
 use std::cell::RefCell;
 
-/// One 4-lane group of batched-verification column state: candidate lane
-/// `l`'s DP cell lives at `.0[l]`. 32-byte alignment keeps every lane
-/// group on one AVX2 load/store.
-#[derive(Debug, Clone, Copy, Default)]
-#[repr(C, align(32))]
-pub(crate) struct Lane4(pub [f64; 4]);
-
 /// Reusable kernel scratch space (see module docs).
 ///
 /// The buffers are deliberately typed by role, not by kernel: `fa` serves
 /// as the DP column (DTW, Fréchet, ERP) or the column-minima row
 /// (Hausdorff), `fb` as ERP's query gap costs; `u` is the integer column
 /// of EDR and LCSS; `lanes` holds the lane-interleaved column state of
-/// batched multi-candidate verification.
+/// batched multi-candidate verification, `W` lanes to a row.
 /// A single scratch therefore serves all six measures interchangeably.
 #[derive(Debug, Default)]
 pub struct DistScratch {
@@ -40,7 +33,7 @@ pub struct DistScratch {
     fb: Vec<f64>,
     fc: Vec<f64>,
     u: Vec<u32>,
-    lanes: Vec<Lane4>,
+    lanes: Vec<f64>,
 }
 
 /// Returns a length-`n` view of `buf` without clearing retained values:
@@ -88,23 +81,15 @@ impl DistScratch {
         grow_uninit(&mut self.u, n)
     }
 
-    /// Lane-interleaved batch column state (length `nl` lane groups) plus
-    /// two `f64` rows, all with **unspecified contents** — the batched
+    /// `n` `f64`s of lane-interleaved column state, starting on a 64-byte
+    /// cache line so that no lane group straddles one, plus an `f64` row of
+    /// `nb`, all with **unspecified contents** — the batched
     /// multi-candidate kernels' working set.
-    pub(crate) fn batch_f(
-        &mut self,
-        nl: usize,
-        na: usize,
-        nb: usize,
-    ) -> (&mut [Lane4], &mut [f64], &mut [f64]) {
-        if self.lanes.len() < nl {
-            self.lanes.resize(nl, Lane4::default());
-        }
-        (
-            &mut self.lanes[..nl],
-            grow_uninit(&mut self.fa, na),
-            grow_uninit(&mut self.fb, nb),
-        )
+    pub(crate) fn lanes(&mut self, n: usize, nb: usize) -> (&mut [f64], &mut [f64]) {
+        const LINE: usize = 64 / std::mem::size_of::<f64>();
+        let buf = grow_uninit(&mut self.lanes, n + LINE - 1);
+        let skip = buf.as_ptr().align_offset(64).min(LINE - 1);
+        (&mut buf[skip..skip + n], grow_uninit(&mut self.fa, nb))
     }
 
     /// Total reserved capacity in bytes across all buffers.
@@ -113,10 +98,9 @@ impl DistScratch {
     /// prove a warm verification loop never grows (hence never allocates
     /// from) the scratch.
     pub fn footprint(&self) -> usize {
-        (self.fa.capacity() + self.fb.capacity() + self.fc.capacity())
+        (self.fa.capacity() + self.fb.capacity() + self.fc.capacity() + self.lanes.capacity())
             * std::mem::size_of::<f64>()
             + self.u.capacity() * std::mem::size_of::<u32>()
-            + self.lanes.capacity() * std::mem::size_of::<Lane4>()
     }
 
     /// Runs `f` with the calling thread's scratch — the per-worker-thread

@@ -37,11 +37,7 @@
 //!    nearest neighbour in the other trajectory — Hausdorff's row/column
 //!    minima sweep ([`crate::hausdorff`]) folded by `Σ√` instead of `max` —
 //!    refuse most candidates the prefilter lets through, at a fraction of
-//!    the dynamic program's cost. On a SIMD backend the sweep is
-//!    query-major: the query sits in padded lane arrays and the
-//!    candidate's points are broadcast against it, so the candidate's sum
-//!    streams and the query's is added at the end — the reverse of the
-//!    scalar sweep, which `dtw_nn_refutes` shows cannot change a refusal.
+//!    the dynamic program's cost.
 //! 3. **Early abandoning** inside the exact computation: Hausdorff stops
 //!    as soon as any point's nearest-neighbour distance reaches the
 //!    threshold; Frechet/DTW/ERP/EDR stop when an entire DP column minimum
@@ -50,10 +46,17 @@
 //!    stops when the best still-achievable match count cannot beat the
 //!    threshold.
 //!
+//! Hausdorff's directed pass and the DTW nearest-neighbour stage are written
+//! once over the lane trait (`backend::Lanes`) and run at the active
+//! backend's width; the dynamic programs of a single pair run at one lane on
+//! every backend (lanes pay only across candidates,
+//! [`crate::MeasureParams::distance_within_batch_in`]).
+//!
 //! The kernels themselves are crate-private; callers reach them through
 //! [`crate::MeasureParams`]. What this module exports is the threshold
 //! plumbing around them: [`just_above`] and [`bound_exceeds`].
 
+use crate::backend::{dispatch, Kernel, Lanes};
 use crate::column::{advance, advance2, edr_advance, erp_advance, erp_init, lcss_advance};
 use crate::hausdorff::nn_sweep;
 use crate::DistScratch;
@@ -88,8 +91,8 @@ fn empty_case(both_zero: bool, threshold: f64) -> Option<f64> {
 // Hausdorff
 // ---------------------------------------------------------------------------
 
-/// One directed pass `max_{a in from} min_{b in to} d²(a, b)` with two
-/// abandons:
+/// One directed pass `max_{a in from} min_{b in to} d²(a, b)` in `V`'s
+/// lanes, with two abandons:
 ///
 /// * **row irrelevance** — once a row's running minimum drops to the
 ///   current max (`worst`), the row cannot raise the max; stop scanning it
@@ -97,24 +100,30 @@ fn empty_case(both_zero: bool, threshold: f64) -> Option<f64> {
 /// * **threshold abandon** — a completed row minimum `>= thr_sq` proves the
 ///   directed (hence the symmetric) distance is `>= threshold`.
 ///
-/// The inner row is consumed in chunks of 8 contiguous points with a
-/// branch-free running minimum, so the distance loop vectorizes; the
-/// irrelevance break is re-checked at chunk granularity. Decisions and
-/// values are identical to the point-at-a-time loop: a chunk only ever
-/// *extends* a row past where the early break would have fired, and an
-/// extended scan can only lower `best` further below `worst` — the
-/// skip/abandon outcome and the recorded row minima are unchanged
-/// (`f64` min is order-independent for the non-NaN distances here).
-fn directed_within_sq(from: &[Point], to: &[Point], thr_sq: f64) -> Option<f64> {
+/// The inner row is consumed in chunks of 8 contiguous points, `W` at a
+/// time with a branch-free running minimum (a chunk's last `< W` points one
+/// at a time); the irrelevance break is
+/// re-checked at chunk granularity. Decisions and values are identical to
+/// the point-at-a-time loop at every width: a chunk only ever *extends* a
+/// row past where the early break would have fired, and an extended scan
+/// can only lower `best` further below `worst` — the skip/abandon outcome
+/// and the recorded row minima are unchanged (`f64` min is order-independent
+/// for the non-NaN distances here).
+#[inline(always)]
+fn directed_within_sq<V: Lanes>(from: &[Point], to: &[Point], thr_sq: f64) -> Option<f64> {
     let mut worst = 0.0f64;
     for a in from {
+        let (ax, ay) = (V::splat(a.x), V::splat(a.y));
         let mut best = f64::INFINITY;
         for chunk in to.chunks(8) {
-            let mut m = f64::INFINITY;
-            for b in chunk {
-                let d = a.dist_sq(b);
-                m = if d < m { d } else { m };
+            let (mut m, mut j) = (V::splat(f64::INFINITY), 0);
+            while j + V::W <= chunk.len() {
+                let (xs, ys) = V::load_points(&chunk[j..]);
+                let (dx, dy) = (ax - xs, ay - ys);
+                m = m.min(dx * dx + dy * dy);
+                j += V::W;
             }
+            let m = chunk[j..].iter().fold(m.hmin(), |m, b| Lanes::min(m, a.dist_sq(b)));
             if m < best {
                 best = m;
             }
@@ -132,9 +141,8 @@ fn directed_within_sq(from: &[Point], to: &[Point], thr_sq: f64) -> Option<f64> 
     Some(worst)
 }
 
-/// Early-abandoning Hausdorff distance (see module docs for the contract).
-/// The one measure whose threshold kernel has a packed single-pair SIMD
-/// form; the directed passes keep only O(1) state, so no scratch.
+/// Early-abandoning Hausdorff distance (see module docs for the contract):
+/// the two directed passes, which keep only O(1) state, so no scratch.
 pub(crate) fn hausdorff_within(t1: &[Point], t2: &[Point], threshold: f64) -> Option<f64> {
     if t1.is_empty() || t2.is_empty() {
         return empty_case(t1.is_empty() && t2.is_empty(), threshold);
@@ -142,16 +150,32 @@ pub(crate) fn hausdorff_within(t1: &[Point], t2: &[Point], threshold: f64) -> Op
     if threshold.is_nan() || threshold <= 0.0 {
         return None; // distances are non-negative
     }
-    crate::backend::simd_dispatch!(hausdorff_within(t1, t2, threshold));
-    let thr_sq = if threshold < f64::MAX.sqrt() {
-        threshold * threshold
-    } else {
-        f64::INFINITY
-    };
-    let a = directed_within_sq(t1, t2, thr_sq)?;
-    let b = directed_within_sq(t2, t1, thr_sq)?;
-    let d = a.max(b).sqrt();
-    (d < threshold).then_some(d)
+    dispatch(HausdorffWithin { t1, t2, threshold })
+}
+
+/// [`hausdorff_within`]'s kernel past its guards.
+struct HausdorffWithin<'a> {
+    t1: &'a [Point],
+    t2: &'a [Point],
+    threshold: f64,
+}
+
+impl Kernel for HausdorffWithin<'_> {
+    type Out = Option<f64>;
+
+    #[inline(always)]
+    fn run<V: Lanes>(self) -> Option<f64> {
+        let threshold = self.threshold;
+        let thr_sq = if threshold < f64::MAX.sqrt() {
+            threshold * threshold
+        } else {
+            f64::INFINITY
+        };
+        let a = directed_within_sq::<V>(self.t1, self.t2, thr_sq)?;
+        let b = directed_within_sq::<V>(self.t2, self.t1, thr_sq)?;
+        let d = a.max(b).sqrt();
+        (d < threshold).then_some(d)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -197,41 +221,6 @@ pub(crate) fn dtw_within(
     dp_within::<false>(t1, t2, threshold, scratch)
 }
 
-/// A running `Σ √·` over squared nearest-neighbour distances, tested against
-/// one threshold after every term — the fold [`sum_sqrt_refutes`] applies to
-/// the minima of a nearest-neighbour sweep.
-pub(crate) struct SumSqrt {
-    sum: f64,
-    threshold: f64,
-}
-
-impl SumSqrt {
-    fn new(threshold: f64) -> Self {
-        SumSqrt { sum: 0.0, threshold }
-    }
-
-    /// Adds `√min_sq`; `false` once the sum so far proves the DTW distance
-    /// is at or above the threshold (house margin included).
-    #[inline(always)]
-    pub(crate) fn admits(&mut self, min_sq: f64) -> bool {
-        self.admits_root(min_sq.sqrt())
-    }
-
-    /// [`SumSqrt::admits`] for a term whose square root is already taken
-    /// (the packed sweep roots `W` minima with one vector `sqrt`).
-    #[inline(always)]
-    pub(crate) fn admits_root(&mut self, min: f64) -> bool {
-        self.sum += min;
-        !prefilter_rejects(self.sum, self.threshold)
-    }
-
-    /// [`SumSqrt::admits`] over a whole row of minima, in order.
-    #[inline(always)]
-    fn admits_all(mut self, mins_sq: &[f64]) -> bool {
-        mins_sq.iter().all(|&min_sq| self.admits(min_sq))
-    }
-}
-
 /// The DTW nearest-neighbour stage: `true` when
 /// `max(Σ_i min_j d(t1[i], t2[j]), Σ_j min_i d(t1[i], t2[j]))` already
 /// proves `dtw(t1, t2) >= threshold`. Inputs must be non-empty and
@@ -239,22 +228,12 @@ impl SumSqrt {
 /// looking: the unbounded distance is the DTW kernel at `+∞`, where nothing
 /// can be refused and the sweep would be pure cost.
 ///
-/// One nearest-neighbour sweep — the pass Hausdorff makes — with one side's
-/// minima summed in index order as they complete (stopping the sweep at the
-/// first refuting partial sum), then the other side's summed in index
-/// order. The scalar [`nn_sweep`] streams `t1`'s minima and sums `t2`'s at
-/// the end; the packed `simd::kern::query_major_sweep` streams `t2`'s and
-/// sums `t1`'s at the end.
-///
-/// **Summation order cannot change a refusal.** Both forms compute each
-/// side's sum with the same terms added in the same (index) order, so the
-/// two complete sums are bit-identical across forms. The terms are
-/// non-negative and `fl(x + y)` is monotone, so a partial sum never exceeds
-/// its complete sum: a partial sum refutes only if its complete sum does,
-/// and a refuting complete sum is eventually reached unless an earlier
-/// partial sum refuted first. Either way the stage refuses exactly when one
-/// of the two complete sums does — whichever side streams first, and
-/// wherever the sweep stops.
+/// One nearest-neighbour sweep ([`nn_sweep`]) — the pass Hausdorff makes —
+/// with `t2`'s minima summed in index order as they complete (stopping the
+/// sweep at the first refuting partial sum), then `t1`'s summed in index
+/// order. The terms are non-negative and `fl(x + y)` is monotone, so a
+/// partial sum never exceeds its complete sum: the stage refuses exactly
+/// when one of the two complete sums does, wherever the sweep stops.
 ///
 /// **Sound in real arithmetic**: a warping path has a cell in every row and
 /// in every column, and ground costs are non-negative, so the path's cost is
@@ -284,36 +263,47 @@ pub(crate) fn dtw_nn_refutes(
     threshold: f64,
     scratch: &mut DistScratch,
 ) -> bool {
-    if threshold == f64::INFINITY {
-        return false;
-    }
-    crate::backend::simd_dispatch!(dtw_nn_refutes(t1, t2, threshold, scratch));
-    sum_sqrt_refutes(threshold, move |rows| {
-        let col_min = scratch.f1_uninit(t2.len());
-        nn_sweep(t1, t2, col_min, |row_min| rows.admits(row_min)).then_some(&*col_min)
-    })
+    threshold != f64::INFINITY && dispatch(NnRefutes { t1, t2, threshold, scratch })
 }
 
-/// The `Σ√` fold of one nearest-neighbour sweep, written once for every
-/// form of the sweep: `sweep` hands one side's minima, as they complete, to
-/// the [`SumSqrt`] it is given (stopping, and returning `None`, when that
-/// refuses) and returns the other side's minima, summed afterwards.
-#[inline(always)]
-pub(crate) fn sum_sqrt_refutes<'a>(
+/// [`dtw_nn_refutes`]' kernel past its guard.
+struct NnRefutes<'a> {
+    t1: &'a [Point],
+    t2: &'a [Point],
     threshold: f64,
-    sweep: impl FnOnce(&mut SumSqrt) -> Option<&'a [f64]>,
-) -> bool {
-    let mut streamed = SumSqrt::new(threshold);
-    match sweep(&mut streamed) {
-        None => true,
-        Some(rest) => !SumSqrt::new(threshold).admits_all(rest),
+    scratch: &'a mut DistScratch,
+}
+
+impl Kernel for NnRefutes<'_> {
+    type Out = bool;
+
+    #[inline(always)]
+    fn run<V: Lanes>(self) -> bool {
+        let threshold = self.threshold;
+        // `false` once the running sum of roots refutes.
+        let admits = |sum: &mut f64, root: f64| {
+            *sum += root;
+            !prefilter_rejects(*sum, threshold)
+        };
+        let mut streamed = 0.0;
+        let rest = nn_sweep::<V>(self.t1, self.t2, self.scratch, |mins, w| {
+            // `W` roots per vector `sqrt`, added in index order.
+            let roots = mins.sqrt().to_array();
+            roots.as_ref()[..w].iter().all(|&r| admits(&mut streamed, r))
+        });
+        let Some(rest) = rest else {
+            return true;
+        };
+        let mut sum = 0.0;
+        !rest.iter().all(|&min_sq| admits(&mut sum, min_sq.sqrt()))
     }
 }
 
 /// The DTW (`MAX = false`) or Fréchet (`MAX = true`) dynamic program under
 /// a threshold: `t2`'s points pushed through the [`advance`] column over
-/// `t1` with their exact ground cost, two columns per pass. Inputs must be
-/// non-empty and `threshold` positive and non-NaN (the callers' guards).
+/// `t1` with their exact ground cost, two columns per pass — always at one
+/// lane, whichever backend is active. Inputs must be non-empty and
+/// `threshold` positive and non-NaN (the callers' guards).
 ///
 /// Sound because ground costs are non-negative: every cell is its cost `⊕`
 /// a predecessor, so the column minimum never decreases and the final
@@ -333,7 +323,7 @@ pub(crate) fn dp_within<const MAX: bool>(
     let lin = |v: f64| if MAX { v.sqrt() } else { v };
     let col = scratch.f1_uninit(t1.len());
     let (p0, rest) = t2.split_first().expect("non-empty");
-    if lin(advance::<MAX>(col, true, t1, ground(*p0))) >= threshold {
+    if lin(advance::<f64, MAX>(&mut *col, true, t1, ground(*p0))) >= threshold {
         return None;
     }
     // Two interleaved chains, bit-identical cells; the two minima are
@@ -346,7 +336,7 @@ pub(crate) fn dp_within<const MAX: bool>(
         }
     }
     for p in pairs.remainder() {
-        if lin(advance::<MAX>(col, false, t1, ground(*p))) >= threshold {
+        if lin(advance::<f64, MAX>(&mut *col, false, t1, ground(*p))) >= threshold {
             return None;
         }
     }
@@ -378,9 +368,9 @@ pub(crate) fn erp_within(
         return None;
     }
     let (col, qgap, _) = scratch.f3_uninit(t1.len() + 1, t1.len(), 0);
-    erp_init(col, qgap, t1, gap);
+    erp_init::<f64>(col, qgap, t1, gap);
     for p in t2 {
-        if erp_advance(col, t1, qgap, p.dist(&gap), |q| q.dist(p)) >= threshold {
+        if erp_advance::<f64>(col, t1, qgap, p.dist(&gap), |q| q.dist(p)) >= threshold {
             return None;
         }
     }
@@ -696,8 +686,7 @@ mod tests {
 
     /// The stage's early exits change nothing: partial sums of non-negative
     /// terms never decrease, so it refuses exactly when one of the two
-    /// complete nearest-neighbour sums does — whichever side the active
-    /// backend's sweep streams and whichever sum is the larger.
+    /// complete nearest-neighbour sums does — whichever sum is the larger.
     #[test]
     fn dtw_nn_stage_refuses_exactly_when_a_sum_does() {
         let s = &mut DistScratch::new();

@@ -198,7 +198,11 @@ fn empty_inputs_on_every_backend() {
 
 /// Batched verification with ragged lengths straddling the lane width:
 /// every group shape from 1 to 6 candidates, including empty candidates
-/// (settled by the sequential fallback inside the group).
+/// (settled by the sequential fallback inside the group). Then groups in
+/// which one lane retires in the first column — its one-point candidate
+/// ends, or its first point is too far from the query's first — while the
+/// other lanes run at least 8 more columns past it: every slot must equal
+/// the frozen reference.
 #[test]
 fn batched_ragged_groups() {
     let query = traj(9, 23);
@@ -227,6 +231,53 @@ fn batched_ragged_groups() {
                         out[i].map(f64::to_bits),
                         want.map(f64::to_bits),
                         "{m} on {backend}, group of {take}, lane {i}"
+                    );
+                }
+            });
+        }
+    }
+    // Far from the ERP gap, so an unmatched point costs more than any
+    // near candidate's whole distance.
+    let far_off = |p: &Point| Point::new(p.x + 50.0, p.y + 50.0);
+    let query: Vec<Point> = traj(12, 23).iter().map(far_off).collect();
+    let near = |n: usize, dx: f64, dy: f64| -> Vec<Point> {
+        query[..n].iter().map(|p| Point::new(p.x + dx, p.y + dy)).collect()
+    };
+    let first = query[0];
+    let far = *query.iter().max_by(|a, b| a.dist(&first).total_cmp(&b.dist(&first))).unwrap();
+    let one_point = near(1, 0.25, -0.125);
+    // Starts at the query point farthest from the query's first, then
+    // follows the query: its first column's minimum, `d(q_1, p_1)`, already
+    // refutes it, while every point has a near neighbour, so the DTW
+    // nearest-neighbour stage lets it into a lane.
+    let late_start: Vec<Point> = std::iter::once(far).chain(near(12, 0.25, -0.125)).collect();
+    let nn_sum = |from: &[Point], to: &[Point]| -> f64 {
+        from.iter().map(|p| to.iter().map(|q| p.dist(q)).fold(f64::INFINITY, f64::min)).sum()
+    };
+    for m in [Measure::Dtw, Measure::Frechet, Measure::Erp] {
+        let dist = |c: &[Point]| reference::distance(&params, m, &query, c);
+        let (a, b, c) = (near(12, 0.25, -0.125), near(10, -0.125, 0.25), near(9, 0.5, 0.0));
+        let ends: Vec<&[Point]> = vec![&one_point, &a, &b, &c];
+        let d = near(12, -0.25, 0.375);
+        let abandons: Vec<&[Point]> = vec![&a, &late_start, &d, &a];
+        let ends_thr = just_above(ends.iter().map(|c| dist(c)).fold(0.0f64, f64::max));
+        let abandons_thr = just_above(dist(&a).max(dist(&d)));
+        assert!(first.dist(&far) >= abandons_thr, "{m}: the late start must abandon at once");
+        let nn = nn_sum(&query, &late_start).max(nn_sum(&late_start, &query));
+        assert!(m != Measure::Dtw || nn < abandons_thr, "the late start must pass the NN stage");
+        for (group, thr) in [(ends, ends_thr), (abandons, abandons_thr)] {
+            // Zero lower bounds: every candidate reaches the lanes.
+            let cands: Vec<(f64, &[Point])> = group.iter().map(|&c| (0.0, c)).collect();
+            for_each_backend(|backend| {
+                let mut scratch = DistScratch::new();
+                let mut out = vec![None; cands.len()];
+                params.distance_within_batch_in(m, &query, &cands, thr, &mut scratch, &mut out);
+                for (i, &(lb, c)) in cands.iter().enumerate() {
+                    let want = reference::distance_within_from_lb(&params, m, &query, c, thr, lb);
+                    assert_eq!(
+                        out[i].map(f64::to_bits),
+                        want.map(f64::to_bits),
+                        "{m} on {backend}, retiring group, lane {i}"
                     );
                 }
             });

@@ -6,7 +6,7 @@
 //!
 //! * [`record`] — the length-prefixed, CRC-checksummed, sequence-stamped
 //!   on-disk record format shared by WAL segments and base snapshots.
-//! * [`wal`] — the [`Wal`] writer: group commit under a configurable
+//! * [`wal`] — the [`Wal`] writer: commits under a configurable
 //!   [`FsyncPolicy`], segment rotation aligned with delta-segment seals,
 //!   atomic base snapshots, and checkpoint truncation.
 //! * [`replay()`](crate::replay()) — crash recovery: newest complete snapshot + ordered log
@@ -96,23 +96,6 @@ mod tests {
         let (cfg, wal) = fresh(&dir);
         drop(wal);
         assert!(matches!(Wal::create(&cfg), Err(WalError::DirNotEmpty { .. })));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn group_commit_buffers_until_nth_append() {
-        let dir = scratch("groupcommit");
-        let cfg = DurabilityConfig::new(&dir).with_fsync(FsyncPolicy::EveryN(3));
-        let mut wal = Wal::create(&cfg).unwrap();
-        write_snapshot(&dir, 0, std::iter::empty(), &cfg.failpoints).unwrap();
-        wal.append(&WalRecord::Upsert { seq: 1, id: 1, points: pts(1) }).unwrap();
-        wal.append(&WalRecord::Upsert { seq: 2, id: 2, points: pts(1) }).unwrap();
-        assert_eq!(wal.counters().fsyncs, 0, "two appends stay buffered");
-        wal.append(&WalRecord::Upsert { seq: 3, id: 3, points: pts(1) }).unwrap();
-        assert_eq!(wal.counters().fsyncs, 1, "third append triggers the group sync");
-        drop(wal);
-        let replayed = replay(&dir).unwrap();
-        assert_eq!(replayed.records.len(), 3);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

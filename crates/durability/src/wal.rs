@@ -1,4 +1,4 @@
-//! The write-ahead log writer: group commit, segment rotation, base
+//! The write-ahead log writer: fsync policy, segment rotation, base
 //! snapshots, and checkpoint truncation.
 //!
 //! # Durability contract
@@ -9,10 +9,6 @@
 //! * [`FsyncPolicy::Always`] — the record is flushed to the OS **and**
 //!   `fsync`ed before `append` returns. An acknowledged write survives
 //!   both process and machine crash.
-//! * [`FsyncPolicy::EveryN`]`(n)` — group commit: records are flushed and
-//!   synced once `n` have accumulated (and at graceful shutdown). An
-//!   acknowledged write survives a crash once any later sync completed;
-//!   at most the last `n - 1` acknowledged writes can be lost.
 //! * [`FsyncPolicy::Never`] — records are written to the OS on every
 //!   append but never `fsync`ed (test/bench baseline).
 //!
@@ -51,8 +47,6 @@ use std::path::{Path, PathBuf};
 pub enum FsyncPolicy {
     /// Flush + `fsync` on every append: acknowledged ⇒ durable.
     Always,
-    /// Group commit: flush + `fsync` after every `n` appends.
-    EveryN(u32),
     /// Flush on every append, never `fsync` (tests/benchmarks).
     Never,
 }
@@ -225,9 +219,8 @@ pub struct Wal {
     /// Bytes of the current segment covered by a completed `fsync` — what
     /// the simulated-crash model guarantees survives (see [`Wal::inject`]).
     synced_len: u64,
-    /// Encoded records not yet handed to the OS (the group-commit buffer).
+    /// Encoded records not yet handed to the OS.
     pending: Vec<u8>,
-    appends_since_sync: u32,
     /// Sealed segments, oldest first.
     sealed: Vec<SegmentInfo>,
     /// Largest record seq in the current segment (pending included).
@@ -293,7 +286,6 @@ impl Wal {
             seg_written: 0,
             synced_len: 0,
             pending: Vec::new(),
-            appends_since_sync: 0,
             sealed,
             seg_max_seq: 0,
             last_seq,
@@ -335,17 +327,10 @@ impl Wal {
         }
         record.encode(&mut self.pending);
         self.seg_max_seq = self.seg_max_seq.max(record.seq());
-        self.appends_since_sync += 1;
         match self.fsync {
             FsyncPolicy::Always => {
                 self.flush()?;
                 self.sync()?;
-            }
-            FsyncPolicy::EveryN(n) => {
-                if self.appends_since_sync >= n.max(1) {
-                    self.flush()?;
-                    self.sync()?;
-                }
             }
             FsyncPolicy::Never => self.flush()?,
         }
@@ -388,7 +373,6 @@ impl Wal {
         self.seg_written = 0;
         self.synced_len = 0;
         self.seg_max_seq = 0;
-        self.appends_since_sync = 0;
         Ok(())
     }
 
@@ -458,7 +442,6 @@ impl Wal {
         }
         self.file.sync_data().map_err(|e| self.die("wal.sync", e))?;
         self.counters.fsyncs += 1;
-        self.appends_since_sync = 0;
         self.synced_len = self.seg_written;
         Ok(())
     }
@@ -491,7 +474,7 @@ impl Wal {
 }
 
 impl Drop for Wal {
-    /// Graceful shutdown flushes the group-commit buffer (best effort);
+    /// Graceful shutdown flushes the pending buffer (best effort);
     /// a dead WAL is left exactly as the failure left it.
     fn drop(&mut self) {
         if !self.dead && !self.pending.is_empty() {

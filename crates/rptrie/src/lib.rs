@@ -242,10 +242,4 @@ impl RpTrie {
     pub fn params(&self) -> MeasureParams {
         self.config.params
     }
-
-    /// Exact distance from `query` to trajectory points under this index's
-    /// measure/params.
-    pub fn exact_distance(&self, query: &[Point], t: &[Point]) -> f64 {
-        self.config.params.distance(self.config.measure, query, t)
-    }
 }
