@@ -1,23 +1,14 @@
-//! Load shedding and deadline primitives for the serving layer.
+//! Load shedding for the serving layer.
 //!
 //! [`AdmissionGate`] is a bounded in-flight counter: each accepted query
 //! holds an [`AdmissionPermit`] (RAII — dropping it releases the slot), and
 //! a full gate rejects immediately instead of queueing. Rejecting at the
 //! door keeps tail latency bounded under overload: the queries that *are*
-//! admitted run at normal speed rather than every query running slowly.
-//!
-//! [`Deadline`] is a tiny clock budget a query carries through the
-//! partition schedule; work dispatched after expiry is skipped and the
-//! result is marked degraded by the caller. A deadline is a point on a
-//! [`crate::Clock`]'s timeline: the caller samples the clock **once per
-//! dispatch decision** and passes that sample to every expiry check, so
-//! one decision sees one time (and a simulated clock replays the exact
-//! same skip/run choices).
+//! admitted run at normal speed, and run to an exact answer, rather than
+//! every query running slowly.
 
-use crate::clock::Clock;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A bounded admission counter for concurrent queries (see module docs).
 /// Cloning shares the gate.
@@ -90,36 +81,6 @@ impl Drop for AdmissionPermit {
     }
 }
 
-/// A deadline on a [`Clock`]'s timeline, carried through a query's
-/// partition schedule (see module docs for the one-sample discipline).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Deadline {
-    at: Duration,
-}
-
-impl Deadline {
-    /// A deadline `budget` from `clock`'s current time.
-    pub fn after(clock: &dyn Clock, budget: Duration) -> Self {
-        Deadline { at: clock.now() + budget }
-    }
-
-    /// A deadline at the absolute clock time `at`.
-    pub fn at(at: Duration) -> Self {
-        Deadline { at }
-    }
-
-    /// Whether the deadline has passed as of `now` (one clock sample,
-    /// taken by the caller, shared by every check in one decision).
-    pub fn expired_at(&self, now: Duration) -> bool {
-        now >= self.at
-    }
-
-    /// Time left until expiry as of `now` (zero once expired).
-    pub fn remaining_at(&self, now: Duration) -> Duration {
-        self.at.saturating_sub(now)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,26 +133,5 @@ mod tests {
         let total: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
         assert!(total > 0);
         assert_eq!(gate.in_flight(), 0, "every permit released");
-    }
-
-    #[test]
-    fn deadline_expiry_against_a_clock_sample() {
-        use crate::clock::{SimClock, SystemClock};
-
-        let sys = SystemClock;
-        let d = Deadline::after(&sys, Duration::from_secs(3600));
-        let now = sys.now();
-        assert!(!d.expired_at(now));
-        assert!(d.remaining_at(now) > Duration::from_secs(3000));
-
-        let sim = SimClock::new();
-        let d = Deadline::after(&sim, Duration::from_millis(10));
-        assert!(!d.expired_at(sim.now()));
-        sim.advance(Duration::from_millis(9));
-        assert!(!d.expired_at(sim.now()));
-        sim.advance(Duration::from_millis(1));
-        let now = sim.now();
-        assert!(d.expired_at(now), "expiry is a pure function of the clock");
-        assert_eq!(d.remaining_at(now), Duration::ZERO);
     }
 }

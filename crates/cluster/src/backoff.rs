@@ -57,15 +57,6 @@ impl Backoff {
     /// A sequence shaped by `config`, with the jitter stream seeded by
     /// `seed` (same seed, same delays).
     pub fn new(config: BackoffConfig, seed: u64) -> Self {
-        Backoff::with_rng(config, StdRng::seed_from_u64(seed))
-    }
-
-    /// A sequence shaped by `config` drawing jitter from a caller-supplied
-    /// generator — the fully injectable form: a simulator (or a caller
-    /// splitting one master RNG across many backoffs) controls the entire
-    /// jitter stream, not just its seed. [`Backoff::new`] is this with a
-    /// freshly seeded [`StdRng`].
-    pub fn with_rng(config: BackoffConfig, rng: StdRng) -> Self {
         assert!(config.factor >= 1.0, "backoff must not shrink");
         assert!(
             (0.0..=1.0).contains(&config.jitter),
@@ -75,7 +66,7 @@ impl Backoff {
         Backoff {
             config,
             step: config.base.as_secs_f64(),
-            rng,
+            rng: StdRng::seed_from_u64(seed),
             attempts: 0,
         }
     }
@@ -178,19 +169,5 @@ mod tests {
     #[should_panic(expected = "backoff must not shrink")]
     fn shrinking_factor_rejected() {
         Backoff::new(cfg(10, 100, 0.5, 0.0), 0);
-    }
-
-    #[test]
-    fn injected_rng_reproduces_the_seeded_sequence() {
-        let c = cfg(5, 500, 1.7, 0.3);
-        let seeded: Vec<Duration> = {
-            let mut b = Backoff::new(c, 99);
-            (0..10).map(|_| b.next_delay()).collect()
-        };
-        let injected: Vec<Duration> = {
-            let mut b = Backoff::with_rng(c, StdRng::seed_from_u64(99));
-            (0..10).map(|_| b.next_delay()).collect()
-        };
-        assert_eq!(seeded, injected, "new() is with_rng() + seed_from_u64");
     }
 }

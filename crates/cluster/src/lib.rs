@@ -43,7 +43,7 @@ mod executor;
 mod pool;
 mod stats;
 
-pub use admission::{AdmissionGate, AdmissionPermit, Deadline};
+pub use admission::{AdmissionGate, AdmissionPermit};
 pub use backoff::{Backoff, BackoffConfig};
 pub use clock::{Clock, SimClock, SystemClock};
 pub use executor::Cluster;

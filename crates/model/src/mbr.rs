@@ -123,13 +123,6 @@ impl Mbr {
         (dx * dx + dy * dy).sqrt()
     }
 
-    /// Maximum Euclidean distance from `p` to any point of the rectangle.
-    pub fn max_dist(&self, p: Point) -> f64 {
-        let dx = (p.x - self.min.x).abs().max((p.x - self.max.x).abs());
-        let dy = (p.y - self.min.y).abs().max((p.y - self.max.y).abs());
-        (dx * dx + dy * dy).sqrt()
-    }
-
     /// Minimum Euclidean distance between two rectangles (zero if they
     /// intersect).
     pub fn min_dist_mbr(&self, other: &Mbr) -> f64 {
@@ -247,13 +240,6 @@ mod tests {
         let m = mbr(0.0, 0.0, 2.0, 2.0);
         assert_eq!(m.min_dist(Point::new(5.0, 2.0)), 3.0);
         assert_eq!(m.min_dist(Point::new(5.0, 6.0)), 5.0); // 3-4-5 triangle
-    }
-
-    #[test]
-    fn max_dist_reaches_far_corner() {
-        let m = mbr(0.0, 0.0, 2.0, 2.0);
-        // farthest corner from (0,0)-side point is (2,2)
-        assert_eq!(m.max_dist(Point::new(-1.0, -1.0)), (18.0f64).sqrt());
     }
 
     #[test]

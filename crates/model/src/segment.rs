@@ -37,21 +37,6 @@ impl Segment {
     pub fn length(&self) -> f64 {
         self.a.dist(&self.b)
     }
-
-    /// Minimum Euclidean distance from point `p` to the segment.
-    pub fn dist_point(&self, p: Point) -> f64 {
-        let vx = self.b.x - self.a.x;
-        let vy = self.b.y - self.a.y;
-        let wx = p.x - self.a.x;
-        let wy = p.y - self.a.y;
-        let len_sq = vx * vx + vy * vy;
-        if len_sq == 0.0 {
-            return self.a.dist(&p);
-        }
-        let t = ((wx * vx + wy * vy) / len_sq).clamp(0.0, 1.0);
-        let proj = Point::new(self.a.x + t * vx, self.a.y + t * vy);
-        proj.dist(&p)
-    }
 }
 
 #[cfg(test)]
@@ -72,28 +57,8 @@ mod tests {
     }
 
     #[test]
-    fn dist_point_projects_onto_interior() {
-        let s = seg(0.0, 0.0, 10.0, 0.0);
-        assert_eq!(s.dist_point(Point::new(5.0, 3.0)), 3.0);
-    }
-
-    #[test]
-    fn dist_point_clamps_to_endpoints() {
-        let s = seg(0.0, 0.0, 10.0, 0.0);
-        assert_eq!(s.dist_point(Point::new(-3.0, 4.0)), 5.0);
-        assert_eq!(s.dist_point(Point::new(13.0, 4.0)), 5.0);
-    }
-
-    #[test]
     fn degenerate_segment_is_point_distance() {
         let s = seg(1.0, 1.0, 1.0, 1.0);
         assert_eq!(s.length(), 0.0);
-        assert_eq!(s.dist_point(Point::new(4.0, 5.0)), 5.0);
-    }
-
-    #[test]
-    fn dist_point_zero_on_segment() {
-        let s = seg(0.0, 0.0, 4.0, 4.0);
-        assert!(s.dist_point(Point::new(2.0, 2.0)) < 1e-12);
     }
 }

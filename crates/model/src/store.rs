@@ -137,11 +137,6 @@ impl TrajStore {
         self.ids.is_empty()
     }
 
-    /// Total number of sample points across all slots.
-    pub fn num_points(&self) -> usize {
-        self.points.len()
-    }
-
     /// The id stored at `slot`.
     #[inline]
     pub fn id(&self, slot: usize) -> TrajId {
@@ -221,7 +216,6 @@ mod tests {
         let s = TrajStore::new();
         assert!(s.is_empty());
         assert_eq!(s.len(), 0);
-        assert_eq!(s.num_points(), 0);
         assert!(s.enclosing_square().is_none());
         assert!(s.iter().next().is_none());
     }
@@ -234,7 +228,6 @@ mod tests {
         let c = s.push(12, &[]); // empty trajectories are representable
         assert_eq!((a, b, c), (0, 1, 2));
         assert_eq!(s.len(), 3);
-        assert_eq!(s.num_points(), 3);
         assert_eq!(s.id(1), 11);
         assert_eq!(s.points(0), pts(&[(0.0, 0.0), (1.0, 2.0)]).as_slice());
         assert_eq!(s.points(1), pts(&[(5.0, 5.0)]).as_slice());

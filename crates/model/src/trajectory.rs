@@ -46,14 +46,6 @@ impl Trajectory {
         self.points.last().copied()
     }
 
-    /// Total polyline length (sum of consecutive point distances).
-    pub fn path_length(&self) -> f64 {
-        self.points
-            .windows(2)
-            .map(|w| w[0].dist(&w[1]))
-            .sum()
-    }
-
     /// Decomposes the trajectory into its line segments, tagged with the
     /// trajectory id and the segment's position. Used by the DFT baseline.
     pub fn segments(&self) -> Vec<Segment> {
@@ -109,7 +101,6 @@ mod tests {
         assert!(!t.is_empty());
         assert_eq!(t.first(), Some(Point::new(0.0, 0.0)));
         assert_eq!(t.last(), Some(Point::new(1.0, 1.0)));
-        assert_eq!(t.path_length(), 2.0);
     }
 
     #[test]
@@ -118,7 +109,6 @@ mod tests {
         assert!(t.is_empty());
         assert!(t.mbr().is_none());
         assert_eq!(t.first(), None);
-        assert_eq!(t.path_length(), 0.0);
         assert!(t.segments().is_empty());
     }
 

@@ -33,12 +33,7 @@ impl PivotSet {
     }
 
     /// Distances from `query` to all pivots under the index measure —
-    /// the `dqp` array of Section IV-D.
-    pub fn query_distances(&self, cfg: &RpTrieConfig, query: &[Point]) -> Vec<f64> {
-        DistScratch::with_thread(|s| self.query_distances_in(cfg, query, s))
-    }
-
-    /// [`PivotSet::query_distances`] against a caller-managed
+    /// the `dqp` array of Section IV-D — against a caller-managed
     /// [`DistScratch`].
     pub fn query_distances_in(
         &self,
@@ -211,7 +206,7 @@ mod tests {
         let c = cfg().with_np(2);
         let p = select_pivots(&store, &c);
         let q = vec![Point::new(0.0, 0.0), Point::new(1.0, 0.0)];
-        let d = p.query_distances(&c, &q);
+        let d = DistScratch::with_thread(|s| p.query_distances_in(&c, &q, s));
         assert_eq!(d.len(), 2);
         assert!(d.iter().all(|&x| x >= 0.0));
     }

@@ -34,13 +34,11 @@
 //!   [`ServiceConfig::durability`]): every acknowledged write is logged
 //!   *before* it is applied, compaction checkpoints truncate the log, and
 //!   [`ReposeService::recover`] rebuilds the exact acknowledged state
-//!   after a crash (bitwise-identical query answers). Overload and
-//!   deadline pressure degrade *explicitly*:
-//!   [`ServiceConfig::max_inflight_queries`] sheds excess load with a
-//!   typed [`ServiceError::Overloaded`], and
-//!   [`ServiceConfig::query_deadline`] turns an expired query into a
-//!   partial answer flagged [`ServiceOutcome::degraded`] — never a
-//!   silently wrong "exact" result.
+//!   after a crash (bitwise-identical query answers). Overload is
+//!   refused *explicitly*: [`ServiceConfig::max_inflight_queries`] sheds
+//!   excess load with a typed [`ServiceError::Overloaded`]. Every
+//!   admitted query is answered exactly; only the shard coordinator,
+//!   which meets lost and slow shards, ever returns a degraded answer.
 //! * **Persistent archives** (opt-in via [`ServiceConfig::archive`],
 //!   which has the details): construction and every compaction install a
 //!   checksummed zero-copy archive of the frozen deployment

@@ -31,7 +31,6 @@ use crate::error::ServiceError;
 use crate::service::ReposeService;
 use crate::stats::ServiceCounters;
 use repose::Repose;
-use repose_cluster::Deadline;
 use repose_distance::{just_above, DistScratch, Hit, Measure, MeasureParams, SharedTopK};
 use repose_model::{Point, TrajId};
 use repose_rptrie::SearchStats;
@@ -67,18 +66,11 @@ pub struct ServiceOutcome {
     /// benchmark's `service.seq_overhead_us` and `service.pool_utilization`
     /// probes are computed from it).
     pub partition_times: Vec<Duration>,
-    /// Whether the query's deadline expired before every partition was
-    /// searched: the hits are a best-effort partial answer, **not** the
-    /// exact top-k. Always `false` when
-    /// [`ServiceConfig::query_deadline`](crate::ServiceConfig::query_deadline)
-    /// is `None` (the default exact path).
+    /// Always `false`: the service answers every admitted query exactly.
+    /// Only the shard coordinator degrades an answer
+    /// (`repose_shard::ShardOutcome::degraded`); the field stays because
+    /// callers, the benchmark's workloads among them, read it.
     pub degraded: bool,
-    /// Partitions actually searched (equals the partition count for an
-    /// exact answer; 0 for a cache hit, which needed no search).
-    pub partitions_searched: usize,
-    /// Partitions skipped because the deadline expired before their task
-    /// started (0 for an exact answer).
-    pub partitions_skipped: usize,
 }
 
 impl ServiceOutcome {
@@ -92,8 +84,6 @@ impl ServiceOutcome {
             delta_candidates: 0,
             partition_times: Vec::new(),
             degraded: false,
-            partitions_searched: 0,
-            partitions_skipped: 0,
         }
     }
 
@@ -105,12 +95,10 @@ impl ServiceOutcome {
         let mut search = SearchStats::default();
         let mut delta_candidates = 0;
         let mut partition_times = Vec::with_capacity(parts.size_hint().0);
-        let mut skipped = 0;
         for p in parts {
             search.merge(&p.stats);
             delta_candidates += p.delta_live;
             partition_times.push(p.time);
-            skipped += usize::from(p.skipped);
         }
         ServiceOutcome {
             hits: collector.hits(),
@@ -118,10 +106,8 @@ impl ServiceOutcome {
             cache_hit: false,
             search,
             delta_candidates,
-            partitions_searched: partition_times.len() - skipped,
             partition_times,
-            degraded: skipped > 0,
-            partitions_skipped: skipped,
+            degraded: false,
         }
     }
 }
@@ -144,21 +130,6 @@ struct PartResult {
     stats: SearchStats,
     delta_live: usize,
     time: Duration,
-    /// The task never ran: the query's deadline had already expired when
-    /// it was dispatched.
-    skipped: bool,
-}
-
-impl PartResult {
-    /// The marker for a deadline-skipped task.
-    fn skipped() -> Self {
-        PartResult {
-            stats: SearchStats::default(),
-            delta_live: 0,
-            time: Duration::ZERO,
-            skipped: true,
-        }
-    }
 }
 
 /// One cache-missing query of an `answer` call: what its partition tasks
@@ -199,9 +170,7 @@ impl ReposeService {
     ///
     /// A batch holds **one** admission slot for all its cache-missing
     /// queries (it is one caller); a full gate rejects the whole call
-    /// with [`ServiceError::Overloaded`]. With a configured deadline the
-    /// budget covers the batch, and each query reports its own degraded
-    /// flag.
+    /// with [`ServiceError::Overloaded`].
     pub fn query_batch(
         &self,
         queries: &[Vec<Point>],
@@ -264,9 +233,6 @@ impl ReposeService {
                 ServiceError::Overloaded { in_flight, limit: self.admission.limit() }
             })?;
             self.counters.cache_misses.fetch_add(misses.len() as u64, Ordering::Relaxed);
-            let deadline = self
-                .query_deadline
-                .map(|budget| Deadline::after(&*self.clock, budget));
             let snap = self.snapshot();
             let n = snap.frozen.num_partitions();
             let params = self.params;
@@ -284,21 +250,11 @@ impl ReposeService {
                 })
                 .collect();
 
-            // With a deadline, each task checks expiry at the moment it
-            // starts executing: expired tasks are skipped (marked in their
-            // `PartResult`) instead of searched, so the call returns
-            // promptly with whatever the on-time partitions found. `None`
-            // adds no checks — the exact path is untouched.
-            let clock = &self.clock;
             let snap = &snap;
             let run = |plan: &Plan, rank: usize| {
                 let pi = plan.order[rank];
-                // One clock sample decides this dispatch.
-                let r = if deadline.is_some_and(|d| d.expired_at(clock.now())) {
-                    PartResult::skipped()
-                } else {
-                    run_partition(snap, plan.query, &plan.collector, params, &plan.cands[pi], pi)
-                };
+                let r =
+                    run_partition(snap, plan.query, &plan.collector, params, &plan.cands[pi], pi);
                 *plan.slots[pi].lock().expect("partition slot") = Some(r);
             };
             // Rank-major interleaving: every query's best-bound partition
@@ -327,27 +283,18 @@ impl ReposeService {
                     part.expect("every partition task completed")
                 });
                 let outcome = ServiceOutcome::from_parts(parts, &plan.collector);
-                if outcome.degraded {
-                    // A partial answer must never poison the cache, which
-                    // assumes exact answers.
-                    ServiceCounters::bump(&self.counters.queries_degraded);
-                } else {
-                    self.lock_cache().put(key, version, outcome.hits.clone());
-                }
+                self.lock_cache().put(key, version, outcome.hits.clone());
                 outcomes[qi] = Some(outcome);
             }
         }
 
         // In-call duplicates share their twin's hits but report as cache
-        // hits (they did no search work of their own). A degraded twin's
-        // partial answer is shared too — flagged identically.
+        // hits (they did no search work of their own).
         let latency = t0.elapsed();
         for (qi, twin) in dup_of.into_iter().enumerate() {
             if let Some(twin) = twin {
-                let twin = outcomes[twin].as_ref().expect("twin executed");
-                let mut shared = ServiceOutcome::cached(twin.hits.clone(), latency);
-                shared.degraded = twin.degraded;
-                outcomes[qi] = Some(shared);
+                let hits = outcomes[twin].as_ref().expect("twin executed").hits.clone();
+                outcomes[qi] = Some(ServiceOutcome::cached(hits, latency));
             }
         }
         Ok(outcomes
@@ -377,13 +324,13 @@ impl ReposeService {
     /// `Tighten` bounds into the collector ([`SharedTopK::tighten`]) so
     /// later partitions prune mid-flight.
     ///
-    /// Cache, admission, deadline, and the worker pool are intentionally
-    /// bypassed: the coordinator owns those policies for a distributed
-    /// query, and shard-level parallelism comes from the shards
-    /// themselves. An entry leaves the collector's pool only for a better
-    /// one, so every hit of the final answer is in the pool when its
-    /// partition's hook runs: a coordinator collecting every streamed
-    /// entry reconstructs the exact answer.
+    /// Cache, admission and the worker pool are intentionally bypassed:
+    /// the coordinator owns those policies for a distributed query, and
+    /// shard-level parallelism comes from the shards themselves. An entry
+    /// leaves the collector's pool only for a better one, so every hit of
+    /// the final answer is in the pool when its partition's hook runs: a
+    /// coordinator collecting every streamed entry reconstructs the exact
+    /// answer.
     pub fn query_scatter(
         &self,
         query: &[Point],
@@ -446,7 +393,6 @@ fn run_partition(
         stats,
         delta_live: cands.len(),
         time: t0.elapsed(),
-        skipped: false,
     }
 }
 

@@ -30,7 +30,7 @@ use crate::query::Snapshot;
 use crate::stats::{ServiceCounters, ServiceStats};
 use repose::{Repose, ReposeConfig};
 use repose_archive::{Archive, ScrubReport};
-use repose_cluster::{default_pool_threads, AdmissionGate, Clock, SystemClock, WorkerPool};
+use repose_cluster::{default_pool_threads, AdmissionGate, WorkerPool};
 use repose_distance::{Measure, MeasureParams};
 use repose_durability::{write_snapshot, DurabilityConfig, FailPlan, Wal, WalCounters};
 use repose_model::TrajId;
@@ -38,7 +38,6 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::Duration;
 
 /// Tuning knobs for [`ReposeService`].
 #[derive(Debug, Clone)]
@@ -51,13 +50,6 @@ pub struct ServiceConfig {
     /// schedule inline on the calling thread (the sequential reference
     /// path).
     pub pool_threads: usize,
-    /// Wall-clock budget per query. `None` (the default) keeps the exact
-    /// path bit-for-bit unchanged; `Some(budget)` makes the bound-ordered
-    /// schedule stop dispatching partition tasks once the budget expires
-    /// and return whatever was found, explicitly marked
-    /// [`ServiceOutcome::degraded`](crate::ServiceOutcome::degraded).
-    /// Degraded answers are never cached.
-    pub query_deadline: Option<Duration>,
     /// Maximum concurrently executing (cache-missing) queries before the
     /// admission gate sheds load with [`ServiceError::Overloaded`].
     /// 0 (the default) means unbounded. Cache hits are always served.
@@ -81,14 +73,6 @@ pub struct ServiceConfig {
     /// generation, then to the full WAL rebuild: a corrupt archive can
     /// cost speed, never correctness.
     pub archive: Option<PathBuf>,
-    /// The time source for every timer-driven decision the service makes
-    /// (today: [`ServiceConfig::query_deadline`] expiry). The default
-    /// [`repose_cluster::SystemClock`] is the monotonic clock — production
-    /// behavior unchanged; the deterministic simulator injects a
-    /// [`repose_cluster::SimClock`] so deadline skips replay bit-exact
-    /// from a seed. Observability timings (latency counters) deliberately
-    /// stay on the host clock — they describe the host, not the decision.
-    pub clock: Arc<dyn Clock>,
 }
 
 impl Default for ServiceConfig {
@@ -96,11 +80,9 @@ impl Default for ServiceConfig {
         ServiceConfig {
             cache_capacity: 1024,
             pool_threads: default_pool_threads(),
-            query_deadline: None,
             max_inflight_queries: 0,
             durability: None,
             archive: None,
-            clock: Arc::new(SystemClock),
         }
     }
 }
@@ -171,10 +153,6 @@ pub struct ReposeService {
     pub(crate) durability: Option<DurabilityConfig>,
     /// Bounded query admission (limit 0 = unbounded).
     pub(crate) admission: AdmissionGate,
-    /// Per-query clock budget (`None` = exact path, no checks).
-    pub(crate) query_deadline: Option<Duration>,
-    /// The time source deadline decisions read (see [`ServiceConfig::clock`]).
-    pub(crate) clock: Arc<dyn Clock>,
     /// Archive-generation state (`None` = no persistent archives).
     pub(crate) archive: Option<ArchiveState>,
 }
@@ -261,8 +239,6 @@ impl ReposeService {
             wal,
             durability: config.durability.clone(),
             admission: AdmissionGate::new(config.max_inflight_queries),
-            query_deadline: config.query_deadline,
-            clock: Arc::clone(&config.clock),
             archive: config.archive.as_ref().map(|dir| ArchiveState {
                 dir: dir.clone(),
                 failpoints: config

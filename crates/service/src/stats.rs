@@ -37,8 +37,6 @@ pub(crate) struct ServiceCounters {
     pub(crate) last_compact_rebuilt: AtomicU64,
     pub(crate) cache_hits: AtomicU64,
     pub(crate) cache_misses: AtomicU64,
-    /// Queries answered with a deadline-degraded (partial) schedule.
-    pub(crate) queries_degraded: AtomicU64,
     /// Queries rejected at the admission gate.
     pub(crate) queries_shed: AtomicU64,
     /// Data records replayed by [`crate::ReposeService::recover`] (0 for a
@@ -100,7 +98,6 @@ impl ServiceCounters {
             wal_bytes: wal.bytes_written + self.snapshot_bytes.load(Ordering::Relaxed),
             wal_fsyncs: wal.fsyncs,
             recovered_records: self.recovered_records.load(Ordering::Relaxed),
-            queries_degraded: self.queries_degraded.load(Ordering::Relaxed),
             queries_shed: self.queries_shed.load(Ordering::Relaxed),
             archive_generations: self.archive_generations.load(Ordering::Relaxed),
             archive_write_failures: self.archive_write_failures.load(Ordering::Relaxed),
@@ -155,9 +152,6 @@ pub struct ServiceStats {
     /// Data records (upserts + deletes) replayed at recovery (0 for a
     /// fresh service).
     pub recovered_records: u64,
-    /// Queries whose deadline expired mid-schedule and were answered
-    /// explicitly degraded (partial partition coverage).
-    pub queries_degraded: u64,
     /// Queries rejected at the admission gate under overload.
     pub queries_shed: u64,
     /// Archive generations successfully installed by this service

@@ -311,7 +311,6 @@ impl ShardCluster {
                 pool_threads: 1,
                 durability: durability_root
                     .map(|root| repose_durability::DurabilityConfig::new(root.join(label))),
-                clock: Arc::clone(&clock),
                 ..ServiceConfig::default()
             };
             Arc::new(ReposeService::with_config(repose, scfg))

@@ -249,13 +249,13 @@ fn worker_replication_survives_dup_and_reorder_byte_identically() {
     // Heartbeats are pushed past the test horizon below, so the fault
     // countdowns hit deterministic frames: replica0.rx sees the startup
     // heartbeat then only Replicates (hit 1 = Replicate for write 1,
-    // duplicated — so write 1 acks twice); shard0.rx sees Upserts and
-    // Acks alternating, shifted by that double-ack (hit 4 = the Ack for
-    // write 2, held back until the leader's resend produces the next Ack
-    // on the same link).
+    // duplicated — so write 1 acks twice). replica0.tx carries only Acks,
+    // so its hit 2 is an Ack (normally write 2's; an ack-timeout resend
+    // can only make it an earlier one). The held Ack is released by the
+    // next Ack on that link, which the leader's resend always produces.
     let faults = NetFaultPlan::new();
     faults.arm("replica0.rx", NetFault::Duplicate, 1);
-    faults.arm("shard0.rx", NetFault::Reorder, 4);
+    faults.arm("replica0.tx", NetFault::Reorder, 2);
     let transport = Arc::new(Loopback::new(
         vec!["coord".into(), "shard0".into(), "replica0".into()],
         faults.clone(),
@@ -309,7 +309,8 @@ fn worker_replication_survives_dup_and_reorder_byte_identically() {
             }
         }
     }
-    assert!(faults.any_fired(), "the armed replication faults never fired");
+    let net = transport.net_stats();
+    assert_eq!((net.duplicated, net.reordered), (1, 1), "both armed faults fire once");
     transport.shutdown_all();
     h1.join().expect("leader worker");
     h2.join().expect("follower worker");

@@ -25,9 +25,9 @@
 //!    in the answer (no silent omissions);
 //! 3. the answer must not be short while certain matches remain.
 //!
-//! A `degraded` answer (the system *said* it failed shards or ran out of
-//! deadline) is checked against rule 1 plus well-formedness only: honest
-//! degradation is a contract, not a bug.
+//! A `degraded` answer (the coordinator *said* it failed shards) is
+//! checked against rule 1 plus well-formedness only: honest degradation
+//! is a contract, not a bug.
 
 use repose_distance::{Measure, MeasureParams};
 use repose_model::Point;

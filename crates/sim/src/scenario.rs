@@ -60,7 +60,8 @@ pub enum SimOp {
     /// sharded — sharded crashes come from `crash` net faults).
     Restart,
     /// Jump virtual time forward — lets heartbeat timeouts, promotions
-    /// and retries fire between ops.
+    /// and retries fire between ops (sharded; single-node only logs it,
+    /// since nothing in one service reads time).
     AdvanceTime {
         /// Microseconds of virtual time to add.
         micros: u64,

@@ -11,20 +11,17 @@
 //! driver crash-restarts and retries the same idempotent write until it
 //! acknowledges, and only then tells the oracle. Acknowledged state is
 //! therefore always **certain** in this mode, which arms the oracle's
-//! strictest check: every non-degraded answer must match the brute-force
-//! top-k bitwise.
+//! strictest check: every answer (a single service never degrades one)
+//! must match the brute-force top-k bitwise.
 
 use crate::oracle::ShadowOracle;
 use crate::scenario::{Scenario, SimOp};
 use crate::{PlantedBug, SimReport, Verdict};
 use repose::{Repose, ReposeConfig};
-use repose_cluster::{Clock, SimClock};
 use repose_distance::MeasureParams;
 use repose_durability::{DurabilityConfig, FailAction, FailPlan, FsyncPolicy};
 use repose_model::{Dataset, Trajectory};
 use repose_service::{ReposeService, ServiceConfig};
-use std::sync::Arc;
-use std::time::Duration;
 
 /// Crash-restart cycles one op may trigger before the driver declares
 /// the write (or the recovery) wedged. Fail points are exactly-once, so
@@ -60,7 +57,6 @@ fn restart(
 
 pub(crate) fn run_single(sc: &Scenario, planted: Option<PlantedBug>) -> SimReport {
     let dir = crate::fresh_dir("single");
-    let clock = Arc::new(SimClock::new());
     let plan = FailPlan::new();
     let params = MeasureParams::with_eps(0.5);
     let rcfg = ReposeConfig::new(sc.measure)
@@ -71,11 +67,9 @@ pub(crate) fn run_single(sc: &Scenario, planted: Option<PlantedBug>) -> SimRepor
     let mk_cfg = {
         let dir = dir.clone();
         let plan = plan.clone();
-        let clock = Arc::clone(&clock);
         move || ServiceConfig {
             cache_capacity: 32,
             pool_threads: 1,
-            query_deadline: None,
             max_inflight_queries: 0,
             durability: Some(
                 DurabilityConfig::new(dir.join("wal"))
@@ -83,7 +77,6 @@ pub(crate) fn run_single(sc: &Scenario, planted: Option<PlantedBug>) -> SimRepor
                     .with_failpoints(plan.clone()),
             ),
             archive: Some(dir.join("arc")),
-            clock: Arc::clone(&clock) as Arc<dyn Clock>,
         }
     };
 
@@ -212,10 +205,8 @@ pub(crate) fn run_single(sc: &Scenario, planted: Option<PlantedBug>) -> SimRepor
                     break 'ops;
                 }
             }
-            SimOp::AdvanceTime { micros } => {
-                clock.advance(Duration::from_micros(*micros));
-                events.push(format!("[{i}] advance {micros}us"));
-            }
+            // Nothing in a single service reads time; the op is only logged.
+            SimOp::AdvanceTime { micros } => events.push(format!("[{i}] advance {micros}us")),
         }
     }
 

@@ -12,10 +12,10 @@
 //!   appear after recovery, even when the failure left a torn tail of
 //!   the record in the final segment.
 //!
-//! The graceful-degradation contracts ride along: a deadline-expired
-//! query is always explicitly `degraded` and never cached, and a full
-//! admission gate sheds load with a typed `Overloaded` error (counted in
-//! `ServiceStats::queries_shed`).
+//! The overload contract rides along: a full admission gate sheds load
+//! with a typed `Overloaded` error (counted in
+//! `ServiceStats::queries_shed`), and every query it admits is answered
+//! exactly — the service never degrades an answer.
 
 use repose::{Repose, ReposeConfig};
 use repose_distance::{Measure, MeasureParams};
@@ -341,56 +341,31 @@ fn recovery_is_idempotent_after_a_torn_tail() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// An expired deadline yields an explicitly degraded partial answer —
-/// never a silently wrong "exact" one — and degraded answers never reach
-/// the cache.
+/// Every admitted query is answered exactly: single or batched, pooled
+/// or inline, it is never `degraded` and reports one task time per
+/// partition (only the shard coordinator degrades an answer).
 #[test]
-fn expired_deadline_degrades_explicitly_and_is_never_cached() {
-    let svc = ReposeService::with_config(
-        Repose::build(&tie_dataset(0..80), repose_config(Measure::Hausdorff)),
-        ServiceConfig {
-            cache_capacity: 64,
-            pool_threads: 1,
-            query_deadline: Some(std::time::Duration::ZERO),
-            ..ServiceConfig::default()
-        },
-    );
-    let q = &tie_queries()[0];
-    let first = svc.query(q, 5).expect("query");
-    assert!(first.degraded, "a zero budget must degrade every query");
-    assert_eq!(first.partitions_searched, 0);
-    assert_eq!(first.partitions_skipped, PARTITIONS);
-    assert!(first.hits.is_empty());
-
-    // A degraded answer must not have been cached as if it were exact.
-    let second = svc.query(q, 5).expect("query");
-    assert!(!second.cache_hit, "a degraded answer was served from cache");
-    assert!(second.degraded);
-
-    let batch = svc.query_batch(&tie_queries(), 5).expect("batch");
-    for out in &batch {
-        assert!(out.degraded || out.cache_hit);
+fn admitted_queries_search_every_partition_and_are_never_degraded() {
+    for pool_threads in [1, 2] {
+        let svc = ReposeService::with_config(
+            Repose::build(&tie_dataset(0..40), repose_config(Measure::Frechet)),
+            ServiceConfig {
+                cache_capacity: 0,
+                pool_threads,
+                max_inflight_queries: 1,
+                ..ServiceConfig::default()
+            },
+        );
+        let queries = tie_queries();
+        let single = queries.iter().map(|q| svc.query(q, 7).expect("query"));
+        let batch = svc.query_batch(&queries, 7).expect("batch");
+        for out in single.chain(batch) {
+            assert!(!out.degraded, "pool_threads={pool_threads}");
+            assert!(!out.cache_hit);
+            assert_eq!(out.partition_times.len(), PARTITIONS, "pool_threads={pool_threads}");
+        }
+        assert_eq!(svc.stats().queries_shed, 0);
     }
-    assert!(svc.stats().queries_degraded >= 2);
-    assert_eq!(svc.stats().queries_shed, 0);
-}
-
-/// The deadline-free default path reports full coverage on every query —
-/// the exactness contract the rest of the suite (pooled_service) verifies
-/// bitwise.
-#[test]
-fn deadline_free_queries_always_report_full_coverage() {
-    let svc = ReposeService::with_config(
-        Repose::build(&tie_dataset(0..40), repose_config(Measure::Frechet)),
-        ServiceConfig { cache_capacity: 0, pool_threads: 1, ..ServiceConfig::default() },
-    );
-    for q in &tie_queries() {
-        let out = svc.query(q, 7).expect("query");
-        assert!(!out.degraded);
-        assert_eq!(out.partitions_searched, PARTITIONS);
-        assert_eq!(out.partitions_skipped, 0);
-    }
-    assert_eq!(svc.stats().queries_degraded, 0);
 }
 
 /// A bounded admission gate sheds concurrent load with the typed
