@@ -1,5 +1,9 @@
 //! Persistent zero-copy archives of frozen REPOSE deployments.
 //!
+//! A durable service's one checkpoint: its write-ahead log's base is the
+//! newest archive generation it installed, at construction and at every
+//! compaction, and recovery attaches one and replays the log past it.
+//!
 //! A deployment's frozen state — per-partition point arenas, slot tables,
 //! succinct trie encodings, pivot tables, and summary tables — is laid
 //! out in a versioned, sectioned, CRC-32-checksummed file
@@ -24,7 +28,8 @@
 //! * **Loud failure** — every validation failure is a typed
 //!   [`ArchiveError`]; recovery quarantines bad generations into
 //!   `.quarantine/` ([`quarantine`]) and falls back to the previous
-//!   generation or a full rebuild. A corrupt archive is never served.
+//!   generation, which the log still reaches. A corrupt archive is never
+//!   served.
 //! * **Provable crash safety** — the install and attach paths hit the
 //!   `arc.write` / `arc.sync` / `arc.rename` / `arc.map` fail points of
 //!   [`repose_durability::FailPlan`], so crash suites abort at every

@@ -2,11 +2,11 @@
 //!
 //! The whole archive image is assembled in memory (sections, TOC,
 //! superblock, trailer — the trailer seal is computed over the final
-//! bytes), then installed with the same discipline as WAL snapshots:
-//! write to `<name>.tmp`, `fsync` the file, `rename` into place, `fsync`
-//! the directory. A reader can therefore *never* observe a half-written
-//! `gen-*.arc`: either the rename happened and the file is sealed, or the
-//! leftovers are `.tmp` files that generation scans ignore.
+//! bytes), then installed crash-atomically: write to `<name>.tmp`,
+//! `fsync` the file, `rename` into place, `fsync` the directory. A reader
+//! can therefore *never* observe a half-written `gen-*.arc`: either the
+//! rename happened and the file is sealed, or the leftovers are `.tmp`
+//! files that generation scans ignore.
 //!
 //! Four fail points cover the install path — `arc.write`, `arc.sync`,
 //! `arc.rename` (writer side) and `arc.map` (reader side) — so the crash

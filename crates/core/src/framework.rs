@@ -389,14 +389,6 @@ impl Repose {
         PartitionView { store: &part.store, trie: &part.trie }
     }
 
-    /// Iterates every indexed trajectory across all partitions as
-    /// `(id, points)` pairs borrowed from the partition arenas (used by
-    /// `repose-service` for live-set accounting; compaction copies point
-    /// ranges arena-to-arena through [`Repose::partition_view`]).
-    pub fn all_trajectories(&self) -> impl Iterator<Item = (TrajId, &[Point])> {
-        self.parts.iter().flat_map(|p| p.store.iter())
-    }
-
     /// Per-partition trajectory counts.
     pub fn partition_sizes(&self) -> Vec<usize> {
         self.parts.iter().map(|p| p.store.len()).collect()

@@ -2,7 +2,7 @@
 //!
 //! A [`FailPlan`] is a small, shareable registry of *named failure sites*
 //! armed with an action and a hit countdown. The WAL writer and the
-//! archive writer consult the plan at every registered point
+//! archive writer and reader consult the plan at every registered point
 //! ([`POINTS`]); when an armed point's countdown reaches zero the action
 //! fires **exactly once**, so a test can say "on the 7th flush, tear the
 //! write in half" and get the same torn byte stream on every run — no
@@ -20,31 +20,17 @@
 
 use crate::spec::{FaultAction, Plan};
 
-/// Every failure site the WAL writer consults, in hit order along the
-/// write path. The crash-loop harness iterates this list to prove
-/// recovery at *every* registered WAL point.
-pub const WAL_POINTS: &[&str] = &[
-    "wal.append",
-    "wal.flush",
-    "wal.sync",
-    "wal.rotate",
-    "wal.snapshot",
-    "wal.checkpoint",
-];
-
-/// Every failure site the archive writer and reader consult. Unlike the
-/// WAL points, an injected archive failure never refuses a client
-/// operation — the WAL stays the source of truth and serving continues —
-/// so the archive suites (not the crash loop) iterate these.
-pub const ARC_POINTS: &[&str] = &["arc.write", "arc.sync", "arc.rename", "arc.map"];
-
-/// Every registered failure site across both write paths.
+/// Every failure site the WAL writer and the archive writer and reader
+/// consult, in hit order along each path. A durable service hits all of
+/// them: the WAL points on every write and compaction, the `arc.*`
+/// points whenever it installs or opens the archive generation that is
+/// its log's base. The crash-loop harness and the simulator iterate
+/// this one list.
 pub const POINTS: &[&str] = &[
     "wal.append",
     "wal.flush",
     "wal.sync",
     "wal.rotate",
-    "wal.snapshot",
     "wal.checkpoint",
     "arc.write",
     "arc.sync",
@@ -56,7 +42,7 @@ pub const POINTS: &[&str] = &[
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailAction {
     /// The operation fails with an injected I/O error before writing
-    /// anything; the WAL goes dead (fail-stop).
+    /// anything; at a `wal.*` point the WAL goes dead (fail-stop).
     IoError,
     /// The pending bytes are written only up to half their length — a torn
     /// write — then the WAL goes dead.
@@ -146,11 +132,6 @@ mod tests {
     fn arming_a_bad_site_panics() {
         // A typo'd point must not silently arm a fault that can never fire.
         FailPlan::new().arm("wal.flsh", FailAction::IoError, 0);
-    }
-
-    #[test]
-    fn points_is_wal_points_then_arc_points() {
-        assert_eq!(POINTS, [WAL_POINTS, ARC_POINTS].concat());
     }
 
     #[test]

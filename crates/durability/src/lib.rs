@@ -5,13 +5,14 @@
 //! testable:
 //!
 //! * [`record`] — the length-prefixed, CRC-checksummed, sequence-stamped
-//!   on-disk record format shared by WAL segments and base snapshots.
+//!   on-disk record format of WAL segments.
 //! * [`wal`] — the [`Wal`] writer: commits under a configurable
 //!   [`FsyncPolicy`], segment rotation aligned with delta-segment seals,
-//!   atomic base snapshots, and checkpoint truncation.
-//! * [`replay()`](crate::replay()) — crash recovery: newest complete snapshot + ordered log
-//!   replay, with a torn-tail policy that never drops an
-//!   fsync-acknowledged record and never papers over mid-log corruption.
+//!   and checkpoint truncation.
+//! * [`replay()`](crate::replay()) — crash recovery's log half: ordered
+//!   segment replay above the newest checkpoint, with a torn-tail policy
+//!   that never drops an fsync-acknowledged record and never papers over
+//!   mid-log corruption.
 //! * [`failpoint`] — a deterministic, per-instance fault-injection
 //!   registry ([`FailPlan`]) the WAL and archive writers consult at named
 //!   points ([`POINTS`]), so tests can crash either write path at any
@@ -19,6 +20,10 @@
 //! * [`spec`] — the one fault-plan type ([`spec::Plan`]) and its
 //!   exactly-once countdown registry; [`FailPlan`] is its instantiation
 //!   here, the shard layer's `NetFaultPlan` its other one.
+//!
+//! The log's base is not here: it is an archive generation the serving
+//! layer installs (`repose-archive`) before each checkpoint, and recovery
+//! attaches one and replays this log past its sequence.
 //!
 //! The format stores coordinates via `f64::to_bits`, so recovered
 //! trajectories are bit-identical to what was acknowledged — queries after
@@ -33,12 +38,10 @@ pub mod replay;
 pub mod spec;
 pub mod wal;
 
-pub use failpoint::{FailAction, FailPlan, ARC_POINTS, POINTS, WAL_POINTS};
+pub use failpoint::{FailAction, FailPlan, POINTS};
 pub use record::{crc32, DecodeError, WalRecord};
 pub use replay::{replay, Replayed};
-pub use wal::{
-    write_snapshot, DurabilityConfig, FsyncPolicy, SegmentInfo, Wal, WalCounters, WalError,
-};
+pub use wal::{DurabilityConfig, FsyncPolicy, SegmentInfo, Wal, WalCounters, WalError};
 
 #[cfg(test)]
 mod tests {
@@ -67,7 +70,6 @@ mod tests {
     fn fresh(dir: &PathBuf) -> (DurabilityConfig, Wal) {
         let cfg = DurabilityConfig::new(dir);
         let wal = Wal::create(&cfg).unwrap();
-        write_snapshot(dir, 0, std::iter::empty(), &cfg.failpoints).unwrap();
         (cfg, wal)
     }
 
@@ -81,8 +83,7 @@ mod tests {
         drop(wal);
 
         let replayed = replay(&dir).unwrap();
-        assert_eq!(replayed.base_seq, 0);
-        assert!(replayed.base.is_empty());
+        assert_eq!(replayed.checkpoint_seq, 0);
         assert_eq!(replayed.last_seq, 3);
         assert_eq!(replayed.torn_bytes, 0);
         assert_eq!(replayed.records.len(), 3);
@@ -140,31 +141,21 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_prunes_covered_segments_and_old_snapshots() {
+    fn checkpoint_prunes_covered_segments() {
         let dir = scratch("checkpoint");
-        let (cfg, mut wal) = fresh(&dir);
+        let (_cfg, mut wal) = fresh(&dir);
         wal.append(&WalRecord::Upsert { seq: 1, id: 1, points: pts(2) }).unwrap();
         wal.append(&WalRecord::Upsert { seq: 2, id: 2, points: pts(2) }).unwrap();
         wal.rotate().unwrap();
         wal.append(&WalRecord::Upsert { seq: 3, id: 3, points: pts(2) }).unwrap();
-        // Snapshot reflecting everything up to seq 2, then checkpoint it.
-        let live = [(1u64, pts(2)), (2u64, pts(2))];
-        write_snapshot(
-            &dir,
-            2,
-            live.iter().map(|(id, p)| (*id, p.as_slice())),
-            &cfg.failpoints,
-        )
-        .unwrap();
+        // A base reflecting everything up to seq 2 is durable elsewhere.
         wal.checkpoint(2).unwrap();
         drop(wal);
 
         assert!(!dir.join("wal-00000001.log").exists(), "covered segment pruned");
-        assert!(!dir.join(format!("base-{:016x}.snap", 0)).exists(), "old snapshot pruned");
 
         let replayed = replay(&dir).unwrap();
-        assert_eq!(replayed.base_seq, 2);
-        assert_eq!(replayed.base.len(), 2);
+        assert_eq!(replayed.checkpoint_seq, 2);
         // Only seq-3 upsert remains to replay (seq <= 2 covered by the base).
         let data: Vec<_> = replayed
             .records
@@ -199,33 +190,10 @@ mod tests {
     }
 
     #[test]
-    fn interrupted_snapshot_leaves_no_visible_snapshot() {
-        let dir = scratch("snapcrash");
-        let (cfg, mut wal) = fresh(&dir);
-        wal.append(&WalRecord::Upsert { seq: 1, id: 1, points: pts(2) }).unwrap();
-        cfg.failpoints.arm("wal.snapshot", FailAction::Crash, 0);
-        let live = [(1u64, pts(2))];
-        let err = write_snapshot(
-            &dir,
-            1,
-            live.iter().map(|(id, p)| (*id, p.as_slice())),
-            &cfg.failpoints,
-        );
-        assert!(matches!(err, Err(WalError::Injected { point: "wal.snapshot", .. })));
-        drop(wal);
-        // Recovery still works off the base-0 snapshot + the log.
-        let replayed = replay(&dir).unwrap();
-        assert_eq!(replayed.base_seq, 0);
-        assert_eq!(replayed.records.len(), 1);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn segment_rotation_by_size() {
         let dir = scratch("rotate");
         let cfg = DurabilityConfig::new(&dir).with_segment_bytes(64);
         let mut wal = Wal::create(&cfg).unwrap();
-        write_snapshot(&dir, 0, std::iter::empty(), &cfg.failpoints).unwrap();
         for seq in 1..=8 {
             wal.append(&WalRecord::Upsert { seq, id: seq, points: pts(4) }).unwrap();
         }

@@ -1,4 +1,4 @@
-//! The on-disk record format shared by WAL segments and base snapshots.
+//! The on-disk record format of WAL segments.
 //!
 //! Every record is framed as
 //!
@@ -12,8 +12,8 @@
 //! write into a *detected* decode failure instead of silently corrupted
 //! state (CRC-32 detects all single-bit and all burst errors up to 32
 //! bits). Sequence numbers are the service's global operation sequence —
-//! strictly increasing across upserts and deletes — so replay can skip
-//! everything a base snapshot already covers and recovery can restore the
+//! strictly increasing across upserts and deletes — so recovery can skip
+//! everything its base archive generation already covers and restore the
 //! exact pre-crash operation counter.
 
 use repose_model::{wire, Point, TrajId};
@@ -51,10 +51,11 @@ pub enum WalRecord {
         seq: u64,
     },
     /// A compaction checkpoint: every operation with sequence `<= seq` is
-    /// fully reflected in the base snapshot named by `seq`, so log records
-    /// at or below it are dead and their segments can be pruned.
+    /// fully reflected in the oldest archive generation the service
+    /// keeps, so log records at or below it are dead and their segments
+    /// can be pruned.
     Checkpoint {
-        /// The snapshot's covering operation sequence.
+        /// That generation's operation sequence.
         seq: u64,
     },
 }

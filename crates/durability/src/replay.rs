@@ -1,8 +1,7 @@
 //! Crash recovery: turn a durability directory back into state.
 //!
-//! [`replay()`] scans the directory, loads the newest complete base
-//! snapshot, and decodes every WAL segment in rotation order, applying the
-//! torn-tail policy:
+//! [`replay()`] scans the directory and decodes every WAL segment in
+//! rotation order, applying the torn-tail policy:
 //!
 //! * a decode failure in the **final** segment is a torn tail — the crash
 //!   interrupted the last write. Everything before the bad frame is kept,
@@ -17,28 +16,29 @@
 //!   refuses with [`WalError::Corrupt`] rather than silently dropping
 //!   acknowledged history.
 //!
-//! Records with sequence at or below the snapshot's covering sequence are
-//! skipped — the snapshot already reflects them — which also makes replay
-//! indifferent to whether checkpoint pruning got around to deleting their
-//! segments.
+//! Replay reads only segments. The log's base is an archive generation
+//! the serving layer attaches, at or above [`Replayed::checkpoint_seq`]:
+//! records at or below the newest checkpoint are dropped here, and
+//! recovery skips the rest the generation reflects — which also makes
+//! replay indifferent to whether checkpoint pruning got around to
+//! deleting their segments.
 
 use crate::record::WalRecord;
-use crate::wal::{parse_segment_name, parse_snapshot_name, snapshot_path, SegmentInfo, WalError};
-use repose_model::{Point, TrajId};
+use crate::wal::{parse_segment_name, SegmentInfo, WalError};
 use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Everything [`replay()`] recovered from a durability directory.
 #[derive(Debug)]
 pub struct Replayed {
-    /// Live trajectories from the base snapshot, in snapshot order.
-    pub base: Vec<(TrajId, Vec<Point>)>,
-    /// The snapshot's covering operation sequence.
-    pub base_seq: u64,
-    /// Log records with sequence above `base_seq`, in append order
+    /// The newest [`WalRecord::Checkpoint`]'s sequence (0 before the
+    /// first): the log holds every record above it, so any base at or
+    /// above it can be brought to `last_seq`.
+    pub checkpoint_seq: u64,
+    /// Log records with sequence above `checkpoint_seq`, in append order
     /// (upserts, deletes, and seals; checkpoints are consumed here).
     pub records: Vec<WalRecord>,
-    /// The highest operation sequence seen anywhere (snapshot included).
+    /// The highest operation sequence seen anywhere in the log.
     pub last_seq: u64,
     /// Dangling bytes truncated from a torn final segment (0 on a clean
     /// shutdown).
@@ -51,34 +51,21 @@ pub struct Replayed {
 
 /// Replays the durability directory at `dir` (see the module docs).
 pub fn replay(dir: &Path) -> Result<Replayed, WalError> {
-    let mut snapshots: Vec<u64> = Vec::new();
     let mut segments: Vec<(u64, PathBuf)> = Vec::new();
     let entries = fs::read_dir(dir).map_err(|e| WalError::Io { point: "replay.scan", source: e })?;
     for entry in entries.flatten() {
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if let Some(seq) = parse_snapshot_name(&name) {
-            snapshots.push(seq);
-        } else if let Some(index) = parse_segment_name(&name) {
+        // Anything but a segment (archive generations, *.tmp) is not ours.
+        if let Some(index) = parse_segment_name(&entry.file_name().to_string_lossy()) {
             segments.push((index, entry.path()));
         }
-        // Anything else (e.g. *.tmp from an interrupted snapshot) is
-        // ignorable garbage.
     }
-    let Some(&base_seq) = snapshots.iter().max() else {
-        return Err(WalError::BadSnapshot {
-            path: dir.to_path_buf(),
-            reason: "no base snapshot found".into(),
-        });
-    };
-    let base = load_snapshot(&snapshot_path(dir, base_seq), base_seq)?;
-
     segments.sort_by_key(|&(index, _)| index);
     let next_segment_index = segments.last().map_or(1, |&(index, _)| index + 1);
     let last_index = segments.last().map(|&(index, _)| index);
 
     let mut records = Vec::new();
-    let mut last_seq = base_seq;
+    let mut checkpoint_seq = 0u64;
+    let mut last_seq = 0u64;
     let mut torn_bytes = 0u64;
     let mut infos = Vec::new();
     for (index, path) in segments {
@@ -91,8 +78,9 @@ pub fn replay(dir: &Path) -> Result<Replayed, WalError> {
                 Ok(Some(record)) => {
                     max_seq = max_seq.max(record.seq());
                     last_seq = last_seq.max(record.seq());
-                    if record.seq() > base_seq && !matches!(record, WalRecord::Checkpoint { .. }) {
-                        records.push(record);
+                    match record {
+                        WalRecord::Checkpoint { seq } => checkpoint_seq = checkpoint_seq.max(seq),
+                        record => records.push(record),
                     }
                 }
                 Err(reason) => {
@@ -116,10 +104,10 @@ pub fn replay(dir: &Path) -> Result<Replayed, WalError> {
         }
         infos.push(SegmentInfo { index, path, max_seq });
     }
+    records.retain(|record| record.seq() > checkpoint_seq);
 
     Ok(Replayed {
-        base,
-        base_seq,
+        checkpoint_seq,
         records,
         last_seq,
         torn_bytes,
@@ -137,38 +125,4 @@ fn truncate_segment(path: &Path, clean_len: u64) -> Result<(), WalError> {
     file.set_len(clean_len).map_err(io)?;
     file.sync_all().map_err(io)?;
     Ok(())
-}
-
-/// Loads and validates a base snapshot: a run of [`WalRecord::Upsert`]s
-/// closed by a [`WalRecord::Checkpoint`] whose sequence matches the file
-/// name. Snapshots are written atomically (temp + rename), so any defect
-/// here is real corruption and a hard error.
-fn load_snapshot(path: &Path, expect_seq: u64) -> Result<Vec<(TrajId, Vec<Point>)>, WalError> {
-    let bad = |reason: String| WalError::BadSnapshot { path: path.to_path_buf(), reason };
-    let bytes = fs::read(path).map_err(|e| bad(format!("unreadable: {e}")))?;
-    let mut cur = bytes.as_slice();
-    let mut base = Vec::new();
-    let mut closed = false;
-    loop {
-        match WalRecord::decode(&mut cur) {
-            Ok(None) => break,
-            Ok(Some(WalRecord::Upsert { id, points, .. })) if !closed => base.push((id, points)),
-            Ok(Some(WalRecord::Checkpoint { seq })) if !closed => {
-                if seq != expect_seq {
-                    return Err(bad(format!(
-                        "trailer sequence {seq} does not match file name sequence {expect_seq}"
-                    )));
-                }
-                closed = true;
-            }
-            Ok(Some(other)) => {
-                return Err(bad(format!("unexpected record {other:?}")));
-            }
-            Err(reason) => return Err(bad(format!("decode failure: {reason}"))),
-        }
-    }
-    if !closed {
-        return Err(bad("missing checkpoint trailer (incomplete snapshot)".into()));
-    }
-    Ok(base)
 }

@@ -1,5 +1,5 @@
-//! The write-ahead log writer: fsync policy, segment rotation, base
-//! snapshots, and checkpoint truncation.
+//! The write-ahead log writer: fsync policy, segment rotation, and
+//! checkpoint truncation.
 //!
 //! # Durability contract
 //!
@@ -24,20 +24,19 @@
 //!
 //! ```text
 //! <dir>/wal-<index>.log   record stream; `index` strictly increasing
-//! <dir>/base-<seq>.snap   base snapshot covering operations <= seq
-//! <dir>/*.tmp             in-flight snapshot writes (ignored by replay)
 //! ```
 //!
-//! Snapshots are written to a temp file, `fsync`ed, then atomically
-//! renamed — a crash mid-snapshot leaves only ignorable garbage. A
-//! [`Wal::checkpoint`] records that snapshot `seq` is durable, then prunes
-//! every sealed segment whose records all fall at or below it (and every
-//! older snapshot). Replay correctness never depends on pruning: records
-//! at or below the best snapshot's seq are skipped regardless.
+//! The log's base is not in this crate: the serving layer checkpoints by
+//! installing an archive generation of its frozen deployment
+//! (`repose-archive`), by default in this same directory. A
+//! [`Wal::checkpoint`] records that every operation at or below `seq` is
+//! reflected in the oldest generation the service still keeps, then
+//! prunes every sealed segment whose records all fall at or below it.
+//! Replay correctness never depends on pruning: recovery skips records
+//! at or below the attached generation's sequence regardless.
 
 use crate::failpoint::{FailAction, FailPlan};
 use crate::record::WalRecord;
-use repose_model::{Point, TrajId};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -54,7 +53,7 @@ pub enum FsyncPolicy {
 /// Configuration of the durability layer.
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
-    /// Directory holding the WAL segments and base snapshots.
+    /// Directory holding the WAL segments.
     pub dir: PathBuf,
     /// The fsync policy (default [`FsyncPolicy::Always`]).
     pub fsync: FsyncPolicy,
@@ -127,15 +126,8 @@ pub enum WalError {
         /// Why the frame was rejected.
         reason: crate::record::DecodeError,
     },
-    /// A base snapshot is unusable (missing, truncated, or failing its
-    /// trailer check).
-    BadSnapshot {
-        /// The snapshot path (or the directory when none exists).
-        path: PathBuf,
-        /// Human-readable reason.
-        reason: String,
-    },
-    /// [`Wal::create`] on a directory that already holds a journal.
+    /// A fresh journal (or, in the serving layer, a fresh service's
+    /// archive generations) refused a directory that already holds one.
     DirNotEmpty {
         /// The offending directory.
         dir: PathBuf,
@@ -155,12 +147,10 @@ impl std::fmt::Display for WalError {
                 "mid-log corruption in {} at byte {offset}: {reason}",
                 segment.display()
             ),
-            WalError::BadSnapshot { path, reason } => {
-                write!(f, "unusable base snapshot {}: {reason}", path.display())
-            }
             WalError::DirNotEmpty { dir } => write!(
                 f,
-                "{} already holds a journal; use recovery instead of fresh creation",
+                "{} already holds a journal or archive generations; \
+                 use recovery instead of fresh creation",
                 dir.display()
             ),
         }
@@ -180,10 +170,6 @@ pub(crate) fn segment_path(dir: &Path, index: u64) -> PathBuf {
     dir.join(format!("wal-{index:08}.log"))
 }
 
-pub(crate) fn snapshot_path(dir: &Path, seq: u64) -> PathBuf {
-    dir.join(format!("base-{seq:016x}.snap"))
-}
-
 /// A sealed segment the writer (or replayer) knows about.
 #[derive(Debug, Clone)]
 pub struct SegmentInfo {
@@ -198,7 +184,7 @@ pub struct SegmentInfo {
 /// Counters a [`Wal`] exposes for service stats.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WalCounters {
-    /// Bytes handed to the OS across all segments and snapshots.
+    /// Bytes handed to the OS across all segments.
     pub bytes_written: u64,
     /// `fsync` (`sync_data`) calls issued.
     pub fsyncs: u64,
@@ -233,18 +219,14 @@ pub struct Wal {
 impl Wal {
     /// Creates a fresh journal in `cfg.dir` (creating the directory as
     /// needed). Fails with [`WalError::DirNotEmpty`] if the directory
-    /// already holds segments or snapshots — recovering over an existing
-    /// journal must be an explicit choice, never an accident.
+    /// already holds segments — recovering over an existing journal must
+    /// be an explicit choice, never an accident.
     pub fn create(cfg: &DurabilityConfig) -> Result<Wal, WalError> {
         fs::create_dir_all(&cfg.dir).map_err(|e| io_err("wal.create", e))?;
         let has_journal = fs::read_dir(&cfg.dir)
             .map_err(|e| io_err("wal.create", e))?
             .flatten()
-            .any(|entry| {
-                let name = entry.file_name();
-                let name = name.to_string_lossy();
-                name.starts_with("wal-") || name.starts_with("base-")
-            });
+            .any(|entry| parse_segment_name(&entry.file_name().to_string_lossy()).is_some());
         if has_journal {
             return Err(WalError::DirNotEmpty { dir: cfg.dir.clone() });
         }
@@ -376,12 +358,12 @@ impl Wal {
         Ok(())
     }
 
-    /// Records that the base snapshot covering operations `<= seq` is
-    /// durable: appends a [`WalRecord::Checkpoint`], syncs it, then prunes
-    /// every sealed segment whose records all fall at or below `seq` and
-    /// every snapshot older than `seq`. Pruning is best-effort — replay
-    /// skips covered records by sequence, so a surviving stale file is
-    /// dead weight, not a correctness hazard.
+    /// Records that every operation `<= seq` is reflected in a durable
+    /// base the caller keeps: appends a [`WalRecord::Checkpoint`], syncs
+    /// it, then prunes every sealed segment whose records all fall at or
+    /// below `seq`. Pruning is best-effort — recovery skips covered
+    /// records by sequence, so a surviving stale segment is dead weight,
+    /// not a correctness hazard.
     pub fn checkpoint(&mut self, seq: u64) -> Result<(), WalError> {
         self.check_alive()?;
         if let Some(action) = self.plan.hit("wal.checkpoint") {
@@ -398,15 +380,6 @@ impl Wal {
                 true
             }
         });
-        if let Ok(entries) = fs::read_dir(&self.dir) {
-            for entry in entries.flatten() {
-                if let Some(snap_seq) = parse_snapshot_name(&entry.file_name().to_string_lossy()) {
-                    if snap_seq < seq {
-                        let _ = fs::remove_file(entry.path());
-                    }
-                }
-            }
-        }
         Ok(())
     }
 
@@ -487,47 +460,7 @@ fn io_err(point: &'static str, source: std::io::Error) -> WalError {
     WalError::Io { point, source }
 }
 
-pub(crate) fn parse_snapshot_name(name: &str) -> Option<u64> {
-    let hex = name.strip_prefix("base-")?.strip_suffix(".snap")?;
-    u64::from_str_radix(hex, 16).ok()
-}
-
 pub(crate) fn parse_segment_name(name: &str) -> Option<u64> {
     let num = name.strip_prefix("wal-")?.strip_suffix(".log")?;
     num.parse().ok()
-}
-
-/// Writes the base snapshot covering operations `<= seq`: every live
-/// trajectory as an [`WalRecord::Upsert`] stamped `seq`, closed by a
-/// [`WalRecord::Checkpoint`] trailer, written to a temp file, `fsync`ed,
-/// and atomically renamed into place. A crash anywhere before the rename
-/// leaves no visible snapshot; after it, the snapshot is complete by
-/// construction (the trailer is verified again on load).
-pub fn write_snapshot<'a>(
-    dir: &Path,
-    seq: u64,
-    live: impl Iterator<Item = (TrajId, &'a [Point])>,
-    plan: &FailPlan,
-) -> Result<u64, WalError> {
-    if let Some(action) = plan.hit("wal.snapshot") {
-        return Err(WalError::Injected { point: "wal.snapshot", action });
-    }
-    let final_path = snapshot_path(dir, seq);
-    let tmp_path = final_path.with_extension("snap.tmp");
-    let mut buf = Vec::new();
-    for (id, points) in live {
-        WalRecord::Upsert { seq, id, points: points.to_vec() }.encode(&mut buf);
-    }
-    WalRecord::Checkpoint { seq }.encode(&mut buf);
-    let bytes = buf.len() as u64;
-    let mut tmp = File::create(&tmp_path).map_err(|e| io_err("wal.snapshot", e))?;
-    tmp.write_all(&buf).map_err(|e| io_err("wal.snapshot", e))?;
-    tmp.sync_data().map_err(|e| io_err("wal.snapshot", e))?;
-    drop(tmp);
-    fs::rename(&tmp_path, &final_path).map_err(|e| io_err("wal.snapshot", e))?;
-    // Make the rename itself durable (POSIX: fsync the directory).
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
-    Ok(bytes)
 }

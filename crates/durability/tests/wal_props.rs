@@ -92,7 +92,6 @@ proptest! {
         let dir = scratch("ttail");
         let cfg = DurabilityConfig::new(&dir).with_fsync(FsyncPolicy::Always);
         let mut wal = Wal::create(&cfg).unwrap();
-        repose_durability::write_snapshot(&dir, 0, std::iter::empty(), &cfg.failpoints).unwrap();
         for seq in 1..=n_acked as u64 {
             let n_pts = sizes[(seq as usize - 1) % sizes.len()];
             let points: Vec<Point> =

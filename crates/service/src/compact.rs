@@ -1,6 +1,6 @@
-//! Compaction: folding the delta logs into rebuilt frozen partitions,
-//! checkpointing the WAL behind the result and installing archive
-//! generations — plus the one statement of which rows are live.
+//! Compaction: folding the delta logs into rebuilt frozen partitions and
+//! checkpointing the WAL behind the result by installing it as an archive
+//! generation — plus the one statement of which rows are live.
 
 use crate::delta::{snapshot_len, DeltaLog};
 use crate::error::ServiceError;
@@ -8,16 +8,35 @@ use crate::query::Snapshot;
 use crate::service::ReposeService;
 use crate::stats::ServiceCounters;
 use repose::Repose;
-use repose_archive::{prune_generations, quarantine, write_archive, Archive};
-use repose_durability::write_snapshot;
+use repose_archive::{prune_generations, quarantine, write_archive, Archive, ArchiveError};
+use repose_durability::FailPlan;
 use repose_model::TrajStore;
+use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// How many installed archive generations a service retains: the one it
 /// just wrote plus one predecessor to fall back to if the newest is later
-/// found corrupt. Older generations are pruned on every install.
+/// found corrupt. Older generations are pruned on every install, and the
+/// log is checkpointed to the oldest one kept.
 const ARCHIVE_GENERATIONS_KEPT: usize = 2;
+
+/// Installs `deployment`, current through `op_seq`, as a fresh generation
+/// in `dir`, re-opens it through full validation — proving end to end
+/// that a restart could attach these exact bytes — and only then prunes
+/// to [`ARCHIVE_GENERATIONS_KEPT`]. A generation that fails the read-back
+/// is quarantined, leaving its predecessors as they were.
+pub(crate) fn install_generation(
+    dir: &Path,
+    deployment: &Repose,
+    op_seq: u64,
+    failpoints: &FailPlan,
+) -> Result<Archive, ArchiveError> {
+    let path = write_archive(dir, deployment, op_seq, failpoints)?;
+    let archive = Archive::open(&path, failpoints).inspect_err(|_| drop(quarantine(&path)))?;
+    prune_generations(dir, ARCHIVE_GENERATIONS_KEPT);
+    Ok(archive)
+}
 
 /// The live rows of a snapshot as `(arena, slot)` pairs — the liveness
 /// rule compaction, the dirtiness test and [`ReposeService::len`] share.
@@ -52,28 +71,6 @@ fn gather<'a>(rows: impl Iterator<Item = (&'a TrajStore, usize)>) -> TrajStore {
 }
 
 impl ReposeService {
-    /// Installs a fresh archive generation of `deployment` and re-opens it
-    /// as the scrub target. Failure is *graceful by design*: the archive
-    /// only accelerates restarts (the WAL stays the source of truth), so
-    /// an install error is counted in
-    /// [`ServiceStats::archive_write_failures`] and serving continues.
-    pub(crate) fn install_archive_generation(&self, deployment: &Repose, op_seq: u64) {
-        let Some(arc) = &self.archive else { return };
-        let written = write_archive(&arc.dir, deployment, op_seq, &arc.failpoints);
-        let installed = written.and_then(|path| {
-            ServiceCounters::bump(&self.counters.archive_generations);
-            prune_generations(&arc.dir, ARCHIVE_GENERATIONS_KEPT);
-            // Read-back verification: re-open through full validation,
-            // proving end-to-end that a restart could attach these exact
-            // bytes. The handle becomes the scrub target.
-            Archive::open(&path, &arc.failpoints).inspect_err(|_| drop(quarantine(&path)))
-        });
-        match installed {
-            Ok(archive) => *arc.current.lock().unwrap_or_else(|e| e.into_inner()) = Some(archive),
-            Err(_) => ServiceCounters::bump(&self.counters.archive_write_failures),
-        }
-    }
-
     /// Folds every buffered write into rebuilt frozen tries —
     /// **incrementally**: only partitions whose delta log changed since
     /// the last compact (per-partition epoch counters) or whose frozen
@@ -96,11 +93,13 @@ impl ReposeService {
     /// [`ReposeService::compact_full`]'s global re-partition.
     ///
     /// With durability enabled a completed compaction also **checkpoints**
-    /// the WAL: the rebuilt deployment is written as a fresh base snapshot,
-    /// the log rotates to a new segment (aligned with the delta-segment
-    /// seal), and every fully covered segment is pruned — so recovery time
-    /// tracks the write volume since the last compaction, not service
-    /// lifetime.
+    /// the WAL: the log rotates to a new segment (aligned with the
+    /// delta-segment seal), the rebuilt deployment is installed as a fresh
+    /// archive generation, and every segment the generation it replaced
+    /// fully covers is pruned — so recovery time tracks the write volume
+    /// since the compaction before last, not service lifetime. If the
+    /// install fails, the rebuilt deployment still serves, the log keeps
+    /// its older base, and the error is returned.
     pub fn compact(&self) -> Result<usize, ServiceError> {
         self.compact_inner(false)
     }
@@ -179,24 +178,24 @@ impl ReposeService {
         self.counters.partitions_rebuilt.fetch_add(rebuilt_parts as u64, Ordering::Relaxed);
         self.counters.last_compact_rebuilt.store(rebuilt_parts as u64, Ordering::Relaxed);
 
-        // Phase 4 (durable services): checkpoint the WAL against the
-        // installed deployment (`new_frozen` reflects exactly the
-        // operations with seq <= seq_snapshot). The snapshot is written
-        // with *no* locks held, then the log rotates and prunes under its
-        // own lock — wal only, so writers doing state -> wal cannot deadlock.
-        if let (Some(wal), Some(dcfg)) = (&self.wal, &self.durability) {
-            let rows = new_frozen.all_trajectories();
-            let bytes = write_snapshot(&dcfg.dir, seq_snapshot, rows, &dcfg.failpoints)?;
-            self.counters.snapshot_bytes.fetch_add(bytes, Ordering::Relaxed);
-            let mut wal = wal.lock().map_err(|_| ServiceError::StatePoisoned)?;
-            wal.rotate()?;
-            wal.checkpoint(seq_snapshot)?;
+        // Phase 4 (durable services): make `new_frozen`, which reflects
+        // exactly the operations with seq <= seq_snapshot, the log's
+        // newest base. The log lock is taken alone (writers go
+        // state -> wal, so no cycle) and never across the install.
+        if let (Some(wal), Some(arc)) = (&self.wal, &self.archive) {
+            let lock_wal = || wal.lock().map_err(|_| ServiceError::StatePoisoned);
+            // 1. Seal and fsync every record the generation will claim.
+            lock_wal()?.rotate()?;
+            // 2. Install it, validated by read-back.
+            let archive = install_generation(&arc.dir, &new_frozen, seq_snapshot, &arc.failpoints)?;
+            ServiceCounters::bump(&self.counters.archive_generations);
+            let mut current = arc.current.lock().unwrap_or_else(|e| e.into_inner());
+            let replaced = std::mem::replace(&mut *current, archive).op_seq();
+            drop(current);
+            // 3. The replaced generation is now the oldest kept: the log
+            // must reach back to it, and no further.
+            lock_wal()?.checkpoint(replaced)?;
         }
-
-        // Phase 5 (archived services): install an archive generation of
-        // the same deployment at the same sequence, again with no locks
-        // held, so a restart attaches it and replays only the tail.
-        self.install_archive_generation(&new_frozen, seq_snapshot);
         Ok(new_frozen.partition_sizes().iter().sum())
     }
 }

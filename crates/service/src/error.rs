@@ -1,12 +1,14 @@
 //! Typed errors of the serving layer.
 //!
 //! The write and compact paths never panic on expected failures: a full
-//! admission gate, a dead or failing write-ahead log, and a lock poisoned
-//! by a panicking writer all surface as [`ServiceError`] variants the
-//! caller can match on. An errored write is **not acknowledged** — the
-//! in-memory state is left exactly as it was.
+//! admission gate, a dead or failing write-ahead log, a failed archive
+//! install, and a lock poisoned by a panicking writer all surface as
+//! [`ServiceError`] variants the caller can match on. An errored write is
+//! **not acknowledged** — the in-memory state is left exactly as it was.
 
+use repose_archive::ArchiveError;
 use repose_durability::WalError;
+use std::path::PathBuf;
 
 /// Why a service operation was refused.
 #[derive(Debug)]
@@ -23,6 +25,21 @@ pub enum ServiceError {
     /// was not acknowledged and the in-memory state is unchanged. Recover
     /// from the durability directory to resume.
     Durability(WalError),
+    /// Installing or opening an archive generation — a durable service's
+    /// checkpoint — failed. From construction, nothing was built; from a
+    /// compaction, the new deployment serves but the log was not
+    /// checkpointed behind it; from recovery, an I/O error left every
+    /// generation in place, so a retry can succeed.
+    Archive(ArchiveError),
+    /// [`crate::ReposeService::recover`] found no generation it could
+    /// attach as the log's base: none valid, none bridgeable to the log,
+    /// or none built with the given configuration. Recovery never
+    /// rebuilds from the log alone, which after two compactions no longer
+    /// reaches back to the first write.
+    NoUsableGeneration {
+        /// The generation directory that was searched.
+        dir: PathBuf,
+    },
     /// A lock was poisoned by a panicking writer — the in-memory state
     /// can no longer be trusted for mutation.
     StatePoisoned,
@@ -53,6 +70,10 @@ impl std::fmt::Display for ServiceError {
                 "query shed: {in_flight} queries in flight at the admission limit of {limit}"
             ),
             ServiceError::Durability(e) => write!(f, "durability failure: {e}"),
+            ServiceError::Archive(e) => write!(f, "archive generation failure: {e}"),
+            ServiceError::NoUsableGeneration { dir } => {
+                write!(f, "no usable archive generation in {}", dir.display())
+            }
             ServiceError::StatePoisoned => {
                 write!(f, "service state lock poisoned by a panicking writer")
             }
@@ -74,6 +95,7 @@ impl std::error::Error for ServiceError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ServiceError::Durability(e) => Some(e),
+            ServiceError::Archive(e) => Some(e),
             _ => None,
         }
     }
@@ -82,5 +104,11 @@ impl std::error::Error for ServiceError {
 impl From<WalError> for ServiceError {
     fn from(e: WalError) -> Self {
         ServiceError::Durability(e)
+    }
+}
+
+impl From<ArchiveError> for ServiceError {
+    fn from(e: ArchiveError) -> Self {
+        ServiceError::Archive(e)
     }
 }

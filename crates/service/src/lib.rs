@@ -31,20 +31,20 @@
 //!   version — a cache hit is never staler than the latest completed
 //!   write. The shard coordinator keeps its own `QueryCache`.
 //! * **Durability & failure model** (opt-in via
-//!   [`ServiceConfig::durability`]): every acknowledged write is logged
-//!   *before* it is applied, compaction checkpoints truncate the log, and
-//!   [`ReposeService::recover`] rebuilds the exact acknowledged state
-//!   after a crash (bitwise-identical query answers). Overload is
-//!   refused *explicitly*: [`ServiceConfig::max_inflight_queries`] sheds
-//!   excess load with a typed [`ServiceError::Overloaded`]. Every
-//!   admitted query is answered exactly; only the shard coordinator,
-//!   which meets lost and slow shards, ever returns a degraded answer.
-//! * **Persistent archives** (opt-in via [`ServiceConfig::archive`],
-//!   which has the details): construction and every compaction install a
-//!   checksummed zero-copy archive of the frozen deployment
-//!   ([`repose_archive`]) that [`ReposeService::recover`] attaches
-//!   instead of rebuilding; [`ReposeService::scrub`] re-verifies the live
-//!   generation's checksums online.
+//!   [`ServiceConfig::durability`], which has the details): every
+//!   acknowledged write is logged *before* it is applied. The log's base
+//!   is a checksummed zero-copy archive generation of the frozen
+//!   deployment ([`repose_archive`]), installed at construction and by
+//!   every compaction, which then truncates the log;
+//!   [`ReposeService::recover`] attaches the newest usable generation and
+//!   replays the log past it, restoring the exact acknowledged state
+//!   after a crash (bitwise-identical query answers), and
+//!   [`ReposeService::scrub`] re-verifies the live generation's checksums
+//!   online. Overload is refused *explicitly*:
+//!   [`ServiceConfig::max_inflight_queries`] sheds excess load with a
+//!   typed [`ServiceError::Overloaded`]. Every admitted query is answered
+//!   exactly; only the shard coordinator, which meets lost and slow
+//!   shards, ever returns a degraded answer.
 //!
 //! Module map: `service` holds the config, the struct with its locked
 //! `ServeState`, constructors, accessors and `stats()`; each path through

@@ -24,15 +24,16 @@
 //! in-flight results before they can be served from cache.
 
 use crate::cache::QueryCache;
+use crate::compact::install_generation;
 use crate::delta::DeltaLog;
 use crate::error::ServiceError;
 use crate::query::Snapshot;
 use crate::stats::{ServiceCounters, ServiceStats};
 use repose::{Repose, ReposeConfig};
-use repose_archive::{Archive, ScrubReport};
+use repose_archive::{list_generations, Archive, ScrubReport};
 use repose_cluster::{default_pool_threads, AdmissionGate, WorkerPool};
 use repose_distance::{Measure, MeasureParams};
-use repose_durability::{write_snapshot, DurabilityConfig, FailPlan, Wal, WalCounters};
+use repose_durability::{DurabilityConfig, FailPlan, Wal, WalCounters, WalError};
 use repose_model::TrajId;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -55,23 +56,25 @@ pub struct ServiceConfig {
     /// 0 (the default) means unbounded. Cache hits are always served.
     pub max_inflight_queries: usize,
     /// Write-ahead logging configuration. `None` (the default) runs the
-    /// service volatile, exactly as before; `Some` makes every
-    /// acknowledged insert/delete durable per the configured
-    /// [`repose_durability::FsyncPolicy`] and enables
-    /// [`ReposeService::recover`].
+    /// service volatile; `Some` makes every acknowledged insert/delete
+    /// durable per the configured [`repose_durability::FsyncPolicy`] and
+    /// enables [`ReposeService::recover`].
+    ///
+    /// A durable service checkpoints by installing a checksummed
+    /// zero-copy archive generation (`gen-*.arc`; see [`repose_archive`])
+    /// of its frozen deployment: generation 0 at construction, then one
+    /// per compaction, after which the log is truncated to the oldest of
+    /// the two generations kept. That generation is the log's only base:
+    /// recovery attaches one (mmap + checksum) and replays the log past
+    /// its operation sequence.
     pub durability: Option<DurabilityConfig>,
-    /// Directory for persistent zero-copy archive generations
-    /// (`gen-*.arc`; see [`repose_archive`]). `None` (the default) keeps
-    /// every existing path byte-identical. `Some` makes construction and
-    /// every compaction atomically install a checksummed archive of the
-    /// frozen deployment, and makes [`ReposeService::recover`] prefer
-    /// *attaching* the newest valid generation (mmap + checksum, an
-    /// O(checksum) restart) over rebuilding the index from the WAL base
-    /// snapshot — replaying only the WAL tail past the archived
-    /// operation sequence. A generation that fails validation is
-    /// quarantined loudly and recovery falls back, first to the previous
-    /// generation, then to the full WAL rebuild: a corrupt archive can
-    /// cost speed, never correctness.
+    /// Directory of a durable service's archive generations. `None` (the
+    /// default) keeps them in the durability directory beside the log.
+    /// Read only when [`ServiceConfig::durability`] is `Some`. A
+    /// generation that fails validation at recovery is quarantined loudly
+    /// and its predecessor attaches instead, with a longer replay; with
+    /// none usable, recovery fails with
+    /// [`ServiceError::NoUsableGeneration`].
     pub archive: Option<PathBuf>,
 }
 
@@ -148,26 +151,32 @@ pub struct ReposeService {
     /// writers take the state lock *then* this one; compaction's
     /// checkpoint takes only this one — a consistent order, no cycle.
     pub(crate) wal: Option<Mutex<Wal>>,
-    /// The durability configuration (snapshot dir + fail plan), kept for
-    /// compaction checkpoints.
-    pub(crate) durability: Option<DurabilityConfig>,
     /// Bounded query admission (limit 0 = unbounded).
     pub(crate) admission: AdmissionGate,
-    /// Archive-generation state (`None` = no persistent archives).
+    /// The log's base generations (`Some` exactly when `wal` is).
     pub(crate) archive: Option<ArchiveState>,
 }
 
-/// Where archive generations live and which one this service last
-/// installed or attached (the scrub target).
+/// Where a durable service's archive generations live and which one it
+/// last installed or attached (the scrub target).
 pub(crate) struct ArchiveState {
     pub(crate) dir: PathBuf,
-    /// The `arc.*` fail points ride on the durability fail plan when one
-    /// is configured, so one [`FailPlan`] drives both layers.
+    /// The durability fail plan: one [`FailPlan`] drives the `wal.*` and
+    /// the `arc.*` points.
     pub(crate) failpoints: FailPlan,
-    /// The newest generation this service wrote or attached, re-opened
+    /// The newest generation this service installed or attached, opened
     /// through validation so [`ReposeService::scrub`] re-verifies the
     /// exact bytes a restart would map.
-    pub(crate) current: Mutex<Option<Archive>>,
+    pub(crate) current: Mutex<Archive>,
+}
+
+impl ServiceConfig {
+    /// A durable service's generation directory, with its durability
+    /// configuration (`None` = volatile).
+    pub(crate) fn generation_dir(&self) -> Option<(PathBuf, &DurabilityConfig)> {
+        let dcfg = self.durability.as_ref()?;
+        Some((self.archive.clone().unwrap_or_else(|| dcfg.dir.clone()), dcfg))
+    }
 }
 
 impl ReposeService {
@@ -180,44 +189,58 @@ impl ReposeService {
     ///
     /// # Panics
     /// On a durability-layer failure while creating the write-ahead log
-    /// (use [`ReposeService::try_with_config`] for the fallible form).
+    /// or the first archive generation (use
+    /// [`ReposeService::try_with_config`] for the fallible form).
     pub fn with_config(repose: Repose, config: ServiceConfig) -> Self {
         ReposeService::try_with_config(repose, config).expect("service construction")
     }
 
     /// Wraps a built deployment; fails with a typed error if the
-    /// write-ahead log cannot be created (e.g. the directory already
-    /// holds a journal — recover instead of re-creating).
+    /// write-ahead log or the first archive generation cannot be created.
+    /// A directory that already holds a journal or generations is refused
+    /// with [`WalError::DirNotEmpty`] — recover instead of re-creating.
     ///
-    /// With durability enabled this writes the initial base snapshot
-    /// (`base-0.snap`) of the frozen dataset, so the durability directory
-    /// is self-contained for [`ReposeService::recover`] from the first
+    /// With durability enabled this installs archive generation 0 of the
+    /// frozen dataset, the log's base, so the directories are
+    /// self-contained for [`ReposeService::recover`] from the first
     /// acknowledged write onward.
     pub fn try_with_config(repose: Repose, config: ServiceConfig) -> Result<Self, ServiceError> {
-        let wal = match &config.durability {
-            Some(dcfg) => {
+        let durable = match config.generation_dir() {
+            Some((dir, dcfg)) => {
+                if !list_generations(&dir).is_empty() {
+                    return Err(WalError::DirNotEmpty { dir }.into());
+                }
                 let wal = Wal::create(dcfg)?;
-                write_snapshot(&dcfg.dir, 0, repose.all_trajectories(), &dcfg.failpoints)?;
-                Some(Mutex::new(wal))
+                let archive = install_generation(&dir, &repose, 0, &dcfg.failpoints)?;
+                Some((wal, archive))
             }
             None => None,
         };
-        let service = ReposeService::assemble(repose, &config, wal, 0);
-        let frozen = Arc::clone(&service.read_state().frozen);
-        service.install_archive_generation(&frozen, 0);
+        let generations = u64::from(durable.is_some());
+        let service = ReposeService::assemble(repose, &config, durable, 0);
+        service.counters.archive_generations.store(generations, Ordering::Relaxed);
         Ok(service)
     }
 
     /// The common constructor body: state layout, pool, cache, gates.
-    /// `op_seq` is 0 for a fresh service and, under
-    /// [`ReposeService::recover`], the sequence the frozen deployment
-    /// already reflects (replay raises it from there).
+    /// `durable` is the log and the generation it is based on, `Some`
+    /// exactly when `config` is durable. `op_seq` is 0 for a fresh service
+    /// and, under [`ReposeService::recover`], the sequence the frozen
+    /// deployment already reflects (replay raises it from there).
     pub(crate) fn assemble(
         repose: Repose,
         config: &ServiceConfig,
-        wal: Option<Mutex<Wal>>,
+        durable: Option<(Wal, Archive)>,
         op_seq: u64,
     ) -> Self {
+        let (wal, archive) = match (durable, config.generation_dir()) {
+            (Some((wal, current)), Some((dir, dcfg))) => {
+                let failpoints = dcfg.failpoints.clone();
+                let current = Mutex::new(current);
+                (Some(Mutex::new(wal)), Some(ArchiveState { dir, failpoints, current }))
+            }
+            _ => (None, None),
+        };
         let partitions = repose.num_partitions();
         let measure = repose.config().measure();
         let params = repose.config().trie.params;
@@ -237,31 +260,22 @@ impl ReposeService {
             version: AtomicU64::new(op_seq),
             counters: ServiceCounters::default(),
             wal,
-            durability: config.durability.clone(),
             admission: AdmissionGate::new(config.max_inflight_queries),
-            archive: config.archive.as_ref().map(|dir| ArchiveState {
-                dir: dir.clone(),
-                failpoints: config
-                    .durability
-                    .as_ref()
-                    .map_or_else(FailPlan::new, |d| d.failpoints.clone()),
-                current: Mutex::new(None),
-            }),
+            archive,
         }
     }
 
     /// Re-verifies every checksum of the current archive generation
     /// against its mapped bytes — the online corruption scrub. Returns
-    /// `None` when the service has no archive (not configured, or every
-    /// install failed). Corrupt regions are counted in
+    /// `None` for a volatile service, which has no archive. Corrupt
+    /// regions are counted in
     /// [`ServiceStats::scrub_corruptions`] and named in the report; a
     /// dirty generation is left in place for recovery to quarantine (the
     /// report is the operator's signal to compact, which installs a fresh
     /// generation).
     pub fn scrub(&self) -> Option<ScrubReport> {
         let arc = self.archive.as_ref()?;
-        let current = arc.current.lock().unwrap_or_else(|e| e.into_inner());
-        let report = current.as_ref()?.scrub();
+        let report = arc.current.lock().unwrap_or_else(|e| e.into_inner()).scrub();
         ServiceCounters::bump(&self.counters.scrubs);
         self.counters.scrub_corruptions.fetch_add(report.corrupt.len() as u64, Ordering::Relaxed);
         Some(report)

@@ -42,16 +42,9 @@ pub(crate) struct ServiceCounters {
     /// Data records replayed by [`crate::ReposeService::recover`] (0 for a
     /// fresh service).
     pub(crate) recovered_records: AtomicU64,
-    /// Snapshot bytes written by compaction checkpoints (the WAL's own
-    /// counters cover only its segments).
-    pub(crate) snapshot_bytes: AtomicU64,
     /// Archive generations successfully installed (construction +
     /// compactions).
     pub(crate) archive_generations: AtomicU64,
-    /// Archive installs that failed. An archive is a restart accelerator,
-    /// not the source of truth, so a failed install degrades gracefully:
-    /// it is counted here and serving continues on the WAL alone.
-    pub(crate) archive_write_failures: AtomicU64,
     /// Completed [`crate::ReposeService::scrub`] passes.
     pub(crate) scrubs: AtomicU64,
     /// Corrupt regions found across all scrub passes (0 = every scrubbed
@@ -95,12 +88,11 @@ impl ServiceCounters {
             delta_len,
             tombstones,
             cached_queries: cached,
-            wal_bytes: wal.bytes_written + self.snapshot_bytes.load(Ordering::Relaxed),
+            wal_bytes: wal.bytes_written,
             wal_fsyncs: wal.fsyncs,
             recovered_records: self.recovered_records.load(Ordering::Relaxed),
             queries_shed: self.queries_shed.load(Ordering::Relaxed),
             archive_generations: self.archive_generations.load(Ordering::Relaxed),
-            archive_write_failures: self.archive_write_failures.load(Ordering::Relaxed),
             scrubs: self.scrubs.load(Ordering::Relaxed),
             scrub_corruptions: self.scrub_corruptions.load(Ordering::Relaxed),
             read_latency: LatencySummary::from_durations(
@@ -144,8 +136,8 @@ pub struct ServiceStats {
     pub tombstones: usize,
     /// Entries currently in the result cache.
     pub cached_queries: usize,
-    /// Bytes the durability layer has handed to the OS (WAL segments plus
-    /// compaction snapshots; 0 for a volatile service).
+    /// Bytes the WAL has handed to the OS across its segments (archive
+    /// generations not included; 0 for a volatile service).
     pub wal_bytes: u64,
     /// `fsync` calls the WAL has issued (0 for a volatile service).
     pub wal_fsyncs: u64,
@@ -155,13 +147,9 @@ pub struct ServiceStats {
     /// Queries rejected at the admission gate under overload.
     pub queries_shed: u64,
     /// Archive generations successfully installed by this service
-    /// (construction + compactions; 0 without
-    /// [`crate::ServiceConfig::archive`]).
+    /// (construction + compactions; 0 for a volatile or a recovered
+    /// service until it compacts).
     pub archive_generations: u64,
-    /// Archive installs that failed and were degraded past (the service
-    /// keeps serving on the WAL alone — an archive only accelerates
-    /// restarts, it is never the source of truth).
-    pub archive_write_failures: u64,
     /// Completed online [`crate::ReposeService::scrub`] passes.
     pub scrubs: u64,
     /// Corrupt regions found across all scrub passes (anything non-zero

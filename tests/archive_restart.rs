@@ -1,18 +1,18 @@
-//! Archive-accelerated crash restarts at the service level: a durable
-//! service with [`ServiceConfig::archive`] configured must restart by
-//! attaching the newest valid archive generation and replaying only the
-//! WAL tail — and the result must be **bitwise identical** to the slow
-//! path (full rebuild from the WAL base snapshot), for every measure.
+//! Crash restarts at the service level: a durable service's archive
+//! generation is its log's base, so it must restart by attaching the
+//! newest valid generation and replaying only the WAL tail — and the
+//! result must be **bitwise identical** to a volatile service that
+//! received the same writes, for every measure.
 //!
 //! The robustness half: corrupt generations are quarantined loudly and
-//! recovery degrades — newest generation → previous generation → full
-//! rebuild — without ever serving a wrong answer.
+//! recovery falls back to the previous generation with a longer replay;
+//! with no generation left it fails typed, never serving a wrong answer.
 
 use repose::{Repose, ReposeConfig};
-use repose_archive::list_generations;
+use repose_archive::{list_generations, ArchiveError};
 use repose_distance::{Measure, MeasureParams};
-use repose_durability::{DurabilityConfig, FsyncPolicy};
-use repose_service::{ReposeService, ServiceConfig};
+use repose_durability::{DurabilityConfig, FailAction, FailPlan, FsyncPolicy};
+use repose_service::{ReposeService, ServiceConfig, ServiceError};
 use repose_testkit::{sorted_dist_bits, tie_dataset, tie_queries, tie_traj};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,6 +51,9 @@ fn fingerprint(svc: &ReposeService, k: usize) -> Vec<Vec<u64>> {
         .collect()
 }
 
+/// Writes [`drive`] acknowledges.
+const DRIVEN_WRITES: u64 = 15;
+
 /// Drives the canonical workload: a burst, a compaction (which installs
 /// an archive generation at the checkpoint sequence), then a tail of
 /// writes that only the WAL holds.
@@ -78,40 +81,38 @@ fn archive_restart_matches_full_rebuild_for_every_measure() {
         .expect("archived service");
         drive(&svc);
         let want = fingerprint(&svc, 7);
-        let stats = svc.stats();
-        assert!(
-            stats.archive_generations >= 2,
+        assert_eq!(
+            svc.stats().archive_generations,
+            2,
             "{measure}: construction + compaction must both install generations"
         );
-        assert_eq!(stats.archive_write_failures, 0, "{measure}");
         drop(svc);
 
-        // Fast path: attach + WAL tail.
-        let (fast, report) = ReposeService::recover(cfg, archived_config(&wal, &arc))
+        // Attach + WAL tail.
+        let (recovered, report) = ReposeService::recover(cfg, archived_config(&wal, &arc))
             .expect("archive recovery");
         assert!(report.from_archive, "{measure}: valid archive was not attached");
         assert_eq!(report.archives_quarantined, 0, "{measure}");
-        let archived_seq = report.archive_op_seq.expect("attached sequence");
+        assert_eq!(report.last_seq, DRIVEN_WRITES, "{measure}");
         assert!(
-            report.replayed_records < 15 && report.replayed_records >= 6,
+            report.replayed_records < DRIVEN_WRITES && report.replayed_records >= 6,
             "{measure}: expected only the post-compaction tail, replayed {} past seq {}",
             report.replayed_records,
-            archived_seq
+            report.archive_op_seq
         );
 
-        // Slow path over the same journal: full rebuild, no archive.
-        let (slow, slow_report) = ReposeService::recover(
-            cfg,
-            ServiceConfig { archive: None, ..archived_config(&wal, &arc) },
-        )
-        .expect("rebuild recovery");
-        assert!(!slow_report.from_archive, "{measure}");
-        assert_eq!(report.last_seq, slow_report.last_seq, "{measure}");
+        // Reference: a volatile service built over the same data that
+        // received the same writes.
+        let volatile = ReposeService::with_config(
+            Repose::build(&tie_dataset(0..40), cfg),
+            ServiceConfig { cache_capacity: 0, pool_threads: 1, ..ServiceConfig::default() },
+        );
+        drive(&volatile);
 
-        assert_eq!(fast.len(), slow.len(), "{measure}: live count diverged");
-        let got_fast = fingerprint(&fast, 7);
-        assert_eq!(got_fast, fingerprint(&slow, 7), "{measure}: fast vs slow path diverged");
-        assert_eq!(got_fast, want, "{measure}: restart diverged from pre-crash state");
+        assert_eq!(recovered.len(), volatile.len(), "{measure}: live count diverged");
+        let got = fingerprint(&recovered, 7);
+        assert_eq!(got, fingerprint(&volatile, 7), "{measure}: restart vs volatile diverged");
+        assert_eq!(got, want, "{measure}: restart diverged from pre-crash state");
 
         let _ = std::fs::remove_dir_all(&wal);
         let _ = std::fs::remove_dir_all(&arc);
@@ -140,14 +141,15 @@ fn corrupt_newest_generation_is_quarantined_and_recovery_degrades() {
     bytes[mid] ^= 0x10;
     std::fs::write(&newest, bytes).unwrap();
 
-    // Recovery quarantines it. The older generation is intact but
-    // pre-dates the WAL checkpoint (its tail was pruned), so it is
-    // unusable and recovery falls back to the full rebuild — correct
-    // answers either way.
+    // Recovery quarantines it. The log reaches back to the older
+    // generation (construction's, at sequence 0), so it attaches and
+    // every acknowledged write replays on top of it.
     let (recovered, report) =
         ReposeService::recover(cfg, archived_config(&wal, &arc)).expect("recovery");
     assert_eq!(report.archives_quarantined, 1, "corrupt generation not quarantined");
-    assert!(!report.from_archive, "stale generation must not mask lost tail records");
+    assert!(report.from_archive);
+    assert_eq!(report.archive_op_seq, 0, "the predecessor must attach");
+    assert_eq!(report.replayed_records, DRIVEN_WRITES, "every acknowledged write replays");
     assert!(!newest.exists(), "corrupt file left in place");
     assert!(arc.join(".quarantine").is_dir(), "quarantine evidence missing");
     assert_eq!(fingerprint(&recovered, 7), want, "fallback recovery diverged");
@@ -159,17 +161,51 @@ fn corrupt_newest_generation_is_quarantined_and_recovery_degrades() {
     drop(recovered);
     let (again, report2) =
         ReposeService::recover(cfg, archived_config(&wal, &arc)).expect("second recovery");
-    assert!(report2.from_archive, "fresh generation must attach");
+    assert_eq!(report2.archive_op_seq, DRIVEN_WRITES, "fresh generation must attach");
+    assert_eq!(report2.replayed_records, 0);
     assert_eq!(fingerprint(&again, 7), want2);
 
     let _ = std::fs::remove_dir_all(&wal);
     let _ = std::fs::remove_dir_all(&arc);
 }
 
+/// A generation is the log's only base, so with every generation gone
+/// recovery fails typed and touches nothing.
 #[test]
-fn every_generation_destroyed_still_recovers_from_the_wal_alone() {
+fn every_generation_destroyed_is_a_typed_error() {
     let (wal, arc) = (fresh_dir("gone-wal"), fresh_dir("gone-arc"));
     let cfg = repose_config(Measure::Dtw);
+    let svc = ReposeService::try_with_config(
+        Repose::build(&tie_dataset(0..30), cfg),
+        archived_config(&wal, &arc),
+    )
+    .expect("archived service");
+    drive(&svc);
+    drop(svc);
+
+    let _ = std::fs::remove_dir_all(&arc);
+    let journal = || {
+        let mut files: Vec<_> =
+            std::fs::read_dir(&wal).unwrap().map(|e| e.unwrap().path()).collect();
+        files.sort();
+        files
+    };
+    let before = journal();
+    let err = ReposeService::recover(cfg, archived_config(&wal, &arc)).map(drop);
+    assert!(
+        matches!(&err, Err(ServiceError::NoUsableGeneration { dir }) if *dir == arc),
+        "expected NoUsableGeneration, got {err:?}"
+    );
+    assert_eq!(journal(), before, "a failed recovery must leave the journal as it was");
+    let _ = std::fs::remove_dir_all(&wal);
+}
+
+/// An I/O error opening a generation says nothing about its bytes: the
+/// recovery fails typed, quarantines nothing, and a retry recovers.
+#[test]
+fn io_error_opening_a_generation_is_retried_not_quarantined() {
+    let (wal, arc) = (fresh_dir("io-wal"), fresh_dir("io-arc"));
+    let cfg = repose_config(Measure::Frechet);
     let svc = ReposeService::try_with_config(
         Repose::build(&tie_dataset(0..30), cfg),
         archived_config(&wal, &arc),
@@ -179,13 +215,26 @@ fn every_generation_destroyed_still_recovers_from_the_wal_alone() {
     let want = fingerprint(&svc, 5);
     drop(svc);
 
-    let _ = std::fs::remove_dir_all(&arc);
-    let (recovered, report) =
-        ReposeService::recover(cfg, archived_config(&wal, &arc)).expect("recovery");
-    assert!(!report.from_archive);
+    let plan = FailPlan::new();
+    plan.arm("arc.map", FailAction::IoError, 0);
+    let faulty = || ServiceConfig {
+        durability: Some(DurabilityConfig::new(&wal).with_failpoints(plan.clone())),
+        ..archived_config(&wal, &arc)
+    };
+    let err = ReposeService::recover(cfg, faulty()).map(drop);
+    assert!(
+        matches!(err, Err(ServiceError::Archive(ArchiveError::Io { .. }))),
+        "expected a typed I/O error, got {err:?}"
+    );
+    assert_eq!(list_generations(&arc).len(), 2, "a valid generation was quarantined");
+    assert!(!arc.join(".quarantine").exists());
+
+    let (recovered, report) = ReposeService::recover(cfg, faulty()).expect("retry");
     assert_eq!(report.archives_quarantined, 0);
-    assert_eq!(fingerprint(&recovered, 5), want, "WAL-only recovery diverged");
+    assert_eq!(report.archive_op_seq, 9, "the newest generation attaches");
+    assert_eq!(fingerprint(&recovered, 5), want, "retried recovery diverged");
     let _ = std::fs::remove_dir_all(&wal);
+    let _ = std::fs::remove_dir_all(&arc);
 }
 
 #[test]

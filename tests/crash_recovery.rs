@@ -1,8 +1,9 @@
 //! Crash-loop harness for the durability layer: kill the write path at
-//! every registered fail point, recover from the journal directory, and
-//! prove the recovered service answers **bitwise-identically** to a
-//! shadow service that applied exactly the acknowledged writes — for all
-//! six measures.
+//! every registered fail point — the WAL's and the archive generation
+//! install's, across construction, compaction and recovery — recover from
+//! the journal directory, and prove the recovered service answers
+//! **bitwise-identically** to a shadow service that applied exactly the
+//! acknowledged writes — for all six measures.
 //!
 //! The contract under test (`FsyncPolicy::Always`):
 //!
@@ -19,7 +20,7 @@
 
 use repose::{Repose, ReposeConfig};
 use repose_distance::{Measure, MeasureParams};
-use repose_durability::{DurabilityConfig, FailAction, FailPlan, FsyncPolicy, WAL_POINTS};
+use repose_durability::{DurabilityConfig, FailAction, FailPlan, FsyncPolicy, WalError, POINTS};
 use repose_model::Trajectory;
 use repose_service::{ReposeService, ServiceConfig, ServiceError};
 use repose_testkit::{sorted_dist_bits, tie_dataset, tie_queries, tie_traj};
@@ -79,8 +80,8 @@ fn drive_workload(svc: &ReposeService) -> (Vec<Op>, usize) {
     for id in [3u64, 17] {
         track(svc.remove(id), Op::Delete(id), &mut acked, &mut refused);
     }
-    // Compaction exercises wal.snapshot / wal.rotate / wal.checkpoint; a
-    // failure here is a refused *checkpoint*, never a lost write.
+    // Compaction exercises wal.rotate / arc.* / wal.checkpoint; a failure
+    // here is a refused *checkpoint*, never a lost write.
     if svc.compact().is_err() {
         refused += 1;
     }
@@ -96,12 +97,12 @@ fn drive_workload(svc: &ReposeService) -> (Vec<Op>, usize) {
 }
 
 /// How many hits of `point` to let pass before firing, so the failure
-/// lands mid-workload: `wal.snapshot` is hit once at construction (the
-/// base-0 snapshot) and the per-append points several times per burst.
+/// lands mid-workload: each `arc.*` point is hit once at construction
+/// (generation 0) and the per-append points several times per burst.
 fn countdown_for(point: &str) -> u32 {
     match point {
         "wal.append" | "wal.flush" | "wal.sync" => 5,
-        "wal.snapshot" => 1,
+        p if p.starts_with("arc.") => 1,
         _ => 0,
     }
 }
@@ -112,9 +113,7 @@ fn countdown_for(point: &str) -> u32 {
 fn recovery_matches_acknowledged_writes_at_every_fail_point() {
     let actions = [FailAction::Crash, FailAction::ShortWrite, FailAction::IoError];
     for (mi, &measure) in Measure::ALL.iter().enumerate() {
-        // WAL points only: an injected `arc.*` failure never refuses a
-        // client operation (the archive suites cover those points).
-        for (pi, &point) in WAL_POINTS.iter().enumerate() {
+        for (pi, &point) in POINTS.iter().enumerate() {
             // Cycle the action so every (point, action) pair is covered
             // across the measure sweep; all three are fail-stop.
             let action = actions[(mi + pi) % actions.len()];
@@ -341,6 +340,52 @@ fn recovery_is_idempotent_after_a_torn_tail() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Compaction seals the log before any generation claims its records.
+/// Under `FsyncPolicy::Never` a crash at that seal loses the unsynced
+/// tail; a generation installed first would claim writes the log lost,
+/// and once later writes carried the log past its sequence, a recovery
+/// would attach it over them.
+#[test]
+fn a_crash_sealing_the_log_leaves_no_generation_ahead_of_it() {
+    let dir = fresh_dir("seal");
+    let cfg = repose_config(Measure::Hausdorff);
+    let config = |plan: FailPlan| ServiceConfig {
+        cache_capacity: 0,
+        pool_threads: 1,
+        durability: Some(
+            DurabilityConfig::new(&dir).with_fsync(FsyncPolicy::Never).with_failpoints(plan),
+        ),
+        ..ServiceConfig::default()
+    };
+    let plan = FailPlan::new();
+    plan.arm("wal.rotate", FailAction::Crash, 0);
+    let svc = ReposeService::try_with_config(Repose::build(&tie_dataset(0..30), cfg), config(plan))
+        .expect("durable service");
+    for i in 0..6u64 {
+        svc.insert(tie_traj(700 + i)).expect("insert");
+    }
+    assert!(svc.compact().is_err(), "the crash at the seal must refuse the checkpoint");
+    drop(svc);
+
+    let (first, _) = ReposeService::recover(cfg, config(FailPlan::new())).expect("recovery");
+    for i in 0..8u64 {
+        first.insert(tie_traj(800 + i)).expect("insert");
+    }
+    let state = |svc: &ReposeService| {
+        let answers: Vec<_> = tie_queries()
+            .iter()
+            .map(|q| sorted_dist_bits(svc.query(q, 9).expect("query").hits.iter().map(|h| h.dist)))
+            .collect();
+        (svc.len(), answers)
+    };
+    let before = state(&first);
+    drop(first);
+    let (again, report) = ReposeService::recover(cfg, config(FailPlan::new())).expect("again");
+    assert_eq!(report.archive_op_seq, 0, "only construction's generation may attach");
+    assert_eq!(state(&again), before, "a generation ahead of the log attached");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Every admitted query is answered exactly: single or batched, pooled
 /// or inline, it is never `degraded` and reports one task time per
 /// partition (only the shard coordinator degrades an answer).
@@ -433,7 +478,7 @@ fn unbounded_admission_never_sheds() {
 
 /// Durable writes and checkpoints show up in the service stats, and a
 /// second service cannot accidentally re-create a journal over an
-/// existing one.
+/// existing one, nor number its generations after a stranger's.
 #[test]
 fn durable_stats_and_journal_exclusivity() {
     let dir = fresh_dir("stats");
@@ -448,6 +493,13 @@ fn durable_stats_and_journal_exclusivity() {
         },
     )
     .expect("durable service");
+    // The layout: generation 0 is the log's base, beside the first segment.
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .expect("durability dir")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    files.sort();
+    assert_eq!(files, ["gen-0000000000000001.arc", "wal-00000001.log"]);
     for i in 0..5u64 {
         svc.insert(tie_traj(400 + i)).expect("insert");
     }
@@ -471,6 +523,41 @@ fn durable_stats_and_journal_exclusivity() {
         matches!(err, Err(ServiceError::Durability(_))),
         "creating a journal over an existing one must fail typed"
     );
+
+    // A fresh journal whose generation directory holds another service's
+    // generations is refused before anything is created.
+    let fresh_wal = fresh_dir("stats-wal");
+    let err = ReposeService::try_with_config(
+        Repose::build(&tie_dataset(0..30), cfg),
+        ServiceConfig {
+            cache_capacity: 0,
+            pool_threads: 1,
+            durability: Some(DurabilityConfig::new(&fresh_wal)),
+            archive: Some(dir.clone()),
+            ..ServiceConfig::default()
+        },
+    );
+    let refused = matches!(
+        &err,
+        Err(ServiceError::Durability(WalError::DirNotEmpty { dir: d })) if *d == dir
+    );
+    assert!(refused, "a non-empty generation directory must be refused typed");
+    assert!(!fresh_wal.exists(), "a refused construction must create no journal");
+
+    // A failed install of generation 0 is a typed error, not a service.
+    let plan = FailPlan::new();
+    plan.arm("arc.write", FailAction::IoError, 0);
+    let err = ReposeService::try_with_config(
+        Repose::build(&tie_dataset(0..30), cfg),
+        ServiceConfig {
+            cache_capacity: 0,
+            pool_threads: 1,
+            durability: Some(DurabilityConfig::new(&fresh_wal).with_failpoints(plan)),
+            ..ServiceConfig::default()
+        },
+    );
+    assert!(matches!(err, Err(ServiceError::Archive(_))), "install failure must fail typed");
     drop(svc);
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&fresh_wal);
 }
