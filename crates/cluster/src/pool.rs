@@ -5,7 +5,7 @@
 //! closure and schedules the times onto a modeled cluster. A serving layer
 //! answering live queries wants the opposite trade: no per-call thread
 //! spawns, just a fixed set of long-lived threads draining
-//! a work queue — so a query's per-partition tasks run in wall-clock
+//! a work queue — so a query's search tasks run in wall-clock
 //! parallel and a second query's tasks interleave with the first's instead
 //! of queueing behind the whole job.
 //!

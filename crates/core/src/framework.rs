@@ -333,7 +333,7 @@ impl Repose {
             queries
                 .iter()
                 .zip(&collectors)
-                .map(|(q, c)| part.trie.search(&part.store, q, filter, c))
+                .map(|(q, c)| RpTrie::search(&[(&part.trie, &part.store)], q, filter, c))
                 .collect::<Vec<_>>()
         });
         collectors

@@ -103,6 +103,7 @@ mod tests {
     use super::*;
     use repose_distance::Measure;
     use repose_model::Trajectory;
+    use repose_rptrie::RpTrie;
 
     fn dataset_with_spans() -> (Dataset, HashMap<TrajId, (f64, f64)>) {
         // 60 trajectories; trajectory i is active in [i, i + 10].
@@ -187,7 +188,8 @@ mod tests {
                 .map(|pi| {
                     let view = spatial.partition_view(pi);
                     let own = repose_distance::SharedTopK::new(8);
-                    view.trie.search(view.store, &q, Some(&accepts), &own).exact_computations
+                    RpTrie::search(&[(view.trie, view.store)], &q, Some(&accepts), &own)
+                        .exact_computations
                 })
                 .sum();
             assert!(

@@ -10,13 +10,15 @@
 //! * `LBt` — two-side lower bound on leaf nodes (Definition 7),
 //! * `LBp` — pivot-based lower bound for metric measures (Section IV-D).
 //!
-//! There is one search (Algorithm 2): [`RpTrie::search`]. It keeps no
-//! result heap of its own: it prunes with, and publishes every accepted
-//! hit into, the query's [`SharedTopK`] collector, whose pool is the
-//! answer — the paper's local heap and its driver-side merge in one.
-//! The optional id filter is what the layers above add.
-//! [`RpTrie::top_k`] is the same search under a private collector and no
-//! filter.
+//! There is one search (Algorithm 2): [`RpTrie::search`]. It runs over
+//! a slice of partitions' tries at once — one frontier, nodes popped in
+//! global lower-bound order across the slice — and the paper's local
+//! search over one partition is its one-element case. It keeps no result
+//! heap of its own: it prunes with, and publishes every accepted hit
+//! into, the query's [`SharedTopK`] collector, whose pool is the answer —
+//! the paper's local heap and its driver-side merge in one. The optional
+//! id filter is what the layers above add. [`RpTrie::top_k`] is the
+//! one-element search under a private collector and no filter.
 //!
 //! [`SharedTopK`]: repose_distance::SharedTopK
 //!
@@ -129,27 +131,36 @@ impl RpTrie {
         self.built_over
     }
 
-    /// Runs a plain top-k query (Algorithm 2): [`RpTrie::search`] under a
-    /// collector of its own, with no filter. `store` must be the arena the
-    /// trie was built over.
+    /// Runs a plain top-k query (Algorithm 2): [`RpTrie::search`] over
+    /// this one trie, under a collector of its own and with no filter.
+    /// `store` must be the arena the trie was built over.
     pub fn top_k(&self, store: &TrajStore, query: &[Point], k: usize) -> SearchResult {
         let collector = SharedTopK::new(k);
-        let stats = self.search(store, query, None, &collector);
+        let stats = RpTrie::search(&[(self, store)], query, None, &collector);
         SearchResult { hits: collector.hits(), stats }
     }
 
-    /// The one local search. It scores this trie's trajectories into
-    /// `collector` and returns its work counters.
+    /// The one local search: best-first over every trie of `parts` at
+    /// once. It scores their trajectories into `collector` and returns
+    /// the summed work counters.
     ///
+    /// * `parts` — `(trie, store)` pairs of one deployment (one measure,
+    ///   one parameter set), each store the arena its trie was built
+    ///   over. Every partition keeps its own grid and pivot distances,
+    ///   but all of their nodes share one frontier keyed by
+    ///   `(lower bound, partition, node)`, so the search pops nodes in
+    ///   global bound order: a partition whose subtrees cannot beat the
+    ///   k-th distance found in another is never descended. One pair is
+    ///   the paper's per-partition local search.
     /// * `filter` — restricts which *indexed* trajectories qualify
     ///   (tombstone checks, the temporal windows of `repose::temporal`).
     ///   Pruning stays sound under any filter: bounds hold for supersets
     ///   of the qualifying trajectories, and `dk` only tightens from
     ///   accepted hits.
     /// * `collector` — the query's top-k (normally a [`SharedTopK`] every
-    ///   partition of one query shares). The search re-reads its bound at
+    ///   search of one query shares). The search re-reads its bound at
     ///   every pruning decision and publishes every accepted exact
-    ///   distance into it, so concurrently executing partitions tighten
+    ///   distance into it, so concurrently executing searches tighten
     ///   each other mid-flight. The bound always over-approximates the
     ///   global k-th distance, so once every search has run the
     ///   collector's pool is the exact answer (see [`SharedTopK`] for the
@@ -159,18 +170,19 @@ impl RpTrie {
     /// accepted indexed trajectories and whatever else was published into
     /// it, up to tie resolution.
     pub fn search(
-        &self,
-        store: &TrajStore,
+        parts: &[(&RpTrie, &TrajStore)],
         query: &[Point],
         filter: Option<&(dyn Fn(TrajId) -> bool + Sync)>,
         collector: &dyn ThresholdSource,
     ) -> SearchStats {
-        assert_eq!(
-            store.len(),
-            self.built_over,
-            "query must use the trajectory store the index was built over"
-        );
-        search::search(self, store, query, filter, collector)
+        for (trie, store) in parts {
+            assert_eq!(
+                store.len(),
+                trie.built_over,
+                "query must use the trajectory store the index was built over"
+            );
+        }
+        search::search(parts, query, filter, collector)
     }
 
     /// A cheap lower bound on the distance from `query` to *every*
@@ -178,8 +190,9 @@ impl RpTrie {
     /// the root's children (no pivot distances are computed, so this costs
     /// `O(children × |query|)` and no exact kernel invocations).
     ///
-    /// `INFINITY` for an empty trie. Used by the serving layer to schedule
-    /// the most promising partitions of a query first; for measures
+    /// `INFINITY` for an empty trie. Used by the serving layer's scatter
+    /// path (`query_scatter`), which searches one partition at a time, to
+    /// search the most promising partitions of a query first; for measures
     /// without a sound internal bound (LCSS) this returns `0.0` and the
     /// caller falls back to its default ordering.
     pub fn root_bound(&self, query: &[Point]) -> f64 {

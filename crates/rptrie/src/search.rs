@@ -63,18 +63,19 @@ pub struct SearchResult {
     pub stats: SearchStats,
 }
 
-/// Frontier entry: a trie node with the lower bound of its path and the
-/// incremental bound state of Algorithm 1 (`t.r`, `t.cmax` in the paper's
-/// pseudocode).
+/// Frontier entry: a trie node of one of the searched partitions, with
+/// the lower bound of its path and the incremental bound state of
+/// Algorithm 1 (`t.r`, `t.cmax` in the paper's pseudocode).
 struct Frontier {
     lb: f64,
+    part: usize,
     node: NodeId,
     state: BoundState,
 }
 
 impl PartialEq for Frontier {
     fn eq(&self, other: &Self) -> bool {
-        self.lb == other.lb && self.node == other.node
+        self.cmp(other) == Ordering::Equal
     }
 }
 impl Eq for Frontier {}
@@ -85,37 +86,70 @@ impl PartialOrd for Frontier {
 }
 impl Ord for Frontier {
     fn cmp(&self, other: &Self) -> Ordering {
-        // min-heap on lb; ties toward the shallower node id for stability
+        // min-heap on lb; ties toward the lower partition, then the
+        // shallower node id, for stability
         other
             .lb
             .total_cmp(&self.lb)
+            .then_with(|| other.part.cmp(&self.part))
             .then_with(|| other.node.cmp(&self.node))
     }
 }
 
+/// What the search keeps per partition: the trie and store it reads,
+/// and the query's distances to that trie's own pivots.
+struct Part<'a> {
+    trie: &'a RpTrie,
+    store: &'a TrajStore,
+    /// dqp: distances from the query to every pivot (Section IV-D).
+    dqp: Vec<f64>,
+}
+
 pub(crate) fn search(
-    trie: &RpTrie,
-    store: &TrajStore,
+    parts: &[(&RpTrie, &TrajStore)],
     query: &[Point],
     filter: Option<&(dyn Fn(TrajId) -> bool + Sync)>,
     collector: &dyn ThresholdSource,
 ) -> SearchStats {
     let mut stats = SearchStats::default();
-    if query.is_empty() || store.is_empty() {
+    let Some(&(first, _)) = parts.first() else {
+        return stats;
+    };
+    if query.is_empty() {
         return stats;
     }
-    let grid = trie.grid();
-    let frozen = trie.frozen();
-    let cfg = trie.config();
-    let params = cfg.params;
+    let measure = first.config().measure;
+    let params = first.config().params;
+    debug_assert!(
+        parts
+            .iter()
+            .all(|(t, _)| t.config().measure == measure && t.config().params == params),
+        "one search spans partitions of one deployment"
+    );
 
     // One scratch for the whole search: every pivot distance and leaf
     // verification below reuses it, so a warm worker thread's verification
     // loop performs zero heap allocations (`DistScratch` is per-thread).
     DistScratch::with_thread(|scratch| {
-    // dqp: distances from the query to every pivot (Section IV-D).
-    let dqp = trie.pivots().query_distances_in(cfg, query, scratch);
-    stats.exact_computations += dqp.len();
+    // One frontier over every partition: each non-empty partition's root
+    // enters it, and from then on nodes pop in global bound order,
+    // whichever trie they belong to.
+    let mut frontier: BinaryHeap<Frontier> = BinaryHeap::new();
+    let mut searched: Vec<Part> = Vec::with_capacity(parts.len());
+    for &(trie, store) in parts {
+        if store.is_empty() {
+            continue;
+        }
+        let dqp = trie.pivots().query_distances_in(trie.config(), query, scratch);
+        stats.exact_computations += dqp.len();
+        frontier.push(Frontier {
+            lb: 0.0,
+            part: searched.len(),
+            node: trie.frozen().root(),
+            state: BoundState::new(measure, &params, query),
+        });
+        searched.push(Part { trie, store, dqp });
+    }
     // The query's own prefilter summary, computed once: paired with the
     // per-member summaries stored in each leaf it yields an O(1) lower
     // bound per verification candidate.
@@ -126,13 +160,6 @@ pub(crate) fn search(
     // mid-flight.
     let dk = || collector.bound();
 
-    let mut frontier: BinaryHeap<Frontier> = BinaryHeap::new();
-    frontier.push(Frontier {
-        lb: 0.0,
-        node: frozen.root(),
-        state: BoundState::new(cfg.measure, &params, query),
-    });
-
     let mut kids: Vec<(u64, NodeId)> = Vec::new();
     let mut columns = Columns::default();
     while let Some(entry) = frontier.pop() {
@@ -141,12 +168,14 @@ pub(crate) fn search(
             break;
         }
         stats.nodes_visited += 1;
+        let Part { trie, store, ref dqp } = searched[entry.part];
+        let (grid, frozen) = (trie.grid(), trie.frozen());
 
         // Leaf payload at this node ('$'-terminated reference trajectory).
         if let Some(leaf) = frozen.leaf(entry.node) {
             stats.leaves_visited += 1;
             let lbt = entry.state.lbt(grid, &leaf, query.len());
-            let lbp = pivot_lower_bound(&dqp, frozen.hr(entry.node));
+            let lbp = pivot_lower_bound(dqp, frozen.hr(entry.node));
             if lbt.max(lbp) < dk() {
                 // Verify members under the *live* k-th distance: the kernel
                 // returns the exact distance only when it beats dk and
@@ -164,7 +193,7 @@ pub(crate) fn search(
                 // have abandoned it — never the reverse; the extras carry
                 // distances above the final k-th and fall back out of the
                 // collector's pool, leaving the answer identical.
-                let group_len = cfg.measure.batch_lanes();
+                let group_len = measure.batch_lanes();
                 let mut group = [(0.0f64, [].as_slice()); BATCH_LANES];
                 let mut gids = [0u64; BATCH_LANES];
                 let mut scored = [None; BATCH_LANES];
@@ -183,13 +212,13 @@ pub(crate) fn search(
                             }
                         }
                         stats.exact_computations += 1;
-                        let lb = params.summary_lower_bound(cfg.measure, &qsum, summary);
+                        let lb = params.summary_lower_bound(measure, &qsum, summary);
                         group[nb] = (lb, store.points(mi as usize));
                         gids[nb] = id;
                         nb += 1;
                     }
                     params.distance_within_batch_in(
-                        cfg.measure,
+                        measure,
                         query,
                         &group[..nb],
                         thr,
@@ -220,7 +249,7 @@ pub(crate) fn search(
         // no extension can win: the remaining groups are never pushed.
         kids.clear();
         frozen.children_into(entry.node, &mut kids);
-        let lb = entry.lb;
+        let (lb, part) = (entry.lb, entry.part);
         stats.bounds_abandoned += entry.state.expand(
             query,
             grid,
@@ -229,10 +258,10 @@ pub(crate) fn search(
             &mut columns,
             || !bound_exceeds(lb, dk()),
             |ci, state| {
-                let child = kids[ci].1;
-                let lb = state.lbo(grid).max(pivot_lower_bound(&dqp, frozen.hr(child)));
+                let node = kids[ci].1;
+                let lb = state.lbo(grid).max(pivot_lower_bound(dqp, frozen.hr(node)));
                 if lb < dk() {
-                    frontier.push(Frontier { lb, node: child, state });
+                    frontier.push(Frontier { lb, part, node, state });
                     None
                 } else {
                     stats.nodes_pruned += 1;
@@ -332,6 +361,50 @@ mod tests {
                     assert!((h.dist - e.0).abs() < 1e-9, "{measure} dist mismatch");
                 }
             }
+        }
+    }
+
+    /// [`paper_dataset_top_k_stats_are_pinned`]'s table: `top_k` at k = 1,
+    /// 2 and 5, each as `[nodes_visited, nodes_pruned, leaves_visited,
+    /// leaves_pruned, exact_computations, exact_abandoned,
+    /// bounds_abandoned]`.
+    fn pinned_stats(measure: Measure) -> Vec<SearchStats> {
+        let rows: [[usize; 7]; 3] = match measure {
+            Measure::Hausdorff | Measure::Frechet => {
+                [[7, 0, 2, 0, 4, 0, 0], [7, 0, 2, 0, 4, 0, 0], [19, 0, 5, 0, 7, 0, 0]]
+            }
+            Measure::Dtw => [[9, 2, 2, 0, 2, 1, 0], [9, 2, 2, 0, 2, 0, 0], [19, 0, 5, 0, 5, 0, 0]],
+            Measure::Lcss => [[15, 0, 2, 0, 2, 0, 0], [19, 0, 5, 2, 3, 0, 0], [19, 0, 5, 0, 5, 0, 0]],
+            Measure::Edr => [[8, 0, 1, 0, 1, 0, 0], [9, 0, 2, 0, 2, 0, 0], [19, 0, 5, 0, 5, 0, 0]],
+            Measure::Erp => [[9, 1, 2, 0, 4, 0, 0], [12, 0, 3, 0, 5, 1, 0], [19, 0, 5, 0, 7, 0, 0]],
+        };
+        rows.iter()
+            .map(|r| SearchStats {
+                nodes_visited: r[0],
+                nodes_pruned: r[1],
+                leaves_visited: r[2],
+                leaves_pruned: r[3],
+                exact_computations: r[4],
+                exact_abandoned: r[5],
+                bounds_abandoned: r[6],
+            })
+            .collect()
+    }
+
+    /// The one-element search's work on the paper's running example,
+    /// pinned per measure: a change to the frontier that moves any counter
+    /// of the per-partition search shows here.
+    #[test]
+    fn paper_dataset_top_k_stats_are_pinned() {
+        let trajs = paper_dataset();
+        let store = store_of(&trajs);
+        let params = MeasureParams::with_eps(1.5);
+        for measure in Measure::ALL {
+            let config = RpTrieConfig::for_measure(measure).with_params(params).with_np(2);
+            let trie = RpTrie::build(&store, grid8(), config);
+            let got: Vec<SearchStats> =
+                [1, 2, 5].iter().map(|&k| trie.top_k(&store, &query(), k).stats).collect();
+            assert_eq!(got, pinned_stats(measure), "{measure}");
         }
     }
 
@@ -463,7 +536,7 @@ mod tests {
         let no_t1 = |id: u64| id != 1;
         for (k, want) in [(1, vec![4]), (5, vec![2, 3, 4, 5])] {
             let c = SharedTopK::new(k);
-            trie.search(&store, &q, Some(&no_t1), &c);
+            RpTrie::search(&[(&trie, &store)], &q, Some(&no_t1), &c);
             let mut ids: Vec<u64> = c.hits().iter().map(|h| h.id).collect();
             ids.sort_unstable();
             assert_eq!(ids, want, "k={k}");
@@ -494,7 +567,10 @@ mod tests {
             // Shared-threshold searches against one collector, which is
             // also the answer.
             let c = SharedTopK::new(k);
-            let (sa, sb) = (t0.search(&p0, &q, None, &c), t1.search(&p1, &q, None, &c));
+            let (sa, sb) = (
+                RpTrie::search(&[(&t0, &p0)], &q, None, &c),
+                RpTrie::search(&[(&t1, &p1)], &q, None, &c),
+            );
 
             assert_eq!(
                 indep.iter().map(|h| (h.dist.to_bits(), h.id)).collect::<Vec<_>>(),
@@ -550,7 +626,7 @@ mod tests {
             RpTrieConfig::for_measure(Measure::Frechet).with_np(0),
         );
         let src = CollapseAfterFirstPublish(AtomicBool::new(false));
-        let stats = trie.search(&store, &query(), None, &src);
+        let stats = RpTrie::search(&[(&trie, &store)], &query(), None, &src);
         assert!(
             stats.bounds_abandoned > 0,
             "expected skipped child bound pushes, stats {stats:?}"

@@ -16,12 +16,14 @@
 //!   global threshold (hopeless ones abandoned or skipped), the survivors
 //!   seed the trie search (`RpTrie::search`), and every accepted
 //!   hit published anywhere tightens every later scan and descent —
-//!   across partitions. The per-partition tasks run **wall-clock
-//!   parallel** on a persistent worker pool, dispatched in *bound order*
-//!   (most promising partition first, so it publishes first);
+//!   across partitions. A query runs as one *frontier task* per pool
+//!   thread, in **wall-clock parallel** on a persistent worker pool: each
+//!   task owns every `G`-th partition and searches all of them in one
+//!   best-first frontier, so nodes pop in global lower-bound order
+//!   instead of one partition's heap at a time;
 //!   [`ReposeService::query_batch`] is the same engine admitting a whole
-//!   batch onto the pool with per-query collectors. Results are exactly what a freshly
-//!   rebuilt index over the same live data would return.
+//!   batch onto the pool with per-query collectors. Results are exactly
+//!   what a freshly rebuilt index over the same live data would return.
 //! * **Compaction** ([`ReposeService::compact`]) rebuilds *only the
 //!   partitions dirtied since the last compact* off-line and swaps the
 //!   deployment in atomically; readers are only blocked for the pointer

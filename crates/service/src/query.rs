@@ -4,24 +4,33 @@
 //!
 //! # Execution model
 //!
-//! A query's per-partition work (delta scan + trie search,
-//! [`run_partition`]) is dispatched in **bound order**: partitions sorted
-//! by a cheap lower bound on their best possible hit
-//! ([`repose_rptrie::RpTrie::root_bound`] min'd with the best stored delta
-//! summary bound — [`partition_schedule`]), so the most promising
-//! partition publishes into the query's [`SharedTopK`] collector first and
-//! tightens the live pruning threshold for everyone else — a priority
-//! schedule without any phase barrier.
+//! The engine (`ReposeService::answer`) takes any number of queries and
+//! runs each cache-missing one as `G = min(pool threads, partitions)`
+//! *frontier tasks*. Frontier `g` owns the partitions `pi` with
+//! `pi % G == g` — heterogeneous partitioning deals every cluster
+//! round-robin across partitions, so each frontier holds a representative
+//! share of the data. A task scans its partitions' live delta candidates
+//! as one bound-sorted list ([`scan_delta`]), then runs one best-first
+//! search over all its partitions' tries at once
+//! ([`repose_rptrie::RpTrie::search`]): one frontier, nodes popped in
+//! global lower-bound order, so no partition is descended under a bound
+//! its siblings have already beaten. All of a query's tasks publish into
+//! and prune with its one [`SharedTopK`] collector.
 //!
-//! The engine (`ReposeService::answer`) takes any number of queries. Their
-//! tasks form one *rank-major* list — every query's best-bound partition
-//! before any query's second-best — whose first task runs on the calling
-//! thread and whose rest go to the persistent [`WorkerPool`] in order; with
-//! `pool_threads <= 1` the whole list runs inline (the sequential
-//! reference path; results are identical either way — see
-//! [`SharedTopK`] for the soundness argument). One query is
-//! the one-element case, so concurrent read throughput of a batch scales
-//! with cores instead of queueing behind one query at a time.
+//! The tasks of a call form one *group-major* list — every query's
+//! frontier 0 before any query's frontier 1 — whose first task runs on the
+//! calling thread and whose rest go to the persistent [`WorkerPool`] in
+//! order. With `pool_threads <= 1` there is no pool and `G = 1`: each
+//! query is one frontier over every partition, run inline (the sequential
+//! reference path; results are identical either way — see [`SharedTopK`]
+//! for the soundness argument). One query is the one-element case, so
+//! concurrent read throughput of a batch scales with cores instead of
+//! queueing behind one query at a time.
+//!
+//! [`ReposeService::query_scatter`] keeps the paper's per-partition
+//! cadence instead: it searches one partition at a time, most promising
+//! first ([`repose_rptrie::RpTrie::root_bound`] min'd with the best stored
+//! delta summary bound), with its hook after each.
 //!
 //! [`WorkerPool`]: repose_cluster::WorkerPool
 
@@ -32,8 +41,8 @@ use crate::service::ReposeService;
 use crate::stats::ServiceCounters;
 use repose::Repose;
 use repose_distance::{just_above, DistScratch, Hit, Measure, MeasureParams, SharedTopK};
-use repose_model::{Point, TrajId};
-use repose_rptrie::SearchStats;
+use repose_model::{Point, TrajId, TrajStore};
+use repose_rptrie::{RpTrie, SearchStats};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
@@ -60,11 +69,15 @@ pub struct ServiceOutcome {
     pub search: SearchStats,
     /// Delta-buffer candidates considered for this query.
     pub delta_candidates: usize,
-    /// Single-thread duration of each partition's task (delta scan + trie
-    /// search), indexed by partition. Empty on a cache hit. Enables
-    /// modeling the pooled schedule on hosts with any core count (the
-    /// benchmark's `service.seq_overhead_us` and `service.pool_utilization`
-    /// probes are computed from it).
+    /// Single-thread duration of each search task (delta scan + trie
+    /// search): one entry per frontier task of [`ReposeService::query`]
+    /// and [`ReposeService::query_batch`] (`min(pool threads,
+    /// partitions)` of them, in frontier order — see the module docs),
+    /// one per partition, in partition order, for
+    /// [`ReposeService::query_scatter`]. Empty on a cache hit. Their sum
+    /// is the query's single-thread work, which the benchmark's
+    /// `service.seq_overhead_us` and `service.pool_utilization` probes
+    /// are computed from.
     pub partition_times: Vec<Duration>,
     /// Always `false`: the service answers every admitted query exactly.
     /// Only the shard coordinator degrades an answer
@@ -88,10 +101,10 @@ impl ServiceOutcome {
     }
 
     /// One query's answer: its collector's pool, with the work counters
-    /// of its partition results summed (given in partition order).
+    /// of its task results summed (given in task order).
     /// `latency` is left zero: the caller stamps it once the whole call's
     /// work is done.
-    fn from_parts(parts: impl Iterator<Item = PartResult>, collector: &SharedTopK) -> Self {
+    fn from_parts(parts: impl Iterator<Item = TaskResult>, collector: &SharedTopK) -> Self {
         let mut search = SearchStats::default();
         let mut delta_candidates = 0;
         let mut partition_times = Vec::with_capacity(parts.size_hint().0);
@@ -125,34 +138,34 @@ pub(crate) struct Snapshot {
 /// One live delta candidate: `(summary bound, id, arena point slice)`.
 type Cand<'a> = (f64, u64, &'a [Point]);
 
-/// One partition's completed task (its hits went into the collector).
-struct PartResult {
+/// One completed search task (its hits went into the collector).
+struct TaskResult {
     stats: SearchStats,
     delta_live: usize,
     time: Duration,
 }
 
-/// One cache-missing query of an `answer` call: what its partition tasks
-/// share, and where they leave their results (indexed by partition).
+/// One cache-missing query of an `answer` call: what its frontier tasks
+/// share, and where they leave their results (indexed by frontier).
 struct Plan<'a> {
     query: &'a [Point],
-    /// One shared collector for the whole query: every partition's delta
+    /// One shared collector for the whole query: every frontier's delta
     /// scan and trie search publishes into it and prunes with its live
     /// global k-th-distance bound, so a close delta candidate in
     /// partition 0 tightens partition 5's trie descent and vice versa.
     collector: SharedTopK,
-    order: Vec<usize>,
+    /// Each partition's live delta candidates ([`delta_candidates`]).
     cands: Vec<Vec<Cand<'a>>>,
-    slots: Vec<Mutex<Option<PartResult>>>,
+    slots: Vec<Mutex<Option<TaskResult>>>,
 }
 
 impl ReposeService {
     /// Exact top-k over the live data.
     ///
-    /// Every partition's delta scan and trie search shares one
-    /// [`SharedTopK`] collector, and the per-partition tasks run on the
-    /// service's worker pool in bound order (see the module docs), so the
-    /// query's wall-clock latency scales with cores while the answer stays
+    /// The partitions' delta scans and trie searches share one
+    /// [`SharedTopK`] collector and run as one best-first frontier task
+    /// per pool thread (see the module docs), so the query's wall-clock
+    /// latency scales with cores while the answer stays
     /// exactly what the sequential path returns (identical distance
     /// multiset; ties may resolve per the paper's Definition 3).
     pub fn query(&self, query: &[Point], k: usize) -> Result<ServiceOutcome, ServiceError> {
@@ -161,9 +174,9 @@ impl ReposeService {
 
     /// Answers a batch of queries (cache consulted per query) as one
     /// call of the engine behind [`ReposeService::query`]: every
-    /// cache-missing query's partition tasks are admitted at once,
-    /// interleaved so each query's most promising partition dispatches
-    /// first, with one [`SharedTopK`] collector *per query*. Results are
+    /// cache-missing query's frontier tasks are admitted at once, every
+    /// query's first frontier dispatching before any query's second, with
+    /// one [`SharedTopK`] collector *per query*. Results are
     /// exactly the per-query [`ReposeService::query`] answers; duplicate
     /// queries inside the batch execute once and the twins report as
     /// cache hits.
@@ -180,7 +193,7 @@ impl ReposeService {
         self.answer(&queries, k)
     }
 
-    /// The query engine: cache probe, admission, snapshot, bound-ordered
+    /// The query engine: cache probe, admission, snapshot, frontier
     /// dispatch, merge, cache fill — once per call, for any number of
     /// queries.
     fn answer(&self, queries: &[&[Point]], k: usize) -> Result<Vec<ServiceOutcome>, ServiceError> {
@@ -235,52 +248,47 @@ impl ReposeService {
             self.counters.cache_misses.fetch_add(misses.len() as u64, Ordering::Relaxed);
             let snap = self.snapshot();
             let n = snap.frozen.num_partitions();
+            let frontiers = self.pool_threads().min(n);
             let params = self.params;
             let plans: Vec<Plan> = misses
                 .iter()
-                .map(|&(qi, _)| {
-                    let (order, cands) = partition_schedule(&snap, queries[qi], params);
-                    Plan {
-                        query: queries[qi],
-                        collector: SharedTopK::new(k),
-                        order,
-                        cands,
-                        slots: (0..n).map(|_| Mutex::new(None)).collect(),
-                    }
+                .map(|&(qi, _)| Plan {
+                    query: queries[qi],
+                    collector: SharedTopK::new(k),
+                    cands: delta_candidates(&snap, queries[qi], params),
+                    slots: (0..frontiers).map(|_| Mutex::new(None)).collect(),
                 })
                 .collect();
 
             let snap = &snap;
-            let run = |plan: &Plan, rank: usize| {
-                let pi = plan.order[rank];
-                let r =
-                    run_partition(snap, plan.query, &plan.collector, params, &plan.cands[pi], pi);
-                *plan.slots[pi].lock().expect("partition slot") = Some(r);
+            let run = |plan: &Plan, g: usize| {
+                let owned: Vec<usize> = (g..n).step_by(frontiers).collect();
+                let r = run_task(snap, plan.query, &plan.collector, params, &plan.cands, &owned);
+                *plan.slots[g].lock().expect("frontier slot") = Some(r);
             };
-            // Rank-major interleaving: every query's best-bound partition
-            // dispatches before any query's second-best, so each collector
-            // tightens as early as possible.
-            let tasks: Vec<(&Plan, usize)> = (0..n)
-                .flat_map(|rank| plans.iter().map(move |plan| (plan, rank)))
+            // Group-major: every query's frontier 0 dispatches before any
+            // query's frontier 1, so each query starts searching as early
+            // as the pool allows.
+            let tasks: Vec<(&Plan, usize)> = (0..frontiers)
+                .flat_map(|g| plans.iter().map(move |plan| (plan, g)))
                 .collect();
             match (&self.pool, tasks.split_first()) {
-                (Some(pool), Some((&(plan, rank), rest))) => pool.scope(|s| {
-                    for &(plan, rank) in rest {
+                (Some(pool), Some((&(plan, g), rest))) => pool.scope(|s| {
+                    for &(plan, g) in rest {
                         let run = &run;
-                        s.submit(move || run(plan, rank));
+                        s.submit(move || run(plan, g));
                     }
-                    // The most promising partition runs right here on the
-                    // caller's thread: it starts without dispatch latency
-                    // and its published hits tighten everyone downstream.
-                    run(plan, rank);
+                    // The first task runs right here on the caller's
+                    // thread: it starts without dispatch latency.
+                    run(plan, g);
                 }),
-                _ => tasks.iter().for_each(|&(plan, rank)| run(plan, rank)),
+                _ => tasks.iter().for_each(|&(plan, g)| run(plan, g)),
             }
 
             for ((qi, key), plan) in misses.into_iter().zip(plans) {
                 let parts = plan.slots.into_iter().map(|slot| {
-                    let part = slot.into_inner().expect("partition slot");
-                    part.expect("every partition task completed")
+                    let part = slot.into_inner().expect("frontier slot");
+                    part.expect("every frontier task completed")
                 });
                 let outcome = ServiceOutcome::from_parts(parts, &plan.collector);
                 self.lock_cache().put(key, version, outcome.hits.clone());
@@ -348,10 +356,23 @@ impl ReposeService {
         } else {
             SharedTopK::new(k)
         };
-        let (order, cands) = partition_schedule(&snap, query, self.params);
-        let mut parts: Vec<Option<PartResult>> = order.iter().map(|_| None).collect();
-        for &pi in &order {
-            parts[pi] = Some(run_partition(&snap, query, &collector, self.params, &cands[pi], pi));
+        let cands = delta_candidates(&snap, query, self.params);
+        // Most promising partition first: the trie's root-level bound
+        // min'd with the best stored summary bound among its live delta
+        // entries. Correctness never depends on the order, only wasted
+        // work does.
+        let mut order: Vec<(f64, usize)> = cands
+            .iter()
+            .enumerate()
+            .map(|(pi, list)| {
+                let root = snap.frozen.partition_view(pi).trie.root_bound(query);
+                (list.iter().fold(root, |key, c| key.min(c.0)), pi)
+            })
+            .collect();
+        order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut parts: Vec<Option<TaskResult>> = order.iter().map(|_| None).collect();
+        for &(_, pi) in &order {
+            parts[pi] = Some(run_task(&snap, query, &collector, self.params, &cands, &[pi]));
             on_partition(&collector);
         }
         let parts = parts.into_iter().map(|p| p.expect("the schedule is a permutation"));
@@ -362,81 +383,76 @@ impl ReposeService {
     }
 }
 
-/// One partition's full task for one query: delta scan (cheapest stored
-/// bound first, under the live shared threshold), then the trie search —
-/// both pruning with and publishing into `collector`. The tombstone filter
+/// One search task for one query over the partitions `owned`: their
+/// delta candidates as one scan (cheapest stored bound first, under the
+/// live shared threshold), then one trie search over all of them — both
+/// pruning with and publishing into `collector`. The tombstone filter
 /// hides every frozen row whose id was upserted or deleted since the
 /// freeze, so an id with a live delta version is scored once, at its new
-/// distance. `cands` is the partition's precomputed live delta candidate
-/// list from [`partition_schedule`] (bounds already priced; no second
-/// pass over the delta segments).
-fn run_partition(
+/// distance. `cands` holds every partition's precomputed live delta
+/// candidate list from [`delta_candidates`] (bounds already priced; no
+/// second pass over the delta segments).
+fn run_task(
     snap: &Snapshot,
     query: &[Point],
     collector: &SharedTopK,
     params: MeasureParams,
-    cands: &[Cand<'_>],
-    pi: usize,
-) -> PartResult {
+    cands: &[Vec<Cand<'_>>],
+    owned: &[usize],
+) -> TaskResult {
     let t0 = Instant::now();
-    let view = snap.frozen.partition_view(pi);
     let mut stats = SearchStats::default();
-    scan_delta(view.trie.measure(), params, query, cands, &mut stats, collector);
+    let delta: Vec<Cand> = owned.iter().flat_map(|&pi| cands[pi].iter().copied()).collect();
+    let delta_live = delta.len();
+    scan_delta(snap.frozen.config().measure(), params, query, delta, &mut stats, collector);
     // No filter at all when nothing is tombstoned (a read-only service
     // never is): the search then skips a hash lookup per verified member.
     let tombstones = &*snap.tombstones;
     let filter = |id: TrajId| !tombstones.contains_key(&id);
     let filter: Option<&(dyn Fn(TrajId) -> bool + Sync)> =
         if tombstones.is_empty() { None } else { Some(&filter) };
-    stats.merge(&view.trie.search(view.store, query, filter, collector));
-    PartResult {
+    let tries: Vec<(&RpTrie, &TrajStore)> = owned
+        .iter()
+        .map(|&pi| {
+            let view = snap.frozen.partition_view(pi);
+            (view.trie, view.store)
+        })
+        .collect();
+    stats.merge(&RpTrie::search(&tries, query, filter, collector));
+    TaskResult {
         stats,
-        delta_live: cands.len(),
+        delta_live,
         time: t0.elapsed(),
     }
 }
 
-/// The bound-ordered partition schedule for one query: partitions sorted
-/// ascending by a cheap lower bound on the best hit they could possibly
-/// contain — the trie's root-level `LBo` min'd with the best stored
-/// summary bound among live delta entries. No exact kernels run. The most
-/// promising partition dispatches first, publishes first, and its k-th
-/// distance prunes every later partition; correctness never depends on
-/// the order (any schedule returns the same multiset), only wasted work
-/// does.
-///
-/// The same pass that prices each partition also materializes its live
-/// delta candidate list — the exact input [`scan_delta`] needs — so the
-/// liveness filtering and O(1) summary bounds are paid once per query,
-/// not once for scheduling and again per scan.
-fn partition_schedule<'a>(
+/// Every partition's live delta candidates for one query, with their
+/// stored summary bounds priced — the exact input [`scan_delta`] needs.
+/// No exact kernels run; the liveness filtering and O(1) summary bounds
+/// are paid once per query.
+fn delta_candidates<'a>(
     snap: &'a Snapshot,
     query: &[Point],
     params: MeasureParams,
-) -> (Vec<usize>, Vec<Vec<Cand<'a>>>) {
+) -> Vec<Vec<Cand<'a>>> {
     let measure = snap.frozen.config().measure();
-    let n = snap.frozen.num_partitions();
-    debug_assert_eq!(snap.deltas.len(), n);
+    debug_assert_eq!(snap.deltas.len(), snap.frozen.num_partitions());
     let qsum = params.summary_of(query);
-    let mut cands: Vec<Vec<Cand>> = Vec::with_capacity(n);
-    let mut keyed: Vec<(f64, usize)> = Vec::with_capacity(n);
-    for (pi, segs) in snap.deltas.iter().enumerate() {
-        let mut key = snap.frozen.partition_view(pi).trie.root_bound(query);
-        let mut list: Vec<Cand> = Vec::with_capacity(snapshot_len(segs));
-        for seg in segs {
-            for slot in 0..seg.store.len() {
-                if seg.is_live(slot, &snap.tombstones) {
-                    let lb = params.summary_lower_bound(measure, &qsum, &seg.meta[slot].1);
-                    key = key.min(lb);
-                    list.push((lb, seg.store.id(slot), seg.store.points(slot)));
+    snap.deltas
+        .iter()
+        .map(|segs| {
+            let mut list: Vec<Cand> = Vec::with_capacity(snapshot_len(segs));
+            for seg in segs {
+                for slot in 0..seg.store.len() {
+                    if seg.is_live(slot, &snap.tombstones) {
+                        let lb = params.summary_lower_bound(measure, &qsum, &seg.meta[slot].1);
+                        list.push((lb, seg.store.id(slot), seg.store.points(slot)));
+                    }
                 }
             }
-        }
-        cands.push(list);
-        keyed.push((key, pi));
-    }
-    keyed.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    (keyed.into_iter().map(|(_, pi)| pi).collect(), cands)
+            list
+        })
+        .collect()
 }
 
 /// Refuses NaN and ±∞ coordinates at the service edge
@@ -449,26 +465,26 @@ pub(crate) fn check_finite(points: &[Point], what: &'static str) -> Result<(), S
     }
 }
 
-/// Scores one partition's live delta candidates into the query's
-/// collector, cheapest stored summary bound first
+/// Scores one task's live delta candidates into the query's collector,
+/// cheapest stored summary bound first
 /// ([`repose_distance::MeasureParams::refine_by_bound`]).
 ///
 /// Publishes every candidate a full exact scan would contribute to the
 /// top-k (ties included) while charging far less: sort keys are the
-/// insert-time summary bounds precomputed by [`partition_schedule`] (O(1) per
+/// insert-time summary bounds precomputed by [`delta_candidates`] (O(1) per
 /// candidate, no per-point walk), candidate points are contiguous arena
 /// slices of the delta segments, hopeless candidates are refuted by the
 /// early-abandoning kernel under the live cross-partition bound, and once
 /// even the cheap lower bound cannot beat the global k-th distance the
 /// (sorted) remainder is skipped outright. Accepted hits tighten the
-/// collector, so later partitions' scans and trie searches prune harder.
+/// collector, so every trie search of the query prunes harder.
 /// Every candidate counts as an attempted verification, so
 /// `exact_abandoned <= exact_computations` always holds.
 fn scan_delta(
     measure: Measure,
     params: MeasureParams,
     query: &[Point],
-    cands: &[Cand<'_>],
+    cands: Vec<Cand<'_>>,
     search: &mut SearchStats,
     collector: &SharedTopK,
 ) {
@@ -485,6 +501,6 @@ fn scan_delta(
         }
     };
     DistScratch::with_thread(|scratch| {
-        params.refine_by_bound(measure, query, collector, cands.to_vec(), on_event, scratch)
+        params.refine_by_bound(measure, query, collector, cands, on_event, scratch)
     });
 }

@@ -47,9 +47,10 @@ pub struct ServiceConfig {
     pub cache_capacity: usize,
     /// Worker threads of the query execution pool. Defaults to the host's
     /// available parallelism ([`repose_cluster::default_pool_threads`]);
-    /// `<= 1` disables the pool and runs the same bound-ordered partition
-    /// schedule inline on the calling thread (the sequential reference
-    /// path).
+    /// `<= 1` disables the pool and runs each query inline on the calling
+    /// thread as one best-first frontier over every partition (the
+    /// sequential reference path). A pool of `n` threads splits each
+    /// query into `min(n, partitions)` frontiers.
     pub pool_threads: usize,
     /// Maximum concurrently executing (cache-missing) queries before the
     /// admission gate sheds load with [`ServiceError::Overloaded`].

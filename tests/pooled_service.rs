@@ -1,8 +1,9 @@
 //! Exactness of the serving layer's pooled execution and incremental
 //! compaction — the PR-5 stress harness extension.
 //!
-//! * **Pooled ≡ sequential**: `ReposeService::query` / `query_batch` on a
-//!   worker pool of at least 4 threads must return *distance-identical*
+//! * **Pooled ≡ sequential**: `ReposeService::query` / `query_batch` on
+//!   worker pools of 2, 3 and 4 threads (2, 3 and 4 search frontiers over
+//!   8 partitions; 3 splits them unevenly) must return *distance-identical*
 //!   results (bit-for-bit equal sorted distance multisets — the paper's
 //!   Definition 3 permits tied *ids* to differ) to the sequential path
 //!   (`pool_threads: 1`), for all six measures, under heavy k-th-boundary
@@ -25,6 +26,9 @@ use repose_testkit::{sentinels, tie_dataset, tie_queries as queries, tie_traj};
 use std::sync::Arc;
 
 const POOL_THREADS: usize = 4;
+/// The pool widths the pooled-vs-sequential tests cover: each is the
+/// number of search frontiers a query splits its 8 partitions into.
+const POOL_WIDTHS: [usize; 3] = [2, 3, 4];
 
 fn config(measure: Measure, partitions: usize) -> ReposeConfig {
     ReposeConfig::new(measure)
@@ -85,13 +89,14 @@ fn live_set() -> Vec<Trajectory> {
 /// 5-sized tie groups).
 #[test]
 fn pooled_query_matches_sequential_for_every_measure() {
-    for measure in Measure::ALL {
-        let pooled = service(measure, POOL_THREADS);
-        assert_eq!(pooled.pool_threads(), POOL_THREADS);
+    let params = MeasureParams::with_eps(0.5);
+    let live = live_set();
+    let cases = Measure::ALL.into_iter().flat_map(|m| POOL_WIDTHS.map(|w| (m, w)));
+    for (measure, width) in cases {
+        let pooled = service(measure, width);
+        assert_eq!(pooled.pool_threads(), width);
         let sequential = service(measure, 1);
         assert_eq!(sequential.pool_threads(), 1);
-        let params = MeasureParams::with_eps(0.5);
-        let live = live_set();
         for q in &queries() {
             for k in [1usize, 3, 7, 25] {
                 // Repeat to shake out pool interleavings.
@@ -101,8 +106,8 @@ fn pooled_query_matches_sequential_for_every_measure() {
                     assert_eq!(
                         sorted_dist_bits(&p),
                         sorted_dist_bits(&s),
-                        "{measure} k={k} round={round}: pooled and sequential \
-                         distance multisets differ"
+                        "{measure} width={width} k={k} round={round}: pooled and \
+                         sequential distance multisets differ"
                     );
                     // Every reported distance is its id's true distance.
                     for h in &p.hits {
@@ -111,7 +116,7 @@ fn pooled_query_matches_sequential_for_every_measure() {
                         assert_eq!(
                             h.dist.to_bits(),
                             truth.to_bits(),
-                            "{measure} k={k}: reported distance is not exact"
+                            "{measure} width={width} k={k}: reported distance is not exact"
                         );
                     }
                 }
@@ -124,8 +129,9 @@ fn pooled_query_matches_sequential_for_every_measure() {
 /// answers exactly like the sequential path's individual queries.
 #[test]
 fn pooled_query_batch_matches_sequential_for_every_measure() {
-    for measure in Measure::ALL {
-        let pooled = service(measure, POOL_THREADS);
+    let cases = Measure::ALL.into_iter().flat_map(|m| POOL_WIDTHS.map(|w| (m, w)));
+    for (measure, width) in cases {
+        let pooled = service(measure, width);
         let sequential = service(measure, 1);
         let qs = queries();
         for k in [1usize, 7, 25] {
@@ -136,7 +142,7 @@ fn pooled_query_batch_matches_sequential_for_every_measure() {
                 assert_eq!(
                     sorted_dist_bits(b),
                     sorted_dist_bits(&s),
-                    "{measure} k={k}: batch query differs from sequential"
+                    "{measure} width={width} k={k}: batch query differs from sequential"
                 );
                 assert!(!b.cache_hit);
                 assert!(b.delta_candidates > 0, "delta must be scanned");
@@ -360,14 +366,16 @@ fn duplicate_batch_queries_share_one_execution() {
     assert_eq!(stats.cache_hits, 2);
 }
 
-/// Bound-ordered scheduling surfaces per-partition task times; the most
-/// promising partition's early publish keeps total verification work at
-/// or below the old arbitrary-order path (structural sanity, not timing).
+/// A searched query reports one task time per search frontier:
+/// `min(pool threads, partitions)` of them (structural sanity, not
+/// timing).
 #[test]
-fn partition_times_are_reported_per_partition() {
-    let svc = service(Measure::Hausdorff, POOL_THREADS);
-    let out = svc.query(&queries()[0], 5).unwrap();
-    assert_eq!(out.partition_times.len(), 8);
+fn partition_times_are_reported_per_frontier() {
+    for width in POOL_WIDTHS {
+        let svc = service(Measure::Hausdorff, width);
+        let out = svc.query(&queries()[0], 5).unwrap();
+        assert_eq!(out.partition_times.len(), width.min(8), "width={width}");
+    }
     // Cache hit path reports no partition times.
     let cached_svc = ReposeService::with_config(
         Repose::build(&tie_dataset(0..40), config(Measure::Hausdorff, 4)),
