@@ -134,17 +134,6 @@ impl SharedTopK {
         f64::from_bits(self.bound_bits.load(Ordering::Acquire))
     }
 
-    /// Folds in an externally computed sound upper bound on the global
-    /// k-th distance — e.g. one received from a remote coordinator whose
-    /// pool merged hits from other shards. Monotone like every other
-    /// bound update: a looser `bound` is a no-op, a tighter one wins via
-    /// the same `fetch_min` the publish path uses, so remote and local
-    /// tightenings compose without ordering constraints.
-    pub fn tighten(&self, bound: f64) {
-        debug_assert!(bound >= 0.0 && !bound.is_nan(), "bounds are non-negative");
-        self.bound_bits.fetch_min(bound.to_bits(), Ordering::AcqRel);
-    }
-
     /// Publishes the exact distance of candidate `id`. Idempotent per id:
     /// the first distance published for an id is the only one counted.
     pub fn publish(&self, dist: f64, id: TrajId) {

@@ -185,37 +185,6 @@ impl RpTrie {
         search::search(parts, query, filter, collector)
     }
 
-    /// A cheap lower bound on the distance from `query` to *every*
-    /// trajectory indexed by this trie: the minimum one-cell `LBo` over
-    /// the root's children (no pivot distances are computed, so this costs
-    /// `O(children × |query|)` and no exact kernel invocations).
-    ///
-    /// `INFINITY` for an empty trie. Used by the serving layer's scatter
-    /// path (`query_scatter`), which searches one partition at a time, to
-    /// search the most promising partitions of a query first; for measures
-    /// without a sound internal bound (LCSS) this returns `0.0` and the
-    /// caller falls back to its default ordering.
-    pub fn root_bound(&self, query: &[Point]) -> f64 {
-        if query.is_empty() {
-            return 0.0;
-        }
-        let kids = self.frozen.children(self.frozen.root());
-        if kids.is_empty() {
-            return f64::INFINITY;
-        }
-        if self.config.measure == Measure::Lcss {
-            return 0.0;
-        }
-        let base = bounds::BoundState::new(self.config.measure, &self.config.params, query);
-        let mut best = f64::INFINITY;
-        for (z, _) in kids {
-            let mut st = base.clone();
-            st.push(query, &self.grid, z, &self.config.params);
-            best = best.min(st.lbo(&self.grid));
-        }
-        best
-    }
-
     /// The frozen physical trie.
     pub fn frozen(&self) -> &FrozenTrie {
         &self.frozen

@@ -1,21 +1,20 @@
-//! The read path: one query engine behind [`ReposeService::query`] and
-//! [`ReposeService::query_batch`], and the hooked sequential loop of
-//! [`ReposeService::query_scatter`] built from the same parts.
+//! The read path: one query engine behind [`ReposeService::query`],
+//! [`ReposeService::query_batch`] and [`ReposeService::query_scatter`].
 //!
 //! # Execution model
 //!
-//! The engine (`ReposeService::answer`) takes any number of queries and
-//! runs each cache-missing one as `G = min(pool threads, partitions)`
-//! *frontier tasks*. Frontier `g` owns the partitions `pi` with
-//! `pi % G == g` — heterogeneous partitioning deals every cluster
-//! round-robin across partitions, so each frontier holds a representative
-//! share of the data. A task scans its partitions' live delta candidates
-//! as one bound-sorted list ([`scan_delta`]), then runs one best-first
-//! search over all its partitions' tries at once
-//! ([`repose_rptrie::RpTrie::search`]): one frontier, nodes popped in
-//! global lower-bound order, so no partition is descended under a bound
-//! its siblings have already beaten. All of a query's tasks publish into
-//! and prune with its one [`SharedTopK`] collector.
+//! The engine's search stage (`ReposeService::search`) takes any number
+//! of queries, each with its own [`SharedTopK`] collector, and runs each
+//! as `G = min(pool threads, partitions)` *frontier tasks*. Frontier `g`
+//! owns the partitions `pi` with `pi % G == g` — heterogeneous
+//! partitioning deals every cluster round-robin across partitions, so
+//! each frontier holds a representative share of the data. A task scans
+//! its partitions' live delta candidates as one bound-sorted list
+//! ([`scan_delta`]), then runs one best-first search over all its
+//! partitions' tries at once ([`repose_rptrie::RpTrie::search`]): one
+//! frontier, nodes popped in global lower-bound order, so no partition is
+//! descended under a bound its siblings have already beaten. All of a
+//! query's tasks publish into and prune with its one collector.
 //!
 //! The tasks of a call form one *group-major* list — every query's
 //! frontier 0 before any query's frontier 1 — whose first task runs on the
@@ -27,10 +26,9 @@
 //! concurrent read throughput of a batch scales with cores instead of
 //! queueing behind one query at a time.
 //!
-//! [`ReposeService::query_scatter`] keeps the paper's per-partition
-//! cadence instead: it searches one partition at a time, most promising
-//! first ([`repose_rptrie::RpTrie::root_bound`] min'd with the best stored
-//! delta summary bound), with its hook after each.
+//! `query` and `query_batch` wrap the stage in the cache probe, admission
+//! and cache fill (`ReposeService::answer`); `query_scatter` runs it bare,
+//! for one query whose collector starts at a caller's seed bound.
 //!
 //! [`WorkerPool`]: repose_cluster::WorkerPool
 
@@ -70,14 +68,11 @@ pub struct ServiceOutcome {
     /// Delta-buffer candidates considered for this query.
     pub delta_candidates: usize,
     /// Single-thread duration of each search task (delta scan + trie
-    /// search): one entry per frontier task of [`ReposeService::query`]
-    /// and [`ReposeService::query_batch`] (`min(pool threads,
-    /// partitions)` of them, in frontier order — see the module docs),
-    /// one per partition, in partition order, for
-    /// [`ReposeService::query_scatter`]. Empty on a cache hit. Their sum
-    /// is the query's single-thread work, which the benchmark's
-    /// `service.seq_overhead_us` and `service.pool_utilization` probes
-    /// are computed from.
+    /// search): one entry per frontier task (`min(pool threads,
+    /// partitions)` of them, in frontier order — see the module docs).
+    /// Empty on a cache hit. Their sum is the query's single-thread work,
+    /// which the benchmark's `service.seq_overhead_us` and
+    /// `service.pool_utilization` probes are computed from.
     pub partition_times: Vec<Duration>,
     /// Always `false`: the service answers every admitted query exactly.
     /// Only the shard coordinator degrades an answer
@@ -96,30 +91,6 @@ impl ServiceOutcome {
             search: SearchStats::default(),
             delta_candidates: 0,
             partition_times: Vec::new(),
-            degraded: false,
-        }
-    }
-
-    /// One query's answer: its collector's pool, with the work counters
-    /// of its task results summed (given in task order).
-    /// `latency` is left zero: the caller stamps it once the whole call's
-    /// work is done.
-    fn from_parts(parts: impl Iterator<Item = TaskResult>, collector: &SharedTopK) -> Self {
-        let mut search = SearchStats::default();
-        let mut delta_candidates = 0;
-        let mut partition_times = Vec::with_capacity(parts.size_hint().0);
-        for p in parts {
-            search.merge(&p.stats);
-            delta_candidates += p.delta_live;
-            partition_times.push(p.time);
-        }
-        ServiceOutcome {
-            hits: collector.hits(),
-            latency: Duration::ZERO,
-            cache_hit: false,
-            search,
-            delta_candidates,
-            partition_times,
             degraded: false,
         }
     }
@@ -145,8 +116,8 @@ struct TaskResult {
     time: Duration,
 }
 
-/// One cache-missing query of an `answer` call: what its frontier tasks
-/// share, and where they leave their results (indexed by frontier).
+/// One query of a search stage: what its frontier tasks share, and where
+/// they leave their results (indexed by frontier).
 struct Plan<'a> {
     query: &'a [Point],
     /// One shared collector for the whole query: every frontier's delta
@@ -157,6 +128,34 @@ struct Plan<'a> {
     /// Each partition's live delta candidates ([`delta_candidates`]).
     cands: Vec<Vec<Cand<'a>>>,
     slots: Vec<Mutex<Option<TaskResult>>>,
+}
+
+impl Plan<'_> {
+    /// The query's answer: its collector's pool, with the work counters
+    /// of its frontier tasks summed (given in frontier order).
+    /// `latency` is left zero: the caller stamps it once the whole call's
+    /// work is done.
+    fn outcome(self) -> ServiceOutcome {
+        let mut search = SearchStats::default();
+        let mut delta_candidates = 0;
+        let mut partition_times = Vec::with_capacity(self.slots.len());
+        for slot in self.slots {
+            let part = slot.into_inner().expect("frontier slot");
+            let p = part.expect("every frontier task completed");
+            search.merge(&p.stats);
+            delta_candidates += p.delta_live;
+            partition_times.push(p.time);
+        }
+        ServiceOutcome {
+            hits: self.collector.hits(),
+            latency: Duration::ZERO,
+            cache_hit: false,
+            search,
+            delta_candidates,
+            partition_times,
+            degraded: false,
+        }
+    }
 }
 
 impl ReposeService {
@@ -247,50 +246,9 @@ impl ReposeService {
             })?;
             self.counters.cache_misses.fetch_add(misses.len() as u64, Ordering::Relaxed);
             let snap = self.snapshot();
-            let n = snap.frozen.num_partitions();
-            let frontiers = self.pool_threads().min(n);
-            let params = self.params;
-            let plans: Vec<Plan> = misses
-                .iter()
-                .map(|&(qi, _)| Plan {
-                    query: queries[qi],
-                    collector: SharedTopK::new(k),
-                    cands: delta_candidates(&snap, queries[qi], params),
-                    slots: (0..frontiers).map(|_| Mutex::new(None)).collect(),
-                })
-                .collect();
-
-            let snap = &snap;
-            let run = |plan: &Plan, g: usize| {
-                let owned: Vec<usize> = (g..n).step_by(frontiers).collect();
-                let r = run_task(snap, plan.query, &plan.collector, params, &plan.cands, &owned);
-                *plan.slots[g].lock().expect("frontier slot") = Some(r);
-            };
-            // Group-major: every query's frontier 0 dispatches before any
-            // query's frontier 1, so each query starts searching as early
-            // as the pool allows.
-            let tasks: Vec<(&Plan, usize)> = (0..frontiers)
-                .flat_map(|g| plans.iter().map(move |plan| (plan, g)))
-                .collect();
-            match (&self.pool, tasks.split_first()) {
-                (Some(pool), Some((&(plan, g), rest))) => pool.scope(|s| {
-                    for &(plan, g) in rest {
-                        let run = &run;
-                        s.submit(move || run(plan, g));
-                    }
-                    // The first task runs right here on the caller's
-                    // thread: it starts without dispatch latency.
-                    run(plan, g);
-                }),
-                _ => tasks.iter().for_each(|&(plan, g)| run(plan, g)),
-            }
-
-            for ((qi, key), plan) in misses.into_iter().zip(plans) {
-                let parts = plan.slots.into_iter().map(|slot| {
-                    let part = slot.into_inner().expect("frontier slot");
-                    part.expect("every frontier task completed")
-                });
-                let outcome = ServiceOutcome::from_parts(parts, &plan.collector);
+            let collectors = misses.iter().map(|&(qi, _)| (queries[qi], SharedTopK::new(k)));
+            let searched = self.search(&snap, collectors);
+            for ((qi, key), outcome) in misses.into_iter().zip(searched) {
                 self.lock_cache().put(key, version, outcome.hits.clone());
                 outcomes[qi] = Some(outcome);
             }
@@ -318,68 +276,90 @@ impl ReposeService {
             .collect())
     }
 
-    /// Exact top-k over the live data, executed sequentially in bound
-    /// order with a hook after every partition — the scatter-side entry a
-    /// shard worker drives when this service owns one shard of a larger
-    /// deployment.
+    /// Exact top-k over the live data from the engine's search stage
+    /// alone — the entry a shard worker drives when this service owns one
+    /// shard of a larger deployment.
     ///
     /// `seed_dk` pre-bounds the collector (inclusively, via `just_above`,
     /// so ties at the seed survive) when finite — typically the
-    /// coordinator's current global k-th-distance bound at scatter time.
-    /// After each partition's task completes, `on_partition` receives the
-    /// query's collector: the worker streams the collector entries it has
-    /// not sent yet to its coordinator and folds any remotely received
-    /// `Tighten` bounds into the collector ([`SharedTopK::tighten`]) so
-    /// later partitions prune mid-flight.
+    /// coordinator's current global k-th-distance bound when it retries
+    /// an attempt. The answer is the shard's exact top-k among the
+    /// entries at or below the seed.
     ///
-    /// Cache, admission and the worker pool are intentionally bypassed:
-    /// the coordinator owns those policies for a distributed query, and
-    /// shard-level parallelism comes from the shards themselves. An entry
-    /// leaves the collector's pool only for a better one, so every hit of
-    /// the final answer is in the pool when its partition's hook runs: a
-    /// coordinator collecting every streamed entry reconstructs the exact
-    /// answer.
+    /// Cache and admission are intentionally bypassed: the coordinator
+    /// owns those policies for a distributed query. The frontier dispatch
+    /// is [`ReposeService::query`]'s; shard services run `pool_threads:
+    /// 1`, so there it is one best-first frontier over all of the shard's
+    /// partitions.
     pub fn query_scatter(
         &self,
         query: &[Point],
         k: usize,
         seed_dk: f64,
-        mut on_partition: impl FnMut(&SharedTopK),
     ) -> Result<ServiceOutcome, ServiceError> {
         check_finite(query, "query")?;
         let t0 = Instant::now();
         ServiceCounters::bump(&self.counters.queries);
         ServiceCounters::bump(&self.counters.cache_misses);
-        let snap = self.snapshot();
         let collector = if seed_dk.is_finite() {
             SharedTopK::with_initial_bound(k, just_above(seed_dk))
         } else {
             SharedTopK::new(k)
         };
-        let cands = delta_candidates(&snap, query, self.params);
-        // Most promising partition first: the trie's root-level bound
-        // min'd with the best stored summary bound among its live delta
-        // entries. Correctness never depends on the order, only wasted
-        // work does.
-        let mut order: Vec<(f64, usize)> = cands
-            .iter()
-            .enumerate()
-            .map(|(pi, list)| {
-                let root = snap.frozen.partition_view(pi).trie.root_bound(query);
-                (list.iter().fold(root, |key, c| key.min(c.0)), pi)
-            })
-            .collect();
-        order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let mut parts: Vec<Option<TaskResult>> = order.iter().map(|_| None).collect();
-        for &(_, pi) in &order {
-            parts[pi] = Some(run_task(&snap, query, &collector, self.params, &cands, &[pi]));
-            on_partition(&collector);
-        }
-        let parts = parts.into_iter().map(|p| p.expect("the schedule is a permutation"));
-        let mut outcome = ServiceOutcome::from_parts(parts, &collector);
+        let snap = self.snapshot();
+        let mut outcome = self.search(&snap, [(query, collector)]).pop().expect("one query");
         outcome.latency = t0.elapsed();
         self.counters.record_read(outcome.latency);
         Ok(outcome)
+    }
+
+    /// The engine's search stage: runs every query to completion against
+    /// `snap` as frontier tasks over the partitions (see the module docs),
+    /// each query publishing into and pruning with its own collector.
+    /// Returns one outcome per query, in order, with `latency` left zero
+    /// for the caller to stamp.
+    fn search<'a>(
+        &self,
+        snap: &'a Snapshot,
+        queries: impl IntoIterator<Item = (&'a [Point], SharedTopK)>,
+    ) -> Vec<ServiceOutcome> {
+        let n = snap.frozen.num_partitions();
+        let frontiers = self.pool_threads().min(n);
+        let params = self.params;
+        let plans: Vec<Plan> = queries
+            .into_iter()
+            .map(|(query, collector)| Plan {
+                query,
+                collector,
+                cands: delta_candidates(snap, query, params),
+                slots: (0..frontiers).map(|_| Mutex::new(None)).collect(),
+            })
+            .collect();
+
+        let run = |plan: &Plan, g: usize| {
+            let owned: Vec<usize> = (g..n).step_by(frontiers).collect();
+            let r = run_task(snap, plan.query, &plan.collector, params, &plan.cands, &owned);
+            *plan.slots[g].lock().expect("frontier slot") = Some(r);
+        };
+        // Group-major: every query's frontier 0 dispatches before any
+        // query's frontier 1, so each query starts searching as early as
+        // the pool allows.
+        let tasks: Vec<(&Plan, usize)> = (0..frontiers)
+            .flat_map(|g| plans.iter().map(move |plan| (plan, g)))
+            .collect();
+        match (&self.pool, tasks.split_first()) {
+            (Some(pool), Some((&(plan, g), rest))) => pool.scope(|s| {
+                for &(plan, g) in rest {
+                    let run = &run;
+                    s.submit(move || run(plan, g));
+                }
+                // The first task runs right here on the caller's thread:
+                // it starts without dispatch latency.
+                run(plan, g);
+            }),
+            _ => tasks.iter().for_each(|&(plan, g)| run(plan, g)),
+        }
+        plans.into_iter().map(Plan::outcome).collect()
     }
 }
 

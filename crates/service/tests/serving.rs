@@ -6,7 +6,6 @@ use repose::{Hit, Repose, ReposeConfig};
 use repose_distance::{Measure, MeasureParams};
 use repose_model::{Dataset, Point, Trajectory};
 use repose_service::{ReposeService, ServiceConfig, ServiceError, ServiceOutcome};
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -112,31 +111,14 @@ fn shifted(mut t: Trajectory, dx: f64, dy: f64) -> Trajectory {
     t
 }
 
-/// `query_scatter` driven like a shard worker: after each partition the
-/// hook takes the collector entries it has not streamed yet. Returns the
-/// outcome and every streamed hit, sorted.
-fn scatter(service: &ReposeService, q: &[Point], k: usize) -> (ServiceOutcome, Vec<Hit>) {
-    let (mut streamed, mut sent) = (Vec::new(), HashSet::new());
-    let outcome = service
-        .query_scatter(q, k, f64::INFINITY, |c| {
-            streamed.extend(c.hits().into_iter().filter(|h| sent.insert(h.id)))
-        })
-        .unwrap();
-    streamed.sort_by(Hit::cmp_by_dist_then_id);
-    (outcome, streamed)
-}
-
 /// One query's hits through each front: `query`, `query_batch` (beside a
-/// second query) and `query_scatter`, whose streamed hits must be its
-/// answer.
+/// second query) and `query_scatter` with no seed.
 fn fronts(service: &ReposeService, q: &[Point], k: usize) -> [(&'static str, Vec<Hit>); 3] {
     let single = service.query(q, k).unwrap().hits;
     let batch = [q.to_vec(), queries()[1].clone()];
     let batched = service.query_batch(&batch, k).unwrap().swap_remove(0).hits;
-    let (scattered, mut streamed) = scatter(service, q, k);
-    streamed.truncate(k);
-    assert_eq!(streamed, scattered.hits, "hook hits vs scatter outcome");
-    [("query", single), ("query_batch", batched), ("query_scatter", scattered.hits)]
+    let scattered = service.query_scatter(q, k, f64::INFINITY).unwrap().hits;
+    [("query", single), ("query_batch", batched), ("query_scatter", scattered)]
 }
 
 #[test]
@@ -540,11 +522,12 @@ fn batch_queries_and_latency_stats() {
     assert!(stats.read_latency.p99 >= stats.read_latency.p50);
 }
 
-/// The three query fronts answer identically: over frozen data + live
-/// delta entries + tombstones, `query`, `query_batch` and the hits
-/// `query_scatter` streams to its hook agree. `query` and `query_batch`
-/// are one engine (one frontier task per pool thread); `query_scatter`
-/// searches partition by partition, so it does different work.
+/// The three query fronts are one engine: over frozen data + live delta
+/// entries + tombstones, `query`, `query_batch` and an unseeded
+/// `query_scatter` run the same search stage (one frontier task per pool
+/// thread), so at one pool thread they agree exactly — tie resolution,
+/// work counters and task count included. A `query_scatter` seeded with
+/// the k-th distance keeps every distance, ties at the seed included.
 #[test]
 fn three_fronts_one_engine_for_every_measure() {
     let k = 9;
@@ -567,49 +550,41 @@ fn three_fronts_one_engine_for_every_measure() {
         let fronts = |svc: &ReposeService| {
             let single = svc.query(q, k).unwrap();
             let batched = svc.query_batch(&[q.clone(), q2.clone()], k).unwrap().swap_remove(0);
-            let (scattered, mut streamed) = scatter(svc, q, k);
-            streamed.truncate(k);
-            assert_eq!(streamed, scattered.hits, "{measure}: hook hits vs scatter outcome");
+            let scattered = svc.query_scatter(q, k, f64::INFINITY).unwrap();
             [single, batched, scattered]
         };
-        let list = |o: &repose_service::ServiceOutcome| -> Vec<(u64, u64)> {
+        let list = |o: &ServiceOutcome| -> Vec<(u64, u64)> {
             o.hits.iter().map(|h| (h.dist.to_bits(), h.id)).collect()
         };
-
-        // Sequential: `query` and `query_batch` run the same single
-        // frontier, so they agree exactly — tie resolution and work
-        // counters included. `query_scatter` publishes in another order,
-        // so a tie straddling the k-th distance may keep other ids
-        // (Definition 3): its distances agree bit for bit, and so does
-        // every hit strictly below the k-th distance.
-        let [single, batched, scattered] = fronts(&service(1));
-        assert_eq!(single.hits.len(), k, "{measure}");
-        assert_eq!(list(&single), list(&batched), "{measure}: query vs query_batch");
-        assert_eq!(single.search, batched.search, "{measure}: query vs query_batch");
-        let kth = single.hits[k - 1].dist.to_bits();
-        let below = |o: &repose_service::ServiceOutcome| -> Vec<(u64, u64)> {
-            list(o).into_iter().filter(|&(d, _)| d < kth).collect()
-        };
-        let dists = |o: &repose_service::ServiceOutcome| -> Vec<u64> {
+        let dists = |o: &ServiceOutcome| -> Vec<u64> {
             o.hits.iter().map(|h| h.dist.to_bits()).collect()
         };
-        assert_eq!(dists(&single), dists(&scattered), "{measure}: query vs query_scatter");
-        assert_eq!(below(&single), below(&scattered), "{measure}: query vs query_scatter");
-        for (name, other) in [("query_batch", &batched), ("query_scatter", &scattered)] {
-            assert_eq!(single.delta_candidates, other.delta_candidates, "{measure}: {name}");
-        }
+
+        let sequential = service(1);
+        let [single, batched, scattered] = fronts(&sequential);
+        assert_eq!(single.hits.len(), k, "{measure}");
         assert!(single.delta_candidates > 0, "{measure}: delta must be scanned");
         assert_eq!(single.partition_times.len(), 1, "{measure}: one frontier");
-        assert_eq!(batched.partition_times.len(), 1, "{measure}: one frontier");
-        assert_eq!(scattered.partition_times.len(), 6, "{measure}: one task per partition");
+        for (name, other) in [("query_batch", &batched), ("query_scatter", &scattered)] {
+            assert_eq!(list(&single), list(other), "{measure}: query vs {name}");
+            assert_eq!(single.search, other.search, "{measure}: query vs {name}");
+            assert_eq!(single.delta_candidates, other.delta_candidates, "{measure}: {name}");
+            assert_eq!(
+                single.partition_times.len(),
+                other.partition_times.len(),
+                "{measure}: query vs {name}"
+            );
+        }
+        let kth = single.hits[k - 1].dist;
+        let seeded = sequential.query_scatter(q, k, kth).unwrap();
+        assert_eq!(dists(&seeded), dists(&single), "{measure}: seeded query_scatter");
 
         // Pooled: interleavings may resolve ties differently (Definition
         // 3), the distances may not differ. Four pool threads over six
-        // partitions: four frontiers; the scatter path still searches
-        // partition by partition.
-        for (o, tasks) in fronts(&service(4)).iter().zip([4, 4, 6]) {
+        // partitions: four frontiers, for every front.
+        for o in &fronts(&service(4)) {
             assert_eq!(dists(o), dists(&single), "{measure}: pooled distances differ");
-            assert_eq!(o.partition_times.len(), tasks, "{measure}");
+            assert_eq!(o.partition_times.len(), 4, "{measure}");
         }
     }
 }
@@ -663,11 +638,10 @@ fn query_batch_rejects_non_finite_coordinates() {
 fn query_scatter_rejects_non_finite_coordinates() {
     let service = small_service();
     for q in non_finite_inputs() {
-        let mut streamed = 0;
-        let r = service.query_scatter(&q, 3, f64::INFINITY, |c| streamed += c.hits().len());
+        let r = service.query_scatter(&q, 3, f64::INFINITY);
         assert!(matches!(r, Err(ServiceError::InvalidInput("query"))));
-        assert_eq!(streamed, 0, "nothing may be streamed for a refused query");
     }
+    assert_eq!(service.query_scatter(&queries()[0], 3, f64::INFINITY).unwrap().hits.len(), 3);
 }
 
 #[test]

@@ -1,27 +1,21 @@
 //! The scatter-gather coordinator: owns the client-facing query and write
 //! paths of a sharded deployment.
 //!
-//! # Query path (scatter, stream, tighten, gather)
+//! # Query path (scatter, one reply per attempt, gather)
 //!
-//! A query scatters to every shard at once; after each partition a shard
-//! streams the new entries of its own collector as one frame
-//! ([`Message::Hits`]) and closes with a [`Message::Done`] carrying the
-//! count of hits it sent. The coordinator folds every hit of every batch
-//! into its own [`SharedTopK`] — whose pool is the answer — and,
-//! whenever the pool's k-th distance tightens, broadcasts the new
-//! bound to the still-running shards ([`Message::Tighten`]), once per
-//! gather sweep however many frames the sweep drained — a hit found on
-//! shard A prunes shard B's remaining partitions mid-flight, which is
-//! exactly the in-process shared-threshold design stretched over the wire.
-//! Exactness survives the stretch for the same reason it holds in-process:
-//! the broadcast bound is the coordinator pool's k-th distance, a sound
-//! upper bound on the global k-th at all times, and the only hits a shard
-//! can prune under it are ties at the k-th slot whose stand-ins the
-//! coordinator pool already holds (see [`SharedTopK`]).
+//! A query scatters to every shard at once. Each shard searches all of its
+//! partitions as one best-first frontier and answers the attempt with one
+//! frame ([`Message::Hits`]): its exact local top-k, empty or not. The
+//! coordinator folds every hit of every reply into its own [`SharedTopK`],
+//! whose pool is the answer, and a shard's attempt is complete when its
+//! reply arrives. That is the paper's distributed query: local top-k
+//! searches on the partitions, merged into the global top-k.
 //!
-//! A shard's answer counts as arrived only when the hits received for one
-//! attempt match that attempt's `Done.hits_sent` — a `Done` that overtakes
-//! its own hits (reordering) or hits lost to a drop leave the shard
+//! Exactness needs no bound exchange mid-query: a reply is the shard's
+//! exact top-k under its attempt's seed — none on a first attempt; on a
+//! retry the coordinator pool's k-th distance, a sound upper bound on the
+//! global k-th, kept inclusively so ties survive — so one frame carries
+//! everything the shard can contribute. A lost reply leaves the shard
 //! incomplete and the retry machinery running, so faults can slow an
 //! answer but never silently truncate it.
 //!
@@ -66,7 +60,7 @@ use repose_cluster::{Backoff, BackoffConfig, Clock, SystemClock};
 use repose_distance::{Hit, SharedTopK};
 use repose_model::{Dataset, Point, Trajectory};
 use repose_service::{CacheKey, QueryCache, ReposeService, ServiceConfig};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -139,7 +133,8 @@ pub struct ShardOutcome {
     /// Always 0: the coordinator re-asks a shard only by its deadline
     /// retry. Kept for callers that still read it.
     pub hedges: u32,
-    /// Tighten broadcasts sent (bound-propagation traffic).
+    /// Always 0: the coordinator sends a shard no bound mid-query. Kept
+    /// for callers that still read it.
     pub tightenings: u32,
     /// Served from the coordinator cache (never true for a degraded
     /// answer — those are not cached).
@@ -191,10 +186,6 @@ struct ShardProgress {
     started: Duration,
     retries: u32,
     backoff: Backoff,
-    /// attempt -> `Done.hits_sent`, once the Done arrived.
-    expected: HashMap<u32, u32>,
-    /// attempt -> distinct hit ids received for it.
-    received: HashMap<u32, HashSet<u64>>,
 }
 
 enum ShardState {
@@ -442,8 +433,7 @@ impl ShardCluster {
         let version_at_start = self.version;
         let global = SharedTopK::new(k);
         let mut next_attempt: u32 = 0;
-        let (mut retries, mut tightenings) = (0u32, 0u32);
-        let mut last_broadcast = f64::INFINITY;
+        let mut retries = 0u32;
 
         let mut progress: Vec<ShardProgress> = (0..self.cfg.shards)
             .map(|shard| {
@@ -457,8 +447,6 @@ impl ShardCluster {
                     started: t0,
                     retries: 0,
                     backoff: Backoff::new(self.cfg.backoff, self.cfg.seed ^ qid ^ shard as u64),
-                    expected: HashMap::new(),
-                    received: HashMap::new(),
                 }
             })
             .collect();
@@ -482,7 +470,7 @@ impl ShardCluster {
             let mut got = self.transport.recv_timeout(0, self.cfg.tick);
             let now = self.clock.now();
             while let Some((_, msg)) = got {
-                // A lone `Hit` is a one-element batch (no worker sends one).
+                // A lone `Hit` is a one-hit reply (no worker sends one).
                 let msg = match msg {
                     Message::Hit { qid, attempt, id, dist } => {
                         Message::Hits { qid, attempt, hits: vec![(id, dist)] }
@@ -492,22 +480,13 @@ impl ShardCluster {
                 match msg {
                     Message::Hits { qid: q, attempt, hits } if q == qid => {
                         if let Some(&shard) = attempt_shard.get(&attempt) {
-                            let p = &mut progress[shard];
-                            let received = p.received.entry(attempt).or_default();
                             for (id, dist) in hits {
-                                received.insert(id);
-                                // Idempotent per id: a retry's duplicate
-                                // of a hit is dropped here.
+                                // Idempotent per id: a retry's or a
+                                // duplicated frame's repeat of a hit is
+                                // dropped here.
                                 global.publish(dist, id);
                             }
-                            Self::check_complete(p, attempt);
-                        }
-                    }
-                    Message::Done { qid: q, attempt, hits_sent } if q == qid => {
-                        if let Some(&shard) = attempt_shard.get(&attempt) {
-                            let p = &mut progress[shard];
-                            p.expected.insert(attempt, hits_sent);
-                            Self::check_complete(p, attempt);
+                            progress[shard].state = ShardState::Completed;
                         }
                     }
                     // Stale query traffic, stray write acks, anything a
@@ -515,20 +494,6 @@ impl ShardCluster {
                     _ => {}
                 }
                 got = self.transport.try_recv(0);
-            }
-
-            // Propagate a tightened global bound to the still-running
-            // shards.
-            let bound = global.bound();
-            if bound < last_broadcast {
-                last_broadcast = bound;
-                for p in &progress {
-                    if let ShardState::Running = p.state {
-                        let msg = Message::Tighten { qid, dk: bound };
-                        self.transport.send(0, p.target, &msg);
-                        tightenings += 1;
-                    }
-                }
             }
 
             // Timers: attempt deadlines, backed-off retries — all judged
@@ -579,7 +544,7 @@ impl ShardCluster {
             shards_failed,
             retries,
             hedges: 0,
-            tightenings,
+            tightenings: 0,
             cache_hit: false,
             latency: self.clock.now().saturating_sub(t0),
         }
@@ -645,19 +610,6 @@ impl ShardCluster {
             node + shards
         } else {
             node - shards
-        }
-    }
-
-    /// Marks the shard completed when `attempt`'s received hits match its
-    /// `Done`.
-    fn check_complete(p: &mut ShardProgress, attempt: u32) {
-        if matches!(p.state, ShardState::Completed) {
-            return;
-        }
-        let Some(&expected) = p.expected.get(&attempt) else { return };
-        let received = p.received.get(&attempt).map_or(0, HashSet::len);
-        if received == expected as usize {
-            p.state = ShardState::Completed;
         }
     }
 

@@ -10,19 +10,21 @@
 //! suite demand *bitwise* identity between sharded and single-node
 //! answers: serialization is exact, never a rounding step.
 //!
-//! A shard streams each partition's hits as one frame
-//! ([`Message::Hits`]): the per-frame costs — encode, CRC, fault-site
-//! consult, queue push, wake-up, decode — are paid once per completed
-//! partition, not once per hit.
+//! A query costs one frame each way per shard attempt: the coordinator's
+//! [`Message::Query`] and the shard's one [`Message::Hits`] reply, which
+//! carries the attempt's whole local top-k. The per-frame costs — encode,
+//! CRC, fault-site consult, queue push, wake-up, decode — are paid once
+//! per attempt, not once per hit or per partition.
 //!
 //! Decoding is hostile-input safe: underruns, bad checksums, impossible
-//! counts, and unknown tags all surface as a typed [`ProtocolError`] —
-//! never a panic, never a silently skipped field. Distances and bounds
-//! that feed a [`repose_distance::SharedTopK`] are checked here too: its
-//! `fetch_min` on `f64::to_bits` is only ordered for non-negative non-NaN
-//! values, so a NaN or negative one is refused at the wire. So is a
-//! non-finite coordinate in a `Query` or `Upsert` trajectory: the distance
-//! kernels' bitwise contract holds for finite input only.
+//! counts, and unknown tags (the retired 3 and 4 among them) all surface
+//! as a typed [`ProtocolError`] — never a panic, never a silently skipped
+//! field. Hit distances, which feed a [`repose_distance::SharedTopK`],
+//! are checked here too: its `fetch_min` on `f64::to_bits` is only
+//! ordered for non-negative non-NaN values, so a NaN or negative one is
+//! refused at the wire. So is a non-finite coordinate in a `Query` or
+//! `Upsert` trajectory: the distance kernels' bitwise contract holds for
+//! finite input only.
 
 use repose_distance::Measure;
 use repose_durability::{crc32, DecodeError, WalRecord};
@@ -98,9 +100,9 @@ pub enum Message {
         /// The query trajectory.
         points: Vec<Point>,
     },
-    /// Shard → coordinator: one accepted local hit. Workers stream
+    /// Shard → coordinator: one accepted local hit. Workers reply with
     /// [`Message::Hits`] and never send this; a coordinator that receives
-    /// one treats it as a one-element batch.
+    /// one treats it as a one-hit reply.
     Hit {
         /// The query this hit answers.
         qid: u64,
@@ -111,9 +113,9 @@ pub enum Message {
         /// Its exact distance (bit-exact over the wire).
         dist: f64,
     },
-    /// Shard → coordinator: every accepted hit of one completed partition
-    /// as `(id, exact distance)` pairs, streamed as the partition
-    /// completes so the coordinator can tighten everyone else mid-flight.
+    /// Shard → coordinator: the whole answer of one attempt — the shard's
+    /// local top-k as `(id, exact distance)` pairs, possibly empty. The
+    /// attempt is complete when this frame arrives.
     Hits {
         /// The query these hits answer.
         qid: u64,
@@ -121,26 +123,6 @@ pub enum Message {
         attempt: u32,
         /// The trajectories found, distances bit-exact over the wire.
         hits: Vec<(TrajId, f64)>,
-    },
-    /// Coordinator → shards: the global k-th-distance bound tightened;
-    /// fold `dk` into running searches ([`repose_distance::SharedTopK::tighten`]).
-    Tighten {
-        /// The query whose bound tightened.
-        qid: u64,
-        /// The new global bound.
-        dk: f64,
-    },
-    /// Shard → coordinator: attempt finished. `hits_sent` is the number
-    /// of **distinct** hits streamed for this attempt — the coordinator
-    /// completes the shard only once it holds them all, so a reordered
-    /// `Done` overtaking its own hits can never truncate an answer.
-    Done {
-        /// The query this finishes.
-        qid: u64,
-        /// The attempt this finishes.
-        attempt: u32,
-        /// Distinct hits streamed by this attempt.
-        hits_sent: u32,
     },
     /// Leader → follower: the leader's unacknowledged WAL suffix, oldest
     /// first. Records the follower already holds are skipped idempotently.
@@ -200,8 +182,9 @@ pub enum Message {
 
 const TAG_QUERY: u8 = 1;
 const TAG_HIT: u8 = 2;
-const TAG_TIGHTEN: u8 = 3;
-const TAG_DONE: u8 = 4;
+// Tags 3 and 4 are retired (a mid-query bound broadcast and an
+// attempt-closing frame). Never reuse them: a frame from a peer that
+// still sends either must decode to `BadTag`, not to some other message.
 const TAG_REPLICATE: u8 = 5;
 const TAG_ACK: u8 = 6;
 const TAG_HEARTBEAT: u8 = 7;
@@ -305,17 +288,6 @@ impl Message {
                     put_u64(buf, id);
                     put_f64(buf, dist);
                 }
-            }
-            Message::Tighten { qid, dk } => {
-                buf.push(TAG_TIGHTEN);
-                put_u64(buf, *qid);
-                put_f64(buf, *dk);
-            }
-            Message::Done { qid, attempt, hits_sent } => {
-                buf.push(TAG_DONE);
-                put_u64(buf, *qid);
-                put_u32(buf, *attempt);
-                put_u32(buf, *hits_sent);
             }
             Message::Replicate { records } => {
                 buf.push(TAG_REPLICATE);
@@ -431,15 +403,6 @@ impl Message {
                 }
                 Message::Hits { qid, attempt, hits }
             }
-            TAG_TIGHTEN => Message::Tighten {
-                qid: read_u64(cur).ok_or_else(t)?,
-                dk: read_dist(cur)?,
-            },
-            TAG_DONE => Message::Done {
-                qid: read_u64(cur).ok_or_else(t)?,
-                attempt: read_u32(cur).ok_or_else(t)?,
-                hits_sent: read_u32(cur).ok_or_else(t)?,
-            },
             TAG_REPLICATE => {
                 let n = read_u32(cur).ok_or_else(t)? as usize;
                 // Each record frame is at least 8 bytes of header.
@@ -547,8 +510,6 @@ mod tests {
                 attempt: 2,
                 hits: (0..100).map(|i| (i * 3, i as f64 * 0.1)).collect(),
             },
-            Message::Tighten { qid: 7, dk: 3.5 },
-            Message::Done { qid: 7, attempt: 2, hits_sent: 5 },
             Message::Replicate {
                 records: vec![
                     WalRecord::Upsert { seq: 1, id: 4, points: vec![Point::new(2.0, 3.0)] },
@@ -657,27 +618,11 @@ mod tests {
     }
 
     #[test]
-    fn done_payload_is_exactly_its_three_fields() {
-        let mut payload = Vec::new();
-        Message::Done { qid: 7, attempt: 2, hits_sent: 5 }.encode_payload(&mut payload);
-        assert_eq!(payload.len(), 1 + 8 + 4 + 4);
-        for cut in 1..payload.len() {
-            assert_eq!(decode(&frame_of(&payload[..cut])), Err(ProtocolError::Truncated));
-        }
-        for extra in [&[0u8][..], &[0; 16]] {
-            let mut long = payload.clone();
-            long.extend_from_slice(extra);
-            assert_eq!(decode(&frame_of(&long)), Err(ProtocolError::BadPayload));
-        }
-    }
-
-    #[test]
     fn nan_and_negative_distances_are_refused_per_variant() {
         for bad in [f64::NAN, -f64::NAN, -1.0, -f64::MIN_POSITIVE, f64::NEG_INFINITY] {
             let frames = [
                 Message::Hit { qid: 1, attempt: 0, id: 5, dist: bad },
                 Message::Hits { qid: 1, attempt: 0, hits: vec![(5, 0.5), (6, bad)] },
-                Message::Tighten { qid: 1, dk: bad },
             ];
             for msg in frames {
                 assert_eq!(
@@ -689,9 +634,10 @@ mod tests {
         }
         // The boundary values a healthy cluster does send stay legal.
         for ok in [0.0, f64::INFINITY] {
-            assert!(decode(&Message::Tighten { qid: 1, dk: ok }.encode_frame()).is_ok());
             assert!(decode(&Message::Hit { qid: 1, attempt: 0, id: 5, dist: ok }.encode_frame())
                 .is_ok());
+            let hits = vec![(5, ok)];
+            assert!(decode(&Message::Hits { qid: 1, attempt: 0, hits }.encode_frame()).is_ok());
         }
     }
 
@@ -732,6 +678,24 @@ mod tests {
     #[test]
     fn unknown_tag_rejected() {
         assert_eq!(decode(&frame_of(&[200])), Err(ProtocolError::BadTag(200)));
+    }
+
+    /// The retired tags 3 and 4 stay unknown, bare or followed by the
+    /// fields they once carried (qid + bound; qid + attempt + count).
+    #[test]
+    fn retired_tags_are_unknown() {
+        for tag in [3u8, 4] {
+            let mut payload = vec![tag];
+            assert_eq!(decode(&frame_of(&payload)), Err(ProtocolError::BadTag(tag)));
+            put_u64(&mut payload, 7);
+            if tag == 3 {
+                put_f64(&mut payload, 3.5);
+            } else {
+                put_u32(&mut payload, 2);
+                put_u32(&mut payload, 5);
+            }
+            assert_eq!(decode(&frame_of(&payload)), Err(ProtocolError::BadTag(tag)));
+        }
     }
 
     #[test]

@@ -4,18 +4,15 @@
 //!
 //! # Query path
 //!
-//! A [`Message::Query`] executes via
-//! [`ReposeService::query_scatter`]: partitions run sequentially in bound
-//! order under one collector, the worker streams the collector entries it
-//! has not sent yet as one frame ([`Message::Hits`]; nothing new sends
-//! nothing) the moment each partition completes, and between partitions
-//! the worker drains its
-//! inbox for [`Message::Tighten`] broadcasts, folding the coordinator's
-//! global bound into the running collector so a hit found on *another
-//! shard* prunes this one mid-flight — the wire-level generalization of
-//! the in-process `SharedTopK` design. The closing [`Message::Done`]
-//! carries the count of hits streamed, which lets the coordinator detect
-//! in-flight losses and reordering.
+//! A [`Message::Query`] executes via [`ReposeService::query_scatter`]:
+//! one best-first frontier over all of the shard's partitions, under one
+//! collector seeded with the query's `seed_dk`. The worker answers the
+//! attempt with one reply, a [`Message::Hits`] frame carrying the shard's
+//! whole local top-k (empty when nothing qualifies). Nothing else is sent
+//! for a query: the reply arriving is what completes the attempt at the
+//! coordinator. A search runs to completion before the worker reads its
+//! inbox again; it then catches up on liveness (see
+//! [`WorkerConfig::heartbeat_timeout`]).
 //!
 //! # Replication and promotion
 //!
@@ -52,7 +49,7 @@ use repose_cluster::{Backoff, BackoffConfig, Clock, SystemClock};
 use repose_durability::WalRecord;
 use repose_model::Trajectory;
 use repose_service::{ReposeService, ServiceError};
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -78,7 +75,11 @@ pub enum Role {
 pub struct WorkerConfig {
     /// How often a leader heartbeats its follower.
     pub heartbeat_every: Duration,
-    /// Silence past this promotes a follower.
+    /// Silence past this promotes a follower. A worker heartbeats and
+    /// reads its inbox only between frames, never inside a shard query,
+    /// so a leader's heartbeat gap is at most `heartbeat_every` plus one
+    /// shard query; set this above that sum, or a long query promotes a
+    /// follower whose leader is alive.
     pub heartbeat_timeout: Duration,
     /// How long a leader waits for one replication `Ack`.
     pub ack_timeout: Duration,
@@ -120,8 +121,9 @@ pub struct ShardWorker {
     transport: Arc<dyn Transport>,
     clock: Arc<dyn Clock>,
     cfg: WorkerConfig,
-    /// Frames that arrived inside a nested handler (mid-query, or while
-    /// waiting for a replication ack), replayed before the next receive.
+    /// Frames that arrived inside a nested handler (read right after a
+    /// query, or while waiting for a replication ack), replayed before
+    /// the next receive.
     pending: VecDeque<(NodeId, Message)>,
     /// The unacknowledged log suffix a leader resends to its follower.
     unreplicated: Vec<WalRecord>,
@@ -212,15 +214,7 @@ impl ShardWorker {
     /// follower whose leader has gone silent past the timeout. Drivers
     /// call this once per tick of their loop (real or virtual).
     pub fn on_tick(&mut self) {
-        Self::heartbeat_if_due(
-            self.role,
-            self.node,
-            self.cfg.heartbeat_every,
-            &*self.transport,
-            &self.service,
-            &*self.clock,
-            &mut self.last_hb_sent,
-        );
+        self.heartbeat_if_due();
         if let Role::Follower { .. } = self.role {
             let now = self.clock.now();
             if now.saturating_sub(self.last_hb_seen) > self.cfg.heartbeat_timeout {
@@ -245,9 +239,6 @@ impl ShardWorker {
                 );
                 self.handle_query(qid, attempt, k as usize, seed_dk, &points);
             }
-            // A tighten with no query running raced a finished (or
-            // retried) attempt; the bound is stale by construction.
-            Message::Tighten { .. } => {}
             Message::Replicate { records } => {
                 self.last_hb_seen = self.clock.now();
                 self.handle_replicate(from, &records);
@@ -262,7 +253,6 @@ impl ShardWorker {
             // Addressed to coordinators; nothing for a worker.
             Message::Hit { .. }
             | Message::Hits { .. }
-            | Message::Done { .. }
             | Message::WriteOk { .. }
             | Message::WriteRefused { .. } => {}
         }
@@ -283,28 +273,22 @@ impl ShardWorker {
     }
 
     /// Sends a liveness heartbeat when one is due (leaders with followers
-    /// only). Free-standing over explicit fields so the mid-query closure
-    /// in [`ShardWorker::handle_query`] can call it while holding
-    /// disjoint borrows of the worker.
-    fn heartbeat_if_due(
-        role: Role,
-        node: NodeId,
-        every: Duration,
-        transport: &dyn Transport,
-        service: &ReposeService,
-        clock: &dyn Clock,
-        last_hb_sent: &mut Option<Duration>,
-    ) {
-        if let Role::Leader { follower: Some(f) } = role {
-            let now = clock.now();
-            if last_hb_sent.is_none_or(|t| now.saturating_sub(t) >= every) {
-                let hb = Message::Heartbeat { seq: service.op_seq() };
-                transport.send(node, f, &hb);
-                *last_hb_sent = Some(now);
+    /// only).
+    fn heartbeat_if_due(&mut self) {
+        if let Role::Leader { follower: Some(f) } = self.role {
+            let now = self.clock.now();
+            if self.last_hb_sent.is_none_or(|t| now.saturating_sub(t) >= self.cfg.heartbeat_every) {
+                let hb = Message::Heartbeat { seq: self.service.op_seq() };
+                self.transport.send(self.node, f, &hb);
+                self.last_hb_sent = Some(now);
             }
         }
     }
 
+    /// Answers one query attempt with one [`Message::Hits`] frame, then
+    /// catches up on liveness: the search held the inbox, so heartbeats
+    /// that arrived during it are taken now, before the next tick could
+    /// read their delay as leader silence.
     fn handle_query(
         &mut self,
         qid: u64,
@@ -313,74 +297,26 @@ impl ShardWorker {
         seed_dk: f64,
         points: &[repose_model::Point],
     ) {
-        // Destructure so the scatter closure can hold &mut to the stash
-        // and heartbeat state while the service and transport stay
-        // shared.
-        let ShardWorker {
-            node,
-            coord,
-            role,
-            service,
-            transport,
-            clock,
-            cfg,
-            pending,
-            last_hb_sent,
-            last_hb_seen,
-            ..
-        } = self;
-        let (node, coord, role) = (*node, *coord, *role);
-        let transport = &**transport;
-        let clock = &**clock;
-        let service = Arc::clone(service);
-        let mut sent: HashSet<u64> = HashSet::new();
-        let outcome = service.query_scatter(points, k, seed_dk, |collector| {
-            // The pool's entries not streamed yet are this partition's
-            // hits that still rank in the shard's top-k.
-            let hits: Vec<(u64, f64)> = collector
-                .hits()
-                .into_iter()
-                .filter(|h| sent.insert(h.id))
-                .map(|h| (h.id, h.dist))
-                .collect();
-            if !hits.is_empty() {
-                transport.send(node, coord, &Message::Hits { qid, attempt, hits });
-            }
-            // Between partitions: fold in remote tightenings so the next
-            // partition prunes under the freshest global bound; stash
-            // anything else for the main loop.
-            while let Some((from, m)) = transport.try_recv(node) {
-                match m {
-                    Message::Tighten { qid: q, dk } if q == qid => collector.tighten(dk),
-                    Message::Tighten { .. } => {}
-                    // Liveness bookkeeping cannot wait for the search to
-                    // finish: a long query on a follower must not read as
-                    // leader silence and trigger a spurious promotion.
-                    Message::Heartbeat { .. } => *last_hb_seen = clock.now(),
-                    other => {
-                        if matches!(other, Message::Replicate { .. }) {
-                            *last_hb_seen = clock.now();
-                        }
-                        pending.push_back((from, other));
+        // A query the service refuses sends nothing; the coordinator's
+        // deadline treats the silence like any other lost shard.
+        if let Ok(outcome) = self.service.query_scatter(points, k, seed_dk) {
+            let hits = outcome.hits.iter().map(|h| (h.id, h.dist)).collect();
+            self.transport.send(self.node, self.coord, &Message::Hits { qid, attempt, hits });
+        }
+        while let Some((from, m)) = self.transport.try_recv(self.node) {
+            match m {
+                Message::Heartbeat { .. } => self.last_hb_seen = self.clock.now(),
+                other => {
+                    // A replication round is leader traffic too; the
+                    // replay comes after the next tick.
+                    if matches!(other, Message::Replicate { .. }) {
+                        self.last_hb_seen = self.clock.now();
                     }
+                    self.pending.push_back((from, other));
                 }
             }
-            Self::heartbeat_if_due(
-                role,
-                node,
-                cfg.heartbeat_every,
-                transport,
-                &service,
-                clock,
-                last_hb_sent,
-            );
-        });
-        if outcome.is_ok() {
-            let done = Message::Done { qid, attempt, hits_sent: sent.len() as u32 };
-            transport.send(node, coord, &done);
         }
-        // A poisoned service sends nothing; the coordinator's deadline
-        // treats the silence like any other lost shard.
+        self.heartbeat_if_due();
     }
 
     fn handle_replicate(&self, from: NodeId, records: &[WalRecord]) {
@@ -472,5 +408,65 @@ impl std::fmt::Debug for ShardWorker {
             .field("node", &self.node)
             .field("role", &self.role)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fault::NetFaultPlan;
+    use crate::transport::Loopback;
+    use repose::{Repose, ReposeConfig};
+    use repose_cluster::SimClock;
+    use repose_distance::Measure;
+
+    /// A query holds the worker's inbox until it has replied. A leader
+    /// heartbeat that arrived meanwhile is taken right after the reply, so
+    /// the next tick does not read the search as leader silence; with no
+    /// heartbeat queued, the same sequence promotes.
+    #[test]
+    fn a_query_does_not_hide_leader_heartbeats() {
+        let (coord, leader, follower) = (0, 1, 2);
+        let labels = ["coord", "shard0", "replica0"].map(String::from).to_vec();
+        let net = Arc::new(Loopback::new(labels, NetFaultPlan::new()));
+        let clock = Arc::new(SimClock::new());
+        let rcfg = ReposeConfig::new(Measure::Hausdorff).with_partitions(2).with_delta(0.7);
+        let dataset = repose_testkit::tie_dataset(0..20);
+        let service = Arc::new(ReposeService::new(Repose::build(&dataset, rcfg)));
+        let cfg = WorkerConfig::default();
+        let mut worker = ShardWorker::with_clock(
+            follower,
+            coord,
+            Role::Follower { leader },
+            service,
+            Arc::clone(&net) as Arc<dyn Transport>,
+            cfg,
+            Arc::clone(&clock) as Arc<dyn Clock>,
+        );
+        let query = |qid| Message::Query {
+            qid,
+            attempt: 0,
+            k: 3,
+            measure: Measure::Hausdorff,
+            seed_dk: f64::INFINITY,
+            points: repose_testkit::tie_queries().swap_remove(0),
+        };
+
+        net.send(leader, follower, &Message::Heartbeat { seq: 0 });
+        clock.advance(cfg.heartbeat_timeout * 2);
+        assert!(worker.on_message(coord, query(1)));
+        worker.on_tick();
+        assert_eq!(worker.role(), Role::Follower { leader });
+        let reply = net.try_recv(coord);
+        assert!(
+            matches!(reply, Some((from, Message::Hits { qid: 1, attempt: 0, ref hits }))
+                if from == follower && hits.len() == 3),
+            "one reply carrying the whole top-k: {reply:?}"
+        );
+
+        clock.advance(cfg.heartbeat_timeout * 2);
+        assert!(worker.on_message(coord, query(2)));
+        worker.on_tick();
+        assert_eq!(worker.role(), Role::Leader { follower: None });
     }
 }

@@ -14,11 +14,10 @@
 //! 3. **Leader crash mid-burst** — a leader crash during a write burst
 //!    loses zero acknowledged writes: after follower promotion, queries
 //!    match a shadow service that applied every acknowledged write.
-//! 4. **One frame per partition** — a shard streams each partition's hits
-//!    as one `Hits` frame; losing, doubling or delaying exactly the batch
-//!    that precedes its own `Done` never shortens an answer silently, and
-//!    a healthy query costs at most one such frame per partition of the
-//!    deployment.
+//! 4. **One reply per attempt** — a shard answers each attempt with one
+//!    `Hits` frame, its whole local top-k; losing, doubling or holding
+//!    back exactly that frame never shortens an answer silently, and a
+//!    healthy query costs exactly one `Query` and one reply per shard.
 
 use repose::{Repose, ReposeConfig};
 use repose_distance::{Measure, MeasureParams};
@@ -190,9 +189,8 @@ fn fault_duplicate_is_deduplicated() {
     assert_eq!(sorted_dist_bits(out.hits.iter().map(|h| h.dist)), want);
 }
 
-/// A reordered reply (a `Done` can overtake its own hits) must not
-/// truncate the answer: the hits-received-vs-`Done.hits_sent` accounting
-/// keeps the shard incomplete until every hit landed.
+/// A reordered reply must not truncate the answer: a shard stays
+/// incomplete until its reply lands.
 #[test]
 fn fault_reorder_never_truncates() {
     let (out, want, faults) = run_fault_scenario("coord.rx", NetFault::Reorder, 1, true);
@@ -371,16 +369,16 @@ fn healthy_writes_replicate_and_serve() {
     cluster.shutdown();
 }
 
-/// Arms `fault` on the last `Hits` frame shard 0 sends for one query —
-/// the batch right before its own `Done` — and returns the outcome with
-/// the exact answer's distance bits and the network counters.
+/// Arms `fault` on the one `Hits` frame shard 0 sends for its first
+/// attempt of one query — that attempt's whole answer — and returns the
+/// outcome with the exact answer's distance bits and the network
+/// counters.
 ///
 /// The cluster is unreplicated, so everything shard 0 transmits is query
-/// traffic (`shard0.tx` sees its `Hits` frames, then its `Done`), and k
-/// is the whole dataset, so no bound ever prunes a partition and the
-/// number of frames is the shard's count of non-empty partitions — known
-/// before the query runs.
-fn run_last_batch_scenario(
+/// traffic (`shard0.tx` sees one reply per attempt and nothing else), and
+/// k is the whole dataset, so shard 0's reply carries every one of its
+/// trajectories and an answer without it is visibly short.
+fn run_reply_fault_scenario(
     fault: NetFault,
     max_retries: u32,
 ) -> (repose_shard::ShardOutcome, Vec<u64>, repose_shard::NetStats) {
@@ -388,6 +386,7 @@ fn run_last_batch_scenario(
     let k = 60;
     let reference = single_node(tie_dataset(0..60), measure);
     let faults = NetFaultPlan::new();
+    faults.arm("shard0.tx", fault, 0);
     let mut cluster = ShardCluster::build(
         tie_dataset(0..60),
         repose_config(measure),
@@ -396,19 +395,6 @@ fn run_last_batch_scenario(
         None,
     );
     let q = &tie_queries()[0];
-    // Count the frames the worker sends: one per partition that adds
-    // collector entries not streamed before.
-    let (mut batches, mut sent) = (0u32, std::collections::HashSet::new());
-    cluster
-        .leader_service(0)
-        .query_scatter(q, k, f64::INFINITY, |c| {
-            let fresh = c.hits().iter().filter(|h| sent.insert(h.id)).count();
-            batches += u32::from(fresh > 0);
-        })
-        .expect("shard 0 dry run");
-    assert!(batches >= 2, "the scenario needs a batch before the last one");
-    faults.arm("shard0.tx", fault, batches - 1);
-
     let want = sorted_dist_bits(
         reference.query(q, k).expect("reference").hits.iter().map(|h| h.dist),
     );
@@ -420,55 +406,54 @@ fn run_last_batch_scenario(
     (got, want, stats)
 }
 
-/// A dropped batch leaves the attempt short of its `Done.hits_sent`: the
-/// shard stays incomplete and the retry re-earns the whole answer.
+/// A dropped reply leaves the attempt incomplete: its deadline retry
+/// re-earns the whole answer, exactly, in one more attempt.
 #[test]
 fn dropped_hits_batch_is_retried_to_an_exact_answer() {
-    let (out, want, stats) = run_last_batch_scenario(NetFault::Drop, 2);
+    let (out, want, stats) = run_reply_fault_scenario(NetFault::Drop, 2);
     assert_eq!(stats.dropped, 1);
-    assert!(out.retries >= 1, "only a retry can replace a lost batch");
-    assert!(!out.degraded);
+    assert_eq!((out.retries, out.degraded), (1, false), "one retry replaces the lost reply");
     assert_eq!(sorted_dist_bits(out.hits.iter().map(|h| h.dist)), want);
 }
 
 /// With no retry budget the same loss must surface as `degraded` — a
-/// `Done` alone never completes a shard whose batch went missing.
+/// shard whose reply went missing never counts as answered.
 #[test]
 fn dropped_hits_batch_without_retries_degrades_never_truncates() {
-    let (out, want, _) = run_last_batch_scenario(NetFault::Drop, 0);
-    assert!(out.degraded, "an answer missing a batch must say so");
+    let (out, want, _) = run_reply_fault_scenario(NetFault::Drop, 0);
+    assert!(out.degraded, "an answer missing a shard's reply must say so");
     assert_eq!(out.shards_failed, 1);
     assert_ne!(sorted_dist_bits(out.hits.iter().map(|h| h.dist)), want);
 }
 
-/// A batch delivered twice counts once: per-attempt accounting is by
-/// distinct id, so the attempt completes on its `Done` with no retry.
+/// A reply delivered twice counts once: the first copy completes the
+/// attempt with no retry, and the pool drops the second copy's ids.
 #[test]
 fn duplicated_hits_batch_counts_once() {
-    let (out, want, stats) = run_last_batch_scenario(NetFault::Duplicate, 2);
+    let (out, want, stats) = run_reply_fault_scenario(NetFault::Duplicate, 2);
     assert_eq!(stats.duplicated, 1);
     assert_eq!((out.retries, out.degraded), (0, false));
     assert_eq!(out.hits.len(), 60, "no id answered twice");
     assert_eq!(sorted_dist_bits(out.hits.iter().map(|h| h.dist)), want);
 }
 
-/// The last batch held back past its own `Done`: the `Done` arrives
-/// first, finds the attempt short, and the late batch completes it.
+/// A held-back reply waits for the next frame on its link, which only the
+/// retry's reply can be: both land, each id counts once, and the answer
+/// is exact.
 #[test]
-fn hits_batch_overtaken_by_its_done_still_completes() {
-    let (out, want, stats) = run_last_batch_scenario(NetFault::Reorder, 2);
+fn held_hits_reply_is_released_by_the_next_frame() {
+    let (out, want, stats) = run_reply_fault_scenario(NetFault::Reorder, 2);
     assert_eq!(stats.reordered, 1);
-    assert_eq!((out.retries, out.degraded), (0, false));
+    assert_eq!((out.retries, out.degraded), (1, false));
+    assert_eq!(out.hits.len(), 60, "no id answered twice");
     assert_eq!(sorted_dist_bits(out.hits.iter().map(|h| h.dist)), want);
 }
 
 /// The frame budget of a healthy query, on the transport's deterministic
-/// counter: besides one `Query` and one `Done` per shard and the counted
-/// `Tighten`s, a shard sends one hit-carrying frame per non-empty
-/// partition — never one per hit. (Unreplicated: no heartbeats share the
-/// counter.)
+/// counter: one `Query` and one `Hits` reply per shard, and nothing else.
+/// (Unreplicated: no heartbeats share the counter.)
 #[test]
-fn healthy_query_costs_at_most_one_hit_frame_per_partition() {
+fn healthy_query_costs_exactly_one_reply_frame_per_shard() {
     let measure = Measure::Hausdorff;
     let mut cluster = ShardCluster::build(
         tie_dataset(0..60),
@@ -477,19 +462,14 @@ fn healthy_query_costs_at_most_one_hit_frame_per_partition() {
         NetFaultPlan::new(),
         None,
     );
-    // k = a shard's whole subset: every shard streams at least k hits.
+    // k = a shard's whole subset: every reply carries k hits.
     let k = 60 / SHARDS;
     for q in &tie_queries() {
         let before = cluster.transport().net_stats().sent;
         let out = cluster.query(q, k);
         let sent = cluster.transport().net_stats().sent - before;
-        assert_eq!((out.retries, out.hedges, out.degraded), (0, 0, false));
-        let hit_frames = sent - 2 * SHARDS as u64 - u64::from(out.tightenings);
-        assert!(
-            (1..=PARTITIONS as u64).contains(&hit_frames),
-            "{hit_frames} hit-carrying frames for {} hits over {PARTITIONS} partitions",
-            out.hits.len()
-        );
+        assert_eq!((out.retries, out.hedges, out.tightenings, out.degraded), (0, 0, 0, false));
+        assert_eq!(sent, 2 * SHARDS as u64, "{} hits", out.hits.len());
     }
     cluster.shutdown();
 }

@@ -33,7 +33,8 @@ use std::time::Duration;
 
 /// A [`repose_shard::ShardWorker`] adapted to the pump interface: each
 /// delivered frame runs the worker's real handler, then replays any
-/// frames the handler stashed mid-query.
+/// frames the handler stashed — those it read right after a query reply,
+/// or while waiting for a replication ack.
 struct WorkerPump(repose_shard::ShardWorker);
 
 impl SimNode for WorkerPump {

@@ -90,9 +90,6 @@ fn arb_message() -> impl Strategy<Value = Message> {
             proptest::collection::vec((any::<u64>(), arb_dist()), 0..24)
         )
             .prop_map(|(qid, attempt, hits)| Message::Hits { qid, attempt, hits }),
-        (any::<u64>(), arb_dist()).prop_map(|(qid, dk)| Message::Tighten { qid, dk }),
-        (any::<u64>(), any::<u32>(), any::<u32>())
-            .prop_map(|(qid, attempt, hits_sent)| Message::Done { qid, attempt, hits_sent }),
         proptest::collection::vec(arb_record(), 0..4)
             .prop_map(|records| Message::Replicate { records }),
         any::<u64>().prop_map(|seq| Message::Ack { seq }),
@@ -177,7 +174,6 @@ proptest! {
         for msg in [
             Message::Hit { qid: 1, attempt: 0, id: 1, dist: bad },
             Message::Hits { qid: 1, attempt: 0, hits },
-            Message::Tighten { qid: 1, dk: bad },
         ] {
             let frame = msg.encode_frame();
             prop_assert_eq!(
