@@ -47,5 +47,5 @@ pub mod writer;
 pub use error::ArchiveError;
 pub use meta::{ArchiveMeta, PartitionMeta};
 pub use mmap::MappedFile;
-pub use reader::{latest_valid, quarantine, Archive, LatestScan, ScrubReport};
+pub use reader::{quarantine, Archive, ScrubReport};
 pub use writer::{gen_file_name, list_generations, parse_gen_name, prune_generations, write_archive};

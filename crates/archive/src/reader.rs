@@ -17,7 +17,6 @@
 use crate::format::{SectionKind, Superblock, TocEntry, Trailer, NO_PARTITION, SUPERBLOCK_LEN, TOC_ENTRY_LEN, TRAILER_LEN};
 use crate::meta::ArchiveMeta;
 use crate::mmap::MappedFile;
-use crate::writer::list_generations;
 use crate::ArchiveError;
 use repose::Repose;
 use repose_distance::TrajSummary;
@@ -289,30 +288,6 @@ impl ScrubReport {
     pub fn is_clean(&self) -> bool {
         self.corrupt.is_empty()
     }
-}
-
-/// Result of scanning a directory for the newest usable archive.
-#[derive(Debug)]
-pub struct LatestScan {
-    /// The newest generation that passed full validation, if any.
-    pub best: Option<Archive>,
-    /// Generations that failed validation, newest first, with why — the
-    /// caller quarantines these loudly.
-    pub rejected: Vec<(PathBuf, ArchiveError)>,
-}
-
-/// Scans `dir` for the newest valid archive generation. Invalid
-/// generations (torn, corrupt, foreign) are returned in
-/// [`LatestScan::rejected`] rather than silently skipped.
-pub fn latest_valid(dir: &Path, failpoints: &FailPlan) -> LatestScan {
-    let mut rejected = Vec::new();
-    for (_, path) in list_generations(dir).into_iter().rev() {
-        match Archive::open(&path, failpoints) {
-            Ok(archive) => return LatestScan { best: Some(archive), rejected },
-            Err(e) => rejected.push((path, e)),
-        }
-    }
-    LatestScan { best: None, rejected }
 }
 
 /// Moves a failed archive into `<dir>/.quarantine/` (creating it as

@@ -4,7 +4,7 @@
 //! fast if it is also exactly right.
 
 use repose::{Repose, ReposeConfig};
-use repose_archive::{latest_valid, list_generations, write_archive, Archive, ArchiveMeta};
+use repose_archive::{list_generations, write_archive, Archive, ArchiveMeta};
 use repose_cluster::ClusterConfig;
 use repose_distance::Measure;
 use repose_durability::FailPlan;
@@ -99,11 +99,13 @@ fn generations_install_in_sequence_and_latest_wins() {
     let p1 = write_archive(&dir, &built, 5, &FailPlan::new()).unwrap();
     let p2 = write_archive(&dir, &built, 9, &FailPlan::new()).unwrap();
     assert_ne!(p1, p2);
-    assert_eq!(list_generations(&dir).len(), 2);
+    let gens = list_generations(&dir);
+    assert_eq!(gens.len(), 2);
 
-    let scan = latest_valid(&dir, &FailPlan::new());
-    assert!(scan.rejected.is_empty());
-    assert_eq!(scan.best.unwrap().op_seq(), 9, "newest generation wins");
+    let (_, newest) = gens.last().unwrap();
+    assert_eq!(newest, &p2, "generations list oldest first");
+    let archive = Archive::open(newest, &FailPlan::new()).unwrap();
+    assert_eq!(archive.op_seq(), 9, "newest generation wins");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

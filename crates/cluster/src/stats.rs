@@ -41,8 +41,9 @@ pub struct JobStats {
 }
 
 impl JobStats {
-    /// Builds the simulated schedule for the measured partition times.
-    pub fn simulate(
+    /// Builds the simulated schedule for the measured partition times
+    /// (reached through [`crate::Cluster::schedule`]).
+    pub(crate) fn simulate(
         partition_times: Vec<Duration>,
         assignment: Vec<usize>,
         workers: usize,

@@ -1,10 +1,9 @@
-use crate::{partition::partition_slots, ReposeConfig};
+use crate::ReposeConfig;
 use repose_cluster::{Cluster, JobStats};
 use repose_distance::SharedTopK;
 use repose_model::{Dataset, Mbr, Point, TrajId, TrajStore};
 use repose_rptrie::{Hit, RpTrie, SearchStats};
 use repose_zorder::Grid;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One partition's package of data + local index — the paper's
@@ -66,16 +65,11 @@ pub struct PartitionView<'a> {
 
 /// A built REPOSE deployment: partitioned trajectories, one RP-Trie per
 /// partition, and the simulated cluster that executes queries.
-///
-/// Partitions live behind `Arc` so a selective rebuild
-/// ([`Repose::rebuild_partitions`] — the serving layer's incremental
-/// compaction) can share untouched partitions' arenas and tries with the
-/// previous deployment instead of deep-copying them.
 #[derive(Debug)]
 pub struct Repose {
     config: ReposeConfig,
     cluster: Cluster,
-    parts: Vec<Arc<LocalPartition>>,
+    parts: Vec<LocalPartition>,
     region: Mbr,
     build_stats: JobStats,
     partition_wall: Duration,
@@ -118,49 +112,32 @@ impl Repose {
                 part
             })
             .collect();
-        Repose::build_from_parts(parts, region, t0.elapsed(), config)
+        let partition_wall = t0.elapsed();
+        Repose { partition_wall, ..Repose::build_from_parts(parts, region, config) }
     }
 
-    /// [`Repose::build`] over a flat [`TrajStore`] arena — the
-    /// allocation-light build path. Partitioning deals out *slots*; each
-    /// partition's arena is then filled with contiguous arena-to-arena
-    /// range copies (no intermediate `Trajectory` clones). The serving
-    /// layer's compaction rebuilds through this entry point.
-    pub fn build_from_store(store: &TrajStore, config: ReposeConfig) -> Self {
-        let region = store
-            .enclosing_square()
-            .unwrap_or_else(|| Mbr::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0)));
-        let t0 = Instant::now();
-        let slot_parts = partition_slots(
-            store,
-            &region,
-            config.strategy,
+    /// Builds a deployment from its partitions' stores: partition `pi`
+    /// gets `parts[pi]` verbatim and its RP-Trie over the grid of `region`
+    /// (at `config.delta`), seeded `trie.seed ^ pi`. [`Repose::build`]
+    /// deals the stores out first; the serving layer's compaction passes
+    /// each partition's live rows, keeping the deployment's placement.
+    ///
+    /// Every point must lie within `region`: reference-point
+    /// discretization clamps to the region, so an outside point would get
+    /// unsound lower bounds (debug builds assert it).
+    ///
+    /// # Panics
+    /// If `parts.len()` is not `config.num_partitions`.
+    pub fn build_from_parts(parts: Vec<TrajStore>, region: Mbr, config: ReposeConfig) -> Self {
+        assert_eq!(
+            parts.len(),
             config.num_partitions,
-            config.seed,
+            "partition count must match the config"
         );
-        let parts: Vec<TrajStore> = slot_parts
-            .into_iter()
-            .map(|slots| {
-                let points: usize = slots.iter().map(|&s| store.points(s).len()).sum();
-                let mut part = TrajStore::with_capacity(slots.len(), points);
-                for s in slots {
-                    part.push_from(store, s);
-                }
-                part
-            })
-            .collect();
-        Repose::build_from_parts(parts, region, t0.elapsed(), config)
-    }
-
-    /// The shared tail of [`Repose::build`] / [`Repose::build_from_store`]:
-    /// per-partition trie builds on the simulated cluster + deployment
-    /// assembly.
-    fn build_from_parts(
-        parts: Vec<TrajStore>,
-        region: Mbr,
-        partition_wall: Duration,
-        config: ReposeConfig,
-    ) -> Self {
+        debug_assert!(
+            parts.iter().all(|store| store.as_parts().2.iter().all(|p| region.contains(*p))),
+            "partition stores must stay within the deployment region"
+        );
         let cluster = Cluster::new(config.cluster);
         let grid = Grid::with_delta(region, config.delta);
         let trie_cfg = config.trie;
@@ -170,9 +147,9 @@ impl Repose {
         let parts = parts
             .into_iter()
             .zip(tries)
-            .map(|(store, trie)| Arc::new(LocalPartition { store, trie }))
+            .map(|(store, trie)| LocalPartition { store, trie })
             .collect();
-        Repose { config, cluster, parts, region, build_stats, partition_wall }
+        Repose { config, cluster, parts, region, build_stats, partition_wall: Duration::ZERO }
     }
 
     /// Reassembles a deployment from already-built partitions — the
@@ -180,8 +157,8 @@ impl Repose {
     /// anything. Each `(store, trie)` pair becomes one partition verbatim
     /// (the trie must have been built over exactly that store; `RpTrie`
     /// asserts the store length on every query). `region` and `config`
-    /// must be the ones the deployment was originally built with, or
-    /// later incremental rebuilds would use a different grid.
+    /// must be the ones the deployment was originally built with, or a
+    /// later compaction would rebuild its partitions on a different grid.
     ///
     /// Build stats are zero: nothing was built.
     pub fn from_built_partitions(
@@ -198,81 +175,9 @@ impl Repose {
         let build_stats = cluster.schedule(vec![Duration::ZERO; partitions.len()], Duration::ZERO);
         let parts = partitions
             .into_iter()
-            .map(|(store, trie)| Arc::new(LocalPartition { store, trie }))
+            .map(|(store, trie)| LocalPartition { store, trie })
             .collect();
         Repose { config, cluster, parts, region, build_stats, partition_wall: Duration::ZERO }
-    }
-
-    /// Rebuilds *only* the given partitions, sharing every other
-    /// partition's arena and trie with `self` (an `Arc` clone — no copy).
-    /// This is the selective-rebuild entry point behind the serving
-    /// layer's incremental compaction: a deployment with `n` partitions
-    /// and one dirty partition pays one trie build, not `n`.
-    ///
-    /// Each replacement `(pi, store)` becomes partition `pi`'s new data;
-    /// its trie is built with the *same* grid (region + `delta`) and the
-    /// same per-partition seed as the original build, so reused and
-    /// rebuilt partitions stay mutually consistent. Replacement builds run
-    /// on the simulated cluster like [`Repose::build`]'s; the returned
-    /// deployment's [`Repose::build_stats`] describe the selective job
-    /// only.
-    ///
-    /// Every point of every replacement store must lie within
-    /// [`Repose::region`] — reference-point discretization clamps to the
-    /// region, so out-of-region data would get unsound lower bounds. The
-    /// caller is responsible for falling back to a full rebuild in that
-    /// case (debug builds assert it).
-    ///
-    /// # Panics
-    /// If a replacement index is out of range or duplicated.
-    pub fn rebuild_partitions(&self, replacements: Vec<(usize, TrajStore)>) -> Repose {
-        let n = self.config.num_partitions;
-        let t0 = Instant::now();
-        let mut seen = vec![false; n];
-        for &(pi, ref store) in &replacements {
-            assert!(pi < n, "replacement partition {pi} out of range ({n} partitions)");
-            assert!(!seen[pi], "replacement partition {pi} given twice");
-            seen[pi] = true;
-            debug_assert!(
-                store
-                    .enclosing_square()
-                    .is_none_or(|sq| self.region.contains_mbr(&sq) || {
-                        // `enclosing_square` pads the tight bbox up to a
-                        // square; only the raw points must be in-region.
-                        store.iter().all(|(_, pts)| {
-                            pts.iter().all(|p| self.region.contains(*p))
-                        })
-                    }),
-                "replacement stores must stay within the deployment region"
-            );
-        }
-        let grid = Grid::with_delta(self.region, self.config.delta);
-        let trie_cfg = self.config.trie;
-        let (tries, job) = self.cluster.run_partitions(&replacements, |_, (pi, store)| {
-            RpTrie::build(store, grid.clone(), trie_cfg.with_seed(trie_cfg.seed ^ *pi as u64))
-        });
-        // Each replacement runs on the worker its partition index places
-        // it on, not on the worker of its position in `replacements`.
-        let assignment = replacements.iter().map(|&(pi, _)| pi).collect();
-        let mut parts = self.parts.clone();
-        for ((pi, store), trie) in replacements.into_iter().zip(tries) {
-            parts[pi] = Arc::new(LocalPartition { store, trie });
-        }
-        let build_stats = JobStats::simulate(
-            job.partition_times,
-            assignment,
-            self.config.cluster.workers,
-            self.config.cluster.cores_per_worker,
-            job.host_wall,
-        );
-        Repose {
-            config: self.config,
-            cluster: self.cluster.clone(),
-            parts,
-            region: self.region,
-            build_stats,
-            partition_wall: t0.elapsed(),
-        }
     }
 
     /// Runs a distributed top-k query with **cross-partition shared-
@@ -578,47 +483,40 @@ mod tests {
         assert!(r.query_batch(&[], 5).is_empty());
     }
 
+    /// Partition `pi`'s rows in arena order, minus `drop`.
+    fn own_store(r: &Repose, pi: usize, drop: Option<TrajId>) -> TrajStore {
+        let store = r.partition_view(pi).store;
+        let mut copy = TrajStore::new();
+        for slot in (0..store.len()).filter(|&slot| Some(store.id(slot)) != drop) {
+            copy.push_from(store, slot);
+        }
+        copy
+    }
+
     #[test]
-    fn rebuild_partitions_shares_untouched_and_replaces_dirty() {
+    fn build_from_parts_over_own_stores_reproduces_the_deployment() {
         let d = dataset();
         let cfg = ReposeConfig::new(Measure::Hausdorff)
             .with_partitions(4)
             .with_delta(0.7);
         let r = Repose::build(&d, cfg);
         let q: Vec<Point> = (0..12).map(|s| Point::new(s as f64 * 0.3, 0.1)).collect();
-        let before = r.query(&q, 8);
+        let bits = |out: QueryOutcome| {
+            out.hits.iter().map(|h| (h.dist.to_bits(), h.id)).collect::<Vec<_>>()
+        };
 
-        // Identity rebuild: replace partition 2 with its own data.
-        let view = r.partition_view(2);
-        let mut same = TrajStore::new();
-        for slot in 0..view.store.len() {
-            same.push_from(view.store, slot);
-        }
-        let r2 = r.rebuild_partitions(vec![(2, same)]);
-        let after = r2.query(&q, 8);
-        assert_eq!(
-            before.hits.iter().map(|h| (h.dist.to_bits(), h.id)).collect::<Vec<_>>(),
-            after.hits.iter().map(|h| (h.dist.to_bits(), h.id)).collect::<Vec<_>>(),
-        );
-        // Untouched partitions share the original arenas (no copy).
-        for pi in [0usize, 1, 3] {
-            assert!(std::ptr::eq(
-                r.partition_view(pi).store,
-                r2.partition_view(pi).store
-            ));
-        }
-        assert!(!std::ptr::eq(r.partition_view(2).store, r2.partition_view(2).store));
+        // Every partition rebuilt in place from its own rows: the same index.
+        let same = (0..4).map(|pi| own_store(&r, pi, None)).collect();
+        let r2 = Repose::build_from_parts(same, r.region(), cfg);
+        assert_eq!(r2.partition_sizes(), r.partition_sizes());
+        assert_eq!(r2.index_bytes(), r.index_bytes());
+        assert_eq!(bits(r2.query(&q, 8)), bits(r.query(&q, 8)));
 
-        // Real replacement: drop one trajectory from partition 2; the
-        // result must match a scratch rebuild over the reduced live set.
+        // One trajectory dropped from partition 2: the result matches a
+        // scratch rebuild over the reduced live set.
         let victim = r.partition_view(2).store.id(0);
-        let mut reduced = TrajStore::new();
-        for slot in 0..view.store.len() {
-            if view.store.id(slot) != victim {
-                reduced.push_from(view.store, slot);
-            }
-        }
-        let r3 = r.rebuild_partitions(vec![(2, reduced)]);
+        let reduced = (0..4).map(|pi| own_store(&r, pi, Some(victim))).collect();
+        let r3 = Repose::build_from_parts(reduced, r.region(), cfg);
         let got: Vec<u64> = r3.query(&q, 8).hits.iter().map(|h| h.id).collect();
         let live: Vec<Trajectory> = d
             .trajectories()
@@ -632,13 +530,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn rebuild_partitions_rejects_bad_index() {
-        let d = dataset();
-        let cfg = ReposeConfig::new(Measure::Hausdorff)
-            .with_partitions(4)
-            .with_delta(0.7);
-        Repose::build(&d, cfg).rebuild_partitions(vec![(9, TrajStore::new())]);
+    #[should_panic(expected = "partition count")]
+    fn build_from_parts_rejects_a_wrong_partition_count() {
+        let cfg = ReposeConfig::new(Measure::Hausdorff).with_partitions(4);
+        let region = Mbr::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0));
+        Repose::build_from_parts(vec![TrajStore::new(); 3], region, cfg);
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub mod wire;
 
 pub use dataset::{Dataset, DatasetStats, PreprocessConfig};
 pub use error::ModelError;
-pub use mbr::Mbr;
+pub use mbr::{enclosing_square_of, Mbr};
 pub use point::Point;
 pub use segment::Segment;
 pub use store::TrajStore;

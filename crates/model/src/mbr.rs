@@ -142,10 +142,11 @@ impl Mbr {
 /// box and moves only when it missed. The sides then agree to within a
 /// few ulps.
 ///
-/// Shared by [`crate::Dataset::enclosing_square`] and
-/// [`crate::TrajStore::enclosing_square`], so the squaring rule cannot
-/// drift between the two containers.
-pub(crate) fn enclosing_square_of<'a>(points: impl Iterator<Item = &'a Point>) -> Option<Mbr> {
+/// Shared by [`crate::Dataset::enclosing_square`],
+/// [`crate::TrajStore::enclosing_square`] and the serving layer's
+/// compaction when a write leaves the region, so the squaring rule cannot
+/// drift between them.
+pub fn enclosing_square_of<'a>(points: impl Iterator<Item = &'a Point>) -> Option<Mbr> {
     let mut mbr = Mbr::empty();
     for p in points {
         mbr.expand(*p);

@@ -2,7 +2,7 @@
 //! checkpointing the WAL behind the result by installing it as an archive
 //! generation — plus the one statement of which rows are live.
 
-use crate::delta::{snapshot_len, DeltaLog};
+use crate::delta::snapshot_len;
 use crate::error::ServiceError;
 use crate::query::Snapshot;
 use crate::service::ReposeService;
@@ -10,7 +10,7 @@ use crate::stats::ServiceCounters;
 use repose::Repose;
 use repose_archive::{prune_generations, quarantine, write_archive, Archive, ArchiveError};
 use repose_durability::FailPlan;
-use repose_model::TrajStore;
+use repose_model::{enclosing_square_of, TrajStore};
 use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -39,7 +39,7 @@ pub(crate) fn install_generation(
 }
 
 /// The live rows of a snapshot as `(arena, slot)` pairs — the liveness
-/// rule compaction, the dirtiness test and [`ReposeService::len`] share.
+/// rule compaction and [`ReposeService::len`] share.
 impl Snapshot {
     /// Partition `pi`'s frozen survivors (rows whose id has no tombstone),
     /// in arena order.
@@ -71,12 +71,13 @@ fn gather<'a>(rows: impl Iterator<Item = (&'a TrajStore, usize)>) -> TrajStore {
 }
 
 impl ReposeService {
-    /// Folds every buffered write into rebuilt frozen tries —
-    /// **incrementally**: only partitions whose delta log changed since
-    /// the last compact (per-partition epoch counters) or whose frozen
-    /// data is hit by a tombstone are rebuilt; every other partition's
-    /// arena and trie are shared with the previous deployment untouched
-    /// (`Arc` clones via [`Repose::rebuild_partitions`]).
+    /// Folds every buffered write into rebuilt frozen tries: each
+    /// partition is rebuilt in place from its frozen survivors then its
+    /// live delta rows, on the deployment's grid. Placement never changes,
+    /// and neither does the region while every live delta point lies
+    /// inside it; a point outside grows the region to the enclosing square
+    /// of the old one and the delta points, so reference-point
+    /// discretization stays sound.
     ///
     /// The rebuild runs without holding the state lock — readers and
     /// writers proceed against the old state — and the new deployment is
@@ -84,13 +85,6 @@ impl ReposeService {
     /// compacted delta prefix. Writes that land mid-rebuild stay buffered
     /// and survive into the next compaction. Returns the number of
     /// trajectories in the rebuilt deployment.
-    ///
-    /// Incremental compaction keeps each rebuilt partition's existing data
-    /// placement (frozen survivors + its own delta arrivals) and reuses
-    /// the deployment's region grid; if a live delta point falls *outside*
-    /// that region — where reference-point discretization would clamp and
-    /// lose bound soundness — the compaction transparently falls back to
-    /// [`ReposeService::compact_full`]'s global re-partition.
     ///
     /// With durability enabled a completed compaction also **checkpoints**
     /// the WAL: the log rotates to a new segment (aligned with the
@@ -101,65 +95,32 @@ impl ReposeService {
     /// install fails, the rebuilt deployment still serves, the log keeps
     /// its older base, and the error is returned.
     pub fn compact(&self) -> Result<usize, ServiceError> {
-        self.compact_inner(false)
-    }
-
-    /// [`ReposeService::compact`] forced to rebuild the *whole*
-    /// deployment: the live set is re-partitioned globally (fresh region,
-    /// fresh placement), like the offline build. Use it to restore
-    /// partition balance after long runs of skewed writes; plain
-    /// `compact` is the cheap steady-state operation.
-    pub fn compact_full(&self) -> Result<usize, ServiceError> {
-        self.compact_inner(true)
-    }
-
-    fn compact_inner(&self, force_full: bool) -> Result<usize, ServiceError> {
         let _gate = self.compact_gate.lock().map_err(|_| ServiceError::StatePoisoned)?;
 
         // Phase 1: consistent snapshot.
-        let (snap, epochs, compacted_epochs, seq_snapshot) = {
+        let (snap, seq_snapshot) = {
             let s = self.state.read().map_err(|_| ServiceError::StatePoisoned)?;
-            let epochs: Vec<u64> = s.deltas.iter().map(DeltaLog::epoch).collect();
-            (s.snapshot(), epochs, s.compacted_epochs.clone(), s.op_seq)
+            (s.snapshot(), s.op_seq)
         };
         let frozen = &snap.frozen;
         let n = frozen.num_partitions();
 
-        // Selective rebuild reuses the frozen region's grid; live points
-        // outside it would discretize unsoundly — fall back to the global
-        // rebuild, which recomputes the region. (Checked lazily: a forced
-        // full rebuild skips the scan over every live delta point.)
-        let in_region = || {
-            let region = frozen.region();
+        // Phase 2: rebuild offline from the live snapshot.
+        let delta_points = || {
             (0..n)
                 .flat_map(|pi| snap.delta_live(pi))
-                .all(|(store, slot)| store.points(slot).iter().all(|p| region.contains(*p)))
+                .flat_map(|(store, slot)| store.points(slot))
         };
-
-        // Phase 2: rebuild offline from the live snapshot.
-        let (new_frozen, rebuilt_parts) = if force_full || !in_region() {
-            // Global re-partition: the live set as one flat arena (all
-            // frozen survivors, then all live delta rows — placement
-            // depends on this order), dealt out afresh.
-            let frozen_rows = (0..n).flat_map(|pi| snap.frozen_live(pi));
-            let live = gather(frozen_rows.chain((0..n).flat_map(|pi| snap.delta_live(pi))));
-            (Arc::new(Repose::build_from_store(&live, *frozen.config())), n)
+        let old = frozen.region();
+        let region = if delta_points().all(|p| old.contains(*p)) {
+            old
         } else {
-            // Incremental: a partition is dirty when its delta epoch moved
-            // past the last compacted epoch or a tombstone hides one of
-            // its frozen rows; the rest keep their trie + arena by `Arc`.
-            let replacements: Vec<(usize, TrajStore)> = (0..n)
-                .filter(|&pi| {
-                    epochs[pi] > compacted_epochs[pi]
-                        || snap.frozen_live(pi).count() < frozen.partition_view(pi).store.len()
-                })
-                .map(|pi| (pi, gather(snap.frozen_live(pi).chain(snap.delta_live(pi)))))
-                .collect();
-            match replacements.len() {
-                0 => (Arc::clone(frozen), 0),
-                count => (Arc::new(frozen.rebuild_partitions(replacements)), count),
-            }
+            enclosing_square_of([old.min, old.max].iter().chain(delta_points()))
+                .expect("the old corners are points")
         };
+        let parts = (0..n).map(|pi| gather(snap.frozen_live(pi).chain(snap.delta_live(pi))));
+        let new_frozen =
+            Arc::new(Repose::build_from_parts(parts.collect(), region, *frozen.config()));
 
         // Phase 3: atomic install.
         {
@@ -167,7 +128,6 @@ impl ReposeService {
             for (log, compacted) in s.deltas.iter_mut().zip(&snap.deltas) {
                 log.drain_prefix(snapshot_len(compacted));
             }
-            s.compacted_epochs.copy_from_slice(&epochs);
             // Tombstones at or before the snapshot are fully reflected in
             // the rebuilt deployment; later ones still apply.
             Arc::make_mut(&mut s.tombstones).retain(|_, seq| *seq > seq_snapshot);
@@ -175,8 +135,7 @@ impl ReposeService {
         }
         self.version.fetch_add(1, Ordering::Release);
         ServiceCounters::bump(&self.counters.compactions);
-        self.counters.partitions_rebuilt.fetch_add(rebuilt_parts as u64, Ordering::Relaxed);
-        self.counters.last_compact_rebuilt.store(rebuilt_parts as u64, Ordering::Relaxed);
+        self.counters.last_compact_rebuilt.store(n as u64, Ordering::Relaxed);
 
         // Phase 4 (durable services): make `new_frozen`, which reflects
         // exactly the operations with seq <= seq_snapshot, the log's
@@ -197,5 +156,102 @@ impl ReposeService {
             lock_wal()?.checkpoint(replaced)?;
         }
         Ok(new_frozen.partition_sizes().iter().sum())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{ReposeService, ServiceConfig};
+    use repose::{Repose, ReposeConfig};
+    use repose_distance::{Measure, MeasureParams};
+    use repose_model::{Dataset, Point, Trajectory};
+
+    const PARTITIONS: usize = 4;
+    const FAR: u64 = 9_999;
+
+    /// Offsets chosen so that squaring the region's own corners again
+    /// moves its lower y edge by an ulp: only the keep branch keeps it.
+    fn line(id: u64) -> Trajectory {
+        let (x, y) = (0.1 + (id % 7) as f64, 2.2 + (id / 7) as f64);
+        Trajectory::new(id, (0..6).map(|j| Point::new(x + j as f64 * 0.5, y)).collect())
+    }
+
+    /// A sequential, cache-less service over lines `0..40`.
+    fn service(measure: Measure, params: MeasureParams) -> ReposeService {
+        let frozen: Vec<Trajectory> = (0..40).map(line).collect();
+        let cfg = ReposeConfig::new(measure)
+            .with_partitions(PARTITIONS)
+            .with_delta(0.7)
+            .with_params(params);
+        let built = Repose::build(&Dataset::from_trajectories(frozen), cfg);
+        let config = ServiceConfig { cache_capacity: 0, pool_threads: 1, ..Default::default() };
+        ReposeService::with_config(built, config)
+    }
+
+    /// Writes and deletes inside the frozen region leave the region, and
+    /// with it the grid every trie is built on, bit for bit.
+    #[test]
+    fn an_in_region_compaction_keeps_the_region_bit_for_bit() {
+        let svc = service(Measure::Frechet, MeasureParams::default());
+        let bits = |svc: &ReposeService| {
+            let r = svc.snapshot().frozen.region();
+            [r.min.x, r.min.y, r.max.x, r.max.y].map(f64::to_bits)
+        };
+        let before = bits(&svc);
+        svc.insert(line(12)).unwrap();
+        svc.insert(Trajectory::new(77, vec![Point::new(0.6, 2.7), Point::new(6.1, 7.2)])).unwrap();
+        svc.remove(3).unwrap();
+        svc.compact().unwrap();
+        assert_eq!(bits(&svc), before);
+    }
+
+    /// A write far outside the frozen region grows the region to cover it
+    /// and keeps every frozen survivor in its partition, and the rebuilt
+    /// deployment answers every measure exactly.
+    #[test]
+    fn a_write_outside_the_region_grows_it_and_keeps_placement() {
+        let far = Trajectory::new(FAR, vec![Point::new(500.0, 500.0), Point::new(501.0, 499.0)]);
+        let mut live: Vec<Trajectory> = (0..40).filter(|&id| id != 5).map(line).collect();
+        live.push(far.clone());
+        let near = vec![Point::new(1.1, 4.2), Point::new(2.6, 4.2)];
+        let at_far = vec![Point::new(500.2, 500.1)];
+        let params = MeasureParams::with_eps(0.5);
+        for measure in Measure::ALL {
+            let svc = service(measure, params);
+            svc.remove(5).unwrap();
+            svc.insert(far.clone()).unwrap();
+            let old = svc.snapshot().frozen;
+            assert!(!far.points.iter().all(|p| old.region().contains(*p)));
+            assert_eq!(svc.compact().unwrap(), live.len());
+            assert_eq!(svc.stats().last_compact_rebuilt, PARTITIONS);
+
+            let new = svc.snapshot().frozen;
+            assert!(far.points.iter().all(|p| new.region().contains(*p)), "{measure}");
+            assert!(new.region().contains_mbr(&old.region()), "{measure}: region shrank");
+            for pi in 0..PARTITIONS {
+                let ids = |store: &repose_model::TrajStore| -> Vec<u64> {
+                    (0..store.len()).map(|s| store.id(s)).collect()
+                };
+                let mut kept = ids(old.partition_view(pi).store);
+                kept.retain(|&id| id != 5);
+                if pi == FAR as usize % PARTITIONS {
+                    kept.push(FAR);
+                }
+                assert_eq!(ids(new.partition_view(pi).store), kept, "{measure}: partition {pi}");
+            }
+
+            assert_eq!(svc.query(&at_far, 1).unwrap().hits[0].id, FAR, "{measure}");
+            for q in [&near, &at_far] {
+                let mut truth: Vec<f64> =
+                    live.iter().map(|t| params.distance(measure, q, &t.points)).collect();
+                truth.sort_unstable_by(f64::total_cmp);
+                for k in [1, 5, live.len()] {
+                    let got: Vec<u64> =
+                        svc.query(q, k).unwrap().hits.iter().map(|h| h.dist.to_bits()).collect();
+                    let want: Vec<u64> = truth[..k].iter().map(|d| d.to_bits()).collect();
+                    assert_eq!(got, want, "{measure} k={k}: answer differs from brute force");
+                }
+            }
+        }
     }
 }

@@ -79,11 +79,6 @@ pub(crate) struct DeltaLog {
     segments: Vec<Arc<DeltaSegment>>,
     /// Total entries across segments (including superseded ones).
     entries: usize,
-    /// Monotone write epoch: bumped on every push, never reset. Compaction
-    /// records the epoch it covered; `epoch > compacted_epoch` means this
-    /// partition's log changed since the last compact (the incremental-
-    /// compaction dirtiness test).
-    epoch: u64,
     /// Set by [`DeltaLog::seal`]: the next push must start a fresh
     /// segment even if the tail is uniquely owned.
     sealed: bool,
@@ -112,7 +107,6 @@ impl DeltaLog {
             self.sealed = false;
         }
         self.entries += 1;
-        self.epoch += 1;
     }
 
     /// Seals the current tail segment: the next push starts a fresh one.
@@ -127,11 +121,6 @@ impl DeltaLog {
     /// Number of log entries (including superseded ones).
     pub(crate) fn len(&self) -> usize {
         self.entries
-    }
-
-    /// The log's write epoch (see the field docs).
-    pub(crate) fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// O(#segments) immutable snapshot: `Arc` clones only. Any write after
@@ -300,18 +289,5 @@ mod tests {
         empty.seal();
         push(&mut empty, 1, 1);
         assert_eq!(empty.snapshot().len(), 1);
-    }
-
-    #[test]
-    fn epoch_counts_every_push_and_survives_drain() {
-        let mut log = DeltaLog::default();
-        assert_eq!(log.epoch(), 0);
-        push(&mut log, 1, 1);
-        push(&mut log, 2, 2);
-        assert_eq!(log.epoch(), 2);
-        log.drain_prefix(2);
-        assert_eq!(log.epoch(), 2, "epoch is monotone, not reset by drains");
-        push(&mut log, 3, 3);
-        assert_eq!(log.epoch(), 3);
     }
 }

@@ -24,10 +24,10 @@
 //!   [`ReposeService::query_batch`] is the same engine admitting a whole
 //!   batch onto the pool with per-query collectors. Results are exactly
 //!   what a freshly rebuilt index over the same live data would return.
-//! * **Compaction** ([`ReposeService::compact`]) rebuilds *only the
-//!   partitions dirtied since the last compact* off-line and swaps the
-//!   deployment in atomically; readers are only blocked for the pointer
-//!   swap. [`ReposeService::compact_full`] forces the global re-partition.
+//! * **Compaction** ([`ReposeService::compact`]) rebuilds every partition
+//!   in place off-line — its frozen survivors plus its live delta rows, on
+//!   the deployment's grid — and swaps the deployment in atomically;
+//!   readers are only blocked for the pointer swap.
 //! * **Caching**: results are cached per (exact coordinate bits, k,
 //!   measure) in a [`QueryCache`] and invalidated by a global write
 //!   version — a cache hit is never staler than the latest completed

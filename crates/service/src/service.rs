@@ -95,11 +95,6 @@ impl Default for ServiceConfig {
 pub(crate) struct ServeState {
     pub(crate) frozen: Arc<Repose>,
     pub(crate) deltas: Vec<DeltaLog>,
-    /// Each partition's [`DeltaLog::epoch`] as of the last completed
-    /// compaction — the incremental-compaction dirtiness counters:
-    /// `deltas[pi].epoch() > compacted_epochs[pi]` means partition `pi`'s
-    /// log changed since the last compact and it must be rebuilt.
-    pub(crate) compacted_epochs: Vec<u64>,
     /// id -> sequence of its latest write (insert *or* delete). An id in
     /// this map is hidden from the frozen index; the delta entry with a
     /// sequence >= the tombstone sequence (if any) is its live version.
@@ -129,7 +124,7 @@ impl ServeState {
 /// module docs for the locking discipline. Construction freezes the
 /// initial dataset exactly like the offline pipeline; everything written
 /// afterwards lives in delta buffers until [`ReposeService::compact`]
-/// folds it into (selectively) rebuilt tries.
+/// folds it into rebuilt tries.
 pub struct ReposeService {
     pub(crate) state: RwLock<ServeState>,
     /// Serializes compactions (the rebuild is expensive; overlapping
@@ -251,7 +246,6 @@ impl ReposeService {
             state: RwLock::new(ServeState {
                 frozen: Arc::new(repose),
                 deltas: (0..partitions).map(|_| DeltaLog::default()).collect(),
-                compacted_epochs: vec![0; partitions],
                 tombstones: Arc::new(HashMap::new()),
                 op_seq,
             }),

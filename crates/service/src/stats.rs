@@ -33,7 +33,6 @@ pub(crate) struct ServiceCounters {
     pub(crate) inserts: AtomicU64,
     pub(crate) deletes: AtomicU64,
     pub(crate) compactions: AtomicU64,
-    pub(crate) partitions_rebuilt: AtomicU64,
     pub(crate) last_compact_rebuilt: AtomicU64,
     pub(crate) cache_hits: AtomicU64,
     pub(crate) cache_misses: AtomicU64,
@@ -80,7 +79,6 @@ impl ServiceCounters {
             inserts: self.inserts.load(Ordering::Relaxed),
             deletes: self.deletes.load(Ordering::Relaxed),
             compactions: self.compactions.load(Ordering::Relaxed),
-            partitions_rebuilt: self.partitions_rebuilt.load(Ordering::Relaxed),
             last_compact_rebuilt: self.last_compact_rebuilt.load(Ordering::Relaxed) as usize,
             partitions,
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
@@ -116,14 +114,11 @@ pub struct ServiceStats {
     pub deletes: u64,
     /// Completed compactions.
     pub compactions: u64,
-    /// Partitions rebuilt across all compactions so far. Incremental
-    /// compaction rebuilds only dirtied partitions, so this grows by the
-    /// dirty count per compact — not by the partition count.
-    pub partitions_rebuilt: u64,
-    /// Partitions the most recent compaction rebuilt (0 before any
+    /// Partitions the most recent compaction rebuilt: the partition
+    /// count, since every compaction rebuilds each partition (0 before any
     /// compaction).
     pub last_compact_rebuilt: usize,
-    /// Partitions in the deployment (the rebuild counters' denominator).
+    /// Partitions in the deployment.
     pub partitions: usize,
     /// Queries answered from the result cache.
     pub cache_hits: u64,

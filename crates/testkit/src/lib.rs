@@ -72,8 +72,7 @@ pub fn tie_traj(id: u64) -> Trajectory {
 
 /// Region fence posts: extreme corners so `enclosing_square` always covers
 /// every trajectory [`tie_traj`] can produce (delta inserts included —
-/// incremental compaction never falls back for region reasons unless a
-/// test arranges it).
+/// compaction never has to grow the region unless a test arranges it).
 pub fn sentinels() -> Vec<Trajectory> {
     vec![
         Trajectory::new(1_000_000, vec![Point::new(-1.0, -1.0)]),

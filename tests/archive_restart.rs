@@ -9,9 +9,10 @@
 //! with no generation left it fails typed, never serving a wrong answer.
 
 use repose::{Repose, ReposeConfig};
-use repose_archive::{list_generations, ArchiveError};
+use repose_archive::{list_generations, write_archive, ArchiveError};
 use repose_distance::{Measure, MeasureParams};
 use repose_durability::{DurabilityConfig, FailAction, FailPlan, FsyncPolicy};
+use repose_model::TrajStore;
 use repose_service::{ReposeService, ServiceConfig, ServiceError};
 use repose_testkit::{sorted_dist_bits, tie_dataset, tie_queries, tie_traj};
 use std::path::{Path, PathBuf};
@@ -296,4 +297,34 @@ fn generations_are_pruned_to_the_retention_limit() {
     );
     let _ = std::fs::remove_dir_all(&wal);
     let _ = std::fs::remove_dir_all(&arc);
+}
+
+/// A compaction rebuilds every partition in place, so a partition no
+/// write touched must come back exactly as it was: building each
+/// partition from its own rows, in arena order, on the deployment's region
+/// writes a byte-identical archive, for every measure.
+#[test]
+fn rebuilding_every_partition_in_place_writes_an_identical_archive() {
+    for measure in Measure::ALL {
+        let built = Repose::build(&tie_dataset(0..120), repose_config(measure));
+        let stores: Vec<TrajStore> = (0..PARTITIONS)
+            .map(|pi| {
+                let store = built.partition_view(pi).store;
+                let mut copy = TrajStore::new();
+                for slot in 0..store.len() {
+                    copy.push_from(store, slot);
+                }
+                copy
+            })
+            .collect();
+        let rebuilt = Repose::build_from_parts(stores, built.region(), *built.config());
+        let image = |deployment: &Repose| {
+            let dir = fresh_dir("inplace");
+            let path = write_archive(&dir, deployment, 7, &FailPlan::new()).expect("write");
+            let bytes = std::fs::read(&path).expect("read back");
+            std::fs::remove_dir_all(&dir).ok();
+            bytes
+        };
+        assert!(image(&built) == image(&rebuilt), "{measure}: the in-place rebuild differs");
+    }
 }

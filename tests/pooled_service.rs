@@ -9,18 +9,17 @@
 //!   (`pool_threads: 1`), for all six measures, under heavy k-th-boundary
 //!   ties, with live delta buffers and tombstones in play. Each reported
 //!   distance must also be the candidate's true exact distance.
-//! * **Incremental ≡ full**: `compact()` (selective per-partition
-//!   rebuild) must leave the service answering exactly like
-//!   `compact_full()` (global re-partition) and like a from-scratch
-//!   rebuild over the same live set, under interleaved writes — and its
-//!   rebuild counters must prove only dirtied partitions were touched.
+//! * **Compacted ≡ rebuilt**: every `compact()` rebuilds each partition
+//!   in place and must leave the service answering exactly like a
+//!   from-scratch build over the same live set, under interleaved writes,
+//!   no-op compactions and deletes.
 //!
 //! Comparisons repeat across several queries and k values (including k
 //! cutting through tie groups) to shake out pool interleavings.
 
 use repose::{Repose, ReposeConfig};
 use repose_distance::{Measure, MeasureParams};
-use repose_model::{Dataset, Point, Trajectory};
+use repose_model::{Dataset, Trajectory};
 use repose_service::{ReposeService, ServiceConfig, ServiceOutcome};
 use repose_testkit::{sentinels, tie_dataset, tie_queries as queries, tie_traj};
 use std::sync::Arc;
@@ -209,113 +208,52 @@ fn pooled_queries_race_writers_and_compactions() {
     }
 }
 
-/// Acceptance criterion: incremental compaction rebuilds *only* dirtied
-/// partitions (counter-asserted) and answers exactly like the full
-/// rebuild under interleaved writes.
+/// Every compaction rebuilds all partitions, and after each one the
+/// service answers like a from-scratch build over the live set: after the
+/// initial backlog, after writes confined to one delta partition, after a
+/// no-op compact, and after a single delete.
 #[test]
-fn incremental_compact_matches_full_rebuild_and_counts_dirty_partitions() {
+fn every_compact_rebuilds_each_partition_and_matches_a_scratch_build() {
     let measure = Measure::Frechet;
     let n = 8usize;
-    let incremental = service(measure, POOL_THREADS);
-    let full = service(measure, POOL_THREADS);
-
-    // Round 1: both services compact their identical backlogs.
-    let a = incremental.compact().unwrap();
-    let b = full.compact_full().unwrap();
-    assert_eq!(a, b, "live counts diverged");
-    let stats = incremental.stats();
-    assert_eq!(stats.partitions, n);
-    // The initial backlog touches every partition (inserts 100..140 cover
-    // all residues mod 8), so the first compact legitimately rebuilds all.
-    assert_eq!(stats.last_compact_rebuilt, n);
-    assert_eq!(full.stats().last_compact_rebuilt, n);
-
-    // Round 2: writes confined to delta partition 1 (ids ≡ 1 mod 8;
-    // fresh ids, so no frozen partition is tombstone-dirtied elsewhere).
-    for svc in [&incremental, &full] {
-        for base in [2001u64, 2003, 2009, 2011] {
-            svc.insert(tie_traj(base * 8 + 1)).unwrap();
-        }
-    }
-    let a = incremental.compact().unwrap();
-    let b = full.compact_full().unwrap();
-    assert_eq!(a, b);
-    let inc_stats = incremental.stats();
-    assert!(
-        inc_stats.last_compact_rebuilt < n,
-        "incremental compact rebuilt all {n} partitions for a 2-partition write set"
-    );
-    assert_eq!(
-        full.stats().last_compact_rebuilt,
-        n,
-        "compact_full must rebuild everything"
-    );
-    assert!(inc_stats.partitions_rebuilt < full.stats().partitions_rebuilt);
-
-    // Round 3: a no-op compact rebuilds nothing and changes nothing
-    // (distance multisets — tied ids may legitimately differ between
-    // pooled runs, Definition 3).
-    let before: Vec<Vec<u64>> = queries()
-        .iter()
-        .map(|q| sorted_dist_bits(&incremental.query(q, 9).unwrap()))
-        .collect();
-    incremental.compact().unwrap();
-    assert_eq!(incremental.stats().last_compact_rebuilt, 0);
-    let after: Vec<Vec<u64>> = queries()
-        .iter()
-        .map(|q| sorted_dist_bits(&incremental.query(q, 9).unwrap()))
-        .collect();
-    assert_eq!(before, after, "no-op compact changed answers");
-
-    // Round 4: a single delete dirties exactly one partition.
-    incremental.remove(10).unwrap(); // a frozen id (in exactly one partition)
-    full.remove(10).unwrap();
-    incremental.compact().unwrap();
-    assert_eq!(incremental.stats().last_compact_rebuilt, 1);
-
-    // Throughout: both services agree with a from-scratch rebuild.
+    let svc = service(measure, POOL_THREADS);
     let mut live = live_set();
+    let check = |live: &[Trajectory], round: &str| {
+        assert_eq!(svc.compact().unwrap(), live.len(), "{round}: live count");
+        let stats = svc.stats();
+        assert_eq!(stats.partitions, n);
+        assert_eq!(stats.last_compact_rebuilt, n, "{round}: not every partition rebuilt");
+        assert_eq!(stats.delta_len, 0, "{round}: backlog left after compact");
+        let rebuilt = Repose::build(&Dataset::from_trajectories(live.to_vec()), config(measure, n));
+        for q in &queries() {
+            for k in [1usize, 9, 11] {
+                let got = sorted_dist_bits(&svc.query(q, k).unwrap());
+                let hits = rebuilt.query(q, k).hits;
+                let want = repose_testkit::sorted_dist_bits(hits.iter().map(|h| h.dist));
+                assert_eq!(got, want, "{round} k={k}: compacted != rebuilt");
+            }
+        }
+    };
+
+    // Round 1: the initial backlog (inserts 100..140 cover every
+    // residue mod 8, plus upserts and deletes of frozen ids).
+    check(&live, "backlog");
+
+    // Round 2: writes confined to delta partition 1 (fresh ids ≡ 1 mod 8).
     for base in [2001u64, 2003, 2009, 2011] {
+        svc.insert(tie_traj(base * 8 + 1)).unwrap();
         live.push(tie_traj(base * 8 + 1));
     }
-    live.retain(|t| t.id != 10);
-    let rebuilt = Repose::build(&Dataset::from_trajectories(live), config(measure, 8));
-    full.compact_full().unwrap();
-    for q in &queries() {
-        let i = incremental.query(q, 11).unwrap();
-        let f = full.query(q, 11).unwrap();
-        let r = rebuilt.query(q, 11);
-        let key = |hits: &[repose::Hit]| {
-            let mut d: Vec<u64> = hits.iter().map(|h| h.dist.to_bits()).collect();
-            d.sort_unstable();
-            d
-        };
-        assert_eq!(key(&i.hits), key(&f.hits), "incremental != full");
-        assert_eq!(key(&i.hits), key(&r.hits), "incremental != rebuilt");
-    }
-}
+    check(&live, "one partition written");
 
-/// Writes that leave the frozen region force the documented fall back to
-/// a full rebuild (region + grid must be recomputed for soundness).
-#[test]
-fn out_of_region_writes_fall_back_to_full_rebuild() {
-    let svc = service(Measure::Hausdorff, 1);
-    svc.compact().unwrap();
-    svc.insert(Trajectory::new(
-        9_999_999,
-        vec![Point::new(500.0, 500.0)], // far outside the sentinel fence
-    ))
-    .unwrap();
-    let before = svc.len();
-    svc.compact().unwrap();
-    assert_eq!(svc.len(), before);
-    assert_eq!(
-        svc.stats().last_compact_rebuilt,
-        8,
-        "out-of-region write must trigger the full rebuild"
-    );
-    let q: Vec<Point> = vec![Point::new(499.0, 499.0)];
-    assert_eq!(svc.query(&q, 1).unwrap().hits[0].id, 9_999_999);
+    // Round 3: a no-op compact still rebuilds every partition and changes
+    // no answer.
+    check(&live, "no-op");
+
+    // Round 4: a single delete of a frozen id.
+    svc.remove(10).unwrap();
+    live.retain(|t| t.id != 10);
+    check(&live, "one delete");
 }
 
 /// A repeated batch is served entirely from the cache and agrees with the
