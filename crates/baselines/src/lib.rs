@@ -20,6 +20,9 @@
 //!
 //! All three execute on the same simulated [`repose_cluster::Cluster`] as
 //! REPOSE, so query times (simulated makespans) are directly comparable.
+//! DITA and DFT verify their candidates through REPOSE's own verification
+//! step ([`repose_distance::MeasureParams::verify`]), so the exact kernels
+//! and the tie rule are the same on every side of the comparison.
 //!
 //! ```
 //! use repose_baselines::LinearScan;
@@ -56,7 +59,8 @@ pub use dita::{Dita, DitaConfig};
 pub use ls::LinearScan;
 
 use repose_cluster::JobStats;
-use repose_model::TrajId;
+use repose_distance::{bound_exceeds, just_above, DistScratch, Measure, MeasureParams, SharedTopK};
+use repose_model::{Point, TrajId};
 
 /// A scored hit returned by a baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -89,23 +93,26 @@ pub(crate) fn merge_top_k(
 /// Exact refinement of `(lower_bound, id, points)` candidates under a
 /// running top-k threshold — the early-abandoning counterpart of "score
 /// every candidate, sort, truncate to k" that DITA and DFT used to do.
-/// [`repose_distance::MeasureParams::refine_by_bound`] under a collector
-/// private to the call whose bound starts at `cap` (inclusive); see there
-/// for the ordering and tie semantics. The result is the k smallest
-/// `(dist, id)` pairs among candidates with `dist <= cap` — identical to
-/// what exhaustive exact scoring would keep.
+/// Candidates are sorted by `(bound, id)`, so the k-th distance tightens on
+/// the likely-closest ones first, and handed to the one verification step
+/// ([`repose_distance::MeasureParams::verify`]) until a bound proves the
+/// sorted rest cannot beat the cutoff. The collector is private to the
+/// call and seeded at `just_above(cap)`, so candidates at exactly `cap`
+/// are kept. The result is the k smallest distances among candidates with
+/// `dist <= cap` — what exhaustive exact scoring would keep, up to which
+/// ids tie at the k-th distance (Definition 3).
 pub(crate) fn refine_top_k(
-    cands: Vec<(f64, TrajId, &[repose_model::Point])>,
-    query: &[repose_model::Point],
-    measure: repose_distance::Measure,
-    params: &repose_distance::MeasureParams,
+    mut cands: Vec<(f64, TrajId, &[Point])>,
+    query: &[Point],
+    measure: Measure,
+    params: &MeasureParams,
     k: usize,
     cap: f64,
 ) -> Vec<BaselineHit> {
-    let collector = repose_distance::SharedTopK::with_initial_bound(k, cap);
-    repose_distance::DistScratch::with_thread(|scratch| {
-        params.refine_by_bound(measure, query, &collector, cands, |_| {}, scratch)
-    });
+    cands.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    let collector = SharedTopK::with_initial_bound(k, just_above(cap));
+    let live = cands.into_iter().take_while(|c| !bound_exceeds(c.0, collector.bound()));
+    DistScratch::with_thread(|scratch| params.verify(measure, query, live, &collector, scratch));
     collector.hits().into_iter().map(|h| BaselineHit { id: h.id, dist: h.dist }).collect()
 }
 

@@ -93,9 +93,7 @@ impl Repose {
         // dataset's point slices.
         let trajs = dataset.trajectories();
         let slot_parts = crate::partition::partition_slots_by(
-            trajs.len(),
-            &|i| trajs[i].points.as_slice(),
-            &|i| trajs[i].id,
+            trajs,
             &region,
             config.strategy,
             config.num_partitions,

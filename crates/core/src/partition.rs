@@ -7,7 +7,7 @@
 //! receives a slice of *every* cluster. Homogeneous (DITA/DFT-style
 //! similar-together placement) and random are the Table VII baselines.
 
-use repose_model::{Mbr, TrajStore};
+use repose_model::{Mbr, Trajectory};
 use repose_zorder::geohash_key;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -35,45 +35,21 @@ impl PartitionStrategy {
     }
 }
 
-/// Splits the trajectories of `store` into `n_partitions` slot lists
-/// according to `strategy` — the allocation-light core of partitioning:
-/// no points are copied, only slot indices are dealt out. The caller
-/// materializes per-partition [`TrajStore`]s with arena-to-arena range
-/// copies.
+/// Splits `trajs` into `n_partitions` slot lists according to
+/// `strategy` — the allocation-light core of partitioning: no points are
+/// copied, only indices into `trajs` are dealt out. The caller fills each
+/// partition's [`repose_model::TrajStore`] straight from the slices.
 ///
 /// Returns the partitions in order; the caller assigns partition `p` to
 /// worker `p % workers` (Spark-style placement).
-pub fn partition_slots(
-    store: &TrajStore,
+pub(crate) fn partition_slots_by(
+    trajs: &[Trajectory],
     region: &Mbr,
     strategy: PartitionStrategy,
     n_partitions: usize,
     seed: u64,
 ) -> Vec<Vec<usize>> {
-    partition_slots_by(
-        store.len(),
-        &|slot| store.points(slot),
-        &|slot| store.id(slot),
-        region,
-        strategy,
-        n_partitions,
-        seed,
-    )
-}
-
-/// The strategy dispatch over an `(points, id)` accessor pair — one
-/// implementation serves the arena ([`partition_slots`]) and
-/// framework-build fronts, so the deal-out rules cannot drift between
-/// them.
-pub(crate) fn partition_slots_by<'a>(
-    n: usize,
-    points_of: &dyn Fn(usize) -> &'a [repose_model::Point],
-    id_of: &dyn Fn(usize) -> repose_model::TrajId,
-    region: &Mbr,
-    strategy: PartitionStrategy,
-    n_partitions: usize,
-    seed: u64,
-) -> Vec<Vec<usize>> {
+    let n = trajs.len();
     assert!(n_partitions > 0, "need at least one partition");
     let mut parts: Vec<Vec<usize>> = (0..n_partitions).map(|_| Vec::new()).collect();
     if n == 0 {
@@ -87,7 +63,7 @@ pub(crate) fn partition_slots_by<'a>(
             }
         }
         PartitionStrategy::Heterogeneous => {
-            let order = cluster_sorted_order(n, points_of, id_of, region, n_partitions);
+            let order = cluster_sorted_order(trajs, region, n_partitions);
             for (i, ti) in order.into_iter().enumerate() {
                 parts[i % n_partitions].push(ti);
             }
@@ -95,7 +71,7 @@ pub(crate) fn partition_slots_by<'a>(
         PartitionStrategy::Homogeneous => {
             // Same cluster-sorted order, but contiguous chunks: whole
             // clusters land in the same partition.
-            let order = cluster_sorted_order(n, points_of, id_of, region, n_partitions);
+            let order = cluster_sorted_order(trajs, region, n_partitions);
             let chunk = order.len().div_ceil(n_partitions);
             for (i, ti) in order.into_iter().enumerate() {
                 parts[(i / chunk).min(n_partitions - 1)].push(ti);
@@ -108,19 +84,14 @@ pub(crate) fn partition_slots_by<'a>(
 /// The SOM-TC style clustering loop: find the finest geohash granularity
 /// that yields at most ~`N / NG` clusters, then emit trajectory slots
 /// sorted by (cluster id, trajectory id).
-fn cluster_sorted_order<'a>(
-    n: usize,
-    points_of: &dyn Fn(usize) -> &'a [repose_model::Point],
-    id_of: &dyn Fn(usize) -> repose_model::TrajId,
-    region: &Mbr,
-    n_partitions: usize,
-) -> Vec<usize> {
+fn cluster_sorted_order(trajs: &[Trajectory], region: &Mbr, n_partitions: usize) -> Vec<usize> {
+    let n = trajs.len();
     let target = (n / n_partitions).max(1);
     let mut chosen: Option<Vec<u64>> = None;
     // Start fine (each trajectory its own cluster) and coarsen.
     for bits in (1..=12u8).rev() {
         let keys: Vec<Vec<u64>> = (0..n)
-            .map(|slot| geohash_key(points_of(slot), region, bits))
+            .map(|slot| geohash_key(&trajs[slot].points, region, bits))
             .collect();
         let distinct = {
             let mut set: HashMap<&[u64], ()> = HashMap::with_capacity(n);
@@ -144,21 +115,20 @@ fn cluster_sorted_order<'a>(
     }
     let cluster_of = chosen.expect("loop always terminates at bits == 1");
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&i| (cluster_of[i], id_of(i)));
+    order.sort_by_key(|&i| (cluster_of[i], trajs[i].id));
     order
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use repose_model::Point;
+    use repose_model::{enclosing_square_of, Point};
     use std::collections::HashSet;
 
     /// Ten clusters of ten near-identical trajectories each; the id of
     /// trajectory `j` of cluster `c` is `10 c + j`.
-    fn clustered_store() -> (TrajStore, Mbr) {
-        let mut store = TrajStore::new();
-        let mut id = 0;
+    fn clustered() -> (Vec<Trajectory>, Mbr) {
+        let mut trajs = Vec::new();
         for c in 0..10 {
             let cx = (c % 5) as f64 * 20.0;
             let cy = (c / 5) as f64 * 40.0;
@@ -167,42 +137,41 @@ mod tests {
                 let points: Vec<Point> = (0..10)
                     .map(|s| Point::new(cx + s as f64 * 0.5 + jitter, cy + jitter))
                     .collect();
-                store.push(id, &points);
-                id += 1;
+                trajs.push(Trajectory::new(10 * c + j, points));
             }
         }
-        let region = store.enclosing_square().unwrap();
-        (store, region)
+        let region = enclosing_square_of(trajs.iter().flat_map(|t| &t.points)).unwrap();
+        (trajs, region)
     }
 
     /// The distinct clusters a partition's slots cover.
-    fn clusters(store: &TrajStore, slots: &[usize]) -> HashSet<u64> {
-        slots.iter().map(|&s| store.id(s) / 10).collect()
+    fn clusters(trajs: &[Trajectory], slots: &[usize]) -> HashSet<u64> {
+        slots.iter().map(|&s| trajs[s].id / 10).collect()
     }
 
     #[test]
     fn all_strategies_conserve_items() {
-        let (store, region) = clustered_store();
+        let (trajs, region) = clustered();
         for s in [
             PartitionStrategy::Heterogeneous,
             PartitionStrategy::Homogeneous,
             PartitionStrategy::Random,
         ] {
-            let parts = partition_slots(&store, &region, s, 4, 1);
+            let parts = partition_slots_by(&trajs, &region, s, 4, 1);
             assert_eq!(parts.len(), 4);
-            let mut ids: Vec<u64> = parts.iter().flatten().map(|&slot| store.id(slot)).collect();
+            let mut ids: Vec<u64> = parts.iter().flatten().map(|&slot| trajs[slot].id).collect();
             ids.sort_unstable();
-            assert_eq!(ids, (0..store.len() as u64).collect::<Vec<_>>(), "{s:?}");
+            assert_eq!(ids, (0..trajs.len() as u64).collect::<Vec<_>>(), "{s:?}");
         }
     }
 
     #[test]
     fn heterogeneous_spreads_clusters() {
-        let (store, region) = clustered_store();
-        let parts = partition_slots(&store, &region, PartitionStrategy::Heterogeneous, 5, 1);
+        let (trajs, region) = clustered();
+        let parts = partition_slots_by(&trajs, &region, PartitionStrategy::Heterogeneous, 5, 1);
         // Every partition should hold trajectories from most clusters.
         for (pi, p) in parts.iter().enumerate() {
-            let covered = clusters(&store, p).len();
+            let covered = clusters(&trajs, p).len();
             assert!(covered >= 8, "partition {pi} covers only {covered} clusters");
         }
         // Balanced sizes (round-robin guarantees ±1).
@@ -212,10 +181,10 @@ mod tests {
 
     #[test]
     fn homogeneous_keeps_clusters_together() {
-        let (store, region) = clustered_store();
-        let parts = partition_slots(&store, &region, PartitionStrategy::Homogeneous, 5, 1);
+        let (trajs, region) = clustered();
+        let parts = partition_slots_by(&trajs, &region, PartitionStrategy::Homogeneous, 5, 1);
         // Most partitions should see few distinct clusters.
-        let avg_clusters: f64 = parts.iter().map(|p| clusters(&store, p).len() as f64).sum::<f64>()
+        let avg_clusters: f64 = parts.iter().map(|p| clusters(&trajs, p).len() as f64).sum::<f64>()
             / parts.len() as f64;
         assert!(
             avg_clusters <= 4.0,
@@ -225,25 +194,24 @@ mod tests {
 
     #[test]
     fn random_is_deterministic_per_seed() {
-        let (store, region) = clustered_store();
-        let a = partition_slots(&store, &region, PartitionStrategy::Random, 4, 5);
-        let b = partition_slots(&store, &region, PartitionStrategy::Random, 4, 5);
+        let (trajs, region) = clustered();
+        let a = partition_slots_by(&trajs, &region, PartitionStrategy::Random, 4, 5);
+        let b = partition_slots_by(&trajs, &region, PartitionStrategy::Random, 4, 5);
         assert_eq!(a, b);
     }
 
     #[test]
     fn empty_dataset_yields_empty_partitions() {
         let region = Mbr::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0));
-        let parts =
-            partition_slots(&TrajStore::new(), &region, PartitionStrategy::Heterogeneous, 3, 1);
+        let parts = partition_slots_by(&[], &region, PartitionStrategy::Heterogeneous, 3, 1);
         assert_eq!(parts.len(), 3);
         assert!(parts.iter().all(Vec::is_empty));
     }
 
     #[test]
     fn single_partition_gets_everything() {
-        let (store, region) = clustered_store();
-        let parts = partition_slots(&store, &region, PartitionStrategy::Heterogeneous, 1, 1);
-        assert_eq!(parts[0].len(), store.len());
+        let (trajs, region) = clustered();
+        let parts = partition_slots_by(&trajs, &region, PartitionStrategy::Heterogeneous, 1, 1);
+        assert_eq!(parts[0].len(), trajs.len());
     }
 }

@@ -35,10 +35,12 @@
 //! column also pushes a node's siblings side by side
 //! ([`DtwColumn::push_cells`]), in SIMD lanes where the backend has them.
 //!
-//! The query's one top-k lives here too: [`SharedTopK`], the collector
-//! every search of one query — trie descent, delta scan, baseline
-//! refinement ([`MeasureParams::refine_by_bound`]) — prunes with and
-//! publishes into, and whose pool is the query's answer.
+//! So do the query's one top-k and the one step that fills it:
+//! [`SharedTopK`], the collector every search of one query — trie
+//! descent, delta scan, baseline refinement — prunes with and publishes
+//! into, and whose pool is the query's answer; and
+//! [`MeasureParams::verify`], the loop all three score their candidates
+//! with, strictly under the collector's live bound.
 //!
 //! The lint attributes confine `unsafe` to the AVX2 lane type
 //! (`simd::avx2`), the one dispatch site that enters it, and the
@@ -92,7 +94,7 @@ pub use erp::erp;
 pub use frechet::frechet;
 pub use hausdorff::{hausdorff, HausdorffState};
 pub use lcss::{lcss_distance, lcss_length};
-pub use measure::{Measure, MeasureParams, RefineEvent, BATCH_LANES};
+pub use measure::{Measure, MeasureParams, BATCH_LANES};
 pub use scratch::DistScratch;
 pub use shared::{Hit, SharedTopK, ThresholdSource};
 pub use summary::TrajSummary;

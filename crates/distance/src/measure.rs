@@ -2,33 +2,18 @@ use crate::backend::{dispatch, Kernel, Lanes};
 use crate::hausdorff::hausdorff_in;
 use crate::simd::batch::{batch_dp, batch_erp};
 use crate::within::{
-    bound_exceeds, dp_within, dtw_lb, dtw_nn_refutes, dtw_within, edr_lb, edr_within, erp_lb,
-    erp_within, frechet_lb, frechet_within, hausdorff_lb, hausdorff_within, just_above,
-    lcss_distance_within, lcss_lb, prefilter_rejects,
+    dp_within, dtw_lb, dtw_nn_refutes, dtw_within, edr_lb, edr_within, erp_lb, erp_within,
+    frechet_lb, frechet_within, hausdorff_lb, hausdorff_within, lcss_distance_within, lcss_lb,
+    prefilter_rejects,
 };
 use crate::{DistScratch, ThresholdSource};
 use repose_model::Point;
 
 /// Maximum number of candidates [`MeasureParams::distance_within_batch_in`]
 /// scores in one SIMD lane group: the widest lane type's width (the scalar
-/// backend scores one at a time). Callers sizing stack buffers for batched
-/// verification should use this.
+/// backend scores one at a time). Callers sizing stack buffers for one
+/// lane group (verification here, the trie's DTW sibling cells) use this.
 pub const BATCH_LANES: usize = crate::simd::AVX2_W;
-
-/// What happened to one candidate inside [`MeasureParams::refine_by_bound`]
-/// — the hook callers use to account for verification work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RefineEvent {
-    /// The candidate reached the threshold-aware kernel; `abandoned` is
-    /// `true` when the kernel refuted it before full cost.
-    Scored {
-        /// Whether the kernel returned `None` (candidate refuted).
-        abandoned: bool,
-    },
-    /// The scan stopped: this many trailing candidates (sorted by lower
-    /// bound) were refuted by their bounds alone, without scoring.
-    SkippedRest(usize),
-}
 
 /// The similarity measures supported by REPOSE (Section I, contribution 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -184,33 +169,22 @@ impl MeasureParams {
         t2: &[Point],
         threshold: f64,
     ) -> Option<f64> {
-        self.distance_within_from_lb(measure, t1, t2, threshold, self.lower_bound(measure, t1, t2))
-    }
-
-    /// [`MeasureParams::distance_within`] for callers that already hold a
-    /// lower bound on this pair's distance (typically
-    /// [`MeasureParams::lower_bound`], computed as a sort key): the
-    /// prefilter reuses it instead of recomputing the O(m+n) bound. `lb`
-    /// must genuinely lower-bound the exact distance (up to the same
-    /// floating-point slop the built-in bounds have — the safety margin
-    /// absorbs it); passing anything larger voids the `Some`/`None`
-    /// contract. `0.0` is always valid.
-    pub fn distance_within_from_lb(
-        &self,
-        measure: Measure,
-        t1: &[Point],
-        t2: &[Point],
-        threshold: f64,
-        lb: f64,
-    ) -> Option<f64> {
+        let lb = self.lower_bound(measure, t1, t2);
         DistScratch::with_thread(|s| {
             self.distance_within_from_lb_in(measure, t1, t2, threshold, lb, s)
         })
     }
 
-    /// [`MeasureParams::distance_within_from_lb`] against a caller-managed
-    /// scratch: zero heap allocations once `scratch` is warm. This is the
-    /// kernel every steady-state verification site bottoms out in.
+    /// [`MeasureParams::distance_within`] for callers that already hold a
+    /// lower bound on this pair's distance (typically
+    /// [`MeasureParams::lower_bound`], computed as a sort key), against a
+    /// caller-managed scratch: the prefilter reuses `lb` instead of
+    /// recomputing the O(m+n) bound, and a warm `scratch` makes zero heap
+    /// allocations. `lb` must genuinely lower-bound the exact distance (up
+    /// to the same floating-point slop the built-in bounds have — the
+    /// safety margin absorbs it); passing anything larger voids the
+    /// `Some`/`None` contract. `0.0` is always valid. This is the kernel
+    /// every steady-state verification site bottoms out in.
     pub fn distance_within_from_lb_in(
         &self,
         measure: Measure,
@@ -249,7 +223,7 @@ impl MeasureParams {
     ///
     /// `cands` pairs each candidate's [`MeasureParams::lower_bound`] with
     /// its points (the bound contract of
-    /// [`MeasureParams::distance_within_from_lb`] applies); `out` must be
+    /// [`MeasureParams::distance_within_from_lb_in`] applies); `out` must be
     /// exactly as long as `cands`.
     pub fn distance_within_batch_in(
         &self,
@@ -329,89 +303,58 @@ impl MeasureParams {
         }
     }
 
-    /// Exact top-k refinement of `(lower_bound, id, points)` candidates
-    /// under a collector's live threshold — the early-abandoning
-    /// replacement for "score every candidate, sort, truncate to k", shared
-    /// by the serving layer's delta scan and the DITA/DFT refinement
-    /// passes.
+    /// The one verification step every search runs (Algorithm 2's leaf
+    /// loop): scores `(lower bound, id, points)` candidates, in the order
+    /// given, against `collector`'s live k-th distance, publishes every
+    /// accepted distance into it, and returns `(scored, abandoned)` — the
+    /// candidates that reached [`MeasureParams::distance_within_batch_in`]
+    /// and those it refuted. It neither sorts nor stops early: a caller
+    /// that orders candidates by bound cuts the tail in the iterator.
     ///
-    /// Sorts candidates by `(bound, id)` so the k-th distance tightens on
-    /// the likely-closest ones first, scores each with the threshold-aware
-    /// kernel at the *successor* of the collector's bound (equal-distance
-    /// ties still get scored and resolve by id exactly as a full sort
-    /// would), and stops at the first candidate whose bound proves it —
-    /// and hence the sorted remainder — cannot beat the cutoff
-    /// ([`bound_exceeds`], fp-safety margin included). The bound is
-    /// re-read per group, so a hit another search publishes mid-scan
-    /// tightens this one immediately, and every accepted hit is published
-    /// back. `on_event` observes every candidate's fate for work
-    /// accounting. With `scratch` warm, the only allocation left in the
-    /// scan is the candidate sort itself.
-    ///
-    /// Afterwards the collector holds every pair this candidate set
-    /// contributes to its top-k. A collector private to the call, built
-    /// with [`crate::SharedTopK::with_initial_bound`]`(k, cap)`, ends up
-    /// holding exactly the k smallest `(distance, id)` pairs among
-    /// candidates with `dist <= cap` — what exhaustive exact scoring would
-    /// keep.
-    pub fn refine_by_bound(
+    /// The bound is read once per lane group of [`Measure::batch_lanes`]
+    /// candidates and compared strictly (`d < bound`), so a candidate tied
+    /// with the k-th distance is refused. A caller that must keep ties
+    /// with an outside cap seeds the collector at `just_above(cap)`. Within
+    /// a group the bound is stale, but stale only means larger: a member
+    /// may be accepted where a one-at-a-time scan would have refuted it,
+    /// never the reverse, and such extras fall back out of the collector's
+    /// pool, so the answer is the same. Each `bound` must genuinely
+    /// lower-bound its candidate's distance (`0.0` always does).
+    pub fn verify<'p>(
         &self,
         measure: Measure,
         query: &[Point],
+        cands: impl IntoIterator<Item = (f64, u64, &'p [Point])>,
         collector: &dyn ThresholdSource,
-        mut cands: Vec<(f64, u64, &[Point])>,
-        mut on_event: impl FnMut(RefineEvent),
         scratch: &mut DistScratch,
-    ) {
-        cands.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let total = cands.len();
-        // Lane-batched measures collect a vector's worth of candidates per
-        // cutoff refresh; everything else keeps the candidate-at-a-time
-        // cadence (a group of one degenerates to exactly the old loop).
+    ) -> (usize, usize) {
         let group_len = measure.batch_lanes();
         let mut group = [(0.0f64, [].as_slice()); BATCH_LANES];
         let mut ids = [0u64; BATCH_LANES];
-        let mut scored = [None; BATCH_LANES];
-        let mut idx = 0;
-        while idx < total {
-            // The cutoff is refreshed per group; within one it goes stale,
-            // but stale means only *larger* than the live value (cutoffs
-            // tighten monotonically), so group members can be scored where
-            // the sequential scan would have skipped them — never the
-            // reverse. The extra `Some`s carry distances above the final
-            // k-th and fall back out of the collector's pool, so the
-            // answer is identical.
-            let cutoff = collector.bound();
+        let mut out = [None; BATCH_LANES];
+        let (mut scored, mut abandoned) = (0, 0);
+        let mut cands = cands.into_iter();
+        loop {
+            let bound = collector.bound();
             let mut nb = 0;
-            let mut stopped = false;
-            while idx < total && nb < group_len {
-                let (lb, id, points) = cands[idx];
-                if bound_exceeds(lb, cutoff) {
-                    stopped = true;
-                    break;
-                }
+            for (lb, id, points) in cands.by_ref().take(group_len) {
                 group[nb] = (lb, points);
                 ids[nb] = id;
                 nb += 1;
-                idx += 1;
             }
-            self.distance_within_batch_in(
-                measure,
-                query,
-                &group[..nb],
-                just_above(cutoff),
-                scratch,
-                &mut scored[..nb],
-            );
-            for (&d, &id) in scored[..nb].iter().zip(&ids[..nb]) {
-                on_event(RefineEvent::Scored { abandoned: d.is_none() });
-                if let Some(d) = d {
-                    collector.publish(d, id);
+            if nb == 0 {
+                return (scored, abandoned);
+            }
+            let out = &mut out[..nb];
+            self.distance_within_batch_in(measure, query, &group[..nb], bound, scratch, out);
+            scored += nb;
+            for (&d, &id) in out.iter().zip(&ids[..nb]) {
+                match d {
+                    // An accepted hit prunes every search sharing the
+                    // collector.
+                    Some(d) => collector.publish(d, id),
+                    None => abandoned += 1,
                 }
-            }
-            if stopped {
-                on_event(RefineEvent::SkippedRest(total - idx));
-                break;
             }
         }
     }

@@ -621,8 +621,8 @@ pub fn lcss_distance_within(
 }
 
 /// Seed threshold-aware dispatch with a caller-held lower bound (the
-/// pre-refactor [`MeasureParams::distance_within_from_lb`] — what leaf
-/// verification called before the scratch refactor).
+/// pre-refactor form of [`MeasureParams::distance_within_from_lb_in`] —
+/// what leaf verification called before the scratch refactor).
 pub fn distance_within_from_lb(
     params: &MeasureParams,
     measure: Measure,

@@ -49,10 +49,10 @@ use std::sync::Mutex;
 ///   lower bounds), and publishing the same candidate id twice must not
 ///   tighten the bound further (one trajectory occupies one result slot).
 ///
-/// [`SharedTopK`] is the canonical implementation; the refinement loop
-/// ([`crate::MeasureParams::refine_by_bound`]) and the trie search both
-/// consult one through this trait so a hit found anywhere prunes
-/// everywhere.
+/// [`SharedTopK`] is the canonical implementation; the one verification
+/// step ([`crate::MeasureParams::verify`]), which the trie leaves, the
+/// delta scan and the baselines all run, and the trie descent consult one
+/// through this trait so a hit found anywhere prunes everywhere.
 pub trait ThresholdSource: Sync {
     /// Current upper bound on the global k-th distance. Reading a stale
     /// value is sound (bounds only ever tighten).

@@ -83,7 +83,7 @@ impl MeasureParams {
     /// includes the start–start and end–end distances used here), so the
     /// result never exceeds it — it is a weaker bound bought at constant
     /// cost, and the test suites hold both to that. Feed it to
-    /// [`MeasureParams::distance_within_from_lb`] (never to a site that
+    /// [`MeasureParams::distance_within_from_lb_in`] (never to a site that
     /// needs the tighter per-point bound for exactness — there is none; all
     /// callers only require *some* sound lower bound).
     pub fn summary_lower_bound(&self, measure: Measure, a: &TrajSummary, b: &TrajSummary) -> f64 {

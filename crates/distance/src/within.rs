@@ -73,8 +73,10 @@ const LB_SAFETY: f64 = 1.0 - 1e-9;
 /// (`x.next_up()`, with infinity and NaN passed through).
 ///
 /// Callers that need *inclusive* semantics — "keep every candidate with
-/// `d <= dk`", as the baselines' final range passes do — get them by
-/// passing `just_above(dk)` as the strict `distance_within` threshold.
+/// `d <= dk`", as the baselines' final range passes and a shard's seeded
+/// scatter do — get them by seeding the collector at `just_above(dk)`:
+/// verification itself always compares strictly against the live bound
+/// ([`crate::MeasureParams::verify`]).
 pub fn just_above(x: f64) -> f64 {
     debug_assert!(x >= 0.0 || x.is_nan(), "just_above is for non-negative thresholds");
     x.next_up()

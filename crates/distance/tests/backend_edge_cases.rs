@@ -9,7 +9,7 @@
 
 use repose_distance::{
     available_backends, force_backend, just_above, reference, Backend, DistScratch, DtwColumn,
-    Measure, MeasureParams,
+    Measure, MeasureParams, SharedTopK,
 };
 use repose_model::{Mbr, Point};
 use std::sync::Mutex;
@@ -437,4 +437,80 @@ fn dtw_sibling_push_matches_clone_and_push() {
             }
         }
     }
+}
+
+/// `MeasureParams::verify` compares strictly against the live bound, so
+/// a tie with an outside cap survives only through the collector's seed:
+/// seeded at `just_above(cap)`, a candidate at exactly `cap` is kept and
+/// one at `cap.next_up()` is refused, and a candidate tied with the live
+/// k-th distance is refused.
+#[test]
+fn verify_is_strict_and_a_just_above_seed_keeps_the_cap() {
+    let params = MeasureParams::with_eps(0.5);
+    let origin = [Point::new(0.0, 0.0)];
+    let cap = 3.0f64;
+    let at_cap = [Point::new(cap, 0.0)];
+    let past_cap = [Point::new(cap.next_up(), 0.0)];
+    for_each_backend(|backend| {
+        let mut scratch = DistScratch::new();
+        for m in [Measure::Hausdorff, Measure::Frechet, Measure::Dtw, Measure::Erp] {
+            assert_eq!(params.distance(m, &origin, &at_cap), cap, "{m}");
+            assert_eq!(params.distance(m, &origin, &past_cap), cap.next_up(), "{m}");
+            // Room for both: the bound stays at the seed throughout.
+            let seeded = SharedTopK::with_initial_bound(2, just_above(cap));
+            let cands = [(0.0, 1, &past_cap[..]), (0.0, 2, &at_cap[..])];
+            let got = params.verify(m, &origin, cands, &seeded, &mut scratch);
+            assert_eq!(got, (2, 1), "{m} on {backend}");
+            let hits: Vec<(u64, u64)> =
+                seeded.hits().iter().map(|h| (h.id, h.dist.to_bits())).collect();
+            assert_eq!(hits, [(2, cap.to_bits())], "{m} on {backend}");
+
+            // A tie with the live k-th distance is not accepted.
+            let live = SharedTopK::new(1);
+            live.publish(cap, 9);
+            let got = params.verify(m, &origin, [(0.0, 1, &at_cap[..])], &live, &mut scratch);
+            assert_eq!(got, (1, 1), "{m} on {backend}");
+            assert_eq!(live.hits()[0].id, 9, "{m} on {backend}");
+        }
+    });
+}
+
+/// `verify`'s `(scored, abandoned)` and published hits equal a reference
+/// that reads the bound at the same cadence — once per
+/// `Measure::batch_lanes` candidates — but scores each candidate alone
+/// with the sequential kernel, on every backend.
+#[test]
+fn verify_counts_match_a_one_at_a_time_reference() {
+    let params = MeasureParams::with_eps(0.5);
+    let query = traj(9, 5);
+    let pool: Vec<Vec<Point>> = (0..23).map(|i| traj(3 + i % 11, 17 + i as u64)).collect();
+    for_each_backend(|backend| {
+        let mut scratch = DistScratch::new();
+        for m in Measure::ALL {
+            let cands: Vec<(f64, u64, &[Point])> = pool
+                .iter()
+                .enumerate()
+                .map(|(i, c)| (params.lower_bound(m, &query, c), i as u64, c.as_slice()))
+                .collect();
+            let want = SharedTopK::new(3);
+            let mut abandoned = 0;
+            for group in cands.chunks(m.batch_lanes()) {
+                let bound = want.bound();
+                for &(lb, id, c) in group {
+                    match params.distance_within_from_lb_in(m, &query, c, bound, lb, &mut scratch) {
+                        Some(d) => want.publish(d, id),
+                        None => abandoned += 1,
+                    }
+                }
+            }
+            let got = SharedTopK::new(3);
+            let counts = params.verify(m, &query, cands.iter().copied(), &got, &mut scratch);
+            assert_eq!(counts, (cands.len(), abandoned), "{m} on {backend}");
+            assert!(abandoned > 0, "{m}: the pool exercised no refusal");
+            let bits = |c: &SharedTopK| -> Vec<(u64, u64)> {
+                c.hits().iter().map(|h| (h.id, h.dist.to_bits())).collect()
+            };
+            assert_eq!(bits(&got), bits(&want), "{m} on {backend}");
+        }
+    });
 }

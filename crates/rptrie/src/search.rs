@@ -4,7 +4,7 @@
 use crate::bounds::{BoundState, Columns};
 use crate::pivot::pivot_lower_bound;
 use crate::{Hit, NodeId, RpTrie};
-use repose_distance::{bound_exceeds, DistScratch, ThresholdSource, BATCH_LANES};
+use repose_distance::{bound_exceeds, DistScratch, ThresholdSource};
 use repose_model::{Point, TrajId, TrajStore};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -179,61 +179,23 @@ pub(crate) fn search(
             if lbt.max(lbp) < dk() {
                 // Verify members under the *live* k-th distance: the kernel
                 // returns the exact distance only when it beats dk and
-                // abandons (cheaply) when it cannot — same results as the
-                // unbounded `params.distance` + `d < dk` check. The
-                // prefilter reuses the member summary frozen into the leaf:
-                // O(1) per candidate instead of O(m+n); the candidate's
-                // points are a contiguous arena slice.
-                //
-                // On a SIMD backend, measures with a lane-batched kernel
-                // collect a vector's worth of members per dk refresh and
-                // verify them in parallel lanes. dk is stale within one
-                // group but stale only ever means *larger*, so a group
-                // member can be accepted where the one-at-a-time scan would
-                // have abandoned it — never the reverse; the extras carry
-                // distances above the final k-th and fall back out of the
-                // collector's pool, leaving the answer identical.
-                let group_len = measure.batch_lanes();
-                let mut group = [(0.0f64, [].as_slice()); BATCH_LANES];
-                let mut gids = [0u64; BATCH_LANES];
-                let mut scored = [None; BATCH_LANES];
-                let mut si = 0;
-                while si < leaf.members.len() {
-                    let thr = dk();
-                    let mut nb = 0;
-                    while si < leaf.members.len() && nb < group_len {
-                        let mi = leaf.members[si];
-                        let summary = &leaf.summaries[si];
-                        si += 1;
-                        let id = store.id(mi as usize);
-                        if let Some(f) = filter {
-                            if !f(id) {
-                                continue;
-                            }
-                        }
-                        stats.exact_computations += 1;
-                        let lb = params.summary_lower_bound(measure, &qsum, summary);
-                        group[nb] = (lb, store.points(mi as usize));
-                        gids[nb] = id;
-                        nb += 1;
+                // abandons (cheaply) when it cannot. Members go in leaf
+                // order; hidden ones are skipped before they count, and the
+                // prefilter bound comes from the member summary frozen into
+                // the leaf — O(1) per candidate instead of O(m+n); the
+                // candidate's points are a contiguous arena slice.
+                let members = leaf.members.iter().zip(leaf.summaries).filter_map(|(&mi, sum)| {
+                    let id = store.id(mi as usize);
+                    if filter.is_some_and(|f| !f(id)) {
+                        return None;
                     }
-                    params.distance_within_batch_in(
-                        measure,
-                        query,
-                        &group[..nb],
-                        thr,
-                        scratch,
-                        &mut scored[..nb],
-                    );
-                    for (&d, &id) in scored[..nb].iter().zip(&gids[..nb]) {
-                        match d {
-                            // A hit accepted here prunes every other
-                            // search sharing the collector.
-                            Some(d) => collector.publish(d, id),
-                            None => stats.exact_abandoned += 1,
-                        }
-                    }
-                }
+                    let lb = params.summary_lower_bound(measure, &qsum, sum);
+                    Some((lb, id, store.points(mi as usize)))
+                });
+                let (scored, abandoned) =
+                    params.verify(measure, query, members, collector, scratch);
+                stats.exact_computations += scored;
+                stats.exact_abandoned += abandoned;
             } else {
                 stats.leaves_pruned += 1;
             }

@@ -79,43 +79,29 @@ pub(crate) struct DeltaLog {
     segments: Vec<Arc<DeltaSegment>>,
     /// Total entries across segments (including superseded ones).
     entries: usize,
-    /// Set by [`DeltaLog::seal`]: the next push must start a fresh
-    /// segment even if the tail is uniquely owned.
-    sealed: bool,
 }
 
 impl DeltaLog {
     /// Appends a write with its global sequence number and its
     /// insert-time prefilter summary. Appends in place while the newest
     /// segment is uniquely owned; starts a new segment when a snapshot
-    /// still references it (or after a [`DeltaLog::seal`]).
+    /// still references it.
     pub(crate) fn push(&mut self, seq: u64, id: TrajId, points: &[Point], summary: TrajSummary) {
-        let appended = !self.sealed
-            && match self.segments.last_mut().map(Arc::get_mut) {
-                Some(Some(seg)) => {
-                    seg.store.push(id, points);
-                    seg.meta.push((seq, summary));
-                    true
-                }
-                _ => false,
-            };
+        let appended = match self.segments.last_mut().map(Arc::get_mut) {
+            Some(Some(seg)) => {
+                seg.store.push(id, points);
+                seg.meta.push((seq, summary));
+                true
+            }
+            _ => false,
+        };
         if !appended {
             let mut seg = DeltaSegment::default();
             seg.store.push(id, points);
             seg.meta.push((seq, summary));
             self.segments.push(Arc::new(seg));
-            self.sealed = false;
         }
         self.entries += 1;
-    }
-
-    /// Seals the current tail segment: the next push starts a fresh one.
-    /// Used when replaying a WAL segment-seal record, so recovered segment
-    /// boundaries mirror the logged ones.
-    pub(crate) fn seal(&mut self) {
-        if !self.segments.is_empty() {
-            self.sealed = true;
-        }
     }
 
     /// Number of log entries (including superseded ones).
@@ -271,23 +257,5 @@ mod tests {
         let segs = log.snapshot();
         assert_eq!(segs[0].meta[0].1.len, 1);
         assert_eq!(segs[0].meta[0].1.first, points[0]);
-    }
-
-    #[test]
-    fn seal_forces_a_fresh_segment() {
-        let mut log = DeltaLog::default();
-        push(&mut log, 1, 1);
-        push(&mut log, 2, 2);
-        log.seal();
-        push(&mut log, 3, 3);
-        let segs = log.snapshot();
-        assert_eq!(segs.len(), 2, "post-seal write starts a new segment");
-        assert_eq!(segs[0].store.len(), 2);
-        assert_eq!(segs[1].store.id(0), 3);
-        // Sealing an empty log is a no-op; the first push creates segment 1.
-        let mut empty = DeltaLog::default();
-        empty.seal();
-        push(&mut empty, 1, 1);
-        assert_eq!(empty.snapshot().len(), 1);
     }
 }

@@ -13,7 +13,9 @@
 //! ([`scan_delta`]), then runs one best-first search over all its
 //! partitions' tries at once ([`repose_rptrie::RpTrie::search`]): one
 //! frontier, nodes popped in global lower-bound order, so no partition is
-//! descended under a bound its siblings have already beaten. All of a
+//! descended under a bound its siblings have already beaten. The delta
+//! scan and the trie's leaves score candidates through the same step,
+//! [`MeasureParams::verify`], strictly under the live bound. All of a
 //! query's tasks publish into and prune with its one collector.
 //!
 //! The tasks of a call form one *group-major* list — every query's
@@ -38,7 +40,9 @@ use crate::error::ServiceError;
 use crate::service::ReposeService;
 use crate::stats::ServiceCounters;
 use repose::Repose;
-use repose_distance::{just_above, DistScratch, Hit, Measure, MeasureParams, SharedTopK};
+use repose_distance::{
+    bound_exceeds, just_above, DistScratch, Hit, Measure, MeasureParams, SharedTopK,
+};
 use repose_model::{Point, TrajId, TrajStore};
 use repose_rptrie::{RpTrie, SearchStats};
 use std::collections::HashMap;
@@ -446,41 +450,33 @@ pub(crate) fn check_finite(points: &[Point], what: &'static str) -> Result<(), S
 }
 
 /// Scores one task's live delta candidates into the query's collector,
-/// cheapest stored summary bound first
-/// ([`repose_distance::MeasureParams::refine_by_bound`]).
+/// cheapest stored summary bound first, through the one verification step
+/// ([`MeasureParams::verify`]).
 ///
 /// Publishes every candidate a full exact scan would contribute to the
-/// top-k (ties included) while charging far less: sort keys are the
-/// insert-time summary bounds precomputed by [`delta_candidates`] (O(1) per
-/// candidate, no per-point walk), candidate points are contiguous arena
-/// slices of the delta segments, hopeless candidates are refuted by the
+/// top-k while charging far less: sort keys are the insert-time summary
+/// bounds precomputed by [`delta_candidates`] (O(1) per candidate, no
+/// per-point walk), candidate points are contiguous arena slices of the
+/// delta segments, hopeless candidates are refuted by the
 /// early-abandoning kernel under the live cross-partition bound, and once
 /// even the cheap lower bound cannot beat the global k-th distance the
-/// (sorted) remainder is skipped outright. Accepted hits tighten the
-/// collector, so every trie search of the query prunes harder.
-/// Every candidate counts as an attempted verification, so
-/// `exact_abandoned <= exact_computations` always holds.
+/// (sorted) remainder is never handed to `verify`. Accepted hits tighten
+/// the collector, so every trie search of the query prunes harder. Every
+/// candidate counts as an attempted verification and every unscored one
+/// as abandoned, so `exact_abandoned <= exact_computations` always holds.
 fn scan_delta(
     measure: Measure,
     params: MeasureParams,
     query: &[Point],
-    cands: Vec<Cand<'_>>,
+    mut cands: Vec<Cand<'_>>,
     search: &mut SearchStats,
     collector: &SharedTopK,
 ) {
-    use repose_distance::RefineEvent;
-
-    let on_event = |e| match e {
-        RefineEvent::Scored { abandoned } => {
-            search.exact_computations += 1;
-            search.exact_abandoned += usize::from(abandoned);
-        }
-        RefineEvent::SkippedRest(n) => {
-            search.exact_computations += n;
-            search.exact_abandoned += n;
-        }
-    };
-    DistScratch::with_thread(|scratch| {
-        params.refine_by_bound(measure, query, collector, cands, on_event, scratch)
-    });
+    cands.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    let total = cands.len();
+    let live = cands.into_iter().take_while(|c| !bound_exceeds(c.0, collector.bound()));
+    let (scored, abandoned) =
+        DistScratch::with_thread(|scratch| params.verify(measure, query, live, collector, scratch));
+    search.exact_computations += total;
+    search.exact_abandoned += abandoned + (total - scored);
 }

@@ -5,7 +5,6 @@
 //! then version bump, counters, write latency — and one applier, which
 //! recovery's replay of already-committed records calls alone.
 
-use crate::delta::DeltaLog;
 use crate::error::ServiceError;
 use crate::query::check_finite;
 use crate::service::{ReposeService, ServeState};
@@ -30,18 +29,14 @@ impl ServeState {
     /// id (hiding the frozen row and every earlier delta row) and, for an
     /// upsert, appends the new live row to its partition's delta log with
     /// the same O(1)-prefilter summary the frozen tries store per leaf
-    /// member — paid once per write instead of per query. A replayed
-    /// [`WalRecord::Seal`] mirrors the logged segment boundary in the delta
-    /// logs. Returns whether `record` was a data record.
+    /// member — paid once per write instead of per query. A WAL segment
+    /// seal and a checkpoint change nothing here (`replay` consumes
+    /// checkpoints while choosing what to skip). Returns whether `record`
+    /// was a data record.
     pub(crate) fn apply(&mut self, record: &WalRecord, params: MeasureParams) -> bool {
         let (&seq, &id) = match record {
             WalRecord::Upsert { seq, id, .. } | WalRecord::Delete { seq, id } => (seq, id),
-            WalRecord::Seal { .. } => {
-                self.deltas.iter_mut().for_each(DeltaLog::seal);
-                return false;
-            }
-            // `replay` consumes checkpoints while choosing what to skip.
-            WalRecord::Checkpoint { .. } => return false,
+            WalRecord::Seal { .. } | WalRecord::Checkpoint { .. } => return false,
         };
         self.op_seq = seq;
         Arc::make_mut(&mut self.tombstones).insert(id, seq);
@@ -206,6 +201,17 @@ mod tests {
         let mut deltas = vec![0; 3];
         deltas[100 % 3] = 2;
         assert_eq!(applied(&leader), (vec![(3, 2), (100, 4), (777, 3)], deltas, 4));
+
+        // A replayed WAL segment seal is not data: every delta log keeps
+        // its segments, the very same ones, and its length.
+        let mut state = twin.state.write().unwrap();
+        let before: Vec<_> = state.deltas.iter().map(|d| (d.snapshot(), d.len())).collect();
+        assert!(!state.apply(&WalRecord::Seal { seq: 4 }, MeasureParams::default()));
+        for (d, (segs, len)) in state.deltas.iter().zip(before) {
+            let same = d.snapshot().iter().zip(&segs).all(|(a, b)| Arc::ptr_eq(a, b));
+            assert!(same && d.snapshot().len() == segs.len() && d.len() == len);
+        }
+        drop(state);
 
         drop(leader);
         let (recovered, _) = ReposeService::recover(rcfg, cfg(true)).expect("recover");

@@ -250,24 +250,8 @@ impl SimNet {
     }
 }
 
-/// Whether `REPOSE_SIM_TRACE` is set: dumps every send and receive-step
-/// to stderr. For debugging stuck or mis-ordered schedules only.
-fn tracing() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("REPOSE_SIM_TRACE").is_some())
-}
-
 impl Transport for SimNet {
     fn send(&self, from: NodeId, to: NodeId, msg: &Message) {
-        if tracing() {
-            eprintln!(
-                "sim[{:?}] send {}->{} {:?}",
-                self.inner.clock.now(),
-                self.label(from),
-                self.label(to),
-                std::mem::discriminant(msg)
-            );
-        }
         for step in self.inner.link.route(from, to, msg) {
             match step {
                 Delivery::Now(env) => self.deliver(to, env),

@@ -4,7 +4,9 @@
 
 use proptest::prelude::*;
 use repose_datagen::{sample_queries, PaperDataset};
-use repose_distance::{bound_exceeds, just_above, reference, DistScratch, Measure, MeasureParams};
+use repose_distance::{
+    bound_exceeds, just_above, reference, DistScratch, Measure, MeasureParams, SharedTopK,
+};
 use repose_model::{Dataset, Mbr, Point, TrajStore, Trajectory};
 use repose_rptrie::{RpTrie, RpTrieConfig};
 use repose_zorder::Grid;
@@ -115,7 +117,10 @@ fn sampled_queries_always_rank_themselves_first() {
 /// trajectory the O(1) summary bound lets through at the true k-th
 /// distance, verified under `just_above(kth)` as trie leaves are. A
 /// refusal must match too: a DTW candidate the nearest-neighbour stage
-/// refuses returns `None`, so the reference must abandon it as well.
+/// refuses returns `None`, so the reference must abandon it as well. One
+/// `verify` pass over the same candidates, under a collector seeded at
+/// `dk` with room for all of them, publishes exactly the reference's
+/// `Some`s.
 #[test]
 fn batched_verification_is_bitwise_the_reference() {
     let ds = PaperDataset::TDrive;
@@ -133,20 +138,29 @@ fn batched_verification_is_bitwise_the_reference() {
         dists.sort_by(f64::total_cmp);
         let kth = dists[k - 1];
         let qsum = params.summary_of(query);
-        let cands: Vec<(f64, &[Point])> = (0..store.len())
-            .map(|s| store.points(s))
-            .filter_map(|pts| {
+        let cands: Vec<(f64, u64, &[Point])> = (0..store.len())
+            .filter_map(|s| {
+                let pts = store.points(s);
                 let lb = params.summary_lower_bound(measure, &qsum, &params.summary_of(pts));
-                (!bound_exceeds(lb, kth)).then_some((lb, pts))
+                (!bound_exceeds(lb, kth)).then_some((lb, store.id(s), pts))
             })
             .collect();
         let dk = just_above(kth);
+        let pairs: Vec<(f64, &[Point])> = cands.iter().map(|&(lb, _, pts)| (lb, pts)).collect();
         let mut got = vec![None; cands.len()];
-        params.distance_within_batch_in(measure, query, &cands, dk, &mut scratch, &mut got);
-        for (&(lb, pts), got) in cands.iter().zip(&got) {
+        params.distance_within_batch_in(measure, query, &pairs, dk, &mut scratch, &mut got);
+        let mut want_hits = Vec::new();
+        for (&(lb, id, pts), got) in cands.iter().zip(&got) {
             let want = reference::distance_within_from_lb(&params, measure, query, pts, dk, lb);
             assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{measure}");
+            want_hits.extend(want.map(|d| (d.to_bits(), id)));
         }
+        let all = SharedTopK::with_initial_bound(cands.len(), dk);
+        params.verify(measure, query, cands.iter().copied(), &all, &mut scratch);
+        want_hits.sort_unstable();
+        let published: Vec<(u64, u64)> =
+            all.hits().iter().map(|h| (h.dist.to_bits(), h.id)).collect();
+        assert_eq!(published, want_hits, "{measure}");
         // The k nearest always survive `dk`; the rest exercise refusals.
         assert!(got.iter().filter(|d| d.is_some()).count() >= k, "{measure}");
         refused += got.iter().filter(|d| d.is_none()).count();
@@ -156,21 +170,25 @@ fn batched_verification_is_bitwise_the_reference() {
 
 #[test]
 fn dataset_stats_survive_partition_roundtrip() {
-    use repose::{partition_slots, PartitionStrategy};
+    use repose::{PartitionStrategy, Repose, ReposeConfig};
     let dataset = repose_datagen::PaperDataset::Porto.generate(0.02, 3);
-    let region = dataset.enclosing_square().unwrap();
-    let store = TrajStore::from_trajectories(dataset.trajectories());
     for strategy in [
         PartitionStrategy::Heterogeneous,
         PartitionStrategy::Homogeneous,
         PartitionStrategy::Random,
     ] {
-        let parts = partition_slots(&store, &region, strategy, 7, 1);
-        let total_pts: usize = parts
-            .iter()
-            .flatten()
-            .map(|&slot| store.points(slot).len())
+        let config = ReposeConfig::new(Measure::Hausdorff)
+            .with_partitions(7)
+            .with_strategy(strategy)
+            .with_seed(1);
+        let repose = Repose::build(&dataset, config);
+        let total_pts: usize = (0..repose.num_partitions())
+            .map(|pi| {
+                let store = repose.partition_view(pi).store;
+                (0..store.len()).map(|slot| store.points(slot).len()).sum::<usize>()
+            })
             .sum();
+        assert_eq!(repose.num_partitions(), 7, "{strategy:?}");
         assert_eq!(total_pts, dataset.stats().total_points, "{strategy:?}");
     }
 }

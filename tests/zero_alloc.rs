@@ -18,14 +18,16 @@
 //!    pruned children add almost no allocations (cloning the parent state
 //!    per child added one each).
 //! 3. **Service** — same decoupling for a warm `ReposeService::query`
-//!    whose delta backlog (scored by `refine_by_bound`) grows, plus
-//!    thread-scratch footprint stability across the warm query.
+//!    whose delta backlog (scored by `MeasureParams::verify`) grows, plus
+//!    thread-scratch footprint stability across the warm query. The
+//!    refinement loop on its own — sort, tail cut, `verify` — allocates
+//!    exactly zero once warm.
 //!
 //! All measuring tests serialize on one mutex so the global counter only
 //! sees the code under test.
 
 use repose::{Repose, ReposeConfig};
-use repose_distance::{DistScratch, Measure, MeasureParams, SharedTopK};
+use repose_distance::{bound_exceeds, DistScratch, Measure, MeasureParams, ThresholdSource};
 use repose_model::{Point, TrajStore, Trajectory};
 use repose_rptrie::{RpTrie, RpTrieConfig};
 use repose_service::{ReposeService, ServiceConfig};
@@ -311,10 +313,28 @@ fn warm_service_query_allocations_do_not_scale_with_delta_verifications() {
     );
 }
 
-/// The refinement loop (`refine_by_bound`) with a warm scratch
-/// and a reusable candidate buffer allocates only for its own bookkeeping
-/// (the collector and the answer read from it), independent of candidate
-/// count.
+/// A top-k bound kept in a fixed array: the k smallest published
+/// distances, so publishing allocates nothing and a measured verification
+/// pass can only count its own allocations.
+struct ArrayTopK(Mutex<[f64; 4]>);
+
+impl ThresholdSource for ArrayTopK {
+    fn bound(&self) -> f64 {
+        self.0.lock().unwrap()[3]
+    }
+    fn publish(&self, dist: f64, _id: u64) {
+        let mut best = self.0.lock().unwrap();
+        if dist < best[3] {
+            best[3] = dist;
+            best.sort_by(f64::total_cmp);
+        }
+    }
+}
+
+/// The refinement the delta scan and the baselines run — sort by
+/// `(bound, id)`, cut the tail where a bound proves it lost, score the
+/// rest through `MeasureParams::verify` — allocates nothing with a warm
+/// scratch and a caller-owned candidate buffer, at any candidate count.
 #[test]
 fn warm_refinement_loop_allocations_independent_of_candidates() {
     let _g = measure_lock();
@@ -322,8 +342,8 @@ fn warm_refinement_loop_allocations_independent_of_candidates() {
     let query: Vec<Point> = (0..24).map(|j| Point::new(j as f64 * 0.3, 0.5)).collect();
     let mut scratch = DistScratch::new();
 
-    let run = |store: &TrajStore, scratch: &mut DistScratch| -> u64 {
-        let cands: Vec<(f64, u64, &[Point])> = (0..store.len())
+    let mut run = |store: &TrajStore| -> u64 {
+        let mut cands: Vec<(f64, u64, &[Point])> = (0..store.len())
             .map(|s| {
                 (
                     params.lower_bound(Measure::Dtw, &query, store.points(s)),
@@ -332,23 +352,19 @@ fn warm_refinement_loop_allocations_independent_of_candidates() {
                 )
             })
             .collect();
-        allocs_during(|| {
-            let collector = SharedTopK::new(4);
-            params.refine_by_bound(Measure::Dtw, &query, &collector, cands, |_| {}, scratch);
-            assert_eq!(collector.hits().len(), 4);
+        min_allocs_during(|| {
+            let top = ArrayTopK(Mutex::new([f64::INFINITY; 4]));
+            cands.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let live = cands.iter().copied().take_while(|c| !bound_exceeds(c.0, top.bound()));
+            let (scored, _) = params.verify(Measure::Dtw, &query, live, &top, &mut scratch);
+            assert!(scored >= 4 && top.bound().is_finite());
         })
     };
 
     let small = arena(20, 24, 0.4);
     let big = arena(200, 24, 0.4);
     // Warm on the big arena first so buffers are final-size.
-    let _ = run(&big, &mut scratch);
-    let a_small = run(&small, &mut scratch);
-    let a_big = run(&big, &mut scratch);
-    // 180 extra candidates, all scored or bound-skipped: the scan itself
-    // must not allocate per candidate (seed kernels did).
-    assert!(
-        (a_big as i64 - a_small as i64) < 20,
-        "refinement allocations scale with candidates: {a_small} -> {a_big}"
-    );
+    let _ = run(&big);
+    assert_eq!(run(&small), 0, "warm refinement must not allocate");
+    assert_eq!(run(&big), 0, "warm refinement must not allocate per candidate");
 }
