@@ -335,16 +335,30 @@ mod tests {
         }
     }
 
+    /// Forces the backend that was active when it was made back on drop,
+    /// so a test that switches backends (or fails mid-way) leaves the
+    /// rest of the binary on the one `REPOSE_BACKEND` chose.
+    struct RestoreBackend(Backend);
+
+    impl Drop for RestoreBackend {
+        fn drop(&mut self) {
+            force_backend(self.0);
+        }
+    }
+
     #[test]
     fn scalar_always_available_and_forcible() {
         assert!(Backend::Scalar.is_supported());
         assert!(available_backends().contains(&Backend::Scalar));
-        // Forcing any available backend must stick; leave the widest one
-        // active so other tests in this binary see the default behaviour.
-        for b in available_backends() {
-            force_backend(b);
-            assert_eq!(active_backend(), b);
+        let entry = active_backend();
+        {
+            let _restore = RestoreBackend(entry);
+            // Forcing any available backend must stick.
+            for b in available_backends() {
+                force_backend(b);
+                assert_eq!(active_backend(), b);
+            }
         }
-        force_backend(widest_supported());
+        assert_eq!(active_backend(), entry, "the guard restores the entry backend");
     }
 }

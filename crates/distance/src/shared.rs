@@ -5,8 +5,8 @@
 //! # How the bound works
 //!
 //! Each search publishes every exact distance it accepts. The collector
-//! keeps the best `k` published `(dist, id)` pairs (deduplicated by id) in
-//! a mutex-guarded pool; whenever the pool holds `k` entries, its worst
+//! keeps the best `k` published `(dist, id)` pairs in a mutex-guarded
+//! bounded heap; whenever the pool holds `k` entries, its worst
 //! distance is a sound **upper bound on the global k-th distance** — any
 //! `k` real candidate distances have a k-th smallest no smaller than the
 //! k-th smallest over *all* candidates. Adding entries can only lower that
@@ -29,9 +29,13 @@
 //! search has finished it holds `k` hits whose distance multiset equals the
 //! exact answer's (Definition 3 of the paper permits any tied subset).
 //! Nothing is merged afterwards: [`SharedTopK::hits`] is the answer.
+//!
+//! The pool does not deduplicate: `k` distinct trajectories come out
+//! because each id is published at most once per collector (see
+//! [`ThresholdSource`] for why that holds).
 
 use repose_model::TrajId;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -46,8 +50,17 @@ use std::sync::Mutex;
 ///   answer — adding candidates only lowers the k-th distance);
 /// * `bound()` is **monotone non-increasing** across calls;
 /// * `publish` accepts only **exact** distances of real candidates (never
-///   lower bounds), and publishing the same candidate id twice must not
-///   tighten the bound further (one trajectory occupies one result slot).
+///   lower bounds).
+///
+/// Callers publish each id **at most once per collector**, so one
+/// trajectory occupies one result slot without the collector checking.
+/// That holds because:
+///
+/// * tombstones leave each id one live row in a deployment, so the trie
+///   leaves and the delta scan of one service never both accept it;
+/// * shards own disjoint ids (`id % shards`);
+/// * the shard coordinator folds one reply per shard and drops any later
+///   one (a retry's, a duplicated or a held-back frame).
 ///
 /// [`SharedTopK`] is the canonical implementation; the one verification
 /// step ([`crate::MeasureParams::verify`]), which the trie leaves, the
@@ -78,17 +91,6 @@ impl Hit {
     }
 }
 
-struct Pool {
-    /// Best `k` published hits as `(distance bits, id)`, worst on top —
-    /// non-negative distances' bits order like the distances, so this is
-    /// the canonical `(distance, id)` order.
-    heap: BinaryHeap<(u64, TrajId)>,
-    /// Ids ever published — publish is idempotent per id, so a duplicate
-    /// (a retried shard's answer) can never make one trajectory
-    /// occupy two of the `k` slots, and an evicted id never comes back.
-    seen: HashSet<TrajId>,
-}
-
 /// One logical query's top-k collector (see module docs).
 ///
 /// Every partition's local search (and, in the serving layer, every delta
@@ -100,7 +102,10 @@ pub struct SharedTopK {
     k: usize,
     /// Bit-encoded cached bound (non-negative f64 bits order numerically).
     bound_bits: AtomicU64,
-    pool: Mutex<Pool>,
+    /// Best `k` published hits as `(distance bits, id)`, worst on top —
+    /// non-negative distances' bits order like the distances, so this is
+    /// the canonical `(distance, id)` order.
+    pool: Mutex<BinaryHeap<(u64, TrajId)>>,
 }
 
 impl SharedTopK {
@@ -121,38 +126,34 @@ impl SharedTopK {
         SharedTopK {
             k,
             bound_bits: AtomicU64::new(initial.to_bits()),
-            pool: Mutex::new(Pool {
-                heap: BinaryHeap::with_capacity(k + 1),
-                seen: HashSet::new(),
-            }),
+            pool: Mutex::new(BinaryHeap::with_capacity(k + 1)),
         }
     }
 
     /// Current upper bound on the global k-th distance (monotone
-    /// non-increasing; `INFINITY` until `k` distinct hits were published).
+    /// non-increasing; `INFINITY` until `k` hits were published).
     pub fn bound(&self) -> f64 {
         f64::from_bits(self.bound_bits.load(Ordering::Acquire))
     }
 
-    /// Publishes the exact distance of candidate `id`. Idempotent per id:
-    /// the first distance published for an id is the only one counted.
+    /// Publishes the exact distance of candidate `id`. Each id is
+    /// published at most once per collector ([`ThresholdSource`] says why
+    /// that holds); the pool does not check, so a repeat would fill two
+    /// slots.
     pub fn publish(&self, dist: f64, id: TrajId) {
         debug_assert!(dist >= 0.0 && !dist.is_nan(), "exact distances are non-negative");
         if self.k == 0 {
             return;
         }
         let mut pool = self.pool.lock().expect("shared top-k pool");
-        if !pool.seen.insert(id) {
-            return;
-        }
         // `+ 0.0` turns a -0.0 (the wire accepts one) into +0.0, whose
         // bits order first.
-        pool.heap.push(((dist + 0.0).to_bits(), id));
-        if pool.heap.len() > self.k {
-            pool.heap.pop();
+        pool.push(((dist + 0.0).to_bits(), id));
+        if pool.len() > self.k {
+            pool.pop();
         }
-        if pool.heap.len() == self.k {
-            let kth = pool.heap.peek().expect("full pool").0;
+        if pool.len() == self.k {
+            let kth = pool.peek().expect("full pool").0;
             // fetch_min keeps the bound monotone under racing publishers:
             // whichever k-th value is smallest wins, and every k-th value
             // ever computed is a valid upper bound.
@@ -165,8 +166,7 @@ impl SharedTopK {
     /// has finished.
     pub fn hits(&self) -> Vec<Hit> {
         let pool = self.pool.lock().expect("shared top-k pool");
-        pool.heap
-            .clone()
+        pool.clone()
             .into_sorted_vec()
             .into_iter()
             .map(|(bits, id)| Hit { id, dist: f64::from_bits(bits) })
@@ -217,22 +217,6 @@ mod tests {
     }
 
     #[test]
-    fn publish_is_idempotent_per_id() {
-        let s = SharedTopK::new(2);
-        s.publish(3.0, 7);
-        s.publish(3.0, 7);
-        s.publish(3.0, 7);
-        assert_eq!(s.bound(), f64::INFINITY, "one trajectory must not fill two slots");
-        s.publish(4.0, 8);
-        assert_eq!(s.bound(), 4.0);
-        // Evict id 8, then re-publish it closer: it must not come back.
-        s.publish(1.0, 9);
-        s.publish(0.5, 8);
-        assert_eq!(s.bound(), 3.0);
-        assert_eq!(pairs(&s.hits()), [(1.0, 9), (3.0, 7)]);
-    }
-
-    #[test]
     fn negative_zero_ranks_first() {
         let s = SharedTopK::new(1);
         s.publish(1.0, 1);
@@ -271,11 +255,10 @@ mod tests {
         assert!(s.hits().is_empty());
     }
 
-    /// Many threads publish concurrently: the final bound must equal the
-    /// k-th smallest distinct published distance, the pool must hold
-    /// exactly the `k` smallest `(distance, id)` pairs of the
-    /// id-deduplicated publishes, and the bound observed by any thread must
-    /// never increase.
+    /// Many threads publish concurrently, each id once: the final bound
+    /// must equal the k-th smallest published distance, the pool must hold
+    /// exactly the `k` smallest published `(distance, id)` pairs, and the
+    /// bound observed by any thread must never increase.
     #[test]
     fn fetch_min_under_contention() {
         const THREADS: u64 = 8;
@@ -297,8 +280,6 @@ mod tests {
                             let id = t * PER_THREAD + i;
                             let dist = dist_of(id);
                             s.publish(dist, id);
-                            // every thread also re-publishes its first id
-                            s.publish(dist, t * PER_THREAD);
                             let b = s.bound();
                             assert!(b <= last, "bound went up: {last} -> {b}");
                             last = b;
@@ -306,8 +287,7 @@ mod tests {
                     });
                 }
             });
-            // Each id's first publish carried its own distance; recompute
-            // the k best (distance, id) pairs over all ids.
+            // Recompute the k best (distance, id) pairs over all ids.
             let mut all: Vec<(f64, u64)> =
                 (0..THREADS * PER_THREAD).map(|id| (dist_of(id), id)).collect();
             all.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));

@@ -288,7 +288,8 @@ impl ReposeService {
     /// so ties at the seed survive) when finite — typically the
     /// coordinator's current global k-th-distance bound when it retries
     /// an attempt. The answer is the shard's exact top-k among the
-    /// entries at or below the seed.
+    /// entries at or below the seed. A NaN or negative seed bounds nothing
+    /// and is refused ([`ServiceError::InvalidInput`]).
     ///
     /// Cache and admission are intentionally bypassed: the coordinator
     /// owns those policies for a distributed query. The frontier dispatch
@@ -302,6 +303,9 @@ impl ReposeService {
         seed_dk: f64,
     ) -> Result<ServiceOutcome, ServiceError> {
         check_finite(query, "query")?;
+        if seed_dk.is_nan() || seed_dk < 0.0 {
+            return Err(ServiceError::InvalidInput("seed"));
+        }
         let t0 = Instant::now();
         ServiceCounters::bump(&self.counters.queries);
         ServiceCounters::bump(&self.counters.cache_misses);

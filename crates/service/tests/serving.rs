@@ -645,6 +645,18 @@ fn query_scatter_rejects_non_finite_coordinates() {
 }
 
 #[test]
+fn query_scatter_rejects_nan_and_negative_seeds() {
+    let service = small_service();
+    for seed in [-1.0, f64::NAN, f64::NEG_INFINITY] {
+        let r = service.query_scatter(&queries()[0], 3, seed);
+        assert!(matches!(r, Err(ServiceError::InvalidInput("seed"))), "{seed}");
+    }
+    for seed in [0.0, -0.0, f64::INFINITY] {
+        assert!(service.query_scatter(&queries()[0], 3, seed).is_ok(), "{seed}");
+    }
+}
+
+#[test]
 fn insert_rejects_non_finite_coordinates_and_leaves_state_unchanged() {
     let service = small_service();
     let before = served_ids(&service, &queries()[0], 5);

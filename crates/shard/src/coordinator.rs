@@ -6,10 +6,10 @@
 //! A query scatters to every shard at once. Each shard searches all of its
 //! partitions as one best-first frontier and answers the attempt with one
 //! frame ([`Message::Hits`]): its exact local top-k, empty or not. The
-//! coordinator folds every hit of every reply into its own [`SharedTopK`],
-//! whose pool is the answer, and a shard's attempt is complete when its
-//! reply arrives. That is the paper's distributed query: local top-k
-//! searches on the partitions, merged into the global top-k.
+//! coordinator folds each shard's first reply into its own [`SharedTopK`],
+//! whose pool is the answer, and the shard is complete when that reply
+//! arrives. That is the paper's distributed query: local top-k searches on
+//! the partitions, merged into the global top-k.
 //!
 //! Exactness needs no bound exchange mid-query: a reply is the shard's
 //! exact top-k under its attempt's seed — none on a first attempt; on a
@@ -28,7 +28,10 @@
 //! fails over after one `attempt_timeout`), re-seeded with the
 //! coordinator's current bound so a retry only re-earns what is still
 //! missing. A late answer from an earlier attempt still counts: replies
-//! route by attempt number, and the pool drops a duplicate id. A shard
+//! route by attempt number, and a shard's first reply, whichever attempt
+//! sent it, is its whole answer. Every later reply for that shard — a
+//! retry's, a duplicated or a held-back frame — is dropped whole, so no id
+//! reaches the pool twice. A shard
 //! that exhausts its retries is declared failed; the answer is returned
 //! anyway, marked [`ShardOutcome::degraded`] with an accurate
 //! [`ShardOutcome::shards_failed`] — and degraded answers are **never**
@@ -60,7 +63,6 @@ use repose_cluster::{Backoff, BackoffConfig, Clock, SystemClock};
 use repose_distance::{Hit, SharedTopK};
 use repose_model::{Dataset, Point, Trajectory};
 use repose_service::{CacheKey, QueryCache, ReposeService, ServiceConfig};
-use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -432,15 +434,17 @@ impl ShardCluster {
         let qid = self.qid;
         let version_at_start = self.version;
         let global = SharedTopK::new(k);
-        let mut next_attempt: u32 = 0;
         let mut retries = 0u32;
 
+        // attempt number -> shard, so replies route without trusting the
+        // sender's node id (a late attempt and its retry answer for the
+        // same shard). Attempts are numbered 0, 1, 2, … per query, and
+        // shard `s`'s first attempt is attempt `s`.
+        let mut attempt_shard: Vec<usize> = (0..self.cfg.shards).collect();
         let mut progress: Vec<ShardProgress> = (0..self.cfg.shards)
             .map(|shard| {
-                let attempt = next_attempt;
-                next_attempt += 1;
                 let target = self.leaders[shard];
-                self.send_query(target, qid, attempt, k, f64::INFINITY, query);
+                self.send_query(target, qid, shard as u32, k, f64::INFINITY, query);
                 ShardProgress {
                     state: ShardState::Running,
                     target,
@@ -449,12 +453,6 @@ impl ShardCluster {
                     backoff: Backoff::new(self.cfg.backoff, self.cfg.seed ^ qid ^ shard as u64),
                 }
             })
-            .collect();
-        // attempt number -> shard, so replies route without trusting the
-        // sender's node id (a late attempt and its retry answer for the
-        // same shard).
-        let mut attempt_shard: HashMap<u32, usize> = (0..self.cfg.shards)
-            .map(|shard| (shard as u32, shard))
             .collect();
 
         loop {
@@ -470,27 +468,24 @@ impl ShardCluster {
             let mut got = self.transport.recv_timeout(0, self.cfg.tick);
             let now = self.clock.now();
             while let Some((_, msg)) = got {
-                // A lone `Hit` is a one-hit reply (no worker sends one).
-                let msg = match msg {
-                    Message::Hit { qid, attempt, id, dist } => {
-                        Message::Hits { qid, attempt, hits: vec![(id, dist)] }
-                    }
-                    other => other,
-                };
                 match msg {
                     Message::Hits { qid: q, attempt, hits } if q == qid => {
-                        if let Some(&shard) = attempt_shard.get(&attempt) {
-                            for (id, dist) in hits {
-                                // Idempotent per id: a retry's or a
-                                // duplicated frame's repeat of a hit is
-                                // dropped here.
-                                global.publish(dist, id);
+                        // The attempt number comes off the wire: look it up.
+                        if let Some(&shard) = attempt_shard.get(attempt as usize) {
+                            // A shard's first reply is its whole answer; a
+                            // later one (a retry's, a duplicated or a
+                            // held-back frame) would publish its ids again.
+                            if !matches!(progress[shard].state, ShardState::Completed) {
+                                for (id, dist) in hits {
+                                    global.publish(dist, id);
+                                }
+                                progress[shard].state = ShardState::Completed;
                             }
-                            progress[shard].state = ShardState::Completed;
                         }
                     }
-                    // Stale query traffic, stray write acks, anything a
-                    // fault replayed: not ours, not now.
+                    // Stale query traffic, stray write acks and lone `Hit`
+                    // frames (no node sends one), anything a fault
+                    // replayed: not ours, not now.
                     _ => {}
                 }
                 got = self.transport.try_recv(0);
@@ -513,9 +508,8 @@ impl ShardCluster {
                     ShardState::RetryAt(when) => {
                         if now >= when {
                             retries += 1;
-                            let attempt = next_attempt;
-                            next_attempt += 1;
-                            attempt_shard.insert(attempt, shard);
+                            let attempt = attempt_shard.len() as u32;
+                            attempt_shard.push(shard);
                             // Alternate the pair on every retry; a crashed
                             // or partitioned leader's replica answers.
                             p.target = self.other_node(p.target);

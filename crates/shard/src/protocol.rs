@@ -19,10 +19,11 @@
 //! Decoding is hostile-input safe: underruns, bad checksums, impossible
 //! counts, and unknown tags (the retired 3 and 4 among them) all surface
 //! as a typed [`ProtocolError`] — never a panic, never a silently skipped
-//! field. Hit distances, which feed a [`repose_distance::SharedTopK`],
-//! are checked here too: its `fetch_min` on `f64::to_bits` is only
-//! ordered for non-negative non-NaN values, so a NaN or negative one is
-//! refused at the wire. So is a non-finite coordinate in a `Query` or
+//! field. Hit distances and a `Query`'s `seed_dk`, which feed a
+//! [`repose_distance::SharedTopK`], are checked here too: its `fetch_min`
+//! on `f64::to_bits` is only ordered for non-negative non-NaN values, so a
+//! NaN or negative one is refused at the wire (+∞, a seed's "none", is
+//! legal). So is a non-finite coordinate in a `Query` or
 //! `Upsert` trajectory: the distance kernels' bitwise contract holds for
 //! finite input only.
 
@@ -101,8 +102,8 @@ pub enum Message {
         points: Vec<Point>,
     },
     /// Shard → coordinator: one accepted local hit. Workers reply with
-    /// [`Message::Hits`] and never send this; a coordinator that receives
-    /// one treats it as a one-hit reply.
+    /// [`Message::Hits`] and never send this; a coordinator ignores one
+    /// like any other stray frame.
     Hit {
         /// The query this hit answers.
         qid: u64,
@@ -377,7 +378,7 @@ impl Message {
                 let (&mb, rest) = cur.split_first().ok_or_else(t)?;
                 *cur = rest;
                 let measure = measure_from_u8(mb).ok_or(ProtocolError::BadMeasure(mb))?;
-                let seed_dk = read_f64(cur).ok_or_else(t)?;
+                let seed_dk = read_dist(cur)?;
                 let points = read_trajectory(cur)?;
                 Message::Query { qid, attempt, k, measure, seed_dk, points }
             }
@@ -623,6 +624,7 @@ mod tests {
             let frames = [
                 Message::Hit { qid: 1, attempt: 0, id: 5, dist: bad },
                 Message::Hits { qid: 1, attempt: 0, hits: vec![(5, 0.5), (6, bad)] },
+                query_seeded(bad),
             ];
             for msg in frames {
                 assert_eq!(
@@ -638,7 +640,13 @@ mod tests {
                 .is_ok());
             let hits = vec![(5, ok)];
             assert!(decode(&Message::Hits { qid: 1, attempt: 0, hits }.encode_frame()).is_ok());
+            assert!(decode(&query_seeded(ok).encode_frame()).is_ok());
         }
+    }
+
+    fn query_seeded(seed_dk: f64) -> Message {
+        let points = vec![Point::new(0.0, 0.0)];
+        Message::Query { qid: 1, attempt: 0, k: 3, measure: Measure::Dtw, seed_dk, points }
     }
 
     #[test]

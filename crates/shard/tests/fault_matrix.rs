@@ -179,7 +179,8 @@ fn fault_delay_past_deadline_recovers_exactly() {
     assert_eq!(sorted_dist_bits(out.hits.iter().map(|h| h.dist)), want);
 }
 
-/// A duplicated reply is absorbed by id-dedup: exact, no degradation.
+/// A duplicated reply is dropped whole (a shard's first reply is its
+/// answer): exact, no degradation.
 #[test]
 fn fault_duplicate_is_deduplicated() {
     let (out, want, faults) = run_fault_scenario("coord.rx", NetFault::Duplicate, 1, true);
@@ -427,7 +428,7 @@ fn dropped_hits_batch_without_retries_degrades_never_truncates() {
 }
 
 /// A reply delivered twice counts once: the first copy completes the
-/// attempt with no retry, and the pool drops the second copy's ids.
+/// attempt with no retry, and the coordinator drops the second copy whole.
 #[test]
 fn duplicated_hits_batch_counts_once() {
     let (out, want, stats) = run_reply_fault_scenario(NetFault::Duplicate, 2);
@@ -438,8 +439,8 @@ fn duplicated_hits_batch_counts_once() {
 }
 
 /// A held-back reply waits for the next frame on its link, which only the
-/// retry's reply can be: both land, each id counts once, and the answer
-/// is exact.
+/// retry's reply can be: both land, the first to arrive is the shard's
+/// answer, and the answer is exact.
 #[test]
 fn held_hits_reply_is_released_by_the_next_frame() {
     let (out, want, stats) = run_reply_fault_scenario(NetFault::Reorder, 2);

@@ -25,6 +25,9 @@
 //!    in the answer (no silent omissions);
 //! 3. the answer must not be short while certain matches remain.
 //!
+//! Every answer must also be well-formed: at most `k` hits, ascending by
+//! `(distance, id)`, and no id twice — whatever distances it carries.
+//!
 //! A `degraded` answer (the coordinator *said* it failed shards) is
 //! checked against rule 1 plus well-formedness only: honest degradation
 //! is a contract, not a bug.
@@ -127,6 +130,11 @@ impl ShadowOracle {
                     w[0].id, w[0].dist, w[1].id, w[1].dist
                 ));
             }
+        }
+        // One id, one slot: the coordinator's pool does not deduplicate.
+        let mut ids = HashSet::with_capacity(hits.len());
+        if let Some(h) = hits.iter().find(|h| !ids.insert(h.id)) {
+            return Err(format!("id {} returned twice", h.id));
         }
         let dist = |pts: &[Point]| self.params.distance(self.measure, query, pts);
 
@@ -280,6 +288,26 @@ mod tests {
         // World C: neither — still a bug.
         let neither = vec![Hit { id: 1, dist: 0.321 }];
         assert!(o.verify(&q, 1, &neither, false).is_err());
+    }
+
+    #[test]
+    fn one_id_in_two_slots_is_rejected() {
+        let mut o = oracle();
+        let q = line(0.0);
+        let twice = vec![Hit { id: 7, dist: 1.0 }, Hit { id: 7, dist: 2.0 }];
+        let err = o.verify(&q, 2, &twice, true).unwrap_err();
+        assert!(err.contains("twice"), "{err}");
+        // Each hit alone matches an admissible state of id 1; both at once
+        // put one trajectory in two slots.
+        o.uncertain_upsert(1, &line(0.5));
+        let both_worlds = vec![
+            Hit { id: 1, dist: o.params.distance(o.measure, &q, &line(0.5)) },
+            Hit { id: 1, dist: o.params.distance(o.measure, &q, &line(1.0)) },
+        ];
+        for degraded in [false, true] {
+            let err = o.verify(&q, 2, &both_worlds, degraded).unwrap_err();
+            assert!(err.contains("twice"), "{err}");
+        }
     }
 
     #[test]

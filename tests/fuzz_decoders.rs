@@ -72,13 +72,13 @@ fn arb_message() -> impl Strategy<Value = Message> {
         Just(RefusalReason::Durability),
     ];
     prop_oneof![
-        (any::<u64>(), any::<u32>(), any::<u32>(), measure, any::<u64>(), arb_finite_points()).prop_map(
-            |(qid, attempt, k, measure, dk_bits, points)| Message::Query {
+        (any::<u64>(), any::<u32>(), any::<u32>(), measure, arb_dist(), arb_finite_points()).prop_map(
+            |(qid, attempt, k, measure, seed_dk, points)| Message::Query {
                 qid,
                 attempt,
                 k,
                 measure,
-                seed_dk: f64::from_bits(dk_bits),
+                seed_dk,
                 points,
             }
         ),
@@ -174,6 +174,14 @@ proptest! {
         for msg in [
             Message::Hit { qid: 1, attempt: 0, id: 1, dist: bad },
             Message::Hits { qid: 1, attempt: 0, hits },
+            Message::Query {
+                qid: 1,
+                attempt: 0,
+                k: 3,
+                measure: Measure::Frechet,
+                seed_dk: bad,
+                points: vec![Point::new(0.0, 0.0)],
+            },
         ] {
             let frame = msg.encode_frame();
             prop_assert_eq!(

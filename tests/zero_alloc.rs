@@ -27,7 +27,7 @@
 //! sees the code under test.
 
 use repose::{Repose, ReposeConfig};
-use repose_distance::{bound_exceeds, DistScratch, Measure, MeasureParams, ThresholdSource};
+use repose_distance::{bound_exceeds, DistScratch, Measure, MeasureParams, SharedTopK};
 use repose_model::{Point, TrajStore, Trajectory};
 use repose_rptrie::{RpTrie, RpTrieConfig};
 use repose_service::{ReposeService, ServiceConfig};
@@ -259,8 +259,9 @@ fn warm_service_query_allocations_do_not_scale_with_delta_verifications() {
         );
         // Cache off: every query must walk the real verification path.
         // Pool off: allocation counts must be deterministic run to run,
-        // and pooled execution's publish counts (hence collector heap
-        // growth) legitimately vary with thread interleaving.
+        // and under a pool the bound each task prunes with (hence how far
+        // its frontier grows) legitimately varies with thread
+        // interleaving.
         let svc = ReposeService::with_config(
             repose,
             ServiceConfig { cache_capacity: 0, pool_threads: 1, ..ServiceConfig::default() },
@@ -313,28 +314,12 @@ fn warm_service_query_allocations_do_not_scale_with_delta_verifications() {
     );
 }
 
-/// A top-k bound kept in a fixed array: the k smallest published
-/// distances, so publishing allocates nothing and a measured verification
-/// pass can only count its own allocations.
-struct ArrayTopK(Mutex<[f64; 4]>);
-
-impl ThresholdSource for ArrayTopK {
-    fn bound(&self) -> f64 {
-        self.0.lock().unwrap()[3]
-    }
-    fn publish(&self, dist: f64, _id: u64) {
-        let mut best = self.0.lock().unwrap();
-        if dist < best[3] {
-            best[3] = dist;
-            best.sort_by(f64::total_cmp);
-        }
-    }
-}
-
 /// The refinement the delta scan and the baselines run — sort by
 /// `(bound, id)`, cut the tail where a bound proves it lost, score the
-/// rest through `MeasureParams::verify` — allocates nothing with a warm
-/// scratch and a caller-owned candidate buffer, at any candidate count.
+/// rest through `MeasureParams::verify` into a `SharedTopK` — allocates
+/// nothing with a warm scratch, a caller-owned candidate buffer and a
+/// collector built beforehand (construction sizes its heap once), at any
+/// candidate count.
 #[test]
 fn warm_refinement_loop_allocations_independent_of_candidates() {
     let _g = measure_lock();
@@ -352,8 +337,10 @@ fn warm_refinement_loop_allocations_independent_of_candidates() {
                 )
             })
             .collect();
+        // One fresh collector per measured window.
+        let mut tops = [SharedTopK::new(4), SharedTopK::new(4), SharedTopK::new(4)].into_iter();
         min_allocs_during(|| {
-            let top = ArrayTopK(Mutex::new([f64::INFINITY; 4]));
+            let top = tops.next().expect("one collector per window");
             cands.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
             let live = cands.iter().copied().take_while(|c| !bound_exceeds(c.0, top.bound()));
             let (scored, _) = params.verify(Measure::Dtw, &query, live, &top, &mut scratch);
