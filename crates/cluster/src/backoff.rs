@@ -91,13 +91,6 @@ impl Backoff {
     pub fn attempts(&self) -> u32 {
         self.attempts
     }
-
-    /// Resets the sequence to its first step without reseeding the jitter
-    /// stream (a success ends the episode; the next failure starts small).
-    pub fn reset(&mut self) {
-        self.step = self.config.base.as_secs_f64();
-        self.attempts = 0;
-    }
 }
 
 #[cfg(test)]
@@ -152,17 +145,6 @@ mod tests {
         };
         assert_eq!(a, b2, "deterministic per seed");
         assert_ne!(a, c2, "seeds decorrelate retry storms");
-    }
-
-    #[test]
-    fn reset_restarts_from_base() {
-        let mut b = Backoff::new(cfg(10, 1000, 2.0, 0.0), 0);
-        b.next_delay();
-        b.next_delay();
-        assert_eq!(b.next_delay(), Duration::from_millis(40));
-        b.reset();
-        assert_eq!(b.attempts(), 0);
-        assert_eq!(b.next_delay(), Duration::from_millis(10));
     }
 
     #[test]

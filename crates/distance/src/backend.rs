@@ -317,8 +317,22 @@ pub(crate) fn dispatch<K: Kernel>(kernel: K) -> K::Out {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// The active backend is process-global and libtest runs tests on
+    /// parallel threads: every lib test that forces a backend, or whose
+    /// result depends on the active one (its lane count,
+    /// `Measure::batch_lanes`, `verify`'s read cadence), holds this for
+    /// its whole run, as the integration suites' `for_each_backend`
+    /// (`tests/common`) does.
+    pub(crate) fn hold_backend() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        // A failed holder leaves the backend restored (`RestoreBackend`),
+        // so its poison carries nothing.
+        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     #[test]
     fn names_roundtrip() {
@@ -348,6 +362,7 @@ mod tests {
 
     #[test]
     fn scalar_always_available_and_forcible() {
+        let _hold = hold_backend();
         assert!(Backend::Scalar.is_supported());
         assert!(available_backends().contains(&Backend::Scalar));
         let entry = active_backend();

@@ -299,7 +299,7 @@ pub(crate) fn erp_init<V: Lanes>(col: &mut [f64], qgap: &mut [f64], query: &[Poi
     }
 }
 
-/// One ERP column transition (recurrence in the [`crate::erp`] docs) in
+/// One ERP column transition (recurrence in the [`crate::Measure::Erp`] docs) in
 /// each of `V`'s lanes, over a column laid out as [`erp_init`] leaves it:
 /// the new element's gap cost is `rgap`, its match cost against query point
 /// `q` is `ground(q)`. Row 0 is the all-reference-gaps boundary. Returns
@@ -330,7 +330,7 @@ pub(crate) fn erp_advance<V: Lanes>(
 }
 
 /// Incremental ERP column with gap point `g` (recurrence in the
-/// [`crate::erp()`] docs): `m + 1` cells, row 0 the all-reference-gaps
+/// [`crate::Measure::Erp`] docs): `m + 1` cells, row 0 the all-reference-gaps
 /// boundary. The exact ERP kernel pushes the same recurrence.
 #[derive(Debug, Clone)]
 pub struct ErpColumn {
@@ -478,8 +478,9 @@ impl LcssColumn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::within::could_match;
-    use crate::{edr, erp, lcss_length};
+    use crate::reference::{edr, erp};
+    use crate::within::{could_match, lcss_length_within};
+    use crate::DistScratch;
 
     fn pts(v: &[(f64, f64)]) -> Vec<Point> {
         v.iter().map(|&(x, y)| Point::new(x, y)).collect()
@@ -562,7 +563,8 @@ mod tests {
         for p in &t {
             col.push_with(&q, |a| could_match(*a, &cell(p), eps));
         }
-        let exact = lcss_length(&q, &t, eps) as u32;
+        let exact = lcss_length_within(&q, &t, eps, f64::INFINITY, &mut DistScratch::new())
+            .expect("a finite achievable-match bound never reaches +inf");
         assert!(col.max_len() >= exact, "{} < {exact}", col.max_len());
         assert!(col.max_len() <= q.len().min(t.len()) as u32);
     }

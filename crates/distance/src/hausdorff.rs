@@ -10,12 +10,6 @@ use crate::backend::{dispatch, Kernel, Lanes};
 use crate::DistScratch;
 use repose_model::Point;
 
-/// The (symmetric) Hausdorff distance between two trajectories
-/// (Definition 2, Eq. 1). Borrows the calling thread's [`DistScratch`].
-pub fn hausdorff(t1: &[Point], t2: &[Point]) -> f64 {
-    DistScratch::with_thread(|s| hausdorff_in(t1, t2, s))
-}
-
 /// One pass over the `m x n` squared-distance matrix keeping every row's
 /// and every column's minimum — each point's squared distance to its
 /// nearest neighbour in the other trajectory (what Fig. 4 of the paper
@@ -78,8 +72,9 @@ pub(crate) fn nn_sweep<'s, V: Lanes>(
     Some(&rows[..m])
 }
 
-/// [`hausdorff`] against a caller-managed scratch (which holds the sweep's
-/// lane arrays): zero heap allocations once `scratch` is warm.
+/// The (symmetric) Hausdorff distance between two trajectories
+/// (Definition 2, Eq. 1), against a caller-managed scratch (which holds the
+/// sweep's lane arrays): zero heap allocations once `scratch` is warm.
 ///
 /// The one unbounded kernel that is not its threshold kernel at `+∞`: the
 /// `max` fold of a single [`nn_sweep`] — row minima for one direction,
@@ -213,6 +208,10 @@ impl HausdorffState {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn hausdorff(t1: &[Point], t2: &[Point]) -> f64 {
+        DistScratch::with_thread(|s| hausdorff_in(t1, t2, s))
+    }
 
     fn pts(v: &[(f64, f64)]) -> Vec<Point> {
         v.iter().map(|&(x, y)| Point::new(x, y)).collect()

@@ -6,29 +6,56 @@ use crate::within::{
     frechet_lb, frechet_within, hausdorff_lb, hausdorff_within, lcss_distance_within, lcss_lb,
     prefilter_rejects,
 };
-use crate::{DistScratch, ThresholdSource};
+use crate::{DistScratch, SharedTopK};
 use repose_model::Point;
 
-/// Maximum number of candidates [`MeasureParams::distance_within_batch_in`]
-/// scores in one SIMD lane group: the widest lane type's width (the scalar
+/// Maximum number of candidates [`MeasureParams::verify`] scores in one
+/// SIMD lane group: the widest lane type's width (the scalar
 /// backend scores one at a time). Callers sizing stack buffers for one
 /// lane group (verification here, the trie's DTW sibling cells) use this.
 pub const BATCH_LANES: usize = crate::simd::AVX2_W;
 
 /// The similarity measures supported by REPOSE (Section I, contribution 1).
+///
+/// Every measure is scored through [`MeasureParams`], with Euclidean ground
+/// distance `d`. Against an empty trajectory, Hausdorff, Fréchet and DTW
+/// read 0 when both are empty and `+∞` otherwise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum Measure {
-    /// Hausdorff distance — metric, order-independent.
+    /// Hausdorff distance (Definition 2, Eq. 1): the larger of the two
+    /// directed distances, each the largest distance from a point of one
+    /// trajectory to its nearest neighbour in the other — metric,
+    /// order-independent.
     Hausdorff,
-    /// Discrete Frechet distance — metric, order-sensitive.
+    /// Discrete Fréchet distance (Eq. 6) — metric, order-sensitive.
     Frechet,
-    /// Dynamic time warping — non-metric, order-sensitive.
+    /// Dynamic time warping (Eq. 12), with no warping window — non-metric,
+    /// order-sensitive.
     Dtw,
-    /// LCSS distance (`1 - LCSS/min(m,n)`) — non-metric.
+    /// LCSS distance `1 - LCSS(τ1, τ2) / min(|τ1|, |τ2|)` (Vlachos et al.,
+    /// ICDE'02), where `LCSS` is the length of the longest common
+    /// subsequence and two points match when both coordinate differences
+    /// are at most [`MeasureParams::eps`] — non-metric. Zero when the
+    /// shorter trajectory's points all match a common subsequence of the
+    /// other, one when nothing matches (or exactly one side is empty), so
+    /// top-k "most similar" is top-k "smallest distance" as for the other
+    /// measures.
     Lcss,
-    /// Edit distance on real sequences — non-metric.
+    /// Edit Distance on Real sequences (Chen et al., SIGMOD'05): points
+    /// match (substitution cost 0) when both coordinate differences are at
+    /// most [`MeasureParams::eps`]; otherwise substitution, insertion and
+    /// deletion all cost 1. An integer edit count, returned as `f64` —
+    /// non-metric.
     Edr,
-    /// Edit distance with real penalty — metric.
+    /// Edit distance with Real Penalty (Chen & Ng, VLDB'04) with gap point
+    /// `g` = [`MeasureParams::erp_gap`] — metric, which is why the paper
+    /// groups it with Hausdorff and Fréchet for pivot-based pruning:
+    ///
+    /// ```text
+    /// erp(i,j) = min( erp(i-1,j-1) + d(q_i, p_j),
+    ///                 erp(i-1,j)   + d(q_i, g),
+    ///                 erp(i,j-1)   + d(p_j, g) )
+    /// ```
     Erp,
 }
 
@@ -207,53 +234,16 @@ impl MeasureParams {
         }
     }
 
-    /// Threshold-aware exact distances of several candidates against one
-    /// query in one call: on return `out[i]` equals
+    /// Scores one lane group of [`MeasureParams::verify`]: `out[i]` is
     /// `distance_within_from_lb_in(measure, query, cands[i].1, threshold,
-    /// cands[i].0, scratch)` — bit-identically, on every backend.
-    ///
-    /// When the active backend is SIMD and `measure` has a lane-batched
-    /// kernel (DTW, Fréchet, ERP), candidates that survive the prefilter
-    /// are verified in parallel vector lanes: the DP dependency chain —
-    /// the scan bottleneck a single-pair kernel cannot break — advances
-    /// once per cell for the whole lane group, and every query-side load
-    /// is shared. Other measures, the scalar backend, and degenerate
-    /// inputs are scored candidate by candidate with the sequential
-    /// kernels.
-    ///
-    /// `cands` pairs each candidate's [`MeasureParams::lower_bound`] with
-    /// its points (the bound contract of
-    /// [`MeasureParams::distance_within_from_lb_in`] applies); `out` must be
-    /// exactly as long as `cands`.
-    pub fn distance_within_batch_in(
-        &self,
-        measure: Measure,
-        query: &[Point],
-        cands: &[(f64, &[Point])],
-        threshold: f64,
-        scratch: &mut DistScratch,
-        out: &mut [Option<f64>],
-    ) {
-        assert_eq!(cands.len(), out.len(), "one output slot per candidate");
-        let lanes = measure.batch_lanes();
-        if lanes > 1 && !query.is_empty() && threshold > 0.0 {
-            for (c, o) in cands.chunks(lanes).zip(out.chunks_mut(lanes)) {
-                self.batch_lane_group(measure, query, c, threshold, scratch, o);
-            }
-            return;
-        }
-        for (&(lb, pts), o) in cands.iter().zip(out.iter_mut()) {
-            *o = self.distance_within_from_lb_in(measure, query, pts, threshold, lb, scratch);
-        }
-    }
-
-    /// Scores one lane group: prefilter-rejected and empty candidates are
-    /// settled without touching a kernel, and a DTW candidate must also
-    /// pass the nearest-neighbour stage before it may take a lane;
-    /// survivors go through the lane driver at the active width (or the
-    /// sequential kernel when only one survives — a one-lane vector would
-    /// waste the whole group's gathers).
-    fn batch_lane_group(
+    /// cands[i].0, scratch)`, bit for bit. Prefilter-rejected and empty
+    /// candidates are settled without touching a kernel, and a DTW
+    /// candidate must also pass the nearest-neighbour stage before it may
+    /// take a lane; survivors go through the lane driver at the active
+    /// width (or the sequential kernel when only one survives — a one-lane
+    /// vector would waste the whole group's gathers). The query must be
+    /// non-empty and `threshold` positive.
+    fn lane_group(
         &self,
         measure: Measure,
         query: &[Point],
@@ -307,28 +297,37 @@ impl MeasureParams {
     /// loop): scores `(lower bound, id, points)` candidates, in the order
     /// given, against `collector`'s live k-th distance, publishes every
     /// accepted distance into it, and returns `(scored, abandoned)` — the
-    /// candidates that reached [`MeasureParams::distance_within_batch_in`]
-    /// and those it refuted. It neither sorts nor stops early: a caller
-    /// that orders candidates by bound cuts the tail in the iterator.
+    /// candidates scored and those the threshold refuted. It neither sorts
+    /// nor stops early: a caller that orders candidates by bound cuts the
+    /// tail in the iterator.
     ///
-    /// The bound is read once per lane group of [`Measure::batch_lanes`]
-    /// candidates and compared strictly (`d < bound`), so a candidate tied
-    /// with the k-th distance is refused. A caller that must keep ties
-    /// with an outside cap seeds the collector at `just_above(cap)`. Within
-    /// a group the bound is stale, but stale only means larger: a member
-    /// may be accepted where a one-at-a-time scan would have refuted it,
-    /// never the reverse, and such extras fall back out of the collector's
-    /// pool, so the answer is the same. Each `bound` must genuinely
-    /// lower-bound its candidate's distance (`0.0` always does).
+    /// Candidates are scored a lane group of [`Measure::batch_lanes`] at a
+    /// time. When the active backend is SIMD and `measure` has a
+    /// lane-batched kernel (DTW, Fréchet, ERP), a group's candidates that
+    /// survive the prefilter are verified in parallel vector lanes: the DP
+    /// dependency chain — the scan bottleneck a single-pair kernel cannot
+    /// break — advances once per cell for the whole group, and every
+    /// query-side load is shared. Every candidate's result is bit-identical
+    /// to [`MeasureParams::distance_within_from_lb_in`]'s on every backend.
+    ///
+    /// The bound is read once per lane group and compared strictly
+    /// (`d < bound`), so a candidate tied with the k-th distance is
+    /// refused. A caller that must keep ties with an outside cap seeds the
+    /// collector at `just_above(cap)`. Within a group the bound is stale,
+    /// but stale only means larger: a member may be accepted where a
+    /// one-at-a-time scan would have refuted it, never the reverse, and
+    /// such extras fall back out of the collector's pool, so the answer is
+    /// the same. Each `bound` must genuinely lower-bound its candidate's
+    /// distance (`0.0` always does).
     pub fn verify<'p>(
         &self,
         measure: Measure,
         query: &[Point],
         cands: impl IntoIterator<Item = (f64, u64, &'p [Point])>,
-        collector: &dyn ThresholdSource,
+        collector: &SharedTopK,
         scratch: &mut DistScratch,
     ) -> (usize, usize) {
-        let group_len = measure.batch_lanes();
+        let lanes = measure.batch_lanes();
         let mut group = [(0.0f64, [].as_slice()); BATCH_LANES];
         let mut ids = [0u64; BATCH_LANES];
         let mut out = [None; BATCH_LANES];
@@ -337,7 +336,7 @@ impl MeasureParams {
         loop {
             let bound = collector.bound();
             let mut nb = 0;
-            for (lb, id, points) in cands.by_ref().take(group_len) {
+            for (lb, id, points) in cands.by_ref().take(lanes) {
                 group[nb] = (lb, points);
                 ids[nb] = id;
                 nb += 1;
@@ -345,8 +344,14 @@ impl MeasureParams {
             if nb == 0 {
                 return (scored, abandoned);
             }
-            let out = &mut out[..nb];
-            self.distance_within_batch_in(measure, query, &group[..nb], bound, scratch, out);
+            let (group, out) = (&group[..nb], &mut out[..nb]);
+            if lanes > 1 && !query.is_empty() && bound > 0.0 {
+                self.lane_group(measure, query, group, bound, scratch, out);
+            } else {
+                for (&(lb, pts), o) in group.iter().zip(out.iter_mut()) {
+                    *o = self.distance_within_from_lb_in(measure, query, pts, bound, lb, scratch);
+                }
+            }
             scored += nb;
             for (&d, &id) in out.iter().zip(&ids[..nb]) {
                 match d {
@@ -375,10 +380,10 @@ impl MeasureParams {
     }
 }
 
-/// One lane group of [`MeasureParams::distance_within_batch_in`], past the
-/// prefilter: every candidate and the query non-empty, `threshold > 0.0`
-/// and non-NaN. The group is driven `W` candidates at a time, so a backend
-/// switched by another thread since the group was sized changes no result.
+/// One lane group of [`MeasureParams::verify`], past the prefilter: every
+/// candidate and the query non-empty, `threshold > 0.0` and non-NaN. The
+/// group is driven `W` candidates at a time, so a backend switched by
+/// another thread since the group was sized changes no result.
 struct Batch<'a> {
     measure: Measure,
     gap: Point,
@@ -409,7 +414,7 @@ impl Kernel for Batch<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{dtw, edr, erp, frechet, hausdorff, lcss_distance};
+    use crate::reference::{dtw, edr, erp, frechet, hausdorff, lcss_distance};
 
     fn pts(v: &[(f64, f64)]) -> Vec<Point> {
         v.iter().map(|&(x, y)| Point::new(x, y)).collect()

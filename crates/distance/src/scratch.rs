@@ -10,9 +10,10 @@
 //! the kernels run **allocation-free**.
 //!
 //! Ownership discipline: one scratch per worker thread. Callers that own a
-//! loop hold a `DistScratch` explicitly and call the `MeasureParams::*_in`
-//! entry points; the classic ones (`dtw(a, b)`,
-//! [`crate::MeasureParams::distance`], …) instead borrow the calling
+//! loop hold a `DistScratch` explicitly and pass it to
+//! [`crate::MeasureParams::verify`] or a `MeasureParams::*_in` entry point;
+//! [`crate::MeasureParams::distance`] and
+//! [`crate::MeasureParams::distance_within`] instead borrow the calling
 //! thread's scratch via [`DistScratch::with_thread`], which is also how the
 //! trie search, the serving layer's delta scans, and the baselines'
 //! refinement loops get a warm scratch to pass down.
@@ -104,14 +105,13 @@ impl DistScratch {
     }
 
     /// Runs `f` with the calling thread's scratch — the per-worker-thread
-    /// scratch every classic (non-`_in`) entry point uses.
+    /// scratch every entry point without a scratch argument uses.
     ///
-    /// Re-entrant calls (a classic kernel invoked from code already
-    /// running inside another kernel's scratch scope — e.g. a
-    /// `ThresholdSource` or refinement callback that recomputes a
-    /// distance) fall back to a fresh temporary scratch: correct, just
-    /// not allocation-free for that inner call. The `*_in` entry points
-    /// never re-enter.
+    /// Re-entrant calls (such an entry point invoked from code already
+    /// running inside another scratch scope — e.g. a search filter that
+    /// recomputes a distance) fall back to a fresh temporary scratch:
+    /// correct, just not allocation-free for that inner call. The `*_in`
+    /// entry points never re-enter.
     pub fn with_thread<R>(f: impl FnOnce(&mut DistScratch) -> R) -> R {
         thread_local! {
             static SCRATCH: RefCell<DistScratch> = RefCell::new(DistScratch::new());

@@ -32,47 +32,12 @@
 //!
 //! The pool does not deduplicate: `k` distinct trajectories come out
 //! because each id is published at most once per collector (see
-//! [`ThresholdSource`] for why that holds).
+//! [`SharedTopK`] for why that holds).
 
 use repose_model::TrajId;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// A live, monotonically tightening source of a top-k pruning threshold,
-/// shared between concurrently executing local searches.
-///
-/// The contract every implementation must keep, because searchers prune
-/// with whatever [`ThresholdSource::bound`] returns:
-///
-/// * `bound()` is always a **sound upper bound on the global k-th
-///   distance** over everything published so far (and hence over the final
-///   answer — adding candidates only lowers the k-th distance);
-/// * `bound()` is **monotone non-increasing** across calls;
-/// * `publish` accepts only **exact** distances of real candidates (never
-///   lower bounds).
-///
-/// Callers publish each id **at most once per collector**, so one
-/// trajectory occupies one result slot without the collector checking.
-/// That holds because:
-///
-/// * tombstones leave each id one live row in a deployment, so the trie
-///   leaves and the delta scan of one service never both accept it;
-/// * shards own disjoint ids (`id % shards`);
-/// * the shard coordinator folds one reply per shard and drops any later
-///   one (a retry's, a duplicated or a held-back frame).
-///
-/// [`SharedTopK`] is the canonical implementation; the one verification
-/// step ([`crate::MeasureParams::verify`]), which the trie leaves, the
-/// delta scan and the baselines all run, and the trie descent consult one
-/// through this trait so a hit found anywhere prunes everywhere.
-pub trait ThresholdSource: Sync {
-    /// Current upper bound on the global k-th distance. Reading a stale
-    /// value is sound (bounds only ever tighten).
-    fn bound(&self) -> f64;
-    /// Publishes the exact distance of candidate `id`.
-    fn publish(&self, dist: f64, id: u64);
-}
 
 /// A scored search hit.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -91,13 +56,37 @@ impl Hit {
     }
 }
 
-/// One logical query's top-k collector (see module docs).
+/// One logical query's top-k collector (see module docs): a live,
+/// monotonically tightening pruning threshold shared between concurrently
+/// executing searches, and their answer.
 ///
 /// Every partition's local search (and, in the serving layer, every delta
-/// scan) runs against the same collector, so a hit found anywhere prunes
-/// everywhere. Create with [`SharedTopK::new`], hand out `&SharedTopK` (it
-/// is `Sync`), and read the answer with [`SharedTopK::hits`] once the
-/// searches are done.
+/// scan) runs against the same collector — the trie descent reads its
+/// bound, and the one verification step ([`crate::MeasureParams::verify`])
+/// that the trie leaves, the delta scan and the baselines all run
+/// publishes into it — so a hit found anywhere prunes everywhere. Create
+/// with [`SharedTopK::new`], hand out `&SharedTopK` (it is `Sync`), and
+/// read the answer with [`SharedTopK::hits`] once the searches are done.
+///
+/// The contract searchers rely on, because they prune with whatever
+/// [`SharedTopK::bound`] returns:
+///
+/// * `bound()` is always a **sound upper bound on the global k-th
+///   distance** over everything published so far (and hence over the final
+///   answer — adding candidates only lowers the k-th distance);
+/// * `bound()` is **monotone non-increasing** across calls;
+/// * `publish` accepts only **exact** distances of real candidates (never
+///   lower bounds).
+///
+/// Callers publish each id **at most once per collector**, so one
+/// trajectory occupies one result slot without the collector checking.
+/// That holds because:
+///
+/// * tombstones leave each id one live row in a deployment, so the trie
+///   leaves and the delta scan of one service never both accept it;
+/// * shards own disjoint ids (`id % shards`);
+/// * the shard coordinator folds one reply per shard and drops any later
+///   one (a retry's, a duplicated or a held-back frame).
 pub struct SharedTopK {
     k: usize,
     /// Bit-encoded cached bound (non-negative f64 bits order numerically).
@@ -131,15 +120,15 @@ impl SharedTopK {
     }
 
     /// Current upper bound on the global k-th distance (monotone
-    /// non-increasing; `INFINITY` until `k` hits were published).
+    /// non-increasing; `INFINITY` until `k` hits were published). Reading
+    /// a stale value is sound: bounds only ever tighten.
     pub fn bound(&self) -> f64 {
         f64::from_bits(self.bound_bits.load(Ordering::Acquire))
     }
 
     /// Publishes the exact distance of candidate `id`. Each id is
-    /// published at most once per collector ([`ThresholdSource`] says why
-    /// that holds); the pool does not check, so a repeat would fill two
-    /// slots.
+    /// published at most once per collector (the type docs say why that
+    /// holds); the pool does not check, so a repeat would fill two slots.
     pub fn publish(&self, dist: f64, id: TrajId) {
         debug_assert!(dist >= 0.0 && !dist.is_nan(), "exact distances are non-negative");
         if self.k == 0 {
@@ -171,15 +160,6 @@ impl SharedTopK {
             .into_iter()
             .map(|(bits, id)| Hit { id, dist: f64::from_bits(bits) })
             .collect()
-    }
-}
-
-impl ThresholdSource for SharedTopK {
-    fn bound(&self) -> f64 {
-        SharedTopK::bound(self)
-    }
-    fn publish(&self, dist: f64, id: u64) {
-        SharedTopK::publish(self, dist, id)
     }
 }
 

@@ -9,7 +9,7 @@
 //! * [`crate::backend::Lanes`] — the packed-`f64` trait every kernel with an
 //!   AVX2 form is written over, once; `f64` is its 1-lane instance, and
 //!   [`crate::backend::dispatch`] picks the width. The kernels live with
-//!   their measure: the nearest-neighbour sweep in [`crate::hausdorff`], the
+//!   their measure: the nearest-neighbour sweep in `hausdorff.rs`, the
 //!   directed Hausdorff threshold pass and the DTW nearest-neighbour stage
 //!   in [`crate::within`], the DTW/Fréchet and ERP column recurrences and
 //!   the DTW sibling expansion in [`crate::column`].

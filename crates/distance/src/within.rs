@@ -17,7 +17,7 @@
 //! `within(+∞).unwrap_or(+∞)` — at an infinite threshold no finite minimum
 //! abandons, and the one value the final `d < +∞` gate turns into `None` is
 //! `+∞` itself (an empty input, or a DTW/ERP sum that overflowed).
-//! Hausdorff alone also keeps an unbounded kernel ([`crate::hausdorff`]):
+//! Hausdorff alone also keeps an unbounded kernel (`hausdorff_in`):
 //! its single pass over the matrix is a different algorithm from the two
 //! directed passes used here, and faster when nothing can be abandoned.
 //! Inputs must be finite — a NaN coordinate voids the contract, which is
@@ -35,7 +35,7 @@
 //! 2. For DTW, a point-level **nearest-neighbour stage** (`dtw_nn_refutes`,
 //!    soundness argument there): the sums of every point's distance to its
 //!    nearest neighbour in the other trajectory — Hausdorff's row/column
-//!    minima sweep ([`crate::hausdorff`]) folded by `Σ√` instead of `max` —
+//!    minima sweep (`hausdorff.rs`) folded by `Σ√` instead of `max` —
 //!    refuse most candidates the prefilter lets through, at a fraction of
 //!    the dynamic program's cost.
 //! 3. **Early abandoning** inside the exact computation: Hausdorff stops
@@ -50,7 +50,7 @@
 //! once over the lane trait (`backend::Lanes`) and run at the active
 //! backend's width; the dynamic programs of a single pair run at one lane on
 //! every backend (lanes pay only across candidates,
-//! [`crate::MeasureParams::distance_within_batch_in`]).
+//! [`crate::MeasureParams::verify`]).
 //!
 //! The kernels themselves are crate-private; callers reach them through
 //! [`crate::MeasureParams`]. What this module exports is the threshold
@@ -582,7 +582,7 @@ pub fn bound_exceeds(lb: f64, cutoff: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{dtw, edr, erp, frechet, hausdorff, lcss_distance};
+    use crate::reference::{dtw, edr, erp, frechet, hausdorff, lcss_distance};
 
     fn pts(v: &[(f64, f64)]) -> Vec<Point> {
         v.iter().map(|&(x, y)| Point::new(x, y)).collect()
@@ -724,7 +724,8 @@ mod tests {
     fn hausdorff_matches_reference_on_the_length_grid() {
         for (a, b) in length_grid() {
             for (x, y) in [(&a, &b), (&b, &a)] {
-                let (got, want) = (hausdorff(x, y), crate::reference::hausdorff(x, y));
+                let got = DistScratch::with_thread(|s| crate::hausdorff::hausdorff_in(x, y, s));
+                let want = hausdorff(x, y);
                 assert_eq!(got.to_bits(), want.to_bits(), "{x:?} {y:?}");
             }
         }

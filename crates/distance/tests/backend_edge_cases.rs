@@ -7,27 +7,15 @@
 //! expansion of the DTW trie bound is checked the same way against the
 //! one-child-at-a-time push.
 
+mod common;
+
+use common::{for_each_backend, verify_at};
 use repose_distance::{
-    available_backends, force_backend, just_above, reference, Backend, DistScratch, DtwColumn,
-    Measure, MeasureParams, SharedTopK,
+    just_above, reference, DistScratch, DtwColumn, Measure, MeasureParams, SharedTopK,
 };
 use repose_model::{Mbr, Point};
-use std::sync::Mutex;
 
 const GAP: Point = Point::new(0.0, 0.0);
-
-/// Serializes backend-forcing tests (the active backend is process-global).
-static BACKEND_LOCK: Mutex<()> = Mutex::new(());
-
-fn for_each_backend(mut f: impl FnMut(Backend)) {
-    let _guard = BACKEND_LOCK.lock().unwrap();
-    let all = available_backends();
-    for &b in &all {
-        force_backend(b);
-        f(b);
-    }
-    force_backend(*all.last().expect("scalar is always available"));
-}
 
 /// A deterministic wiggly trajectory of `n` points.
 fn traj(n: usize, seed: u64) -> Vec<Point> {
@@ -222,8 +210,7 @@ fn batched_ragged_groups() {
                 .collect();
             for_each_backend(|backend| {
                 let mut scratch = DistScratch::new();
-                let mut out = vec![None; cands.len()];
-                params.distance_within_batch_in(m, &query, &cands, mid, &mut scratch, &mut out);
+                let out = verify_at(&params, m, &query, &cands, mid, &mut scratch);
                 for (i, &(lb, c)) in cands.iter().enumerate() {
                     let want =
                         params.distance_within_from_lb_in(m, &query, c, mid, lb, &mut scratch);
@@ -270,8 +257,7 @@ fn batched_ragged_groups() {
             let cands: Vec<(f64, &[Point])> = group.iter().map(|&c| (0.0, c)).collect();
             for_each_backend(|backend| {
                 let mut scratch = DistScratch::new();
-                let mut out = vec![None; cands.len()];
-                params.distance_within_batch_in(m, &query, &cands, thr, &mut scratch, &mut out);
+                let out = verify_at(&params, m, &query, &cands, thr, &mut scratch);
                 for (i, &(lb, c)) in cands.iter().enumerate() {
                     let want = reference::distance_within_from_lb(&params, m, &query, c, thr, lb);
                     assert_eq!(
@@ -307,8 +293,7 @@ fn batched_group_with_one_survivor() {
         assert_eq!(survivors, 1, "{m}: the fixture must leave exactly one survivor");
         for_each_backend(|backend| {
             let mut scratch = DistScratch::new();
-            let mut out = vec![None; cands.len()];
-            params.distance_within_batch_in(m, &query, &cands, thr, &mut scratch, &mut out);
+            let out = verify_at(&params, m, &query, &cands, thr, &mut scratch);
             for (i, &(lb, c)) in cands.iter().enumerate() {
                 let want = reference::distance_within_from_lb(&params, m, &query, c, thr, lb);
                 assert_eq!(
@@ -360,15 +345,7 @@ fn batched_dtw_groups_thinned_by_the_nn_stage() {
             .collect();
         for_each_backend(|backend| {
             let mut scratch = DistScratch::new();
-            let mut out = vec![None; cands.len()];
-            params.distance_within_batch_in(
-                Measure::Dtw,
-                &query,
-                &cands,
-                thr,
-                &mut scratch,
-                &mut out,
-            );
+            let out = verify_at(&params, Measure::Dtw, &query, &cands, thr, &mut scratch);
             for (i, &(lb, c)) in cands.iter().enumerate() {
                 let want =
                     reference::distance_within_from_lb(&params, Measure::Dtw, &query, c, thr, lb);

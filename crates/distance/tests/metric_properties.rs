@@ -2,8 +2,20 @@
 //! relies on (Section IV-D: pivot pruning is only sound for metrics).
 
 use proptest::prelude::*;
-use repose_distance::{dtw, frechet, hausdorff};
+use repose_distance::{Measure, MeasureParams};
 use repose_model::Point;
+
+fn hausdorff(a: &[Point], b: &[Point]) -> f64 {
+    MeasureParams::default().distance(Measure::Hausdorff, a, b)
+}
+
+fn frechet(a: &[Point], b: &[Point]) -> f64 {
+    MeasureParams::default().distance(Measure::Frechet, a, b)
+}
+
+fn dtw(a: &[Point], b: &[Point]) -> f64 {
+    MeasureParams::default().distance(Measure::Dtw, a, b)
+}
 
 fn pts(v: &[(f64, f64)]) -> Vec<Point> {
     v.iter().map(|&(x, y)| Point::new(x, y)).collect()

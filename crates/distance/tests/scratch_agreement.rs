@@ -9,36 +9,15 @@
 //! scratch instance persists across all cases of a run, so buffer-reuse
 //! contamination between kernels/sizes would be caught too.
 
+mod common;
+
+use common::{for_each_backend, verify_at};
 use proptest::prelude::*;
-use repose_distance::{
-    available_backends, force_backend, just_above, reference, Backend, DistScratch, Measure,
-    MeasureParams,
-};
+use repose_distance::{just_above, reference, DistScratch, Measure, MeasureParams};
 use repose_model::Point;
-use std::sync::Mutex;
 
 fn pts(v: &[(f64, f64)]) -> Vec<Point> {
     v.iter().map(|&(x, y)| Point::new(x, y)).collect()
-}
-
-const GAP: Point = Point::new(0.0, 0.0);
-
-/// The active backend is process-global: tests that force it hold this lock
-/// so two forcing tests never interleave. (Non-forcing tests in this binary
-/// are unaffected either way — every backend is bit-identical, which is the
-/// very property under test.)
-static BACKEND_LOCK: Mutex<()> = Mutex::new(());
-
-/// Runs `f` once per backend the host CPU supports, with that backend
-/// forced; restores the widest backend afterwards.
-fn for_each_backend(mut f: impl FnMut(Backend)) {
-    let _guard = BACKEND_LOCK.lock().unwrap();
-    let all = available_backends();
-    for &b in &all {
-        force_backend(b);
-        f(b);
-    }
-    force_backend(*all.last().expect("scalar is always available"));
 }
 
 /// Coordinates drawn from a coarse lattice so exact ties (equal distances,
@@ -92,6 +71,8 @@ proptest! {
         check_pair(&b, &a, eps, &mut scratch);
     }
 
+    /// The thread-scratch front, `MeasureParams::distance`, against the
+    /// oracle: every measure, bit for bit.
     #[test]
     fn individual_kernels_agree_bitwise(
         xs in proptest::collection::vec(coord(), 1..20),
@@ -99,30 +80,14 @@ proptest! {
     ) {
         let a = pts(&xs);
         let b = pts(&ys);
-        prop_assert_eq!(
-            repose_distance::dtw(&a, &b).to_bits(),
-            reference::dtw(&a, &b).to_bits()
-        );
-        prop_assert_eq!(
-            repose_distance::frechet(&a, &b).to_bits(),
-            reference::frechet(&a, &b).to_bits()
-        );
-        prop_assert_eq!(
-            repose_distance::hausdorff(&a, &b).to_bits(),
-            reference::hausdorff(&a, &b).to_bits()
-        );
-        prop_assert_eq!(
-            repose_distance::erp(&a, &b, GAP).to_bits(),
-            reference::erp(&a, &b, GAP).to_bits()
-        );
-        prop_assert_eq!(
-            repose_distance::edr(&a, &b, 0.5).to_bits(),
-            reference::edr(&a, &b, 0.5).to_bits()
-        );
-        prop_assert_eq!(
-            repose_distance::lcss_distance(&a, &b, 0.5).to_bits(),
-            reference::lcss_distance(&a, &b, 0.5).to_bits()
-        );
+        let params = MeasureParams::with_eps(0.5);
+        for m in Measure::ALL {
+            prop_assert_eq!(
+                params.distance(m, &a, &b).to_bits(),
+                reference::distance(&params, m, &a, &b).to_bits(),
+                "{}", m
+            );
+        }
     }
 }
 
@@ -172,10 +137,10 @@ proptest! {
         });
     }
 
-    /// Lane-batched verification vs one-at-a-time: `out[l]` of
-    /// `distance_within_batch_in` must be bit-identical to the sequential
-    /// `distance_within_from_lb_in` of the same candidate at the same
-    /// threshold, on every backend, for every batchable measure — across
+    /// Lane-batched verification vs one-at-a-time: what `verify` makes of
+    /// each candidate at a fixed threshold must be bit-identical to the
+    /// sequential `distance_within_from_lb_in` of the same candidate at the
+    /// same threshold, on every backend, for every batchable measure — across
     /// ragged candidate lengths (lanes finish at different columns) and
     /// thresholds that abandon some lanes and not others.
     #[test]
@@ -201,10 +166,7 @@ proptest! {
                 .collect();
             for_each_backend(|backend| {
                 let mut scratch = DistScratch::new();
-                let mut out = vec![None; cand_refs.len()];
-                params.distance_within_batch_in(
-                    m, &query, &cand_refs, thr, &mut scratch, &mut out,
-                );
+                let out = verify_at(&params, m, &query, &cand_refs, thr, &mut scratch);
                 for (i, &(lb, c)) in cand_refs.iter().enumerate() {
                     let want =
                         params.distance_within_from_lb_in(m, &query, c, thr, lb, &mut scratch);

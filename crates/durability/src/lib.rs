@@ -192,21 +192,25 @@ mod tests {
     #[test]
     fn segment_rotation_by_size() {
         let dir = scratch("rotate");
-        let cfg = DurabilityConfig::new(&dir).with_segment_bytes(64);
+        let cfg = DurabilityConfig::new(&dir).with_fsync(FsyncPolicy::Never);
         let mut wal = Wal::create(&cfg).unwrap();
-        for seq in 1..=8 {
-            wal.append(&WalRecord::Upsert { seq, id: seq, points: pts(4) }).unwrap();
+        // Four records of just over a quarter of the rotation size (16
+        // bytes a point, plus a header) fill the first segment past it, so
+        // the fifth opens a second one.
+        let points = wal::SEGMENT_BYTES / 4 / 16;
+        for seq in 1..=5 {
+            wal.append(&WalRecord::Upsert { seq, id: seq, points: pts(points) }).unwrap();
         }
         drop(wal);
         let replayed = replay(&dir).unwrap();
-        assert!(replayed.segments.len() > 1, "tiny segment budget forces rotation");
+        assert_eq!(replayed.segments.len(), 2, "crossing the size rotates once");
         assert_eq!(
             replayed
                 .records
                 .iter()
                 .filter(|r| matches!(r, WalRecord::Upsert { .. }))
                 .count(),
-            8,
+            5,
             "every record survives across rotations"
         );
         std::fs::remove_dir_all(&dir).unwrap();

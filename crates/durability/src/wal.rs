@@ -50,6 +50,9 @@ pub enum FsyncPolicy {
     Never,
 }
 
+/// A segment is rotated once it holds this many durably written bytes.
+pub(crate) const SEGMENT_BYTES: u64 = 8 << 20;
+
 /// Configuration of the durability layer.
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
@@ -57,22 +60,17 @@ pub struct DurabilityConfig {
     pub dir: PathBuf,
     /// The fsync policy (default [`FsyncPolicy::Always`]).
     pub fsync: FsyncPolicy,
-    /// Rotate to a fresh segment once the current one exceeds this many
-    /// durably written bytes (default 8 MiB).
-    pub segment_bytes: u64,
     /// Deterministic fault-injection plan (default: empty — nothing
     /// fires). Armed in code; see [`crate::failpoint`].
     pub failpoints: FailPlan,
 }
 
 impl DurabilityConfig {
-    /// A config with the production defaults (`Always`, 8 MiB segments,
-    /// no fail points).
+    /// A config with the production defaults (`Always`, no fail points).
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         DurabilityConfig {
             dir: dir.into(),
             fsync: FsyncPolicy::Always,
-            segment_bytes: 8 << 20,
             failpoints: FailPlan::new(),
         }
     }
@@ -80,12 +78,6 @@ impl DurabilityConfig {
     /// Replaces the fsync policy.
     pub fn with_fsync(mut self, fsync: FsyncPolicy) -> Self {
         self.fsync = fsync;
-        self
-    }
-
-    /// Replaces the segment rotation threshold.
-    pub fn with_segment_bytes(mut self, bytes: u64) -> Self {
-        self.segment_bytes = bytes;
         self
     }
 
@@ -195,7 +187,6 @@ pub struct WalCounters {
 pub struct Wal {
     dir: PathBuf,
     fsync: FsyncPolicy,
-    segment_bytes: u64,
     plan: FailPlan,
     file: File,
     seg_index: u64,
@@ -260,7 +251,6 @@ impl Wal {
         Ok(Wal {
             dir: cfg.dir.clone(),
             fsync: cfg.fsync,
-            segment_bytes: cfg.segment_bytes.max(1),
             plan: cfg.failpoints.clone(),
             file,
             seg_index: index,
@@ -301,7 +291,7 @@ impl Wal {
     /// about the record is guaranteed and the WAL is dead.
     pub fn append(&mut self, record: &WalRecord) -> Result<(), WalError> {
         self.check_alive()?;
-        if self.seg_written >= self.segment_bytes {
+        if self.seg_written >= SEGMENT_BYTES {
             self.rotate()?;
         }
         if let Some(action) = self.plan.hit("wal.append") {
@@ -330,7 +320,7 @@ impl Wal {
 
     /// Seals the current segment (a [`WalRecord::Seal`] trailer, flushed
     /// and synced) and opens the next one. Called automatically when a
-    /// segment outgrows [`DurabilityConfig::segment_bytes`], and by the
+    /// segment outgrows 8 MiB (`SEGMENT_BYTES`), and by the
     /// service when compaction seals the in-memory delta segments.
     pub fn rotate(&mut self) -> Result<(), WalError> {
         self.check_alive()?;

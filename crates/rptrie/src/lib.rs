@@ -70,7 +70,7 @@ pub use pivot::{select_pivots, PivotSet};
 pub use repose_distance::Hit;
 pub use search::{SearchResult, SearchStats};
 
-use repose_distance::{Measure, MeasureParams, SharedTopK, ThresholdSource};
+use repose_distance::{Measure, MeasureParams, SharedTopK};
 use repose_model::{Point, TrajId, TrajStore};
 use repose_zorder::Grid;
 
@@ -173,7 +173,7 @@ impl RpTrie {
         parts: &[(&RpTrie, &TrajStore)],
         query: &[Point],
         filter: Option<&(dyn Fn(TrajId) -> bool + Sync)>,
-        collector: &dyn ThresholdSource,
+        collector: &SharedTopK,
     ) -> SearchStats {
         for (trie, store) in parts {
             assert_eq!(

@@ -4,7 +4,7 @@
 use crate::bounds::{BoundState, Columns};
 use crate::pivot::pivot_lower_bound;
 use crate::{Hit, NodeId, RpTrie};
-use repose_distance::{bound_exceeds, DistScratch, ThresholdSource};
+use repose_distance::{bound_exceeds, DistScratch, SharedTopK};
 use repose_model::{Point, TrajId, TrajStore};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -109,7 +109,7 @@ pub(crate) fn search(
     parts: &[(&RpTrie, &TrajStore)],
     query: &[Point],
     filter: Option<&(dyn Fn(TrajId) -> bool + Sync)>,
-    collector: &dyn ThresholdSource,
+    collector: &SharedTopK,
 ) -> SearchStats {
     let mut stats = SearchStats::default();
     let Some(&(first, _)) = parts.first() else {
@@ -527,25 +527,7 @@ mod tests {
 
     #[test]
     fn concurrent_tightening_abandons_bound_pushes() {
-        use repose_distance::ThresholdSource;
         use std::sync::atomic::{AtomicBool, Ordering};
-
-        /// Simulates another partition finding a great hit mid-search:
-        /// infinite until anything is published here, then (unsoundly —
-        /// this tests the mechanism, not exactness) zero.
-        struct CollapseAfterFirstPublish(AtomicBool);
-        impl ThresholdSource for CollapseAfterFirstPublish {
-            fn bound(&self) -> f64 {
-                if self.0.load(Ordering::Relaxed) {
-                    0.0
-                } else {
-                    f64::INFINITY
-                }
-            }
-            fn publish(&self, _dist: f64, _id: u64) {
-                self.0.store(true, Ordering::Relaxed);
-            }
-        }
 
         // A prefix family far from the query: the node holding the prefix
         // leaf also has children, so when the bound collapses right after
@@ -563,12 +545,23 @@ mod tests {
             grid8(),
             RpTrieConfig::for_measure(Measure::Frechet).with_np(0),
         );
-        let src = CollapseAfterFirstPublish(AtomicBool::new(false));
-        let stats = RpTrie::search(&[(&trie, &store)], &query(), None, &src);
+        // Another partition finding a perfect hit mid-search: the filter
+        // publishes one on its first call, at the first leaf, so the bound
+        // is zero by the time that leaf's node expands its children.
+        let c = SharedTopK::new(1);
+        let published = AtomicBool::new(false);
+        let filter = |_: TrajId| {
+            if !published.swap(true, Ordering::Relaxed) {
+                c.publish(0.0, 999);
+            }
+            true
+        };
+        let stats = RpTrie::search(&[(&trie, &store)], &query(), Some(&filter), &c);
         assert!(
             stats.bounds_abandoned > 0,
             "expected skipped child bound pushes, stats {stats:?}"
         );
+        assert_eq!(c.hits()[0].id, 999);
     }
 
     #[test]

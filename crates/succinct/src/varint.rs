@@ -35,16 +35,6 @@ pub fn read_u64<B: Buf>(buf: &mut B) -> u64 {
     }
 }
 
-/// Appends an `f64` in little-endian (fixed 8 bytes).
-pub fn write_f64<B: BufMut>(buf: &mut B, v: f64) {
-    buf.put_f64_le(v);
-}
-
-/// Reads an `f64` written by [`write_f64`].
-pub fn read_f64<B: Buf>(buf: &mut B) -> f64 {
-    buf.get_f64_le()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,14 +68,6 @@ mod tests {
         let buf = [0x80u8];
         let mut r = &buf[..];
         read_u64(&mut r);
-    }
-
-    #[test]
-    fn f64_roundtrip() {
-        let mut buf = Vec::new();
-        write_f64(&mut buf, -1234.5678);
-        let mut r = &buf[..];
-        assert_eq!(read_f64(&mut r), -1234.5678);
     }
 
     proptest! {

@@ -36,16 +36,18 @@ fn main() {
         let repose = Repose::build(&dataset, config);
         let out = repose.query(&query.points, 3);
 
-        // cross-check against brute force
-        let mut brute: Vec<(f64, u64)> = dataset
+        // Cross-check against brute force. Distances, not ids: under a tie
+        // at the k-th distance any tied subset is a correct answer
+        // (Definition 3), so the index and the scan may keep different ids.
+        let mut brute: Vec<f64> = dataset
             .trajectories()
             .iter()
-            .map(|t| (params.distance(measure, &query.points, &t.points), t.id))
+            .map(|t| params.distance(measure, &query.points, &t.points))
             .collect();
-        brute.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        brute.sort_by(f64::total_cmp);
         assert_eq!(
-            out.hits.iter().map(|h| h.id).collect::<Vec<_>>(),
-            brute.iter().take(3).map(|e| e.1).collect::<Vec<_>>(),
+            out.hits.iter().map(|h| h.dist.to_bits()).collect::<Vec<_>>(),
+            brute.iter().take(3).map(|d| d.to_bits()).collect::<Vec<_>>(),
             "{measure}: index answer must equal the scan answer"
         );
 

@@ -111,16 +111,16 @@ fn sampled_queries_always_rank_themselves_first() {
     }
 }
 
-/// The production leaf-verification path, `distance_within_batch_in`, is
+/// The production leaf-verification path, `MeasureParams::verify`, is
 /// bit-identical to the frozen seed kernels on whichever backend the
 /// process runs (CI forces each in turn). The candidates are every
 /// trajectory the O(1) summary bound lets through at the true k-th
-/// distance, verified under `just_above(kth)` as trie leaves are. A
-/// refusal must match too: a DTW candidate the nearest-neighbour stage
-/// refuses returns `None`, so the reference must abandon it as well. One
-/// `verify` pass over the same candidates, under a collector seeded at
-/// `dk` with room for all of them, publishes exactly the reference's
-/// `Some`s.
+/// distance, verified under `just_above(kth)` as trie leaves are: one
+/// pass under a collector seeded at `dk` with room for all of them, so its
+/// bound stays at `dk` and it publishes exactly the reference's `Some`s,
+/// each with the reference's bits. A refusal must match too: a DTW
+/// candidate the nearest-neighbour stage refuses is not published, so the
+/// reference must abandon it as well.
 #[test]
 fn batched_verification_is_bitwise_the_reference() {
     let ds = PaperDataset::TDrive;
@@ -146,24 +146,21 @@ fn batched_verification_is_bitwise_the_reference() {
             })
             .collect();
         let dk = just_above(kth);
-        let pairs: Vec<(f64, &[Point])> = cands.iter().map(|&(lb, _, pts)| (lb, pts)).collect();
-        let mut got = vec![None; cands.len()];
-        params.distance_within_batch_in(measure, query, &pairs, dk, &mut scratch, &mut got);
         let mut want_hits = Vec::new();
-        for (&(lb, id, pts), got) in cands.iter().zip(&got) {
+        for &(lb, id, pts) in &cands {
             let want = reference::distance_within_from_lb(&params, measure, query, pts, dk, lb);
-            assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{measure}");
             want_hits.extend(want.map(|d| (d.to_bits(), id)));
         }
         let all = SharedTopK::with_initial_bound(cands.len(), dk);
-        params.verify(measure, query, cands.iter().copied(), &all, &mut scratch);
+        let counts = params.verify(measure, query, cands.iter().copied(), &all, &mut scratch);
         want_hits.sort_unstable();
         let published: Vec<(u64, u64)> =
             all.hits().iter().map(|h| (h.dist.to_bits(), h.id)).collect();
         assert_eq!(published, want_hits, "{measure}");
+        assert_eq!(counts, (cands.len(), cands.len() - want_hits.len()), "{measure}");
         // The k nearest always survive `dk`; the rest exercise refusals.
-        assert!(got.iter().filter(|d| d.is_some()).count() >= k, "{measure}");
-        refused += got.iter().filter(|d| d.is_none()).count();
+        assert!(want_hits.len() >= k, "{measure}");
+        refused += counts.1;
     }
     assert!(refused > 0, "no candidate was refused: the check saw no abandon path");
 }
@@ -204,8 +201,8 @@ fn grid_fidelity_improves_with_finer_delta() {
     for t in dataset.trajectories().iter().take(20) {
         let rc = coarse.reference_trajectory(&t.points);
         let rf = fine.reference_trajectory(&t.points);
-        let dc = repose_distance::hausdorff(&t.points, &rc);
-        let df = repose_distance::hausdorff(&t.points, &rf);
+        let dc = reference::hausdorff(&t.points, &rc);
+        let df = reference::hausdorff(&t.points, &rf);
         assert!(df <= dc + 1e-12, "fine {df} vs coarse {dc}");
         assert!(dc <= coarse.half_diagonal() + 1e-12);
         assert!(df <= fine.half_diagonal() + 1e-12);
