@@ -43,13 +43,6 @@ pub enum WalRecord {
         /// The deleted trajectory's id.
         id: TrajId,
     },
-    /// A segment seal marker: the writer rotated to a fresh segment after
-    /// this record (aligned with delta-segment seals at compaction).
-    /// `seq` is the last operation sequence issued at seal time.
-    Seal {
-        /// Last operation sequence issued before the seal.
-        seq: u64,
-    },
     /// A compaction checkpoint: every operation with sequence `<= seq` is
     /// fully reflected in the oldest archive generation the service
     /// keeps, so log records at or below it are dead and their segments
@@ -62,7 +55,8 @@ pub enum WalRecord {
 
 const TAG_UPSERT: u8 = 1;
 const TAG_DELETE: u8 = 2;
-const TAG_SEAL: u8 = 3;
+// Tag 3 is retired (a segment seal marker nothing read): it decodes as
+// `DecodeError::BadPayload`.
 const TAG_CHECKPOINT: u8 = 4;
 
 impl WalRecord {
@@ -71,7 +65,6 @@ impl WalRecord {
         match *self {
             WalRecord::Upsert { seq, .. }
             | WalRecord::Delete { seq, .. }
-            | WalRecord::Seal { seq }
             | WalRecord::Checkpoint { seq } => seq,
         }
     }
@@ -90,10 +83,6 @@ impl WalRecord {
                 payload.push(TAG_DELETE);
                 wire::put_u64(&mut payload, *seq);
                 wire::put_u64(&mut payload, *id);
-            }
-            WalRecord::Seal { seq } => {
-                payload.push(TAG_SEAL);
-                wire::put_u64(&mut payload, *seq);
             }
             WalRecord::Checkpoint { seq } => {
                 payload.push(TAG_CHECKPOINT);
@@ -154,7 +143,6 @@ impl WalRecord {
                 seq: wire::read_u64(&mut cur)?,
                 id: wire::read_u64(&mut cur)?,
             },
-            TAG_SEAL => WalRecord::Seal { seq: wire::read_u64(&mut cur)? },
             TAG_CHECKPOINT => WalRecord::Checkpoint { seq: wire::read_u64(&mut cur)? },
             _ => return None,
         };
@@ -261,7 +249,6 @@ mod tests {
             },
             WalRecord::Upsert { seq: 2, id: 7, points: vec![] },
             WalRecord::Delete { seq: 3, id: 42 },
-            WalRecord::Seal { seq: 3 },
             WalRecord::Checkpoint { seq: 3 },
         ]
     }
@@ -323,6 +310,22 @@ mod tests {
     fn empty_input_is_clean_end() {
         let mut cur: &[u8] = &[];
         assert_eq!(WalRecord::decode(&mut cur).unwrap(), None);
+    }
+
+    /// A well-framed, correctly checksummed payload under a tag no record
+    /// uses — the retired seal tag 3 among them — is structurally invalid.
+    #[test]
+    fn unknown_and_retired_tags_are_bad_payloads() {
+        for tag in [0u8, 3, 5, u8::MAX] {
+            let mut payload = vec![tag];
+            repose_model::wire::put_u64(&mut payload, 7);
+            let mut buf = Vec::new();
+            repose_model::wire::put_u32(&mut buf, payload.len() as u32);
+            repose_model::wire::put_u32(&mut buf, crc32(&payload));
+            buf.extend_from_slice(&payload);
+            let mut cur = buf.as_slice();
+            assert_eq!(WalRecord::decode(&mut cur), Err(DecodeError::BadPayload), "tag {tag}");
+        }
     }
 
     #[test]

@@ -35,8 +35,8 @@ pub struct Replayed {
     /// first): the log holds every record above it, so any base at or
     /// above it can be brought to `last_seq`.
     pub checkpoint_seq: u64,
-    /// Log records with sequence above `checkpoint_seq`, in append order
-    /// (upserts, deletes, and seals; checkpoints are consumed here).
+    /// Log records with sequence above `checkpoint_seq`, in append order:
+    /// upserts and deletes only (checkpoints are consumed here).
     pub records: Vec<WalRecord>,
     /// The highest operation sequence seen anywhere in the log.
     pub last_seq: u64,

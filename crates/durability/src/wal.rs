@@ -318,16 +318,15 @@ impl Wal {
         self.sync()
     }
 
-    /// Seals the current segment (a [`WalRecord::Seal`] trailer, flushed
-    /// and synced) and opens the next one. Called automatically when a
-    /// segment outgrows 8 MiB (`SEGMENT_BYTES`), and by the
-    /// service when compaction seals the in-memory delta segments.
+    /// Seals the current segment (its pending bytes flushed and synced)
+    /// and opens the next one. Called automatically when a segment
+    /// outgrows 8 MiB (`SEGMENT_BYTES`), and by the service before a
+    /// compaction's archive generation claims the log's records.
     pub fn rotate(&mut self) -> Result<(), WalError> {
         self.check_alive()?;
         if let Some(action) = self.plan.hit("wal.rotate") {
             return Err(self.inject("wal.rotate", action));
         }
-        WalRecord::Seal { seq: self.last_seq }.encode(&mut self.pending);
         self.flush()?;
         self.sync()?;
         self.sealed.push(SegmentInfo {

@@ -110,16 +110,9 @@ proptest! {
         drop(wal);
 
         let replayed = replay(&dir).unwrap();
-        let upserts: Vec<u64> = replayed
-            .records
-            .iter()
-            .filter_map(|r| match r {
-                WalRecord::Upsert { seq, .. } => Some(*seq),
-                _ => None,
-            })
-            .collect();
+        let seqs: Vec<u64> = replayed.records.iter().map(WalRecord::seq).collect();
         let want: Vec<u64> = (1..=n_acked as u64).collect();
-        prop_assert_eq!(upserts, want, "every acknowledged record, nothing else");
+        prop_assert_eq!(seqs, want, "every acknowledged record, nothing else");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -68,9 +68,10 @@ impl QueryCache {
         }
     }
 
-    /// Caches `hits` for `key`, computed at write version `version`,
-    /// evicting the least-recently-used entry when full.
-    pub fn put(&mut self, key: CacheKey, version: u64, hits: Vec<Hit>) {
+    /// Caches a copy of `hits` for `key`, computed at write version
+    /// `version`, evicting the least-recently-used entry when full. A
+    /// disabled cache copies nothing.
+    pub fn put(&mut self, key: CacheKey, version: u64, hits: &[Hit]) {
         if self.capacity == 0 {
             return;
         }
@@ -89,7 +90,7 @@ impl QueryCache {
             }
         }
         self.entries
-            .insert(key, Entry { hits, version, last_used: self.clock });
+            .insert(key, Entry { hits: hits.to_vec(), version, last_used: self.clock });
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -112,7 +113,7 @@ mod tests {
     #[test]
     fn version_mismatch_is_a_miss() {
         let mut c = QueryCache::new(8);
-        c.put(key(1.0, 5), 1, hits(1));
+        c.put(key(1.0, 5), 1, &hits(1));
         assert!(c.get(&key(1.0, 5), 1).is_some());
         assert!(c.get(&key(1.0, 5), 2).is_none(), "stale version served");
         assert_eq!(c.len(), 0, "stale entry should be dropped");
@@ -135,10 +136,10 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used() {
         let mut c = QueryCache::new(2);
-        c.put(key(1.0, 1), 1, hits(1));
-        c.put(key(2.0, 1), 1, hits(2));
+        c.put(key(1.0, 1), 1, &hits(1));
+        c.put(key(2.0, 1), 1, &hits(2));
         assert!(c.get(&key(1.0, 1), 1).is_some()); // touch 1 -> 2 is LRU
-        c.put(key(3.0, 1), 1, hits(3));
+        c.put(key(3.0, 1), 1, &hits(3));
         assert!(c.get(&key(2.0, 1), 1).is_none(), "LRU entry survived");
         assert!(c.get(&key(1.0, 1), 1).is_some());
         assert!(c.get(&key(3.0, 1), 1).is_some());
@@ -147,7 +148,7 @@ mod tests {
     #[test]
     fn zero_capacity_disables_caching() {
         let mut c = QueryCache::new(0);
-        c.put(key(1.0, 1), 1, hits(1));
+        c.put(key(1.0, 1), 1, &hits(1));
         assert!(c.get(&key(1.0, 1), 1).is_none());
     }
 }

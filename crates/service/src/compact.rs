@@ -1,8 +1,9 @@
-//! Compaction: folding the delta logs into rebuilt frozen partitions and
+//! Compaction: folding the delta log into rebuilt frozen partitions and
 //! checkpointing the WAL behind the result by installing it as an archive
-//! generation — plus the one statement of which rows are live.
+//! generation — plus the one statement of which rows are live. It is the
+//! only code that places a delta row in a partition.
 
-use crate::delta::snapshot_len;
+use crate::delta::{snapshot_len, DeltaSegment};
 use crate::error::ServiceError;
 use crate::query::Snapshot;
 use crate::service::ReposeService;
@@ -39,7 +40,8 @@ pub(crate) fn install_generation(
 }
 
 /// The live rows of a snapshot as `(arena, slot)` pairs — the liveness
-/// rule compaction and [`ReposeService::len`] share.
+/// rule compaction, the query's delta scan and [`ReposeService::len`]
+/// share.
 impl Snapshot {
     /// Partition `pi`'s frozen survivors (rows whose id has no tombstone),
     /// in arena order.
@@ -50,13 +52,14 @@ impl Snapshot {
             .map(move |slot| (store, slot))
     }
 
-    /// Partition `pi`'s live delta rows (each id's latest write, unless a
-    /// delete out-sequenced it), in append order.
-    pub(crate) fn delta_live(&self, pi: usize) -> impl Iterator<Item = (&TrajStore, usize)> {
-        self.deltas[pi].iter().flat_map(move |seg| {
+    /// The live delta rows (each id's latest write, unless a delete
+    /// out-sequenced it), in append order, with their segment so a caller
+    /// can read the stored summary too.
+    pub(crate) fn delta_live(&self) -> impl Iterator<Item = (&DeltaSegment, usize)> {
+        self.delta.iter().flat_map(move |seg| {
             (0..seg.store.len())
                 .filter(move |&slot| seg.is_live(slot, &self.tombstones))
-                .map(move |slot| (&seg.store, slot))
+                .map(move |slot| (&**seg, slot))
         })
     }
 }
@@ -72,8 +75,9 @@ fn gather<'a>(rows: impl Iterator<Item = (&'a TrajStore, usize)>) -> TrajStore {
 
 impl ReposeService {
     /// Folds every buffered write into rebuilt frozen tries: each
-    /// partition is rebuilt in place from its frozen survivors then its
-    /// live delta rows, on the deployment's grid. Placement never changes,
+    /// partition `pi` is rebuilt in place from its frozen survivors then
+    /// the live delta rows with `id % partitions == pi`, in append order,
+    /// on the deployment's grid. Placement never changes,
     /// and neither does the region while every live delta point lies
     /// inside it; a point outside grows the region to the enclosing square
     /// of the old one and the delta points, so reference-point
@@ -87,13 +91,13 @@ impl ReposeService {
     /// trajectories in the rebuilt deployment.
     ///
     /// With durability enabled a completed compaction also **checkpoints**
-    /// the WAL: the log rotates to a new segment (aligned with the
-    /// delta-segment seal), the rebuilt deployment is installed as a fresh
-    /// archive generation, and every segment the generation it replaced
-    /// fully covers is pruned — so recovery time tracks the write volume
-    /// since the compaction before last, not service lifetime. If the
-    /// install fails, the rebuilt deployment still serves, the log keeps
-    /// its older base, and the error is returned.
+    /// the WAL: the log rotates to a new segment, the rebuilt deployment
+    /// is installed as a fresh archive generation, and every segment the
+    /// generation it replaced fully covers is pruned — so recovery time
+    /// tracks the write volume since the compaction before last, not
+    /// service lifetime. If the install fails, the rebuilt deployment
+    /// still serves, the log keeps its older base, and the error is
+    /// returned.
     pub fn compact(&self) -> Result<usize, ServiceError> {
         let _gate = self.compact_gate.lock().map_err(|_| ServiceError::StatePoisoned)?;
 
@@ -105,12 +109,13 @@ impl ReposeService {
         let frozen = &snap.frozen;
         let n = frozen.num_partitions();
 
-        // Phase 2: rebuild offline from the live snapshot.
-        let delta_points = || {
-            (0..n)
-                .flat_map(|pi| snap.delta_live(pi))
-                .flat_map(|(store, slot)| store.points(slot))
-        };
+        // Phase 2: rebuild offline from the live snapshot, each live delta
+        // row placed in partition `id % n`.
+        let mut placed: Vec<Vec<(&TrajStore, usize)>> = vec![Vec::new(); n];
+        for (seg, slot) in snap.delta_live() {
+            placed[seg.store.id(slot) as usize % n].push((&seg.store, slot));
+        }
+        let delta_points = || placed.iter().flatten().flat_map(|&(store, slot)| store.points(slot));
         let old = frozen.region();
         let region = if delta_points().all(|p| old.contains(*p)) {
             old
@@ -118,16 +123,15 @@ impl ReposeService {
             enclosing_square_of([old.min, old.max].iter().chain(delta_points()))
                 .expect("the old corners are points")
         };
-        let parts = (0..n).map(|pi| gather(snap.frozen_live(pi).chain(snap.delta_live(pi))));
+        let parts = placed.into_iter().enumerate();
+        let parts = parts.map(|(pi, rows)| gather(snap.frozen_live(pi).chain(rows)));
         let new_frozen =
             Arc::new(Repose::build_from_parts(parts.collect(), region, *frozen.config()));
 
         // Phase 3: atomic install.
         {
             let mut s = self.state.write().map_err(|_| ServiceError::StatePoisoned)?;
-            for (log, compacted) in s.deltas.iter_mut().zip(&snap.deltas) {
-                log.drain_prefix(snapshot_len(compacted));
-            }
+            s.delta.drain_prefix(snapshot_len(&snap.delta));
             // Tombstones at or before the snapshot are fully reflected in
             // the rebuilt deployment; later ones still apply.
             Arc::make_mut(&mut s.tombstones).retain(|_, seq| *seq > seq_snapshot);
@@ -143,7 +147,7 @@ impl ReposeService {
         // state -> wal, so no cycle) and never across the install.
         if let (Some(wal), Some(arc)) = (&self.wal, &self.archive) {
             let lock_wal = || wal.lock().map_err(|_| ServiceError::StatePoisoned);
-            // 1. Seal and fsync every record the generation will claim.
+            // 1. Rotate, fsyncing every record the generation will claim.
             lock_wal()?.rotate()?;
             // 2. Install it, validated by read-back.
             let archive = install_generation(&arc.dir, &new_frozen, seq_snapshot, &arc.failpoints)?;
@@ -206,13 +210,28 @@ mod tests {
     }
 
     /// A write far outside the frozen region grows the region to cover it
-    /// and keeps every frozen survivor in its partition, and the rebuilt
-    /// deployment answers every measure exactly.
+    /// and keeps every frozen survivor in its partition; each live delta
+    /// row joins partition `id % PARTITIONS` after the survivors, in
+    /// append order — an upsert over a frozen id moves that row there too
+    /// — and the rebuilt deployment answers every measure exactly.
     #[test]
     fn a_write_outside_the_region_grows_it_and_keeps_placement() {
         let far = Trajectory::new(FAR, vec![Point::new(500.0, 500.0), Point::new(501.0, 499.0)]);
-        let mut live: Vec<Trajectory> = (0..40).filter(|&id| id != 5).map(line).collect();
-        live.push(far.clone());
+        let shifted = |id, dy| {
+            let points = line(id).points.iter().map(|p| Point::new(p.x, p.y + dy)).collect();
+            Trajectory::new(id, points)
+        };
+        let (moved, again) = (shifted(12, 0.3), shifted(101, -0.45));
+        let mut live: Vec<Trajectory> =
+            (0..40).filter(|&id| id != 5 && id != 12).map(line).collect();
+        live.extend([far.clone(), line(100), moved.clone(), again.clone()]);
+        // Each partition's live delta rows, in append order.
+        let tail = |pi: usize| match pi {
+            0 => vec![100, 12],
+            1 => vec![101],
+            3 => vec![FAR],
+            _ => vec![],
+        };
         let near = vec![Point::new(1.1, 4.2), Point::new(2.6, 4.2)];
         let at_far = vec![Point::new(500.2, 500.1)];
         let params = MeasureParams::with_eps(0.5);
@@ -220,6 +239,12 @@ mod tests {
             let svc = service(measure, params);
             svc.remove(5).unwrap();
             svc.insert(far.clone()).unwrap();
+            for id in [100, 101, 102] {
+                svc.insert(line(id)).unwrap();
+            }
+            svc.insert(moved.clone()).unwrap();
+            svc.insert(again.clone()).unwrap();
+            svc.remove(102).unwrap();
             let old = svc.snapshot().frozen;
             assert!(!far.points.iter().all(|p| old.region().contains(*p)));
             assert_eq!(svc.compact().unwrap(), live.len());
@@ -233,10 +258,8 @@ mod tests {
                     (0..store.len()).map(|s| store.id(s)).collect()
                 };
                 let mut kept = ids(old.partition_view(pi).store);
-                kept.retain(|&id| id != 5);
-                if pi == FAR as usize % PARTITIONS {
-                    kept.push(FAR);
-                }
+                kept.retain(|&id| id != 5 && id != 12);
+                kept.extend(tail(pi));
                 assert_eq!(ids(new.partition_view(pi).store), kept, "{measure}: partition {pi}");
             }
 

@@ -1,11 +1,12 @@
-//! The per-partition write-ahead delta log, stored as append-only
+//! The service's write-ahead delta log, stored as append-only
 //! [`TrajStore`] arena segments.
 //!
-//! Writes never touch a frozen RP-Trie. Each partition owns an
-//! append-only log of entries; a global tombstone map `id -> sequence`
-//! records, for every id ever written, the sequence of its *latest* write
-//! (insert *or* delete). Together they give upsert/delete semantics
-//! without mutating anything in place:
+//! Writes never touch a frozen RP-Trie. Every upsert appends one entry to
+//! the service's one append-only log, whatever partition its id will
+//! land in (compaction alone places a row); a global tombstone map
+//! `id -> sequence` records, for every id ever written, the sequence of
+//! its *latest* write (insert *or* delete). Together they give
+//! upsert/delete semantics without mutating anything in place:
 //!
 //! * a **frozen** trajectory is live iff its id has no tombstone;
 //! * a **delta** entry is live iff its sequence is >= the tombstone
@@ -64,8 +65,8 @@ impl DeltaSegment {
     }
 }
 
-/// A query/compaction snapshot of one partition's log: shared immutable
-/// segments, in append order.
+/// A query/compaction snapshot of the log: shared immutable segments, in
+/// append order.
 pub(crate) type DeltaSnapshot = Vec<Arc<DeltaSegment>>;
 
 /// Total entries across a snapshot's segments.
@@ -73,7 +74,7 @@ pub(crate) fn snapshot_len(snapshot: &DeltaSnapshot) -> usize {
     snapshot.iter().map(|s| s.store.len()).sum()
 }
 
-/// One partition's append-only write log.
+/// The service's append-only write log.
 #[derive(Debug, Default)]
 pub(crate) struct DeltaLog {
     segments: Vec<Arc<DeltaSegment>>,

@@ -5,29 +5,31 @@
 //! freezes every partition's RP-Trie at construction. This crate adds the
 //! online path a production deployment needs, without giving up exactness:
 //!
-//! * **Writes** go to per-partition append-only *delta arena segments*
+//! * **Writes** go to one append-only *delta log* of arena segments
 //!   (flat `TrajStore`s — the frozen layout's contiguous-scan property,
 //!   extended to the write path) plus a tombstone map
 //!   ([`ReposeService::insert`] / [`ReposeService::remove`] —
-//!   upsert/delete semantics). Frozen tries are never mutated.
+//!   upsert/delete semantics). Frozen tries are never mutated, and a
+//!   delta row joins a partition only when compaction places it.
 //! * **Queries** ([`ReposeService::query`]) search every frozen partition
-//!   *and* its delta against one live `SharedTopK` collector: delta
+//!   *and* the delta log against one live `SharedTopK` collector: delta
 //!   candidates are scanned cheapest-stored-summary-bound first under the
 //!   global threshold (hopeless ones abandoned or skipped), the survivors
 //!   seed the trie search (`RpTrie::search`), and every accepted
 //!   hit published anywhere tightens every later scan and descent —
 //!   across partitions. A query runs as one *frontier task* per pool
 //!   thread, in **wall-clock parallel** on a persistent worker pool: each
-//!   task owns every `G`-th partition and searches all of them in one
-//!   best-first frontier, so nodes pop in global lower-bound order
-//!   instead of one partition's heap at a time;
+//!   task owns every `G`-th partition and every `G`-th live delta row and
+//!   searches all of them in one best-first frontier, so nodes pop in
+//!   global lower-bound order instead of one partition's heap at a time;
 //!   [`ReposeService::query_batch`] is the same engine admitting a whole
 //!   batch onto the pool with per-query collectors. Results are exactly
 //!   what a freshly rebuilt index over the same live data would return.
 //! * **Compaction** ([`ReposeService::compact`]) rebuilds every partition
-//!   in place off-line — its frozen survivors plus its live delta rows, on
-//!   the deployment's grid — and swaps the deployment in atomically;
-//!   readers are only blocked for the pointer swap.
+//!   in place off-line — its frozen survivors plus the live delta rows
+//!   whose id maps to it, on the deployment's grid — and swaps the
+//!   deployment in atomically; readers are only blocked for the pointer
+//!   swap.
 //! * **Caching**: results are cached per (exact coordinate bits, k,
 //!   measure) in a [`QueryCache`] and invalidated by a global write
 //!   version — a cache hit is never staler than the latest completed

@@ -8,8 +8,10 @@
 //! as `G = min(pool threads, partitions)` *frontier tasks*. Frontier `g`
 //! owns the partitions `pi` with `pi % G == g` — heterogeneous
 //! partitioning deals every cluster round-robin across partitions, so
-//! each frontier holds a representative share of the data. A task scans
-//! its partitions' live delta candidates as one bound-sorted list
+//! each frontier holds a representative share of the data. The delta log
+//! belongs to no partition: frontier `g` takes the live delta candidates
+//! at positions `g, g + G, …` of the append order, so each is scanned
+//! exactly once. A task scans its share as one bound-sorted list
 //! ([`scan_delta`]), then runs one best-first search over all its
 //! partitions' tries at once ([`repose_rptrie::RpTrie::search`]): one
 //! frontier, nodes popped in global lower-bound order, so no partition is
@@ -101,12 +103,12 @@ impl ServiceOutcome {
 }
 
 /// Everything a query reads, cloned under one brief state read lock: the
-/// frozen deployment, each partition's delta segments (`Arc` clones — any
-/// later write starts a new segment rather than touching these), and the
+/// frozen deployment, the delta log's segments (`Arc` clones — any later
+/// write starts a new segment rather than touching these), and the
 /// tombstone map.
 pub(crate) struct Snapshot {
     pub(crate) frozen: Arc<Repose>,
-    pub(crate) deltas: Vec<DeltaSnapshot>,
+    pub(crate) delta: DeltaSnapshot,
     pub(crate) tombstones: Arc<HashMap<TrajId, u64>>,
 }
 
@@ -126,11 +128,11 @@ struct Plan<'a> {
     query: &'a [Point],
     /// One shared collector for the whole query: every frontier's delta
     /// scan and trie search publishes into it and prunes with its live
-    /// global k-th-distance bound, so a close delta candidate in
-    /// partition 0 tightens partition 5's trie descent and vice versa.
+    /// global k-th-distance bound, so a close delta candidate scanned by
+    /// frontier 0 tightens frontier 1's trie descent and vice versa.
     collector: SharedTopK,
-    /// Each partition's live delta candidates ([`delta_candidates`]).
-    cands: Vec<Vec<Cand<'a>>>,
+    /// The live delta candidates, in append order ([`delta_candidates`]).
+    cands: Vec<Cand<'a>>,
     slots: Vec<Mutex<Option<TaskResult>>>,
 }
 
@@ -165,7 +167,7 @@ impl Plan<'_> {
 impl ReposeService {
     /// Exact top-k over the live data.
     ///
-    /// The partitions' delta scans and trie searches share one
+    /// The frontiers' delta scans and trie searches share one
     /// [`SharedTopK`] collector and run as one best-first frontier task
     /// per pool thread (see the module docs), so the query's wall-clock
     /// latency scales with cores while the answer stays
@@ -253,7 +255,7 @@ impl ReposeService {
             let collectors = misses.iter().map(|&(qi, _)| (queries[qi], SharedTopK::new(k)));
             let searched = self.search(&snap, collectors);
             for ((qi, key), outcome) in misses.into_iter().zip(searched) {
-                self.lock_cache().put(key, version, outcome.hits.clone());
+                self.lock_cache().put(key, version, &outcome.hits);
                 outcomes[qi] = Some(outcome);
             }
         }
@@ -346,7 +348,8 @@ impl ReposeService {
 
         let run = |plan: &Plan, g: usize| {
             let owned: Vec<usize> = (g..n).step_by(frontiers).collect();
-            let r = run_task(snap, plan.query, &plan.collector, params, &plan.cands, &owned);
+            let delta = plan.cands.iter().skip(g).step_by(frontiers).copied().collect();
+            let r = run_task(snap, plan.query, &plan.collector, params, delta, &owned);
             *plan.slots[g].lock().expect("frontier slot") = Some(r);
         };
         // Group-major: every query's frontier 0 dispatches before any
@@ -371,26 +374,24 @@ impl ReposeService {
     }
 }
 
-/// One search task for one query over the partitions `owned`: their
-/// delta candidates as one scan (cheapest stored bound first, under the
-/// live shared threshold), then one trie search over all of them — both
+/// One search task for one query: its share of the delta candidates as
+/// one scan (cheapest stored bound first, under the live shared
+/// threshold), then one trie search over the partitions `owned` — both
 /// pruning with and publishing into `collector`. The tombstone filter
 /// hides every frozen row whose id was upserted or deleted since the
 /// freeze, so an id with a live delta version is scored once, at its new
-/// distance. `cands` holds every partition's precomputed live delta
-/// candidate list from [`delta_candidates`] (bounds already priced; no
-/// second pass over the delta segments).
+/// distance. `delta` is the task's share of [`delta_candidates`] (bounds
+/// already priced; no second pass over the delta segments).
 fn run_task(
     snap: &Snapshot,
     query: &[Point],
     collector: &SharedTopK,
     params: MeasureParams,
-    cands: &[Vec<Cand<'_>>],
+    delta: Vec<Cand<'_>>,
     owned: &[usize],
 ) -> TaskResult {
     let t0 = Instant::now();
     let mut stats = SearchStats::default();
-    let delta: Vec<Cand> = owned.iter().flat_map(|&pi| cands[pi].iter().copied()).collect();
     let delta_live = delta.len();
     scan_delta(snap.frozen.config().measure(), params, query, delta, &mut stats, collector);
     // No filter at all when nothing is tombstoned (a read-only service
@@ -414,7 +415,7 @@ fn run_task(
     }
 }
 
-/// Every partition's live delta candidates for one query, with their
+/// The live delta candidates for one query, in append order, with their
 /// stored summary bounds priced — the exact input [`scan_delta`] needs.
 /// No exact kernels run; the liveness filtering and O(1) summary bounds
 /// are paid once per query.
@@ -422,25 +423,15 @@ fn delta_candidates<'a>(
     snap: &'a Snapshot,
     query: &[Point],
     params: MeasureParams,
-) -> Vec<Vec<Cand<'a>>> {
+) -> Vec<Cand<'a>> {
     let measure = snap.frozen.config().measure();
-    debug_assert_eq!(snap.deltas.len(), snap.frozen.num_partitions());
     let qsum = params.summary_of(query);
-    snap.deltas
-        .iter()
-        .map(|segs| {
-            let mut list: Vec<Cand> = Vec::with_capacity(snapshot_len(segs));
-            for seg in segs {
-                for slot in 0..seg.store.len() {
-                    if seg.is_live(slot, &snap.tombstones) {
-                        let lb = params.summary_lower_bound(measure, &qsum, &seg.meta[slot].1);
-                        list.push((lb, seg.store.id(slot), seg.store.points(slot)));
-                    }
-                }
-            }
-            list
-        })
-        .collect()
+    let mut list = Vec::with_capacity(snapshot_len(&snap.delta));
+    list.extend(snap.delta_live().map(|(seg, slot)| {
+        let lb = params.summary_lower_bound(measure, &qsum, &seg.meta[slot].1);
+        (lb, seg.store.id(slot), seg.store.points(slot))
+    }));
+    list
 }
 
 /// Refuses NaN and ±∞ coordinates at the service edge

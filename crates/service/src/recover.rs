@@ -103,13 +103,15 @@ impl ReposeService {
         // deployment.
         let cutover = archive.op_seq();
         let service = ReposeService::assemble(repose, &config, Some((wal, archive)), cutover);
-        // Replay the tail through the write path's one applier; these
-        // records passed a commit before they were logged.
+        // Replay the tail (data records only: `replay` consumed the
+        // checkpoints) through the write path's one applier; these records
+        // passed a commit before they were logged.
         let mut data_records = 0u64;
         {
             let mut s = service.state.write().map_err(|_| ServiceError::StatePoisoned)?;
             for record in replayed.records.iter().filter(|r| r.seq() > cutover) {
-                data_records += u64::from(s.apply(record, service.params));
+                s.apply(record, service.params);
+                data_records += 1;
             }
             // The resumed WAL continues from `last_seq`; the next local
             // write must too, or two records would share a sequence.

@@ -8,8 +8,8 @@
 //! work happens *outside* it:
 //!
 //! * **Queries** take the read lock just long enough to clone the frozen
-//!   `Arc<Repose>`, the tombstone map, and the per-partition delta
-//!   segments (`Arc` clones), then release it and search. Many queries
+//!   `Arc<Repose>`, the tombstone map, and the delta log's segments
+//!   (`Arc` clones), then release it and search. Many queries
 //!   snapshot and search in parallel.
 //! * **Writes** take the write lock for an O(1) arena append + map insert
 //!   (and, on a durable service, the WAL append — lock order state → wal).
@@ -94,7 +94,9 @@ impl Default for ServiceConfig {
 /// Everything queries snapshot and writes mutate, under one lock.
 pub(crate) struct ServeState {
     pub(crate) frozen: Arc<Repose>,
-    pub(crate) deltas: Vec<DeltaLog>,
+    /// Every write since the last compaction, in append order; only
+    /// compaction places a row in a partition.
+    pub(crate) delta: DeltaLog,
     /// id -> sequence of its latest write (insert *or* delete). An id in
     /// this map is hidden from the frozen index; the delta entry with a
     /// sequence >= the tombstone sequence (if any) is its live version.
@@ -112,7 +114,7 @@ impl ServeState {
     pub(crate) fn snapshot(&self) -> Snapshot {
         Snapshot {
             frozen: Arc::clone(&self.frozen),
-            deltas: self.deltas.iter().map(DeltaLog::snapshot).collect(),
+            delta: self.delta.snapshot(),
             tombstones: Arc::clone(&self.tombstones),
         }
     }
@@ -123,7 +125,7 @@ impl ServeState {
 /// `&self` methods are safe to call from any number of threads; see the
 /// module docs for the locking discipline. Construction freezes the
 /// initial dataset exactly like the offline pipeline; everything written
-/// afterwards lives in delta buffers until [`ReposeService::compact`]
+/// afterwards lives in the delta log until [`ReposeService::compact`]
 /// folds it into rebuilt tries.
 pub struct ReposeService {
     pub(crate) state: RwLock<ServeState>,
@@ -237,7 +239,6 @@ impl ReposeService {
             }
             _ => (None, None),
         };
-        let partitions = repose.num_partitions();
         let measure = repose.config().measure();
         let params = repose.config().trie.params;
         ReposeService {
@@ -245,7 +246,7 @@ impl ReposeService {
             params,
             state: RwLock::new(ServeState {
                 frozen: Arc::new(repose),
-                deltas: (0..partitions).map(|_| DeltaLog::default()).collect(),
+                delta: DeltaLog::default(),
                 tombstones: Arc::new(HashMap::new()),
                 op_seq,
             }),
@@ -298,9 +299,8 @@ impl ReposeService {
     /// O(frozen + delta); intended for tests and monitoring, not hot paths.
     pub fn len(&self) -> usize {
         let snap = self.snapshot();
-        (0..snap.deltas.len())
-            .map(|pi| snap.frozen_live(pi).count() + snap.delta_live(pi).count())
-            .sum()
+        let partitions = 0..snap.frozen.num_partitions();
+        partitions.map(|pi| snap.frozen_live(pi).count()).sum::<usize>() + snap.delta_live().count()
     }
 
     /// Whether no live trajectories exist.
@@ -311,7 +311,7 @@ impl ReposeService {
     /// A point-in-time snapshot of the service's counters.
     pub fn stats(&self) -> ServiceStats {
         let s = self.read_state();
-        let delta_len = s.deltas.iter().map(DeltaLog::len).sum();
+        let delta_len = s.delta.len();
         let tombstones = s.tombstones.len();
         let partitions = s.frozen.num_partitions();
         drop(s);
@@ -348,7 +348,7 @@ impl std::fmt::Debug for ReposeService {
         let s = self.read_state();
         f.debug_struct("ReposeService")
             .field("partitions", &s.frozen.num_partitions())
-            .field("delta_len", &s.deltas.iter().map(DeltaLog::len).sum::<usize>())
+            .field("delta_len", &s.delta.len())
             .field("tombstones", &s.tombstones.len())
             .field("pool_threads", &self.pool_threads())
             .field("version", &self.version.load(Ordering::Relaxed))

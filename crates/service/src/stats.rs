@@ -124,8 +124,8 @@ pub struct ServiceStats {
     pub cache_hits: u64,
     /// Queries that had to search.
     pub cache_misses: u64,
-    /// Delta-log entries currently buffered across partitions
-    /// (superseded entries included — this is the compaction backlog).
+    /// Entries currently buffered in the delta log (superseded entries
+    /// included — this is the compaction backlog).
     pub delta_len: usize,
     /// Live tombstone records (ids hidden from the frozen index).
     pub tombstones: usize,

@@ -27,31 +27,28 @@ enum Entrance<'a> {
 impl ServeState {
     /// The one applier. A data record adopts its sequence, tombstones its
     /// id (hiding the frozen row and every earlier delta row) and, for an
-    /// upsert, appends the new live row to its partition's delta log with
-    /// the same O(1)-prefilter summary the frozen tries store per leaf
-    /// member — paid once per write instead of per query. A WAL segment
-    /// seal and a checkpoint change nothing here (`replay` consumes
-    /// checkpoints while choosing what to skip). Returns whether `record`
-    /// was a data record.
-    pub(crate) fn apply(&mut self, record: &WalRecord, params: MeasureParams) -> bool {
+    /// upsert, appends the new live row to the delta log with the same
+    /// O(1)-prefilter summary the frozen tries store per leaf member —
+    /// paid once per write instead of per query. Which partition the row
+    /// joins is compaction's decision alone. A checkpoint changes nothing
+    /// here (`replay` consumes checkpoints while choosing what to skip).
+    pub(crate) fn apply(&mut self, record: &WalRecord, params: MeasureParams) {
         let (&seq, &id) = match record {
             WalRecord::Upsert { seq, id, .. } | WalRecord::Delete { seq, id } => (seq, id),
-            WalRecord::Seal { .. } | WalRecord::Checkpoint { .. } => return false,
+            WalRecord::Checkpoint { .. } => return,
         };
         self.op_seq = seq;
         Arc::make_mut(&mut self.tombstones).insert(id, seq);
         if let WalRecord::Upsert { points, .. } = record {
-            let partition = (id as usize) % self.deltas.len();
-            self.deltas[partition].push(seq, id, points, params.summary_of(points));
+            self.delta.push(seq, id, points, params.summary_of(points));
         }
-        true
     }
 }
 
 impl ReposeService {
     /// Inserts `traj`, replacing any live trajectory with the same id
     /// (upsert). Visible to every query that starts after this returns.
-    /// The points are copied into the partition's delta arena segment
+    /// The points are copied into the delta log's arena segment
     /// ([`Trajectory`] is only the I/O edge).
     ///
     /// With durability enabled the write is logged **before** it is
@@ -101,9 +98,9 @@ impl ReposeService {
     ///   logged **before** it is applied ([`ServiceError::Durability`]
     ///   means not acknowledged).
     ///
-    /// Only data records replicate; [`WalRecord::Seal`] /
-    /// [`WalRecord::Checkpoint`] are segment-lifecycle records each node
-    /// writes for itself and are rejected as a gap-free no-op (`Ok(false)`).
+    /// Only data records replicate; a [`WalRecord::Checkpoint`] is a
+    /// log-lifecycle record each node writes for itself and is rejected
+    /// as a gap-free no-op (`Ok(false)`).
     pub fn apply_replica(&self, record: &WalRecord) -> Result<bool, ServiceError> {
         self.commit(Entrance::Replica(record))
     }
@@ -122,7 +119,7 @@ impl ReposeService {
                 &self.counters.inserts
             }
             WalRecord::Delete { .. } => &self.counters.deletes,
-            WalRecord::Seal { .. } | WalRecord::Checkpoint { .. } => return Ok(false),
+            WalRecord::Checkpoint { .. } => return Ok(false),
         };
         {
             let mut s = self.state.write().map_err(|_| ServiceError::StatePoisoned)?;
@@ -160,13 +157,19 @@ mod tests {
     use repose_durability::DurabilityConfig;
     use repose_model::{Dataset, Point};
 
-    /// What `apply` may touch: tombstones, delta lengths, `op_seq`.
-    fn applied(service: &ReposeService) -> (Vec<(u64, u64)>, Vec<usize>, u64) {
+    /// `(id, seq)` pairs: the tombstones, or the delta log's rows.
+    type Writes = Vec<(u64, u64)>;
+
+    /// What `apply` may touch: tombstones, the delta log, `op_seq`.
+    fn applied(service: &ReposeService) -> (Writes, Writes, u64) {
         let s = service.state.read().unwrap();
         let mut tombstones: Vec<_> = s.tombstones.iter().map(|(&id, &seq)| (id, seq)).collect();
         tombstones.sort_unstable();
-        let deltas = s.deltas.iter().map(|d| d.len()).collect();
-        (tombstones, deltas, s.op_seq)
+        let log = s.delta.snapshot();
+        let rows = log.iter().flat_map(|seg| {
+            (0..seg.store.len()).map(|slot| (seg.store.id(slot), seg.meta[slot].0))
+        });
+        (tombstones, rows.collect(), s.op_seq)
     }
 
     fn line(id: TrajId) -> Trajectory {
@@ -198,19 +201,19 @@ mod tests {
             assert!(twin.apply_replica(&record).expect("in sequence"));
             assert_eq!(applied(&twin), applied(&leader), "after write {seq}");
         }
-        let mut deltas = vec![0; 3];
-        deltas[100 % 3] = 2;
-        assert_eq!(applied(&leader), (vec![(3, 2), (100, 4), (777, 3)], deltas, 4));
+        // Both upserts of id 100 sit in the one log, in append order.
+        let want = (vec![(3, 2), (100, 4), (777, 3)], vec![(100, 1), (100, 4)], 4);
+        assert_eq!(applied(&leader), want);
 
-        // A replayed WAL segment seal is not data: every delta log keeps
-        // its segments, the very same ones, and its length.
+        // A replayed checkpoint is not data: the delta log keeps its
+        // segments, the very same ones, and its length, and `op_seq` does
+        // not adopt the checkpoint's sequence.
         let mut state = twin.state.write().unwrap();
-        let before: Vec<_> = state.deltas.iter().map(|d| (d.snapshot(), d.len())).collect();
-        assert!(!state.apply(&WalRecord::Seal { seq: 4 }, MeasureParams::default()));
-        for (d, (segs, len)) in state.deltas.iter().zip(before) {
-            let same = d.snapshot().iter().zip(&segs).all(|(a, b)| Arc::ptr_eq(a, b));
-            assert!(same && d.snapshot().len() == segs.len() && d.len() == len);
-        }
+        let (segs, len) = (state.delta.snapshot(), state.delta.len());
+        state.apply(&WalRecord::Checkpoint { seq: 9 }, MeasureParams::default());
+        let now = state.delta.snapshot();
+        let same = now.iter().zip(&segs).all(|(a, b)| Arc::ptr_eq(a, b));
+        assert!(same && now.len() == segs.len() && state.delta.len() == len && state.op_seq == 4);
         drop(state);
 
         drop(leader);

@@ -530,7 +530,7 @@ impl ShardCluster {
         let degraded = shards_failed > 0;
         let hits = global.hits();
         if !degraded && self.version == version_at_start {
-            self.cache.put(cache_key, self.version, hits.clone());
+            self.cache.put(cache_key, self.version, &hits);
         }
         ShardOutcome {
             hits,

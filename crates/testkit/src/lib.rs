@@ -141,7 +141,7 @@ pub fn arb_trajectories(
 /// property tests and the shard replication-log suite, so both exercise
 /// the identical record space.
 pub fn build_record(kind: u8, seq: u64, id: u64, bits: &[(u64, u64)]) -> WalRecord {
-    match kind % 4 {
+    match kind % 3 {
         0 => WalRecord::Upsert {
             seq,
             id,
@@ -151,7 +151,6 @@ pub fn build_record(kind: u8, seq: u64, id: u64, bits: &[(u64, u64)]) -> WalReco
                 .collect(),
         },
         1 => WalRecord::Delete { seq, id },
-        2 => WalRecord::Seal { seq },
         _ => WalRecord::Checkpoint { seq },
     }
 }

@@ -59,7 +59,6 @@ fn arb_record() -> impl Strategy<Value = WalRecord> {
         (any::<u64>(), any::<u64>(), arb_points())
             .prop_map(|(seq, id, points)| WalRecord::Upsert { seq, id, points }),
         (any::<u64>(), any::<u64>()).prop_map(|(seq, id)| WalRecord::Delete { seq, id }),
-        any::<u64>().prop_map(|seq| WalRecord::Seal { seq }),
         any::<u64>().prop_map(|seq| WalRecord::Checkpoint { seq }),
     ]
 }

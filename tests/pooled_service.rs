@@ -28,6 +28,9 @@ const POOL_THREADS: usize = 4;
 /// The pool widths the pooled-vs-sequential tests cover: each is the
 /// number of search frontiers a query splits its 8 partitions into.
 const POOL_WIDTHS: [usize; 3] = [2, 3, 4];
+/// Live rows in the delta log `service` leaves: inserts 100..140 and the
+/// upserted copies of 55..60.
+const LIVE_DELTA_ROWS: usize = 45;
 
 fn config(measure: Measure, partitions: usize) -> ReposeConfig {
     ReposeConfig::new(measure)
@@ -85,7 +88,8 @@ fn live_set() -> Vec<Trajectory> {
 /// Acceptance criterion: pooled parallel `query` returns bitwise the same
 /// distance multisets as the sequential path for all six measures, with k
 /// values that cut straight through duplicate groups (k = 3, 7 inside
-/// 5-sized tie groups).
+/// 5-sized tie groups). The frontiers split the delta log between them,
+/// so together they consider each live delta row exactly once.
 #[test]
 fn pooled_query_matches_sequential_for_every_measure() {
     let params = MeasureParams::with_eps(0.5);
@@ -102,6 +106,11 @@ fn pooled_query_matches_sequential_for_every_measure() {
                 for round in 0..3 {
                     let p = pooled.query(q, k).unwrap();
                     let s = sequential.query(q, k).unwrap();
+                    assert_eq!(
+                        (p.delta_candidates, s.delta_candidates),
+                        (LIVE_DELTA_ROWS, LIVE_DELTA_ROWS),
+                        "{measure} width={width}: a delta row was dropped or scanned twice"
+                    );
                     assert_eq!(
                         sorted_dist_bits(&p),
                         sorted_dist_bits(&s),
