@@ -137,7 +137,8 @@ impl ReposeService {
             Arc::make_mut(&mut s.tombstones).retain(|_, seq| *seq > seq_snapshot);
             s.frozen = Arc::clone(&new_frozen);
         }
-        self.version.fetch_add(1, Ordering::Release);
+        // The live set and every answer's distances are unchanged, so the
+        // write version is too: cached answers survive a compaction.
         ServiceCounters::bump(&self.counters.compactions);
         self.counters.last_compact_rebuilt.store(n as u64, Ordering::Relaxed);
 

@@ -31,9 +31,13 @@
 //!   deployment in atomically; readers are only blocked for the pointer
 //!   swap.
 //! * **Caching**: results are cached per (exact coordinate bits, k,
-//!   measure) in a [`QueryCache`] and invalidated by a global write
-//!   version — a cache hit is never staler than the latest completed
-//!   write. The shard coordinator keeps its own `QueryCache`.
+//!   measure) in a [`QueryCache`] and invalidated by effect: every write
+//!   is noted in a ring, and an entry is served only if no write since
+//!   its fill touches a hit id or, for an upsert, has an O(1) summary
+//!   bound at or below the k-th distance (or lands on an answer short of
+//!   k). A hit is bitwise the answer a search would give after the latest
+//!   completed write; a compaction evicts nothing. The shard coordinator
+//!   keeps its own `QueryCache` and notes every write it sends.
 //! * **Durability & failure model** (opt-in via
 //!   [`ServiceConfig::durability`], which has the details): every
 //!   acknowledged write is logged *before* it is applied. The log's base

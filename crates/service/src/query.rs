@@ -208,11 +208,11 @@ impl ReposeService {
         let t0 = Instant::now();
         let keys: Vec<CacheKey> =
             queries.iter().map(|q| CacheKey::new(self.measure, q, k)).collect();
-        // Load the version *before* snapshotting: any write that completes
-        // after this load bumps past it, so a result cached under this
-        // version can never be served once newer data exists. (A write
-        // landing between the load and the snapshot merely makes the
-        // cached entry conservatively stale.)
+        // Load the version *before* snapshotting: a write published after
+        // this load has a higher sequence, so a result cached under this
+        // version is walked past it before it is served again. (A write
+        // landing between the load and the snapshot is already in the
+        // answer; walking it again only risks a needless miss.)
         let version = self.version.load(Ordering::Acquire);
 
         let mut outcomes: Vec<Option<ServiceOutcome>> = queries.iter().map(|_| None).collect();

@@ -118,9 +118,9 @@ impl ReposeService {
             assert_eq!(s.op_seq, replayed.last_seq, "replay ends at the log's last sequence");
         }
         service.counters.recovered_records.store(data_records, Ordering::Relaxed);
-        // Start the cache generation strictly above every pre-crash
-        // version so no stale entry could ever match.
-        service.version.store(replayed.last_seq + 1, Ordering::Release);
+        // Publish the replayed sequence. A recovered service's cache starts
+        // empty, so no entry predates it; the next write notes `last_seq + 1`.
+        service.version.store(replayed.last_seq, Ordering::Release);
         let report = RecoveryReport {
             replayed_records: data_records,
             torn_bytes: replayed.torn_bytes,

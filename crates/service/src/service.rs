@@ -18,10 +18,15 @@
 //!   a reader snapshots entirely before or entirely after the swap, and
 //!   both states answer queries identically.
 //!
-//! A monotone *write version* ([`AtomicU64`]) is bumped **after** every
-//! completed mutation; cache entries are stamped with the version current
-//! when their query *began*, so a concurrent write always invalidates
-//! in-flight results before they can be served from cache.
+//! The *write version* ([`AtomicU64`]) is the sequence of the last write
+//! published to readers. A write notes itself in the result cache and then
+//! publishes its sequence, both under the state write lock (lock order
+//! state → cache; nothing takes the state lock holding the cache's), so a
+//! reader that loads version `v` finds every write up to `v` in the
+//! cache's ring. A cache entry is stamped with the version loaded when its
+//! query *began*, so a write landing mid-search is walked, never skipped,
+//! before the entry is served. Compaction changes no answer and publishes
+//! nothing.
 
 use crate::cache::QueryCache;
 use crate::compact::install_generation;
@@ -133,10 +138,14 @@ pub struct ReposeService {
     /// compactions would waste work and interleave drains).
     pub(crate) compact_gate: Mutex<()>,
     cache: Mutex<QueryCache>,
+    /// Whether the cache is on; a write to a service without one takes no
+    /// cache lock.
+    pub(crate) caching: bool,
     /// The persistent query-execution pool (`None` when
     /// [`ServiceConfig::pool_threads`] <= 1: the sequential path).
     pub(crate) pool: Option<WorkerPool>,
-    /// Bumped after every completed mutation; tags cache entries.
+    /// The sequence of the last write published to readers; stamps cache
+    /// entries (see the module docs).
     pub(crate) version: AtomicU64,
     /// The deployment's measure, copied out so the cache-hit fast path
     /// never touches the state lock.
@@ -251,7 +260,8 @@ impl ReposeService {
                 op_seq,
             }),
             compact_gate: Mutex::new(()),
-            cache: Mutex::new(QueryCache::new(config.cache_capacity)),
+            cache: Mutex::new(QueryCache::new(config.cache_capacity, params)),
+            caching: config.cache_capacity > 0,
             pool: (config.pool_threads > 1).then(|| WorkerPool::new(config.pool_threads)),
             version: AtomicU64::new(op_seq),
             counters: ServiceCounters::default(),
@@ -315,7 +325,10 @@ impl ReposeService {
         let tombstones = s.tombstones.len();
         let partitions = s.frozen.num_partitions();
         drop(s);
-        let cached = self.lock_cache().len();
+        let cached = {
+            let cache = self.lock_cache();
+            (cache.len(), cache.revalidated(), cache.stale())
+        };
         let wal = self.wal.as_ref().map_or_else(WalCounters::default, |w| {
             w.lock().unwrap_or_else(|e| e.into_inner()).counters()
         });

@@ -70,7 +70,7 @@ impl ServiceCounters {
         &self,
         delta_len: usize,
         tombstones: usize,
-        cached: usize,
+        (cached, revalidated, stale): (usize, u64, u64),
         partitions: usize,
         wal: repose_durability::WalCounters,
     ) -> ServiceStats {
@@ -83,6 +83,8 @@ impl ServiceCounters {
             partitions,
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
+            cache_revalidated: revalidated,
+            cache_stale: stale,
             delta_len,
             tombstones,
             cached_queries: cached,
@@ -124,6 +126,13 @@ pub struct ServiceStats {
     pub cache_hits: u64,
     /// Queries that had to search.
     pub cache_misses: u64,
+    /// Cache hits served after walking at least one write since the
+    /// entry's fill or last hit (a share of `cache_hits`).
+    pub cache_revalidated: u64,
+    /// Cache entries dropped by a lookup because of writes since their
+    /// fill: one could change the answer, or the cache no longer holds
+    /// them all (a share of `cache_misses`).
+    pub cache_stale: u64,
     /// Entries currently buffered in the delta log (superseded entries
     /// included — this is the compaction backlog).
     pub delta_len: usize,

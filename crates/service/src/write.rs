@@ -2,14 +2,15 @@
 //! their `_acked` forms, `apply_replica`) — finite-coordinate check, state
 //! write lock, sequence decision, WAL append (lock order state → wal; an
 //! append error returns with the state untouched), [`ServeState::apply`],
-//! then version bump, counters, write latency — and one applier, which
-//! recovery's replay of already-committed records calls alone.
+//! the cache note and the version publish, then counters and write latency
+//! — and one applier, which recovery's replay of already-committed records
+//! calls alone.
 
 use crate::error::ServiceError;
 use crate::query::check_finite;
 use crate::service::{ReposeService, ServeState};
 use crate::stats::ServiceCounters;
-use repose_distance::MeasureParams;
+use repose_distance::{MeasureParams, TrajSummary};
 use repose_durability::WalRecord;
 use repose_model::{TrajId, Trajectory};
 use std::sync::atomic::Ordering;
@@ -29,19 +30,25 @@ impl ServeState {
     /// id (hiding the frozen row and every earlier delta row) and, for an
     /// upsert, appends the new live row to the delta log with the same
     /// O(1)-prefilter summary the frozen tries store per leaf member —
-    /// paid once per write instead of per query. Which partition the row
-    /// joins is compaction's decision alone. A checkpoint changes nothing
-    /// here (`replay` consumes checkpoints while choosing what to skip).
-    pub(crate) fn apply(&mut self, record: &WalRecord, params: MeasureParams) {
+    /// paid once per write instead of per query, and returned for the
+    /// result cache's note. Which partition the row joins is compaction's
+    /// decision alone. A checkpoint changes nothing here (`replay`
+    /// consumes checkpoints while choosing what to skip).
+    pub(crate) fn apply(
+        &mut self,
+        record: &WalRecord,
+        params: MeasureParams,
+    ) -> Option<TrajSummary> {
         let (&seq, &id) = match record {
             WalRecord::Upsert { seq, id, .. } | WalRecord::Delete { seq, id } => (seq, id),
-            WalRecord::Checkpoint { .. } => return,
+            WalRecord::Checkpoint { .. } => return None,
         };
         self.op_seq = seq;
         Arc::make_mut(&mut self.tombstones).insert(id, seq);
-        if let WalRecord::Upsert { points, .. } = record {
-            self.delta.push(seq, id, points, params.summary_of(points));
-        }
+        let WalRecord::Upsert { points, .. } = record else { return None };
+        let summary = params.summary_of(points);
+        self.delta.push(seq, id, points, summary);
+        Some(summary)
     }
 }
 
@@ -113,12 +120,12 @@ impl ReposeService {
             Entrance::Local(record) => &**record,
             Entrance::Replica(record) => *record,
         };
-        let counter = match entering {
-            WalRecord::Upsert { points, .. } => {
+        let (counter, id) = match *entering {
+            WalRecord::Upsert { id, ref points, .. } => {
                 check_finite(points, "inserted trajectory")?;
-                &self.counters.inserts
+                (&self.counters.inserts, id)
             }
-            WalRecord::Delete { .. } => &self.counters.deletes,
+            WalRecord::Delete { id, .. } => (&self.counters.deletes, id),
             WalRecord::Checkpoint { .. } => return Ok(false),
         };
         {
@@ -140,9 +147,15 @@ impl ReposeService {
             if let Some(wal) = &self.wal {
                 wal.lock().map_err(|_| ServiceError::StatePoisoned)?.append(record)?;
             }
-            s.apply(record, self.params);
+            let row = s.apply(record, self.params);
+            // Noted before it is published, both under the state lock: a
+            // reader that loads the new version finds this write in the
+            // cache's ring, and versions publish in sequence order.
+            if self.caching {
+                self.lock_cache().note(s.op_seq, id, row);
+            }
+            self.version.store(s.op_seq, Ordering::Release);
         }
-        self.version.fetch_add(1, Ordering::Release);
         ServiceCounters::bump(counter);
         self.counters.record_write(t0.elapsed());
         Ok(true)

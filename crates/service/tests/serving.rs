@@ -46,6 +46,11 @@ fn served_ids(service: &ReposeService, q: &[Point], k: usize) -> Vec<u64> {
     service.query(q, k).unwrap().hits.iter().map(|h| h.id).collect()
 }
 
+/// An answer's distances as bit patterns, in order.
+fn dist_bits(hits: &[Hit]) -> Vec<u64> {
+    hits.iter().map(|h| h.dist.to_bits()).collect()
+}
+
 /// Ids returned by a freshly built offline deployment.
 fn rebuilt_ids(data: &Dataset, cfg: ReposeConfig, q: &[Point], k: usize) -> Vec<u64> {
     let r = Repose::build(data, cfg);
@@ -236,16 +241,21 @@ fn cached_results_reflect_every_write() {
     assert!(!post_delete.cache_hit);
     assert_ne!(post_delete.hits[0].id, 777);
 
-    // And compaction does as well (same answer, freshly computed).
+    // Compaction keeps the live set and every distance, so it evicts
+    // nothing: the cached answer is served, bitwise a fresh search's.
     let pre = served_ids(&service, &q, 5);
     service.compact().unwrap();
     let post = service.query(&q, 5).unwrap();
-    assert!(!post.cache_hit);
+    assert!(post.cache_hit, "a compaction evicted a cached answer");
     assert_eq!(pre, post.hits.iter().map(|h| h.id).collect::<Vec<_>>());
+    let fresh = service.query_scatter(&q, 5, f64::INFINITY).unwrap();
+    assert_eq!(dist_bits(&post.hits), dist_bits(&fresh.hits));
 
     let stats = service.stats();
-    assert!(stats.cache_hits >= 1);
-    assert!(stats.cache_misses >= 4);
+    assert!(stats.cache_hits >= 2);
+    assert!(stats.cache_misses >= 3);
+    assert_eq!(stats.cache_stale, 2, "the insert's and the delete's");
+    assert_eq!(stats.cache_revalidated, 0, "nothing to walk across a compaction");
     assert!(stats.cache_hit_rate() > 0.0);
 }
 

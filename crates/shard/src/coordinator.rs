@@ -53,6 +53,12 @@
 //! other node of the pair; a success from the replica means the follower
 //! promoted itself after leader silence, and the coordinator adopts it as
 //! the shard's new leader.
+//!
+//! Every write the coordinator sends is noted in its result cache,
+//! acknowledged or not: a write that timed out may still have been
+//! applied, and a noted write that never happened costs at most one miss.
+//! The cache serves an entry only while no noted write since its fill
+//! could change it (see [`QueryCache`]).
 
 use crate::fault::NetFaultPlan;
 use crate::protocol::Message;
@@ -60,7 +66,7 @@ use crate::transport::{Loopback, NodeId, Transport};
 use crate::worker::{Role, ShardWorker, WorkerConfig};
 use repose::{Repose, ReposeConfig};
 use repose_cluster::{Backoff, BackoffConfig, Clock, SystemClock};
-use repose_distance::{Hit, SharedTopK};
+use repose_distance::{Hit, MeasureParams, SharedTopK, TrajSummary};
 use repose_model::{Dataset, Point, Trajectory};
 use repose_service::{CacheKey, QueryCache, ReposeService, ServiceConfig};
 use std::path::Path;
@@ -206,6 +212,9 @@ enum ShardState {
 pub struct ShardCluster {
     cfg: ShardClusterConfig,
     measure: repose_distance::Measure,
+    /// The deployment's measure parameters, which summarize each upsert
+    /// for the cache's note.
+    params: MeasureParams,
     transport: Arc<dyn Transport>,
     /// Set when built over a [`Loopback`] ([`ShardCluster::build`]);
     /// `None` for a simulator-supplied transport.
@@ -222,7 +231,7 @@ pub struct ShardCluster {
     handles: Vec<JoinHandle<()>>,
     qid: u64,
     wid: u64,
-    /// Bumped on every acknowledged write; stamps cache entries.
+    /// Counts the writes sent, acknowledged or not; stamps cache entries.
     version: u64,
     cache: QueryCache,
 }
@@ -350,6 +359,7 @@ impl ShardCluster {
 
         let cluster = ShardCluster {
             measure: rcfg.measure(),
+            params: rcfg.trie.params,
             transport,
             loopback: None,
             clock,
@@ -361,7 +371,7 @@ impl ShardCluster {
             qid: 0,
             wid: 0,
             version: 0,
-            cache: QueryCache::new(cfg.cache_capacity),
+            cache: QueryCache::new(cfg.cache_capacity, rcfg.trie.params),
             cfg,
         };
         (cluster, workers)
@@ -432,7 +442,6 @@ impl ShardCluster {
 
         self.qid += 1;
         let qid = self.qid;
-        let version_at_start = self.version;
         let global = SharedTopK::new(k);
         let mut retries = 0u32;
 
@@ -529,7 +538,7 @@ impl ShardCluster {
             .count() as u32;
         let degraded = shards_failed > 0;
         let hits = global.hits();
-        if !degraded && self.version == version_at_start {
+        if !degraded {
             self.cache.put(cache_key, self.version, &hits);
         }
         ShardOutcome {
@@ -554,14 +563,26 @@ impl ShardCluster {
             return Err(WriteFailed { shard, attempts: 0 });
         }
         let (id, points) = (traj.id, traj.points);
-        self.write(shard, |wid| Message::Upsert { wid, id, points: points.clone() })
+        let row = self.params.summary_of(&points);
+        let out = self.write(shard, |wid| Message::Upsert { wid, id, points: points.clone() });
+        self.note(id, Some(row));
+        out
     }
 
     /// Deletes a trajectory from its owning shard, same contract as
     /// [`ShardCluster::insert`].
     pub fn remove(&mut self, id: u64) -> Result<WriteOutcome, WriteFailed> {
         let shard = (id % self.cfg.shards as u64) as usize;
-        self.write(shard, |wid| Message::Delete { wid, id })
+        let out = self.write(shard, |wid| Message::Delete { wid, id });
+        self.note(id, None);
+        out
+    }
+
+    /// Notes a sent write to `id` in the cache (see module docs): an
+    /// upsert whose new row summarizes to `row`, or a delete.
+    fn note(&mut self, id: u64, row: Option<TrajSummary>) {
+        self.version += 1;
+        self.cache.note(self.version, id, row);
     }
 
     /// Asks every node to stop and joins the worker threads. Also runs on
@@ -633,7 +654,6 @@ impl ShardCluster {
                         if promoted {
                             self.leaders[shard] = target;
                         }
-                        self.version += 1;
                         return Ok(WriteOutcome { seq, attempts, promoted });
                     }
                     Some((_, Message::WriteRefused { wid: w, .. })) if w == wid => break 'wait,

@@ -516,3 +516,37 @@ fn non_finite_input_is_refused_before_any_frame_is_sent() {
     );
     cluster.shutdown();
 }
+
+/// The coordinator's cache keeps an answer across a write that cannot
+/// change it. A write it could not confirm may still have been applied,
+/// so it reaches the cache all the same: the leader applies an upsert that
+/// beats every cached hit, its acknowledgment is lost, and the next query
+/// searches afresh and finds the new row.
+#[test]
+fn an_unacknowledged_write_still_reaches_the_cache() {
+    let faults = NetFaultPlan::new();
+    let cfg = ShardClusterConfig { write_retries: 0, ..cluster_config(false) };
+    let mut cluster = ShardCluster::build(
+        tie_dataset(0..60),
+        repose_config(Measure::Hausdorff),
+        cfg,
+        faults.clone(),
+        None,
+    );
+    let q = &tie_queries()[0];
+    assert!(!cluster.query(q, 5).cache_hit);
+    let far: Vec<Point> = q.iter().map(|p| Point::new(p.x + 1e4, p.y)).collect();
+    cluster.insert(Trajectory::new(2_000, far)).expect("healthy write");
+    assert!(cluster.query(q, 5).cache_hit, "a far row evicted the answer");
+
+    let winner = 1_000; // 1_000 % 3 == 1: owned by shard 1
+    faults.arm("shard1.tx", NetFault::Drop, 0);
+    assert!(cluster.insert(Trajectory::new(winner, q.clone())).is_err(), "the ack was not lost");
+    assert!(faults.any_fired());
+
+    let after = cluster.query(q, 5);
+    assert!(!after.cache_hit, "a cached answer hid an applied write");
+    assert!(!after.degraded);
+    assert_eq!((after.hits[0].id, after.hits[0].dist), (winner, 0.0));
+    cluster.shutdown();
+}

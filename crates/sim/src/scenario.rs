@@ -159,6 +159,24 @@ fn gen_points(rng: &mut StdRng) -> Vec<Point> {
         .collect()
 }
 
+/// Half the queries after the first repeat an earlier one's `(k, points)`
+/// bit for bit, so cached answers face the oracle across the writes,
+/// compactions, restarts and faults between the two. Which ones, and whom
+/// they repeat, is read off mantissa bits of the freshly drawn first
+/// point (the low ones are often zero): the [`StdRng`] stream, and so
+/// every other op, is the same as with no repeats.
+fn repeat_some(
+    asked: &mut Vec<(usize, Vec<Point>)>,
+    drawn: (usize, Vec<Point>),
+) -> (usize, Vec<Point>) {
+    let (x, y) = (drawn.1[0].x.to_bits() >> 40, drawn.1[0].y.to_bits() >> 32);
+    if asked.is_empty() || x & 1 == 0 {
+        asked.push(drawn.clone());
+        return drawn;
+    }
+    asked[(y & 0xff) as usize % asked.len()].clone()
+}
+
 impl Scenario {
     /// The scenario for `seed` — topology, dataset, and the interleaved
     /// workload/chaos schedule, all drawn from one [`StdRng`].
@@ -184,6 +202,7 @@ impl Scenario {
 
         let n_ops = rng.random_range(24usize..56);
         let mut ops = Vec::with_capacity(n_ops);
+        let mut asked: Vec<(usize, Vec<Point>)> = Vec::new();
         for _ in 0..n_ops {
             let roll = rng.random_range(0u32..100);
             let op = match roll {
@@ -192,10 +211,11 @@ impl Scenario {
                     points: gen_points(&mut rng),
                 },
                 30..=41 => SimOp::Delete { id: rng.random_range(0..ID_SPACE) },
-                42..=71 => SimOp::Query {
-                    k: rng.random_range(1usize..8),
-                    points: gen_points(&mut rng),
-                },
+                42..=71 => {
+                    let k = rng.random_range(1usize..8);
+                    let (k, points) = repeat_some(&mut asked, (k, gen_points(&mut rng)));
+                    SimOp::Query { k, points }
+                }
                 72..=77 if mode == SimMode::SingleNode => SimOp::Compact,
                 78..=85 => {
                     let (site, actions) = &sites[rng.random_range(0usize..sites.len())];
@@ -408,6 +428,22 @@ mod tests {
         assert_eq!(a.initial, b.initial);
         assert_eq!(a.mode, b.mode);
         assert_eq!(a.measure, b.measure);
+    }
+
+    #[test]
+    fn some_queries_repeat_an_earlier_one() {
+        let (mut queries, mut repeats) = (0, 0);
+        for seed in 0..40u64 {
+            let mut seen: Vec<(usize, &Vec<Point>)> = Vec::new();
+            for op in &Scenario::generate(seed).ops {
+                if let SimOp::Query { k, points } = op {
+                    queries += 1;
+                    repeats += usize::from(seen.contains(&(*k, points)));
+                    seen.push((*k, points));
+                }
+            }
+        }
+        assert!(repeats * 3 > queries, "{repeats} of {queries} queries repeat");
     }
 
     #[test]
