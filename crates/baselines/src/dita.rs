@@ -1,6 +1,6 @@
-use crate::{merge_top_k, refine_top_k, BaselineHit, BaselineOutcome, BaselinePlacement};
+use crate::{merge_top_k, refine_top_k, BaselineOutcome, BaselinePlacement};
 use repose_cluster::{Cluster, ClusterConfig};
-use repose_distance::{bound_exceeds, Measure, MeasureParams};
+use repose_distance::{bound_exceeds, Hit, Measure, MeasureParams};
 use repose_model::{Dataset, Mbr, Point, TrajStore};
 use repose_zorder::geohash_cell;
 use std::time::{Duration, Instant};
@@ -305,8 +305,8 @@ impl Dita {
                 .collect();
             refine_top_k(cands, query, measure, &params, k, f64::INFINITY)
         });
-        let mut phase2: Vec<BaselineHit> = locals.into_iter().flatten().collect();
-        phase2.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
+        let mut phase2: Vec<Hit> = locals.into_iter().flatten().collect();
+        phase2.sort_by(Hit::cmp_by_dist_then_id);
         let dk = if phase2.len() >= k {
             phase2[k - 1].dist
         } else {

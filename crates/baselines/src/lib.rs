@@ -59,32 +59,25 @@ pub use dita::{Dita, DitaConfig};
 pub use ls::LinearScan;
 
 use repose_cluster::JobStats;
-use repose_distance::{bound_exceeds, just_above, DistScratch, Measure, MeasureParams, SharedTopK};
+use repose_distance::{
+    bound_exceeds, just_above, DistScratch, Hit, Measure, MeasureParams, SharedTopK,
+};
 use repose_model::{Point, TrajId};
-
-/// A scored hit returned by a baseline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BaselineHit {
-    /// Trajectory id.
-    pub id: TrajId,
-    /// Distance to the query.
-    pub dist: f64,
-}
 
 /// Outcome of one distributed baseline query.
 #[derive(Debug, Clone)]
 pub struct BaselineOutcome {
     /// Global top-k, ascending by distance (ties by id).
-    pub hits: Vec<BaselineHit>,
+    pub hits: Vec<Hit>,
     /// Scheduling stats; `job.makespan` is the simulated query time.
     pub job: JobStats,
 }
 
-pub(crate) fn merge_top_k(
-    mut hits: Vec<BaselineHit>,
-    k: usize,
-) -> Vec<BaselineHit> {
-    hits.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
+/// The global top-k of per-partition hit lists. DFT copies a trajectory
+/// into every partition owning one of its segments, so an id can arrive
+/// more than once; it is kept once, at its (equal) distance.
+pub(crate) fn merge_top_k(mut hits: Vec<Hit>, k: usize) -> Vec<Hit> {
+    hits.sort_by(Hit::cmp_by_dist_then_id);
     hits.dedup_by_key(|h| h.id);
     hits.truncate(k);
     hits
@@ -108,12 +101,12 @@ pub(crate) fn refine_top_k(
     params: &MeasureParams,
     k: usize,
     cap: f64,
-) -> Vec<BaselineHit> {
+) -> Vec<Hit> {
     cands.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     let collector = SharedTopK::with_initial_bound(k, just_above(cap));
     let live = cands.into_iter().take_while(|c| !bound_exceeds(c.0, collector.bound()));
     DistScratch::with_thread(|scratch| params.verify(measure, query, live, &collector, scratch));
-    collector.hits().into_iter().map(|h| BaselineHit { id: h.id, dist: h.dist }).collect()
+    collector.hits()
 }
 
 /// Whether baseline partitions follow their paper's homogeneous placement

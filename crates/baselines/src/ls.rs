@@ -1,6 +1,6 @@
-use crate::{merge_top_k, BaselineHit, BaselineOutcome};
+use crate::{merge_top_k, BaselineOutcome};
 use repose_cluster::{Cluster, ClusterConfig};
-use repose_distance::{DistScratch, Measure, MeasureParams};
+use repose_distance::{DistScratch, Hit, Measure, MeasureParams};
 use repose_model::{Dataset, Point, TrajStore};
 
 /// Brute-force distributed linear scan: computes the exact distance between
@@ -40,16 +40,16 @@ impl LinearScan {
         let measure = self.measure;
         let params = self.params;
         let (locals, job) = self.cluster.run_partitions(&self.parts, |_, store| {
-            let mut hits: Vec<BaselineHit> = DistScratch::with_thread(|scratch| {
+            let mut hits: Vec<Hit> = DistScratch::with_thread(|scratch| {
                 store
                     .iter()
-                    .map(|(id, pts)| BaselineHit {
+                    .map(|(id, pts)| Hit {
                         id,
                         dist: params.distance_in(measure, query, pts, scratch),
                     })
                     .collect()
             });
-            hits.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
+            hits.sort_by(Hit::cmp_by_dist_then_id);
             hits.truncate(k);
             hits
         });

@@ -1,63 +1,32 @@
 //! Fig. 6: query time when varying k ∈ {1, 10, ..., 100} on T-drive,
 //! Xi'an and OSM under Hausdorff and Frechet, for all four algorithms.
 
-use crate::runner::{build_algo, load, params_for, ExpConfig};
-use crate::{fmt_secs, print_table, Series};
-use repose::PartitionStrategy;
+use crate::runner::{build_algo, load, ExpConfig, ALGOS, STUDY_DATASETS};
+use crate::series_table;
 use repose_baselines::BaselinePlacement;
-use repose_datagen::PaperDataset;
 use repose_distance::Measure;
 use serde_json::Value;
 
 const KS: [usize; 6] = [1, 10, 25, 50, 75, 100];
-const DATASETS: [PaperDataset; 3] =
-    [PaperDataset::TDrive, PaperDataset::Xian, PaperDataset::Osm];
-const MEASURES: [Measure; 2] = [Measure::Hausdorff, Measure::Frechet];
 
 /// Builds each algorithm once per (dataset, measure) and sweeps k.
 pub fn run(exp: &ExpConfig) -> Value {
-    let mut series: Vec<Series> = Vec::new();
-    for ds in DATASETS {
+    let mut series = Vec::new();
+    for ds in STUDY_DATASETS {
         let (data, queries) = load(ds, exp);
-        for measure in MEASURES {
+        for measure in [Measure::Hausdorff, Measure::Frechet] {
             eprintln!("fig6: {} / {}...", ds.name(), measure);
-            let params = params_for(ds, measure);
-            let delta = ds.paper_delta(measure);
             println!("\n== Fig. 6: {} with {} ==", ds.name(), measure);
-            let mut rows = Vec::new();
-            for algo_name in ["REPOSE", "DITA", "DFT", "LS"] {
-                let Some(algo) = build_algo(
-                    algo_name,
-                    &data,
-                    measure,
-                    params,
-                    delta,
-                    BaselinePlacement::Homogeneous,
-                    PartitionStrategy::Heterogeneous,
-                    exp,
-                ) else {
-                    continue;
-                };
-                let mut xs = Vec::new();
-                let mut ys = Vec::new();
-                let mut row = vec![algo_name.to_string()];
-                for k in KS {
-                    let t = algo.batch_secs(&queries, k);
-                    xs.push(k as f64);
-                    ys.push(t);
-                    row.push(fmt_secs(t));
-                }
-                rows.push(row);
-                series.push(Series {
-                    label: format!("{algo_name} {} {}", ds.name(), measure),
-                    x: xs,
-                    y: ys,
-                });
-            }
-            let mut header = vec!["Algorithm".to_string()];
-            header.extend(KS.iter().map(|k| format!("k={k}")));
-            let refs: Vec<&str> = header.iter().map(String::as_str).collect();
-            print_table(&refs, &rows);
+            let rows = ALGOS
+                .into_iter()
+                .filter_map(|name| {
+                    let placement = BaselinePlacement::Homogeneous;
+                    let algo = build_algo(name, &data, ds, measure, placement, exp)?;
+                    Some((name, KS.iter().map(|&k| algo.batch_secs(&queries, k)).collect()))
+                })
+                .collect();
+            let suffix = format!("{} {measure}", ds.name());
+            series.extend(series_table(rows, &KS.map(|k| k as f64), |k| format!("k={k}"), &suffix));
         }
     }
     serde_json::to_value(&series).expect("serializable")

@@ -1,15 +1,13 @@
 //! Table IV: performance overview — QT, IS and IT for REPOSE, DITA, DFT
 //! and LS across all seven datasets and three measures.
 
-use crate::runner::{build_algo, load, params_for, ExpConfig};
+use crate::runner::{build_algo, load, ExpConfig, ALGOS};
 use crate::{fmt_bytes, fmt_secs, print_table, Cell};
-use repose::PartitionStrategy;
 use repose_baselines::BaselinePlacement;
 use repose_datagen::PaperDataset;
 use repose_distance::Measure;
 use serde_json::Value;
 
-const ALGOS: [&str; 4] = ["REPOSE", "DITA", "DFT", "LS"];
 const MEASURES: [Measure; 3] = [Measure::Hausdorff, Measure::Frechet, Measure::Dtw];
 
 /// Runs the full matrix and prints one block per metric, like Table IV.
@@ -17,25 +15,11 @@ pub fn run(exp: &ExpConfig) -> Value {
     let mut cells: Vec<Cell> = Vec::new();
     for ds in PaperDataset::ALL {
         let (data, queries) = load(ds, exp);
-        eprintln!(
-            "table4: {} ({} trajectories)...",
-            ds.name(),
-            data.len()
-        );
+        eprintln!("table4: {} ({} trajectories)...", ds.name(), data.len());
         for measure in MEASURES {
-            let params = params_for(ds, measure);
-            let delta = ds.paper_delta(measure);
             for algo_name in ALGOS {
-                let Some(algo) = build_algo(
-                    algo_name,
-                    &data,
-                    measure,
-                    params,
-                    delta,
-                    BaselinePlacement::Homogeneous,
-                    PartitionStrategy::Heterogeneous,
-                    exp,
-                ) else {
+                let placement = BaselinePlacement::Homogeneous;
+                let Some(algo) = build_algo(algo_name, &data, ds, measure, placement, exp) else {
                     continue; // "/" cells (DITA x Hausdorff)
                 };
                 let cost = algo.index_cost();
@@ -59,8 +43,7 @@ fn print_blocks(cells: &[Cell]) {
     for (metric, title) in [("QT", "query time"), ("IS", "index size"), ("IT", "index construction time")] {
         println!("\n== Table IV ({metric}: {title}) ==");
         let mut header = vec!["Distance", "Algorithm"];
-        let ds_refs: Vec<&str> = datasets.iter().map(String::as_str).collect();
-        header.extend(ds_refs);
+        header.extend(datasets.iter().map(String::as_str));
         let mut rows = Vec::new();
         for measure in MEASURES {
             for algo in ALGOS {
@@ -92,7 +75,6 @@ fn print_blocks(cells: &[Cell]) {
                 }
             }
         }
-        let header_refs: Vec<&str> = header.to_vec();
-        print_table(&header_refs, &rows);
+        print_table(&header, &rows);
     }
 }

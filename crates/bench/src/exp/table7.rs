@@ -2,15 +2,11 @@
 //! homogeneous / random) with the RP-Trie as the local index, on T-drive,
 //! Xi'an and OSM for Hausdorff and Frechet.
 
-use crate::runner::{build_repose, load, params_for, Algo, ExpConfig};
+use crate::runner::{load, Algo, ExpConfig, STUDY_DATASETS};
 use crate::{fmt_secs, print_table};
-use repose::PartitionStrategy;
-use repose_datagen::PaperDataset;
+use repose::{PartitionStrategy, Repose};
 use repose_distance::Measure;
 use serde_json::{json, Value};
-
-const DATASETS: [PaperDataset; 3] =
-    [PaperDataset::TDrive, PaperDataset::Xian, PaperDataset::Osm];
 
 /// Runs REPOSE under each strategy.
 pub fn run(exp: &ExpConfig) -> Value {
@@ -24,17 +20,10 @@ pub fn run(exp: &ExpConfig) -> Value {
             PartitionStrategy::Random,
         ] {
             let mut row = vec![strategy.name().to_string()];
-            for ds in DATASETS {
+            for ds in STUDY_DATASETS {
                 let (data, queries) = load(ds, exp);
-                let r = build_repose(
-                    &data,
-                    measure,
-                    params_for(ds, measure),
-                    ds.paper_delta(measure),
-                    strategy,
-                    exp,
-                );
-                let qt = Algo::Repose(r).batch_secs(&queries, exp.k);
+                let cfg = exp.repose_config(ds, measure).with_strategy(strategy);
+                let qt = Algo::Repose(Repose::build(&data, cfg)).batch_secs(&queries, exp.k);
                 row.push(fmt_secs(qt));
                 out.push(json!({
                     "measure": measure.name(),

@@ -84,14 +84,14 @@ pub fn fmt_bytes(b: u64) -> String {
 }
 
 /// Prints an aligned table: `header` then `rows` of equal arity.
-pub fn print_table(header: &[&str], rows: &[Vec<String>]) {
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
+pub fn print_table<S: AsRef<str>>(header: &[S], rows: &[Vec<String>]) {
+    let mut widths: Vec<usize> = header.iter().map(|h| h.as_ref().len()).collect();
     for r in rows {
         for (i, c) in r.iter().enumerate() {
             widths[i] = widths[i].max(c.len());
         }
     }
-    let line = |cells: Vec<String>| {
+    let line = |cells: &[String]| {
         cells
             .iter()
             .zip(&widths)
@@ -99,14 +99,33 @@ pub fn print_table(header: &[&str], rows: &[Vec<String>]) {
             .collect::<Vec<_>>()
             .join("  ")
     };
-    println!("{}", line(header.iter().map(|s| s.to_string()).collect()));
+    println!("{}", line(&header.iter().map(|s| s.as_ref().to_string()).collect::<Vec<_>>()));
     println!(
         "{}",
         "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len().saturating_sub(1)))
     );
     for r in rows {
-        println!("{}", line(r.clone()));
+        println!("{}", line(r));
     }
+}
+
+/// Prints a figure's table — one row per algorithm: its name, then its
+/// query time at each of `xs`, headed `column(x)` — and returns the same
+/// rows in the same order as series labelled `"<algorithm> <suffix>"`.
+pub fn series_table(
+    rows: Vec<(&str, Vec<f64>)>,
+    xs: &[f64],
+    column: impl Fn(f64) -> String,
+    suffix: &str,
+) -> Vec<Series> {
+    let mut header = vec!["Algorithm".to_string()];
+    header.extend(xs.iter().map(|&x| column(x)));
+    let cells = |(name, ys): &(&str, Vec<f64>)| {
+        std::iter::once(name.to_string()).chain(ys.iter().map(|&y| fmt_secs(y))).collect()
+    };
+    print_table(&header, &rows.iter().map(cells).collect::<Vec<_>>());
+    let series = |(name, y)| Series { label: format!("{name} {suffix}"), x: xs.to_vec(), y };
+    rows.into_iter().map(series).collect()
 }
 
 #[cfg(test)]

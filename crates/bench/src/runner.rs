@@ -1,12 +1,21 @@
-//! Shared runners: build each algorithm once, time a query batch, report
-//! the three Table IV metrics.
+//! The one build front every experiment goes through: load a dataset,
+//! build an algorithm on the paper's parameters for it, time a query
+//! batch, report the three Table IV metrics.
 
-use repose::{PartitionStrategy, Repose, ReposeConfig};
+use repose::{Repose, ReposeConfig};
 use repose_baselines::{BaselinePlacement, Dft, DftConfig, Dita, DitaConfig, LinearScan};
 use repose_cluster::ClusterConfig;
 use repose_datagen::{sample_queries, PaperDataset};
 use repose_distance::{Measure, MeasureParams};
 use repose_model::{Dataset, Trajectory};
+
+/// The algorithms of Table IV and Figs. 6, 8 and 9, in table order.
+pub const ALGOS: [&str; 4] = ["REPOSE", "DITA", "DFT", "LS"];
+
+/// The datasets of the paper's parameter and variant studies (Tables
+/// V–IX, Fig. 6).
+pub const STUDY_DATASETS: [PaperDataset; 3] =
+    [PaperDataset::TDrive, PaperDataset::Xian, PaperDataset::Osm];
 
 /// Shared experiment knobs.
 #[derive(Debug, Clone)]
@@ -69,6 +78,19 @@ impl ExpConfig {
         }
         Ok(cfg)
     }
+
+    /// The REPOSE deployment over `ds` under `measure`: this experiment's
+    /// cluster, partitions and seed, with the paper's δ and measure
+    /// parameters ([`params_for`]) for the dataset. Tables V–VII and
+    /// Fig. 7 override one knob of it.
+    pub fn repose_config(&self, ds: PaperDataset, measure: Measure) -> ReposeConfig {
+        ReposeConfig::new(measure)
+            .with_cluster(self.cluster)
+            .with_partitions(self.partitions)
+            .with_delta(ds.paper_delta(measure))
+            .with_params(params_for(ds, measure))
+            .with_seed(self.seed)
+    }
 }
 
 /// A built algorithm instance, for sweeps that reuse one index across many
@@ -121,80 +143,37 @@ impl Algo {
     }
 }
 
-/// Builds REPOSE over a dataset on the experiment's cluster, partition
-/// count and seed.
-pub fn build_repose(
-    data: &Dataset,
-    measure: Measure,
-    params: MeasureParams,
-    delta: f64,
-    strategy: PartitionStrategy,
-    exp: &ExpConfig,
-) -> Repose {
-    let cfg = ReposeConfig::new(measure)
-        .with_cluster(exp.cluster)
-        .with_partitions(exp.partitions)
-        .with_delta(delta)
-        .with_strategy(strategy)
-        .with_params(params)
-        .with_seed(exp.seed);
-    Repose::build(data, cfg)
-}
-
-/// Builds one algorithm over a dataset (`None` when the measure is
-/// unsupported — DITA×Hausdorff, DFT×{LCSS,EDR,ERP}).
-#[allow(clippy::too_many_arguments)]
+/// Builds one algorithm over `ds`'s `data` with the paper's parameters for
+/// `ds` under `measure`; `placement` places a baseline's partitions.
+/// `None` when the measure is unsupported (DITA×Hausdorff,
+/// DFT×{LCSS,EDR,ERP}).
 pub fn build_algo(
     name: &str,
     data: &Dataset,
+    ds: PaperDataset,
     measure: Measure,
-    params: MeasureParams,
-    delta: f64,
     placement: BaselinePlacement,
-    strategy: PartitionStrategy,
     exp: &ExpConfig,
 ) -> Option<Algo> {
+    let params = params_for(ds, measure);
     match name {
-        "REPOSE" => Some(Algo::Repose(build_repose(data, measure, params, delta, strategy, exp))),
+        "REPOSE" => Some(Algo::Repose(Repose::build(data, exp.repose_config(ds, measure)))),
         "DITA" => Dita::supports(measure).then(|| {
-            Algo::Dita(Dita::build(
-                data,
-                DitaConfig {
-                    cluster: exp.cluster,
-                    num_partitions: exp.partitions,
-                    nl: 32,
-                    c_factor: 5,
-                    placement,
-                },
-                measure,
-                params,
-            ))
+            let (cluster, num_partitions) = (exp.cluster, exp.partitions);
+            let paper = DitaConfig::paper_default();
+            let cfg = DitaConfig { cluster, num_partitions, placement, ..paper };
+            Algo::Dita(Dita::build(data, cfg, measure, params))
         }),
-        "DFT" => matches!(
-            measure,
-            Measure::Hausdorff | Measure::Frechet | Measure::Dtw
-        )
-        .then(|| {
-            Algo::Dft(Dft::build(
-                data,
-                DftConfig {
-                    cluster: exp.cluster,
-                    num_partitions: exp.partitions,
-                    sample_factor: 5,
-                    placement,
-                    seed: exp.seed,
-                },
-                measure,
-                params,
-            ))
+        "DFT" => matches!(measure, Measure::Hausdorff | Measure::Frechet | Measure::Dtw).then(|| {
+            let (cluster, num_partitions, seed) = (exp.cluster, exp.partitions, exp.seed);
+            let paper = DftConfig::paper_default();
+            let cfg = DftConfig { cluster, num_partitions, placement, seed, ..paper };
+            Algo::Dft(Dft::build(data, cfg, measure, params))
         }),
-        "LS" => Some(Algo::Ls(LinearScan::build(
-            data,
-            exp.cluster,
-            exp.partitions,
-            measure,
-            params,
-        ))),
+        "LS" => {
+            let ls = LinearScan::build(data, exp.cluster, exp.partitions, measure, params);
+            Some(Algo::Ls(ls))
+        }
         other => panic!("unknown algorithm {other}"),
     }
 }
@@ -213,10 +192,11 @@ pub fn params_for(ds: PaperDataset, measure: Measure) -> MeasureParams {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn tiny() -> ExpConfig {
+    /// A config whose every experiment finishes in well under a second.
+    pub(crate) fn tiny() -> ExpConfig {
         ExpConfig {
             scale: 0.02,
             queries: 2,
@@ -254,22 +234,12 @@ mod tests {
     #[test]
     fn all_runners_produce_measurements() {
         let exp = tiny();
-        let (data, queries) = load(PaperDataset::TDrive, &exp);
-        let m = Measure::Frechet;
-        let p = params_for(PaperDataset::TDrive, m);
-        let delta = PaperDataset::TDrive.paper_delta(m);
-        for name in ["REPOSE", "DITA", "DFT", "LS"] {
-            let algo = build_algo(
-                name,
-                &data,
-                m,
-                p,
-                delta,
-                BaselinePlacement::Homogeneous,
-                PartitionStrategy::Heterogeneous,
-                &exp,
-            )
-            .expect("every algorithm supports Frechet");
+        let ds = PaperDataset::TDrive;
+        let (data, queries) = load(ds, &exp);
+        for name in ALGOS {
+            let placement = BaselinePlacement::Homogeneous;
+            let algo = build_algo(name, &data, ds, Measure::Frechet, placement, &exp)
+                .expect("every algorithm supports Frechet");
             assert!(algo.batch_secs(&queries, exp.k) > 0.0, "{name}");
             match algo.index_cost() {
                 Some((bytes, secs)) => assert!(bytes > 0 && secs >= 0.0, "{name}"),

@@ -3,9 +3,9 @@
 //! One [`Backoff`] instance paces the retries of one logical operation
 //! (e.g. one shard's attempts within one query): each call to
 //! [`Backoff::next_delay`] returns the wait before the *next* attempt,
-//! doubling (by [`BackoffConfig::factor`]) from [`BackoffConfig::base`]
-//! up to [`BackoffConfig::cap`], with uniform jitter of ±`jitter` of the
-//! current step mixed in so synchronized clients fan out instead of
+//! growing by [`Backoff::FACTOR`] from [`BackoffConfig::base`] up to
+//! [`BackoffConfig::cap`], with uniform jitter of ±[`Backoff::JITTER`] of
+//! the current step mixed in so synchronized clients fan out instead of
 //! retrying in lockstep.
 //!
 //! The jitter stream comes from the workspace's deterministic compat
@@ -23,13 +23,8 @@ pub struct BackoffConfig {
     /// First (unjittered) delay.
     pub base: Duration,
     /// Upper bound on the unjittered step; with maximum positive jitter a
-    /// delay can reach `cap * (1 + jitter)` but never more.
+    /// delay can reach `cap * (1 + JITTER)` but never more.
     pub cap: Duration,
-    /// Multiplier applied to the step after each attempt (>= 1.0).
-    pub factor: f64,
-    /// Jitter fraction in `[0, 1]`: each delay is the current step scaled
-    /// by a uniform factor from `[1 - jitter, 1 + jitter)`.
-    pub jitter: f64,
 }
 
 impl Default for BackoffConfig {
@@ -37,8 +32,6 @@ impl Default for BackoffConfig {
         BackoffConfig {
             base: Duration::from_millis(10),
             cap: Duration::from_secs(1),
-            factor: 2.0,
-            jitter: 0.5,
         }
     }
 }
@@ -54,14 +47,15 @@ pub struct Backoff {
 }
 
 impl Backoff {
+    /// Multiplier applied to the step after each attempt.
+    pub const FACTOR: f64 = 2.0;
+    /// Jitter fraction: each delay is the current step scaled by a uniform
+    /// factor from `[1 - JITTER, 1 + JITTER)`.
+    pub const JITTER: f64 = 0.5;
+
     /// A sequence shaped by `config`, with the jitter stream seeded by
     /// `seed` (same seed, same delays).
     pub fn new(config: BackoffConfig, seed: u64) -> Self {
-        assert!(config.factor >= 1.0, "backoff must not shrink");
-        assert!(
-            (0.0..=1.0).contains(&config.jitter),
-            "jitter is a fraction of the step"
-        );
         assert!(config.cap >= config.base, "cap below base");
         Backoff {
             config,
@@ -72,18 +66,13 @@ impl Backoff {
     }
 
     /// The delay to wait before the next attempt, advancing the sequence.
-    /// Always within `[step * (1 - jitter), step * (1 + jitter))` of the
+    /// Always within `[step * (1 - JITTER), step * (1 + JITTER))` of the
     /// current unjittered step, which itself never exceeds the cap.
     pub fn next_delay(&mut self) -> Duration {
         let step = self.step;
-        self.step = (self.step * self.config.factor).min(self.config.cap.as_secs_f64());
+        self.step = (self.step * Self::FACTOR).min(self.config.cap.as_secs_f64());
         self.attempts += 1;
-        let scale = if self.config.jitter > 0.0 {
-            self.rng
-                .random_range(1.0 - self.config.jitter..1.0 + self.config.jitter)
-        } else {
-            1.0
-        };
+        let scale = self.rng.random_range(1.0 - Self::JITTER..1.0 + Self::JITTER);
         Duration::from_secs_f64(step * scale)
     }
 
@@ -97,59 +86,51 @@ impl Backoff {
 mod tests {
     use super::*;
 
-    fn cfg(base_ms: u64, cap_ms: u64, factor: f64, jitter: f64) -> BackoffConfig {
-        BackoffConfig {
-            base: Duration::from_millis(base_ms),
-            cap: Duration::from_millis(cap_ms),
-            factor,
-            jitter,
-        }
+    fn cfg(base_ms: u64, cap_ms: u64) -> BackoffConfig {
+        BackoffConfig { base: Duration::from_millis(base_ms), cap: Duration::from_millis(cap_ms) }
+    }
+
+    /// Delay `i` lies in the jitter band around unjittered step `i`.
+    fn within_band(delay: Duration, step_ms: f64) -> bool {
+        let d = delay.as_secs_f64() * 1000.0;
+        let (lo, hi) = (step_ms * (1.0 - Backoff::JITTER), step_ms * (1.0 + Backoff::JITTER));
+        d >= lo - 1e-9 && d < hi + 1e-9
     }
 
     #[test]
     fn unjittered_sequence_doubles_to_cap() {
-        let mut b = Backoff::new(cfg(10, 70, 2.0, 0.0), 0);
-        let delays: Vec<u128> = (0..5).map(|_| b.next_delay().as_millis()).collect();
-        assert_eq!(delays, vec![10, 20, 40, 70, 70], "doubles, then pins at cap");
+        let mut b = Backoff::new(cfg(10, 70), 0);
+        for step in [10.0, 20.0, 40.0, 70.0, 70.0] {
+            let d = b.next_delay();
+            assert!(within_band(d, step), "{d:?} outside the band of {step}ms");
+        }
         assert_eq!(b.attempts(), 5);
     }
 
     #[test]
     fn jitter_stays_within_bounds_and_step_never_exceeds_cap() {
-        let c = cfg(10, 1000, 2.0, 0.5);
-        let mut b = Backoff::new(c, 42);
+        let mut b = Backoff::new(cfg(10, 1000), 42);
         let mut step = 10.0f64;
         for _ in 0..50 {
-            let d = b.next_delay().as_secs_f64() * 1000.0;
-            let lo = step * (1.0 - c.jitter);
-            let hi = step * (1.0 + c.jitter);
-            assert!(d >= lo - 1e-9 && d < hi + 1e-9, "{d} outside [{lo}, {hi})");
-            step = (step * c.factor).min(1000.0);
+            let d = b.next_delay();
+            assert!(within_band(d, step), "{d:?} outside the band of {step}ms");
+            step = (step * Backoff::FACTOR).min(1000.0);
         }
     }
 
     #[test]
     fn same_seed_same_delays_different_seed_diverges() {
-        let c = cfg(5, 500, 1.7, 0.3);
-        let a: Vec<Duration> = {
-            let mut b = Backoff::new(c, 7);
-            (0..10).map(|_| b.next_delay()).collect()
+        let delays = |seed| {
+            let mut b = Backoff::new(cfg(5, 500), seed);
+            (0..10).map(|_| b.next_delay()).collect::<Vec<Duration>>()
         };
-        let b2: Vec<Duration> = {
-            let mut b = Backoff::new(c, 7);
-            (0..10).map(|_| b.next_delay()).collect()
-        };
-        let c2: Vec<Duration> = {
-            let mut b = Backoff::new(c, 8);
-            (0..10).map(|_| b.next_delay()).collect()
-        };
-        assert_eq!(a, b2, "deterministic per seed");
-        assert_ne!(a, c2, "seeds decorrelate retry storms");
+        assert_eq!(delays(7), delays(7), "deterministic per seed");
+        assert_ne!(delays(7), delays(8), "seeds decorrelate retry storms");
     }
 
     #[test]
-    #[should_panic(expected = "backoff must not shrink")]
-    fn shrinking_factor_rejected() {
-        Backoff::new(cfg(10, 100, 0.5, 0.0), 0);
+    #[should_panic(expected = "cap below base")]
+    fn cap_below_base_rejected() {
+        Backoff::new(cfg(100, 10), 0);
     }
 }

@@ -7,7 +7,7 @@
 //! action **exactly once**, when the countdown reaches zero. The two
 //! planes differ only in what an action is and which site names exist, so
 //! the action type supplies the site validator ([`FaultAction`]) and
-//! everything else — the countdown registry, arm-time site checking, the
+//! everything else — the countdown, arm-time site checking, the
 //! shared-by-clone handle — is written here once. Plans are armed in code
 //! only; a misspelled site panics at arm time, never arms a fault that
 //! cannot fire.
@@ -25,16 +25,28 @@ pub trait FaultAction: Copy {
     fn valid_site(site: &str) -> bool;
 }
 
-/// A deterministic, shareable fault-injection plan (see module docs).
-/// Cloning shares the registry; the empty plan's per-hit cost is one
-/// atomic load.
+/// A deterministic, shareable fault-injection plan (see module docs):
+/// named sites armed with an action and a hit countdown. Cloning shares
+/// the arms; the unarmed plan's per-hit cost is one atomic load.
 #[derive(Debug, Clone)]
-pub struct Plan<A: FaultAction>(Arc<ArmRegistry<A>>);
+pub struct Plan<A: FaultAction> {
+    /// Fast path: skip the mutex entirely when nothing was ever armed.
+    armed: Arc<AtomicBool>,
+    arms: Arc<Mutex<HashMap<String, Arm<A>>>>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Arm<A> {
+    action: A,
+    /// Hits remaining before the action fires (0 = fire on the next hit).
+    after: u32,
+    fired: bool,
+}
 
 // Not derived: that would ask `A: Default`, and an action has no default.
 impl<A: FaultAction> Default for Plan<A> {
     fn default() -> Self {
-        Plan(Arc::default())
+        Plan { armed: Arc::default(), arms: Arc::default() }
     }
 }
 
@@ -53,63 +65,19 @@ impl<A: FaultAction> Plan<A> {
     /// to prevent.
     pub fn arm(&self, site: &str, action: A, after: u32) {
         assert!(A::valid_site(site), "`{site}` is not a {}", A::SITES);
-        self.0.arm(site, action, after);
+        let mut arms = self.arms.lock().unwrap_or_else(|e| e.into_inner());
+        arms.insert(site.to_string(), Arm { action, after, fired: false });
+        self.armed.store(true, Ordering::Release);
     }
 
     /// Hit `site`: decrements its countdown and returns the action the
     /// moment it fires (exactly once per arm).
     pub fn hit(&self, site: &str) -> Option<A> {
-        self.0.hit(site)
-    }
-
-    /// Whether any arm has fired.
-    pub fn any_fired(&self) -> bool {
-        self.0.any_fired()
-    }
-}
-
-/// The exactly-once countdown registry under [`Plan`]: named sites armed
-/// with an action and a hit countdown; an armed site fires its action
-/// exactly once, when the countdown reaches zero. The unarmed fast path
-/// is one atomic load.
-#[derive(Debug)]
-pub struct ArmRegistry<A: Copy> {
-    /// Fast path: skip the mutex entirely when nothing was ever armed.
-    armed: AtomicBool,
-    arms: Mutex<HashMap<String, Arm<A>>>,
-}
-
-impl<A: Copy> Default for ArmRegistry<A> {
-    fn default() -> Self {
-        ArmRegistry { armed: AtomicBool::new(false), arms: Mutex::new(HashMap::new()) }
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Arm<A> {
-    action: A,
-    /// Hits remaining before the action fires (0 = fire on the next hit).
-    after: u32,
-    fired: bool,
-}
-
-impl<A: Copy> ArmRegistry<A> {
-    /// Arms `point` to fire `action` after `after` further hits (0 = fire
-    /// on the very next hit). Re-arming a point replaces its previous arm.
-    pub fn arm(&self, point: &str, action: A, after: u32) {
-        let mut arms = self.arms.lock().unwrap_or_else(|e| e.into_inner());
-        arms.insert(point.to_string(), Arm { action, after, fired: false });
-        self.armed.store(true, Ordering::Release);
-    }
-
-    /// Hit `point`: decrements its countdown and returns the action the
-    /// moment it fires (exactly once per arm).
-    pub fn hit(&self, point: &str) -> Option<A> {
         if !self.armed.load(Ordering::Acquire) {
             return None;
         }
         let mut arms = self.arms.lock().unwrap_or_else(|e| e.into_inner());
-        let arm = arms.get_mut(point)?;
+        let arm = arms.get_mut(site)?;
         if arm.fired {
             return None;
         }
@@ -136,15 +104,25 @@ impl<A: Copy> ArmRegistry<A> {
 mod tests {
     use super::*;
 
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct Fire(u8);
+
+    impl FaultAction for Fire {
+        const SITES: &'static str = "one-letter site";
+        fn valid_site(site: &str) -> bool {
+            site.len() == 1
+        }
+    }
+
     #[test]
     fn registry_fires_exactly_once_after_countdown() {
-        let reg = ArmRegistry::<u8>::default();
-        reg.arm("p", 9, 2);
-        assert_eq!(reg.hit("p"), None);
-        assert_eq!(reg.hit("p"), None);
-        assert_eq!(reg.hit("p"), Some(9));
-        assert_eq!(reg.hit("p"), None);
-        assert!(reg.any_fired());
-        assert_eq!(reg.hit("other"), None);
+        let plan = Plan::new();
+        plan.arm("p", Fire(9), 2);
+        assert_eq!(plan.hit("p"), None);
+        assert_eq!(plan.hit("p"), None);
+        assert_eq!(plan.hit("p"), Some(Fire(9)));
+        assert_eq!(plan.hit("p"), None);
+        assert!(plan.any_fired());
+        assert_eq!(plan.hit("q"), None);
     }
 }

@@ -74,6 +74,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// Gather-loop poll granularity.
+const TICK: Duration = Duration::from_millis(1);
+
 /// Tuning knobs of a [`ShardCluster`].
 #[derive(Debug, Clone, Copy)]
 pub struct ShardClusterConfig {
@@ -94,8 +97,6 @@ pub struct ShardClusterConfig {
     pub write_retries: u32,
     /// Coordinator result-cache capacity in entries (0 disables).
     pub cache_capacity: usize,
-    /// Gather-loop poll granularity.
-    pub tick: Duration,
     /// Seed for the coordinator's deterministic backoff jitter.
     pub seed: u64,
     /// Knobs forwarded to every shard worker.
@@ -112,13 +113,10 @@ impl Default for ShardClusterConfig {
             backoff: BackoffConfig {
                 base: Duration::from_millis(10),
                 cap: Duration::from_millis(200),
-                factor: 2.0,
-                jitter: 0.5,
             },
             write_timeout: Duration::from_millis(500),
             write_retries: 6,
             cache_capacity: 256,
-            tick: Duration::from_millis(1),
             seed: 0xC00D,
             worker: WorkerConfig::default(),
         }
@@ -474,7 +472,7 @@ impl ShardCluster {
 
             // Drain the inbox, then take the sweep's single clock sample:
             // every timer decision below sees this one time.
-            let mut got = self.transport.recv_timeout(0, self.cfg.tick);
+            let mut got = self.transport.recv_timeout(0, TICK);
             let now = self.clock.now();
             while let Some((_, msg)) = got {
                 match msg {

@@ -3,11 +3,10 @@
 //! This crate stretches the repository's single-node serving layer
 //! ([`repose_service`]) across shard boundaries: a coordinator scatters
 //! each query to shard workers that own disjoint subsets of the data,
-//! hits stream back one frame per completed partition, and the
-//! coordinator's merged k-th-distance bound is broadcast back out so a
-//! hit found on one shard prunes every other — the in-process
-//! shared-threshold design ([`repose_distance::SharedTopK`]) carried over
-//! an actual wire protocol.
+//! each shard answers an attempt with one `Hits` frame holding its whole
+//! local top-k, and the coordinator folds the replies into one
+//! [`repose_distance::SharedTopK`] — the in-process collector carried
+//! over an actual wire protocol.
 //! The answer stays **bitwise exact** (same distance multiset, same
 //! tie-breaks) as the single-node path whenever every shard answers, and
 //! degrades *visibly* (never silently) when shards fail past their retry
@@ -28,8 +27,8 @@
 //! * [`transport`] — the [`Transport`] trait and the in-process
 //!   [`Loopback`]: real serialization on every send, one channel per
 //!   node, the link core deciding each frame's fate.
-//! * [`worker`] — [`ShardWorker`], one node's message loop: scatter-side
-//!   query execution with mid-flight bound folding, WAL-backed writes,
+//! * [`worker`] — [`ShardWorker`], one node's message loop: one search
+//!   and one `Hits` reply per query attempt, WAL-backed writes,
 //!   leader→follower delta-log replication (log-before-ack), heartbeats,
 //!   and follower self-promotion.
 //! * [`coordinator`] — [`ShardCluster`], the client-facing object:

@@ -53,6 +53,11 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Idle poll granularity of [`ShardWorker::run`]'s message loop.
+const TICK: Duration = Duration::from_millis(2);
+/// Replication resends before a leader refuses the write.
+const REPLICATION_RETRIES: u32 = 3;
+
 /// What a node is to its shard's replication pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Role {
@@ -83,12 +88,8 @@ pub struct WorkerConfig {
     pub heartbeat_timeout: Duration,
     /// How long a leader waits for one replication `Ack`.
     pub ack_timeout: Duration,
-    /// Replication resends before refusing the write.
-    pub replication_retries: u32,
     /// Backoff shape between replication resends.
     pub backoff: BackoffConfig,
-    /// Idle poll granularity of the message loop.
-    pub tick: Duration,
     /// Seed for this node's deterministic jitter.
     pub seed: u64,
 }
@@ -99,14 +100,10 @@ impl Default for WorkerConfig {
             heartbeat_every: Duration::from_millis(20),
             heartbeat_timeout: Duration::from_millis(150),
             ack_timeout: Duration::from_millis(200),
-            replication_retries: 3,
             backoff: BackoffConfig {
                 base: Duration::from_millis(5),
                 cap: Duration::from_millis(100),
-                factor: 2.0,
-                jitter: 0.5,
             },
-            tick: Duration::from_millis(2),
             seed: 0x5AAD,
         }
     }
@@ -202,7 +199,7 @@ impl ShardWorker {
             let next = self
                 .pending
                 .pop_front()
-                .or_else(|| self.transport.recv_timeout(self.node, self.cfg.tick));
+                .or_else(|| self.transport.recv_timeout(self.node, TICK));
             let Some((from, msg)) = next else { continue };
             if !self.on_message(from, msg) {
                 return;
@@ -370,7 +367,7 @@ impl ShardWorker {
     fn replicate_until_acked(&mut self, follower: NodeId, target_seq: u64) -> bool {
         let mut backoff =
             Backoff::new(self.cfg.backoff, self.cfg.seed ^ (self.node as u64) ^ target_seq);
-        for attempt in 0..=self.cfg.replication_retries {
+        for attempt in 0..=REPLICATION_RETRIES {
             if self.transport.is_shutdown() || self.transport.is_crashed(self.node) {
                 return false;
             }
@@ -394,7 +391,7 @@ impl ShardWorker {
                     Some(other) => self.pending.push_back(other),
                 }
             }
-            if attempt < self.cfg.replication_retries {
+            if attempt < REPLICATION_RETRIES {
                 self.clock.sleep(backoff.next_delay());
             }
         }

@@ -67,26 +67,19 @@ fn sim_cluster_config(sc: &Scenario) -> ShardClusterConfig {
         backoff: BackoffConfig {
             base: Duration::from_millis(2),
             cap: Duration::from_millis(20),
-            factor: 2.0,
-            jitter: 0.5,
         },
         write_timeout: Duration::from_millis(40),
         write_retries: 4,
         cache_capacity: 32,
-        tick: Duration::from_millis(1),
         seed: sc.seed,
         worker: WorkerConfig {
             heartbeat_every: Duration::from_millis(5),
             heartbeat_timeout: Duration::from_millis(30),
             ack_timeout: Duration::from_millis(15),
-            replication_retries: 3,
             backoff: BackoffConfig {
                 base: Duration::from_millis(1),
                 cap: Duration::from_millis(10),
-                factor: 2.0,
-                jitter: 0.5,
             },
-            tick: Duration::from_millis(1),
             seed: sc.seed ^ 0x77,
         },
     }
