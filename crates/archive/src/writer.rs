@@ -200,9 +200,10 @@ fn install(
         return Err(injected("arc.rename", &dest));
     }
     std::fs::rename(&tmp, &dest).map_err(|e| ArchiveError::io("rename", &dest, e))?;
-    if let Ok(d) = std::fs::File::open(dir) {
-        let _ = d.sync_all();
-    }
+    // The rename is durable only once the directory entry is.
+    std::fs::File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| ArchiveError::io("sync dir", dir, e))?;
     Ok(dest)
 }
 

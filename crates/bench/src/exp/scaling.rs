@@ -26,7 +26,9 @@ pub fn fig9(exp: &ExpConfig) -> Value {
 
 /// One series per algorithm over the `knob` values `xs`, per measure;
 /// `set` applies `x` to the experiment config. Rows and series go in
-/// algorithm-name order.
+/// algorithm-name order. A dataset is generated once per distinct data
+/// config and serves both measures: [`load`] reads only the scale, seed
+/// and query count, so Fig. 9's partition counts share one dataset.
 fn sweep(
     exp: &ExpConfig,
     fig: &str,
@@ -36,22 +38,30 @@ fn sweep(
     set: fn(&mut ExpConfig, f64),
 ) -> Value {
     let ds = PaperDataset::Osm;
-    let mut series = Vec::new();
-    for measure in [Measure::Hausdorff, Measure::Frechet] {
-        println!("\n== Fig. {fig}: OSM with {measure} ==");
-        let mut per_algo: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
-        for &x in xs {
+    let measures = [Measure::Hausdorff, Measure::Frechet];
+    let mut per_measure: [BTreeMap<&str, Vec<f64>>; 2] = Default::default();
+    let mut loaded = None;
+    for &x in xs {
+        let mut cfg = exp.clone();
+        set(&mut cfg, x);
+        let key = (cfg.scale.to_bits(), cfg.seed, cfg.queries);
+        if loaded.as_ref().is_none_or(|(k, _)| *k != key) {
+            loaded = Some((key, load(ds, &cfg)));
+        }
+        let (_, (data, queries)) = loaded.as_ref().expect("loaded above");
+        for (&measure, per_algo) in measures.iter().zip(&mut per_measure) {
             eprintln!("fig{fig}: {measure} {knob} {x}...");
-            let mut cfg = exp.clone();
-            set(&mut cfg, x);
-            let (data, queries) = load(ds, &cfg);
             for name in ALGOS {
                 let placement = BaselinePlacement::Homogeneous;
-                if let Some(algo) = build_algo(name, &data, ds, measure, placement, &cfg) {
-                    per_algo.entry(name).or_default().push(algo.batch_secs(&queries, cfg.k));
+                if let Some(algo) = build_algo(name, data, ds, measure, placement, &cfg) {
+                    per_algo.entry(name).or_default().push(algo.batch_secs(queries, cfg.k));
                 }
             }
         }
+    }
+    let mut series = Vec::new();
+    for (measure, per_algo) in measures.into_iter().zip(per_measure) {
+        println!("\n== Fig. {fig}: OSM with {measure} ==");
         let rows = per_algo.into_iter().collect();
         series.extend(series_table(rows, xs, column, &format!("OSM {measure}")));
     }

@@ -26,6 +26,11 @@
 //! <dir>/wal-<index>.log   record stream; `index` strictly increasing
 //! ```
 //!
+//! Opening a segment ([`Wal::create`], [`Wal::resume`], [`Wal::rotate`])
+//! syncs the directory before the segment takes its first record, so the
+//! segment an acknowledged append landed in is itself durable; a
+//! checkpoint that prunes segments syncs it again.
+//!
 //! The log's base is not in this crate: the serving layer checkpoints by
 //! installing an archive generation of its frozen deployment
 //! (`repose-archive`), by default in this same directory. A
@@ -178,7 +183,8 @@ pub struct SegmentInfo {
 pub struct WalCounters {
     /// Bytes handed to the OS across all segments.
     pub bytes_written: u64,
-    /// `fsync` (`sync_data`) calls issued.
+    /// `fsync` (`sync_data`) calls issued on segments (the directory
+    /// syncs of segment creation and pruning are not counted).
     pub fsyncs: u64,
 }
 
@@ -248,6 +254,7 @@ impl Wal {
             .write(true)
             .open(&seg_path)
             .map_err(|e| io_err("wal.create", e))?;
+        sync_dir(&cfg.dir).map_err(|e| io_err("wal.create", e))?;
         Ok(Wal {
             dir: cfg.dir.clone(),
             fsync: cfg.fsync,
@@ -341,6 +348,7 @@ impl Wal {
             .write(true)
             .open(&self.seg_path)
             .map_err(|e| self.die("wal.rotate", e))?;
+        sync_dir(&self.dir).map_err(|e| self.die("wal.rotate", e))?;
         self.seg_written = 0;
         self.synced_len = 0;
         self.seg_max_seq = 0;
@@ -352,7 +360,9 @@ impl Wal {
     /// it, then prunes every sealed segment whose records all fall at or
     /// below `seq`. Pruning is best-effort — recovery skips covered
     /// records by sequence, so a surviving stale segment is dead weight,
-    /// not a correctness hazard.
+    /// not a correctness hazard — but once it pruned a segment the
+    /// directory is synced, and a failed sync kills the WAL like any
+    /// failed `fsync`.
     pub fn checkpoint(&mut self, seq: u64) -> Result<(), WalError> {
         self.check_alive()?;
         if let Some(action) = self.plan.hit("wal.checkpoint") {
@@ -361,6 +371,7 @@ impl Wal {
         WalRecord::Checkpoint { seq }.encode(&mut self.pending);
         self.flush()?;
         self.sync()?;
+        let before = self.sealed.len();
         self.sealed.retain(|info| {
             if info.max_seq <= seq {
                 let _ = fs::remove_file(&info.path);
@@ -369,6 +380,9 @@ impl Wal {
                 true
             }
         });
+        if self.sealed.len() < before {
+            sync_dir(&self.dir).map_err(|e| self.die("wal.checkpoint", e))?;
+        }
         Ok(())
     }
 
@@ -443,6 +457,13 @@ impl Drop for Wal {
             let _ = self.commit();
         }
     }
+}
+
+/// Makes the directory's entries durable: a segment created or removed
+/// survives a crash only once its directory is synced. Segment creation
+/// and checkpoint pruning pay one each; appends pay none.
+fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    File::open(dir)?.sync_all()
 }
 
 fn io_err(point: &'static str, source: std::io::Error) -> WalError {

@@ -32,7 +32,6 @@
 //! child but the last and push one cell into each.
 
 use crate::frozen::LeafRef;
-use crate::NodeId;
 use repose_distance::within::could_match;
 use repose_distance::{
     active_backend, DtwColumn, EdrColumn, ErpColumn, FrechetColumn, HausdorffState, LcssColumn,
@@ -97,11 +96,11 @@ impl BoundState {
         }
     }
 
-    /// Expands every child of the node this state belongs to: child `ci`'s
-    /// state is this one with `kids[ci].0` pushed, handed to
+    /// Expands every child of the path this state belongs to: child `ci`'s
+    /// state is this one with `labels[ci]` pushed, handed to
     /// `visit(ci, state)`, which gives it back if the child is pruned.
     ///
-    /// Children go in lane groups, in `kids` order: DTW advances the
+    /// Children go in lane groups, in `labels` order: DTW advances the
     /// active backend's lane count of siblings per pass, recycling columns
     /// through `columns`; every other measure, one child per group.
     /// `live()` is asked before each group; once it says no, the remaining
@@ -112,19 +111,19 @@ impl BoundState {
         query: &[Point],
         grid: &Grid,
         params: &MeasureParams,
-        kids: &[(ZValue, NodeId)],
+        labels: &[ZValue],
         columns: &mut Columns,
         mut live: impl FnMut() -> bool,
         mut visit: impl FnMut(usize, BoundState) -> Option<BoundState>,
     ) -> usize {
         let BoundState::Dtw(parent) = self else {
             let mut parent = Some(self);
-            for (ci, &(z, _)) in kids.iter().enumerate() {
+            for (ci, &z) in labels.iter().enumerate() {
                 if !live() {
-                    return kids.len() - ci;
+                    return labels.len() - ci;
                 }
                 // The last child takes the parent state by move.
-                let mut state = if ci + 1 == kids.len() { parent.take() } else { parent.clone() }
+                let mut state = if ci + 1 == labels.len() { parent.take() } else { parent.clone() }
                     .expect("only the last child takes the parent state");
                 state.push(query, grid, z, params);
                 visit(ci, state);
@@ -134,12 +133,12 @@ impl BoundState {
         let lanes = active_backend().lanes();
         let mut cells = [Mbr::empty(); BATCH_LANES];
         let mut skipped = 0;
-        for (g, group) in kids.chunks(lanes).enumerate() {
+        for (g, group) in labels.chunks(lanes).enumerate() {
             if !live() {
-                skipped = kids.len() - g * lanes;
+                skipped = labels.len() - g * lanes;
                 break;
             }
-            for (cell, &(z, _)) in cells.iter_mut().zip(group) {
+            for (cell, &z) in cells.iter_mut().zip(group) {
                 *cell = grid.cell_mbr(z);
                 let spare = columns.free.pop().unwrap_or_else(|| DtwColumn::new(query.len()));
                 columns.group.push(spare);

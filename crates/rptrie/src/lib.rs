@@ -11,9 +11,10 @@
 //! * `LBp` — pivot-based lower bound for metric measures (Section IV-D).
 //!
 //! There is one search (Algorithm 2): [`RpTrie::search`]. It runs over
-//! a slice of partitions' tries at once — one frontier, nodes popped in
-//! global lower-bound order across the slice — and the paper's local
-//! search over one partition is its one-element case. It keeps no result
+//! a slice of partitions' tries at once — one frontier, label paths
+//! popped in global lower-bound order across the slice, the tries built
+//! on one grid searched as one virtual trie, their union — and the
+//! paper's local search over one partition is its one-element case. It keeps no result
 //! heap of its own: it prunes with, and publishes every accepted hit
 //! into, the query's [`SharedTopK`] collector, whose pool is the answer —
 //! the paper's local heap and its driver-side merge in one. The optional
@@ -146,12 +147,21 @@ impl RpTrie {
     ///
     /// * `parts` — `(trie, store)` pairs of one deployment (one measure,
     ///   one parameter set), each store the arena its trie was built
-    ///   over. Every partition keeps its own grid and pivot distances,
-    ///   but all of their nodes share one frontier keyed by
-    ///   `(lower bound, partition, node)`, so the search pops nodes in
-    ///   global bound order: a partition whose subtrees cannot beat the
-    ///   k-th distance found in another is never descended. One pair is
-    ///   the paper's per-partition local search.
+    ///   over. All of their nodes share one frontier, so the search pops
+    ///   in global bound order: a partition whose subtrees cannot beat
+    ///   the k-th distance found in another is never descended. A
+    ///   frontier entry is one label path and carries every `(partition,
+    ///   node)` holding it among the tries built on one grid: a path's
+    ///   incremental bound state depends only on its labels and the
+    ///   grid, so it is pushed once per distinct child label, not once
+    ///   per trie. Each member keeps its own pivot distances: a member
+    ///   whose own `LBp` loses to the k-th distance leaves the path, the
+    ///   path enters under the weakest remaining `LBp`, and at a leaf
+    ///   each member's payload is gated by its own `LBt` and `LBp`
+    ///   before the survivors verify as one candidate stream. Entries
+    ///   order by `(lower bound, first member's partition, first
+    ///   member's node)`; tries on different grids stay separate entries.
+    ///   One pair is the paper's per-partition local search.
     /// * `filter` — restricts which *indexed* trajectories qualify
     ///   (tombstone checks, the temporal windows of `repose::temporal`).
     ///   Pruning stays sound under any filter: bounds hold for supersets

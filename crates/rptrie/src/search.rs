@@ -1,25 +1,36 @@
-//! Best-first top-k search over a frozen RP-Trie (Section IV-A,
-//! Algorithm 2 of the paper's appendix).
+//! Best-first top-k search over frozen RP-Tries (Section IV-A,
+//! Algorithm 2 of the paper's appendix): one frontier over a slice of
+//! partitions' tries, in which the tries built on one grid are walked
+//! as one virtual trie, their union.
 
 use crate::bounds::{BoundState, Columns};
 use crate::pivot::pivot_lower_bound;
-use crate::{Hit, NodeId, RpTrie};
+use crate::{Hit, LeafRef, NodeId, RpTrie};
 use repose_distance::{bound_exceeds, DistScratch, SharedTopK};
 use repose_model::{Point, TrajId, TrajStore};
+use repose_zorder::ZValue;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// Counters describing how much work a query did — used by the experiment
 /// harness to show pruning power.
+///
+/// The node and leaf counters count label paths: a path that several
+/// tries of one search share (built on one grid) counts once, as it
+/// would in one trie built over their union.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
-    /// Nodes popped from the frontier.
+    /// Paths popped from the frontier, once per path however many tries
+    /// hold it.
     pub nodes_visited: usize,
-    /// Child nodes discarded by `LBo`/`LBp` before entering the frontier.
+    /// Child paths discarded before entering the frontier: by `LBo`, or
+    /// because every trie holding the path lost to its own `LBp`.
     pub nodes_pruned: usize,
-    /// Leaf payloads whose bounds were evaluated.
+    /// Popped paths at which a reference trajectory ends in at least one
+    /// trie: once per path, however many tries' leaves it gates.
     pub leaves_visited: usize,
-    /// Leaf payloads skipped by `LBt`/`LBp`.
+    /// Visited leaf paths none of whose tries' leaves passed their own
+    /// `LBt`/`LBp`.
     pub leaves_pruned: usize,
     /// Exact trajectory distance computations (attempted verifications;
     /// includes the abandoned ones).
@@ -32,8 +43,9 @@ pub struct SearchStats {
     /// lower bound already exceeded the live k-th distance (after leaf
     /// verification tightened it, or a concurrent partition published a
     /// better hit), and child bounds only grow along a path, so the
-    /// incremental `BoundState` was never pushed for these children. The
-    /// check runs before each lane group of children — one child for most
+    /// incremental `BoundState` was never pushed for these children
+    /// (distinct child labels, however many tries hold each). The check
+    /// runs before each lane group of children — one child for most
     /// measures, the active backend's lane count of DTW siblings, which
     /// are evaluated together — so a group already started is evaluated
     /// whole.
@@ -63,14 +75,21 @@ pub struct SearchResult {
     pub stats: SearchStats,
 }
 
-/// Frontier entry: a trie node of one of the searched partitions, with
-/// the lower bound of its path and the incremental bound state of
-/// Algorithm 1 (`t.r`, `t.cmax` in the paper's pseudocode).
+/// Frontier entry: one label path of the searched tries, with its lower
+/// bound and the incremental bound state of Algorithm 1 (`t.r`, `t.cmax`
+/// in the paper's pseudocode). A path's bound state depends only on its
+/// labels and the grid, so one entry stands for every trie on that grid
+/// holding the path: its *members*, the `(partition, node)` pairs
+/// `arena[start..end]` of the search's member arena, ascending by
+/// partition. An entry without a state is one member's leaf, deferred to
+/// its own bound.
 struct Frontier {
     lb: f64,
-    part: usize,
-    node: NodeId,
-    state: BoundState,
+    /// The first member: the tie order.
+    first: (u32, NodeId),
+    start: u32,
+    end: u32,
+    state: Option<BoundState>,
 }
 
 impl PartialEq for Frontier {
@@ -86,13 +105,9 @@ impl PartialOrd for Frontier {
 }
 impl Ord for Frontier {
     fn cmp(&self, other: &Self) -> Ordering {
-        // min-heap on lb; ties toward the lower partition, then the
+        // min-heap on lb; ties toward the lower first partition, then the
         // shallower node id, for stability
-        other
-            .lb
-            .total_cmp(&self.lb)
-            .then_with(|| other.part.cmp(&self.part))
-            .then_with(|| other.node.cmp(&self.node))
+        other.lb.total_cmp(&self.lb).then_with(|| other.first.cmp(&self.first))
     }
 }
 
@@ -103,6 +118,66 @@ struct Part<'a> {
     store: &'a TrajStore,
     /// dqp: distances from the query to every pivot (Section IV-D).
     dqp: Vec<f64>,
+}
+
+impl Part<'_> {
+    /// `LBp` of this partition's `node`.
+    fn lbp(&self, node: NodeId) -> f64 {
+        pivot_lower_bound(&self.dqp, self.trie.frozen().hr(node))
+    }
+}
+
+/// The children of one popped entry, merged across its members: each
+/// distinct label once, ascending (`labels`, as [`BoundState::expand`]
+/// takes them), with the members holding it. Recycled across the
+/// search's expansions.
+#[derive(Default)]
+struct MergedChildren {
+    /// Every member's child list, back to back.
+    kids: Vec<(ZValue, NodeId)>,
+    /// Per member with children: `(partition, cursor, end)` into `kids`.
+    runs: Vec<(u32, usize, usize)>,
+    labels: Vec<ZValue>,
+    /// Label `i`'s members are `members[spans[i]..spans[i + 1]]`.
+    spans: Vec<usize>,
+    members: Vec<(u32, NodeId)>,
+}
+
+impl MergedChildren {
+    /// K-way merges the child lists of the nodes `of`, each already in
+    /// ascending label order; members keep `of`'s partition order.
+    fn merge(&mut self, searched: &[Part], of: &[(u32, NodeId)]) {
+        self.kids.clear();
+        self.runs.clear();
+        for &(p, node) in of {
+            let start = self.kids.len();
+            searched[p as usize].trie.frozen().children_into(node, &mut self.kids);
+            if self.kids.len() > start {
+                self.runs.push((p, start, self.kids.len()));
+            }
+        }
+        self.labels.clear();
+        self.spans.clear();
+        self.members.clear();
+        while let Some(label) =
+            self.runs.iter().filter(|r| r.1 < r.2).map(|r| self.kids[r.1].0).min()
+        {
+            self.labels.push(label);
+            self.spans.push(self.members.len());
+            for run in &mut self.runs {
+                if run.1 < run.2 && self.kids[run.1].0 == label {
+                    self.members.push((run.0, self.kids[run.1].1));
+                    run.1 += 1;
+                }
+            }
+        }
+        self.spans.push(self.members.len());
+    }
+
+    /// The members holding label `ci`.
+    fn members_of(&self, ci: usize) -> &[(u32, NodeId)] {
+        &self.members[self.spans[ci]..self.spans[ci + 1]]
+    }
 }
 
 pub(crate) fn search(
@@ -131,10 +206,6 @@ pub(crate) fn search(
     // verification below reuses it, so a warm worker thread's verification
     // loop performs zero heap allocations (`DistScratch` is per-thread).
     DistScratch::with_thread(|scratch| {
-    // One frontier over every partition: each non-empty partition's root
-    // enters it, and from then on nodes pop in global bound order,
-    // whichever trie they belong to.
-    let mut frontier: BinaryHeap<Frontier> = BinaryHeap::new();
     let mut searched: Vec<Part> = Vec::with_capacity(parts.len());
     for &(trie, store) in parts {
         if store.is_empty() {
@@ -142,93 +213,206 @@ pub(crate) fn search(
         }
         let dqp = trie.pivots().query_distances_in(trie.config(), query, scratch);
         stats.exact_computations += dqp.len();
+        searched.push(Part { trie, store, dqp });
+    }
+    // One frontier over every partition, one entry per label path: the
+    // roots of all tries on one grid enter it as one entry, and from then
+    // on paths pop in global bound order, whichever tries hold them. The
+    // member sets of all entries live in one arena, appended as entries
+    // enter the frontier.
+    let mut frontier: BinaryHeap<Frontier> = BinaryHeap::new();
+    let mut arena: Vec<(u32, NodeId)> = Vec::with_capacity(searched.len());
+    for (pi, part) in searched.iter().enumerate() {
+        let grid = part.trie.grid();
+        if searched[..pi].iter().any(|q| q.trie.grid() == grid) {
+            continue;
+        }
+        let start = arena.len();
+        arena.extend(
+            searched
+                .iter()
+                .enumerate()
+                .skip(pi)
+                .filter(|(_, q)| q.trie.grid() == grid)
+                .map(|(qi, q)| (qi as u32, q.trie.frozen().root())),
+        );
         frontier.push(Frontier {
             lb: 0.0,
-            part: searched.len(),
-            node: trie.frozen().root(),
-            state: BoundState::new(measure, &params, query),
+            first: arena[start],
+            start: start as u32,
+            end: arena.len() as u32,
+            state: Some(BoundState::new(measure, &params, query)),
         });
-        searched.push(Part { trie, store, dqp });
     }
     // The query's own prefilter summary, computed once: paired with the
     // per-member summaries stored in each leaf it yields an O(1) lower
     // bound per verification candidate.
-    let qsum = params.summary_of(query);
+    let qsum = &params.summary_of(query);
 
     // The live pruning threshold `dk` is the collector's bound, re-read at
     // every decision so hits other searches publish tighten this one
     // mid-flight.
     let dk = || collector.bound();
 
-    let mut kids: Vec<(u64, NodeId)> = Vec::new();
+    let pivots = searched.iter().any(|part| !part.dqp.is_empty());
+    // Verifies `leaves` (each a member `(partition, node)`, its leaf
+    // payload and the payload's bound) under the *live* k-th distance: a
+    // leaf is gated by its bound when the kernel reaches it, and the
+    // leaves that pass feed one candidate stream, so lane groups fill
+    // across partitions. The kernel returns the exact distance only when
+    // it beats dk and abandons (cheaply) when it cannot. Within a leaf
+    // members go in leaf order; hidden ones are skipped before they
+    // count, and the prefilter bound comes from the member summary frozen
+    // into the leaf — O(1) per candidate instead of O(m+n); the
+    // candidate's points are a contiguous arena slice. Returns whether any
+    // leaf passed its gate.
+    let mut verify = |leaves: &[(u32, NodeId, LeafRef, f64)], stats: &mut SearchStats| {
+        let mut passed = false;
+        let cands = leaves
+            .iter()
+            .filter(|&&(_, _, _, bound)| {
+                let pass = bound < dk();
+                passed |= pass;
+                pass
+            })
+            .flat_map(|&(p, _, leaf, _)| {
+                let store = searched[p as usize].store;
+                leaf.members.iter().zip(leaf.summaries).filter_map(move |(&mi, sum)| {
+                    let id = store.id(mi as usize);
+                    if filter.is_some_and(|f| !f(id)) {
+                        return None;
+                    }
+                    let lb = params.summary_lower_bound(measure, qsum, sum);
+                    Some((lb, id, store.points(mi as usize)))
+                })
+            });
+        let (scored, abandoned) = params.verify(measure, query, cands, collector, scratch);
+        stats.exact_computations += scored;
+        stats.exact_abandoned += abandoned;
+        passed
+    };
+    let mut leaves: Vec<(u32, NodeId, LeafRef, f64)> = Vec::new();
+    let mut merged = MergedChildren::default();
     let mut columns = Columns::default();
     while let Some(entry) = frontier.pop() {
         // Step 2): stop as soon as the best unexplored bound cannot beat dk.
         if entry.lb >= dk() {
             break;
         }
+        let Some(state) = entry.state else {
+            // A leaf deferred to its own bound (below) reached the top.
+            let (p, node) = arena[entry.start as usize];
+            let leaf = searched[p as usize].trie.frozen().leaf(node).expect("a deferred leaf");
+            verify(&[(p, node, leaf, entry.lb)], &mut stats);
+            continue;
+        };
         stats.nodes_visited += 1;
-        let Part { trie, store, ref dqp } = searched[entry.part];
-        let (grid, frozen) = (trie.grid(), trie.frozen());
+        // A member whose own `LBp` lost to dk since the entry was pushed
+        // leaves it. The one whose `LBp` the entry was pushed under stays
+        // (`lb < dk`), so the entry keeps a member.
+        let (start, mut end) = (entry.start as usize, entry.end as usize);
+        if pivots {
+            let bound = dk();
+            let mut kept = start;
+            for i in start..end {
+                let (p, node) = arena[i];
+                if searched[p as usize].lbp(node) < bound {
+                    arena[kept] = (p, node);
+                    kept += 1;
+                }
+            }
+            end = kept;
+        }
+        let grid = searched[entry.first.0 as usize].trie.grid();
 
-        // Leaf payload at this node ('$'-terminated reference trajectory).
-        if let Some(leaf) = frozen.leaf(entry.node) {
+        // Leaf payloads at this path ('$'-terminated reference
+        // trajectory), one per member that has one, each bounded by its
+        // own `LBt` and `LBp`. The best of them verifies now, as the one
+        // leaf of a one-trie path does, and with it every leaf bounded no
+        // worse than it or than the path (all of a DTW path's leaves, whose
+        // `LBt` is the path's). Each remaining one still beating dk waits
+        // in the frontier for its own bound, by when dk may have tightened
+        // past it: otherwise one pop would verify every trie's copy of a
+        // popular short path under the loose dk of its turn.
+        leaves.clear();
+        for &(p, node) in &arena[start..end] {
+            let part = &searched[p as usize];
+            if let Some(leaf) = part.trie.frozen().leaf(node) {
+                let bound = state.lbt(grid, &leaf, query.len()).max(part.lbp(node));
+                leaves.push((p, node, leaf, bound));
+            }
+        }
+        if !leaves.is_empty() {
             stats.leaves_visited += 1;
-            let lbt = entry.state.lbt(grid, &leaf, query.len());
-            let lbp = pivot_lower_bound(dqp, frozen.hr(entry.node));
-            if lbt.max(lbp) < dk() {
-                // Verify members under the *live* k-th distance: the kernel
-                // returns the exact distance only when it beats dk and
-                // abandons (cheaply) when it cannot. Members go in leaf
-                // order; hidden ones are skipped before they count, and the
-                // prefilter bound comes from the member summary frozen into
-                // the leaf — O(1) per candidate instead of O(m+n); the
-                // candidate's points are a contiguous arena slice.
-                let members = leaf.members.iter().zip(leaf.summaries).filter_map(|(&mi, sum)| {
-                    let id = store.id(mi as usize);
-                    if filter.is_some_and(|f| !f(id)) {
-                        return None;
-                    }
-                    let lb = params.summary_lower_bound(measure, &qsum, sum);
-                    Some((lb, id, store.points(mi as usize)))
+            let best = leaves.iter().map(|l| l.3).fold(f64::INFINITY, f64::min);
+            let now = entry.lb.max(best);
+            let mut deferred = false;
+            leaves.retain(|&(p, node, _, bound)| {
+                if bound <= now || bound >= dk() {
+                    return true;
+                }
+                arena.push((p, node));
+                frontier.push(Frontier {
+                    lb: bound,
+                    first: (p, node),
+                    start: arena.len() as u32 - 1,
+                    end: arena.len() as u32,
+                    state: None,
                 });
-                let (scored, abandoned) =
-                    params.verify(measure, query, members, collector, scratch);
-                stats.exact_computations += scored;
-                stats.exact_abandoned += abandoned;
-            } else {
+                deferred = true;
+                false
+            });
+            if !verify(&leaves, &mut stats) && !deferred {
                 stats.leaves_pruned += 1;
             }
         }
 
         // Step 3): expand children with fresh incremental bounds, one lane
-        // group at a time (`BoundState::expand`: DTW siblings side by side
-        // in recycled columns, the other measures one child at a time).
-        // dk may have tightened since this entry was popped (its own leaf
-        // hits above, or a concurrently searching partition). Bounds only
-        // grow along a path (`lbo` is monotone per measure, `HR` intervals
-        // shrink), so once the popped path's own bound exceeds the live dk
-        // no extension can win: the remaining groups are never pushed.
-        kids.clear();
-        frozen.children_into(entry.node, &mut kids);
-        let (lb, part) = (entry.lb, entry.part);
-        stats.bounds_abandoned += entry.state.expand(
+        // group of distinct labels at a time (`BoundState::expand`: DTW
+        // siblings side by side in recycled columns, the other measures
+        // one child at a time); a label shared by several members is
+        // pushed once. dk may have tightened since this entry was popped
+        // (its own leaf hits above, or a concurrently searching
+        // partition). Bounds only grow along a path (`lbo` is monotone
+        // per measure, `HR` intervals shrink), so once the popped path's
+        // own bound exceeds the live dk no extension can win: the
+        // remaining groups are never pushed.
+        merged.merge(&searched, &arena[start..end]);
+        let lb = entry.lb;
+        stats.bounds_abandoned += state.expand(
             query,
             grid,
             &params,
-            &kids,
+            &merged.labels,
             &mut columns,
             || !bound_exceeds(lb, dk()),
             |ci, state| {
-                let node = kids[ci].1;
-                let lb = state.lbo(grid).max(pivot_lower_bound(dqp, frozen.hr(node)));
-                if lb < dk() {
-                    frontier.push(Frontier { lb, part, node, state });
-                    None
-                } else {
-                    stats.nodes_pruned += 1;
-                    Some(state)
+                // A member whose own `LBp` already loses is dropped; the
+                // child enters under the weakest of the remaining ones.
+                let (bound, lbo) = (dk(), state.lbo(grid));
+                if lbo < bound {
+                    let start = arena.len();
+                    let mut lbp = f64::INFINITY;
+                    for &(p, node) in merged.members_of(ci) {
+                        let member_lbp = searched[p as usize].lbp(node);
+                        if member_lbp < bound {
+                            arena.push((p, node));
+                            lbp = lbp.min(member_lbp);
+                        }
+                    }
+                    if arena.len() > start {
+                        frontier.push(Frontier {
+                            lb: lbo.max(lbp),
+                            first: arena[start],
+                            start: start as u32,
+                            end: arena.len() as u32,
+                            state: Some(state),
+                        });
+                        return None;
+                    }
                 }
+                stats.nodes_pruned += 1;
+                Some(state)
             },
         );
     }

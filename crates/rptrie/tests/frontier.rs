@@ -1,10 +1,14 @@
 //! One search over several tries: `RpTrie::search` over a slice of
-//! partitions pops every partition's nodes from one frontier in global
-//! bound order. Split a random dataset into 1–5 tries (each with its own
-//! grid resolution and pivots, some possibly empty), search the slice
-//! under one `SharedTopK`, and the answer must be brute force's.
+//! partitions pops every partition's label paths from one frontier in
+//! global bound order, one entry per path the tries on one grid share.
+//! Split a random dataset into 1–5 tries (on one grid or on grids of
+//! several resolutions, each with its own pivots, some possibly empty),
+//! search the slice under one `SharedTopK`, and the answer must be brute
+//! force's.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 use repose_distance::{Measure, MeasureParams, SharedTopK};
 use repose_model::{Mbr, Point, TrajStore, Trajectory};
 use repose_rptrie::{RpTrie, RpTrieConfig};
@@ -94,6 +98,7 @@ proptest! {
         deal in proptest::collection::vec(0usize..5, 30..31),
         query in proptest::collection::vec((0.0f64..32.0, 0.0f64..32.0), 1..6),
         level in 1u8..5,
+        shared_grid in any::<bool>(),
     ) {
         let trajs: Vec<Trajectory> = raw
             .into_iter()
@@ -118,14 +123,19 @@ proptest! {
         let all = trajs.len();
         let odd = |id: u64| id % 2 == 1;
         for measure in Measure::ALL {
-            // Each partition its own grid resolution and its own pivots.
+            // Each partition its own pivots (and, for Hausdorff, its own
+            // z-value re-arrangement), and either one grid, whose tries
+            // merge into shared frontier entries that pivots prune member
+            // by member, or grids of several resolutions, which stay
+            // apart.
             let tries: Vec<RpTrie> = stores
                 .iter()
                 .enumerate()
                 .map(|(pi, store)| {
+                    let level = if shared_grid { level } else { level + (pi % 3) as u8 };
                     RpTrie::build(
                         store,
-                        Grid::new(region, level + (pi % 3) as u8),
+                        Grid::new(region, level),
                         RpTrieConfig::for_measure(measure).with_params(params).with_np(2),
                     )
                 })
@@ -147,6 +157,98 @@ proptest! {
                         &accepts,
                     )?;
                 }
+            }
+        }
+    }
+}
+
+/// A random walk per trajectory over the `[0, 32)²` square.
+fn random_walks(rng: &mut StdRng, n: usize) -> Vec<Trajectory> {
+    (0..n)
+        .map(|i| {
+            let len = rng.random_range(2..12usize);
+            let (mut x, mut y) = (rng.random_range(2.0..30.0), rng.random_range(2.0..30.0));
+            let mut points = Vec::with_capacity(len);
+            for _ in 0..len {
+                points.push(Point::new(x, y));
+                x = (x + rng.random_range(-2.0..2.0)).clamp(0.0, 31.9);
+                y = (y + rng.random_range(-2.0..2.0)).clamp(0.0, 31.9);
+            }
+            Trajectory::new(i as u64, points)
+        })
+        .collect()
+}
+
+/// Tries on one grid are searched as one virtual trie: their union. A
+/// dataset dealt round-robin into 4 tries on one grid, searched as one
+/// slice, answers like brute force and like one trie built over the whole
+/// dataset, and walks that trie's paths: it pops the same paths and
+/// visits the same leaves. The three configurations are the ones whose
+/// paths and bounds do not depend on which trajectories share a trie: no
+/// pivots (each trie's pivots would be its own), and no z-value
+/// re-arrangement (the optimized Hausdorff trie orders a path by its
+/// whole dataset). The slice bounds each member trie's leaf by its own
+/// `Dmax` and may verify it later, at that bound, so its verification
+/// counts may differ; but in both searches every member whose distance
+/// is below a path's bound is verified before that path pops, so the
+/// stop test decides alike.
+///
+/// Continuous coordinates leave no `lb` ties at the stop test, so both
+/// searches pop the same paths. They do leave ties *below* it:
+/// Hausdorff's and Fréchet's `LBo` clamp at 0, so many near-query paths
+/// share `lb = 0`, and the two searches order such a tie differently
+/// (the union trie by node id, the slice by first member). Which of them
+/// verifies first decides whether a sibling's child is pruned at
+/// expansion or pushed and left unpopped, so `nodes_pruned` may differ by
+/// a few; it is not compared.
+#[test]
+fn shared_grid_slice_searches_like_its_union_trie() {
+    let mut rng = StdRng::seed_from_u64(51);
+    let trajs = random_walks(&mut rng, 240);
+    let union = TrajStore::from_trajectories(&trajs);
+    let stores: Vec<TrajStore> = (0..4)
+        .map(|pi| {
+            let mine: Vec<Trajectory> = trajs.iter().skip(pi).step_by(4).cloned().collect();
+            TrajStore::from_trajectories(&mine)
+        })
+        .collect();
+    let grid = Grid::new(Mbr::new(Point::new(0.0, 0.0), Point::new(32.0, 32.0)), 4);
+    let params = MeasureParams::default();
+    let configs = [
+        RpTrieConfig::for_measure(Measure::Dtw),
+        RpTrieConfig::for_measure(Measure::Frechet).with_np(0),
+        RpTrieConfig::for_measure(Measure::Hausdorff).with_optimize(false).with_np(0),
+    ];
+    let queries: Vec<Vec<Point>> =
+        random_walks(&mut rng, 12).into_iter().map(|t| t.points).collect();
+    for config in configs {
+        let measure = config.measure;
+        let tries: Vec<RpTrie> =
+            stores.iter().map(|s| RpTrie::build(s, grid.clone(), config)).collect();
+        let slice: Vec<(&RpTrie, &TrajStore)> = tries.iter().zip(&stores).collect();
+        let whole = RpTrie::build(&union, grid.clone(), config);
+        for (qi, query) in queries.iter().enumerate() {
+            for k in [1, 5, 20] {
+                let merged = SharedTopK::new(k);
+                let got = RpTrie::search(&slice, query, None, &merged);
+                let single = SharedTopK::new(k);
+                let want = RpTrie::search(&[(&whole, &union)], query, None, &single);
+                check_against_brute_force(
+                    &merged.hits(),
+                    &trajs,
+                    query,
+                    measure,
+                    params,
+                    k,
+                    &|_| true,
+                )
+                .unwrap();
+                let bits = |c: &SharedTopK| {
+                    c.hits().iter().map(|h| h.dist.to_bits()).collect::<Vec<_>>()
+                };
+                assert_eq!(bits(&merged), bits(&single), "{measure} q{qi} k={k}: distances");
+                let walk = |s: repose_rptrie::SearchStats| (s.nodes_visited, s.leaves_visited);
+                assert_eq!(walk(got), walk(want), "{measure} q{qi} k={k}: {got:?} vs {want:?}");
             }
         }
     }

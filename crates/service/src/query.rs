@@ -14,8 +14,13 @@
 //! exactly once. A task scans its share as one bound-sorted list
 //! ([`scan_delta`]), then runs one best-first search over all its
 //! partitions' tries at once ([`repose_rptrie::RpTrie::search`]): one
-//! frontier, nodes popped in global lower-bound order, so no partition is
-//! descended under a bound its siblings have already beaten. The delta
+//! frontier, label paths popped in global lower-bound order, so no
+//! partition is descended under a bound its siblings have already
+//! beaten. Every partition is built on the deployment's one grid, and the
+//! round-robin deal makes their tries repeat the same upper levels, so
+//! the frontier walks its partitions' tries as one virtual trie: a path
+//! they share is one entry, its bound state pushed once, and a leaf path
+//! verifies every partition's members in one candidate stream. The delta
 //! scan and the trie's leaves score candidates through the same step,
 //! [`MeasureParams::verify`], strictly under the live bound. All of a
 //! query's tasks publish into and prune with its one collector.

@@ -16,7 +16,9 @@
 //!    buffer each). Nor may it scale with child evaluations: a DTW search
 //!    recycles the columns of expanded and pruned nodes, so ~8× more
 //!    pruned children add almost no allocations (cloning the parent state
-//!    per child added one each).
+//!    per child added one each). Over several tries on one grid, searched
+//!    as one, the member sets and the merged child lists are recycled
+//!    too: ~7× more merging expansions add almost none either.
 //! 3. **Service** — same decoupling for a warm `ReposeService::query`
 //!    whose delta backlog (scored by `MeasureParams::verify`) grows, plus
 //!    thread-scratch footprint stability across the warm query. The
@@ -243,6 +245,87 @@ fn warm_dtw_trie_query_recycles_child_columns() {
         alloc_growth * 10 < child_growth,
         "allocations grew with child evaluations: +{alloc_growth} allocs for +{child_growth} \
          children (per-child bound states are back)"
+    );
+}
+
+#[test]
+fn warm_dtw_merged_trie_query_recycles_member_sets() {
+    let _g = measure_lock();
+    // A query walking one grid row, cell by cell, stored as trajectory 0,
+    // and decoys that follow its first `j` cells and then leave the row:
+    // all dealt round-robin into 4 tries on one grid, so the query's path
+    // is one frontier entry of up to 4 members at every depth. A seeded
+    // bound just above 0 prunes every decoy branch where it leaves the
+    // path, so the search pops the path node by node, merging the
+    // members' child lists at each, until the query's own leaf ends it.
+    // The member arena, the merge buffers and the columns are recycled:
+    // a longer path pops and merges many more times and evaluates many
+    // more children without allocating per expansion or per child.
+    let grid = Grid::new(
+        repose_model::Mbr::new(Point::new(0.0, 0.0), Point::new(16.0, 16.0)),
+        6,
+    );
+    let build = |len: usize| {
+        let query: Vec<Point> = (0..len).map(|j| Point::new(0.1 + 0.25 * j as f64, 0.1)).collect();
+        let mut stores: Vec<TrajStore> = (0..4).map(|_| TrajStore::new()).collect();
+        stores[0].push(0, &query);
+        let mut h = 0x2545_f491_4f6c_dd1du64;
+        let mut coord = || {
+            h ^= h << 13;
+            h ^= h >> 7;
+            h ^= h << 17;
+            4.0 + (h % 12_000) as f64 * 0.001
+        };
+        let mut id = 1u64;
+        for j in 1..len {
+            for _ in 0..3 {
+                let mut pts = query[..j].to_vec();
+                pts.extend((0..2).map(|_| Point::new(coord(), coord())));
+                stores[id as usize % 4].push(id, &pts);
+                id += 1;
+            }
+        }
+        let tries: Vec<RpTrie> = stores
+            .iter()
+            .map(|s| RpTrie::build(s, grid.clone(), RpTrieConfig::for_measure(Measure::Dtw)))
+            .collect();
+        (query, stores, tries)
+    };
+    let measure_warm = |query: &[Point], stores: &[TrajStore], tries: &[RpTrie]| {
+        let slice: Vec<(&RpTrie, &TrajStore)> = tries.iter().zip(stores).collect();
+        let search = || {
+            let c = SharedTopK::new(1);
+            c.publish(1e-9, u64::MAX);
+            let stats = RpTrie::search(&slice, query, None, &c);
+            (c.hits()[0], stats)
+        };
+        let (hit, stats) = search();
+        assert_eq!((hit.id, hit.dist), (0, 0.0));
+        // Every evaluated child is popped or pruned (or left in the
+        // frontier); the one root entry is popped without being a child.
+        let children = stats.nodes_visited + stats.nodes_pruned - 1;
+        let allocs = min_allocs_during(|| {
+            let _ = search();
+        });
+        (allocs, stats.nodes_visited, children)
+    };
+    let (q_small, small_stores, small_tries) = build(8);
+    let (q_big, big_stores, big_tries) = build(64);
+    let (a_small, p_small, c_small) = measure_warm(&q_small, &small_stores, &small_tries);
+    let (a_big, p_big, c_big) = measure_warm(&q_big, &big_stores, &big_tries);
+    assert!(
+        p_big >= p_small + 50 && c_big >= c_small + 200,
+        "setup broken: the longer path should pop and evaluate many more \
+         ({p_small} -> {p_big} pops, {c_small} -> {c_big} children)"
+    );
+    let alloc_growth = a_big as i64 - a_small as i64;
+    let pop_growth = (p_big - p_small) as i64;
+    assert!(
+        alloc_growth * 4 < pop_growth,
+        "allocations grew with merged expansions: +{alloc_growth} allocs for +{pop_growth} \
+         pops and +{} children (per-child member sets or per-expansion merge buffers \
+         are back)",
+        c_big - c_small
     );
 }
 
